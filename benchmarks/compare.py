@@ -29,7 +29,10 @@ consolidated trajectory artifact (read-modify-write JSON): one entry per
 ``(suite, name)`` with the compared metric, both values, the verdict, and
 the fresh report's timestamp.  CI calls the gate once per benchmark suite
 with the same ``--summary`` file and uploads the merged result, so one
-artifact shows every suite's speedup ratios for the run.
+artifact shows every suite's speedup ratios for the run.  The summary also
+records the repository's size -- ``src_lines`` (``wc -l`` over
+``src/**/*.py``) and ``public_all_size`` (``len(repro.__all__)``) -- the two
+numbers the ROADMAP tracks for "least code, smallest surface".
 
 Exit code 0 when every comparison is within tolerance, 1 otherwise.  The
 default tolerance is 0.25 (fail on >25% slowdowns) and can also be set via
@@ -39,6 +42,7 @@ the ``REPRO_BENCH_TOLERANCE`` environment variable.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import sys
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 DEFAULT_TOLERANCE = 0.25
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,24 @@ def compare_reports(
     return comparisons
 
 
+def code_size(root: Path = REPO_ROOT) -> dict[str, int]:
+    """``src_lines`` and ``public_all_size`` of the checkout at ``root``.
+
+    ``__all__`` is read off the syntax tree of ``src/repro/__init__.py``:
+    the gate runs as a plain script and must not need the package importable.
+    """
+    src = root / "src"
+    src_lines = sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
+    tree = ast.parse((src / "repro" / "__init__.py").read_text())
+    exported = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    return {"src_lines": src_lines, "public_all_size": len(ast.literal_eval(exported))}
+
+
 def merge_summary(
     path: Path, suite: str, comparisons: list[Comparison], *, generated: str | None
 ) -> dict:
@@ -173,6 +196,7 @@ def merge_summary(
     kept.sort(key=lambda entry: (entry.get("suite", ""), entry.get("name", "")))
     summary["entries"] = kept
     summary["generated"] = generated
+    summary.update(code_size())
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 

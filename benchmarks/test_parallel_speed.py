@@ -145,7 +145,7 @@ def test_sharded_pool_beats_single_worker(benchmark, tmp_path):
 def test_engine_dispatch_overhead_is_negligible(benchmark):
     """`backend="numpy"` through the engine facade must keep the kernel win.
 
-    Guards the dispatch layer itself: if `_run_evaluate_all` ever grew a
+    Guards the dispatch layer itself: if `_run_whole_graph` ever grew a
     per-call cost comparable to a kernel run (accidental re-resolution,
     counter contention), this would catch it.
     """
@@ -156,7 +156,9 @@ def test_engine_dispatch_overhead_is_negligible(benchmark):
     direct = [executor.numpy_evaluate_all(index, plan) for plan in plans]
 
     def through_engine():
-        return [engine._run_evaluate_all(index, plan)[0] for plan in plans]
+        return [
+            engine._run_whole_graph(index, plan, binary=False)[0] for plan in plans
+        ]
 
     results = benchmark.pedantic(through_engine, rounds=3, iterations=1)
     assert results == direct

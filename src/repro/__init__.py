@@ -101,7 +101,7 @@ from repro.storage import (
     write_snapshot,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "__version__",

@@ -14,16 +14,21 @@ semantics (:mod:`repro.graphdb.product` stays as the executable reference):
 * :mod:`repro.engine.costs` / :mod:`repro.engine.planner` -- the CSR-stats
   cost model and the parity-pinned automaton rewriter behind the
   cost-based planning layer (``EngineConfig.planner``);
-* :mod:`repro.engine.executor` -- the product-BFS kernels on int arrays
-  (pure-python reference plus the optional numpy-vectorized backend);
+* :mod:`repro.engine.executor` -- the product walk on int arrays, written
+  once per shape (forward early-exit search, backward whole-graph closure,
+  per-source binary closure, bidirectional pair search) over one ``bind``
+  adapter for every query representation; pure-python reference plus the
+  optional numpy-vectorized twins of the whole-graph walks;
 * :mod:`repro.engine.parallel` -- :class:`ParallelExecutor`, sharded
   process-pool execution over snapshot-backed indexes;
 * :mod:`repro.engine.engine` -- :class:`QueryEngine`, the facade with
   single-query, batch (:meth:`QueryEngine.evaluate_many`) and stats APIs.
 
-All the high-level entry points (``PathQuery.evaluate``, the learner's
-consistency checks, the experiment drivers) route through the shared default
-engine; results are bit-for-bit identical to the reference construction.
+The high-level entry points (``PathQuery.evaluate``, the learner's
+consistency checks, the interactive session, the experiment drivers) take an
+explicit ``engine=`` -- a :class:`~repro.api.Workspace` hands them its own --
+and fall back to :func:`get_default_engine` only when none is passed.
+Results are bit-for-bit identical to the reference construction either way.
 """
 
 from repro.engine.cache import (

@@ -8,7 +8,7 @@ The engine ties the subsystem together.  For every call it
 2. resolves the graph to a :class:`~repro.engine.index.GraphIndex`, rebuilt
    only when the graph's version counter moved,
 3. consults the versioned result cache for whole-graph evaluations, and
-4. otherwise runs the int-array kernels of :mod:`repro.engine.executor`.
+4. otherwise runs one of the product walks of :mod:`repro.engine.executor`.
 
 A module-level default engine (:func:`get_default_engine`) backs the
 high-level APIs (``PathQuery.evaluate`` and friends) and the compatibility
@@ -24,7 +24,7 @@ from time import perf_counter
 from weakref import WeakKeyDictionary
 
 from repro.automata.dfa import DFA
-from repro.automata.kernel import MergeFold, TableAutomaton
+from repro.automata.kernel import TableAutomaton
 from repro.automata.nfa import NFA
 from repro.engine.cache import PlanCache, ResultCache, shared_caches
 from repro.engine.executor import KernelStats
@@ -44,6 +44,43 @@ from repro.telemetry.profile import QueryProfile, fingerprint_token
 #: Anything the engine accepts as a query: a raw automaton or any object
 #: exposing a ``dfa`` attribute (``PathQuery``, ``BinaryPathQuery``).
 Query = object
+
+#: Labeled dispatch counters: family -> (metric name, help, label key).
+_DISPATCH_COUNTERS = {
+    "backend": (
+        "engine_backend_selected_total",
+        "Whole-graph kernel dispatches by selected backend",
+        "backend",
+    ),
+    "pair": (
+        "engine_pair_kernel_total",
+        "Pair-query kernel dispatches by search strategy",
+        "kind",
+    ),
+    "rewrite": (
+        "engine_planner_rewrites_total",
+        "Automaton rewrites applied (or refused) by the planner",
+        "rewrite",
+    ),
+}
+
+
+class _Observation:
+    """Stage marks of one whole-graph call, for its span and profile.
+
+    Created only while ``telemetry.active``.  ``compiled`` starts equal to
+    ``started`` so an ephemeral call (no plan stage) reports zero compile
+    time; ``indexed`` stays ``None`` on a result-cache hit (no index, no
+    walk).
+    """
+
+    def __init__(self) -> None:
+        self.started = self.compiled = perf_counter()
+        self.indexed = self.index = self.marks = None
+        self.plan = self.plan_outcome = self.report = None
+        self.depth_sizes: list[int] | None = None
+        self.cache = "miss"
+        self.backend: str | None = None
 
 
 class EngineStats:
@@ -249,9 +286,7 @@ class QueryEngine:
             if workers > 1
             else None
         )
-        self._backend_counters: dict[str, object] = {}
-        self._pair_counters: dict[str, object] = {}
-        self._rewrite_counters: dict[str, object] = {}
+        self._dispatch_counters: dict[tuple[str, str], object] = {}
         # Planner memos, keyed by (graph uid, version) generations; tiny
         # and cleared wholesale when full (8/64 generations is plenty --
         # an engine rarely serves more than a handful of live graphs).
@@ -377,11 +412,9 @@ class QueryEngine:
 
     def plan_for(self, query: Query) -> CompiledPlan:
         """The (cached) compiled plan of a query or automaton."""
-        automaton = self._coerce_automaton(query)
-        if isinstance(automaton, MergeFold):
-            # Materialize the quotient once; fingerprinting and compiling
-            # the fold separately would each build it.
-            automaton = automaton.to_table()
+        # Materialize a fold's quotient once; fingerprinting and compiling
+        # the fold separately would each build it.
+        automaton = planning.plan_automaton(self._coerce_automaton(query))
         fingerprint = automaton_fingerprint(automaton)
         plan = self.plan_cache.get(fingerprint)
         if plan is None:
@@ -401,6 +434,10 @@ class QueryEngine:
         so the cost model only arbitrates when both knobs are ``"auto"``.
         """
         return self.planner == "auto" and self.backend_requested == "auto"
+
+    def _result_key(self, operation: str, plan: CompiledPlan, graph: GraphDB) -> tuple:
+        """The result-cache key of one (operation, plan, graph generation)."""
+        return ResultCache.key(operation, plan.fingerprint, *self._graph_identity(graph))
 
     @staticmethod
     def _graph_identity(graph: GraphDB) -> tuple:
@@ -429,9 +466,7 @@ class QueryEngine:
         """
         if self.planner != "auto":
             return self.plan_for(query), None
-        automaton = self._coerce_automaton(query)
-        if isinstance(automaton, MergeFold):
-            automaton = automaton.to_table()
+        automaton = planning.plan_automaton(self._coerce_automaton(query))
         fingerprint = automaton_fingerprint(automaton)
         labels_of = getattr(graph, "labels", None)
         if not callable(labels_of):
@@ -460,24 +495,12 @@ class QueryEngine:
                 plan = compile_plan(automaton, fingerprint=fingerprint)
             report = outcome.to_dict()
             report["fingerprint"] = fingerprint_token(plan.fingerprint)
-            self._count_rewrites(outcome)
+            for name in outcome.applied:
+                self._count("rewrite", name)
         self.stats.inc("plan_compilations")
         entry = (plan, report)
         self.plan_cache.put(key, entry)
         return entry
-
-    def _count_rewrites(self, outcome: planning.RewriteOutcome) -> None:
-        """Bump ``engine_planner_rewrites_total{rewrite=...}`` per pass."""
-        for name in outcome.applied:
-            counter = self._rewrite_counters.get(name)
-            if counter is None:
-                counter = self.telemetry.registry.counter(
-                    "engine_planner_rewrites_total",
-                    help="Automaton rewrites applied (or refused) by the planner",
-                    labels={"rewrite": name},
-                )
-                self._rewrite_counters[name] = counter
-            counter.inc()
 
     def _cost_model(self, index: GraphIndex) -> CostModel:
         """The memoized :class:`CostModel` of one index generation."""
@@ -563,16 +586,13 @@ class QueryEngine:
 
     # -- kernel dispatch -----------------------------------------------------
 
-    def _count_backend(self, label: str) -> None:
-        """Bump ``engine_backend_selected_total{backend=...}`` for one call."""
-        counter = self._backend_counters.get(label)
+    def _count(self, family: str, label: str) -> None:
+        """Bump one labeled series of a dispatch counter family."""
+        counter = self._dispatch_counters.get((family, label))
         if counter is None:
-            counter = self.telemetry.registry.counter(
-                "engine_backend_selected_total",
-                help="Whole-graph kernel dispatches by selected backend",
-                labels={"backend": label},
-            )
-            self._backend_counters[label] = counter
+            name, help_text, key = _DISPATCH_COUNTERS[family]
+            counter = self.telemetry.registry.counter(name, help=help_text, labels={key: label})
+            self._dispatch_counters[family, label] = counter
         counter.inc()
 
     def _shard_trace(self):
@@ -594,93 +614,59 @@ class QueryEngine:
             return None, None
         return ctx.child(tracer.current_ref()).to_dict(), tracer.ingest
 
-    def _run_evaluate_all(
+    def _run_whole_graph(
         self,
         index: GraphIndex,
-        plan: CompiledPlan,
+        plan: CompiledPlan | TableAutomaton,
         *,
+        binary: bool,
+        ephemeral: bool = False,
+        max_depth: int | None = None,
         depth_sizes: list[int] | None = None,
-    ) -> tuple[frozenset[int], str]:
-        """Dispatch one whole-graph monadic evaluation to the best backend.
+    ) -> tuple[frozenset, str]:
+        """Dispatch one whole-graph evaluation to the best backend.
 
         The candidate order comes from :meth:`_dispatch_order` -- the fixed
         sharded/vectorized/python preference, or (adaptive mode) the cost
-        model's cheapest-first ranking.  Sharding is skipped when a
-        per-depth profile was requested (layer sizes are a whole-walk
-        property the union of shard walks cannot reproduce).  A ``None``
-        from the parallel layer means "pool unavailable" and falls through
-        to the next candidate -- results never depend on pool health.
+        model's cheapest-first ranking.  That ranking is also what keeps
+        the chunked numpy binary walk off sparse selective queries: its
+        dense per-chunk visited mask costs ``sources * n * k`` regardless
+        of selectivity, so the cost model hands those to the per-source
+        python search instead.  Sharding is skipped when a per-depth
+        profile was requested (layer sizes are a whole-walk property the
+        union of shard walks cannot reproduce).  A ``None`` from the
+        parallel layer means "pool unavailable" and falls through to the
+        next candidate -- results never depend on pool health.
+
+        An ephemeral kernel table has no plan for the cost model to price
+        and is never shipped to workers: it runs on the resolved backend.
         """
-        for strategy in self._dispatch_order(
-            index, plan, binary=False, allow_shard=depth_sizes is None
-        ):
+        if ephemeral:
+            order = [self.backend]
+        else:
+            order = self._dispatch_order(
+                index, plan, binary=binary, allow_shard=depth_sizes is None
+            )
+        kernel = self.stats.kernel
+        for strategy in order:
             if strategy == "sharded":
                 trace, ingest = self._shard_trace()
-                selected = self._parallel.evaluate_all(
-                    index, plan, self.stats.kernel, trace=trace, ingest=ingest
-                )
+                pool = self._parallel
+                fan_out = pool.binary_evaluate if binary else pool.evaluate_all
+                selected = fan_out(index, plan, kernel, trace=trace, ingest=ingest)
                 if selected is None:
                     continue
-                self._count_backend("sharded")
-                return selected, "sharded"
-            if strategy == "numpy":
-                self._count_backend("numpy")
-                return (
-                    executor.numpy_evaluate_all(
-                        index, plan, self.stats.kernel, depth_sizes=depth_sizes
-                    ),
-                    "numpy",
-                )
-            self._count_backend("python")
-            return (
-                executor.evaluate_all(
-                    index, plan, self.stats.kernel, depth_sizes=depth_sizes
-                ),
-                "python",
-            )
+            else:
+                monadic, pairs = executor.whole_graph_walks(strategy)
+                if binary:
+                    selected = pairs(index, plan, kernel)
+                else:
+                    selected = monadic(
+                        index, plan, kernel, depth_sizes=depth_sizes, max_depth=max_depth
+                    )
+            self._count("backend", strategy)
+            return selected, strategy
         raise AssertionError("dispatch order always ends in 'python'")
-
-    def _run_binary_evaluate(
-        self, index: GraphIndex, plan: CompiledPlan
-    ) -> tuple[frozenset[tuple[int, int]], str]:
-        """Dispatch one whole-graph binary evaluation (same ranking as monadic).
-
-        The adaptive path is what keeps the chunked numpy kernel off sparse
-        selective queries: its dense per-chunk visited mask costs
-        ``sources * n * k`` regardless of selectivity, so the cost model
-        hands those to the per-source python search instead.
-        """
-        for strategy in self._dispatch_order(index, plan, binary=True):
-            if strategy == "sharded":
-                trace, ingest = self._shard_trace()
-                pairs = self._parallel.binary_evaluate(
-                    index, plan, self.stats.kernel, trace=trace, ingest=ingest
-                )
-                if pairs is None:
-                    continue
-                self._count_backend("sharded")
-                return pairs, "sharded"
-            if strategy == "numpy":
-                self._count_backend("numpy")
-                return (
-                    executor.numpy_binary_evaluate(index, plan, self.stats.kernel),
-                    "numpy",
-                )
-            self._count_backend("python")
-            return executor.binary_evaluate(index, plan, self.stats.kernel), "python"
-        raise AssertionError("dispatch order always ends in 'python'")
-
-    def _count_pair_kernel(self, kind: str) -> None:
-        """Bump ``engine_pair_kernel_total{kind=...}`` for one pair query."""
-        counter = self._pair_counters.get(kind)
-        if counter is None:
-            counter = self.telemetry.registry.counter(
-                "engine_pair_kernel_total",
-                help="Pair-query kernel dispatches by search strategy",
-                labels={"kind": kind},
-            )
-            self._pair_counters[kind] = counter
-        counter.inc()
 
     def _run_pair_selects(
         self, index: GraphIndex, plan: CompiledPlan, origin_id: int, end_id: int
@@ -700,49 +686,23 @@ class QueryEngine:
         else:
             kind = "forward"
         plan = self._ordered_plan(index, plan)
-        self._count_pair_kernel(kind)
+        self._count("pair", kind)
+        kernel = self.stats.kernel
         if kind == "bidirectional":
-            return executor.bidirectional_pair_selects(
-                index, plan, origin_id, end_id, self.stats.kernel
-            )
-        return executor.pair_selects(
-            index, plan, origin_id, end_id, self.stats.kernel
-        )
+            return executor.bidirectional_pair_selects(index, plan, origin_id, end_id, kernel)
+        return executor.any_selects(index, plan, (origin_id,), kernel, end=end_id)
 
-    def _run_table_evaluate_all(
-        self,
-        index: GraphIndex,
-        automaton: TableAutomaton,
-        *,
-        max_depth: int | None = None,
-        depth_sizes: list[int] | None = None,
-    ) -> tuple[frozenset[int], str]:
-        """Dispatch one ephemeral table evaluation (vectorized or python)."""
-        if self.backend == "numpy":
-            self._count_backend("numpy")
-            return (
-                executor.numpy_table_evaluate_all(
-                    index,
-                    automaton,
-                    self.stats.kernel,
-                    max_depth=max_depth,
-                    depth_sizes=depth_sizes,
-                ),
-                "numpy",
-            )
-        self._count_backend("python")
-        return (
-            executor.table_evaluate_all(
-                index,
-                automaton,
-                self.stats.kernel,
-                max_depth=max_depth,
-                depth_sizes=depth_sizes,
-            ),
-            "python",
-        )
+    # -- whole-graph evaluation ----------------------------------------------
 
-    # -- monadic semantics ---------------------------------------------------
+    @staticmethod
+    def _check_max_depth(max_depth: int, ephemeral: bool, automaton: object) -> None:
+        """Reject a ``max_depth`` the call cannot honour, before any work."""
+        if not ephemeral:
+            raise QueryError("max_depth is only supported with ephemeral=True")
+        if not isinstance(automaton, TableAutomaton):
+            raise QueryError("max_depth needs a kernel TableDFA/MergeFold query")
+        if max_depth < 0:
+            raise QueryError(f"max_depth must be non-negative, got {max_depth}")
 
     def evaluate(
         self,
@@ -757,8 +717,8 @@ class QueryEngine:
         Pass ``ephemeral=True`` for throwaway kernel automata that will never
         be evaluated again (e.g. the interactive layer's per-round
         uncovered-words automaton): the engine skips fingerprinting, plan
-        compilation and both caches and runs one backward table walk on the
-        CSR index.  ``max_depth`` (ephemeral only) bounds the accepted word
+        compilation and both caches and runs one backward walk on the CSR
+        index.  ``max_depth`` (ephemeral only) bounds the accepted word
         length, which is how batched k-informativeness cuts the product at
         ``k`` symbols.
 
@@ -767,199 +727,138 @@ class QueryEngine:
         :class:`~repro.telemetry.profile.QueryProfile`; the selected set is
         identical either way (pinned by the telemetry identity tests).
         """
-        if self.telemetry.active:
-            return self._evaluate_observed(
-                graph, query, ephemeral=ephemeral, max_depth=max_depth
-            )
         if ephemeral:
-            automaton = self._coerce_automaton(query)
-            if not isinstance(automaton, TableAutomaton):
+            query = self._coerce_automaton(query)
+            if not isinstance(query, TableAutomaton):
                 raise QueryError(
-                    "ephemeral whole-graph evaluation needs a kernel TableDFA/MergeFold, "
-                    f"got {type(query).__name__}"
+                    "ephemeral whole-graph evaluation needs a kernel "
+                    f"TableDFA/MergeFold, got {type(query).__name__}"
                 )
-            if isinstance(automaton, MergeFold):
-                automaton = automaton.to_table()
-            index = self.index_for(graph)
-            self.stats.inc("evaluations")
-            selected_ids, _ = self._run_table_evaluate_all(
-                index, automaton, max_depth=max_depth
-            )
-            nodes_by_id = index.nodes_by_id
-            return frozenset(nodes_by_id[node_id] for node_id in selected_ids)
         if max_depth is not None:
-            raise QueryError("max_depth is only supported with ephemeral=True")
-        plan, _ = self._resolve_plan(graph, query)
-        key = ResultCache.key("eval", plan.fingerprint, *self._graph_identity(graph))
-        cached = self.result_cache.get(key)
-        if cached is not None:
-            return cached
-        index = self.index_for(graph)
-        self.stats.inc("evaluations")
-        selected_ids, _ = self._run_evaluate_all(index, plan)
-        nodes_by_id = index.nodes_by_id
-        result = frozenset(nodes_by_id[node_id] for node_id in selected_ids)
-        self.result_cache.put(key, result)
-        return result
+            self._check_max_depth(max_depth, ephemeral, query)
+        return self._whole_graph(graph, query, "evaluate", ephemeral, max_depth)
 
-    def _evaluate_observed(
+    def binary_evaluate(self, graph: GraphDB, query: Query) -> frozenset[tuple[Node, Node]]:
+        """The set of node pairs selected under the binary semantics."""
+        return self._whole_graph(graph, query, "binary_evaluate")
+
+    def _whole_graph(
         self,
         graph: GraphDB,
         query: Query,
-        *,
+        operation: str,
+        ephemeral: bool = False,
+        max_depth: int | None = None,
+    ) -> frozenset:
+        """Answer one whole-graph call; observe it iff telemetry is active.
+
+        Both modes run the same :meth:`_answer`.  The disabled mode hands it
+        no observation record and opens no span, so it pays one ``is not
+        None`` test per stage and nothing else (the telemetry-overhead
+        benchmark gates exactly that).
+        """
+        binary = operation == "binary_evaluate"
+        if not self.telemetry.active:
+            return self._answer(graph, query, binary, ephemeral, max_depth, None)
+        observation = _Observation()
+        with self.telemetry.span(f"engine.{operation}") as span:
+            result = self._answer(graph, query, binary, ephemeral, max_depth, observation)
+            self._observe(span, operation, observation, len(result))
+        return result
+
+    def _answer(
+        self,
+        graph: GraphDB,
+        query: Query,
+        binary: bool,
         ephemeral: bool,
         max_depth: int | None,
-    ) -> frozenset[Node]:
-        """:meth:`evaluate` with span/profile capture (telemetry active)."""
-        kernel = self.stats.kernel
-        started = perf_counter()
-        with self.telemetry.span("engine.evaluate") as span:
-            if ephemeral:
-                automaton = self._coerce_automaton(query)
-                if not isinstance(automaton, TableAutomaton):
-                    raise QueryError(
-                        "ephemeral whole-graph evaluation needs a kernel "
-                        f"TableDFA/MergeFold, got {type(query).__name__}"
-                    )
-                if isinstance(automaton, MergeFold):
-                    automaton = automaton.to_table()
-                index = self.index_for(graph)
-                indexed = perf_counter()
-                self.stats.inc("evaluations")
-                marks = kernel.mark()
-                depth_sizes: list[int] = []
-                selected_ids, backend_used = self._run_table_evaluate_all(
-                    index,
-                    automaton,
-                    max_depth=max_depth,
-                    depth_sizes=depth_sizes,
-                )
-                nodes_by_id = index.nodes_by_id
-                result = frozenset(nodes_by_id[node_id] for node_id in selected_ids)
-                self._observe(
-                    span,
-                    operation="evaluate",
-                    cache="ephemeral",
-                    plan=None,
-                    plan_outcome=None,
-                    index=index,
-                    marks=marks,
-                    depth_sizes=depth_sizes,
-                    compile_seconds=0.0,
-                    index_seconds=indexed - started,
-                    started=started,
-                    walk_started=indexed,
-                    selected=len(result),
-                    backend=backend_used,
-                )
-                return result
-            if max_depth is not None:
-                raise QueryError("max_depth is only supported with ephemeral=True")
-            plan_misses = self.plan_cache.misses
+        observation: _Observation | None,
+    ) -> frozenset:
+        """Plan cache -> result cache -> index -> walk, for both semantics."""
+        if ephemeral:
+            # A fold is materialized first: the walk's bitmap is sized by
+            # the state count, and the quotient is the compact form.
+            plan = planning.plan_automaton(query)
+            key = None
+            if observation is not None:
+                observation.cache = "ephemeral"
+                observation.depth_sizes = []
+        else:
+            misses = self.plan_cache.misses
             plan, report = self._resolve_plan(graph, query)
-            plan_outcome = "miss" if self.plan_cache.misses > plan_misses else "hit"
-            compiled = perf_counter()
-            key = ResultCache.key(
-                "eval", plan.fingerprint, *self._graph_identity(graph)
-            )
+            if observation is not None:
+                observation.plan, observation.report = plan, report
+                observation.plan_outcome = "miss" if self.plan_cache.misses > misses else "hit"
+                observation.compiled = perf_counter()
+                # Per-depth layer sizes are a whole-walk property only the
+                # in-process walks can report, so capturing them pins the
+                # walk in-process.  Collect them under profiling only: a
+                # traced-but-unprofiled query stays shard-eligible, which is
+                # what lets distributed traces reach the worker pool.
+                if self.telemetry.profiling and not binary:
+                    observation.depth_sizes = []
+            key = self._result_key("binary" if binary else "eval", plan, graph)
             cached = self.result_cache.get(key)
             if cached is not None:
-                self._observe(
-                    span,
-                    operation="evaluate",
-                    cache="hit",
-                    plan=plan,
-                    plan_outcome=plan_outcome,
-                    index=None,
-                    marks=None,
-                    depth_sizes=[],
-                    compile_seconds=compiled - started,
-                    index_seconds=0.0,
-                    started=started,
-                    walk_started=None,
-                    selected=len(cached),
-                    planner=report,
-                )
+                if observation is not None:
+                    observation.cache = "hit"
                 return cached
-            index = self.index_for(graph)
-            indexed = perf_counter()
-            self.stats.inc("evaluations")
-            marks = kernel.mark()
-            # Per-depth layer sizes are a whole-walk property only the
-            # in-process kernels can report, so capturing them pins the
-            # walk in-process.  Collect them under profiling only: a
-            # traced-but-unprofiled query stays shard-eligible, which is
-            # what lets distributed traces reach the worker pool.
-            depth_sizes = [] if self.telemetry.profiling else None
-            selected_ids, backend_used = self._run_evaluate_all(
-                index, plan, depth_sizes=depth_sizes
-            )
-            nodes_by_id = index.nodes_by_id
+        index = self.index_for(graph)
+        depth_sizes = None
+        if observation is not None:
+            observation.index, observation.indexed = index, perf_counter()
+            observation.marks = self.stats.kernel.mark()
+            depth_sizes = observation.depth_sizes
+        selected_ids, strategy = self._run_whole_graph(
+            index,
+            plan,
+            binary=binary,
+            ephemeral=ephemeral,
+            max_depth=max_depth,
+            depth_sizes=depth_sizes,
+        )
+        self.stats.inc("evaluations")
+        nodes_by_id = index.nodes_by_id
+        if binary:
+            result = frozenset((nodes_by_id[src], nodes_by_id[end]) for src, end in selected_ids)
+        else:
             result = frozenset(nodes_by_id[node_id] for node_id in selected_ids)
+        if key is not None:
             self.result_cache.put(key, result)
-            self._observe(
-                span,
-                operation="evaluate",
-                cache="miss",
-                plan=plan,
-                plan_outcome=plan_outcome,
-                index=index,
-                marks=marks,
-                depth_sizes=depth_sizes,
-                compile_seconds=compiled - started,
-                index_seconds=indexed - compiled,
-                started=started,
-                walk_started=indexed,
-                selected=len(result),
-                backend=backend_used,
-                planner=report,
-            )
-            return result
+        if observation is not None:
+            observation.backend = strategy
+        return result
 
-    def _observe(
-        self,
-        span,
-        *,
-        operation: str,
-        cache: str,
-        plan: CompiledPlan | None,
-        plan_outcome: str | None,
-        index: GraphIndex | None,
-        marks: tuple[int, int] | None,
-        depth_sizes: list[int] | None,
-        compile_seconds: float,
-        index_seconds: float,
-        started: float,
-        walk_started: float | None,
-        selected: int,
-        backend: str | None = None,
-        planner: dict | None = None,
-    ) -> None:
+    def _observe(self, span, operation: str, observation: _Observation, selected: int) -> None:
         """Stamp span attributes, histogram and (optionally) a profile."""
-        if depth_sizes is None:
-            depth_sizes = []
         ended = perf_counter()
-        total_seconds = ended - started
-        walk_seconds = (ended - walk_started) if walk_started is not None else 0.0
-        states = edges = 0
-        if marks is not None:
-            now_states, now_edges = self.stats.kernel.mark()
-            states, edges = now_states - marks[0], now_edges - marks[1]
+        plan, index = observation.plan, observation.index
+        depth_sizes = observation.depth_sizes or []
+        total_seconds = ended - observation.started
         token = fingerprint_token(plan.fingerprint) if plan is not None else None
-        span.set(cache=cache, selected=selected)
-        if backend is not None:
-            span.set(backend=backend)
-        if plan_outcome is not None:
-            span.set(plan_cache=plan_outcome)
-        if token is not None:
-            span.set(plan=token)
-        if index is not None:
-            span.set(
+        attrs = {
+            "cache": observation.cache,
+            "selected": selected,
+            "backend": observation.backend,
+            "plan_cache": observation.plan_outcome,
+            "plan": token,
+        }
+        index_seconds = walk_seconds = 0.0
+        states = edges = 0
+        if index is not None:  # a walk ran (not a result-cache hit)
+            index_seconds = observation.indexed - observation.compiled
+            walk_seconds = ended - observation.indexed
+            now_states, now_edges = self.stats.kernel.mark()
+            states = now_states - observation.marks[0]
+            edges = now_edges - observation.marks[1]
+            attrs.update(
                 index_version=index.graph_version,
                 states_expanded=states,
                 edges_scanned=edges,
                 max_frontier=max(depth_sizes, default=0),
             )
+        span.set(**{name: value for name, value in attrs.items() if value is not None})
         self.telemetry.registry.histogram(
             "engine_evaluate_seconds",
             help="Wall time of engine evaluations (perf_counter)",
@@ -970,9 +869,9 @@ class QueryEngine:
                 plan=token,
                 index_version=index.graph_version if index is not None else None,
                 index_uid=index.graph_uid if index is not None else None,
-                cache=cache,
-                plan_cache=plan_outcome,
-                compile_seconds=compile_seconds,
+                cache=observation.cache,
+                plan_cache=observation.plan_outcome,
+                compile_seconds=observation.compiled - observation.started,
                 index_seconds=index_seconds,
                 walk_seconds=walk_seconds,
                 total_seconds=total_seconds,
@@ -981,8 +880,8 @@ class QueryEngine:
                 depth_sizes=depth_sizes,
                 selected=selected,
             ).to_dict()
-            if planner is not None:
-                profile["planner"] = planner
+            if observation.report is not None:
+                profile["planner"] = observation.report
             self.last_profile = profile
 
     def take_profile(self) -> dict | None:
@@ -995,91 +894,6 @@ class QueryEngine:
         """
         profile, self.last_profile = self.last_profile, None
         return profile
-
-    def selects(self, graph: GraphDB, query: Query, node: Node) -> bool:
-        """Whether the query selects one given node of ``graph``."""
-        if node not in graph:
-            raise GraphError(f"node {node!r} is not in the graph")
-        plan, _ = self._resolve_plan(graph, query)
-        # A finished whole-graph evaluation answers membership for free.
-        key = ResultCache.key("eval", plan.fingerprint, *self._graph_identity(graph))
-        cached = self.result_cache.get(key)
-        if cached is not None:
-            return node in cached
-        index = self.index_for(graph)
-        self.stats.inc("evaluations")
-        return executor.selects(
-            index,
-            self._ordered_plan(index, plan),
-            index.node_ids[node],
-            self.stats.kernel,
-        )
-
-    def any_selects(
-        self,
-        graph: GraphDB,
-        query: Query,
-        nodes: Iterable[Node],
-        *,
-        ephemeral: bool = False,
-        max_depth: int | None = None,
-    ) -> bool:
-        """Whether the query selects at least one of the given nodes.
-
-        The engine-side intersection-emptiness test behind Algorithm 1's
-        merge guard (a candidate is rejected iff it selects a negative node).
-        Pass ``ephemeral=True`` for throwaway automata that will never be
-        evaluated again (e.g. merge candidates): the engine then skips
-        fingerprinting, plan compilation and both caches and runs the lazy
-        kernel directly on the CSR index.  ``max_depth`` (ephemeral kernel
-        automata only) bounds the witness word's length -- the interactive
-        layer's per-candidate k-informativeness check.
-        """
-        start_nodes = list(nodes)
-        for node in start_nodes:
-            if node not in graph:
-                raise GraphError(f"node {node!r} is not in the graph")
-        if not start_nodes:
-            return False
-        index = self.index_for(graph)
-        node_ids = index.node_ids
-        if ephemeral:
-            self.stats.inc("evaluations")
-            automaton = self._coerce_automaton(query)
-            if isinstance(automaton, TableAutomaton):
-                # Kernel automata (TableDFA / in-place MergeFold hypotheses)
-                # take the all-int walk; no compilation, no object traversal.
-                return executor.table_any_selects(
-                    index,
-                    automaton,
-                    (node_ids[node] for node in start_nodes),
-                    self.stats.kernel,
-                    max_depth=max_depth,
-                )
-            if max_depth is not None:
-                raise QueryError(
-                    "max_depth needs a kernel TableDFA/MergeFold query"
-                )
-            return executor.lazy_any_selects(
-                index,
-                automaton,
-                (node_ids[node] for node in start_nodes),
-                self.stats.kernel,
-            )
-        if max_depth is not None:
-            raise QueryError("max_depth is only supported with ephemeral=True")
-        plan, _ = self._resolve_plan(graph, query)
-        key = ResultCache.key("eval", plan.fingerprint, *self._graph_identity(graph))
-        cached = self.result_cache.get(key)
-        if cached is not None:
-            return any(node in cached for node in start_nodes)
-        self.stats.inc("evaluations")
-        return executor.any_selects(
-            index,
-            self._ordered_plan(index, plan),
-            (node_ids[node] for node in start_nodes),
-            self.stats.kernel,
-        )
 
     def evaluate_many(
         self, graph: GraphDB, queries: Sequence[Query]
@@ -1117,11 +931,7 @@ class QueryEngine:
         and loses nothing.
         """
         plans = [self._resolve_plan(graph, query)[0] for query in queries]
-        identity = self._graph_identity(graph)
-        keys = [
-            ResultCache.key("eval", plan.fingerprint, *identity) for plan in plans
-        ]
-        cached = [self.result_cache.get(key) for key in keys]
+        cached = [self.result_cache.get(self._result_key("eval", plan, graph)) for plan in plans]
         misses: dict[object, CompiledPlan] = {}
         for plan, hit in zip(plans, cached):
             if hit is None and plan.fingerprint not in misses:
@@ -1136,99 +946,68 @@ class QueryEngine:
         by_fingerprint: dict[object, frozenset[Node]] = {}
         for plan, selected_ids in zip(unique, fanned):
             self.stats.inc("evaluations")
-            self._count_backend("sharded")
+            self._count("backend", "sharded")
             result = frozenset(nodes_by_id[node_id] for node_id in selected_ids)
-            self.result_cache.put(
-                ResultCache.key("eval", plan.fingerprint, *identity), result
-            )
+            self.result_cache.put(self._result_key("eval", plan, graph), result)
             by_fingerprint[plan.fingerprint] = result
         return [
             hit if hit is not None else by_fingerprint[plan.fingerprint]
             for plan, hit in zip(plans, cached)
         ]
 
-    # -- binary semantics ----------------------------------------------------
+    # -- early-exit membership -----------------------------------------------
 
-    def binary_evaluate(self, graph: GraphDB, query: Query) -> frozenset[tuple[Node, Node]]:
-        """The set of node pairs selected under the binary semantics."""
-        if self.telemetry.active:
-            return self._binary_evaluate_observed(graph, query)
-        plan, _ = self._resolve_plan(graph, query)
-        key = ResultCache.key("binary", plan.fingerprint, *self._graph_identity(graph))
-        cached = self.result_cache.get(key)
-        if cached is not None:
-            return cached
-        index = self.index_for(graph)
-        self.stats.inc("evaluations")
-        pair_ids, _ = self._run_binary_evaluate(index, plan)
-        nodes_by_id = index.nodes_by_id
-        result = frozenset(
-            (nodes_by_id[source], nodes_by_id[end]) for source, end in pair_ids
-        )
-        self.result_cache.put(key, result)
-        return result
+    def selects(self, graph: GraphDB, query: Query, node: Node) -> bool:
+        """Whether the query selects one given node of ``graph``."""
+        return self.any_selects(graph, query, (node,))
 
-    def _binary_evaluate_observed(
-        self, graph: GraphDB, query: Query
-    ) -> frozenset[tuple[Node, Node]]:
-        """:meth:`binary_evaluate` with span/profile capture."""
-        kernel = self.stats.kernel
-        started = perf_counter()
-        with self.telemetry.span("engine.binary_evaluate") as span:
-            plan_misses = self.plan_cache.misses
-            plan, report = self._resolve_plan(graph, query)
-            plan_outcome = "miss" if self.plan_cache.misses > plan_misses else "hit"
-            compiled = perf_counter()
-            key = ResultCache.key(
-                "binary", plan.fingerprint, *self._graph_identity(graph)
-            )
-            cached = self.result_cache.get(key)
+    def any_selects(
+        self,
+        graph: GraphDB,
+        query: Query,
+        nodes: Iterable[Node],
+        *,
+        ephemeral: bool = False,
+        max_depth: int | None = None,
+    ) -> bool:
+        """Whether the query selects at least one of the given nodes.
+
+        The engine-side intersection-emptiness test behind Algorithm 1's
+        merge guard (a candidate is rejected iff it selects a negative node).
+        Pass ``ephemeral=True`` for throwaway automata that will never be
+        evaluated again (e.g. merge candidates): the engine then skips
+        fingerprinting, plan compilation and both caches and walks the
+        automaton as it stands on the CSR index.  ``max_depth`` (ephemeral
+        kernel automata only) bounds the witness word's length -- the
+        interactive layer's per-candidate k-informativeness check.
+        """
+        start_nodes = list(nodes)
+        for node in start_nodes:
+            if node not in graph:
+                raise GraphError(f"node {node!r} is not in the graph")
+        walked = self._coerce_automaton(query)
+        if max_depth is not None:
+            self._check_max_depth(max_depth, ephemeral, walked)
+        if not start_nodes:
+            return False
+        if not ephemeral:
+            plan, _ = self._resolve_plan(graph, query)
+            # A finished whole-graph evaluation answers membership for free.
+            cached = self.result_cache.get(self._result_key("eval", plan, graph))
             if cached is not None:
-                self._observe(
-                    span,
-                    operation="binary_evaluate",
-                    cache="hit",
-                    plan=plan,
-                    plan_outcome=plan_outcome,
-                    index=None,
-                    marks=None,
-                    depth_sizes=[],
-                    compile_seconds=compiled - started,
-                    index_seconds=0.0,
-                    started=started,
-                    walk_started=None,
-                    selected=len(cached),
-                    planner=report,
-                )
-                return cached
-            index = self.index_for(graph)
-            indexed = perf_counter()
-            self.stats.inc("evaluations")
-            marks = kernel.mark()
-            pair_ids, backend_used = self._run_binary_evaluate(index, plan)
-            nodes_by_id = index.nodes_by_id
-            result = frozenset(
-                (nodes_by_id[source], nodes_by_id[end]) for source, end in pair_ids
-            )
-            self.result_cache.put(key, result)
-            self._observe(
-                span,
-                operation="binary_evaluate",
-                cache="miss",
-                plan=plan,
-                plan_outcome=plan_outcome,
-                index=index,
-                marks=marks,
-                depth_sizes=[],
-                compile_seconds=compiled - started,
-                index_seconds=indexed - compiled,
-                started=started,
-                walk_started=indexed,
-                selected=len(result),
-                backend=backend_used,
-                planner=report,
-            )
-            return result
+                return any(node in cached for node in start_nodes)
+        index = self.index_for(graph)
+        if not ephemeral:
+            walked = self._ordered_plan(index, plan)
+        node_ids = index.node_ids
+        start_ids = [node_ids[node] for node in start_nodes]
+        found = executor.any_selects(
+            index, walked, start_ids, self.stats.kernel, max_depth=max_depth
+        )
+        # Counted once the walk has run: a call the walk rejects (an epsilon
+        # NFA surfaces only at bind time) must leave the counter untouched.
+        self.stats.inc("evaluations")
+        return found
 
     def pair_selects(
         self,
@@ -1245,34 +1024,22 @@ class QueryEngine:
         """
         if origin not in graph or end not in graph:
             raise GraphError("both endpoints must be in the graph")
+        automaton = self._coerce_automaton(query)
+        if not ephemeral:
+            plan, _ = self._resolve_plan(graph, query)
+            cached = self.result_cache.get(self._result_key("binary", plan, graph))
+            if cached is not None:
+                return (origin, end) in cached
         index = self.index_for(graph)
+        origin_id, end_id = index.node_ids[origin], index.node_ids[end]
         if ephemeral:
-            self.stats.inc("evaluations")
-            automaton = self._coerce_automaton(query)
-            if isinstance(automaton, TableAutomaton):
-                return executor.table_pair_selects(
-                    index,
-                    automaton,
-                    index.node_ids[origin],
-                    index.node_ids[end],
-                    self.stats.kernel,
-                )
-            return executor.lazy_pair_selects(
-                index,
-                automaton,
-                index.node_ids[origin],
-                index.node_ids[end],
-                self.stats.kernel,
+            found = executor.any_selects(
+                index, automaton, (origin_id,), self.stats.kernel, end=end_id
             )
-        plan, _ = self._resolve_plan(graph, query)
-        key = ResultCache.key("binary", plan.fingerprint, *self._graph_identity(graph))
-        cached = self.result_cache.get(key)
-        if cached is not None:
-            return (origin, end) in cached
+        else:
+            found = self._run_pair_selects(index, plan, origin_id, end_id)
         self.stats.inc("evaluations")
-        return self._run_pair_selects(
-            index, plan, index.node_ids[origin], index.node_ids[end]
-        )
+        return found
 
     # -- explain -------------------------------------------------------------
 
@@ -1300,17 +1067,12 @@ class QueryEngine:
         model = self._cost_model(index)
         shard_ok = self._parallel is not None and self._parallel.available_for(index)
         estimates = self._estimates(index, plan, binary=binary, shard_ok=shard_ok)
-        if self._adaptive:
-            chosen = min(estimates, key=lambda e: e.cost).strategy
-        elif shard_ok:
-            chosen = "sharded"
-        else:
-            chosen = self.backend
+        chosen = self._dispatch_order(index, plan, binary=binary)[0]
         pair_kind = (
             model.choose_pair_strategy(plan) if self.backend != "python" else "forward"
         )
         operation = "binary" if binary else "eval"
-        key = ResultCache.key(operation, plan.fingerprint, *self._graph_identity(graph))
+        key = self._result_key(operation, plan, graph)
         if report is None:
             report = {"rewrites": [], "parity": "off"}
         return {

@@ -1,29 +1,46 @@
-"""Product-BFS kernels over a :class:`GraphIndex` and a :class:`CompiledPlan`.
+"""The product walk: reachability in graph x query automaton, on int arrays.
 
-Every kernel works on the int-encoded product space: the pair ``(node v,
-automaton state s)`` is the single int ``v * k + s`` (``k`` = number of plan
-states), and the per-label CSR slices of the index replace hash-set
-adjacency lookups.  The inner loop walks the popped state's *own* moves
-(``plan.state_moves``), so its cost scales with the automaton's out-degree,
-not with the alphabet.  This is the replacement for the dict/frozenset-based
-construction in :mod:`repro.graphdb.product`, with identical semantics (the
-parity tests in ``tests/engine`` pin the two against each other).
+The paper evaluates a path query -- and checks Algorithm 1's merge guard --
+with one construction, reachability in the product of the graph and the
+query automaton.  This module implements it once per *shape of walk*, never
+per query representation:
 
-All kernels take and return *int node ids*; mapping to and from user-facing
+* :func:`any_selects` -- forward early-exit search from a set of start
+  nodes (optionally to one ``end`` node, optionally depth-bounded);
+* :func:`evaluate_all` / :func:`numpy_evaluate_all` -- backward whole-graph
+  closure from the accepting pairs (seed-range restricted for sharding,
+  optionally depth-bounded);
+* :func:`binary_evaluate` / :func:`numpy_binary_evaluate` -- one forward
+  closure per source node;
+* :func:`bidirectional_pair_selects` -- meet-in-the-middle pair search.
+
+Every walk reads its transitions through :func:`bind`, the one adapter that
+knows how a query is represented (compiled plan, kernel table, mid-merge
+fold, raw ``DFA``/``NFA``).  It yields :class:`BoundMoves`: per-state rows
+of moves already resolved to the index's CSR label ids.  A walk looks a
+popped state's row up once and runs the per-edge loop inline over it, so
+its cost scales with the state's out-degree, not with the alphabet.
+
+The product pair ``(node v, state s)`` is the single int ``v * span + s``.
+All walks take and return *int node ids*; mapping to and from user-facing
 node identifiers is the :class:`~repro.engine.engine.QueryEngine`'s job.
+The pure-python walks are the parity reference for the numpy twins, and
+:mod:`repro.graphdb.product`'s ``reference_*`` functions are the reference
+for both (``tests/engine`` pins them against each other).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from itertools import compress
 
 from repro.automata.dfa import DFA
-from repro.automata.kernel import TableAutomaton
+from repro.automata.kernel import TableAutomaton, TableDFA
 from repro.automata.nfa import NFA
 from repro.engine.index import GraphIndex
-from repro.engine.plan import CompiledPlan
-from repro.errors import GraphError, QueryError
+from repro.engine.plan import CompiledPlan, compile_plan
+from repro.errors import QueryError
 from repro.telemetry.metrics import Counter, MetricsRegistry
 
 #: Backend names the executor dispatch understands.  ``auto`` resolves to
@@ -139,14 +156,232 @@ class KernelStats:
         return self._states.value, self._edges.value
 
 
+# -- the transition source ----------------------------------------------------
+
+#: Anything :func:`bind` accepts as a query.
+Source = CompiledPlan | TableAutomaton | DFA | NFA
+
+
+class _LazyRows(dict):
+    """Forward rows of a kernel automaton, bound state by state on first touch.
+
+    The learner's merge guard walks thousands of candidate hypotheses
+    exactly once each and usually exits after touching a handful of states,
+    so binding the whole table up front (let alone compiling a plan) can
+    never pay for itself.  A row is built the first time the walk pops its
+    state and memoised for the rest of *this call only* -- the fold mutates
+    between calls.  ``find`` canonicalises a mid-merge fold's stale targets.
+    """
+
+    __slots__ = ("_trans", "_m", "_find", "_finals", "_labels")
+
+    def __init__(self, trans, m, find, finals, labels) -> None:
+        self._trans, self._m, self._find, self._finals = trans, m, find, finals
+        self._labels = labels
+
+    def __missing__(self, state: int) -> list[tuple[int, tuple[int, ...], int]]:
+        find, finals, labels = self._find, self._finals, self._labels
+        base = state * self._m
+        row = []
+        for position, target in enumerate(self._trans[base : base + self._m]):
+            if target >= 0 and labels[position] >= 0:
+                if find is not None:
+                    target = find(target)
+                row.append((labels[position], (target,), (finals >> target) & 1))
+        self[state] = row
+        return row
+
+
+class BoundMoves:
+    """One query's transitions bound to one graph index.
+
+    ``rows[state]`` lists the state's forward moves as ``(label_id,
+    target_states, accepting)``: the CSR label id to follow, the successor
+    states, and whether any of them is final (so the early-exit test costs
+    one flag read per expanded move, not one lookup per edge).
+    ``reverse_rows()`` builds the backward rows ``(label_id, predecessor
+    states)`` on demand -- only the backward closures and the bidirectional
+    search need them, the forward early-exit walk never pays.  Moves on
+    labels the graph never carries are dropped at bind time: a query label
+    the graph does not use simply matches nothing.
+
+    The object lives for one walk; nothing is cached on the (shared,
+    pickled, thread-crossing) query it was bound from.
+    """
+
+    __slots__ = ("span", "initials", "final_mask", "empty", "accepts_empty", "rows", "reverse_rows")
+
+    def __init__(self, span, initials, final_mask, empty, accepts_empty, rows, reverse_rows):
+        self.span = span
+        self.initials = initials
+        self.final_mask = final_mask
+        #: No word is accepted at all (walks answer without touching the graph).
+        self.empty = empty
+        #: The empty word is accepted (every node / every ``(v, v)`` matches).
+        self.accepts_empty = accepts_empty
+        self.rows = rows
+        self.reverse_rows = reverse_rows
+
+    def final_states(self) -> list[int]:
+        """The accepting states, ascending."""
+        mask = self.final_mask
+        return [state for state in range(self.span) if (mask >> state) & 1]
+
+
+def bind(index: GraphIndex, query: Source) -> BoundMoves:
+    """Bind ``query``'s transitions to ``index``'s label ids.
+
+    The only place that knows a transition format.  A compiled plan is bound
+    eagerly (its rows are short and every walk over it may be whole-graph);
+    a kernel table or mid-merge fold is bound lazily (see
+    :class:`_LazyRows`); a raw ``DFA`` is int-coded through
+    :meth:`TableDFA.from_dfa` and a raw ``NFA`` compiled through
+    :func:`compile_plan` (which rejects epsilon transitions with
+    :class:`~repro.errors.GraphError`, like the reference construction).
+    """
+    if isinstance(query, DFA):
+        query = TableDFA.from_dfa(query)[0]
+    elif isinstance(query, NFA):
+        # One-shot plan, never cached: skip the structural fingerprint.
+        query = compile_plan(query, fingerprint=())
+    if isinstance(query, TableAutomaton):
+        trans, m, find, finals, initial = query.kernel_walk()
+        labels = query.bind_labels(index.label_ids)
+        span = len(trans) // m if m else 1
+
+        def reverse_table():
+            inverted: list[dict[int, list[int]]] = [{} for _ in range(span)]
+            for code, target in enumerate(trans):
+                state, position = divmod(code, m)
+                if target >= 0 and labels[position] >= 0:
+                    if find is not None:
+                        target = find(target)
+                    inverted[target].setdefault(labels[position], []).append(state)
+            return [list(moves.items()) for moves in inverted]
+
+        rows = _LazyRows(trans, m, find, finals, labels)
+        accepts_empty = (finals >> initial) & 1
+        return BoundMoves(span, (initial,), finals, not finals, accepts_empty, rows, reverse_table)
+    labels = query.bind_symbols(index.label_ids)
+    is_final = query.is_final
+    rows = [
+        [
+            (labels[pos], targets, any(is_final[t] for t in targets))
+            for pos, targets in moves
+            if labels[pos] >= 0
+        ]
+        for moves in query.state_moves
+    ]
+
+    def reverse_plan():
+        # The plan's own predecessor tables keep the move order the planner
+        # chose (selectivity-ordered clones sort them too).
+        return [
+            [(labels[pos], sources) for pos, sources in moves if labels[pos] >= 0]
+            for moves in query.rstate_moves
+        ]
+
+    return BoundMoves(
+        query.num_states,
+        query.initials,
+        sum(1 << state for state in query.finals),
+        query.is_empty_language,
+        query.accepts_empty_word,
+        rows,
+        reverse_plan,
+    )
+
+
+# -- the python walks ---------------------------------------------------------
+
+
+def any_selects(
+    index: GraphIndex,
+    query: Source,
+    node_ids: Iterable[int],
+    stats: KernelStats | None = None,
+    *,
+    end: int | None = None,
+    max_depth: int | None = None,
+) -> bool:
+    """Whether the query selects at least one of the given nodes.
+
+    Multi-source forward product BFS that exits as soon as an accepting
+    pair is reached -- the engine-side version of the
+    intersection-emptiness test of Algorithm 1's merge guard.
+
+    With ``end`` the accepted path must additionally stop at that node (the
+    binary semantics' pair test).  ``max_depth`` bounds the accepted word's
+    length: the BFS runs in word-length layers (first visit = shortest
+    witness, so the pair dedup stays sound) and stops after that many.  This
+    is how the interactive layer asks "does this candidate have an uncovered
+    path of at most k symbols?" against the round's uncovered-words
+    automaton.
+    """
+    starts = list(node_ids)
+    moves = bind(index, query)
+    if not starts or moves.empty:
+        return False
+    if moves.accepts_empty and (end is None or end in starts):
+        return True
+    span, rows = moves.span, moves.rows
+    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
+
+    # Sparse visited set (int-coded pairs): early exits usually touch a tiny
+    # fraction of the product, so a dense |V|*span bitmap would cost more to
+    # allocate than the whole search.
+    visited: set[int] = set()
+    level: list[int] = []
+    for node in starts:
+        for initial in moves.initials:
+            code = node * span + initial
+            if code not in visited:
+                visited.add(code)
+                level.append(code)
+
+    expanded = 0
+    scanned = 0
+    depth = 0
+    try:
+        while level and (max_depth is None or depth < max_depth):
+            depth += 1
+            next_level: list[int] = []
+            for code in level:
+                node, state = divmod(code, span)
+                expanded += 1
+                for label_id, targets, accepting in rows[state]:
+                    offsets = fwd_offsets[label_id]
+                    start, stop = offsets[node], offsets[node + 1]
+                    if start == stop:
+                        continue
+                    scanned += stop - start
+                    if accepting and end is None:
+                        return True
+                    for target_node in fwd_targets[label_id][start:stop]:
+                        if accepting and target_node == end:
+                            return True
+                        base = target_node * span
+                        for target_state in targets:
+                            target_code = base + target_state
+                            if target_code not in visited:
+                                visited.add(target_code)
+                                next_level.append(target_code)
+            level = next_level
+        return False
+    finally:
+        if stats is not None:
+            stats.add(expanded, scanned)
+
+
 def evaluate_all(
     index: GraphIndex,
-    plan: CompiledPlan,
+    query: Source,
     stats: KernelStats | None = None,
     *,
     depth_sizes: list[int] | None = None,
     seed_lo: int = 0,
     seed_hi: int | None = None,
+    max_depth: int | None = None,
 ) -> frozenset[int]:
     """Int ids of all nodes the query selects (monadic semantics).
 
@@ -165,351 +400,34 @@ def evaluate_all(
     unions the selected sets of disjoint ranges.  (The empty-word and
     empty-language guards are range-independent by design; the parallel
     layer answers them before sharding.)
+
+    ``max_depth`` bounds the accepted word length (layers run in
+    word-length order), which is how the interactive layer's
+    one-walk-per-round batched k-informativeness check cuts the product at
+    ``k`` symbols.  A mid-merge fold walks correctly but sizes the bitmap by
+    its un-merged state count; materialise it (``to_table()``) first.
     """
-    if plan.is_empty_language:
+    moves = bind(index, query)
+    if moves.empty:
         return frozenset()
-    n, k = index.num_nodes, plan.num_states
-    if plan.accepts_empty_word:
+    n, span = index.num_nodes, moves.span
+    if moves.accepts_empty:
         # Every node trivially matches via the empty path.
         return frozenset(range(n))
-    sym_labels = plan.bind_symbols(index.label_ids)
-    rstate_moves = plan.rstate_moves
+    rrows = moves.reverse_rows()
     bwd_offsets, bwd_targets = index.bwd_offsets, index.bwd_targets
-
-    seed_stop = n if seed_hi is None else seed_hi
-    visited = bytearray(n * k)
-    queue: deque[int] = deque()
-    for final in plan.finals:
-        for node in range(seed_lo, seed_stop):
-            code = node * k + final
-            visited[code] = 1
-            queue.append(code)
-
-    expanded = 0
-    scanned = 0
-    track = depth_sizes is not None
-    level_left = 0
-    if track and queue:
-        level_left = len(queue)
-        depth_sizes.append(level_left)
-    while queue:
-        code = queue.popleft()
-        node, state = divmod(code, k)
-        expanded += 1
-        for symbol_pos, pred_states in rstate_moves[state]:
-            label_id = sym_labels[symbol_pos]
-            if label_id < 0:
-                continue
-            offsets = bwd_offsets[label_id]
-            start, stop = offsets[node], offsets[node + 1]
-            if start == stop:
-                continue
-            scanned += stop - start
-            for pred_node in bwd_targets[label_id][start:stop]:
-                base = pred_node * k
-                for pred_state in pred_states:
-                    pred_code = base + pred_state
-                    if not visited[pred_code]:
-                        visited[pred_code] = 1
-                        queue.append(pred_code)
-        if track:
-            # After the last pop of a layer, the queue holds exactly the
-            # next layer (FIFO BFS invariant) -- no per-push bookkeeping.
-            level_left -= 1
-            if not level_left:
-                level_left = len(queue)
-                if level_left:
-                    depth_sizes.append(level_left)
-    if stats is not None:
-        stats.add(expanded, scanned)
-
-    initials = plan.initials
-    return frozenset(
-        node for node in range(n) if any(visited[node * k + i] for i in initials)
-    )
-
-
-def selects(
-    index: GraphIndex,
-    plan: CompiledPlan,
-    node_id: int,
-    stats: KernelStats | None = None,
-) -> bool:
-    """Whether the query selects the one given node (early-exit forward BFS)."""
-    return any_selects(index, plan, (node_id,), stats)
-
-
-def any_selects(
-    index: GraphIndex,
-    plan: CompiledPlan,
-    node_ids: Iterable[int],
-    stats: KernelStats | None = None,
-) -> bool:
-    """Whether the query selects at least one of the given nodes.
-
-    Multi-source forward product BFS with an exit as soon as an accepting
-    automaton state is reached -- the engine-side version of the
-    intersection-emptiness test of Algorithm 1's merge guard.
-    """
-    starts = list(node_ids)
-    if not starts or plan.is_empty_language:
-        return False
-    if plan.accepts_empty_word:
-        return True
-    k = plan.num_states
-    sym_labels = plan.bind_symbols(index.label_ids)
-    state_moves = plan.state_moves
-    is_final = plan.is_final
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-
-    # Sparse visited set (int-coded pairs): early exits usually touch a tiny
-    # fraction of the product, so a dense |V|*k bitmap would cost more to
-    # allocate than the whole search.
-    visited: set[int] = set()
-    queue: deque[int] = deque()
-    for node in starts:
-        for initial in plan.initials:
-            code = node * k + initial
-            if code not in visited:
-                visited.add(code)
-                queue.append(code)
-
-    expanded = 0
-    scanned = 0
-    try:
-        while queue:
-            code = queue.popleft()
-            node, state = divmod(code, k)
-            expanded += 1
-            for symbol_pos, next_states in state_moves[state]:
-                label_id = sym_labels[symbol_pos]
-                if label_id < 0:
-                    continue
-                offsets = fwd_offsets[label_id]
-                start, stop = offsets[node], offsets[node + 1]
-                if start == stop:
-                    continue
-                scanned += stop - start
-                for target_node in fwd_targets[label_id][start:stop]:
-                    base = target_node * k
-                    for target_state in next_states:
-                        if is_final[target_state]:
-                            return True
-                        target_code = base + target_state
-                        if target_code not in visited:
-                            visited.add(target_code)
-                            queue.append(target_code)
-        return False
-    finally:
-        if stats is not None:
-            stats.add(expanded, scanned)
-
-
-def _automaton_ends(automaton: DFA | NFA):
-    """(initial states, final states) of an automaton; rejects epsilon NFAs."""
-    if isinstance(automaton, DFA):
-        return (automaton.initial,), automaton.final_states
-    if automaton.has_epsilon_transitions:
-        raise GraphError("query automata must be epsilon-free; determinize first")
-    return tuple(automaton.initial_states), automaton.final_states
-
-
-def lazy_any_selects(
-    index: GraphIndex,
-    automaton: DFA | NFA,
-    node_ids: Iterable[int],
-    stats: KernelStats | None = None,
-) -> bool:
-    """Uncompiled :func:`any_selects`: walk the automaton object directly.
-
-    The learner's merge guard evaluates thousands of candidate automata
-    exactly once each, so plan compilation (let alone caching) can never pay
-    for itself there.  This kernel skips it entirely -- the automaton's own
-    transition dicts drive the BFS while the graph side still runs on the
-    CSR index.
-    """
-    initials, finals = _automaton_ends(automaton)
-    if not finals:
-        return False
-    starts = list(node_ids)
-    if not starts:
-        return False
-    if any(initial in finals for initial in initials):
-        return True
-    label_ids = index.label_ids
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-    outgoing = automaton.outgoing
-
-    visited: set[tuple[int, object]] = {
-        (node, initial) for node in starts for initial in initials
-    }
-    queue: deque[tuple[int, object]] = deque(visited)
-    expanded = 0
-    scanned = 0
-    try:
-        while queue:
-            node, state = queue.popleft()
-            expanded += 1
-            for symbol, target_state in outgoing(state):
-                label_id = label_ids.get(symbol)
-                if label_id is None:
-                    continue
-                offsets = fwd_offsets[label_id]
-                start, stop = offsets[node], offsets[node + 1]
-                if start == stop:
-                    continue
-                scanned += stop - start
-                if target_state in finals:
-                    return True
-                for target_node in fwd_targets[label_id][start:stop]:
-                    pair = (target_node, target_state)
-                    if pair not in visited:
-                        visited.add(pair)
-                        queue.append(pair)
-        return False
-    finally:
-        if stats is not None:
-            stats.add(expanded, scanned)
-
-
-def table_any_selects(
-    index: GraphIndex,
-    view: TableAutomaton,
-    node_ids: Iterable[int],
-    stats: KernelStats | None = None,
-    *,
-    max_depth: int | None = None,
-) -> bool:
-    """:func:`lazy_any_selects` for kernel automata (all-int inner loop).
-
-    ``view`` is a :class:`~repro.automata.kernel.TableDFA` or an in-place
-    :class:`~repro.automata.kernel.MergeFold` hypothesis mid-merge: the
-    walk reads the flat transition array directly (``find`` canonicalizes
-    fold targets), the product pair ``(node, state)`` is one int code, and
-    symbol ids are bound to graph label ids once per call.  This is the
-    merge-guard hot path of the kernel-backed learner: no automaton object
-    is compiled, copied or even touched beyond its arrays.
-
-    ``max_depth`` bounds the accepted word's length: the BFS runs in
-    word-length layers (first visit = shortest witness, so the pair dedup
-    stays sound) and stops after ``max_depth`` of them.  This is how the
-    interactive layer asks "does this candidate have an uncovered path of
-    at most k symbols?" against the round's uncovered-words automaton.
-    """
-    trans, m, find, finals, initial = view.kernel_walk()
-    if not finals:
-        return False
-    starts = list(node_ids)
-    if not starts:
-        return False
-    if (finals >> initial) & 1:
-        return True
-    sym_labels = view.bind_labels(index.label_ids)
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-    span = len(trans) // m if m else 1
-
-    visited: set[int] = set()
-    level: list[int] = []
-    for node in starts:
-        code = node * span + initial
-        if code not in visited:
-            visited.add(code)
-            level.append(code)
-
-    expanded = 0
-    scanned = 0
-    depth = 0
-    try:
-        while level and (max_depth is None or depth < max_depth):
-            depth += 1
-            next_level: list[int] = []
-            for code in level:
-                node, state = divmod(code, span)
-                expanded += 1
-                base = state * m
-                for position in range(m):
-                    target_state = trans[base + position]
-                    if target_state < 0:
-                        continue
-                    label_id = sym_labels[position]
-                    if label_id < 0:
-                        continue
-                    offsets = fwd_offsets[label_id]
-                    start, stop = offsets[node], offsets[node + 1]
-                    if start == stop:
-                        continue
-                    scanned += stop - start
-                    if find is not None:
-                        target_state = find(target_state)
-                    if (finals >> target_state) & 1:
-                        return True
-                    for target_node in fwd_targets[label_id][start:stop]:
-                        target_code = target_node * span + target_state
-                        if target_code not in visited:
-                            visited.add(target_code)
-                            next_level.append(target_code)
-            level = next_level
-        return False
-    finally:
-        if stats is not None:
-            stats.add(expanded, scanned)
-
-
-def table_evaluate_all(
-    index: GraphIndex,
-    view: TableAutomaton,
-    stats: KernelStats | None = None,
-    *,
-    max_depth: int | None = None,
-    depth_sizes: list[int] | None = None,
-) -> frozenset[int]:
-    """:func:`evaluate_all` for kernel automata (no plan compilation).
-
-    One *backward* product BFS from every accepting pair computes, for all
-    nodes at once, whether the node realizes an accepted word -- the batched
-    counterpart of running :func:`table_any_selects` per node.  ``max_depth``
-    bounds the accepted word length (BFS layers run in word-length order),
-    which is how the interactive layer's one-walk-per-round batched
-    k-informativeness check cuts the product at ``k`` symbols.
-    """
-    trans, m, find, finals, initial = view.kernel_walk()
-    if find is not None:
-        raise GraphError(
-            "table_evaluate_all needs a committed table; call MergeFold.to_table() first"
-        )
-    if not finals:
-        return frozenset()
-    n = index.num_nodes
-    span = len(trans) // m if m else 1
-    if (finals >> initial) & 1:
-        # Every node trivially matches via the empty path.
-        return frozenset(range(n))
-    sym_labels = view.bind_labels(index.label_ids)
-    bwd_offsets, bwd_targets = index.bwd_offsets, index.bwd_targets
-
-    # Reverse automaton adjacency: state -> [(symbol position, [pred states])].
-    rmoves: list[dict[int, list[int]]] = [{} for _ in range(span)]
-    for state in range(span):
-        base = state * m
-        for position in range(m):
-            target = trans[base + position]
-            if target >= 0 and sym_labels[position] >= 0:
-                rmoves[target].setdefault(position, []).append(state)
-    rstate_moves = [list(moves.items()) for moves in rmoves]
 
     visited = bytearray(n * span)
     frontier: list[int] = []
-    for final_state in range(span):
-        if not (finals >> final_state) & 1:
-            continue
-        for node in range(n):
-            code = node * span + final_state
+    for final in moves.final_states():
+        for node in range(seed_lo, n if seed_hi is None else seed_hi):
+            code = node * span + final
             visited[code] = 1
             frontier.append(code)
 
-    depth = 0
     expanded = 0
     scanned = 0
+    depth = 0
     if depth_sizes is not None and frontier:
         depth_sizes.append(len(frontier))
     while frontier and (max_depth is None or depth < max_depth):
@@ -518,8 +436,7 @@ def table_evaluate_all(
         for code in frontier:
             node, state = divmod(code, span)
             expanded += 1
-            for position, pred_states in rstate_moves[state]:
-                label_id = sym_labels[position]
+            for label_id, pred_states in rrows[state]:
                 offsets = bwd_offsets[label_id]
                 start, stop = offsets[node], offsets[node + 1]
                 if start == stop:
@@ -538,117 +455,15 @@ def table_evaluate_all(
     if stats is not None:
         stats.add(expanded, scanned)
 
-    return frozenset(
-        node for node in range(n) if visited[node * span + initial]
-    )
-
-
-def table_pair_selects(
-    index: GraphIndex,
-    view: TableAutomaton,
-    origin_id: int,
-    end_id: int,
-    stats: KernelStats | None = None,
-) -> bool:
-    """:func:`lazy_pair_selects` for kernel automata (all-int inner loop)."""
-    trans, m, find, finals, initial = view.kernel_walk()
-    if not finals:
-        return False
-    if origin_id == end_id and (finals >> initial) & 1:
-        return True
-    sym_labels = view.bind_labels(index.label_ids)
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-    span = len(trans) // m if m else 1
-
-    visited: set[int] = {origin_id * span + initial}
-    queue: deque[int] = deque(visited)
-    expanded = 0
-    scanned = 0
-    try:
-        while queue:
-            code = queue.popleft()
-            node, state = divmod(code, span)
-            expanded += 1
-            base = state * m
-            for position in range(m):
-                target_state = trans[base + position]
-                if target_state < 0:
-                    continue
-                label_id = sym_labels[position]
-                if label_id < 0:
-                    continue
-                offsets = fwd_offsets[label_id]
-                start, stop = offsets[node], offsets[node + 1]
-                if start == stop:
-                    continue
-                scanned += stop - start
-                if find is not None:
-                    target_state = find(target_state)
-                is_final = (finals >> target_state) & 1
-                for target_node in fwd_targets[label_id][start:stop]:
-                    if is_final and target_node == end_id:
-                        return True
-                    target_code = target_node * span + target_state
-                    if target_code not in visited:
-                        visited.add(target_code)
-                        queue.append(target_code)
-        return False
-    finally:
-        if stats is not None:
-            stats.add(expanded, scanned)
-
-
-def lazy_pair_selects(
-    index: GraphIndex,
-    automaton: DFA | NFA,
-    origin_id: int,
-    end_id: int,
-    stats: KernelStats | None = None,
-) -> bool:
-    """Uncompiled :func:`pair_selects` for one-shot candidate automata."""
-    initials, finals = _automaton_ends(automaton)
-    if not finals:
-        return False
-    if origin_id == end_id and any(initial in finals for initial in initials):
-        return True
-    label_ids = index.label_ids
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-    outgoing = automaton.outgoing
-
-    visited: set[tuple[int, object]] = {(origin_id, initial) for initial in initials}
-    queue: deque[tuple[int, object]] = deque(visited)
-    expanded = 0
-    scanned = 0
-    try:
-        while queue:
-            node, state = queue.popleft()
-            expanded += 1
-            for symbol, target_state in outgoing(state):
-                label_id = label_ids.get(symbol)
-                if label_id is None:
-                    continue
-                offsets = fwd_offsets[label_id]
-                start, stop = offsets[node], offsets[node + 1]
-                if start == stop:
-                    continue
-                scanned += stop - start
-                is_final = target_state in finals
-                for target_node in fwd_targets[label_id][start:stop]:
-                    if is_final and target_node == end_id:
-                        return True
-                    pair = (target_node, target_state)
-                    if pair not in visited:
-                        visited.add(pair)
-                        queue.append(pair)
-        return False
-    finally:
-        if stats is not None:
-            stats.add(expanded, scanned)
+    selected: set[int] = set()
+    for initial in moves.initials:
+        selected.update(compress(range(n), visited[initial::span]))
+    return frozenset(selected)
 
 
 def binary_evaluate(
     index: GraphIndex,
-    plan: CompiledPlan,
+    query: Source,
     stats: KernelStats | None = None,
     *,
     source_lo: int = 0,
@@ -661,12 +476,11 @@ def binary_evaluate(
     sharding hook: sources are independent, so disjoint ranges union to the
     full answer.
     """
-    if plan.is_empty_language:
+    moves = bind(index, query)
+    if moves.empty:
         return frozenset()
-    n, k = index.num_nodes, plan.num_states
-    sym_labels = plan.bind_symbols(index.label_ids)
-    state_moves = plan.state_moves
-    is_final = plan.is_final
+    n, span, rows = index.num_nodes, moves.span, moves.rows
+    final_mask = moves.final_mask
     fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
 
     result: set[tuple[int, int]] = set()
@@ -675,100 +489,40 @@ def binary_evaluate(
     for source in range(source_lo, n if source_hi is None else source_hi):
         visited: set[int] = set()
         queue: deque[int] = deque()
-        for initial in plan.initials:
-            code = source * k + initial
+        for initial in moves.initials:
+            code = source * span + initial
             if code not in visited:
                 visited.add(code)
                 queue.append(code)
-        if plan.accepts_empty_word:
+        if moves.accepts_empty:
             result.add((source, source))
         while queue:
             code = queue.popleft()
-            node, state = divmod(code, k)
+            node, state = divmod(code, span)
             expanded += 1
-            for symbol_pos, next_states in state_moves[state]:
-                label_id = sym_labels[symbol_pos]
-                if label_id < 0:
-                    continue
+            for label_id, targets, accepting in rows[state]:
                 offsets = fwd_offsets[label_id]
                 start, stop = offsets[node], offsets[node + 1]
                 if start == stop:
                     continue
                 scanned += stop - start
                 for target_node in fwd_targets[label_id][start:stop]:
-                    base = target_node * k
-                    for target_state in next_states:
+                    base = target_node * span
+                    for target_state in targets:
                         target_code = base + target_state
                         if target_code not in visited:
                             visited.add(target_code)
                             queue.append(target_code)
-                            if is_final[target_state]:
+                            if accepting and (final_mask >> target_state) & 1:
                                 result.add((source, target_node))
     if stats is not None:
         stats.add(expanded, scanned)
     return frozenset(result)
 
 
-def pair_selects(
-    index: GraphIndex,
-    plan: CompiledPlan,
-    origin_id: int,
-    end_id: int,
-    stats: KernelStats | None = None,
-) -> bool:
-    """Whether the query selects the pair ``(origin, end)`` (early exit)."""
-    if plan.is_empty_language:
-        return False
-    if origin_id == end_id and plan.accepts_empty_word:
-        return True
-    k = plan.num_states
-    sym_labels = plan.bind_symbols(index.label_ids)
-    state_moves = plan.state_moves
-    is_final = plan.is_final
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-
-    visited: set[int] = set()
-    queue: deque[int] = deque()
-    for initial in plan.initials:
-        code = origin_id * k + initial
-        if code not in visited:
-            visited.add(code)
-            queue.append(code)
-
-    expanded = 0
-    scanned = 0
-    try:
-        while queue:
-            code = queue.popleft()
-            node, state = divmod(code, k)
-            expanded += 1
-            for symbol_pos, next_states in state_moves[state]:
-                label_id = sym_labels[symbol_pos]
-                if label_id < 0:
-                    continue
-                offsets = fwd_offsets[label_id]
-                start, stop = offsets[node], offsets[node + 1]
-                if start == stop:
-                    continue
-                scanned += stop - start
-                for target_node in fwd_targets[label_id][start:stop]:
-                    base = target_node * k
-                    for target_state in next_states:
-                        if target_node == end_id and is_final[target_state]:
-                            return True
-                        target_code = base + target_state
-                        if target_code not in visited:
-                            visited.add(target_code)
-                            queue.append(target_code)
-        return False
-    finally:
-        if stats is not None:
-            stats.add(expanded, scanned)
-
-
 # -- the numpy backend --------------------------------------------------------
 #
-# Vectorized twins of the whole-graph kernels above.  A layer of the product
+# Vectorized twins of the whole-graph walks above.  A layer of the product
 # BFS is expanded in one shot: the frontier is an int64 array of product
 # codes, the CSR gather turns per-node (start, stop) ranges into one flat
 # neighbour array via repeat/cumsum arithmetic, and dedup is one
@@ -811,123 +565,45 @@ def _np_gather(offsets, targets, nodes, np):
     return targets[positions], counts, total
 
 
+def _np_fresh(grown, visited, np):
+    """The not-yet-visited codes among a layer's candidates, marked visited."""
+    fresh = np.unique(np.concatenate(grown))
+    fresh = fresh[~visited[fresh]]
+    visited[fresh] = True
+    return fresh
+
+
 def numpy_evaluate_all(
     index: GraphIndex,
-    plan: CompiledPlan,
+    query: Source,
     stats: KernelStats | None = None,
     *,
     depth_sizes: list[int] | None = None,
     seed_lo: int = 0,
     seed_hi: int | None = None,
-) -> frozenset[int]:
-    """Vectorized :func:`evaluate_all` (identical results, layered expansion)."""
-    np = _load_numpy()
-    if plan.is_empty_language:
-        return frozenset()
-    n, k = index.num_nodes, plan.num_states
-    if plan.accepts_empty_word:
-        return frozenset(range(n))
-    sym_labels = plan.bind_symbols(index.label_ids)
-    rstate_moves = plan.rstate_moves
-    bwd_offsets = [_np_view(o) for o in index.bwd_offsets]
-    bwd_targets = [_np_view(t) for t in index.bwd_targets]
-
-    visited = np.zeros(n * k, dtype=bool)
-    finals = np.fromiter(plan.finals, dtype=np.int64, count=len(plan.finals))
-    nodes = np.arange(seed_lo, n if seed_hi is None else seed_hi, dtype=np.int64)
-    frontier = (nodes[:, None] * k + finals[None, :]).reshape(-1)
-    visited[frontier] = True
-
-    expanded = 0
-    scanned = 0
-    if depth_sizes is not None and frontier.size:
-        depth_sizes.append(int(frontier.size))
-    while frontier.size:
-        expanded += int(frontier.size)
-        layer_nodes, layer_states = np.divmod(frontier, k)
-        grown: list = []
-        for state in np.unique(layer_states):
-            moves = rstate_moves[state]
-            if not moves:
-                continue
-            at_state = layer_nodes[layer_states == state]
-            for symbol_pos, pred_states in moves:
-                label_id = sym_labels[symbol_pos]
-                if label_id < 0:
-                    continue
-                preds, _, total = _np_gather(
-                    bwd_offsets[label_id], bwd_targets[label_id], at_state, np
-                )
-                if not total:
-                    continue
-                scanned += total
-                base = preds * k
-                for pred_state in pred_states:
-                    grown.append(base + pred_state)
-        if grown:
-            fresh = np.unique(np.concatenate(grown))
-            fresh = fresh[~visited[fresh]]
-            visited[fresh] = True
-            frontier = fresh
-        else:
-            frontier = nodes[:0]
-        if depth_sizes is not None and frontier.size:
-            depth_sizes.append(int(frontier.size))
-    if stats is not None:
-        stats.add(expanded, scanned)
-
-    initials = np.fromiter(plan.initials, dtype=np.int64, count=len(plan.initials))
-    codes = np.arange(n, dtype=np.int64)[:, None] * k + initials[None, :]
-    selected = np.nonzero(visited[codes].any(axis=1))[0]
-    return frozenset(selected.tolist())
-
-
-def numpy_table_evaluate_all(
-    index: GraphIndex,
-    view: TableAutomaton,
-    stats: KernelStats | None = None,
-    *,
     max_depth: int | None = None,
-    depth_sizes: list[int] | None = None,
 ) -> frozenset[int]:
-    """Vectorized :func:`table_evaluate_all` (identical results and layers)."""
+    """Vectorized :func:`evaluate_all` (identical results, layers, counters)."""
     np = _load_numpy()
-    trans, m, find, finals, initial = view.kernel_walk()
-    if find is not None:
-        raise GraphError(
-            "table_evaluate_all needs a committed table; call MergeFold.to_table() first"
-        )
-    if not finals:
+    moves = bind(index, query)
+    if moves.empty:
         return frozenset()
-    n = index.num_nodes
-    span = len(trans) // m if m else 1
-    if (finals >> initial) & 1:
+    n, span = index.num_nodes, moves.span
+    if moves.accepts_empty:
         return frozenset(range(n))
-    sym_labels = view.bind_labels(index.label_ids)
+    rrows = moves.reverse_rows()
     bwd_offsets = [_np_view(o) for o in index.bwd_offsets]
     bwd_targets = [_np_view(t) for t in index.bwd_targets]
-
-    # Reverse automaton adjacency, exactly as the scalar kernel builds it.
-    rmoves: list[dict[int, list[int]]] = [{} for _ in range(span)]
-    for state in range(span):
-        base = state * m
-        for position in range(m):
-            target = trans[base + position]
-            if target >= 0 and sym_labels[position] >= 0:
-                rmoves[target].setdefault(position, []).append(state)
-    rstate_moves = [list(moves.items()) for moves in rmoves]
 
     visited = np.zeros(n * span, dtype=bool)
-    final_states = np.fromiter(
-        (s for s in range(span) if (finals >> s) & 1), dtype=np.int64
-    )
-    nodes = np.arange(n, dtype=np.int64)
-    frontier = (final_states[None, :] + nodes[:, None] * span).reshape(-1)
+    finals = np.array(moves.final_states(), dtype=np.int64)
+    nodes = np.arange(seed_lo, n if seed_hi is None else seed_hi, dtype=np.int64)
+    frontier = (nodes[:, None] * span + finals[None, :]).reshape(-1)
     visited[frontier] = True
 
-    depth = 0
     expanded = 0
     scanned = 0
+    depth = 0
     if depth_sizes is not None and frontier.size:
         depth_sizes.append(int(frontier.size))
     while frontier.size and (max_depth is None or depth < max_depth):
@@ -936,12 +612,11 @@ def numpy_table_evaluate_all(
         layer_nodes, layer_states = np.divmod(frontier, span)
         grown: list = []
         for state in np.unique(layer_states):
-            moves = rstate_moves[state]
-            if not moves:
+            row = rrows[state]
+            if not row:
                 continue
             at_state = layer_nodes[layer_states == state]
-            for position, pred_states in moves:
-                label_id = sym_labels[position]
+            for label_id, pred_states in row:
                 preds, _, total = _np_gather(
                     bwd_offsets[label_id], bwd_targets[label_id], at_state, np
                 )
@@ -951,25 +626,19 @@ def numpy_table_evaluate_all(
                 base = preds * span
                 for pred_state in pred_states:
                     grown.append(base + pred_state)
-        if grown:
-            fresh = np.unique(np.concatenate(grown))
-            fresh = fresh[~visited[fresh]]
-            visited[fresh] = True
-            frontier = fresh
-        else:
-            frontier = nodes[:0]
+        frontier = _np_fresh(grown, visited, np) if grown else nodes[:0]
         if depth_sizes is not None and frontier.size:
             depth_sizes.append(int(frontier.size))
     if stats is not None:
         stats.add(expanded, scanned)
 
-    selected = np.nonzero(visited[nodes * span + initial])[0]
-    return frozenset(selected.tolist())
+    at_initials = visited.reshape(n, span)[:, list(moves.initials)]
+    return frozenset(np.nonzero(at_initials.any(axis=1))[0].tolist())
 
 
 def numpy_binary_evaluate(
     index: GraphIndex,
-    plan: CompiledPlan,
+    query: Source,
     stats: KernelStats | None = None,
     *,
     source_lo: int = 0,
@@ -978,130 +647,88 @@ def numpy_binary_evaluate(
     """Vectorized :func:`binary_evaluate`: sources in chunks, one BFS each.
 
     A chunk of sources shares one layered product BFS over codes
-    ``(local_source * n + node) * k + state``; the chunk size is bounded so
-    the dense visited mask stays around 16 MB however large the graph is.
+    ``(local_source * n + node) * span + state``; the chunk size is bounded
+    so the dense visited mask stays around 16 MB however large the graph is.
     """
     np = _load_numpy()
-    if plan.is_empty_language:
+    moves = bind(index, query)
+    if moves.empty:
         return frozenset()
-    n, k = index.num_nodes, plan.num_states
+    n, span, rows = index.num_nodes, moves.span, moves.rows
     hi = n if source_hi is None else source_hi
-    sym_labels = plan.bind_symbols(index.label_ids)
-    state_moves = plan.state_moves
     fwd_offsets = [_np_view(o) for o in index.fwd_offsets]
     fwd_targets = [_np_view(t) for t in index.fwd_targets]
-    is_final = np.fromiter(plan.is_final, dtype=bool, count=k)
-    initials = np.fromiter(plan.initials, dtype=np.int64, count=len(plan.initials))
+    is_final = np.zeros(span, dtype=bool)
+    is_final[moves.final_states()] = True
+    initials = np.array(moves.initials, dtype=np.int64)
 
     result: set[tuple[int, int]] = set()
     expanded = 0
     scanned = 0
-    chunk = max(1, min(1024, (16 << 20) // max(1, n * k)))
+    chunk = max(1, min(1024, (16 << 20) // max(1, n * span)))
     for chunk_lo in range(source_lo, hi, chunk):
         sources = np.arange(chunk_lo, min(chunk_lo + chunk, hi), dtype=np.int64)
         c = int(sources.size)
-        if plan.accepts_empty_word:
+        if moves.accepts_empty:
             result.update(zip(sources.tolist(), sources.tolist()))
-        visited = np.zeros(c * n * k, dtype=bool)
+        visited = np.zeros(c * n * span, dtype=bool)
         local = np.arange(c, dtype=np.int64)
         frontier = (
-            (local[:, None] * n + sources[:, None]) * k + initials[None, :]
+            (local[:, None] * n + sources[:, None]) * span + initials[None, :]
         ).reshape(-1)
         visited[frontier] = True
         while frontier.size:
             expanded += int(frontier.size)
-            rest, layer_states = np.divmod(frontier, k)
+            rest, layer_states = np.divmod(frontier, span)
             layer_locals, layer_nodes = np.divmod(rest, n)
             grown: list = []
             for state in np.unique(layer_states):
-                moves = state_moves[state]
-                if not moves:
+                row = rows[state]
+                if not row:
                     continue
                 mask = layer_states == state
                 at_nodes = layer_nodes[mask]
                 at_locals = layer_locals[mask]
-                for symbol_pos, next_states in moves:
-                    label_id = sym_labels[symbol_pos]
-                    if label_id < 0:
-                        continue
-                    targets, counts, total = _np_gather(
+                for label_id, targets, _ in row:
+                    neighbours, counts, total = _np_gather(
                         fwd_offsets[label_id], fwd_targets[label_id], at_nodes, np
                     )
                     if not total:
                         continue
                     scanned += total
-                    base = (np.repeat(at_locals, counts) * n + targets) * k
-                    for target_state in next_states:
+                    base = (np.repeat(at_locals, counts) * n + neighbours) * span
+                    for target_state in targets:
                         grown.append(base + target_state)
-            if grown:
-                fresh = np.unique(np.concatenate(grown))
-                fresh = fresh[~visited[fresh]]
-                visited[fresh] = True
-                frontier = fresh
-                accepting = fresh[is_final[fresh % k]]
-                if accepting.size:
-                    acc_locals, acc_nodes = np.divmod(accepting // k, n)
-                    result.update(
-                        zip(sources[acc_locals].tolist(), acc_nodes.tolist())
-                    )
-            else:
-                frontier = local[:0]
+            if not grown:
+                break
+            frontier = _np_fresh(grown, visited, np)
+            accepting = frontier[is_final[frontier % span]]
+            if accepting.size:
+                acc_locals, acc_nodes = np.divmod(accepting // span, n)
+                result.update(zip(sources[acc_locals].tolist(), acc_nodes.tolist()))
     if stats is not None:
         stats.add(expanded, scanned)
     return frozenset(result)
 
 
+def whole_graph_walks(backend: str):
+    """The ``(evaluate_all, binary_evaluate)`` pair of a resolved backend."""
+    if backend == "numpy":
+        return numpy_evaluate_all, numpy_binary_evaluate
+    return evaluate_all, binary_evaluate
+
+
 # -- bidirectional pair search ------------------------------------------------
-
-
-def pair_search_cost(index: GraphIndex, plan: CompiledPlan) -> tuple[int, int]:
-    """Estimated first-layer costs ``(forward, backward)`` of a pair query.
-
-    The forward estimate sums the CSR edge counts of the labels leaving the
-    plan's initial states; the backward estimate sums the edge counts of the
-    labels entering its final states.  Both read only the per-label degree
-    stats the index already holds -- no graph walk.
-    """
-    counts = index.label_edge_counts()
-    sym_labels = plan.bind_symbols(index.label_ids)
-
-    def side(states, moves_of) -> int:
-        total = 0
-        for state in states:
-            for symbol_pos, _ in moves_of[state]:
-                label_id = sym_labels[symbol_pos]
-                if label_id >= 0:
-                    total += counts[label_id]
-        return total
-
-    return (
-        side(plan.initials, plan.state_moves),
-        side(plan.finals, plan.rstate_moves),
-    )
-
-
-def choose_pair_kernel(index: GraphIndex, plan: CompiledPlan) -> str:
-    """``"bidirectional"`` or ``"forward"`` for one pair query.
-
-    Delegates to the shared cost model
-    (:meth:`repro.engine.costs.CostModel.choose_pair_strategy`), which owns
-    the dispatch rule; this wrapper survives for callers that hold an index
-    but no model.  Imported lazily -- the executor must stay importable
-    before the costs module during package init.
-    """
-    from repro.engine.costs import CostModel
-
-    return CostModel(index).choose_pair_strategy(plan)
 
 
 def bidirectional_pair_selects(
     index: GraphIndex,
-    plan: CompiledPlan,
+    query: Source,
     origin_id: int,
     end_id: int,
     stats: KernelStats | None = None,
 ) -> bool:
-    """:func:`pair_selects` meeting in the middle.
+    """``any_selects(index, query, (origin,), end=end)`` meeting in the middle.
 
     Two frontiers -- forward from ``(origin, initials)``, backward from
     ``(end, finals)`` -- expand in alternating layers; each step grows the
@@ -1111,86 +738,58 @@ def bidirectional_pair_selects(
     negative, usually touching far fewer product pairs than the one-sided
     search on deep graphs.
     """
-    if plan.is_empty_language:
+    moves = bind(index, query)
+    if moves.empty:
         return False
-    if origin_id == end_id and plan.accepts_empty_word:
+    if origin_id == end_id and moves.accepts_empty:
         return True
-    k = plan.num_states
-    sym_labels = plan.bind_symbols(index.label_ids)
-    state_moves, rstate_moves = plan.state_moves, plan.rstate_moves
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-    bwd_offsets, bwd_targets = index.bwd_offsets, index.bwd_targets
+    span = moves.span
+    fwd_visited = {origin_id * span + initial for initial in moves.initials}
+    bwd_visited = {end_id * span + final for final in moves.final_states()}
+    # One record per side: [frontier, visited, rows, CSR offsets, CSR targets].
+    rows, rrows = moves.rows, moves.reverse_rows()
+    forward = [list(fwd_visited), fwd_visited, rows, index.fwd_offsets, index.fwd_targets]
+    backward = [list(bwd_visited), bwd_visited, rrows, index.bwd_offsets, index.bwd_targets]
 
-    fwd_visited = {origin_id * k + initial for initial in plan.initials}
-    bwd_visited = {end_id * k + final for final in plan.finals}
-    fwd_frontier = list(fwd_visited)
-    bwd_frontier = list(bwd_visited)
-
-    def layer_degree(frontier, moves_of, offsets_of) -> int:
+    def layer_degree(side) -> int:
+        frontier, _, rows, offsets_of, _ = side
         total = 0
         for code in frontier:
-            node, state = divmod(code, k)
-            for symbol_pos, _ in moves_of[state]:
-                label_id = sym_labels[symbol_pos]
-                if label_id < 0:
-                    continue
-                offsets = offsets_of[label_id]
+            node, state = divmod(code, span)
+            for move in rows[state]:
+                offsets = offsets_of[move[0]]
                 total += offsets[node + 1] - offsets[node]
         return total
 
     expanded = 0
     scanned = 0
     try:
-        while fwd_frontier and bwd_frontier:
-            forward_turn = layer_degree(
-                fwd_frontier, state_moves, fwd_offsets
-            ) <= layer_degree(bwd_frontier, rstate_moves, bwd_offsets)
-            if forward_turn:
-                frontier, fwd_frontier = fwd_frontier, []
-                for code in frontier:
-                    node, state = divmod(code, k)
-                    expanded += 1
-                    for symbol_pos, next_states in state_moves[state]:
-                        label_id = sym_labels[symbol_pos]
-                        if label_id < 0:
-                            continue
-                        offsets = fwd_offsets[label_id]
-                        start, stop = offsets[node], offsets[node + 1]
-                        if start == stop:
-                            continue
-                        scanned += stop - start
-                        for target_node in fwd_targets[label_id][start:stop]:
-                            base = target_node * k
-                            for target_state in next_states:
-                                target_code = base + target_state
-                                if target_code in bwd_visited:
-                                    return True
-                                if target_code not in fwd_visited:
-                                    fwd_visited.add(target_code)
-                                    fwd_frontier.append(target_code)
+        while forward[0] and backward[0]:
+            if layer_degree(forward) <= layer_degree(backward):
+                side, other_visited = forward, bwd_visited
             else:
-                frontier, bwd_frontier = bwd_frontier, []
-                for code in frontier:
-                    node, state = divmod(code, k)
-                    expanded += 1
-                    for symbol_pos, pred_states in rstate_moves[state]:
-                        label_id = sym_labels[symbol_pos]
-                        if label_id < 0:
-                            continue
-                        offsets = bwd_offsets[label_id]
-                        start, stop = offsets[node], offsets[node + 1]
-                        if start == stop:
-                            continue
-                        scanned += stop - start
-                        for pred_node in bwd_targets[label_id][start:stop]:
-                            base = pred_node * k
-                            for pred_state in pred_states:
-                                pred_code = base + pred_state
-                                if pred_code in fwd_visited:
-                                    return True
-                                if pred_code not in bwd_visited:
-                                    bwd_visited.add(pred_code)
-                                    bwd_frontier.append(pred_code)
+                side, other_visited = backward, fwd_visited
+            frontier, visited, rows, offsets_of, targets_of = side
+            side[0] = grown = []
+            for code in frontier:
+                node, state = divmod(code, span)
+                expanded += 1
+                for move in rows[state]:
+                    label_id, next_states = move[0], move[1]
+                    offsets = offsets_of[label_id]
+                    start, stop = offsets[node], offsets[node + 1]
+                    if start == stop:
+                        continue
+                    scanned += stop - start
+                    for next_node in targets_of[label_id][start:stop]:
+                        base = next_node * span
+                        for next_state in next_states:
+                            next_code = base + next_state
+                            if next_code in other_visited:
+                                return True
+                            if next_code not in visited:
+                                visited.add(next_code)
+                                grown.append(next_code)
         return False
     finally:
         if stats is not None:

@@ -1,7 +1,9 @@
-"""Sharded process-pool execution of the product-BFS kernels.
+"""Sharded process-pool execution of the whole-graph product walks.
 
-The whole-graph kernels (:func:`~repro.engine.executor.evaluate_all`,
-:func:`~repro.engine.executor.binary_evaluate`) have a natural partition:
+The two whole-graph walks (:func:`~repro.engine.executor.evaluate_all`,
+:func:`~repro.engine.executor.binary_evaluate`, or their numpy twins --
+:func:`~repro.engine.executor.whole_graph_walks` picks the pair for a
+backend) have a natural partition:
 
 * ``evaluate_all`` runs one backward BFS from the accepting seed pairs, and
   co-reachability from a union of seed sets is the union of the per-shard
@@ -38,8 +40,7 @@ import uuid
 from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
-from repro.engine import executor
-from repro.engine.executor import KernelStats
+from repro.engine.executor import KernelStats, whole_graph_walks
 from repro.engine.index import GraphIndex
 from repro.engine.plan import CompiledPlan
 
@@ -77,13 +78,6 @@ def _worker_init(path: str) -> None:
     from repro.storage.snapshot import open_snapshot
 
     _WORKER_INDEX = open_snapshot(path)
-
-
-def _pick_kernels(backend: str):
-    """The (evaluate_all, binary_evaluate) pair for a resolved backend."""
-    if backend == "numpy":
-        return executor.numpy_evaluate_all, executor.numpy_binary_evaluate
-    return executor.evaluate_all, executor.binary_evaluate
 
 
 # Cross-process span identity for traced shard work: a random per-process
@@ -131,7 +125,7 @@ def _span_record(name: str, seconds: float, attrs: dict, trace: dict) -> dict:
 
 def _shard_evaluate_all(payload) -> tuple[frozenset[int], tuple[int, int], tuple]:
     plan, lo, hi, backend, trace = payload
-    whole, _ = _pick_kernels(backend)
+    whole, _ = whole_graph_walks(backend)
     stats = KernelStats()
     started = perf_counter()
     selected = whole(_WORKER_INDEX, plan, stats, seed_lo=lo, seed_hi=hi)
@@ -152,7 +146,7 @@ def _shard_evaluate_all(payload) -> tuple[frozenset[int], tuple[int, int], tuple
 
 def _shard_binary_evaluate(payload) -> tuple[frozenset, tuple[int, int], tuple]:
     plan, lo, hi, backend, trace = payload
-    _, binary = _pick_kernels(backend)
+    _, binary = whole_graph_walks(backend)
     stats = KernelStats()
     started = perf_counter()
     selected = binary(_WORKER_INDEX, plan, stats, source_lo=lo, source_hi=hi)
@@ -173,7 +167,7 @@ def _shard_binary_evaluate(payload) -> tuple[frozenset, tuple[int, int], tuple]:
 
 def _shard_evaluate_plans(payload) -> tuple[list[frozenset[int]], tuple[int, int], tuple]:
     plans, backend, trace = payload
-    whole, _ = _pick_kernels(backend)
+    whole, _ = whole_graph_walks(backend)
     stats = KernelStats()
     started = perf_counter()
     results = [whole(_WORKER_INDEX, plan, stats) for plan in plans]
@@ -209,10 +203,9 @@ def evaluate_all_sharded(
     which is what the shard-count-invariance tests pin against the
     single-shard answer.
     """
+    whole, _ = whole_graph_walks(backend)
     if plan.is_empty_language or plan.accepts_empty_word:
-        whole, _ = _pick_kernels(backend)
         return whole(index, plan, stats)
-    whole, _ = _pick_kernels(backend)
     selected: set[int] = set()
     for lo, hi in shard_bounds(index.num_nodes, shards):
         selected.update(whole(index, plan, stats, seed_lo=lo, seed_hi=hi))
@@ -228,7 +221,7 @@ def binary_evaluate_sharded(
     stats: KernelStats | None = None,
 ) -> frozenset[tuple[int, int]]:
     """Shard ``binary_evaluate`` sequentially in-process; union the pairs."""
-    _, binary = _pick_kernels(backend)
+    _, binary = whole_graph_walks(backend)
     selected: set[tuple[int, int]] = set()
     for lo, hi in shard_bounds(index.num_nodes, shards):
         selected.update(binary(index, plan, stats, source_lo=lo, source_hi=hi))

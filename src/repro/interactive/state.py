@@ -10,10 +10,10 @@ re-learn.  This module is the engine-native replacement:
   negative covers (the complement of the negatives' prefix language, cut at
   ``k`` by construction) -- built once per round, and only when the negative
   set actually changed;
-* batched k-informativeness runs **one** backward CSR product walk per round
-  (:func:`repro.engine.executor.table_evaluate_all` through the engine's
-  ephemeral path) and yields the verdict of *every* node at once, replacing
-  the per-node ``enumerate_paths`` loop;
+* batched k-informativeness runs **one** depth-bounded backward CSR product
+  walk per round (:func:`repro.engine.executor.evaluate_all` through the
+  engine's ephemeral path) and yields the verdict of *every* node at once,
+  replacing the per-node ``enumerate_paths`` loop;
 * :class:`SessionState` carries the pieces across rounds and invalidates
   only what a new label can change: a positive label leaves the coverage
   automaton, the informative set and the ``NegativeCoverage`` prefix cache
@@ -441,7 +441,7 @@ class SessionState:
         """Per-candidate k-informativeness against the shared round table.
 
         A cache hit is O(1); a miss runs one early-exit forward product walk
-        (:func:`repro.engine.executor.table_any_selects`, bounded to ``k``
+        (:func:`repro.engine.executor.any_selects`, bounded to ``k``
         symbols) against the uncovered-words automaton, then records the
         verdict with the monotone lifetime rules documented on the class.
         The caller is responsible for excluding labeled nodes (labeled nodes

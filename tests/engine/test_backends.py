@@ -17,6 +17,7 @@ import pytest
 
 from repro.automata.kernel import TableDFA
 from repro.engine import executor
+from repro.engine.costs import CostModel
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
 from repro.engine.parallel import (
@@ -117,10 +118,10 @@ class TestNumpyTableEvaluateAll:
             py_stats, np_stats = KernelStats(), KernelStats()
             py_depths: list[int] = []
             np_depths: list[int] = []
-            expected = executor.table_evaluate_all(
+            expected = executor.evaluate_all(
                 index, table, py_stats, max_depth=max_depth, depth_sizes=py_depths
             )
-            got = executor.numpy_table_evaluate_all(
+            got = executor.numpy_evaluate_all(
                 index, table, np_stats, max_depth=max_depth, depth_sizes=np_depths
             )
             assert got == expected
@@ -140,16 +141,16 @@ class TestBidirectionalPairSearch:
             for _ in range(6):
                 origin = rng.randrange(index.num_nodes)
                 end = rng.randrange(index.num_nodes)
-                expected = executor.pair_selects(index, plan, origin, end)
+                expected = executor.any_selects(index, plan, (origin,), end=end)
                 got = executor.bidirectional_pair_selects(index, plan, origin, end)
                 assert got == expected, (expression, seed, origin, end)
 
     def test_kernel_choice_is_deterministic(self):
         plan = plan_for("(a.b)*.c")
         index = GraphIndex.build(GRAPHS[3])
-        kind = executor.choose_pair_kernel(index, plan)
+        kind = CostModel(index).choose_pair_strategy(plan)
         assert kind in ("forward", "bidirectional")
-        assert executor.choose_pair_kernel(index, plan) == kind
+        assert CostModel(index).choose_pair_strategy(plan) == kind
 
 
 class TestShardInvariance:

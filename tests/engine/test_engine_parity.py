@@ -101,6 +101,57 @@ class TestEdgeCases:
             assert engine.selects(g0, star, node)
             assert engine.pair_selects(g0, star, node, node)
 
+    def test_negative_max_depth_rejected(self, engine, g0):
+        from repro.automata.kernel import TableDFA
+        from repro.errors import QueryError
+
+        table, _ = TableDFA.from_dfa(compile_query("a.b", g0.alphabet))
+        with pytest.raises(QueryError, match="non-negative"):
+            engine.evaluate(g0, table, ephemeral=True, max_depth=-3)
+        with pytest.raises(QueryError, match="non-negative"):
+            engine.any_selects(g0, table, ["v1"], ephemeral=True, max_depth=-3)
+        # Zero stays legal: only the empty word fits.
+        assert engine.evaluate(g0, table, ephemeral=True, max_depth=0) == frozenset()
+
+    def test_rejected_calls_leave_the_stats_untouched(self, g0):
+        from repro.automata.kernel import TableDFA
+        from repro.errors import QueryError
+
+        engine = QueryEngine()
+        dfa = compile_query("a.b", g0.alphabet)
+        table, _ = TableDFA.from_dfa(dfa)
+        epsilon = NFA(g0.alphabet, states=[0, 1], initial=[0], finals=[1])
+        epsilon.add_epsilon_transition(0, 1)
+        before = engine.stats.as_dict()
+        any_of, pair, whole = engine.any_selects, engine.pair_selects, engine.evaluate
+        rejected = [
+            (QueryError, lambda: any_of(g0, dfa, ["v1"], ephemeral=True, max_depth=2)),
+            (QueryError, lambda: any_of(g0, dfa, ["v1"], max_depth=2)),
+            (QueryError, lambda: any_of(g0, table, ["v1"], ephemeral=True, max_depth=-1)),
+            (QueryError, lambda: any_of(g0, "not a query", ["v1"], ephemeral=True)),
+            (GraphError, lambda: any_of(g0, table, ["missing"], ephemeral=True)),
+            (QueryError, lambda: pair(g0, object(), "v1", "v2", ephemeral=True)),
+            (GraphError, lambda: pair(g0, table, "v1", "missing", ephemeral=True)),
+            (QueryError, lambda: whole(g0, dfa, max_depth=2)),
+            (QueryError, lambda: whole(g0, dfa, ephemeral=True)),
+            (QueryError, lambda: whole(g0, table, ephemeral=True, max_depth=-3)),
+        ]
+        for error, call in rejected:
+            with pytest.raises(error):
+                call()
+            assert engine.stats.as_dict() == before
+        # An epsilon NFA is only detected when the walk binds it -- after the
+        # index exists -- and must still not count as an evaluation.
+        engine.index_for(g0)
+        before = engine.stats.as_dict()
+        for call in (
+            lambda: any_of(g0, epsilon, ["v1"], ephemeral=True),
+            lambda: pair(g0, epsilon, "v1", "v2", ephemeral=True),
+        ):
+            with pytest.raises(GraphError):
+                call()
+            assert engine.stats.as_dict() == before
+
     def test_empty_node_set(self, engine, g0):
         query = compile_query("a*", g0.alphabet)
         assert not engine.any_selects(g0, query, [])
@@ -189,63 +240,12 @@ class TestRandomizedParity:
 
 
 class TestTableAutomatonParity:
-    """Kernel automata through the engine: tables and folds must evaluate
-    exactly like the DFAs they encode, on every path (ephemeral walks and
-    compiled plans)."""
+    """Kernel automata through the engine's plan path: a table must compile
+    and evaluate exactly like the DFA it encodes.  (The ephemeral walks over
+    tables and mid-merge folds are pinned, per stop rule, by the source x
+    stop-rule matrix in ``test_walk_matrix.py``.)"""
 
     LABELS = ["a", "b", "c"]
-
-    def test_table_ephemeral_any_selects_matches_dfa(self, engine):
-        from repro.automata.kernel import TableDFA
-
-        rng = random.Random(23)
-        for _ in range(10):
-            graph = random_graph(rng, self.LABELS)
-            subset = sorted(graph.nodes)[:4]
-            for expression in EXPRESSIONS:
-                dfa = compile_query(expression, self.LABELS)
-                table, _ = TableDFA.from_dfa(dfa)
-                expected = engine.any_selects(graph, dfa, subset, ephemeral=True)
-                assert engine.any_selects(graph, table, subset, ephemeral=True) == expected
-
-    def test_table_ephemeral_pair_selects_matches_dfa(self, engine):
-        from repro.automata.kernel import TableDFA
-
-        rng = random.Random(29)
-        for _ in range(6):
-            graph = random_graph(rng, self.LABELS)
-            nodes = sorted(graph.nodes)[:4]
-            for expression in EXPRESSIONS:
-                dfa = compile_query(expression, self.LABELS)
-                table, _ = TableDFA.from_dfa(dfa)
-                for origin in nodes:
-                    for end in nodes:
-                        expected = engine.pair_selects(graph, dfa, origin, end, ephemeral=True)
-                        assert (
-                            engine.pair_selects(graph, table, origin, end, ephemeral=True)
-                            == expected
-                        )
-
-    def test_merge_fold_mid_merge_matches_materialized_dfa(self, engine):
-        from repro.automata.kernel import MergeFold, pta_table
-
-        rng = random.Random(31)
-        for _ in range(8):
-            graph = random_graph(rng, self.LABELS)
-            subset = sorted(graph.nodes)[:4]
-            words = [
-                tuple(rng.choice(self.LABELS) for _ in range(rng.randrange(1, 4)))
-                for _ in range(rng.randrange(1, 5))
-            ]
-            table = pta_table(GraphDB(self.LABELS).alphabet, words)
-            fold = MergeFold(table)
-            roots = fold.roots()
-            if len(roots) > 1:
-                keep, remove = rng.sample(roots, 2)
-                fold.merge(min(keep, remove), max(keep, remove))
-            materialized = fold.to_table().to_dfa()
-            expected = engine.any_selects(graph, materialized, subset, ephemeral=True)
-            assert engine.any_selects(graph, fold, subset, ephemeral=True) == expected
 
     def test_compiled_table_plan_matches_dfa_plan(self, engine):
         from repro.automata.kernel import TableDFA

@@ -1,0 +1,203 @@
+"""Transition source x stop rule: the product walk's parity matrix.
+
+:mod:`repro.engine.executor` writes each walk once and reads every query
+representation through one ``bind`` adapter.  This matrix pins that claim:
+the *same automaton*, handed over as a compiled plan (verbatim, i.e. what
+``planner="off"`` compiles), a kernel ``TableDFA``, a ``MergeFold``, a raw
+``DFA`` or a raw ``NFA``, must
+
+* answer every stop rule (any-of-nodes, pair, depth-bounded, whole-graph)
+  exactly like the independent ``reference_*`` construction in
+  :mod:`repro.graphdb.product`, and
+* do exactly the same work: identical ``(states_expanded, edges_scanned)``
+  whatever the representation.
+
+The automata are the canonical DFAs of the suite's expressions plus the
+quotients of *mid-merge* folds (there the fold itself is the fold source and
+the other four representations are derived from its materialized table).
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from test_engine_parity import EXPRESSIONS, random_graph
+
+from repro.automata.kernel import MergeFold, TableDFA, pta_table
+from repro.engine import QueryEngine, executor
+from repro.engine.executor import KernelStats
+from repro.engine.index import GraphIndex
+from repro.engine.plan import compile_plan
+from repro.graphdb import (
+    GraphDB,
+    reference_any_node_selects,
+    reference_evaluate,
+    reference_pair_selects,
+)
+from repro.graphdb.paths import enumerate_paths
+from repro.regex import compile_query
+
+LABELS = ["a", "b", "c"]
+SOURCES = ("plan", "table", "fold", "dfa", "nfa")
+DEPTHS = (0, 1, 3)
+
+
+def mid_merge_fold(seed: int) -> MergeFold:
+    """A PTA fold with a few merges applied and *not* committed."""
+    rng = random.Random(seed)
+    words = [
+        tuple(rng.choice(LABELS) for _ in range(rng.randrange(1, 5)))
+        for _ in range(rng.randrange(2, 7))
+    ]
+    fold = MergeFold(pta_table(GraphDB(LABELS).alphabet, words))
+    for _ in range(3):
+        roots = fold.roots()
+        if len(roots) > 1:
+            keep, remove = sorted(rng.sample(roots, 2))
+            fold.merge(keep, remove)
+    return fold
+
+
+def representations(case: str) -> dict[str, object]:
+    """The five representations of one automaton (see the module docstring)."""
+    if case.startswith("fold:"):
+        fold = mid_merge_fold(int(case.removeprefix("fold:")))
+        table = fold.to_table()
+    else:
+        table, _ = TableDFA.from_dfa(compile_query(case, LABELS))
+        fold = MergeFold(table)
+    dfa = table.to_dfa()
+    return {
+        "plan": compile_plan(dfa),
+        "table": table,
+        "fold": fold,
+        "dfa": dfa,
+        "nfa": dfa.to_nfa(),
+    }
+
+
+CASES = [*EXPRESSIONS, *(f"fold:{seed}" for seed in range(4))]
+
+
+def population():
+    """Seeded graphs with their index and a fixed node sample."""
+    rng = random.Random(41)
+    for _ in range(8):
+        graph = random_graph(rng, LABELS)
+        index = GraphIndex.build(graph)
+        yield graph, index, sorted(graph.nodes)[:4]
+
+
+def walk(rule, index, source, nodes, *, end=None, depth=None):
+    """Run one stop rule on one source; returns ``(answer, work counters)``."""
+    stats = KernelStats()
+    ids = index.node_ids
+    if rule == "whole":
+        selected = executor.evaluate_all(index, source, stats, max_depth=depth)
+        answer = frozenset(index.nodes_by_id[i] for i in selected)
+    else:
+        answer = executor.any_selects(
+            index,
+            source,
+            [ids[node] for node in nodes],
+            stats,
+            end=None if end is None else ids[end],
+            max_depth=depth,
+        )
+    return answer, stats.mark()
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("case", CASES)
+class TestSourceByStopRule:
+    def test_any_of_nodes(self, case, source):
+        forms = representations(case)
+        for graph, index, subset in population():
+            expected = reference_any_node_selects(graph, forms["dfa"], subset)
+            assert walk("any", index, forms[source], subset)[0] == expected
+
+    def test_pair(self, case, source):
+        forms = representations(case)
+        for graph, index, subset in population():
+            for origin in subset:
+                for end in subset:
+                    expected = reference_pair_selects(graph, forms["dfa"], origin, end)
+                    got, _ = walk("pair", index, forms[source], [origin], end=end)
+                    assert got == expected, (origin, end)
+
+    def test_depth_bounded(self, case, source):
+        forms = representations(case)
+        dfa = forms["dfa"]
+        for graph, index, subset in population():
+            for depth in DEPTHS:
+                bounded = {
+                    node
+                    for node in graph.nodes
+                    if any(dfa.accepts(w) for w in enumerate_paths(graph, node, max_length=depth))
+                }
+                got, _ = walk("any", index, forms[source], subset, depth=depth)
+                assert got == any(node in bounded for node in subset), depth
+                got, _ = walk("whole", index, forms[source], (), depth=depth)
+                assert got == bounded, depth
+
+    def test_whole_graph(self, case, source):
+        forms = representations(case)
+        for graph, index, _ in population():
+            expected = reference_evaluate(graph, forms["dfa"])
+            assert walk("whole", index, forms[source], ())[0] == expected
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_source_does_identical_work(case):
+    """One automaton, five representations, one ``(expanded, scanned)``.
+
+    A mid-merge fold is the one exception, and only for the backward
+    closure: its absorbed states still carry their accepting bits, so it
+    seeds (and pops) pairs the materialized quotient does not have -- which
+    is why the engine materializes a fold before a whole-graph walk.
+    """
+    forms = representations(case)
+    for _, index, subset in population():
+        calls = [("any", subset, {}), ("any", subset, {"depth": 2}), ("whole", (), {})]
+        calls += [("pair", [origin], {"end": end}) for origin in subset for end in subset[:2]]
+        for rule, nodes, options in calls:
+            work = {
+                source: walk(rule, index, form, nodes, **options)[1]
+                for source, form in forms.items()
+                if not (rule == "whole" and source == "fold" and case.startswith("fold:"))
+            }
+            assert len(set(work.values())) == 1, (rule, nodes, options, work)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_engine_ephemeral_calls_take_every_uncompiled_source(case):
+    """``QueryEngine``'s ephemeral entry points are one call each into the
+    same walks: tables, mid-merge folds and raw automata all answer like the
+    reference, with no plan compiled."""
+    forms = representations(case)
+    engine = QueryEngine()
+    for graph, _, subset in population():
+        expected = reference_any_node_selects(graph, forms["dfa"], subset)
+        origin, end = subset[0], subset[-1]
+        expected_pair = reference_pair_selects(graph, forms["dfa"], origin, end)
+        for source in ("table", "fold", "dfa", "nfa"):
+            query = forms[source]
+            assert engine.any_selects(graph, query, subset, ephemeral=True) == expected
+            assert engine.pair_selects(graph, query, origin, end, ephemeral=True) == expected_pair
+    assert engine.stats.plan_compilations == 0
+
+
+def test_geo_seed_order_is_not_set_iteration(geo):
+    """The parent's raw-DFA walk seeded from a ``set``: on the geo graph
+    ``(tram+bus)*.cinema`` from all nodes cost 4/4 through it and 9/9 through
+    the table and plan walks.  Every engine path now agrees."""
+    dfa = compile_query("(tram+bus)*.cinema", geo.alphabet)
+    table, _ = TableDFA.from_dfa(dfa)
+    nodes = list(geo.node_order)
+    work = set()
+    for query, ephemeral in ((dfa, True), (table, True), (dfa.to_nfa(), True), (dfa, False)):
+        engine = QueryEngine(planner="off")
+        assert engine.any_selects(geo, query, nodes, ephemeral=ephemeral)
+        work.add((engine.stats.states_expanded, engine.stats.edges_scanned))
+    assert len(work) == 1, work

@@ -15,7 +15,6 @@ import pytest
 
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
-from repro.engine.executor import table_evaluate_all
 from repro.errors import InteractionError, LearningError
 from repro.evaluation.workloads import synthetic_queries
 from repro.interactive import (
@@ -105,18 +104,6 @@ class TestBatchedInformativeness:
         index = QueryEngine().index_for(g0)
         with pytest.raises(InteractionError):
             uncovered_words_table(index, (), k=2, alphabet=g0.alphabet)
-
-    def test_table_evaluate_all_matches_plan_evaluation(self, g0, abstar_c):
-        # The backward table walk is a general whole-graph kernel: on a real
-        # query automaton it must agree with the plan-compiled evaluation.
-        from repro.automata.kernel import TableDFA
-
-        engine = QueryEngine()
-        index = engine.index_for(g0)
-        table, _ = TableDFA.from_dfa(abstar_c.dfa)
-        selected_ids = table_evaluate_all(index, table)
-        selected = frozenset(index.nodes_by_id[i] for i in selected_ids)
-        assert selected == engine.evaluate(g0, abstar_c)
 
 
 class TestSessionStateVerdicts:

@@ -124,6 +124,27 @@ class TestMergeSummary:
         assert by_suite["a"]["fresh"] == 4.0 and by_suite["a"]["datetime"] == "g2"
         assert by_suite["b"]["datetime"] == "g1"
 
+    def test_summary_records_src_lines_and_public_surface(self, tmp_path):
+        import repro
+
+        package = tmp_path / "checkout" / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text('__all__ = [\n    "a",\n    "b",\n]\n')
+        (package / "other.py").write_text("x = 1\ny = 2\n")
+        assert compare.code_size(tmp_path / "checkout") == {"src_lines": 6, "public_all_size": 2}
+
+        summary_file = tmp_path / "summary.json"
+        merged = compare.merge_summary(
+            summary_file, "a", self._compare(report(x=(1.0, 2.0)), report(x=(1.0, 2.0))),
+            generated=None,
+        )
+        # On the real checkout: the snapshot-tested surface, and a line count
+        # that at least covers the package's own __init__.
+        assert merged["public_all_size"] == len(repro.__all__)
+        init_lines = Path(repro.__file__).read_text().count("\n")
+        assert merged["src_lines"] > init_lines
+        assert json.loads(summary_file.read_text())["src_lines"] == merged["src_lines"]
+
     def test_corrupt_summary_file_is_rebuilt(self, tmp_path):
         summary_file = tmp_path / "summary.json"
         summary_file.write_text("{not json")
