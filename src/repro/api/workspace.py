@@ -53,7 +53,11 @@ from repro.learning.learner import LearnerResult, dynamic_k_procedure, learn_pat
 from repro.learning.nary_learner import NaryLearnerResult, learn_nary_query
 from repro.learning.sample import BinarySample, NarySample, Sample
 from repro.queries.binary import BinaryPathQuery
-from repro.queries.path_query import PathQuery
+from repro.queries.path_query import (
+    PathQuery,
+    parse_cache_stats,
+    register_parse_cache_metrics,
+)
 from repro.regex.ast import Regex
 
 #: Built-in figure graphs :meth:`Workspace.from_figure` (and the CLI's
@@ -102,6 +106,7 @@ class Workspace:
             else (engine_config or EngineConfig()).build(telemetry=telemetry)
         )
         self.name = name
+        register_parse_cache_metrics(self.telemetry.registry)
 
     # -- constructors ---------------------------------------------------------
 
@@ -505,9 +510,14 @@ class Workspace:
         return run_static_experiment(workload, config=config, engine=self._engine)
 
     def stats(self) -> dict:
-        """Engine counters (cache hit rates, kernel work) plus graph shape."""
+        """Engine counters (cache hit rates, kernel work) plus graph shape.
+
+        ``parse_cache`` is the process-wide expression cache's own counters
+        (shared by every workspace, so it is a block, not an engine counter).
+        """
         snapshot = dict(self._engine.stats_snapshot())
         snapshot.update(
+            parse_cache=parse_cache_stats(),
             graph_nodes=self._graph.node_count(),
             graph_edges=self._graph.edge_count(),
             graph_labels=len(self._graph.labels()),

@@ -150,10 +150,18 @@ class TableDFA(TableAutomaton):
         Only the reachable part of the subset automaton is built (symbols in
         alphabet order, breadth first).  ``subsets[i]`` is the frozenset of
         NFA states the table state ``i`` stands for.
+
+        Every subset is epsilon-closed by construction, so its successors
+        are read off its members' own moves: one pass buckets them by symbol
+        position (each move's target closed once per NFA state, memoised),
+        and only the positions that occur are visited -- not one
+        ``nfa.step`` per alphabet symbol.
         """
         alphabet = nfa.alphabet
         m = len(alphabet)
+        index = alphabet.index
         nfa_finals = nfa.final_states
+        closures: dict = {}
         start = nfa.epsilon_closure(nfa.initial_states)
         subsets: list[frozenset] = [start]
         ids: dict[frozenset, int] = {start: 0}
@@ -162,12 +170,16 @@ class TableDFA(TableAutomaton):
         queue: deque[int] = deque([0])
         while queue:
             current = queue.popleft()
-            subset = subsets[current]
             row = rows[current]
-            for position, symbol in enumerate(alphabet):
-                target = nfa.step(subset, symbol)
-                if not target:
-                    continue
+            buckets: dict[int, set] = {}
+            for state in subsets[current]:
+                for symbol, moved in nfa.outgoing(state):
+                    closure = closures.get(moved)
+                    if closure is None:
+                        closure = closures[moved] = nfa.epsilon_closure((moved,))
+                    buckets.setdefault(index(symbol), set()).update(closure)
+            for position in sorted(buckets):
+                target = frozenset(buckets[position])
                 target_id = ids.get(target)
                 if target_id is None:
                     target_id = len(subsets)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.automata.alphabet import Alphabet
 from repro.automata.dfa import DFA
 from repro.automata.minimize import canonical_dfa
 from repro.automata.nfa import NFA
@@ -19,58 +18,16 @@ from repro.automata.operations import language_equivalent
 from repro.engine.engine import QueryEngine, get_default_engine
 from repro.errors import QueryError
 from repro.graphdb.graph import GraphDB, Node
-from repro.regex.ast import Regex
-from repro.regex.build import compile_query
-from repro.regex.convert import dfa_to_regex
+from repro.queries.path_query import _RegexQuery
 
 
-class BinaryPathQuery:
+class BinaryPathQuery(_RegexQuery):
     """A regular path query under the binary (pairs-of-nodes) semantics."""
-
-    def __init__(self, dfa: DFA, *, expression: str | None = None) -> None:
-        self._dfa = canonical_dfa(dfa)
-        self._expression = expression
-
-    @classmethod
-    def parse(
-        cls,
-        expression: str | Regex,
-        alphabet: Alphabet | Iterable[str] | None = None,
-    ) -> "BinaryPathQuery":
-        """Build a binary query from a regular expression string (or AST)."""
-        dfa = compile_query(expression, alphabet)
-        text = expression if isinstance(expression, str) else str(expression)
-        return cls(dfa, expression=text)
 
     @classmethod
     def from_automaton(cls, automaton: DFA | NFA) -> "BinaryPathQuery":
         """Build a binary query from any automaton."""
         return cls(canonical_dfa(automaton))
-
-    @property
-    def dfa(self) -> DFA:
-        """The canonical DFA representing the query."""
-        return self._dfa
-
-    @property
-    def alphabet(self) -> Alphabet:
-        """The alphabet the query is defined over."""
-        return self._dfa.alphabet
-
-    @property
-    def size(self) -> int:
-        """The number of states of the canonical DFA."""
-        return len(self._dfa)
-
-    @property
-    def expression(self) -> str:
-        """A regular-expression rendering of the query."""
-        if self._expression is not None:
-            return self._expression
-        return str(dfa_to_regex(self._dfa))
-
-    def __repr__(self) -> str:
-        return f"BinaryPathQuery({self.expression!r}, size={self.size})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryPathQuery):
@@ -114,19 +71,3 @@ class BinaryPathQuery:
         return all(self.selects(graph, *pair, engine=engine) for pair in positives) and not any(
             self.selects(graph, *pair, engine=engine) for pair in negatives
         )
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """A JSON-safe representation: the expression and its alphabet."""
-        return {
-            "expression": self.expression,
-            "alphabet": list(self.alphabet),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BinaryPathQuery":
-        """Rebuild a query from :meth:`to_dict` output (language-faithful)."""
-        if not isinstance(payload, dict) or "expression" not in payload:
-            raise QueryError("a serialized query needs an 'expression' entry")
-        return cls.parse(payload["expression"], payload.get("alphabet"))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cached_property
+from typing import TypeVar
 
 from repro.automata.alphabet import Alphabet, Word
 from repro.automata.dfa import DFA
@@ -21,53 +22,73 @@ from repro.automata.minimize import canonical_dfa
 from repro.automata.nfa import NFA
 from repro.automata.operations import language_equivalent
 from repro.automata.prefix_free import is_prefix_free, prefix_free
+from repro.engine.cache import LRUCache
 from repro.engine.engine import QueryEngine, get_default_engine
 from repro.errors import QueryError
 from repro.graphdb.graph import GraphDB, Node
 from repro.regex.ast import Regex
-from repro.regex.build import compile_query
+from repro.regex.build import compile_table
 from repro.regex.convert import dfa_to_regex
+from repro.telemetry.metrics import MetricsRegistry
+
+Q = TypeVar("Q", bound="_RegexQuery")
+
+#: Process-wide LRU of compiled expressions: ``(text, alphabet)`` -> canonical
+#: :class:`TableDFA`.  Every text-to-automaton entry point (``parse``, hence
+#: ``from_dict``, ``Workspace.query``, the daemon's query op and the client's
+#: ``result_from_dict``) goes through it, so a repeated expression compiles
+#: once per process.  Only successes are stored; the table never leaves this
+#: module, each hit materializes a fresh :class:`DFA` from it.
+PARSE_CACHE = LRUCache(256)
 
 
-class PathQuery:
-    """A monadic regular path query, represented by its canonical DFA."""
+def parse_cache_stats() -> dict[str, int]:
+    """The parse cache's own ``hits`` / ``misses`` / ``size`` counters."""
+    return {"hits": PARSE_CACHE.hits, "misses": PARSE_CACHE.misses, "size": len(PARSE_CACHE)}
+
+
+def register_parse_cache_metrics(registry: MetricsRegistry) -> None:
+    """Expose the parse cache's counters as computed series of ``registry``."""
+    registry.callback("queries_parse_cache_hits_total", lambda: PARSE_CACHE.hits)
+    registry.callback("queries_parse_cache_misses_total", lambda: PARSE_CACHE.misses)
+
+
+class _RegexQuery:
+    """What the monadic and the binary query share: a canonical DFA, the
+    expression it came from, and the text <-> query conversions."""
 
     def __init__(self, dfa: DFA, *, expression: str | None = None) -> None:
         self._dfa = canonical_dfa(dfa)
         self._expression = expression
 
-    # -- constructors ---------------------------------------------------------
-
     @classmethod
     def parse(
-        cls,
+        cls: type[Q],
         expression: str | Regex,
         alphabet: Alphabet | Iterable[str] | None = None,
-    ) -> "PathQuery":
+    ) -> Q:
         """Build a query from a regular-expression string (or AST).
 
         Passing the graph's alphabet lets the query be evaluated on graphs
-        that use labels not mentioned in the expression.
+        that use labels not mentioned in the expression.  A string is
+        compiled once per ``(text, alphabet)`` and process
+        (:data:`PARSE_CACHE`); a syntax error is raised on every call.
         """
-        dfa = compile_query(expression, alphabet)
-        text = expression if isinstance(expression, str) else str(expression)
-        return cls(dfa, expression=text)
-
-    @classmethod
-    def from_automaton(cls, automaton: DFA | NFA) -> "PathQuery":
-        """Build a query from any automaton (canonicalized on construction)."""
-        dfa = automaton if isinstance(automaton, DFA) else canonical_dfa(automaton)
-        return cls(dfa)
-
-    @classmethod
-    def from_words(cls, alphabet: Alphabet, words: Iterable[Sequence[str]]) -> "PathQuery":
-        """The disjunction-of-words query selecting nodes with one of the given paths."""
-        word_list = [tuple(word) for word in words]
-        if not word_list:
-            raise QueryError("a disjunction-of-words query needs at least one word")
-        return cls(canonical_dfa(NFA.from_words(alphabet, word_list)))
-
-    # -- basic accessors -------------------------------------------------------
+        if alphabet is not None and not isinstance(alphabet, Alphabet):
+            alphabet = Alphabet(alphabet)
+        interned = isinstance(expression, str)
+        key = (expression, alphabet)
+        table = PARSE_CACHE.get(key) if interned else None
+        if table is None:
+            table = compile_table(expression, alphabet)
+            if interned:
+                PARSE_CACHE.put(key, table)
+        # The table is canonical already, so the constructor's pass is
+        # skipped; the DFA is this query's own (callers may mutate it).
+        query = cls.__new__(cls)
+        query._dfa = table.to_dfa()
+        query._expression = expression if interned else str(expression)
+        return query
 
     @property
     def dfa(self) -> DFA:
@@ -96,7 +117,41 @@ class PathQuery:
         return str(dfa_to_regex(self._dfa))
 
     def __repr__(self) -> str:
-        return f"PathQuery({self.expression!r}, size={self.size})"
+        return f"{type(self).__name__}({self.expression!r}, size={self.size})"
+
+    def to_dict(self) -> dict:
+        """A JSON-safe representation: the expression and its alphabet."""
+        return {
+            "expression": self.expression,
+            "alphabet": list(self.alphabet),
+        }
+
+    @classmethod
+    def from_dict(cls: type[Q], payload: dict) -> Q:
+        """Rebuild a query from :meth:`to_dict` output (language-faithful)."""
+        if not isinstance(payload, dict) or "expression" not in payload:
+            raise QueryError("a serialized query needs an 'expression' entry")
+        return cls.parse(payload["expression"], payload.get("alphabet"))
+
+
+class PathQuery(_RegexQuery):
+    """A monadic regular path query, represented by its canonical DFA."""
+
+    # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def from_automaton(cls, automaton: DFA | NFA) -> "PathQuery":
+        """Build a query from any automaton (canonicalized on construction)."""
+        dfa = automaton if isinstance(automaton, DFA) else canonical_dfa(automaton)
+        return cls(dfa)
+
+    @classmethod
+    def from_words(cls, alphabet: Alphabet, words: Iterable[Sequence[str]]) -> "PathQuery":
+        """The disjunction-of-words query selecting nodes with one of the given paths."""
+        word_list = [tuple(word) for word in words]
+        if not word_list:
+            raise QueryError("a disjunction-of-words query needs at least one word")
+        return cls(canonical_dfa(NFA.from_words(alphabet, word_list)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathQuery):
@@ -192,19 +247,3 @@ class PathQuery:
     def shortest_word(self) -> Word | None:
         """The canonically smallest word in the query language, if any."""
         return self._dfa.shortest_accepted_word()
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """A JSON-safe representation: the expression and its alphabet."""
-        return {
-            "expression": self.expression,
-            "alphabet": list(self.alphabet),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PathQuery":
-        """Rebuild a query from :meth:`to_dict` output (language-faithful)."""
-        if not isinstance(payload, dict) or "expression" not in payload:
-            raise QueryError("a serialized query needs an 'expression' entry")
-        return cls.parse(payload["expression"], payload.get("alphabet"))

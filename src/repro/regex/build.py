@@ -7,7 +7,8 @@ from collections.abc import Iterable
 
 from repro.automata.alphabet import Alphabet
 from repro.automata.dfa import DFA
-from repro.automata.minimize import canonical_dfa
+from repro.automata.kernel import TableDFA
+from repro.automata.minimize import canonical_dfa, canonical_table
 from repro.automata.nfa import NFA
 from repro.errors import RegexSyntaxError
 from repro.regex.ast import Concat, EmptySet, Epsilon, Regex, Star, Symbol, Union
@@ -80,13 +81,14 @@ def regex_to_dfa(regex: Regex, alphabet: Alphabet | None = None) -> DFA:
     return canonical_dfa(regex_to_nfa(regex, alphabet))
 
 
-def compile_query(expression: str | Regex, alphabet: Alphabet | Iterable[str] | None = None) -> DFA:
-    """Compile a regular expression (string or AST) into its canonical DFA.
+def compile_table(
+    expression: str | Regex, alphabet: Alphabet | Iterable[str] | None = None
+) -> TableDFA:
+    """Compile a regular expression (string or AST) into its canonical table.
 
-    This is the low-level counterpart of
-    :meth:`repro.queries.PathQuery.parse`; it accepts an explicit alphabet so
-    that a query can be evaluated on graphs whose alphabet is larger than the
-    set of symbols mentioned in the expression.
+    The kernel-form result of :func:`compile_query`; it accepts an explicit
+    alphabet so that a query can be evaluated on graphs whose alphabet is
+    larger than the set of symbols mentioned in the expression.
     """
     regex = parse(expression) if isinstance(expression, str) else expression
     if alphabet is not None and not isinstance(alphabet, Alphabet):
@@ -98,4 +100,13 @@ def compile_query(expression: str | Regex, alphabet: Alphabet | Iterable[str] | 
             raise RegexSyntaxError(
                 f"expression uses symbols outside the alphabet: {sorted(missing)!r}"
             )
-    return regex_to_dfa(regex, alphabet)
+    return canonical_table(regex_to_nfa(regex, alphabet))
+
+
+def compile_query(expression: str | Regex, alphabet: Alphabet | Iterable[str] | None = None) -> DFA:
+    """Compile a regular expression (string or AST) into its canonical DFA.
+
+    This is the low-level, uncached counterpart of
+    :meth:`repro.queries.PathQuery.parse`.
+    """
+    return compile_table(expression, alphabet).to_dfa()

@@ -52,7 +52,11 @@ from repro.errors import (
     StorageError,
 )
 from repro.learning.sample import BinarySample, Sample
-from repro.queries.path_query import PathQuery
+from repro.queries.path_query import (
+    PathQuery,
+    parse_cache_stats,
+    register_parse_cache_metrics,
+)
 from repro.service import protocol
 from repro.service.batching import MicroBatcher
 from repro.service.session import AdmissionController, SessionTable
@@ -174,6 +178,7 @@ class QueryService:
             "service_datasets", lambda: float(len(self._datasets)),
             help="snapshots currently open and serving",
         )
+        register_parse_cache_metrics(self.registry)
 
     # -- datasets ------------------------------------------------------------
 
@@ -295,6 +300,12 @@ class QueryService:
 
     def _do_shutdown(self) -> None:
         if self._listener is not None:
+            # close() alone leaves the acceptor blocked in accept() on Linux
+            # (its join below would time out); shutdown() wakes it first.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # not every platform lets a listener shut down
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - already closed
@@ -738,6 +749,7 @@ class QueryService:
             "admission": self.admission.snapshot(),
             "batch_depth": self.batcher.depth,
             "sessions_total": self.sessions.total(),
+            "parse_cache": parse_cache_stats(),
             "tenants": self.tenant_stats(),
         }
 

@@ -12,6 +12,7 @@ is the safety net the one-kernel refactor rests on.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.automata import Alphabet, language_equivalent, prefix_tree_acceptor
 from repro.automata.determinize import determinize, reference_determinize
 from repro.automata.dfa import DFA
+from repro.automata.nfa import NFA
 from repro.automata.kernel import (
     MergeFold,
     TableDFA,
@@ -39,7 +41,7 @@ from repro.automata.operations import intersection_empty, language_included
 from repro.errors import LearningError
 from repro.learning.generalize import generalize_pta, reference_generalize_pta
 from repro.learning.rpni import rpni
-from repro.regex import regex_to_dfa, regex_to_nfa
+from repro.regex import compile_query, parse, regex_to_dfa, regex_to_nfa
 from repro.regex.ast import Epsilon, Regex, Star, Symbol, concat, disjunction
 
 ALPHABET = Alphabet(["a", "b", "c"])
@@ -106,12 +108,90 @@ class TestRoundTrip:
         assert table.shortest_word() == dfa.shortest_accepted_word()
 
 
+WIDE_ALPHABET = Alphabet(["a", "b", "c", "d", "e"])
+
+
+@st.composite
+def raw_nfas(draw) -> NFA:
+    """Small NFAs the Thompson construction never produces: several (or no)
+    initials, epsilon cycles, unused alphabet symbols, possibly no finals."""
+    states = list(range(draw(st.integers(min_value=1, max_value=6))))
+    state = st.sampled_from(states)
+    used = draw(st.lists(st.sampled_from(WIDE_ALPHABET.symbols), max_size=3, unique=True))
+    nfa = NFA(
+        WIDE_ALPHABET,
+        states=states,
+        initial=draw(st.lists(state, max_size=3)),
+        finals=draw(st.lists(state, max_size=3)),
+    )
+    if used:
+        for source, symbol, target in draw(
+            st.lists(st.tuples(state, st.sampled_from(used), state), max_size=12)
+        ):
+            nfa.add_transition(source, symbol, target)
+    for source, target in draw(st.lists(st.tuples(state, state), max_size=6)):
+        nfa.add_epsilon_transition(source, target)
+    return nfa
+
+
+def reference_table(nfa: NFA) -> tuple[array, int, list[frozenset]]:
+    """The table ``from_nfa`` must return, read off the reference subset DFA:
+    subsets numbered breadth first, symbols in alphabet order."""
+    dfa = reference_determinize(nfa)
+    symbols = nfa.alphabet.symbols
+    subsets = [dfa.initial]
+    ids = {dfa.initial: 0}
+    for subset in subsets:  # grows while iterated: a BFS queue
+        for symbol in symbols:
+            target = dfa.delta(subset, symbol)
+            if target is not None and target not in ids:
+                ids[target] = len(subsets)
+                subsets.append(target)
+    trans = array(
+        "i", (ids.get(dfa.delta(subset, symbol), -1) for subset in subsets for symbol in symbols)
+    )
+    finals = sum(1 << ids[subset] for subset in dfa.final_states)
+    return trans, finals, subsets
+
+
 class TestDeterminizeParity:
     @settings(max_examples=50, deadline=None)
     @given(regex=regexes())
     def test_subset_construction_matches_reference(self, regex):
         nfa = regex_to_nfa(regex, ALPHABET)
         assert_same_dfa(determinize(nfa), reference_determinize(nfa))
+
+    @settings(max_examples=200, deadline=None)
+    @given(nfa=raw_nfas())
+    def test_table_and_subsets_match_reference_on_raw_nfas(self, nfa):
+        table, subsets = TableDFA.from_nfa(nfa)
+        trans, finals, expected_subsets = reference_table(nfa)
+        assert subsets == expected_subsets
+        assert (table.n, table.initial, table.finals) == (len(subsets), 0, finals)
+        assert table.trans.tobytes() == trans.tobytes()
+
+    def test_compiled_expression_stream_matches_reference_pipeline(self):
+        # The serving workloads' shapes on their 20-label alphabet; every
+        # class mentions 1-3 labels, so most symbols are unused by any one NFA.
+        labels = [f"l{index:02d}" for index in range(20)]
+        alphabet = Alphabet(labels)
+        rng = random.Random(13)
+
+        def label_class() -> str:
+            return "(" + "+".join(rng.sample(labels, rng.randint(1, 3))) + ")"
+
+        shapes = (
+            lambda: f"{label_class()}.{label_class()}*.{label_class()}",
+            lambda: f"{label_class()}.{label_class()}+{label_class()}*.{label_class()}",
+            lambda: f"(({label_class()}*.{label_class()})*.{label_class()})*",
+        )
+        for index in range(150):
+            text = shapes[index % len(shapes)]()
+            compiled, _ = TableDFA.from_dfa(compile_query(text, alphabet))
+            reference, _ = TableDFA.from_dfa(
+                reference_canonical_dfa(regex_to_nfa(parse(text), alphabet))
+            )
+            assert compiled.fingerprint() == reference.fingerprint(), text
 
 
 class TestMinimizeParity:

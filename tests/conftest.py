@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.automata import Alphabet
+from repro.automata.kernel import TableDFA
 from repro.datasets import (
     certain_node_graph,
     example_graph_g0,
@@ -21,6 +22,20 @@ from repro.queries import PathQuery
 def abc_alphabet() -> Alphabet:
     """The {a, b, c} alphabet used by most of the paper's examples."""
     return Alphabet(["a", "b", "c"])
+
+
+@pytest.fixture
+def compilations(monkeypatch) -> list:
+    """A live list with one entry per ``TableDFA.from_nfa`` call from here on."""
+    calls: list = []
+    original = TableDFA.from_nfa.__func__
+
+    def counting(cls, nfa):
+        calls.append(nfa)
+        return original(cls, nfa)
+
+    monkeypatch.setattr(TableDFA, "from_nfa", classmethod(counting))
+    return calls
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -71,6 +72,20 @@ def test_ping_and_typed_query_roundtrip(service):
         # Remote answers match a local workspace on the same figure graph.
         local = Workspace.from_figure("geo").query(GOAL)
         assert result.selected == local.selected
+
+
+def test_a_seen_expression_is_compiled_by_neither_daemon_nor_client(service, request):
+    from repro.api.result import result_from_dict
+
+    with client_for(service) as client:
+        first = client.query(GOAL)  # the text is seen: compiled at most here
+        # Server thread and client share this process, so one counter sees
+        # the daemon's parse and the client's rebuild of the reply.
+        compilations = request.getfixturevalue("compilations")
+        again = client.query(GOAL)
+        rebuilt = result_from_dict(again.to_dict())
+    assert compilations == []
+    assert rebuilt == again and again.selected == first.selected
 
 
 def test_named_snapshot_and_binary_semantics(service):
@@ -362,6 +377,14 @@ def test_stats_and_metrics_surface_service_counters(service):
     assert "service_requests_total" in text
     assert "service_request_seconds_bucket" in text
     assert "service_engine_evaluations" in text
+    # The process-wide expression cache reports its own counters once, in
+    # the server block and the Prometheus text (not summed per dataset).
+    parse_cache = stats["server"]["parse_cache"]
+    assert set(parse_cache) == {"hits", "misses", "size"}
+    assert parse_cache["hits"] + parse_cache["misses"] >= 1
+    assert "queries_parse_cache_hits_total" in text
+    assert "queries_parse_cache_misses_total" in text
+    assert "service_engine_parse_cache" not in text
 
 
 def test_http_metrics_endpoint(catalog_root):
@@ -579,6 +602,20 @@ def test_remote_shutdown_when_enabled(catalog_root):
         threading.Event().wait(0.01)
     assert service._stop.is_set()
     service.shutdown()  # idempotent
+
+
+def test_shutdown_wakes_the_acceptor(catalog_root):
+    # Closing the listening socket does not wake a thread blocked in
+    # accept() on Linux; shutdown used to sit out the acceptor's 5 s join.
+    service = make_service(catalog_root)
+    service.start()
+    with client_for(service) as client:
+        assert client.ping() is True
+    acceptor = next(t for t in service._threads if t.name == "repro-accept")
+    started = time.perf_counter()
+    service.shutdown()
+    assert time.perf_counter() - started < 1.0
+    assert not acceptor.is_alive()
 
 
 def test_remote_shutdown_forbidden_by_default(catalog_root):
