@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.engine import QueryEngine
 from repro.evaluation.workloads import Workload, biological_workloads, synthetic_workloads
 
 
@@ -63,6 +64,13 @@ def current_scale() -> BenchScale:
     if name not in SCALES:
         raise ValueError(f"REPRO_BENCH_SCALE must be one of {sorted(SCALES)}, got {name!r}")
     return SCALES[name]
+
+
+@pytest.fixture(scope="session")
+def engine() -> QueryEngine:
+    """The engine the table/figure benchmarks share: the workloads reuse a few
+    graphs, so their CSR indexes and goal results stay warm across benchmarks."""
+    return QueryEngine()
 
 
 @pytest.fixture(scope="session")

@@ -10,33 +10,30 @@ both facts are checked here.
 
 from __future__ import annotations
 
+from repro.api import ExperimentConfig
 from repro.datasets import example_graph_g0
 from repro.evaluation.static import run_static_experiment
 from repro.learning import Sample, learn_path_query, learn_scp_disjunction
 from repro.queries import PathQuery
 
 
-def _paired_sweep(workloads, fractions):
-    pairs = []
-    for workload in workloads:
-        with_generalization = run_static_experiment(
-            workload, labeled_fractions=fractions, seed=5, k_max=3
-        )
-        without_generalization = run_static_experiment(
+def _paired_sweep(workloads, fractions, engine):
+    config = ExperimentConfig(labeled_fractions=fractions, seed=5, k_max=3)
+    baseline = config.replace(use_generalization=False)
+    return [
+        (
             workload,
-            labeled_fractions=fractions,
-            seed=5,
-            k_max=3,
-            use_generalization=False,
+            run_static_experiment(workload, config, engine=engine),
+            run_static_experiment(workload, baseline, engine=engine),
         )
-        pairs.append((workload, with_generalization, without_generalization))
-    return pairs
+        for workload in workloads
+    ]
 
 
-def test_ablation_generalization(benchmark, bench_scale, bio_workload_subset):
+def test_ablation_generalization(benchmark, bench_scale, bio_workload_subset, engine):
     fractions = bench_scale.static_fractions[:2]
     pairs = benchmark.pedantic(
-        _paired_sweep, args=(bio_workload_subset, fractions), rounds=1, iterations=1
+        _paired_sweep, args=(bio_workload_subset, fractions, engine), rounds=1, iterations=1
     )
 
     print()
@@ -57,14 +54,14 @@ def test_ablation_generalization(benchmark, bench_scale, bio_workload_subset):
             assert abs(full_point.f1 - baseline_point.f1) < 0.6
 
 
-def test_generalization_is_required_for_starred_queries(benchmark):
+def test_generalization_is_required_for_starred_queries(benchmark, engine):
     # On the worked example, only the full learner recovers (a.b)*.c.
     graph = example_graph_g0()
     sample = Sample({"v1", "v3"}, {"v2", "v7"})
     goal = PathQuery.parse("(a.b)*.c", graph.alphabet)
 
-    full = benchmark(lambda: learn_path_query(graph, sample, k=3))
-    baseline = learn_scp_disjunction(graph, sample, k=3)
+    full = benchmark(lambda: learn_path_query(graph, sample, k=3, engine=engine))
+    baseline = learn_scp_disjunction(graph, sample, k=3, engine=engine)
 
     print()
     print("worked example: full learner  ->", full.query.expression)

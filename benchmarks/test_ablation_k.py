@@ -20,22 +20,24 @@ from repro.queries import PathQuery
 K_VALUES = (1, 2, 3, 4)
 
 
-def _k_sweep(workload, fractions_seed=13):
+def _k_sweep(workload, engine, fractions_seed=13):
     rng = random.Random(fractions_seed)
-    sample = draw_sample(workload.graph, workload.query, labeled_fraction=0.05, rng=rng)
+    sample = draw_sample(
+        workload.graph, workload.query, labeled_fraction=0.05, rng=rng, engine=engine
+    )
     measurements = []
     for k in K_VALUES:
         started = time.perf_counter()
-        result = learn_path_query(workload.graph, sample, k=k)
+        result = learn_path_query(workload.graph, sample, k=k, engine=engine)
         elapsed = time.perf_counter() - started
-        score = f1_score(result.best_effort_query, workload.query, workload.graph)
+        score = f1_score(result.best_effort_query, workload.query, workload.graph, engine=engine)
         measurements.append((k, score, elapsed, result.is_null))
     return measurements
 
 
-def test_ablation_k_on_synthetic_workload(benchmark, syn_workloads_smallest):
+def test_ablation_k_on_synthetic_workload(benchmark, syn_workloads_smallest, engine):
     workload = syn_workloads_smallest[1]  # syn2: medium selectivity
-    measurements = benchmark.pedantic(_k_sweep, args=(workload,), rounds=1, iterations=1)
+    measurements = benchmark.pedantic(_k_sweep, args=(workload, engine), rounds=1, iterations=1)
 
     print()
     print(f"k ablation on {workload.name} (5% of nodes labeled):")
@@ -49,7 +51,7 @@ def test_ablation_k_on_synthetic_workload(benchmark, syn_workloads_smallest):
     assert abs(by_k[4] - by_k[2]) < 0.35
 
 
-def test_ablation_k_on_worked_example(benchmark):
+def test_ablation_k_on_worked_example(benchmark, engine):
     # On G0, k=2 is too small to find v1's SCP (abc) and the learner abstains;
     # k=3 (and anything larger) recovers the goal -- the dynamics that
     # motivate the dynamic-k procedure.
@@ -58,7 +60,7 @@ def test_ablation_k_on_worked_example(benchmark):
     goal = PathQuery.parse("(a.b)*.c", graph.alphabet)
 
     def sweep():
-        return {k: learn_path_query(graph, sample, k=k) for k in K_VALUES}
+        return {k: learn_path_query(graph, sample, k=k, engine=engine) for k in K_VALUES}
 
     results = benchmark(sweep)
 

@@ -8,37 +8,35 @@ workloads and compares the labeling effort needed to reach the F1 target.
 
 from __future__ import annotations
 
+from repro.api import ExperimentConfig
 from repro.evaluation.interactive import run_interactive_experiment
 
 STRATEGIES = ("kR", "kS", "random")
 TARGET_F1 = 0.95
 
 
-def _compare(workloads, budget):
-    rows = {}
-    for workload in workloads:
-        rows[workload.name] = [
+def _compare(workloads, budget, engine):
+    config = ExperimentConfig(
+        seed=9, k_start=2, k_max=3, max_interactions=budget, target_f1=TARGET_F1
+    )
+    return {
+        workload.name: [
             run_interactive_experiment(
-                workload,
-                strategy=strategy,
-                seed=9,
-                k_start=2,
-                k_max=3,
-                max_interactions=budget,
-                target_f1=TARGET_F1,
+                workload, config.replace(strategy=strategy), engine=engine
             )
             for strategy in STRATEGIES
         ]
-    return rows
+        for workload in workloads
+    }
 
 
-def test_ablation_strategies(benchmark, bench_scale, bio_workload_subset):
+def test_ablation_strategies(benchmark, bench_scale, bio_workload_subset, engine):
     # The most and the least selective of the benchmarked biological queries.
     by_name = {w.name: w for w in bio_workload_subset}
     workloads = [by_name[name] for name in (bio_workload_subset[0].name, bio_workload_subset[-1].name)]
     budget = bench_scale.interactive_budget
 
-    rows = benchmark.pedantic(_compare, args=(workloads, budget), rounds=1, iterations=1)
+    rows = benchmark.pedantic(_compare, args=(workloads, budget, engine), rounds=1, iterations=1)
 
     print()
     print(f"strategy comparison (halt at F1 >= {TARGET_F1}):")

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import time
 
+from oracles.product import reference_evaluate
+
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.evaluation.workloads import synthetic_queries
-from repro.graphdb.product import reference_evaluate
 
 #: The paper's smallest synthetic size (Section 5.1): 10k nodes, 3x edges.
 NODE_COUNT = 10_000

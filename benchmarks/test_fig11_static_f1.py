@@ -13,30 +13,25 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExperimentConfig
 from repro.evaluation.reporting import render_figure11
 from repro.evaluation.static import run_static_experiment
 
 
-def _sweep(workloads, fractions):
-    return [
-        run_static_experiment(
-            workload,
-            labeled_fractions=fractions,
-            seed=0,
-            k_start=2,
-            k_max=3,
-        )
-        for workload in workloads
-    ]
+def _sweep(workloads, fractions, engine):
+    config = ExperimentConfig(labeled_fractions=fractions, seed=0, k_start=2, k_max=3)
+    return [run_static_experiment(workload, config, engine=engine) for workload in workloads]
 
 
 @pytest.mark.parametrize("family", ["biological", "synthetic"])
-def test_fig11_static_f1(benchmark, family, bench_scale, bio_workload_subset, syn_workloads_smallest):
+def test_fig11_static_f1(
+    benchmark, family, bench_scale, bio_workload_subset, syn_workloads_smallest, engine
+):
     workloads = bio_workload_subset if family == "biological" else syn_workloads_smallest
     fractions = bench_scale.static_fractions
 
     results = benchmark.pedantic(
-        _sweep, args=(workloads, fractions), rounds=1, iterations=1
+        _sweep, args=(workloads, fractions, engine), rounds=1, iterations=1
     )
 
     print()

@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.api import ExperimentConfig
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.evaluation.interactive import run_interactive_grid
@@ -120,12 +121,9 @@ def test_large_simulation_grid_smoke(benchmark):
     def run_grid():
         return run_interactive_grid(
             workloads,
+            ExperimentConfig(max_interactions=60, pool_size=POOL_SIZE, k_start=2, k_max=4),
             strategies=("kR", "kS"),
             seeds=(0,),
-            max_interactions=60,
-            pool_size=POOL_SIZE,
-            k_start=2,
-            k_max=4,
         )
 
     results = benchmark.pedantic(run_grid, rounds=1, iterations=1)

@@ -5,8 +5,8 @@ end-to-end on the paper's smallest synthetic size (10k nodes, 3x edges,
 20 labels), over the syn1-syn3 goal queries.  The pre-refactor path --
 per-positive ``covered_by`` walks over dict adjacency, a ``DFA``-object
 PTA, the copying red-blue merge loop and Moore canonicalization -- is
-reproduced here from the ``reference_*`` implementations those modules
-kept; the kernel path is plain :func:`learn_path_query` (CSR-backed SCP
+reproduced here from the ``reference_*`` implementations in
+``tests/oracles``; the kernel path is plain :func:`learn_path_query` (CSR-backed SCP
 coverage cache, ``TableDFA`` PTA, in-place ``MergeFold`` with undo,
 Hopcroft canonicalization).
 
@@ -20,13 +20,14 @@ from __future__ import annotations
 import random
 import time
 
-from repro.automata.minimize import reference_canonical_dfa
+from oracles.generalize import reference_generalize_pta
+from oracles.minimize import reference_canonical_dfa
+
 from repro.automata.pta import prefix_tree_acceptor
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.evaluation.static import draw_sample
 from repro.evaluation.workloads import synthetic_queries
-from repro.learning.generalize import reference_generalize_pta
 from repro.learning.learner import learn_path_query, learn_with_dynamic_k
 from repro.learning.scp import smallest_consistent_path
 from repro.queries.path_query import PathQuery

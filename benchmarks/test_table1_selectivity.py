@@ -22,12 +22,12 @@ PAPER_SELECTIVITY_PERCENT = {
 }
 
 
-def test_table1_selectivities(benchmark, bio_workloads):
+def test_table1_selectivities(benchmark, bio_workloads, engine):
     graph = bio_workloads[0].graph
     queries = {workload.name: workload.query for workload in bio_workloads}
 
     def evaluate_all():
-        return selectivity_report(queries, graph)
+        return selectivity_report(queries, graph, engine=engine)
 
     report = benchmark(evaluate_all)
 

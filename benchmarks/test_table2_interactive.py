@@ -19,6 +19,7 @@ comparable labeling effort.
 
 from __future__ import annotations
 
+from repro.api import ExperimentConfig
 from repro.evaluation.interactive import run_interactive_experiment
 from repro.evaluation.reporting import render_table2
 from repro.evaluation.static import run_static_experiment
@@ -36,41 +37,36 @@ PAPER_INTERACTIVE_PERCENT = {
 TARGET_F1 = 0.95
 
 
-def _run_rows(workloads, budget):
-    rows = []
-    for workload in workloads:
-        for strategy in ("kR", "kS"):
-            rows.append(
-                run_interactive_experiment(
-                    workload,
-                    strategy=strategy,
-                    seed=3,
-                    k_start=2,
-                    k_max=3,
-                    max_interactions=budget,
-                    target_f1=TARGET_F1,
-                )
-            )
-    return rows
+def _run_rows(workloads, budget, engine):
+    config = ExperimentConfig(
+        seed=3, k_start=2, k_max=3, max_interactions=budget, target_f1=TARGET_F1
+    )
+    return [
+        run_interactive_experiment(workload, config.replace(strategy=strategy), engine=engine)
+        for workload in workloads
+        for strategy in ("kR", "kS")
+    ]
 
 
-def test_table2_interactive(benchmark, bench_scale, bio_workload_subset, syn_workloads_smallest):
+def test_table2_interactive(
+    benchmark, bench_scale, bio_workload_subset, syn_workloads_smallest, engine
+):
     workloads = list(bio_workload_subset) + list(syn_workloads_smallest)
     budget = bench_scale.interactive_budget
 
-    rows = benchmark.pedantic(_run_rows, args=(workloads, budget), rounds=1, iterations=1)
+    rows = benchmark.pedantic(_run_rows, args=(workloads, budget, engine), rounds=1, iterations=1)
 
     # The "without interactions" column: labels the static scenario needs to
     # reach the same F1 target, measured on the same workloads.
-    static_needed = {}
-    for workload in workloads:
-        static = run_static_experiment(
-            workload,
-            labeled_fractions=bench_scale.static_fractions,
-            seed=3,
-            k_max=3,
-        )
-        static_needed[workload.name] = static.labels_needed_for_f1(TARGET_F1)
+    static_config = ExperimentConfig(
+        labeled_fractions=bench_scale.static_fractions, seed=3, k_max=3
+    )
+    static_needed = {
+        workload.name: run_static_experiment(
+            workload, static_config, engine=engine
+        ).labels_needed_for_f1(TARGET_F1)
+        for workload in workloads
+    }
 
     print()
     print(render_table2(rows, static_needed))

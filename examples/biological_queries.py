@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from repro import QueryOracle, make_strategy, run_interactive_learning
+from repro import InteractiveSession, QueryEngine, QueryOracle, make_strategy
 from repro.evaluation import f1_score, render_table1
 from repro.evaluation.static import draw_sample
 from repro.evaluation.workloads import biological_workloads
@@ -24,34 +24,37 @@ def main() -> None:
     # node_count=3000, edge_count=8000 for the paper-scale graph.
     workloads = biological_workloads(node_count=1000, edge_count=2700, seed=7)
     graph = workloads[0].graph
+    engine = QueryEngine()  # every evaluation below runs on this one engine
     print("AliBaba-like graph:", graph)
     print()
 
-    report = selectivity_report({w.name: w.query for w in workloads}, graph)
+    report = selectivity_report({w.name: w.query for w in workloads}, graph, engine=engine)
     print(render_table1(report))
     print()
 
     bio3 = next(w for w in workloads if w.name == "bio3")
     print(f"Learning {bio3.name} ({bio3.description}) from a fixed random sample:")
     rng = random.Random(1)
-    sample = draw_sample(graph, bio3.query, labeled_fraction=0.05, rng=rng)
-    result = learn_with_dynamic_k(graph, sample, k_max=4)
+    sample = draw_sample(graph, bio3.query, labeled_fraction=0.05, rng=rng, engine=engine)
+    result = learn_with_dynamic_k(graph, sample, k_max=4, engine=engine)
     learned = result.best_effort_query
-    print(f"  {len(sample)} labels -> F1 = {f1_score(learned, bio3.query, graph):.3f}")
+    static_f1 = f1_score(learned, bio3.query, graph, engine=engine)
+    print(f"  {len(sample)} labels -> F1 = {static_f1:.3f}")
     print(f"  learned: {learned.expression[:100]}")
     print()
 
     print(f"Learning {bio3.name} interactively (kS strategy):")
-    outcome = run_interactive_learning(
+    outcome = InteractiveSession(
         graph,
-        QueryOracle(bio3.query, satisfaction_threshold=0.95),
+        QueryOracle(bio3.query, satisfaction_threshold=0.95, engine=engine),
         make_strategy("kS", seed=2),
         max_interactions=150,
-    )
+        engine=engine,
+    ).run()
     print(
         f"  {outcome.interaction_count} labels "
         f"({100 * outcome.labels_fraction(graph):.2f}% of nodes) -> "
-        f"F1 = {f1_score(outcome.query, bio3.query, graph):.3f} "
+        f"F1 = {f1_score(outcome.query, bio3.query, graph, engine=engine):.3f} "
         f"(halted by {outcome.halted_by!r})"
     )
 

@@ -11,19 +11,20 @@ Run with:  python examples/interactive_session.py
 
 from __future__ import annotations
 
-from repro import PathQuery, QueryOracle, make_strategy, run_interactive_learning
+from repro import InteractiveSession, PathQuery, QueryEngine, QueryOracle, make_strategy
 from repro.datasets import example_graph_g0, scale_free_graph
 from repro.evaluation import f1_score
 
 
 def run_on(graph, goal: PathQuery, *, strategy_name: str, max_interactions: int) -> None:
+    engine = QueryEngine()  # the oracle, the session and the scoring share it
     print(f"Goal query: {goal.expression}")
-    print(f"Graph: {graph} -- goal selects {len(goal.evaluate(graph))} nodes")
-    oracle = QueryOracle(goal)
+    print(f"Graph: {graph} -- goal selects {len(goal.evaluate(graph, engine=engine))} nodes")
+    oracle = QueryOracle(goal, engine=engine)
     strategy = make_strategy(strategy_name, seed=1)
-    outcome = run_interactive_learning(
-        graph, oracle, strategy, max_interactions=max_interactions
-    )
+    outcome = InteractiveSession(
+        graph, oracle, strategy, max_interactions=max_interactions, engine=engine
+    ).run()
     print(f"Strategy {strategy_name}: {outcome.interaction_count} labels "
           f"({100 * outcome.labels_fraction(graph):.2f}% of the nodes), "
           f"halted by {outcome.halted_by!r}")
@@ -36,7 +37,7 @@ def run_on(graph, goal: PathQuery, *, strategy_name: str, max_interactions: int)
         print(f"  ... {outcome.interaction_count - 6} more interactions ...")
     learned = outcome.query
     print("Final learned query:", None if learned is None else learned.expression)
-    print(f"F1 against the goal: {f1_score(learned, goal, graph):.3f}")
+    print(f"F1 against the goal: {f1_score(learned, goal, graph, engine=engine):.3f}")
     print()
 
 

@@ -57,7 +57,7 @@ from repro.errors import (
     TelemetryError,
 )
 from repro.automata import Alphabet
-from repro.engine import EngineStats, QueryEngine, get_default_engine
+from repro.engine import EngineStats, QueryEngine
 from repro.graphdb import GraphDB
 from repro.queries import BinaryPathQuery, NaryPathQuery, PathQuery
 from repro.learning import (
@@ -75,7 +75,6 @@ from repro.interactive import (
     QueryOracle,
     SessionState,
     make_strategy,
-    run_interactive_learning,
 )
 from repro.evaluation import f1_score, run_interactive_grid, score_query
 from repro.api import (
@@ -101,7 +100,7 @@ from repro.storage import (
     write_snapshot,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -124,7 +123,6 @@ __all__ = [
     "GraphDB",
     "QueryEngine",
     "EngineStats",
-    "get_default_engine",
     "PathQuery",
     "BinaryPathQuery",
     "NaryPathQuery",
@@ -153,18 +151,17 @@ __all__ = [
     # telemetry
     "Telemetry",
     "MetricsRegistry",
-    # learning entry points (legacy shims; prefer Workspace.learn)
+    # learning entry points (what Workspace.learn calls; take engine=)
     "learn_path_query",
     "learn_with_dynamic_k",
     "learn_binary_query",
     "learn_nary_query",
-    # interactive entry points (legacy shims; prefer Workspace.learn_interactive)
+    # interactive entry points (what Workspace.learn_interactive builds)
     "QueryOracle",
     "make_strategy",
     "InteractiveSession",
     "InteractiveCheckpoint",
     "SessionState",
-    "run_interactive_learning",
     # evaluation
     "f1_score",
     "score_query",

@@ -6,11 +6,9 @@ One facade (:class:`Workspace`), frozen config dataclasses
 one uniform :class:`Result` protocol with a JSON round-trip, and the
 ``python -m repro`` CLI on top (:mod:`repro.api.cli`).
 
-The legacy module-level entry points (``learn_path_query``,
-``run_interactive_learning``, ``run_static_experiment``, ...) remain
-available as thin compatibility shims; new code should go through a
-workspace so engine wiring, cache statistics and result serialization are
-uniform.
+The module-level algorithms (``learn_path_query``, ``InteractiveSession``,
+``run_static_experiment``, ...) are what the workspace calls; used directly
+they take the engine as a required ``engine=`` keyword.
 """
 
 from repro.api.config import (

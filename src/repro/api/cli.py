@@ -323,11 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "written (updated) when the run stops"
         ),
     )
-    interactive.add_argument(
-        "--legacy-loop",
-        action="store_true",
-        help="disable the incremental kernel-backed session state (parity/debugging)",
-    )
 
     bench = subparsers.add_parser(
         "bench", help="repeat query evaluations to exercise the engine caches"
@@ -689,7 +684,6 @@ def _cmd_interactive(args: argparse.Namespace, workspace: Workspace) -> Result:
         max_interactions=args.max_interactions,
         pool_size=args.pool_size if args.pool_size > 0 else None,
         target_f1=args.target_f1,
-        incremental=not args.legacy_loop,
     )
     resume_from = (
         args.checkpoint

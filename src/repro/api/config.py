@@ -2,8 +2,7 @@
 
 Each config is a frozen dataclass that validates itself on construction
 (raising :class:`~repro.errors.ConfigError` on bad values) and round-trips
-through JSON-safe dictionaries (``to_dict``/``from_dict``).  They replace the
-scattered keyword arguments of the legacy module-level entry points:
+through JSON-safe dictionaries (``to_dict``/``from_dict``):
 
 * :class:`EngineConfig`       -- cache sizing of a :class:`~repro.engine.QueryEngine`;
 * :class:`TelemetryConfig`    -- the observability layer (tracing, profiling);
@@ -38,11 +37,7 @@ PLANNERS = ("auto", "off")
 
 
 class _BaseConfig:
-    """Shared JSON plumbing of the four config dataclasses."""
-
-    #: Renamed fields still accepted (with a :class:`DeprecationWarning`)
-    #: by :meth:`from_dict`; subclasses override.  ``{old_name: new_name}``.
-    _LEGACY_FIELDS: dict = {}
+    """Shared JSON plumbing of the config dataclasses."""
 
     def to_dict(self) -> dict:
         """A JSON-safe snapshot; round-trips through :meth:`from_dict`."""
@@ -57,23 +52,6 @@ class _BaseConfig:
         """Build (and validate) a config from :meth:`to_dict` output."""
         if not isinstance(payload, dict):
             raise ConfigError(f"{cls.__name__} payload must be a dict, got {type(payload).__name__}")
-        if cls._LEGACY_FIELDS and any(old in payload for old in cls._LEGACY_FIELDS):
-            import warnings
-
-            payload = dict(payload)
-            for old, new in cls._LEGACY_FIELDS.items():
-                if old not in payload:
-                    continue
-                if new in payload:
-                    raise ConfigError(
-                        f"{cls.__name__} got both {old!r} (deprecated) and {new!r}"
-                    )
-                warnings.warn(
-                    f"{cls.__name__} field {old!r} is deprecated; use {new!r}",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                payload[new] = payload.pop(old)
         known = {spec.name: spec for spec in fields(cls)}
         unknown = sorted(set(payload) - set(known))
         if unknown:
@@ -117,12 +95,6 @@ class EngineConfig(_BaseConfig):
     ``cache_budget_bytes`` adds a byte budget to the result cache's LRU
     eviction (None: entry-count bound only).
     """
-
-    _LEGACY_FIELDS = {
-        "planner_mode": "planner",
-        "rewrite_passes": "max_rewrite_passes",
-        "cache_budget": "cache_budget_bytes",
-    }
 
     plan_cache_size: int = 256
     result_cache_size: int = 1024
@@ -512,14 +484,7 @@ class LearnerConfig(_BaseConfig):
 
 @dataclass(frozen=True)
 class InteractiveConfig(_BaseConfig):
-    """Parameters of one interactive session (the Figure 9 loop).
-
-    ``incremental`` selects the kernel-backed session state (batched
-    k-informativeness, carried coverage cache, hypothesis reuse -- the
-    default) or the legacy per-node recomputation path; the two produce
-    identical transcripts, so the flag only exists for parity testing and
-    benchmarking.
-    """
+    """Parameters of one interactive session (the Figure 9 loop)."""
 
     strategy: str = "kR"
     k_start: int = 2
@@ -529,13 +494,8 @@ class InteractiveConfig(_BaseConfig):
     pool_size: int | None = 512
     seed: int = 0
     target_f1: float = 1.0
-    incremental: bool = True
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.incremental, bool),
-            f"incremental must be a bool, got {self.incremental!r}",
-        )
         _require(
             self.strategy in STRATEGIES,
             f"strategy must be one of {STRATEGIES}, got {self.strategy!r}",
@@ -591,13 +551,8 @@ class ExperimentConfig(_BaseConfig):
     max_interactions: int | None = None
     pool_size: int | None = 512
     target_f1: float = 1.0
-    incremental: bool = True
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.incremental, bool),
-            f"incremental must be a bool, got {self.incremental!r}",
-        )
         _require(isinstance(self.goal, str), f"goal must be an expression string, got {self.goal!r}")
         _require(
             self.name is None or isinstance(self.name, str),

@@ -15,7 +15,7 @@ Every outcome satisfies the uniform :class:`~repro.api.result.Result`
 protocol, so it serializes to the same JSON envelope the ``python -m repro``
 CLI emits.  Because the engine is per-workspace, cache hit rates and kernel
 counters in :meth:`Workspace.stats` describe exactly this workspace's
-traffic -- nothing silently falls back to the process-wide default engine.
+traffic -- there is no process-wide engine to fall back to.
 """
 
 from __future__ import annotations
@@ -433,7 +433,6 @@ class Workspace:
                 self._graph,
                 oracle,
                 engine=self._engine,
-                incremental=config.incremental,
             )
             # The checkpoint owns the session's past; the config owns the
             # budget of the run being started now.  The session-level budget
@@ -457,7 +456,6 @@ class Workspace:
                 max_interactions=config.max_interactions,
                 neighborhood_radius=config.neighborhood_radius,
                 engine=self._engine,
-                incremental=config.incremental,
             )
         return session
 
@@ -506,8 +504,8 @@ class Workspace:
             graph=self._graph,
         )
         if config.scenario == "interactive":
-            return run_interactive_experiment(workload, config=config, engine=self._engine)
-        return run_static_experiment(workload, config=config, engine=self._engine)
+            return run_interactive_experiment(workload, config, engine=self._engine)
+        return run_static_experiment(workload, config, engine=self._engine)
 
     def stats(self) -> dict:
         """Engine counters (cache hit rates, kernel work) plus graph shape.

@@ -1,7 +1,8 @@
 """The indexed query-engine subsystem.
 
 A production-shaped evaluation layer over the paper's product-construction
-semantics (:mod:`repro.graphdb.product` stays as the executable reference):
+semantics (the dict/frozenset construction is the parity oracle in
+``tests/oracles/product.py``):
 
 * :mod:`repro.engine.index` -- :class:`GraphIndex`, an immutable int-encoded
   per-label CSR snapshot of a graph, invalidated by the graph's version
@@ -25,10 +26,9 @@ semantics (:mod:`repro.graphdb.product` stays as the executable reference):
   single-query, batch (:meth:`QueryEngine.evaluate_many`) and stats APIs.
 
 The high-level entry points (``PathQuery.evaluate``, the learner's
-consistency checks, the interactive session, the experiment drivers) take an
-explicit ``engine=`` -- a :class:`~repro.api.Workspace` hands them its own --
-and fall back to :func:`get_default_engine` only when none is passed.
-Results are bit-for-bit identical to the reference construction either way.
+consistency checks, the interactive session, the experiment drivers) take a
+required keyword-only ``engine=`` -- a :class:`~repro.api.Workspace` hands
+them its own; there is no process-wide engine.
 """
 
 from repro.engine.cache import (
@@ -41,12 +41,7 @@ from repro.engine.cache import (
     shared_caches,
 )
 from repro.engine.costs import CostEstimate, CostModel, cheapest
-from repro.engine.engine import (
-    EngineStats,
-    QueryEngine,
-    get_default_engine,
-    set_default_engine,
-)
+from repro.engine.engine import EngineStats, QueryEngine
 from repro.engine.executor import BACKENDS, KernelStats, have_numpy, resolve_backend
 from repro.engine.planner import (
     PLANNER_MODES,
@@ -54,7 +49,7 @@ from repro.engine.planner import (
     rewrite_table,
     selectivity_ordered,
 )
-from repro.engine.index import GraphIndex, get_index
+from repro.engine.index import GraphIndex
 from repro.engine.parallel import (
     DEFAULT_MIN_SHARD_EDGES,
     ParallelExecutor,
@@ -87,13 +82,10 @@ __all__ = [
     "compile_plan",
     "estimate_entry_bytes",
     "evaluate_all_sharded",
-    "get_default_engine",
-    "get_index",
     "have_numpy",
     "resolve_backend",
     "rewrite_table",
     "selectivity_ordered",
-    "set_default_engine",
     "shard_bounds",
     "shared_cache_keys",
     "shared_caches",

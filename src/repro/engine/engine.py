@@ -10,10 +10,9 @@ The engine ties the subsystem together.  For every call it
 3. consults the versioned result cache for whole-graph evaluations, and
 4. otherwise runs one of the product walks of :mod:`repro.engine.executor`.
 
-A module-level default engine (:func:`get_default_engine`) backs the
-high-level APIs (``PathQuery.evaluate`` and friends) and the compatibility
-wrappers in :mod:`repro.graphdb.product`; callers that want isolated caches
-or stats (benchmarks, servers) instantiate their own.
+There is no process-wide engine: every caller owns one (a
+:class:`~repro.api.Workspace` builds its own) and hands it to the
+high-level APIs (``PathQuery.evaluate`` and friends) as ``engine=``.
 """
 
 from __future__ import annotations
@@ -1132,20 +1131,3 @@ class QueryEngine:
             f"results={len(self.result_cache)}, "
             f"indexes={len(self._indexes)})"
         )
-
-
-#: The process-wide engine behind the high-level evaluation APIs.
-_DEFAULT_ENGINE = QueryEngine()
-
-
-def get_default_engine() -> QueryEngine:
-    """The shared engine used by ``PathQuery`` and the compat wrappers."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(engine: QueryEngine) -> QueryEngine:
-    """Swap the shared engine (returns the previous one); used by tests."""
-    global _DEFAULT_ENGINE
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    return previous

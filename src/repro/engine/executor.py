@@ -25,7 +25,7 @@ The product pair ``(node v, state s)`` is the single int ``v * span + s``.
 All walks take and return *int node ids*; mapping to and from user-facing
 node identifiers is the :class:`~repro.engine.engine.QueryEngine`'s job.
 The pure-python walks are the parity reference for the numpy twins, and
-:mod:`repro.graphdb.product`'s ``reference_*`` functions are the reference
+``tests/oracles/product.py``'s ``reference_*`` functions are the reference
 for both (``tests/engine`` pins them against each other).
 """
 

@@ -19,7 +19,7 @@ A :class:`GraphIndex` is a read-optimized snapshot of a
 
 Building the index costs one pass over the edge set; every evaluation after
 that avoids the per-call dict/frozenset churn of the reference product
-construction in :mod:`repro.graphdb.product`.  When the graph mutates, the
+construction (``tests/oracles/product.py``).  When the graph mutates, the
 index can usually be *refreshed* (:meth:`GraphIndex.refresh`) from the
 graph's mutation delta log instead of rebuilt: stable node/label numbering
 means new nodes and labels are appended and only the labels actually
@@ -40,8 +40,9 @@ class GraphIndex:
     """An immutable int-encoded, per-label CSR view of a graph database.
 
     Build one with :meth:`GraphIndex.build` (or, with per-graph caching,
-    :func:`get_index`).  The index intentionally does not reference the
-    source :class:`GraphDB` so that it can outlive it and be shared freely.
+    :meth:`QueryEngine.index_for`).  The index intentionally does not
+    reference the source :class:`GraphDB` so that it can outlive it and be
+    shared freely.
     """
 
     __slots__ = (
@@ -383,17 +384,3 @@ def _merge_csr(
     tail = old_targets[read:]
     targets[write : write + len(tail)] = tail
     return offsets, targets
-
-
-def get_index(graph: GraphDB) -> GraphIndex:
-    """The cached :class:`GraphIndex` of ``graph``, rebuilt if stale.
-
-    Convenience wrapper over the shared default engine's per-graph cache
-    (one caching mechanism process-wide): the index lives as long as the
-    graph does and is reused by every evaluation going through the default
-    engine.
-    """
-    # Imported lazily to avoid a module cycle (engine.py imports this module).
-    from repro.engine.engine import get_default_engine
-
-    return get_default_engine().index_for(graph)

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.errors import LearningError, SerializationError
 from repro.evaluation.metrics import f1_score
 from repro.evaluation.workloads import Workload
 from repro.interactive.oracle import QueryOracle
-from repro.interactive.scenario import run_interactive_learning
+from repro.interactive.scenario import InteractiveSession
 from repro.interactive.strategies import make_strategy
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.api
@@ -114,72 +114,42 @@ class InteractiveExperimentResult:
 
 
 def run_interactive_experiment(
-    workload: Workload,
-    *,
-    strategy: str = "kR",
-    seed: int = 0,
-    k_start: int = 2,
-    k_max: int = 4,
-    max_interactions: int | None = None,
-    pool_size: int | None = 512,
-    target_f1: float = 1.0,
-    incremental: bool = True,
-    engine: QueryEngine | None = None,
-    config: "ExperimentConfig | None" = None,
+    workload: Workload, config: "ExperimentConfig", *, engine: QueryEngine
 ) -> InteractiveExperimentResult:
     """Run the interactive scenario for one workload and one strategy.
 
-    ``max_interactions`` defaults to 10% of the graph's nodes, a generous
-    budget given that the paper's interactive runs stay below 8%.
-    ``target_f1`` is the halt threshold: 1.0 reproduces the paper's strongest
-    condition, lower values model a user satisfied by an intermediate query.
-    ``engine`` is the query engine used throughout: the oracle's goal
-    evaluation, the loop's learner and halt checks and the final F1 scoring
-    all run on it (the shared default if omitted), so per-engine cache stats
-    account for the whole experiment.  ``config`` (an
-    :class:`repro.api.ExperimentConfig`) overrides the loose keyword
-    arguments when given; :meth:`repro.api.Workspace.run_experiment` is the
-    preferred entry point.
-
-    .. deprecated:: 1.1
-        Calling this with loose keyword arguments is kept as a compatibility
-        shim; prefer :meth:`repro.api.Workspace.run_experiment` with an
-        :class:`repro.api.ExperimentConfig`.
+    ``config.max_interactions`` defaults to 10% of the graph's nodes, a
+    generous budget given that the paper's interactive runs stay below 8%.
+    ``config.target_f1`` is the halt threshold: 1.0 reproduces the paper's
+    strongest condition, lower values model a user satisfied by an
+    intermediate query.  ``engine`` is the query engine used throughout: the
+    oracle's goal evaluation, the loop's learner and halt checks and the
+    final F1 scoring all run on it, so per-engine cache stats account for the
+    whole experiment (:meth:`repro.api.Workspace.run_experiment` passes the
+    workspace's).
     """
-    if config is not None:
-        strategy = config.strategy
-        seed = config.seed
-        k_start = config.k_start
-        k_max = config.k_max
-        max_interactions = config.max_interactions
-        pool_size = config.pool_size
-        target_f1 = config.target_f1
-        incremental = config.incremental
-    engine = engine or get_default_engine()
     graph, goal = workload.graph, workload.query
     engine.index_for(graph)
+    max_interactions = config.max_interactions
     if max_interactions is None:
         max_interactions = max(20, graph.node_count() // 10)
-    if max_interactions < 1:
-        raise LearningError("max_interactions must be at least 1")
     started = time.perf_counter()
-    oracle = QueryOracle(goal, satisfaction_threshold=target_f1, engine=engine)
-    strategy_impl = make_strategy(strategy, seed=seed, pool_size=pool_size)
-    outcome = run_interactive_learning(
+    oracle = QueryOracle(goal, satisfaction_threshold=config.target_f1, engine=engine)
+    strategy = make_strategy(config.strategy, seed=config.seed, pool_size=config.pool_size)
+    outcome = InteractiveSession(
         graph,
         oracle,
-        strategy_impl,
-        k_start=k_start,
-        k_max=k_max,
+        strategy,
+        k_start=config.k_start,
+        k_max=config.k_max,
         max_interactions=max_interactions,
         engine=engine,
-        incremental=incremental,
-    )
+    ).run()
     final_f1 = f1_score(outcome.query, goal, graph, engine=engine)
     return InteractiveExperimentResult(
         workload_name=workload.name,
-        strategy=strategy_impl.name,
-        goal_selectivity=workload.query.selectivity(workload.graph, engine=engine),
+        strategy=strategy.name,
+        goal_selectivity=workload.selectivity(engine=engine),
         interactions=outcome.interaction_count,
         labeled_fraction=outcome.labels_fraction(graph),
         mean_seconds_between_interactions=outcome.mean_seconds_between_interactions,
@@ -203,50 +173,28 @@ class SimulationTask:
     """
 
     workload: Workload
-    strategy: str
-    seed: int
-    k_start: int = 2
-    k_max: int = 4
-    max_interactions: int | None = None
-    pool_size: int | None = 512
-    target_f1: float = 1.0
-    incremental: bool = True
+    config: "ExperimentConfig"
 
 
 def _run_simulation_task(task: SimulationTask) -> InteractiveExperimentResult:
     """Worker entry point: one grid cell, one fresh engine (module-level so
     it pickles under the spawn start method)."""
-    return run_interactive_experiment(
-        task.workload,
-        strategy=task.strategy,
-        seed=task.seed,
-        k_start=task.k_start,
-        k_max=task.k_max,
-        max_interactions=task.max_interactions,
-        pool_size=task.pool_size,
-        target_f1=task.target_f1,
-        incremental=task.incremental,
-        engine=QueryEngine(),
-    )
+    return run_interactive_experiment(task.workload, task.config, engine=QueryEngine())
 
 
 def run_interactive_grid(
     workloads: Sequence[Workload],
+    config: "ExperimentConfig",
     *,
     strategies: Sequence[str] = ("kR", "kS"),
     seeds: Sequence[int] = (0,),
-    k_start: int = 2,
-    k_max: int = 4,
-    max_interactions: int | None = None,
-    pool_size: int | None = 512,
-    target_f1: float = 1.0,
-    incremental: bool = True,
     max_workers: int | None = None,
 ) -> list[InteractiveExperimentResult]:
     """Simulate a whole grid of interactive sessions, optionally in parallel.
 
     The grid is the cartesian product workload x strategy x seed -- the
-    shape of Table 2 plus repetition seeds.  Sessions are independent (each
+    shape of Table 2 plus repetition seeds; every cell runs ``config`` with
+    its own ``strategy`` and ``seed``.  Sessions are independent (each
     one owns a fresh engine), so with ``max_workers > 1`` they run in a
     process pool; ``max_workers=1`` runs them inline in this process (the
     deterministic mode tests use), and ``max_workers=None`` picks
@@ -257,17 +205,7 @@ def run_interactive_grid(
     if max_workers is not None and max_workers < 1:
         raise LearningError("max_workers must be None or >= 1")
     tasks = [
-        SimulationTask(
-            workload=workload,
-            strategy=strategy,
-            seed=seed,
-            k_start=k_start,
-            k_max=k_max,
-            max_interactions=max_interactions,
-            pool_size=pool_size,
-            target_f1=target_f1,
-            incremental=incremental,
-        )
+        SimulationTask(workload, config.replace(strategy=strategy, seed=seed))
         for workload, strategy, seed in product(workloads, strategies, seeds)
     ]
     if not tasks:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.graphdb.graph import GraphDB, Node
 from repro.queries.path_query import PathQuery
 
@@ -85,7 +85,7 @@ def score_query(
     goal: PathQuery,
     graph: GraphDB,
     *,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ) -> ClassificationScores:
     """Score a learned query against the goal query on one graph.
 
@@ -95,7 +95,6 @@ def score_query(
     the goal's (fixed) reference set is a result-cache hit after the first
     scoring round on a given graph.
     """
-    engine = engine or get_default_engine()
     reference = goal.evaluate(graph, engine=engine)
     predicted = learned.evaluate(graph, engine=engine) if learned is not None else frozenset()
     return compare_node_sets(predicted, reference, graph.nodes)
@@ -106,7 +105,7 @@ def f1_score(
     goal: PathQuery,
     graph: GraphDB,
     *,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ) -> float:
     """Shortcut for ``score_query(...).f1``."""
     return score_query(learned, goal, graph, engine=engine).f1

@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.errors import LearningError, SerializationError
 from repro.evaluation.metrics import f1_score
 from repro.evaluation.workloads import Workload
@@ -127,7 +127,7 @@ def draw_sample(
     labeled_fraction: float,
     rng: random.Random,
     positive_share: float | None = None,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ) -> Sample:
     """Draw a random sample of the requested size, labeled by the goal query.
 
@@ -138,7 +138,7 @@ def draw_sample(
     """
     if not 0.0 < labeled_fraction <= 1.0:
         raise LearningError("labeled_fraction must be in (0, 1]")
-    selected = goal.evaluate(graph, engine=engine or get_default_engine())
+    selected = goal.evaluate(graph, engine=engine)
     unselected = graph.nodes - selected
     total = max(2, int(round(labeled_fraction * graph.node_count())))
     if positive_share is None:
@@ -162,42 +162,19 @@ def draw_sample(
 
 
 def run_static_experiment(
-    workload: Workload,
-    *,
-    labeled_fractions: tuple[float, ...] = (0.005, 0.01, 0.02, 0.05, 0.07, 0.10, 0.15),
-    seed: int = 0,
-    k_start: int = 2,
-    k_max: int = 4,
-    use_generalization: bool = True,
-    engine: QueryEngine | None = None,
-    config: "ExperimentConfig | None" = None,
+    workload: Workload, config: "ExperimentConfig", *, engine: QueryEngine
 ) -> StaticExperimentResult:
     """Run the static sweep of Section 5.2 for one workload.
 
-    ``use_generalization=False`` replaces the learner with the
+    ``config.use_generalization=False`` replaces the learner with the
     disjunction-of-SCPs baseline (the A1 ablation).
 
     ``engine`` is the query engine used throughout the sweep: sampling, F1
     scoring *and* the learner's internal merge-guard/positives checks all run
-    on it (the shared default if omitted), so per-engine cache stats account
-    for the whole experiment.  ``config`` (an
-    :class:`repro.api.ExperimentConfig`) overrides the loose keyword
-    arguments when given; :meth:`repro.api.Workspace.run_experiment` is the
-    preferred entry point.
-
-    .. deprecated:: 1.1
-        Calling this with loose keyword arguments is kept as a compatibility
-        shim; prefer :meth:`repro.api.Workspace.run_experiment` with an
-        :class:`repro.api.ExperimentConfig`.
+    on it, so per-engine cache stats account for the whole experiment
+    (:meth:`repro.api.Workspace.run_experiment` passes the workspace's).
     """
-    if config is not None:
-        labeled_fractions = config.labeled_fractions
-        seed = config.seed
-        k_start = config.k_start
-        k_max = config.k_max
-        use_generalization = config.use_generalization
-    rng = random.Random(seed)
-    engine = engine or get_default_engine()
+    rng = random.Random(config.seed)
     graph, goal = workload.graph, workload.query
     # Warm the CSR index up front so the per-point timings measure learning,
     # not the one-off index build.
@@ -206,20 +183,20 @@ def run_static_experiment(
     result = StaticExperimentResult(
         workload_name=workload.name,
         goal_expression=goal.expression,
-        goal_selectivity=workload.query.selectivity(workload.graph, engine=engine),
+        goal_selectivity=workload.selectivity(engine=engine),
     )
-    for fraction in labeled_fractions:
+    for fraction in config.labeled_fractions:
         sample = draw_sample(
             graph, goal, labeled_fraction=fraction, rng=rng, engine=engine
         )
         started = time.perf_counter()
         learn_result: LearnerResult
-        if use_generalization:
+        if config.use_generalization:
             learn_result = learn_with_dynamic_k(
-                graph, sample, k_start=k_start, k_max=k_max, engine=engine
+                graph, sample, k_start=config.k_start, k_max=config.k_max, engine=engine
             )
         else:
-            learn_result = learn_scp_disjunction(graph, sample, k=k_max, engine=engine)
+            learn_result = learn_scp_disjunction(graph, sample, k=config.k_max, engine=engine)
         elapsed = time.perf_counter() - started
         # Score the best-effort hypothesis: a strict null answer would show up
         # as F1 = 0 and hide the gradual convergence the paper's plots show.

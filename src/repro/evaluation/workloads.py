@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.datasets.alibaba import ALIBABA_LABEL_CLASSES, generate_alibaba_like
 from repro.datasets.synthetic import default_alphabet, scale_free_graph
+from repro.engine.engine import QueryEngine
 from repro.graphdb.graph import GraphDB
 from repro.queries.path_query import PathQuery
 from repro.regex.ast import Regex, concat, disjunction_of_symbols, star, symbol
@@ -35,10 +36,9 @@ class Workload:
     graph: GraphDB
     description: str = ""
 
-    @property
-    def selectivity(self) -> float:
+    def selectivity(self, *, engine: QueryEngine) -> float:
         """The fraction of graph nodes the goal query selects."""
-        return self.query.selectivity(self.graph)
+        return self.query.selectivity(self.graph, engine=engine)
 
 
 # -- biological queries (Table 1) ----------------------------------------------

@@ -9,8 +9,6 @@ This subpackage provides:
 * :mod:`repro.graphdb.paths` -- the path semantics ``paths_G(nu)``: the graph
   viewed as an NFA, bounded canonical-order path enumeration, and coverage
   checks against sets of nodes;
-* :mod:`repro.graphdb.product` -- evaluation of automaton-defined queries on a
-  graph via the product construction (monadic and binary semantics);
 * :mod:`repro.graphdb.io` -- edge-list and JSON serialization.
 """
 
@@ -21,18 +19,6 @@ from repro.graphdb.paths import (
     enumerate_paths_between,
     paths_nfa,
     paths_between_nfa,
-)
-from repro.graphdb.product import (
-    any_node_selects,
-    binary_evaluate,
-    evaluate,
-    node_selects,
-    pair_selects,
-    reference_any_node_selects,
-    reference_binary_evaluate,
-    reference_evaluate,
-    reference_node_selects,
-    reference_pair_selects,
 )
 from repro.graphdb.io import (
     graph_from_edge_list,
@@ -50,16 +36,6 @@ __all__ = [
     "enumerate_paths",
     "enumerate_paths_between",
     "covered_by",
-    "evaluate",
-    "node_selects",
-    "any_node_selects",
-    "binary_evaluate",
-    "pair_selects",
-    "reference_evaluate",
-    "reference_node_selects",
-    "reference_any_node_selects",
-    "reference_binary_evaluate",
-    "reference_pair_selects",
     "graph_from_edge_list",
     "graph_to_edge_list",
     "graph_from_json",

@@ -23,8 +23,6 @@ from repro.interactive.informativeness import (
     is_informative,
     is_k_informative,
     k_informative_nodes,
-    reference_is_certain_negative,
-    reference_is_certain_positive,
     uncovered_k_paths,
 )
 from repro.interactive.state import (
@@ -46,7 +44,6 @@ from repro.interactive.scenario import (
     InteractiveCheckpoint,
     InteractiveResult,
     InteractiveSession,
-    run_interactive_learning,
 )
 
 __all__ = [
@@ -60,8 +57,6 @@ __all__ = [
     "count_uncovered_k_paths",
     "certain_positive_nodes",
     "certain_negative_nodes",
-    "reference_is_certain_positive",
-    "reference_is_certain_negative",
     "SessionState",
     "Strategy",
     "RandomStrategy",
@@ -74,5 +69,4 @@ __all__ = [
     "InteractiveSession",
     "InteractiveCheckpoint",
     "InteractiveResult",
-    "run_interactive_learning",
 ]

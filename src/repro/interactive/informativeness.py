@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.automata.kernel import TableDFA, language_included_tables
-from repro.automata.operations import language_included, union
 from repro.graphdb.graph import GraphDB, Node
 from repro.graphdb.paths import covered_by, enumerate_paths, paths_nfa
 from repro.learning.sample import Sample
@@ -41,8 +40,7 @@ def is_certain_positive(graph: GraphDB, sample: Sample, node: Node) -> bool:
     linear product-inclusion walk (no complementation).  The covering
     language ``paths(S-) | paths(node)`` is one multi-initial NFA -- the
     graph with the negatives *and* the node as start states -- rather than
-    an explicit union automaton.  :func:`reference_is_certain_positive` is
-    the retained legacy oracle the parity suite pins this against.
+    an explicit union automaton.
     """
     if not sample.positives:
         return False
@@ -56,37 +54,12 @@ def is_certain_positive(graph: GraphDB, sample: Sample, node: Node) -> bool:
 def is_certain_negative(graph: GraphDB, sample: Sample, node: Node) -> bool:
     """Exact certain-negative check (Lemma 4.1, item 2).
 
-    Kernel-backed like :func:`is_certain_positive`;
-    :func:`reference_is_certain_negative` is the legacy oracle.
+    Kernel-backed like :func:`is_certain_positive`.
     """
     if not sample.negatives:
         return False
     return language_included_tables(
         _paths_table(graph, node), _paths_table(graph, sample.negatives)
-    )
-
-
-def reference_is_certain_positive(graph: GraphDB, sample: Sample, node: Node) -> bool:
-    """The pre-kernel certain-positive check (object automata; parity oracle)."""
-    if not sample.positives:
-        return False
-    node_paths = paths_nfa(graph, node)
-    if sample.negatives:
-        cover = union(paths_nfa(graph, sample.negatives), node_paths)
-    else:
-        cover = node_paths
-    for positive in sample.positives:
-        if language_included(paths_nfa(graph, positive), cover):
-            return True
-    return False
-
-
-def reference_is_certain_negative(graph: GraphDB, sample: Sample, node: Node) -> bool:
-    """The pre-kernel certain-negative check (object automata; parity oracle)."""
-    if not sample.negatives:
-        return False
-    return language_included(
-        paths_nfa(graph, node), paths_nfa(graph, sample.negatives)
     )
 
 

@@ -49,7 +49,7 @@ class QueryOracle(Oracle):
         goal: PathQuery,
         *,
         satisfaction_threshold: float = 1.0,
-        engine: QueryEngine | None = None,
+        engine: QueryEngine,
     ) -> None:
         if not 0.0 < satisfaction_threshold <= 1.0:
             raise ValueError("satisfaction_threshold must be in (0, 1]")

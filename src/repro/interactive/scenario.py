@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.errors import InteractionError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
 from repro.interactive.oracle import Oracle
@@ -165,17 +165,7 @@ class InteractiveResult:
 class InteractiveSession:
     """A stateful interactive learning session.
 
-    Drives the Figure 9 loop step by step; :func:`run_interactive_learning`
-    is the convenience wrapper that runs it to completion.
-
-    With ``incremental=True`` (the default) the session carries a
-    :class:`~repro.interactive.state.SessionState` across rounds: batched
-    k-informativeness (one CSR product walk per round), a shared
-    negatives-coverage cache for the learner's SCP selection, and hypothesis
-    reuse when a new positive label provably cannot change the learned
-    query.  ``incremental=False`` runs the legacy per-node path -- same
-    proposals, same labels, same learned queries (the speed benchmark pins
-    the two transcripts against each other), just slower.
+    Drives the Figure 9 loop step by step; :meth:`run` runs it to completion.
     """
 
     def __init__(
@@ -188,9 +178,18 @@ class InteractiveSession:
         k_max: int = 6,
         max_interactions: int | None = None,
         neighborhood_radius: int | None = None,
-        engine: QueryEngine | None = None,
+        engine: QueryEngine,
         incremental: bool = True,
     ) -> None:
+        """With ``incremental=True`` the session carries a
+        :class:`~repro.interactive.state.SessionState` across rounds: batched
+        k-informativeness (one CSR product walk per round), a shared
+        negatives-coverage cache for the learner's SCP selection, and
+        hypothesis reuse when a new positive label provably cannot change the
+        learned query.  ``incremental=False`` runs the per-node path -- same
+        proposals, same labels, same learned queries, just slower; it is the
+        reference the parity tests pin the state against.
+        """
         if k_start < 0 or k_max < k_start:
             raise InteractionError("need 0 <= k_start <= k_max")
         self.graph = graph
@@ -214,9 +213,8 @@ class InteractiveSession:
 
     @property
     def telemetry(self):
-        """The session engine's telemetry bundle (the default engine's when
-        no engine was supplied)."""
-        return (self.engine or get_default_engine()).telemetry
+        """The session engine's telemetry bundle."""
+        return self.engine.telemetry
 
     # -- steps of the Figure 9 loop -------------------------------------------
 
@@ -305,7 +303,7 @@ class InteractiveSession:
                     "learn_seconds": result.elapsed,
                     "round_seconds": elapsed,
                     "reused_hypothesis": reused,
-                    "evaluate": (self.engine or get_default_engine()).take_profile(),
+                    "evaluate": self.engine.take_profile(),
                 }
             interaction = Interaction(
                 index=len(self.interactions),
@@ -399,7 +397,7 @@ class InteractiveSession:
         graph: GraphDB,
         oracle: Oracle,
         *,
-        engine: QueryEngine | None = None,
+        engine: QueryEngine,
         incremental: bool = True,
     ) -> "InteractiveSession":
         """Rebuild a session from a :class:`InteractiveCheckpoint`.
@@ -516,38 +514,3 @@ class InteractiveCheckpoint:
             raise SerializationError(
                 f"malformed InteractiveCheckpoint payload: {error}"
             ) from error
-
-
-def run_interactive_learning(
-    graph: GraphDB,
-    oracle: Oracle,
-    strategy: Strategy,
-    *,
-    k_start: int = DEFAULT_K,
-    k_max: int = 6,
-    max_interactions: int | None = None,
-    engine: QueryEngine | None = None,
-    incremental: bool = True,
-) -> InteractiveResult:
-    """Run a full interactive session and return its result.
-
-    ``engine`` is forwarded to the session's learner calls; omitted, the
-    process-wide default engine is used.
-
-    .. deprecated:: 1.1
-        Prefer :meth:`repro.api.Workspace.learn_interactive` with an
-        :class:`repro.api.InteractiveConfig`, which owns the oracle, strategy
-        and engine wiring; this module-level function is kept as a thin
-        compatibility shim.
-    """
-    session = InteractiveSession(
-        graph,
-        oracle,
-        strategy,
-        k_start=k_start,
-        k_max=k_max,
-        max_interactions=max_interactions,
-        engine=engine,
-        incremental=incremental,
-    )
-    return session.run()

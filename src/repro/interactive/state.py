@@ -33,7 +33,7 @@ from dataclasses import replace
 
 from repro.automata.alphabet import Alphabet
 from repro.automata.kernel import NO_STATE, TableDFA
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.engine.index import GraphIndex
 from repro.errors import InteractionError
 from repro.graphdb.graph import GraphDB, Node
@@ -226,7 +226,7 @@ def k_informative_set(
     sample: Sample,
     *,
     k: int,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ) -> frozenset[Node]:
     """All k-informative nodes of the graph, in one batched product walk.
 
@@ -235,7 +235,6 @@ def k_informative_set(
     suite pins this), but computed for the whole graph at once: one
     uncovered-words automaton, one backward CSR walk.
     """
-    engine = engine if engine is not None else get_default_engine()
     labeled = sample.labeled
     if not sample.negatives:
         # Every unlabeled node has the uncovered empty path.
@@ -274,11 +273,11 @@ class SessionState:
         graph: GraphDB,
         *,
         k: int,
-        engine: QueryEngine | None = None,
+        engine: QueryEngine,
         sample: Sample | None = None,
     ) -> None:
         self.graph = graph
-        self.engine = engine if engine is not None else get_default_engine()
+        self.engine = engine
         self.k = k
         self.sample = sample if sample is not None else Sample()
         self.last_result: LearnerResult | None = None

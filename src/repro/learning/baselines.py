@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.graphdb.graph import GraphDB
 from repro.learning.learner import DEFAULT_K, LearnerResult
 from repro.learning.sample import Sample
@@ -26,7 +26,7 @@ def learn_scp_disjunction(
     sample: Sample,
     *,
     k: int = DEFAULT_K,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ) -> LearnerResult:
     """The no-generalization baseline: the disjunction of the SCPs.
 
@@ -34,19 +34,14 @@ def learn_scp_disjunction(
     when the disjunction fails to select some positive node (which happens
     exactly when that node has no consistent path of length at most ``k``).
 
-    ``engine`` is the query engine used for the positives check; omitted,
-    the process-wide default engine is used.
-
-    .. deprecated:: 1.1
-        Prefer :meth:`repro.api.Workspace.learn` with a
-        :class:`repro.api.LearnerConfig` (``generalize=False``); this
-        module-level function is kept as a thin compatibility shim.
+    ``engine`` is the query engine used by the SCP selection and the
+    positives check (``LearnerConfig(generalize=False)`` routes here).
     """
     sample.check_against(graph)
     started = time.perf_counter()
     if not sample.positives:
         return LearnerResult(query=None, k=k, elapsed=time.perf_counter() - started)
-    scps = select_smallest_consistent_paths(graph, sample, k=k)
+    scps = select_smallest_consistent_paths(graph, sample, k=k, engine=engine)
     positives_without_scp = frozenset(sample.positives - scps.keys())
     if not scps:
         return LearnerResult(
@@ -56,7 +51,6 @@ def learn_scp_disjunction(
             elapsed=time.perf_counter() - started,
         )
     query = PathQuery.from_words(graph.alphabet, scps.values())
-    engine = engine or get_default_engine()
     selects_all = all(
         engine.selects(graph, query.dfa, node) for node in sample.positives
     )

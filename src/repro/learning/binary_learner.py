@@ -17,7 +17,7 @@ from repro.automata.kernel import MergeFold, fold_generalize, pta_table
 from repro.automata.minimize import canonical_dfa
 from repro.errors import LearningError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.graphdb.paths import enumerate_paths_between
 from repro.learning.learner import DEFAULT_K
 from repro.learning.sample import BinarySample
@@ -109,17 +109,12 @@ def learn_binary_query(
     sample: BinarySample,
     *,
     k: int = DEFAULT_K,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ) -> BinaryLearnerResult:
     """Run Algorithm 2 on the given graph and binary sample.
 
     ``engine`` is the query engine used by the merge guard and the final
-    positives check; omitted, the process-wide default engine is used.
-
-    .. deprecated:: 1.1
-        Prefer :meth:`repro.api.Workspace.learn` with a
-        :class:`repro.api.LearnerConfig` (``semantics="binary"``); this
-        module-level function is kept as a thin compatibility shim.
+    positives check.
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")
@@ -141,7 +136,6 @@ def learn_binary_query(
     # As in Algorithm 1, the merge loop runs end-to-end on the kernel: one
     # in-place MergeFold, pair-guard walked against the CSR index.
     pta = pta_table(graph.alphabet, scps.values())
-    engine = engine or get_default_engine()
 
     def violates(candidate: MergeFold) -> bool:
         return any(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.automata.dfa import DFA
 from repro.automata.operations import language_included
-from repro.engine.engine import get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.graphdb.graph import GraphDB
 from repro.graphdb.paths import enumerate_paths, paths_nfa
 from repro.learning.sample import Sample
@@ -43,7 +43,7 @@ def is_consistent(graph: GraphDB, sample: Sample) -> bool:
     return True
 
 
-def bounded_consistent(graph: GraphDB, sample: Sample, *, k: int) -> bool:
+def bounded_consistent(graph: GraphDB, sample: Sample, *, k: int, engine: QueryEngine) -> bool:
     """Whether every positive node has a consistent path of length at most ``k``.
 
     This is the (sound but incomplete) certificate of consistency Algorithm 1
@@ -56,7 +56,6 @@ def bounded_consistent(graph: GraphDB, sample: Sample, *, k: int) -> bool:
     if not negatives:
         # Every positive's empty path is trivially uncovered.
         return True
-    engine = get_default_engine()
     alphabet = graph.alphabet
     for node in sample.positives:
         found = False
@@ -73,8 +72,10 @@ def bounded_consistent(graph: GraphDB, sample: Sample, *, k: int) -> bool:
     return True
 
 
-def sample_has_consistent_query(graph: GraphDB, sample: Sample, *, k: int | None = None) -> bool:
+def sample_has_consistent_query(
+    graph: GraphDB, sample: Sample, *, k: int | None = None, engine: QueryEngine
+) -> bool:
     """Convenience dispatcher: exact check if ``k`` is None, bounded otherwise."""
     if k is None:
         return is_consistent(graph, sample)
-    return bounded_consistent(graph, sample, k=k)
+    return bounded_consistent(graph, sample, k=k, engine=engine)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from repro.automata.alphabet import Word
 from repro.automata.kernel import MergeFold, fold_generalize, pta_table
 from repro.automata.minimize import canonical_dfa
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.errors import LearningError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
 from repro.learning.sample import Sample
@@ -132,7 +132,7 @@ def learn_path_query(
     sample: Sample,
     *,
     k: int = DEFAULT_K,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
     coverage=None,
 ) -> LearnerResult:
     """Run Algorithm 1 on the given graph and sample with a fixed bound ``k``.
@@ -140,17 +140,12 @@ def learn_path_query(
     Returns a :class:`LearnerResult`; ``result.query`` is the learned
     :class:`~repro.queries.PathQuery` or None (the *null* abstention).
 
-    ``engine`` is the query engine used by the merge guard and the final
-    positives check; omitted, the process-wide default engine is used.
-    ``coverage`` is an optional prebuilt
+    ``engine`` is the query engine used by the SCP selection, the merge
+    guard and the final positives check.  ``coverage`` is an optional prebuilt
     :class:`~repro.learning.scp.NegativeCoverage` for the sample's negatives,
     forwarded to the SCP selection (the interactive session reuses one across
     rounds while the negative set is unchanged).
-
-    .. deprecated:: 1.1
-        Prefer :meth:`repro.api.Workspace.learn` with a
-        :class:`repro.api.LearnerConfig`, which owns the engine wiring; this
-        module-level function is kept as a thin compatibility shim.
+    :meth:`repro.api.Workspace.learn` calls this with the workspace engine.
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")
@@ -162,7 +157,6 @@ def learn_path_query(
         # consistent, but none is informative; the learner abstains.
         return LearnerResult(query=None, k=k, elapsed=time.perf_counter() - started)
 
-    engine = engine or get_default_engine()
     telemetry = engine.telemetry
     with telemetry.span(
         "learner.learn",
@@ -238,7 +232,7 @@ def dynamic_k_procedure(
     *,
     k_start: int = DEFAULT_K,
     k_max: int = 6,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ):
     """The dynamic-``k`` procedure of Section 5.1 over any fixed-``k`` learner.
 
@@ -268,15 +262,9 @@ def learn_with_dynamic_k(
     *,
     k_start: int = DEFAULT_K,
     k_max: int = 6,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ) -> LearnerResult:
-    """Algorithm 1 under the dynamic-``k`` procedure of Section 5.1.
-
-    .. deprecated:: 1.1
-        Prefer :meth:`repro.api.Workspace.learn` with a
-        :class:`repro.api.LearnerConfig` (``dynamic_k=True``, the default);
-        this module-level function is kept as a thin compatibility shim.
-    """
+    """Algorithm 1 under the dynamic-``k`` procedure of Section 5.1."""
     return dynamic_k_procedure(
         learn_path_query, graph, sample, k_start=k_start, k_max=k_max, engine=engine
     )

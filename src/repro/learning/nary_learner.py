@@ -86,17 +86,11 @@ def learn_nary_query(
     sample: NarySample,
     *,
     k: int = DEFAULT_K,
-    engine: QueryEngine | None = None,
+    engine: QueryEngine,
 ) -> NaryLearnerResult:
     """Run Algorithm 3 on the given graph and n-ary sample.
 
-    ``engine`` is forwarded to the per-position binary learners; omitted,
-    the process-wide default engine is used.
-
-    .. deprecated:: 1.1
-        Prefer :meth:`repro.api.Workspace.learn` with a
-        :class:`repro.api.LearnerConfig` (``semantics="nary"``); this
-        module-level function is kept as a thin compatibility shim.
+    ``engine`` is forwarded to the per-position binary learners.
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")

@@ -109,7 +109,7 @@ def select_smallest_consistent_paths(
     sample: Sample,
     *,
     k: int,
-    engine=None,
+    engine,
     coverage: NegativeCoverage | None = None,
 ) -> dict[Node, Word]:
     """The SCP of every positive node that has one (length <= k).
@@ -119,18 +119,14 @@ def select_smallest_consistent_paths(
     at the end that the generalized query still selects them.
 
     ``engine`` supplies the CSR index the shared negative-coverage cache
-    runs on; omitted, the process-wide default engine is used.  ``coverage``
-    lets a caller that learns repeatedly against the *same* negative set
-    (the interactive session) reuse one prefix cache across calls; a stale
-    or mismatched cache raises :class:`~repro.errors.LearningError`.
+    runs on.  ``coverage`` lets a caller that learns repeatedly against the
+    *same* negative set (the interactive session) reuse one prefix cache
+    across calls; a stale or mismatched cache raises
+    :class:`~repro.errors.LearningError`.
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")
     sample.check_against(graph)
-    if engine is None:
-        from repro.engine.engine import get_default_engine
-
-        engine = get_default_engine()
     if coverage is None:
         coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
     elif not coverage.is_current(graph, sample.negatives):

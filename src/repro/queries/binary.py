@@ -15,7 +15,7 @@ from repro.automata.dfa import DFA
 from repro.automata.minimize import canonical_dfa
 from repro.automata.nfa import NFA
 from repro.automata.operations import language_equivalent
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.errors import QueryError
 from repro.graphdb.graph import GraphDB, Node
 from repro.queries.path_query import _RegexQuery
@@ -40,19 +40,15 @@ class BinaryPathQuery(_RegexQuery):
         dfa = self._dfa
         return hash((dfa.alphabet, len(dfa), frozenset(dfa.final_states)))
 
-    def evaluate(
-        self, graph: GraphDB, *, engine: QueryEngine | None = None
-    ) -> frozenset[tuple[Node, Node]]:
+    def evaluate(self, graph: GraphDB, *, engine: QueryEngine) -> frozenset[tuple[Node, Node]]:
         """The set of node pairs selected on ``graph``."""
-        return (engine or get_default_engine()).binary_evaluate(graph, self._dfa)
+        return engine.binary_evaluate(graph, self._dfa)
 
-    def selects(
-        self, graph: GraphDB, origin: Node, end: Node, *, engine: QueryEngine | None = None
-    ) -> bool:
+    def selects(self, graph: GraphDB, origin: Node, end: Node, *, engine: QueryEngine) -> bool:
         """Whether the query selects the pair ``(origin, end)``."""
-        return (engine or get_default_engine()).pair_selects(graph, self._dfa, origin, end)
+        return engine.pair_selects(graph, self._dfa, origin, end)
 
-    def selectivity(self, graph: GraphDB, *, engine: QueryEngine | None = None) -> float:
+    def selectivity(self, graph: GraphDB, *, engine: QueryEngine) -> float:
         """The fraction of node pairs selected (0.0 - 1.0)."""
         total = graph.node_count() ** 2
         if total == 0:
@@ -65,7 +61,7 @@ class BinaryPathQuery(_RegexQuery):
         positives: Iterable[tuple[Node, Node]],
         negatives: Iterable[tuple[Node, Node]],
         *,
-        engine: QueryEngine | None = None,
+        engine: QueryEngine,
     ) -> bool:
         """Whether the query selects every positive pair and no negative pair."""
         return all(self.selects(graph, *pair, engine=engine) for pair in positives) and not any(

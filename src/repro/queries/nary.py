@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.automata.alphabet import Alphabet
+from repro.engine.engine import QueryEngine
 from repro.errors import QueryError
 from repro.graphdb.graph import GraphDB, Node
 from repro.queries.binary import BinaryPathQuery
@@ -65,18 +66,20 @@ class NaryPathQuery:
     def __hash__(self) -> int:
         return hash(self._components)
 
-    def selects(self, graph: GraphDB, nodes: Sequence[Node]) -> bool:
+    def selects(self, graph: GraphDB, nodes: Sequence[Node], *, engine: QueryEngine) -> bool:
         """Whether the query selects the given node tuple."""
         if len(nodes) != self.arity:
             raise QueryError(
                 f"expected a tuple of {self.arity} nodes, got {len(nodes)}"
             )
         return all(
-            component.selects(graph, nodes[index], nodes[index + 1])
+            component.selects(graph, nodes[index], nodes[index + 1], engine=engine)
             for index, component in enumerate(self._components)
         )
 
-    def evaluate(self, graph: GraphDB, *, limit: int | None = None) -> frozenset[tuple[Node, ...]]:
+    def evaluate(
+        self, graph: GraphDB, *, engine: QueryEngine, limit: int | None = None
+    ) -> frozenset[tuple[Node, ...]]:
         """The selected tuples.
 
         The result is assembled by joining the per-position binary results,
@@ -84,7 +87,9 @@ class NaryPathQuery:
         ``|V|^n``.  ``limit`` caps the number of returned tuples (useful on
         large graphs where the join can still be big).
         """
-        per_position = [component.evaluate(graph) for component in self._components]
+        per_position = [
+            component.evaluate(graph, engine=engine) for component in self._components
+        ]
         # Index pairs by their first element for the join.
         indexed: list[dict[Node, list[Node]]] = []
         for pairs in per_position:
@@ -118,8 +123,10 @@ class NaryPathQuery:
         graph: GraphDB,
         positives: Iterable[Sequence[Node]],
         negatives: Iterable[Sequence[Node]],
+        *,
+        engine: QueryEngine,
     ) -> bool:
         """Whether the query selects every positive tuple and no negative tuple."""
-        return all(self.selects(graph, tuple(t)) for t in positives) and not any(
-            self.selects(graph, tuple(t)) for t in negatives
+        return all(self.selects(graph, tuple(t), engine=engine) for t in positives) and not any(
+            self.selects(graph, tuple(t), engine=engine) for t in negatives
         )

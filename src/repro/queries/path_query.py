@@ -23,7 +23,7 @@ from repro.automata.nfa import NFA
 from repro.automata.operations import language_equivalent
 from repro.automata.prefix_free import is_prefix_free, prefix_free
 from repro.engine.cache import LRUCache
-from repro.engine.engine import QueryEngine, get_default_engine
+from repro.engine.engine import QueryEngine
 from repro.errors import QueryError
 from repro.graphdb.graph import GraphDB, Node
 from repro.regex.ast import Regex
@@ -201,28 +201,26 @@ class PathQuery(_RegexQuery):
 
     # -- evaluation on graphs ----------------------------------------------------
 
-    def evaluate(self, graph: GraphDB, *, engine: QueryEngine | None = None) -> frozenset[Node]:
+    def evaluate(self, graph: GraphDB, *, engine: QueryEngine) -> frozenset[Node]:
         """The set of nodes selected on ``graph`` (monadic semantics).
 
-        Evaluation goes through the (by default shared) query engine: the
+        Evaluation goes through the caller's query engine: the
         graph is CSR-indexed once per version, the canonical DFA compiles to
         a cached plan, and whole-graph results are cached per graph version.
         """
-        return (engine or get_default_engine()).evaluate(graph, self._dfa)
+        return engine.evaluate(graph, self._dfa)
 
-    def selects(self, graph: GraphDB, node: Node, *, engine: QueryEngine | None = None) -> bool:
+    def selects(self, graph: GraphDB, node: Node, *, engine: QueryEngine) -> bool:
         """Whether the query selects one given node of ``graph``."""
-        return (engine or get_default_engine()).selects(graph, self._dfa, node)
+        return engine.selects(graph, self._dfa, node)
 
-    def selectivity(self, graph: GraphDB, *, engine: QueryEngine | None = None) -> float:
+    def selectivity(self, graph: GraphDB, *, engine: QueryEngine) -> float:
         """The fraction of graph nodes selected by the query (0.0 - 1.0)."""
         if graph.node_count() == 0:
             raise QueryError("selectivity is undefined on an empty graph")
         return len(self.evaluate(graph, engine=engine)) / graph.node_count()
 
-    def equivalent_on(
-        self, other: "PathQuery", graph: GraphDB, *, engine: QueryEngine | None = None
-    ) -> bool:
+    def equivalent_on(self, other: "PathQuery", graph: GraphDB, *, engine: QueryEngine) -> bool:
         """Whether the two queries select the same node set on this graph.
 
         This is the "indistinguishable by the user" notion of Section 3.3:
@@ -237,7 +235,7 @@ class PathQuery(_RegexQuery):
         positives: Iterable[Node],
         negatives: Iterable[Node],
         *,
-        engine: QueryEngine | None = None,
+        engine: QueryEngine,
     ) -> bool:
         """Whether the query selects every positive node and no negative node."""
         return all(self.selects(graph, node, engine=engine) for node in positives) and not any(

@@ -10,19 +10,22 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+from repro.engine.engine import QueryEngine
 from repro.errors import QueryError
 from repro.graphdb.graph import GraphDB
 from repro.queries.path_query import PathQuery
 
 
-def selectivity(query: PathQuery, graph: GraphDB) -> float:
+def selectivity(query: PathQuery, graph: GraphDB, *, engine: QueryEngine) -> float:
     """The fraction of graph nodes selected by the query (0.0 - 1.0)."""
-    return query.selectivity(graph)
+    return query.selectivity(graph, engine=engine)
 
 
 def selectivity_report(
     queries: Mapping[str, PathQuery] | Sequence[tuple[str, PathQuery]],
     graph: GraphDB,
+    *,
+    engine: QueryEngine,
 ) -> dict[str, dict[str, float | int | str]]:
     """Selectivity statistics for a named set of queries on one graph.
 
@@ -35,7 +38,7 @@ def selectivity_report(
     items = queries.items() if isinstance(queries, Mapping) else list(queries)
     report: dict[str, dict[str, float | int | str]] = {}
     for name, query in items:
-        selected = query.evaluate(graph)
+        selected = query.evaluate(graph, engine=engine)
         fraction = len(selected) / graph.node_count()
         report[name] = {
             "expression": query.expression,

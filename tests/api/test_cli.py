@@ -292,24 +292,3 @@ def test_interactive_checkpoint_resume(capsys, tmp_path):
     # The checkpoint file was updated in place with the finished session.
     updated = json.loads(checkpoint.read_text())
     assert len(updated["interactions"]) >= 2
-
-
-def test_interactive_legacy_loop_matches_default(capsys):
-    def run(*extra):
-        code, envelope = run_cli(
-            capsys,
-            "interactive",
-            "--figure",
-            "geo",
-            "--goal",
-            "(tram+bus)*.cinema",
-            "--seed",
-            "5",
-            *extra,
-        )
-        assert code == 0
-        return [
-            (i["node"], i["label"]) for i in envelope["result"]["interactions"]
-        ]
-
-    assert run() == run("--legacy-loop")

@@ -49,13 +49,10 @@ class TestEngineConfigKnobs:
 
 
 class TestLegacyFieldShims:
-    def test_old_names_map_with_a_deprecation_warning(self):
-        payload = {"planner_mode": "off", "rewrite_passes": 2, "cache_budget": 512}
-        with pytest.warns(DeprecationWarning):
-            config = EngineConfig.from_dict(payload)
-        assert config.planner == "off"
-        assert config.max_rewrite_passes == 2
-        assert config.cache_budget_bytes == 512
+    def test_old_names_are_unknown_fields(self):
+        for old in ("planner_mode", "rewrite_passes", "cache_budget"):
+            with pytest.raises(ConfigError):
+                EngineConfig.from_dict({old: 1})
 
     def test_old_and_new_name_together_is_an_error(self):
         with pytest.raises(ConfigError):

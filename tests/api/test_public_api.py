@@ -30,7 +30,6 @@ EXPECTED_ALL = frozenset(
         "GraphDB",
         "QueryEngine",
         "EngineStats",
-        "get_default_engine",
         "PathQuery",
         "BinaryPathQuery",
         "NaryPathQuery",
@@ -59,18 +58,17 @@ EXPECTED_ALL = frozenset(
         # telemetry
         "Telemetry",
         "MetricsRegistry",
-        # learning entry points (legacy shims)
+        # learning entry points
         "learn_path_query",
         "learn_with_dynamic_k",
         "learn_binary_query",
         "learn_nary_query",
-        # interactive entry points (legacy shims)
+        # interactive entry points
         "QueryOracle",
         "make_strategy",
         "InteractiveSession",
         "InteractiveCheckpoint",
         "SessionState",
-        "run_interactive_learning",
         # evaluation
         "f1_score",
         "score_query",

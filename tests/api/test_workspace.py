@@ -12,7 +12,7 @@ from repro.api import (
     Workspace,
 )
 from repro.datasets import geo_graph
-from repro.engine import QueryEngine, get_default_engine
+from repro.engine import QueryEngine
 from repro.errors import ConfigError
 from repro.learning import BinarySample, Sample
 
@@ -20,7 +20,7 @@ from repro.learning import BinarySample, Sample
 def test_workspace_owns_a_private_engine():
     ws = Workspace(geo_graph())
     assert isinstance(ws.engine, QueryEngine)
-    assert ws.engine is not get_default_engine()
+    assert Workspace(geo_graph()).engine is not ws.engine
 
 
 def test_engine_config_sizes_the_engine():
@@ -64,7 +64,7 @@ def test_learn_matches_legacy_shim():
     sample = Sample(positives={"N2", "N6"}, negatives={"N5"})
     ws = Workspace(graph)
     modern = ws.learn(sample)
-    legacy = learn_with_dynamic_k(graph, sample)
+    legacy = learn_with_dynamic_k(graph, sample, engine=ws.engine)
     assert modern.query == legacy.query
     assert modern.k == legacy.k
 
@@ -119,13 +119,15 @@ def test_dynamic_k_elapsed_covers_all_attempts(monkeypatch):
     real = learner_mod.learn_path_query
     calls = []
 
-    def spy(graph, sample, *, k, engine=None):
+    def spy(graph, sample, *, k, engine):
         calls.append(k)
         return replace(real(graph, sample, k=k, engine=engine), elapsed=1.0)
 
     monkeypatch.setattr(learner_mod, "learn_path_query", spy)
     sample = Sample(positives={"N2", "N6"}, negatives={"N5"})
-    result = learner_mod.learn_with_dynamic_k(geo_graph(), sample, k_start=0, k_max=4)
+    result = learner_mod.learn_with_dynamic_k(
+        geo_graph(), sample, k_start=0, k_max=4, engine=QueryEngine()
+    )
     assert len(calls) > 1  # k had to grow
     assert result.elapsed == float(len(calls))  # whole procedure, not last try
 
@@ -168,11 +170,17 @@ def test_run_experiment_static_and_interactive():
         ws.run_experiment("static")  # not a config
 
 
-def test_experiment_runs_on_workspace_engine_only():
-    """The bugfix: experiments must not fall back to the default engine."""
+def test_experiment_runs_on_workspace_engine_only(monkeypatch):
+    """Experiments run on the workspace engine: they construct no other one."""
     ws = Workspace.from_figure("geo")
-    default = get_default_engine()
-    default_before = default.stats_snapshot()["evaluations"]
+    constructed = []
+    original = QueryEngine.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(QueryEngine, "__init__", counting)
     ws.run_experiment(
         ExperimentConfig(goal="(tram+bus)*.cinema", labeled_fractions=(0.3,))
     )
@@ -182,7 +190,7 @@ def test_experiment_runs_on_workspace_engine_only():
         )
     )
     assert ws.stats()["evaluations"] > 0
-    assert default.stats_snapshot()["evaluations"] == default_before
+    assert constructed == []
 
 
 def test_config_validation_and_roundtrip():

@@ -1,8 +1,8 @@
 """Parity tests for the int-coded automata kernel.
 
 Every kernel-native algorithm is pinned against the legacy object-level
-implementation it replaced (kept as ``reference_*`` in the wrapper
-modules): round-trips, subset determinization, Hopcroft vs Moore
+implementation it replaced (kept as ``reference_*`` in
+``tests/oracles``): round-trips, subset determinization, Hopcroft vs Moore
 minimization, the canonical DFA normal form, products, batched membership
 and the union-find RPNI fold.  The generators are randomized (random
 regular expressions and word samples over a small alphabet), so this suite
@@ -16,9 +16,13 @@ from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.determinize import reference_determinize
+from oracles.generalize import reference_generalize_pta
+from oracles.merging import reference_deterministic_merge
+from oracles.minimize import reference_canonical_dfa, reference_minimize
 
 from repro.automata import Alphabet, language_equivalent, prefix_tree_acceptor
-from repro.automata.determinize import determinize, reference_determinize
+from repro.automata.determinize import determinize
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.automata.kernel import (
@@ -30,16 +34,11 @@ from repro.automata.kernel import (
     product_table,
     pta_table,
 )
-from repro.automata.merging import deterministic_merge, reference_deterministic_merge
-from repro.automata.minimize import (
-    canonical_dfa,
-    minimize,
-    reference_canonical_dfa,
-    reference_minimize,
-)
+from repro.automata.merging import deterministic_merge
+from repro.automata.minimize import canonical_dfa, minimize
 from repro.automata.operations import intersection_empty, language_included
 from repro.errors import LearningError
-from repro.learning.generalize import generalize_pta, reference_generalize_pta
+from repro.learning.generalize import generalize_pta
 from repro.learning.rpni import rpni
 from repro.regex import compile_query, parse, regex_to_dfa, regex_to_nfa
 from repro.regex.ast import Epsilon, Regex, Star, Symbol, concat, disjunction
@@ -426,7 +425,7 @@ class TestGeneralizationParity:
             return any(candidate.accepts(word) for word in negatives)
 
         pta = prefix_tree_acceptor(ALPHABET, positives)
-        kernel_result = generalize_pta(pta, word_guard, alphabet=ALPHABET)
+        kernel_result = generalize_pta(pta, word_guard)
         oracle_result = oracle_generalize(pta, ALPHABET, word_guard)
         assert_same_dfa(canonical_dfa(kernel_result), canonical_dfa(oracle_result))
 
@@ -443,7 +442,7 @@ class TestGeneralizationParity:
 
         pta = prefix_tree_acceptor(ALPHABET, positives)
         for result in (
-            generalize_pta(pta, word_guard, alphabet=ALPHABET),
+            generalize_pta(pta, word_guard),
             reference_generalize_pta(pta, word_guard, alphabet=ALPHABET),
         ):
             for word in positives:

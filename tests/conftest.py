@@ -14,6 +14,7 @@ from repro.datasets import (
     prefix_equivalent_graph,
 )
 from repro.datasets.figures import g0_characteristic_sample
+from repro.engine import QueryEngine
 from repro.learning import Sample
 from repro.queries import PathQuery
 
@@ -22,6 +23,12 @@ from repro.queries import PathQuery
 def abc_alphabet() -> Alphabet:
     """The {a, b, c} alphabet used by most of the paper's examples."""
     return Alphabet(["a", "b", "c"])
+
+
+@pytest.fixture
+def engine() -> QueryEngine:
+    """A fresh query engine: every evaluation entry point takes one as ``engine=``."""
+    return QueryEngine()
 
 
 @pytest.fixture

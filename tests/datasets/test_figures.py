@@ -14,19 +14,20 @@ from repro.queries import PathQuery
 
 
 class TestGeoGraph:
-    def test_running_example_selection(self):
+    def test_running_example_selection(self, engine):
         geo = geo_graph()
         goal = PathQuery.parse("(tram+bus)*.cinema", geo.alphabet)
-        assert goal.evaluate(geo) == {"N1", "N2", "N4", "N6"}
+        assert goal.evaluate(geo, engine=engine) == {"N1", "N2", "N4", "N6"}
 
-    def test_negative_example_n5(self):
+    def test_negative_example_n5(self, engine):
         geo = geo_graph()
         goal = PathQuery.parse("(tram+bus)*.cinema", geo.alphabet)
-        assert not goal.selects(geo, "N5")
+        assert not goal.selects(geo, "N5", engine=engine)
 
-    def test_restaurant_query(self):
+    def test_restaurant_query(self, engine):
         geo = geo_graph()
-        assert PathQuery.parse("restaurant", geo.alphabet).evaluate(geo) == {"N5", "N6"}
+        restaurant = PathQuery.parse("restaurant", geo.alphabet)
+        assert restaurant.evaluate(geo, engine=engine) == {"N5", "N6"}
 
 
 class TestG0:
@@ -35,11 +36,11 @@ class TestG0:
         assert g0.node_count() == 7
         assert g0.edge_count() == 15
 
-    def test_stated_query_selections(self):
+    def test_stated_query_selections(self, engine):
         g0 = example_graph_g0()
-        assert PathQuery.parse("a", g0.alphabet).evaluate(g0) == g0.nodes - {"v4"}
-        assert PathQuery.parse("(a.b)*.c", g0.alphabet).evaluate(g0) == {"v1", "v3"}
-        assert PathQuery.parse("b.b.c.c", g0.alphabet).evaluate(g0) == frozenset()
+        assert PathQuery.parse("a", g0.alphabet).evaluate(g0, engine=engine) == g0.nodes - {"v4"}
+        assert PathQuery.parse("(a.b)*.c", g0.alphabet).evaluate(g0, engine=engine) == {"v1", "v3"}
+        assert PathQuery.parse("b.b.c.c", g0.alphabet).evaluate(g0, engine=engine) == frozenset()
 
     def test_paths_of_v1_are_infinite(self):
         g0 = example_graph_g0()
@@ -63,25 +64,29 @@ class TestInconsistentSample:
         graph, positives, negatives = inconsistent_sample_graph()
         assert not is_consistent(graph, Sample(positives, negatives))
 
-    def test_learner_abstains(self):
+    def test_learner_abstains(self, engine):
         graph, positives, negatives = inconsistent_sample_graph()
-        result = learn_path_query(graph, Sample(positives, negatives), k=4)
+        result = learn_path_query(graph, Sample(positives, negatives), k=4, engine=engine)
         assert result.is_null
 
 
 class TestPrefixEquivalentGraph:
-    def test_goal_and_simple_query_are_indistinguishable(self):
+    def test_goal_and_simple_query_are_indistinguishable(self, engine):
         graph, positives, negatives = prefix_equivalent_graph()
         goal = PathQuery.parse("(a.b)*.c", graph.alphabet)
         simple = PathQuery.parse("a", graph.alphabet)
-        assert goal.evaluate(graph) == simple.evaluate(graph) == frozenset(positives)
+        assert (
+            goal.evaluate(graph, engine=engine)
+            == simple.evaluate(graph, engine=engine)
+            == frozenset(positives)
+        )
 
-    def test_learner_returns_equivalent_simple_query(self):
+    def test_learner_returns_equivalent_simple_query(self, engine):
         graph, positives, negatives = prefix_equivalent_graph()
         goal = PathQuery.parse("(a.b)*.c", graph.alphabet)
-        result = learn_path_query(graph, Sample(positives, negatives), k=3)
+        result = learn_path_query(graph, Sample(positives, negatives), k=3, engine=engine)
         assert result.query is not None
-        assert result.query.evaluate(graph) == goal.evaluate(graph)
+        assert result.query.evaluate(graph, engine=engine) == goal.evaluate(graph, engine=engine)
 
 
 class TestCertainNodeGraph:
@@ -93,22 +98,22 @@ class TestCertainNodeGraph:
         assert is_certain(graph, sample, certain)
         assert not is_informative(graph, sample, certain)
 
-    def test_unique_consistent_prefix_free_query_is_b(self):
+    def test_unique_consistent_prefix_free_query_is_b(self, engine):
         graph, positives, negatives, certain = certain_node_graph()
         query = PathQuery.parse("b", graph.alphabet)
-        assert query.is_consistent_with(graph, positives, negatives)
-        assert query.selects(graph, certain)
+        assert query.is_consistent_with(graph, positives, negatives, engine=engine)
+        assert query.selects(graph, certain, engine=engine)
 
 
 class TestTheoremGraph:
-    def test_characteristic_sample_learns_goal(self):
+    def test_characteristic_sample_learns_goal(self, engine):
         graph, positives, negatives = theorem_graph_for_abstar_c()
         goal = PathQuery.parse("(a.b)*.c", graph.alphabet)
-        result = learn_path_query(graph, Sample(positives, negatives), k=7)
+        result = learn_path_query(graph, Sample(positives, negatives), k=7, engine=engine)
         assert result.query is not None
         assert result.query.equivalent_to(goal)
 
-    def test_sample_is_consistent_with_goal(self):
+    def test_sample_is_consistent_with_goal(self, engine):
         graph, positives, negatives = theorem_graph_for_abstar_c()
         goal = PathQuery.parse("(a.b)*.c", graph.alphabet)
-        assert goal.is_consistent_with(graph, positives, negatives)
+        assert goal.is_consistent_with(graph, positives, negatives, engine=engine)

@@ -86,10 +86,10 @@ class TestAlibabaLike:
 
 
 class TestWorkflows:
-    def test_goal_selects_exactly_the_matching_runs(self):
+    def test_goal_selects_exactly_the_matching_runs(self, engine):
         graph = workflow_graph(matching_runs=4, other_runs=8, seed=1)
         goal = PathQuery.parse(workflow_goal_query(), graph.alphabet)
-        selected = goal.evaluate(graph)
+        selected = goal.evaluate(graph, engine=engine)
         starts = {node for node in selected if str(node).endswith("_s0")}
         assert len(starts) == 4
 

@@ -2,7 +2,7 @@
 
 The engine (CSR index + compiled plans + int-array kernels) must return
 results identical to the original dict/frozenset implementation kept in
-``repro.graphdb.product`` as ``reference_*`` -- on the paper's worked
+``tests/oracles/product.py`` as ``reference_*`` -- on the paper's worked
 examples, on the documented edge cases, and on randomized synthetic graphs.
 """
 
@@ -12,26 +12,21 @@ import random
 
 import pytest
 
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
-from repro.engine import QueryEngine
-from repro.errors import GraphError
-from repro.graphdb import (
-    GraphDB,
+from oracles.product import (
     reference_any_node_selects,
     reference_binary_evaluate,
     reference_evaluate,
     reference_node_selects,
     reference_pair_selects,
 )
+from repro.automata.dfa import DFA
+from repro.automata.nfa import NFA
+from repro.engine import QueryEngine
+from repro.errors import GraphError
+from repro.graphdb import GraphDB
 from repro.regex import compile_query
 
 EXPRESSIONS = ["a", "(a.b)*.c", "a*.(c+b.c)", "b.b.c.c", "eps", "a*", "(a+b)*.c", "c.b*"]
-
-
-@pytest.fixture
-def engine() -> QueryEngine:
-    return QueryEngine()
 
 
 def random_graph(rng: random.Random, labels: list[str]) -> GraphDB:
@@ -223,20 +218,22 @@ class TestRandomizedParity:
                             == expected
                         )
 
-    def test_wrapper_functions_match_reference(self):
-        # The public product.py wrappers delegate to the engine; their results
-        # must still match the reference implementation they replaced.
-        from repro.graphdb import binary_evaluate, evaluate
+    def test_wrapper_functions_match_reference(self, engine):
+        # The query objects' evaluate() wrappers delegate to the engine they
+        # are handed; their results must match the reference implementation.
+        from repro.queries import BinaryPathQuery, PathQuery
 
         rng = random.Random(23)
         for _ in range(8):
             graph = random_graph(rng, self.LABELS)
             for expression in EXPRESSIONS:
                 query = compile_query(expression, self.LABELS)
-                assert evaluate(graph, query) == reference_evaluate(graph, query)
-                assert binary_evaluate(graph, query) == reference_binary_evaluate(
+                assert PathQuery(query).evaluate(graph, engine=engine) == reference_evaluate(
                     graph, query
                 )
+                assert BinaryPathQuery(query).evaluate(
+                    graph, engine=engine
+                ) == reference_binary_evaluate(graph, query)
 
 
 class TestTableAutomatonParity:

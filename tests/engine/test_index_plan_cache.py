@@ -11,7 +11,6 @@ from repro.engine import (
     QueryEngine,
     automaton_fingerprint,
     compile_plan,
-    get_index,
 )
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
@@ -84,16 +83,6 @@ class TestGraphIndex:
         query = PathQuery.parse("a.a", ["a"])
         assert engine.evaluate(graph, query) == {0}
         assert engine.evaluate(clone, query) == {5}
-
-    def test_get_index_caches_per_version(self):
-        graph = GraphDB(["a"])
-        graph.add_edge("x", "a", "y")
-        first = get_index(graph)
-        assert get_index(graph) is first
-        graph.add_edge("y", "a", "x")
-        rebuilt = get_index(graph)
-        assert rebuilt is not first
-        assert rebuilt.is_current(graph)
 
     def test_empty_graph(self):
         graph = GraphDB(["a"])

@@ -8,7 +8,7 @@ the *same automaton*, handed over as a compiled plan (verbatim, i.e. what
 
 * answer every stop rule (any-of-nodes, pair, depth-bounded, whole-graph)
   exactly like the independent ``reference_*`` construction in
-  :mod:`repro.graphdb.product`, and
+  ``tests/oracles/product.py``, and
 * do exactly the same work: identical ``(states_expanded, edges_scanned)``
   whatever the representation.
 
@@ -22,6 +22,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles.product import (
+    reference_any_node_selects,
+    reference_evaluate,
+    reference_pair_selects,
+)
 from test_engine_parity import EXPRESSIONS, random_graph
 
 from repro.automata.kernel import MergeFold, TableDFA, pta_table
@@ -29,12 +34,7 @@ from repro.engine import QueryEngine, executor
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
 from repro.engine.plan import compile_plan
-from repro.graphdb import (
-    GraphDB,
-    reference_any_node_selects,
-    reference_evaluate,
-    reference_pair_selects,
-)
+from repro.graphdb import GraphDB
 from repro.graphdb.paths import enumerate_paths
 from repro.regex import compile_query
 

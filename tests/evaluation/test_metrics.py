@@ -40,16 +40,16 @@ class TestClassificationScores:
 
 
 class TestQueryScoring:
-    def test_equal_queries_have_f1_one(self, g0, abstar_c):
-        assert f1_score(abstar_c, abstar_c, g0) == 1.0
+    def test_equal_queries_have_f1_one(self, g0, abstar_c, engine):
+        assert f1_score(abstar_c, abstar_c, g0, engine=engine) == 1.0
 
-    def test_null_query_scores_as_empty_prediction(self, g0, abstar_c):
-        scores = score_query(None, abstar_c, g0)
+    def test_null_query_scores_as_empty_prediction(self, g0, abstar_c, engine):
+        scores = score_query(None, abstar_c, g0, engine=engine)
         assert scores.f1 == 0.0
         assert scores.recall == 0.0
 
-    def test_overgeneral_query_loses_precision(self, g0, abstar_c):
+    def test_overgeneral_query_loses_precision(self, g0, abstar_c, engine):
         broad = PathQuery.parse("a", g0.alphabet)  # selects 6 of 7 nodes
-        scores = score_query(broad, abstar_c, g0)
+        scores = score_query(broad, abstar_c, g0, engine=engine)
         assert scores.recall == 1.0
         assert scores.precision == pytest.approx(2 / 6)

@@ -31,12 +31,14 @@ class TestBiologicalQueries:
         graphs = {id(w.graph) for w in workloads}
         assert len(graphs) == 1
 
-    def test_selectivity_ordering_matches_table1(self):
+    def test_selectivity_ordering_matches_table1(self, engine):
         # Table 1 orders bio1 < bio2 < ... < bio6 by selectivity; check the
         # reproduction keeps the two ends in the right order at small scale.
         workloads = {w.name: w for w in biological_workloads(node_count=600, edge_count=1600, seed=7)}
-        assert workloads["bio1"].selectivity <= workloads["bio3"].selectivity
-        assert workloads["bio3"].selectivity <= workloads["bio6"].selectivity
+        bio1, bio3, bio6 = (
+            workloads[name].selectivity(engine=engine) for name in ("bio1", "bio3", "bio6")
+        )
+        assert bio1 <= bio3 <= bio6
 
 
 class TestSyntheticWorkloads:
@@ -56,16 +58,17 @@ class TestSyntheticWorkloads:
         for name, expression in synthetic_query_expressions().items():
             assert "*" in str(expression), name
 
-    def test_selectivity_ordering(self):
+    def test_selectivity_ordering(self, engine):
         workloads = {w.name: w for w in synthetic_workloads(node_counts=(2000,), seed=11)}
         assert (
-            workloads["syn1@2000"].selectivity
-            < workloads["syn2@2000"].selectivity
-            < workloads["syn3@2000"].selectivity
+            workloads["syn1@2000"].selectivity(engine=engine)
+            < workloads["syn2@2000"].selectivity(engine=engine)
+            < workloads["syn3@2000"].selectivity(engine=engine)
         )
 
-    def test_workload_selectivity_matches_query_on_graph(self):
+    def test_workload_selectivity_matches_query_on_graph(self, engine):
         workload = synthetic_workloads(node_counts=(400,), seed=2)[0]
-        assert workload.selectivity == pytest.approx(
-            len(workload.query.evaluate(workload.graph)) / workload.graph.node_count()
+        selected = workload.query.evaluate(workload.graph, engine=engine)
+        assert workload.selectivity(engine=engine) == pytest.approx(
+            len(selected) / workload.graph.node_count()
         )

@@ -1,16 +1,17 @@
-"""Unit tests for query evaluation via the product construction."""
+"""Unit tests for query evaluation via the product construction (the
+reference oracle the engine parity suites compare against)."""
 
 import pytest
 
-from repro.graphdb import (
-    GraphDB,
-    any_node_selects,
-    binary_evaluate,
-    evaluate,
-    node_selects,
-    pair_selects,
+from oracles.product import (
+    reference_any_node_selects as any_node_selects,
+    reference_binary_evaluate as binary_evaluate,
+    reference_evaluate as evaluate,
+    reference_node_selects as node_selects,
+    reference_pair_selects as pair_selects,
 )
 from repro.errors import GraphError
+from repro.graphdb import GraphDB
 from repro.regex import compile_query
 
 

@@ -12,6 +12,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles.informativeness import (
+    reference_is_certain_negative,
+    reference_is_certain_positive,
+)
 
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
@@ -27,8 +31,6 @@ from repro.interactive import (
     is_k_informative,
     k_informative_set,
     make_strategy,
-    reference_is_certain_negative,
-    reference_is_certain_positive,
     uncovered_k_paths,
     uncovered_words_table,
 )
@@ -64,9 +66,9 @@ class TestBatchedInformativeness:
             )
             assert batched == legacy
 
-    def test_batched_set_without_negatives_is_all_unlabeled(self, g0):
+    def test_batched_set_without_negatives_is_all_unlabeled(self, g0, engine):
         sample = Sample(positives={"v1"})
-        assert k_informative_set(g0, sample, k=2) == g0.nodes - {"v1"}
+        assert k_informative_set(g0, sample, k=2, engine=engine) == g0.nodes - {"v1"}
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_uncovered_counts_match_legacy(self, seed):

@@ -161,25 +161,25 @@ class TestStableNodeOrder:
 
 
 class TestQueryOracle:
-    def test_labels_follow_the_goal(self, g0, abstar_c):
-        oracle = QueryOracle(abstar_c)
+    def test_labels_follow_the_goal(self, g0, abstar_c, engine):
+        oracle = QueryOracle(abstar_c, engine=engine)
         assert oracle.label(g0, "v1") == "+"
         assert oracle.label(g0, "v2") == "-"
 
-    def test_satisfied_only_when_selection_matches(self, g0, abstar_c):
-        oracle = QueryOracle(abstar_c)
+    def test_satisfied_only_when_selection_matches(self, g0, abstar_c, engine):
+        oracle = QueryOracle(abstar_c, engine=engine)
         assert oracle.satisfied_with(g0, abstar_c)
         assert not oracle.satisfied_with(g0, PathQuery.parse("a", g0.alphabet))
         assert not oracle.satisfied_with(g0, None)
 
-    def test_threshold_relaxes_satisfaction(self, g0, abstar_c):
+    def test_threshold_relaxes_satisfaction(self, g0, abstar_c, engine):
         # The query c selects only v3: precision 1, recall 0.5, F1 = 2/3.
         partial = PathQuery.parse("c", g0.alphabet)
-        strict = QueryOracle(abstar_c)
-        relaxed = QueryOracle(abstar_c, satisfaction_threshold=0.6)
+        strict = QueryOracle(abstar_c, engine=engine)
+        relaxed = QueryOracle(abstar_c, satisfaction_threshold=0.6, engine=engine)
         assert not strict.satisfied_with(g0, partial)
         assert relaxed.satisfied_with(g0, partial)
 
-    def test_invalid_threshold_raises(self, abstar_c):
+    def test_invalid_threshold_raises(self, abstar_c, engine):
         with pytest.raises(ValueError):
-            QueryOracle(abstar_c, satisfaction_threshold=0.0)
+            QueryOracle(abstar_c, satisfaction_threshold=0.0, engine=engine)

@@ -62,19 +62,19 @@ class TestTheoreticalK:
 
 class TestCharacteristicGraph:
     @pytest.mark.parametrize("expression", ["(a.b)*.c", "a.b", "(a+b).c", "a.b*.c"])
-    def test_learner_recovers_goal_from_characteristic_graph(self, abc, expression):
+    def test_learner_recovers_goal_from_characteristic_graph(self, abc, expression, engine):
         goal = PathQuery.parse(expression, abc)
         graph, sample = characteristic_graph(goal)
-        result = learn_path_query(graph, sample, k=theoretical_k(goal))
+        result = learn_path_query(graph, sample, k=theoretical_k(goal), engine=engine)
         assert not result.is_null
         assert result.query.equivalent_to(goal)
 
-    def test_sample_is_consistent_with_goal(self, abc):
+    def test_sample_is_consistent_with_goal(self, abc, engine):
         goal = PathQuery.parse("(a.b)*.c", abc)
         graph, sample = characteristic_graph(goal)
-        assert goal.is_consistent_with(graph, sample.positives, sample.negatives)
+        assert goal.is_consistent_with(graph, sample.positives, sample.negatives, engine=engine)
 
-    def test_extending_the_sample_consistently_keeps_the_result(self, abc):
+    def test_extending_the_sample_consistently_keeps_the_result(self, abc, engine):
         # Definition 3.4: any consistent extension of the characteristic
         # sample still makes the learner output the goal query.
         goal = PathQuery.parse("(a.b)*.c", abc)
@@ -82,10 +82,10 @@ class TestCharacteristicGraph:
         extra_negative = next(
             node
             for node in graph.nodes
-            if node not in sample.labeled and not goal.selects(graph, node)
+            if node not in sample.labeled and not goal.selects(graph, node, engine=engine)
         )
         extended = sample.with_negative(extra_negative)
-        result = learn_path_query(graph, extended, k=theoretical_k(goal))
+        result = learn_path_query(graph, extended, k=theoretical_k(goal), engine=engine)
         assert not result.is_null
         assert result.query.equivalent_to(goal)
 

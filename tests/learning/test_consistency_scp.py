@@ -33,22 +33,22 @@ class TestExactConsistency:
 
 
 class TestBoundedConsistency:
-    def test_bounded_matches_exact_on_paper_sample(self, g0, g0_sample):
-        assert bounded_consistent(g0, g0_sample, k=3)
+    def test_bounded_matches_exact_on_paper_sample(self, g0, g0_sample, engine):
+        assert bounded_consistent(g0, g0_sample, k=3, engine=engine)
 
-    def test_bounded_fails_when_k_too_small(self, g0):
+    def test_bounded_fails_when_k_too_small(self, g0, engine):
         # v1's only consistent path w.r.t. {v2, v7} is abc (length 3).
         sample = Sample({"v1"}, {"v2", "v7"})
-        assert not bounded_consistent(g0, sample, k=2)
-        assert bounded_consistent(g0, sample, k=3)
+        assert not bounded_consistent(g0, sample, k=2, engine=engine)
+        assert bounded_consistent(g0, sample, k=3, engine=engine)
 
-    def test_bounded_on_inconsistent_sample(self, inconsistent_case):
+    def test_bounded_on_inconsistent_sample(self, inconsistent_case, engine):
         graph, sample = inconsistent_case
-        assert not bounded_consistent(graph, sample, k=5)
+        assert not bounded_consistent(graph, sample, k=5, engine=engine)
 
-    def test_dispatcher(self, g0, g0_sample):
-        assert sample_has_consistent_query(g0, g0_sample)
-        assert sample_has_consistent_query(g0, g0_sample, k=3)
+    def test_dispatcher(self, g0, g0_sample, engine):
+        assert sample_has_consistent_query(g0, g0_sample, engine=engine)
+        assert sample_has_consistent_query(g0, g0_sample, k=3, engine=engine)
 
 
 class TestSmallestConsistentPath:
@@ -75,18 +75,18 @@ class TestSmallestConsistentPath:
 
 
 class TestSelectSCPs:
-    def test_selects_per_positive(self, g0, g0_sample):
-        scps = select_smallest_consistent_paths(g0, g0_sample, k=3)
+    def test_selects_per_positive(self, g0, g0_sample, engine):
+        scps = select_smallest_consistent_paths(g0, g0_sample, k=3, engine=engine)
         assert scps == {"v1": ("a", "b", "c"), "v3": ("c",)}
 
-    def test_positives_without_scp_are_omitted(self, g0, g0_sample):
-        scps = select_smallest_consistent_paths(g0, g0_sample, k=2)
+    def test_positives_without_scp_are_omitted(self, g0, g0_sample, engine):
+        scps = select_smallest_consistent_paths(g0, g0_sample, k=2, engine=engine)
         assert "v1" not in scps
         assert scps["v3"] == ("c",)
 
-    def test_scps_are_never_covered_by_negatives(self, g0, g0_sample):
+    def test_scps_are_never_covered_by_negatives(self, g0, g0_sample, engine):
         from repro.graphdb import covered_by
 
-        scps = select_smallest_consistent_paths(g0, g0_sample, k=4)
+        scps = select_smallest_consistent_paths(g0, g0_sample, k=4, engine=engine)
         for path in scps.values():
             assert not covered_by(g0, path, g0_sample.negatives)

@@ -17,7 +17,7 @@ def abc():
 class TestGeneralizePTA:
     def test_no_negatives_generalizes_aggressively(self, abc):
         pta = prefix_tree_acceptor(abc, [("a", "b", "c"), ("c",)])
-        result = generalize_pta(pta, lambda dfa: False, alphabet=abc)
+        result = generalize_pta(pta, lambda dfa: False)
         # With nothing blocking merges, everything collapses to one state.
         assert len(result) == 1
 
@@ -28,19 +28,19 @@ class TestGeneralizePTA:
         def violates(candidate):
             return any(candidate.accepts(word) for word in negatives)
 
-        result = generalize_pta(pta, violates, alphabet=abc)
+        result = generalize_pta(pta, violates)
         learned = PathQuery.from_automaton(result)
         assert learned == PathQuery.parse("(a.b)*.c", abc)
 
     def test_initial_guard_violation_raises(self, abc):
         pta = prefix_tree_acceptor(abc, [("a",)])
         with pytest.raises(LearningError):
-            generalize_pta(pta, lambda dfa: True, alphabet=abc)
+            generalize_pta(pta, lambda dfa: True)
 
     def test_max_merges_cap(self, abc):
         pta = prefix_tree_acceptor(abc, [("a", "a", "a", "a")])
-        capped = generalize_pta(pta, lambda dfa: False, alphabet=abc, max_merges=0)
-        uncapped = generalize_pta(pta, lambda dfa: False, alphabet=abc)
+        capped = generalize_pta(pta, lambda dfa: False, max_merges=0)
+        uncapped = generalize_pta(pta, lambda dfa: False)
         assert len(capped) == len(pta) > len(uncapped)
 
     def test_result_language_contains_input_words(self, abc):
@@ -51,7 +51,7 @@ class TestGeneralizePTA:
         def violates(candidate):
             return any(candidate.accepts(word) for word in negatives)
 
-        result = generalize_pta(pta, violates, alphabet=abc)
+        result = generalize_pta(pta, violates)
         for word in words:
             assert result.accepts(word)
         for word in negatives:

@@ -14,6 +14,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.automata import Alphabet
+from repro.engine import QueryEngine
 from repro.graphdb import GraphDB, covered_by
 from repro.learning import Sample, learn_path_query, rpni
 from repro.learning.scp import select_smallest_consistent_paths
@@ -55,7 +56,7 @@ def graph_and_goal_sample(draw):
     """A random graph plus a sample labeled consistently with a random goal."""
     graph = draw(random_graphs())
     goal = PathQuery.parse(draw(st.sampled_from(GOAL_EXPRESSIONS)), ALPHABET)
-    selected = goal.evaluate(graph)
+    selected = goal.evaluate(graph, engine=QueryEngine())
     unselected = graph.nodes - selected
     rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
     positives = set(rng.sample(sorted(selected), min(len(selected), 3))) if selected else set()
@@ -67,19 +68,23 @@ def graph_and_goal_sample(draw):
 @given(case=graph_and_goal_sample())
 def test_learner_output_is_consistent_with_the_sample(case):
     graph, _, sample = case
-    result = learn_path_query(graph, sample, k=4)
+    engine = QueryEngine()
+    result = learn_path_query(graph, sample, k=4, engine=engine)
     if result.query is not None:
-        assert result.query.is_consistent_with(graph, sample.positives, sample.negatives)
+        assert result.query.is_consistent_with(
+            graph, sample.positives, sample.negatives, engine=engine
+        )
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=graph_and_goal_sample())
 def test_hypothesis_never_selects_a_negative(case):
     graph, _, sample = case
-    result = learn_path_query(graph, sample, k=4)
+    engine = QueryEngine()
+    result = learn_path_query(graph, sample, k=4, engine=engine)
     if result.hypothesis is not None:
         assert not any(
-            result.hypothesis.selects(graph, node) for node in sample.negatives
+            result.hypothesis.selects(graph, node, engine=engine) for node in sample.negatives
         )
 
 
@@ -87,7 +92,8 @@ def test_hypothesis_never_selects_a_negative(case):
 @given(case=graph_and_goal_sample())
 def test_scps_are_uncovered_and_canonically_minimal(case):
     graph, _, sample = case
-    scps = select_smallest_consistent_paths(graph, sample, k=3)
+    engine = QueryEngine()
+    scps = select_smallest_consistent_paths(graph, sample, k=3, engine=engine)
     for node, path in scps.items():
         assert not covered_by(graph, path, sample.negatives)
         # No strictly smaller uncovered path exists for that node.
@@ -121,6 +127,7 @@ def test_rpni_is_consistent_with_its_word_sample(positives, negatives):
 @given(case=graph_and_goal_sample())
 def test_learner_abstains_or_selects_all_positives(case):
     graph, _, sample = case
-    result = learn_path_query(graph, sample, k=4)
+    engine = QueryEngine()
+    result = learn_path_query(graph, sample, k=4, engine=engine)
     if result.query is not None:
-        assert all(result.query.selects(graph, node) for node in sample.positives)
+        assert all(result.query.selects(graph, node, engine=engine) for node in sample.positives)

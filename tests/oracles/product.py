@@ -11,16 +11,9 @@ reachable.  Computing the co-reachable set of accepting pairs once (backward
 breadth-first search) evaluates the query on *all* nodes in
 ``O(|E| * |Q| + |V| * |Q|)`` time.
 
-This module plays two roles since the engine subsystem landed:
-
-* the **public functions** (:func:`evaluate`, :func:`node_selects`,
-  :func:`any_node_selects`, :func:`binary_evaluate`, :func:`pair_selects`)
-  are thin compatibility wrappers over the shared
-  :class:`~repro.engine.engine.QueryEngine`, which adds the CSR graph index,
-  compiled plans and plan/result caches;
-* the ``reference_*`` functions keep the original dict/frozenset product
-  construction as the executable specification.  The engine's parity tests
-  (``tests/engine``) pin the two against each other on randomized graphs.
+The ``reference_*`` functions keep the original dict/frozenset product
+construction as the executable specification.  The engine's parity tests
+(``tests/engine``) pin the engine's walks against them on randomized graphs.
 """
 
 from __future__ import annotations
@@ -34,60 +27,6 @@ from repro.errors import GraphError
 from repro.graphdb.graph import GraphDB, Node
 
 AutomatonState = Hashable
-
-
-def _engine():
-    # Imported lazily: repro.engine.engine itself imports repro.graphdb.graph,
-    # so a module-level import here would be circular whenever repro.engine
-    # is the first subpackage loaded.
-    from repro.engine.engine import get_default_engine
-
-    return get_default_engine()
-
-
-# -- engine-backed public API ---------------------------------------------------
-
-
-def evaluate(graph: GraphDB, automaton: DFA | NFA) -> frozenset[Node]:
-    """The set of nodes selected by the query automaton (monadic semantics)."""
-    return _engine().evaluate(graph, automaton)
-
-
-def node_selects(graph: GraphDB, automaton: DFA | NFA, node: Node) -> bool:
-    """Whether the query selects one given node.
-
-    Early-exit forward product search; cheaper than :func:`evaluate` when
-    only one node matters (e.g. the interactive loop's halt checks), and
-    free when the engine already has the whole-graph result cached.
-    """
-    return _engine().selects(graph, automaton, node)
-
-
-def any_node_selects(graph: GraphDB, automaton: DFA | NFA, nodes: Iterable[Node]) -> bool:
-    """Whether the query selects at least one of the given nodes.
-
-    Equivalent to ``L(automaton) & paths_G(nodes) != {}`` -- the polynomial
-    intersection-emptiness test at the heart of Algorithm 1's merge guard
-    (a candidate generalization is rejected iff it selects a negative node).
-    """
-    return _engine().any_selects(graph, automaton, nodes)
-
-
-def binary_evaluate(graph: GraphDB, automaton: DFA | NFA) -> frozenset[tuple[Node, Node]]:
-    """The set of node pairs selected under the binary semantics.
-
-    ``(nu, nu')`` is selected iff some path from ``nu`` to ``nu'`` has its
-    label word in the query language.
-    """
-    return _engine().binary_evaluate(graph, automaton)
-
-
-def pair_selects(graph: GraphDB, automaton: DFA | NFA, origin: Node, end: Node) -> bool:
-    """Whether the query selects the pair ``(origin, end)`` (binary semantics)."""
-    return _engine().pair_selects(graph, automaton, origin, end)
-
-
-# -- reference implementation ---------------------------------------------------
 
 
 def _automaton_parts(automaton: DFA | NFA):

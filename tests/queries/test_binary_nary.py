@@ -23,31 +23,31 @@ def chain_graph():
 
 
 class TestBinaryQueries:
-    def test_evaluate(self, chain_graph):
+    def test_evaluate(self, chain_graph, engine):
         query = BinaryPathQuery.parse("a.b", chain_graph.alphabet)
-        pairs = query.evaluate(chain_graph)
+        pairs = query.evaluate(chain_graph, engine=engine)
         assert ("n1", "n3") in pairs
         assert ("n1", "n2") in pairs  # via a then the b self-loop on n2
         assert ("n2", "n3") not in pairs
 
-    def test_selects(self, chain_graph):
+    def test_selects(self, chain_graph, engine):
         query = BinaryPathQuery.parse("a.b*.c", chain_graph.alphabet)
-        assert query.selects(chain_graph, "n1", "n4")
-        assert not query.selects(chain_graph, "n2", "n4")
+        assert query.selects(chain_graph, "n1", "n4", engine=engine)
+        assert not query.selects(chain_graph, "n2", "n4", engine=engine)
 
-    def test_selectivity(self, chain_graph):
+    def test_selectivity(self, chain_graph, engine):
         query = BinaryPathQuery.parse("c", chain_graph.alphabet)
-        assert query.selectivity(chain_graph) == pytest.approx(1 / 16)
+        assert query.selectivity(chain_graph, engine=engine) == pytest.approx(1 / 16)
 
     def test_equality_is_strict_language_equivalence(self, chain_graph):
         # Binary semantics observes the end node, so a and a.b* differ.
         assert BinaryPathQuery.parse("a") != BinaryPathQuery.parse("a.b*")
         assert BinaryPathQuery.parse("a+b") == BinaryPathQuery.parse("b+a")
 
-    def test_consistency(self, chain_graph):
+    def test_consistency(self, chain_graph, engine):
         query = BinaryPathQuery.parse("a.b", chain_graph.alphabet)
-        assert query.is_consistent_with(chain_graph, {("n1", "n3")}, {("n2", "n4")})
-        assert not query.is_consistent_with(chain_graph, {("n2", "n4")}, set())
+        assert query.is_consistent_with(chain_graph, {("n1", "n3")}, {("n2", "n4")}, engine=engine)
+        assert not query.is_consistent_with(chain_graph, {("n2", "n4")}, set(), engine=engine)
 
     def test_expression_roundtrip(self):
         assert BinaryPathQuery.parse("a.b").expression == "a.b"
@@ -64,31 +64,31 @@ class TestNaryQueries:
         with pytest.raises(QueryError):
             NaryPathQuery([])
 
-    def test_selects_tuple(self, chain_graph):
+    def test_selects_tuple(self, chain_graph, engine):
         query = NaryPathQuery.parse(["a", "b", "c"], chain_graph.alphabet)
-        assert query.selects(chain_graph, ("n1", "n2", "n3", "n4"))
-        assert not query.selects(chain_graph, ("n1", "n3", "n3", "n4"))
+        assert query.selects(chain_graph, ("n1", "n2", "n3", "n4"), engine=engine)
+        assert not query.selects(chain_graph, ("n1", "n3", "n3", "n4"), engine=engine)
 
-    def test_selects_wrong_arity_raises(self, chain_graph):
+    def test_selects_wrong_arity_raises(self, chain_graph, engine):
         query = NaryPathQuery.parse(["a"], chain_graph.alphabet)
         with pytest.raises(QueryError):
-            query.selects(chain_graph, ("n1",))
+            query.selects(chain_graph, ("n1",), engine=engine)
 
-    def test_evaluate_joins_positions(self, chain_graph):
+    def test_evaluate_joins_positions(self, chain_graph, engine):
         query = NaryPathQuery.parse(["a", "b"], chain_graph.alphabet)
-        tuples = query.evaluate(chain_graph)
+        tuples = query.evaluate(chain_graph, engine=engine)
         assert ("n1", "n2", "n3") in tuples
         assert ("n1", "n2", "n2") in tuples
 
-    def test_evaluate_limit(self, chain_graph):
+    def test_evaluate_limit(self, chain_graph, engine):
         query = NaryPathQuery.parse(["a+b", "b+c"], chain_graph.alphabet)
-        limited = query.evaluate(chain_graph, limit=1)
+        limited = query.evaluate(chain_graph, limit=1, engine=engine)
         assert len(limited) == 1
 
-    def test_is_consistent_with(self, chain_graph):
+    def test_is_consistent_with(self, chain_graph, engine):
         query = NaryPathQuery.parse(["a", "b"], chain_graph.alphabet)
         assert query.is_consistent_with(
-            chain_graph, {("n1", "n2", "n3")}, {("n3", "n4", "n1")}
+            chain_graph, {("n1", "n2", "n3")}, {("n3", "n4", "n1")}, engine=engine
         )
 
     def test_equality_and_hash(self):

@@ -65,31 +65,31 @@ class TestLanguageLevel:
 
 
 class TestEvaluation:
-    def test_evaluate_and_selects(self, g0):
+    def test_evaluate_and_selects(self, g0, engine):
         query = PathQuery.parse("(a.b)*.c", g0.alphabet)
-        assert query.evaluate(g0) == {"v1", "v3"}
-        assert query.selects(g0, "v1")
-        assert not query.selects(g0, "v2")
+        assert query.evaluate(g0, engine=engine) == {"v1", "v3"}
+        assert query.selects(g0, "v1", engine=engine)
+        assert not query.selects(g0, "v2", engine=engine)
 
-    def test_selectivity(self, g0):
+    def test_selectivity(self, g0, engine):
         query = PathQuery.parse("(a.b)*.c", g0.alphabet)
-        assert query.selectivity(g0) == pytest.approx(2 / 7)
+        assert query.selectivity(g0, engine=engine) == pytest.approx(2 / 7)
 
-    def test_selectivity_of_empty_graph_raises(self, abc_alphabet):
+    def test_selectivity_of_empty_graph_raises(self, abc_alphabet, engine):
         from repro.graphdb import GraphDB
 
         with pytest.raises(QueryError):
-            PathQuery.parse("a", abc_alphabet).selectivity(GraphDB(abc_alphabet))
+            PathQuery.parse("a", abc_alphabet).selectivity(GraphDB(abc_alphabet), engine=engine)
 
-    def test_equivalent_on_graph(self, prefix_equivalent_case):
+    def test_equivalent_on_graph(self, prefix_equivalent_case, engine):
         graph, _ = prefix_equivalent_case
         goal = PathQuery.parse("(a.b)*.c", graph.alphabet)
         simple = PathQuery.parse("a", graph.alphabet)
-        assert goal.equivalent_on(simple, graph)
+        assert goal.equivalent_on(simple, graph, engine=engine)
         assert goal != simple
 
-    def test_is_consistent_with(self, g0):
+    def test_is_consistent_with(self, g0, engine):
         query = PathQuery.parse("(a.b)*.c", g0.alphabet)
-        assert query.is_consistent_with(g0, {"v1", "v3"}, {"v2", "v7"})
-        assert not query.is_consistent_with(g0, {"v2"}, set())
-        assert not query.is_consistent_with(g0, {"v1"}, {"v3"})
+        assert query.is_consistent_with(g0, {"v1", "v3"}, {"v2", "v7"}, engine=engine)
+        assert not query.is_consistent_with(g0, {"v2"}, set(), engine=engine)
+        assert not query.is_consistent_with(g0, {"v1"}, {"v3"}, engine=engine)
