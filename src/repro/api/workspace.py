@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.api.config import (
@@ -49,7 +50,12 @@ from repro.interactive.scenario import (
 from repro.interactive.strategies import make_strategy
 from repro.learning.baselines import learn_scp_disjunction
 from repro.learning.binary_learner import BinaryLearnerResult, learn_binary_query
-from repro.learning.learner import LearnerResult, dynamic_k_procedure, learn_path_query
+from repro.learning.learner import (
+    LearnerResult,
+    dynamic_k_procedure,
+    learn_path_query,
+    learn_with_dynamic_k,
+)
 from repro.learning.nary_learner import NaryLearnerResult, learn_nary_query
 from repro.learning.sample import BinarySample, NarySample, Sample
 from repro.queries.binary import BinaryPathQuery
@@ -358,8 +364,13 @@ class Workspace:
         """Run a fixed-``k`` learner, under dynamic ``k`` when configured."""
         if not config.dynamic_k:
             return learn(self._graph, sample, k=config.k, engine=self._engine)
-        return dynamic_k_procedure(
-            learn, self._graph, sample, k_start=config.k, k_max=config.k_max, engine=self._engine
+        if learn is learn_path_query:
+            # Algorithm 1's attempts share one NegativeCoverage per episode.
+            learn_dynamic = learn_with_dynamic_k
+        else:
+            learn_dynamic = partial(dynamic_k_procedure, learn)
+        return learn_dynamic(
+            self._graph, sample, k_start=config.k, k_max=config.k_max, engine=self._engine
         )
 
     def learn_interactive(

@@ -20,8 +20,9 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable, Sequence
 from time import perf_counter
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
+from repro.automata.alphabet import Word
 from repro.automata.dfa import DFA
 from repro.automata.kernel import TableAutomaton
 from repro.automata.nfa import NFA
@@ -307,19 +308,29 @@ class QueryEngine:
     def _register_cache_metrics(self) -> None:
         """Expose live cache hit economics as computed gauges.
 
-        The callbacks read through ``self`` (not the cache objects bound at
-        construction), so :meth:`adopt_shared_caches` swapping the caches
-        re-points every gauge automatically.
+        The callbacks read through the engine (not the cache objects bound
+        at construction), so :meth:`adopt_shared_caches` swapping the caches
+        re-points every gauge automatically.  They hold the engine weakly:
+        the registry belongs to the engine's own telemetry, and a strong
+        reference would close a cycle that keeps a dropped engine -- and
+        every CSR index it holds -- alive until the next full collection.
         """
         registry = self.telemetry.registry
-        registry.callback("engine_plan_cache_hits", lambda: self.plan_cache.hits)
-        registry.callback("engine_plan_cache_misses", lambda: self.plan_cache.misses)
-        registry.callback("engine_plan_cache_size", lambda: len(self.plan_cache))
-        registry.callback("engine_result_cache_hits", lambda: self.result_cache.hits)
-        registry.callback(
-            "engine_result_cache_misses", lambda: self.result_cache.misses
-        )
-        registry.callback("engine_result_cache_size", lambda: len(self.result_cache))
+        engine = ref(self)
+
+        def gauge(name: str, read) -> None:
+            def value() -> float:
+                live = engine()
+                return 0 if live is None else read(live)
+
+            registry.callback(name, value)
+
+        gauge("engine_plan_cache_hits", lambda e: e.plan_cache.hits)
+        gauge("engine_plan_cache_misses", lambda e: e.plan_cache.misses)
+        gauge("engine_plan_cache_size", lambda e: len(e.plan_cache))
+        gauge("engine_result_cache_hits", lambda e: e.result_cache.hits)
+        gauge("engine_result_cache_misses", lambda e: e.result_cache.misses)
+        gauge("engine_result_cache_size", lambda e: len(e.result_cache))
 
     def adopt_shared_caches(self, content_key: object) -> None:
         """Swap this engine's caches for the process-wide pair of ``content_key``.
@@ -956,9 +967,14 @@ class QueryEngine:
 
     # -- early-exit membership -----------------------------------------------
 
-    def selects(self, graph: GraphDB, query: Query, node: Node) -> bool:
-        """Whether the query selects one given node of ``graph``."""
-        return self.any_selects(graph, query, (node,))
+    def selects(
+        self, graph: GraphDB, query: Query, node: Node, *, ephemeral: bool = False
+    ) -> bool:
+        """Whether the query selects one given node of ``graph``.
+
+        ``ephemeral=True`` has the same meaning as in :meth:`any_selects`.
+        """
+        return self.any_selects(graph, query, (node,), ephemeral=ephemeral)
 
     def any_selects(
         self,
@@ -968,7 +984,8 @@ class QueryEngine:
         *,
         ephemeral: bool = False,
         max_depth: int | None = None,
-    ) -> bool:
+        witness: bool = False,
+    ) -> bool | Word | None:
         """Whether the query selects at least one of the given nodes.
 
         The engine-side intersection-emptiness test behind Algorithm 1's
@@ -979,6 +996,13 @@ class QueryEngine:
         automaton as it stands on the CSR index.  ``max_depth`` (ephemeral
         kernel automata only) bounds the witness word's length -- the
         interactive layer's per-candidate k-informativeness check.
+
+        With ``witness=True`` the answer is the evidence instead of the
+        verdict: a shortest accepted word labelling a path from one of the
+        nodes (possibly the empty tuple -- test ``is not None``), or
+        ``None`` when no node is selected.  It always comes from a walk (see
+        :func:`repro.engine.executor.any_selects`), never from a cached
+        whole-graph result, which has no path to show.
         """
         start_nodes = list(nodes)
         for node in start_nodes:
@@ -988,20 +1012,21 @@ class QueryEngine:
         if max_depth is not None:
             self._check_max_depth(max_depth, ephemeral, walked)
         if not start_nodes:
-            return False
+            return None if witness else False
         if not ephemeral:
             plan, _ = self._resolve_plan(graph, query)
-            # A finished whole-graph evaluation answers membership for free.
-            cached = self.result_cache.get(self._result_key("eval", plan, graph))
-            if cached is not None:
-                return any(node in cached for node in start_nodes)
+            if not witness:
+                # A finished whole-graph evaluation answers membership for free.
+                cached = self.result_cache.get(self._result_key("eval", plan, graph))
+                if cached is not None:
+                    return any(node in cached for node in start_nodes)
         index = self.index_for(graph)
         if not ephemeral:
             walked = self._ordered_plan(index, plan)
         node_ids = index.node_ids
         start_ids = [node_ids[node] for node in start_nodes]
         found = executor.any_selects(
-            index, walked, start_ids, self.stats.kernel, max_depth=max_depth
+            index, walked, start_ids, self.stats.kernel, max_depth=max_depth, witness=witness
         )
         # Counted once the walk has run: a call the walk rejects (an epsilon
         # NFA surfaces only at bind time) must leave the counter untouched.

@@ -6,7 +6,8 @@ query automaton.  This module implements it once per *shape of walk*, never
 per query representation:
 
 * :func:`any_selects` -- forward early-exit search from a set of start
-  nodes (optionally to one ``end`` node, optionally depth-bounded);
+  nodes (optionally to one ``end`` node, optionally depth-bounded; on
+  request it hands back the witness word instead of ``True``);
 * :func:`evaluate_all` / :func:`numpy_evaluate_all` -- backward whole-graph
   closure from the accepting pairs (seed-range restricted for sharding,
   optionally depth-bounded);
@@ -35,6 +36,7 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import compress
 
+from repro.automata.alphabet import Word
 from repro.automata.dfa import DFA
 from repro.automata.kernel import TableAutomaton, TableDFA
 from repro.automata.nfa import NFA
@@ -303,12 +305,21 @@ def any_selects(
     *,
     end: int | None = None,
     max_depth: int | None = None,
-) -> bool:
+    witness: bool = False,
+) -> bool | Word | None:
     """Whether the query selects at least one of the given nodes.
 
     Multi-source forward product BFS that exits as soon as an accepting
     pair is reached -- the engine-side version of the
     intersection-emptiness test of Algorithm 1's merge guard.
+
+    The visited map doubles as the BFS tree: every pair records the pair it
+    was first reached from.  With ``witness`` a hit returns, instead of
+    ``True``, the label word the walk got there by (a shortest accepted
+    word that labels a path from one of the start nodes; the empty tuple
+    when the empty word is accepted) and a miss returns ``None``.  The word
+    is rebuilt from the parent links on the hit only, so a walk does the
+    same work -- and counts the same ``stats`` -- either way.
 
     With ``end`` the accepted path must additionally stop at that node (the
     binary semantics' pair test).  ``max_depth`` bounds the accepted word's
@@ -320,23 +331,24 @@ def any_selects(
     """
     starts = list(node_ids)
     moves = bind(index, query)
+    miss = None if witness else False
     if not starts or moves.empty:
-        return False
+        return miss
     if moves.accepts_empty and (end is None or end in starts):
-        return True
+        return () if witness else True
     span, rows = moves.span, moves.rows
     fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
 
-    # Sparse visited set (int-coded pairs): early exits usually touch a tiny
-    # fraction of the product, so a dense |V|*span bitmap would cost more to
-    # allocate than the whole search.
-    visited: set[int] = set()
+    # Sparse visited map (int-coded pair -> the pair it was reached from, -1
+    # for a start): early exits usually touch a tiny fraction of the product,
+    # so a dense |V|*span table would cost more to allocate than the search.
+    visited: dict[int, int] = {}
     level: list[int] = []
     for node in starts:
         for initial in moves.initials:
             code = node * span + initial
             if code not in visited:
-                visited.add(code)
+                visited[code] = -1
                 level.append(code)
 
     expanded = 0
@@ -356,21 +368,53 @@ def any_selects(
                         continue
                     scanned += stop - start
                     if accepting and end is None:
+                        if witness:
+                            return _witness_word(index, moves, visited, code, label_id)
                         return True
                     for target_node in fwd_targets[label_id][start:stop]:
                         if accepting and target_node == end:
+                            if witness:
+                                return _witness_word(index, moves, visited, code, label_id)
                             return True
                         base = target_node * span
                         for target_state in targets:
                             target_code = base + target_state
                             if target_code not in visited:
-                                visited.add(target_code)
+                                visited[target_code] = code
                                 next_level.append(target_code)
             level = next_level
-        return False
+        return miss
     finally:
         if stats is not None:
             stats.add(expanded, scanned)
+
+
+def _witness_word(
+    index: GraphIndex, moves: BoundMoves, parents: dict[int, int], code: int, label_id: int
+) -> Word:
+    """The word of the BFS tree path to pair ``code``, then ``label_id``.
+
+    ``parents`` is :func:`any_selects`' visited map.  Each tree edge's label
+    is the first move of the parent's row that reaches the child -- the
+    move the walk discovered it by.
+    """
+    span, rows = moves.span, moves.rows
+    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
+    label_ids = [label_id]
+    parent = parents[code]
+    while parent >= 0:
+        node, state = divmod(code, span)
+        origin, origin_state = divmod(parent, span)
+        for move_label, targets, _ in rows[origin_state]:
+            offsets = fwd_offsets[move_label]
+            if state in targets and node in fwd_targets[move_label][
+                offsets[origin] : offsets[origin + 1]
+            ]:
+                label_ids.append(move_label)
+                break
+        code, parent = parent, parents[parent]
+    labels_by_id = index.labels_by_id
+    return tuple(labels_by_id[label] for label in reversed(label_ids))
 
 
 def evaluate_all(

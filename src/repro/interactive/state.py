@@ -18,7 +18,9 @@ re-learn.  This module is the engine-native replacement:
   only what a new label can change: a positive label leaves the coverage
   automaton, the informative set and the ``NegativeCoverage`` prefix cache
   untouched (certainty is monotone, Lemma 4.1), while a negative label
-  invalidates exactly those three; and when the new positive's smallest
+  invalidates exactly those three (the merge guard's witness words, which
+  stay true under a growing negative set, move on to the next
+  ``NegativeCoverage``); and when the new positive's smallest
   consistent path is already among the learner's SCPs, the previous
   MergeFold hypothesis is provably identical and is reused without
   re-learning.
@@ -37,7 +39,7 @@ from repro.engine.engine import QueryEngine
 from repro.engine.index import GraphIndex
 from repro.errors import InteractionError
 from repro.graphdb.graph import GraphDB, Node
-from repro.graphdb.paths import covered_by, enumerate_paths
+from repro.graphdb.paths import covered_by
 from repro.learning.learner import LearnerResult, learn_path_query
 from repro.learning.sample import NEGATIVE, Sample
 from repro.learning.scp import NegativeCoverage
@@ -259,13 +261,16 @@ class SessionState:
     ======================  =======================  =====================
     uncovered-words table    negative label, k move   positive labels
     k-informative set        negative label, k move   positive labels [#]_
-    NegativeCoverage cache   negative label           positive labels, k moves
+    NegativeCoverage cache   negative label [#]_      positive labels, k moves
     learner result           negative label, new SCP  positives w/ known SCP
     ======================  =======================  =====================
 
     .. [#] a positive label only removes the labeled node itself from the
        set -- certainty is monotone in the sample (Lemma 4.1), so no other
        node's verdict can change.
+    .. [#] its prefix frontiers; the merge guard's remembered witness words
+       are carried over to the grown negative set (``paths_G(S-)`` only
+       grows with ``S-``).
     """
 
     def __init__(
@@ -308,6 +313,8 @@ class SessionState:
             "count_queries": 0,
             "full_learns": 0,
             "reused_learns": 0,
+            "guard_memo_hits": 0,
+            "guard_walks": 0,
         }
         # Mirror the counters into the engine's metrics registry as computed
         # gauges (one registration per session; a newer session for the same
@@ -334,7 +341,6 @@ class SessionState:
             self._table_index = None
             self._informative = None
             self._informative_nodes.clear()
-            self._coverage = None
             self._pending_negatives.append(node)
         else:
             # Lemma 4.1 monotonicity: a positive label cannot make any other
@@ -485,11 +491,18 @@ class SessionState:
     # -- learning -------------------------------------------------------------
 
     def coverage(self) -> NegativeCoverage:
-        """The shared SCP prefix cache for the current negative set."""
-        if self._coverage is None or not self._coverage.is_current(
-            self.graph, self.sample.negatives
-        ):
-            self._coverage = NegativeCoverage(self._index(), self.sample.negatives)
+        """The shared :class:`NegativeCoverage` of the current negative set.
+
+        Rebuilt when the negative set or the graph's index moved; a grown
+        negative set on the same index inherits the remembered witness words
+        (``paths_G(S-)`` only grows with ``S-``).
+        """
+        negatives = self.sample.negatives
+        stale = self._coverage
+        if stale is None:
+            self._coverage = NegativeCoverage(self._index(), negatives)
+        elif not stale.is_current(self.graph, negatives):
+            self._coverage = stale.extended(self._index(), negatives)
         return self._coverage
 
     def _reusable_result(self, k: int) -> LearnerResult | None:
@@ -539,15 +552,9 @@ class SessionState:
         fresh: dict[Node, tuple] = {}
         if self._pending_positives:
             coverage = self.coverage()
+            alphabet = self.graph.alphabet
             for node in self._pending_positives:
-                word = next(
-                    (
-                        path
-                        for path in enumerate_paths(self.graph, node, max_length=k)
-                        if not coverage.covers(path)
-                    ),
-                    None,
-                )
+                word = coverage.smallest_uncovered_path(node, k, alphabet)
                 if word is None or word not in prev_words:
                     return None
                 fresh[node] = word
@@ -571,6 +578,7 @@ class SessionState:
                 span.set(reused=True)
             else:
                 coverage = self.coverage()
+                hits, walks = coverage.guard_memo_hits, coverage.guard_walks
                 result = learn_path_query(
                     self.graph, self.sample, k=k, engine=self.engine, coverage=coverage
                 )
@@ -582,6 +590,8 @@ class SessionState:
                         self.graph, self.sample, k=learn_k, engine=self.engine, coverage=coverage
                     )
                     self.counters["full_learns"] += 1
+                self.counters["guard_memo_hits"] += coverage.guard_memo_hits - hits
+                self.counters["guard_walks"] += coverage.guard_walks - walks
                 span.set(reused=False, final_k=result.k)
         self.last_result = result
         self._pending_positives.clear()

@@ -14,12 +14,12 @@ effectively uses and runs in polynomial time.
 
 from __future__ import annotations
 
-from repro.automata.dfa import DFA
 from repro.automata.operations import language_included
 from repro.engine.engine import QueryEngine
 from repro.graphdb.graph import GraphDB
-from repro.graphdb.paths import enumerate_paths, paths_nfa
+from repro.graphdb.paths import paths_nfa
 from repro.learning.sample import Sample
+from repro.learning.scp import NegativeCoverage
 
 
 def is_consistent(graph: GraphDB, sample: Sample) -> bool:
@@ -52,24 +52,15 @@ def bounded_consistent(graph: GraphDB, sample: Sample, *, k: int, engine: QueryE
     may still be consistent via longer paths.
     """
     sample.check_against(graph)
-    negatives = sample.negatives
-    if not negatives:
+    if not sample.negatives:
         # Every positive's empty path is trivially uncovered.
         return True
+    coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
     alphabet = graph.alphabet
-    for node in sample.positives:
-        found = False
-        for path in enumerate_paths(graph, node, max_length=k):
-            # "path not covered by any negative" is exactly "the single-word
-            # query of path selects no negative"; the engine's early-exit
-            # kernel answers it on the shared CSR index, and the compiled
-            # word plan is cached across the learner's repeated checks.
-            if not engine.any_selects(graph, DFA.single_word(alphabet, path), negatives):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return all(
+        coverage.smallest_uncovered_path(node, k, alphabet) is not None
+        for node in sample.positives
+    )
 
 
 def sample_has_consistent_query(

@@ -12,6 +12,18 @@ paper exactly:
 4. return the resulting query if it selects *every* positive node (including
    the ones that contributed no SCP), otherwise return null.
 
+Steps 1 and 3 both question the fixed language ``paths_G(S-)``, and both go
+through one :class:`~repro.learning.scp.NegativeCoverage`: its prefix cache
+answers "is this word covered?", and its witness memo answers most of the
+merge guard's "does this candidate select a negative?" without touching the
+graph -- a candidate that accepts a word an earlier candidate was rejected
+by is rejected by the same word (sound because every remembered word is in
+``paths_G(S-)``; the verdicts, hence the learned queries, are those of a
+guard that walks every candidate).  The coverage lives for one learning
+episode: :func:`learn_with_dynamic_k` builds one and hands it to every
+``k`` attempt, the interactive session keeps one across rounds, and a bare
+:func:`learn_path_query` call builds its own.
+
 Section 5.1 sets ``k`` dynamically in the experiments (start at 2, grow while
 the learned query misses a positive); :func:`learn_with_dynamic_k` implements
 that procedure.
@@ -23,13 +35,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.automata.alphabet import Word
-from repro.automata.kernel import MergeFold, fold_generalize, pta_table
-from repro.automata.minimize import canonical_dfa
+from repro.automata.kernel import fold_generalize, pta_table
+from repro.automata.minimize import canonical_table
 from repro.engine.engine import QueryEngine
 from repro.errors import LearningError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
 from repro.learning.sample import Sample
-from repro.learning.scp import select_smallest_consistent_paths
+from repro.learning.scp import NegativeCoverage, select_smallest_consistent_paths
 from repro.queries.path_query import PathQuery
 
 #: Default path-length bound, the value Section 5.1 reports as sufficient in
@@ -142,9 +154,10 @@ def learn_path_query(
 
     ``engine`` is the query engine used by the SCP selection, the merge
     guard and the final positives check.  ``coverage`` is an optional prebuilt
-    :class:`~repro.learning.scp.NegativeCoverage` for the sample's negatives,
-    forwarded to the SCP selection (the interactive session reuses one across
-    rounds while the negative set is unchanged).
+    :class:`~repro.learning.scp.NegativeCoverage` for the sample's negatives
+    (the dynamic-``k`` procedure shares one across its attempts, the
+    interactive session across rounds while the negative set is unchanged);
+    a stale or mismatched one raises :class:`~repro.errors.LearningError`.
     :meth:`repro.api.Workspace.learn` calls this with the workspace engine.
     """
     if k < 0:
@@ -157,6 +170,8 @@ def learn_path_query(
         # consistent, but none is informative; the learner abstains.
         return LearnerResult(query=None, k=k, elapsed=time.perf_counter() - started)
 
+    if coverage is None:
+        coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
     telemetry = engine.telemetry
     with telemetry.span(
         "learner.learn",
@@ -181,43 +196,48 @@ def learn_path_query(
         # The whole select/merge/check loop runs on the int-coded kernel: the
         # PTA is built directly as a TableDFA from the interned SCPs, candidate
         # merges mutate one MergeFold in place (undo log, no copies), and the
-        # guard walks the fold against the engine's CSR index without plan
-        # compilation.
+        # guard runs each fold on the coverage's remembered witness words
+        # before it walks it against the engine's CSR index (early-exit
+        # multi-source product BFS, no plan compilation).
         pta = pta_table(graph.alphabet, scps.values())
 
-        negatives = sample.negatives
-
-        def violates(candidate: MergeFold) -> bool:
-            if not negatives:
-                return False
-            # Early-exit multi-source product BFS on the engine's CSR index; the
-            # graph is indexed once for the whole merge loop, and each one-shot
-            # candidate skips plan compilation entirely (ephemeral).
-            return engine.any_selects(graph, candidate, negatives, ephemeral=True)
+        def violates(candidate) -> bool:
+            return coverage.violates(candidate, graph=graph, engine=engine)
 
         with telemetry.span("learner.generalize", pta_states=pta.n) as merge_span:
+            calls_before, hits_before = coverage.guard_calls, coverage.guard_memo_hits
             fold = fold_generalize(pta, violates)
-            canonical = canonical_dfa(fold.to_table())
-            merge_span.set(generalized_states=len(canonical))
+            canonical = canonical_table(fold.to_table())
+            calls = coverage.guard_calls - calls_before
+            hits = coverage.guard_memo_hits - hits_before
+            merge_span.set(
+                generalized_states=canonical.n,
+                guard_calls=calls,
+                guard_memo_hits=hits,
+                guard_walks=calls - hits,
+            )
 
         with telemetry.span("learner.final_check"):
+            # One-shot walks of the table as it stands: fingerprinting and
+            # compiling a plan per learner call would cost more than they save.
             selects_all = all(
-                engine.selects(graph, canonical, node) for node in sample.positives
+                engine.selects(graph, canonical, node, ephemeral=True)
+                for node in sample.positives
             )
-        hypothesis = PathQuery(canonical)
+        hypothesis = PathQuery._from_canonical(canonical)
         query = hypothesis if selects_all else None
         span.set(
             outcome="learned" if selects_all else "null",
             scps=len(scps),
             pta_states=pta.n,
-            generalized_states=len(canonical),
+            generalized_states=canonical.n,
         )
         return LearnerResult(
             query=query,
             k=k,
             scps=scps,
             pta_states=pta.n,
-            generalized_states=len(canonical),
+            generalized_states=canonical.n,
             positives_without_scp=positives_without_scp,
             selects_all_positives=selects_all,
             hypothesis=hypothesis,
@@ -233,12 +253,14 @@ def dynamic_k_procedure(
     k_start: int = DEFAULT_K,
     k_max: int = 6,
     engine: QueryEngine,
+    **shared,
 ):
     """The dynamic-``k`` procedure of Section 5.1 over any fixed-``k`` learner.
 
     ``learn`` is any ``(graph, sample, *, k, engine)`` learner returning a
     result with ``is_null`` and ``elapsed`` (Algorithm 1, 2, 3 or the SCP
-    baseline).  Start with ``k = k_start``; as long as the learner abstains,
+    baseline); ``shared`` keywords are handed to every attempt unchanged.
+    Start with ``k = k_start``; as long as the learner abstains,
     increment ``k`` and retry, up to ``k_max``.  Returns the first
     non-abstaining result, or the last (abstaining) result if ``k_max`` is
     reached without success.  The returned ``elapsed`` covers the whole
@@ -249,7 +271,7 @@ def dynamic_k_procedure(
         raise LearningError("need 0 <= k_start <= k_max")
     total_elapsed = 0.0
     for k in range(k_start, k_max + 1):
-        result = learn(graph, sample, k=k, engine=engine)
+        result = learn(graph, sample, k=k, engine=engine, **shared)
         total_elapsed += result.elapsed
         if not result.is_null:
             break
@@ -264,7 +286,20 @@ def learn_with_dynamic_k(
     k_max: int = 6,
     engine: QueryEngine,
 ) -> LearnerResult:
-    """Algorithm 1 under the dynamic-``k`` procedure of Section 5.1."""
+    """Algorithm 1 under the dynamic-``k`` procedure of Section 5.1.
+
+    One learning episode: every ``k`` attempt shares one
+    :class:`~repro.learning.scp.NegativeCoverage`, so a retry re-walks neither
+    the prefixes nor the rejected candidates of the attempt before it.
+    """
+    sample.check_against(graph)
+    coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
     return dynamic_k_procedure(
-        learn_path_query, graph, sample, k_start=k_start, k_max=k_max, engine=engine
+        learn_path_query,
+        graph,
+        sample,
+        k_start=k_start,
+        k_max=k_max,
+        engine=engine,
+        coverage=coverage,
     )

@@ -18,6 +18,7 @@ from typing import TypeVar
 
 from repro.automata.alphabet import Alphabet, Word
 from repro.automata.dfa import DFA
+from repro.automata.kernel import TableDFA
 from repro.automata.minimize import canonical_dfa
 from repro.automata.nfa import NFA
 from repro.automata.operations import language_equivalent
@@ -83,11 +84,16 @@ class _RegexQuery:
             table = compile_table(expression, alphabet)
             if interned:
                 PARSE_CACHE.put(key, table)
-        # The table is canonical already, so the constructor's pass is
-        # skipped; the DFA is this query's own (callers may mutate it).
+        return cls._from_canonical(table, expression if interned else str(expression))
+
+    @classmethod
+    def _from_canonical(cls: type[Q], table: TableDFA, expression: str | None = None) -> Q:
+        """A query over an already-canonical table (``compile_table``'s or
+        ``canonical_table``'s output): the constructor's canonicalisation is
+        skipped.  The DFA is this query's own (callers may mutate it)."""
         query = cls.__new__(cls)
         query._dfa = table.to_dfa()
-        query._expression = expression if interned else str(expression)
+        query._expression = expression
         return query
 
     @property

@@ -119,9 +119,9 @@ def test_dynamic_k_elapsed_covers_all_attempts(monkeypatch):
     real = learner_mod.learn_path_query
     calls = []
 
-    def spy(graph, sample, *, k, engine):
+    def spy(graph, sample, *, k, engine, coverage=None):
         calls.append(k)
-        return replace(real(graph, sample, k=k, engine=engine), elapsed=1.0)
+        return replace(real(graph, sample, k=k, engine=engine, coverage=coverage), elapsed=1.0)
 
     monkeypatch.setattr(learner_mod, "learn_path_query", spy)
     sample = Sample(positives={"N2", "N6"}, negatives={"N5"})

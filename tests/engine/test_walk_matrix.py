@@ -8,7 +8,9 @@ the *same automaton*, handed over as a compiled plan (verbatim, i.e. what
 
 * answer every stop rule (any-of-nodes, pair, depth-bounded, whole-graph)
   exactly like the independent ``reference_*`` construction in
-  ``tests/oracles/product.py``, and
+  ``tests/oracles/product.py``,
+* on request hand back a *witness*: a shortest accepted word that labels a
+  path from one of the start nodes (to ``end``, for a pair), and
 * do exactly the same work: identical ``(states_expanded, edges_scanned)``
   whatever the representation.
 
@@ -29,13 +31,14 @@ from oracles.product import (
 )
 from test_engine_parity import EXPRESSIONS, random_graph
 
+from repro.automata.dfa import DFA
 from repro.automata.kernel import MergeFold, TableDFA, pta_table
 from repro.engine import QueryEngine, executor
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
 from repro.engine.plan import compile_plan
 from repro.graphdb import GraphDB
-from repro.graphdb.paths import enumerate_paths
+from repro.graphdb.paths import covered_by, enumerate_paths, enumerate_paths_between
 from repro.regex import compile_query
 
 LABELS = ["a", "b", "c"]
@@ -89,7 +92,7 @@ def population():
         yield graph, index, sorted(graph.nodes)[:4]
 
 
-def walk(rule, index, source, nodes, *, end=None, depth=None):
+def walk(rule, index, source, nodes, *, end=None, depth=None, witness=False):
     """Run one stop rule on one source; returns ``(answer, work counters)``."""
     stats = KernelStats()
     ids = index.node_ids
@@ -104,6 +107,7 @@ def walk(rule, index, source, nodes, *, end=None, depth=None):
             stats,
             end=None if end is None else ids[end],
             max_depth=depth,
+            witness=witness,
         )
     return answer, stats.mark()
 
@@ -140,6 +144,39 @@ class TestSourceByStopRule:
                 assert got == any(node in bounded for node in subset), depth
                 got, _ = walk("whole", index, forms[source], (), depth=depth)
                 assert got == bounded, depth
+
+    def test_witness(self, case, source):
+        """``witness=True``: same verdict, same work, and the word is real.
+
+        The word is accepted by the query, the object-level ``covered_by`` /
+        pair oracle finds it on the graph from the start nodes, and no
+        shorter accepted path exists (BFS depth = shortest witness).
+        """
+        forms = representations(case)
+        dfa = forms["dfa"]
+        for graph, index, subset in population():
+            calls = [(subset, {}), (subset, {"depth": 1}), (subset[:1], {"end": subset[-1]})]
+            for nodes, options in calls:
+                found, work = walk("any", index, forms[source], nodes, **options)
+                word, witness_work = walk(
+                    "any", index, forms[source], nodes, witness=True, **options
+                )
+                assert witness_work == work, (nodes, options)
+                assert (word is not None) == found, (nodes, options, word)
+                if word is None:
+                    continue
+                assert dfa.accepts(word)
+                end = options.get("end")
+                bound = len(word) - 1
+                if end is None:
+                    assert covered_by(graph, word, nodes)
+                    shorter = [enumerate_paths(graph, node, max_length=bound) for node in nodes]
+                else:
+                    only_word = DFA.single_word(graph.alphabet, word)
+                    assert reference_pair_selects(graph, only_word, nodes[0], end)
+                    shorter = [enumerate_paths_between(graph, nodes[0], end, max_length=bound)]
+                if word:  # nothing is shorter than the empty word
+                    assert not any(dfa.accepts(path) for paths in shorter for path in paths)
 
     def test_whole_graph(self, case, source):
         forms = representations(case)

@@ -235,6 +235,40 @@ class TestSharedCoverage:
             )
 
 
+    def test_a_new_negative_keeps_the_guards_words(self, seed=6):
+        """``paths_G(S-)`` only grows with ``S-``: the witness words a session
+        has paid for move on to the coverage of the grown negative set."""
+        graph = random_graph(seed, nodes=150, labels=6)
+        engine = QueryEngine()
+        goal = synthetic_queries(graph, alphabet_size=6)["syn2"]
+        selected = goal.evaluate(graph, engine=engine)
+        rng = random.Random(seed)
+        sample = Sample(
+            rng.sample(sorted(selected), 8), rng.sample(sorted(graph.nodes - selected), 8)
+        )
+        state = SessionState(graph, k=2, engine=engine, sample=sample)
+        first = state.learn(2, 4)
+        before = state.coverage()
+        walks, hits = state.counters["guard_walks"], state.counters["guard_memo_hits"]
+        assert before.words and walks >= len(before.words)
+
+        # A node the hypothesis wrongly selects: labeling it forces a re-learn.
+        wrong = min(first.hypothesis.evaluate(graph, engine=engine) - selected - sample.labeled)
+        sample = sample.with_negative(wrong)
+        state.observe(wrong, "-", sample)
+        after = state.coverage()
+        assert after is not before and after.nodes == sample.negatives
+        assert after.words == before.words
+        second = state.learn(2, 4)
+        assert state.counters["full_learns"] == 2 and state.counters["reused_learns"] == 0
+        assert state.counters["guard_memo_hits"] > hits
+
+        fresh = SessionState(graph, k=2, engine=QueryEngine(), sample=sample)
+        assert fresh.learn(2, 4).hypothesis == second.hypothesis
+        # The carried words saved the re-learn walks a fresh session pays for.
+        assert state.counters["guard_walks"] - walks < fresh.counters["guard_walks"]
+
+
 class TestSessionTranscriptParity:
     """The incremental session must be indistinguishable from the legacy one."""
 

@@ -161,6 +161,11 @@ class TestWorkspaceWiring:
         learn = next(r for r in telemetry.events() if r["name"] == "learner.learn")
         assert learn["attrs"]["outcome"] in ("learned", "null")
         assert learn["attrs"]["pta_states"] >= 1
+        # Where the guard's time went: memo hits + walks = calls, per attempt.
+        merges = [r["attrs"] for r in telemetry.events() if r["name"] == "learner.generalize"]
+        assert all(
+            m["guard_calls"] == m["guard_memo_hits"] + m["guard_walks"] > 0 for m in merges
+        )
 
     def test_interactive_session_emits_round_spans(self):
         telemetry = Telemetry(enabled=True, profile=True)
