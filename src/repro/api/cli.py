@@ -53,554 +53,96 @@ zero-copy through the storage layer).  Every graph-backed subcommand
 accepts ``--trace FILE`` (write a structured JSONL span trace) and
 ``--profile`` (attach per-query execution profiles to results).  Failures
 print ``{"ok": false, "error": {...}}`` and exit 1.
+
+The subcommands are one table (:data:`COMMANDS`).  Options that set a config
+field -- the engine, telemetry and daemon knobs, the learner's ``k`` /
+strategy / budget flags -- are generated from that field's declaration in
+:mod:`repro.api.config` (type, choices, default, help), and the configs are
+built back from the parsed flags the same way; only options no config field
+backs (``--expr``, ``--positives``, file arguments ...) are written out here.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from repro.api.config import (
-    PLANNERS,
-    STRATEGIES,
     EngineConfig,
     ExperimentConfig,
     InteractiveConfig,
     LearnerConfig,
+    ServiceConfig,
     TelemetryConfig,
 )
 from repro.api.result import Result
-from repro.api.workspace import FIGURE_GRAPHS, Workspace
+from repro.api.workspace import FIGURE_GRAPHS, QUERY_SEMANTICS, Workspace
 from repro.errors import ConfigError, ReproError
 from repro.learning.sample import BinarySample, Sample
 
+# -- options derived from the config declarations ---------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Learning path queries on graph databases (Bonifati-Ciucanu-Lemay, "
-            "EDBT 2015): learn, evaluate and benchmark regular path queries "
-            "from the command line."
-        ),
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_source(sub: argparse.ArgumentParser, *, remote: bool = False) -> None:
+def _flagged(config_cls: type):
+    """``(field, knob, option string, metavar)`` of every field that has a CLI flag."""
+    for spec in fields(config_cls):
+        knob = spec.metadata["knob"]
+        if knob.flag is not None:
+            option, _, metavar = knob.flag.partition(" ")
+            yield spec, knob, option, metavar or None
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, config_cls: type) -> None:
+    """One option per flagged field: type, choices, default and help all come
+    from the field's declaration in :mod:`repro.api.config`."""
+    for spec, knob, option, metavar in _flagged(config_cls):
+        check, doc = knob.check, knob.doc.replace("%", "%%")
+        if check.kind is bool:
+            # A switch flips the field away from its default (--fixed-k, --profile).
+            help_text = f"turn off: {doc}" if spec.default else doc
+            sub.add_argument(option, dest=spec.name, action="store_true", help=help_text)
+            continue
+        default = None if check.many or spec.default is None else spec.default * knob.per_unit
+        if default is not None:
+            doc += " (default %(default)s)"
+        kwargs: dict = {"choices": check.choices} if check.choices else {}
+        if check.kind is not str and not check.many:
+            kwargs["type"] = check.kind
         sub.add_argument(
-            "--indent",
-            type=int,
-            default=2,
-            help="JSON indentation of the envelope (default 2; 0 for compact)",
-        )
-        source = sub.add_mutually_exclusive_group(required=True)
-        source.add_argument(
-            "--graph", metavar="FILE", help="graph file (.tsv edge list or .json)"
-        )
-        source.add_argument(
-            "--figure",
-            choices=FIGURE_GRAPHS,
-            help="one of the paper's figure graphs instead of a file",
-        )
-        source.add_argument(
-            "--snapshot",
-            metavar="FILE",
-            help="binary .rgz snapshot (opened zero-copy, no graph rebuild)",
-        )
-        if remote:
-            source.add_argument(
-                "--remote",
-                metavar="HOST:PORT",
-                help="send the request to a running 'repro serve' daemon",
-            )
-            sub.add_argument(
-                "--tenant",
-                default="cli",
-                help="tenant id for --remote requests (default 'cli')",
-            )
-            sub.add_argument(
-                "--dataset",
-                default=None,
-                help="with --remote: the server-side snapshot name to query",
-            )
-        sub.add_argument(
-            "--plan-cache-size", type=int, default=256, help="engine plan cache capacity"
-        )
-        sub.add_argument(
-            "--result-cache-size",
-            type=int,
-            default=1024,
-            help="engine result cache capacity",
-        )
-        sub.add_argument(
-            "--backend",
-            choices=("auto", "python", "numpy"),
-            default="auto",
-            help="kernel backend (auto: numpy when installed, else python)",
-        )
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="shard whole-graph kernels across this many worker processes "
-            "(snapshot-backed graphs only; 1 = in-process)",
-        )
-        sub.add_argument(
-            "--min-shard-edges",
-            type=int,
-            default=50_000,
-            metavar="N",
-            help="smallest graph (in edges) worth sharding across --workers "
-            "(default 50000; 0 = always shard)",
-        )
-        sub.add_argument(
-            "--planner",
-            choices=PLANNERS,
-            default="auto",
-            help="cost-based query planner (auto: rewrite automata and pick "
-            "kernels by estimated cost; off: verbatim compilation)",
-        )
-        sub.add_argument(
-            "--cache-budget",
-            type=int,
-            default=None,
-            metavar="BYTES",
-            help="byte budget shared by the engine caches (default: entry-count "
-            "capacity only)",
-        )
-        sub.add_argument(
-            "--trace",
-            metavar="FILE",
-            default=None,
-            help="write a structured JSONL span trace of the run to FILE",
-        )
-        sub.add_argument(
-            "--profile",
-            action="store_true",
-            help="attach per-query execution profiles to results",
+            option, dest=spec.name, default=default, metavar=metavar, help=doc, **kwargs
         )
 
-    learn = subparsers.add_parser(
-        "learn", help="learn a query from labeled nodes (Algorithm 1/2)"
-    )
-    add_graph_source(learn)
-    learn.add_argument(
-        "--positives",
-        required=True,
-        help="comma-separated positive nodes (binary semantics: origin:end pairs)",
-    )
-    learn.add_argument(
-        "--negatives",
-        default="",
-        help="comma-separated negative nodes (binary semantics: origin:end pairs)",
-    )
-    learn.add_argument(
-        "--semantics", choices=("path", "binary"), default="path", help="query semantics"
-    )
-    learn.add_argument("--k", type=int, default=2, help="path-length bound k")
-    learn.add_argument(
-        "--k-max", type=int, default=6, help="upper bound for the dynamic-k procedure"
-    )
-    learn.add_argument(
-        "--fixed-k",
-        action="store_true",
-        help="disable the dynamic-k procedure (use exactly --k)",
-    )
-    learn.add_argument(
-        "--no-generalize",
-        action="store_true",
-        help="use the disjunction-of-SCPs baseline instead of generalization",
-    )
 
-    query = subparsers.add_parser("query", help="evaluate a regular path query")
-    add_graph_source(query, remote=True)
-    query.add_argument("--expr", required=True, help="the regular path query expression")
-    query.add_argument(
-        "--semantics",
-        choices=("path", "binary"),
-        default="path",
-        help="monadic node selection (path) or classical pair selection (binary)",
-    )
-
-    explain = subparsers.add_parser(
-        "explain",
-        help="plan a query without running it (rewrites, costs, chosen kernel)",
-    )
-    add_graph_source(explain)
-    explain.add_argument("--expr", required=True, help="the regular path query expression")
-    explain.add_argument(
-        "--semantics",
-        choices=("path", "binary"),
-        default="path",
-        help="monadic node selection (path) or classical pair selection (binary)",
-    )
-
-    experiment = subparsers.add_parser(
-        "experiment", help="run a Section 5 experiment on the graph"
-    )
-    add_graph_source(experiment)
-    experiment.add_argument("--goal", required=True, help="the goal query expression")
-    experiment.add_argument(
-        "--scenario",
-        choices=("static", "interactive"),
-        default="static",
-        help="static sweep (Figures 11/12) or interactive loop (Table 2)",
-    )
-    experiment.add_argument("--seed", type=int, default=0, help="random seed")
-    experiment.add_argument("--k-start", type=int, default=2, help="initial k")
-    experiment.add_argument("--k-max", type=int, default=4, help="maximal k")
-    experiment.add_argument(
-        "--fractions",
-        default=None,
-        help="static scenario: comma-separated labeled fractions (e.g. 0.05,0.1)",
-    )
-    experiment.add_argument(
-        "--no-generalize",
-        action="store_true",
-        help="static scenario: use the disjunction-of-SCPs baseline",
-    )
-    experiment.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="kR",
-        help="interactive scenario: node-selection strategy",
-    )
-    experiment.add_argument(
-        "--max-interactions",
-        type=int,
-        default=None,
-        help="interactive scenario: interaction budget (default: 10%% of nodes)",
-    )
-    experiment.add_argument(
-        "--target-f1",
-        type=float,
-        default=1.0,
-        help="interactive scenario: halt threshold (1.0 = paper's strongest)",
-    )
-
-    interactive = subparsers.add_parser(
-        "interactive",
-        help="run the Figure 9 interactive loop against a goal query",
-    )
-    add_graph_source(interactive)
-    interactive.add_argument("--goal", required=True, help="the goal query expression")
-    interactive.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="kR",
-        help="node-selection strategy (default kR)",
-    )
-    interactive.add_argument("--seed", type=int, default=0, help="random seed")
-    interactive.add_argument("--k-start", type=int, default=2, help="initial k")
-    interactive.add_argument("--k-max", type=int, default=6, help="maximal k")
-    interactive.add_argument(
-        "--max-interactions",
-        type=int,
-        default=None,
-        help="interaction budget (default: unbounded, halt on goal/exhaustion)",
-    )
-    interactive.add_argument(
-        "--pool-size",
-        type=int,
-        default=512,
-        help="candidate pool per round (0 = full scan; default 512)",
-    )
-    interactive.add_argument(
-        "--target-f1",
-        type=float,
-        default=1.0,
-        help="halt threshold (1.0 = paper's strongest condition)",
-    )
-    interactive.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        default=None,
-        help=(
-            "session checkpoint JSON: resumed from if the file exists, "
-            "written (updated) when the run stops"
-        ),
-    )
-
-    bench = subparsers.add_parser(
-        "bench", help="repeat query evaluations to exercise the engine caches"
-    )
-    add_graph_source(bench)
-    bench.add_argument(
-        "--expr",
-        action="append",
-        required=True,
-        help="query expression to evaluate (repeatable)",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=100, help="evaluations per expression (default 100)"
-    )
-
-    ingest = subparsers.add_parser(
-        "ingest",
-        help="bulk-load an edge file into a binary .rgz snapshot (storage layer)",
-    )
-    ingest.add_argument("--indent", type=int, default=2, help="JSON indentation of the envelope")
-    ingest.add_argument(
-        "--input",
-        required=True,
-        metavar="FILE",
-        help="edge file (.tsv/.jsonl/.csv, '.gz' decompressed on the fly)",
-    )
-    ingest.add_argument(
-        "--format",
-        choices=("auto", "edge-list", "jsonl", "csv"),
-        default="auto",
-        help="input format (default: guessed from the suffix)",
-    )
-    ingest.add_argument(
-        "--output", metavar="FILE", default=None, help="snapshot file to write (.rgz)"
-    )
-    ingest.add_argument(
-        "--catalog", metavar="DIR", default=None, help="register the snapshot here"
-    )
-    ingest.add_argument(
-        "--name", default=None, help="catalog name (default: the input file's stem)"
-    )
-    ingest.add_argument(
-        "--on-error",
-        choices=("raise", "skip"),
-        default="raise",
-        help="malformed-line policy (default raise)",
-    )
-    ingest.add_argument(
-        "--max-errors",
-        type=int,
-        default=None,
-        help="with --on-error skip: abort after this many malformed lines",
-    )
-
-    info = subparsers.add_parser(
-        "info",
-        help="inspect a .rgz snapshot header or list a snapshot catalog",
-    )
-    info.add_argument("--indent", type=int, default=2, help="JSON indentation of the envelope")
-    info_source = info.add_mutually_exclusive_group(required=True)
-    info_source.add_argument("--snapshot", metavar="FILE", help="snapshot file to describe")
-    info_source.add_argument("--catalog", metavar="DIR", help="catalog directory to describe")
-    info.add_argument("--name", default=None, help="with --catalog: describe one named snapshot")
-
-    stats = subparsers.add_parser(
-        "stats",
-        help="report engine/cache/storage economics for a graph workspace",
-    )
-    add_graph_source(stats, remote=True)
-    stats.add_argument(
-        "--expr",
-        action="append",
-        default=None,
-        help="query traffic to drive before reporting (repeatable)",
-    )
-    stats.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="evaluations per --expr expression (default 1)",
-    )
-    stats.add_argument(
-        "--prometheus",
-        action="store_true",
-        help="include the Prometheus text exposition in the envelope",
-    )
-    stats.add_argument(
-        "--trace-file",
-        metavar="FILE",
-        default=None,
-        help="also summarize span timings and cache economics from this JSONL trace",
-    )
-    stats.add_argument(
-        "--tenants",
-        action="store_true",
-        help="with --remote: report the daemon's per-tenant accounting table",
-    )
-
-    trace = subparsers.add_parser(
-        "trace",
-        help="tail, summarize or reconstruct a structured JSONL span trace",
-    )
-    trace.add_argument("--indent", type=int, default=2, help="JSON indentation of the envelope")
-    trace.add_argument(
-        "--file",
-        required=True,
-        action="append",
-        metavar="FILE",
-        help="a JSONL trace file (repeatable: e.g. the client's and the "
-        "server's files of one distributed trace)",
-    )
-    trace.add_argument(
-        "--tail",
-        type=int,
-        default=None,
-        help="show the last N trace records instead of the summary",
-    )
-    trace.add_argument(
-        "--id",
-        dest="trace_id",
-        metavar="TRACE_ID",
-        default=None,
-        help="reconstruct one distributed trace as a span tree (records "
-        "tagged with this trace id across every --file)",
-    )
-
-    slow = subparsers.add_parser(
-        "slow",
-        help="tail or summarize a daemon's slow-query log (serve --slow-log)",
-    )
-    slow.add_argument("--indent", type=int, default=2, help="JSON indentation of the envelope")
-    slow.add_argument("--file", required=True, metavar="FILE", help="the slow-query JSONL log")
-    slow.add_argument(
-        "--tail",
-        type=int,
-        default=None,
-        help="show the last N slow-query entries instead of the summary",
-    )
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the query-service daemon over a catalog of snapshots",
-    )
-    serve.add_argument("--indent", type=int, default=2, help="JSON indentation of the envelope")
-    serve.add_argument(
-        "--catalog", metavar="DIR", default=None, help="snapshot catalog directory"
-    )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default loopback)")
-    serve.add_argument(
-        "--port", type=int, default=0, help="bind port (default 0 = ephemeral, printed on start)"
-    )
-    serve.add_argument(
-        "--snapshots",
-        default=None,
-        help="comma-separated catalog names to preload (default: all registered)",
-    )
-    serve.add_argument(
-        "--default-snapshot",
-        default=None,
-        help="snapshot answering requests that name none (default: first preloaded)",
-    )
-    serve.add_argument(
-        "--max-concurrent", type=int, default=32, help="global in-flight request cap"
-    )
-    serve.add_argument(
-        "--per-tenant", type=int, default=8, help="per-tenant in-flight request cap"
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=64, help="batch queue bound (shed past it)"
-    )
-    serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch coalescing window in milliseconds",
-    )
-    serve.add_argument(
-        "--batch-max", type=int, default=16, help="maximal queries per micro-batch"
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("auto", "python", "numpy"),
-        default="auto",
-        help="kernel backend of every dataset engine",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard worker processes per dataset engine (1 = in-process)",
-    )
-    serve.add_argument(
-        "--min-shard-edges",
-        type=int,
-        default=50_000,
-        metavar="N",
-        help="smallest graph (in edges) worth sharding across --workers "
-        "(default 50000; 0 = always shard)",
-    )
-    serve.add_argument(
-        "--planner",
-        choices=PLANNERS,
-        default="auto",
-        help="cost-based query planner of every dataset engine",
-    )
-    serve.add_argument(
-        "--cache-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="byte budget of every dataset engine's caches",
-    )
-    serve.add_argument(
-        "--no-share-caches",
-        action="store_true",
-        help="give each dataset workspace private caches instead of sharing "
-        "them by snapshot content identity",
-    )
-    serve.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help="serve Prometheus text on this HTTP port (GET /metrics)",
-    )
-    serve.add_argument(
-        "--metrics-file",
-        metavar="FILE",
-        default=None,
-        help="write the final Prometheus text here on shutdown",
-    )
-    serve.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write the daemon's structured JSONL span trace to FILE "
-        "(request spans parent onto client-supplied trace contexts)",
-    )
-    serve.add_argument(
-        "--slow-log",
-        metavar="FILE",
-        default=None,
-        help="append queries slower than --slow-query-ms to FILE as JSONL "
-        "(full profile + plan explanation; 'repro slow' reads it)",
-    )
-    serve.add_argument(
-        "--slow-query-ms",
-        type=float,
-        default=1000.0,
-        metavar="MS",
-        help="slow-query latency threshold in milliseconds (default 1000)",
-    )
-    serve.add_argument(
-        "--allow-remote-shutdown",
-        action="store_true",
-        help="let clients stop the server via the shutdown op (tests/CI)",
-    )
-
-    return parser
+def _config_from_args(config_cls: type, args: argparse.Namespace, **overrides):
+    """Build ``config_cls`` from its parsed flags (``overrides`` win)."""
+    values = {}
+    for spec, knob, option, _metavar in _flagged(config_cls):
+        raw, check = getattr(args, spec.name), knob.check
+        if check.kind is bool:
+            values[spec.name] = spec.default != raw
+        elif check.many:
+            if raw is not None:  # comma-separated; absent keeps the field's default
+                try:
+                    values[spec.name] = tuple(check.kind(item) for item in _split_csv(raw))
+                except ValueError as error:
+                    raise ConfigError(f"malformed {option} value: {error}") from error
+        else:
+            values[spec.name] = raw if raw is None or knob.per_unit == 1 else raw / knob.per_unit
+    return config_cls(**{**values, **overrides})
 
 
 def _make_workspace(args: argparse.Namespace) -> Workspace:
-    engine_config = EngineConfig(
-        plan_cache_size=args.plan_cache_size,
-        result_cache_size=args.result_cache_size,
-        backend=getattr(args, "backend", "auto"),
-        workers=getattr(args, "workers", 1),
-        min_shard_edges=getattr(args, "min_shard_edges", 50_000),
-        planner=getattr(args, "planner", "auto"),
-        cache_budget_bytes=getattr(args, "cache_budget", None),
-    )
-    kwargs: dict = {"engine_config": engine_config}
-    if args.trace is not None or args.profile:
-        kwargs["telemetry_config"] = TelemetryConfig(
-            enabled=args.trace is not None,
-            trace_path=args.trace,
-            profile=args.profile,
-        )
-    if getattr(args, "snapshot", None) is not None:
+    kwargs = {
+        "engine_config": _config_from_args(EngineConfig, args),
+        "telemetry_config": _config_from_args(TelemetryConfig, args),
+    }
+    if args.snapshot is not None:
         return Workspace.open_snapshot(args.snapshot, **kwargs)
     if args.graph is not None:
         return Workspace.from_file(args.graph, **kwargs)
@@ -633,12 +175,8 @@ def _cmd_learn(args: argparse.Namespace, workspace: Workspace) -> Result:
         sample: Sample | BinarySample = BinarySample(positives, negatives)
     else:
         sample = Sample(positives, negatives)
-    config = LearnerConfig(
-        k=args.k,
-        k_max=max(args.k, args.k_max),
-        dynamic_k=not args.fixed_k,
-        semantics=args.semantics,
-        generalize=not args.no_generalize,
+    config = _config_from_args(
+        LearnerConfig, args, semantics=args.semantics, k_max=max(args.k, args.k_max)
     )
     return workspace.learn(sample, config)
 
@@ -652,38 +190,15 @@ def _cmd_explain(args: argparse.Namespace, workspace: Workspace) -> Result:
 
 
 def _cmd_experiment(args: argparse.Namespace, workspace: Workspace) -> Result:
-    kwargs = dict(
-        goal=args.goal,
-        scenario=args.scenario,
-        seed=args.seed,
-        k_start=args.k_start,
-        k_max=args.k_max,
-        use_generalization=not args.no_generalize,
-        strategy=args.strategy,
-        max_interactions=args.max_interactions,
-        target_f1=args.target_f1,
-    )
-    if args.fractions is not None:
-        try:
-            kwargs["labeled_fractions"] = tuple(
-                float(fraction) for fraction in _split_csv(args.fractions)
-            )
-        except ValueError as error:
-            raise ConfigError(f"malformed --fractions value: {error}") from error
-    return workspace.run_experiment(ExperimentConfig(**kwargs))
+    return workspace.run_experiment(_config_from_args(ExperimentConfig, args, goal=args.goal))
 
 
 def _cmd_interactive(args: argparse.Namespace, workspace: Workspace) -> Result:
-    import os
-
-    config = InteractiveConfig(
-        strategy=args.strategy,
-        seed=args.seed,
-        k_start=args.k_start,
+    config = _config_from_args(
+        InteractiveConfig,
+        args,
         k_max=max(args.k_start, args.k_max),
-        max_interactions=args.max_interactions,
         pool_size=args.pool_size if args.pool_size > 0 else None,
-        target_f1=args.target_f1,
     )
     resume_from = (
         args.checkpoint
@@ -865,8 +380,8 @@ def _cmd_query_remote(args: argparse.Namespace) -> dict:
     # trace: the minted context travels on the wire, the daemon's spans
     # parent onto it, and 'repro trace --id' joins the two files back up.
     telemetry = (
-        TelemetryConfig(trace_path=args.trace).build()
-        if getattr(args, "trace", None) is not None
+        TelemetryConfig(trace_path=args.trace_path).build()
+        if args.trace_path is not None
         else None
     )
     try:
@@ -908,34 +423,9 @@ def _cmd_stats_remote(args: argparse.Namespace) -> dict:
 
 
 def _cmd_serve(args: argparse.Namespace) -> dict:
-    from repro.api.config import ServiceConfig
     from repro.service.server import QueryService
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        catalog_root=args.catalog,
-        snapshots=tuple(_split_csv(args.snapshots)) if args.snapshots else (),
-        default_snapshot=args.default_snapshot,
-        max_concurrent=args.max_concurrent,
-        per_tenant=args.per_tenant,
-        queue_depth=args.queue_depth,
-        batch_window=args.batch_window_ms / 1000.0,
-        batch_max=args.batch_max,
-        backend=args.backend,
-        workers=args.workers,
-        min_shard_edges=args.min_shard_edges,
-        planner=args.planner,
-        cache_budget_bytes=args.cache_budget,
-        share_caches=not args.no_share_caches,
-        metrics_port=args.metrics_port,
-        metrics_path=args.metrics_file,
-        allow_remote_shutdown=args.allow_remote_shutdown,
-        trace_path=args.trace,
-        slow_log_path=args.slow_log,
-        slow_query_seconds=args.slow_query_ms / 1000.0,
-    )
-    service = QueryService(config)
+    service = QueryService(_config_from_args(ServiceConfig, args))
     host, port = service.start()
     # One machine-readable ready line, flushed immediately, so wrappers
     # (tests, CI smoke, process supervisors) can discover the bound port.
@@ -981,54 +471,295 @@ def _cmd_info(args: argparse.Namespace) -> dict:
     }
 
 
+# -- the command table ---------------------------------------------------------
+
+
+def _opt(*flags: str, **kwargs) -> tuple:
+    """A hand-written option (one no config field backs), as ``add_argument`` input."""
+    return flags, kwargs
+
+
+class Command(NamedTuple):
+    """One subcommand: help, handler, and where its options come from."""
+
+    help: str
+    run: Callable  # run(args, workspace) with ``graph``, else run(args)
+    options: tuple = ()  # hand-written options
+    configs: tuple = ()  # config classes whose flagged fields become options
+    exclusive: tuple = ()  # options forming one required either/or group
+    graph: bool = False  # runs on a local workspace: graph source + engine/telemetry flags
+    remote: Callable | None = None  # run(args) instead when --remote HOST:PORT is given
+
+
+_GRAPH_SOURCES = (
+    _opt("--graph", metavar="FILE", help="graph file (.tsv edge list or .json)"),
+    _opt("--figure", choices=FIGURE_GRAPHS, help="one of the paper's figure graphs"),
+    _opt(
+        "--snapshot",
+        metavar="FILE",
+        help="binary .rgz snapshot (opened zero-copy, no graph rebuild)",
+    ),
+)
+_REMOTE = _opt(
+    "--remote", metavar="HOST:PORT", help="send the request to a running 'repro serve' daemon"
+)
+_REMOTE_OPTIONS = (
+    _opt("--tenant", default="cli", help="tenant id for --remote requests (default 'cli')"),
+    _opt("--dataset", default=None, help="with --remote: the server-side snapshot name to query"),
+)
+_INDENT = _opt(
+    "--indent", type=int, default=2, help="JSON indentation of the envelope (0 for compact)"
+)
+_EXPR = _opt("--expr", required=True, help="the regular path query expression")
+_GOAL = _opt("--goal", required=True, help="the goal query expression")
+_SEMANTICS = _opt(
+    "--semantics",
+    choices=QUERY_SEMANTICS,
+    default="path",
+    help="monadic node selection (path) or classical pair selection (binary)",
+)
+_TAIL = _opt("--tail", type=int, default=None, help="show the last N records, not the summary")
+
+COMMANDS = {
+    "learn": Command(
+        "learn a query from labeled nodes (Algorithm 1/2)",
+        _cmd_learn,
+        options=(
+            _opt(
+                "--positives",
+                required=True,
+                help="comma-separated positive nodes (binary semantics: origin:end pairs)",
+            ),
+            _opt(
+                "--negatives",
+                default="",
+                help="comma-separated negative nodes (binary semantics: origin:end pairs)",
+            ),
+            _SEMANTICS,
+        ),
+        configs=(LearnerConfig,),
+        graph=True,
+    ),
+    "query": Command(
+        "evaluate a regular path query",
+        _cmd_query,
+        options=(_EXPR, _SEMANTICS),
+        graph=True,
+        remote=_cmd_query_remote,
+    ),
+    "explain": Command(
+        "plan a query without running it (rewrites, costs, chosen kernel)",
+        _cmd_explain,
+        options=(_EXPR, _SEMANTICS),
+        graph=True,
+    ),
+    "experiment": Command(
+        "run a Section 5 experiment on the graph",
+        _cmd_experiment,
+        options=(_GOAL,),
+        configs=(ExperimentConfig,),
+        graph=True,
+    ),
+    "interactive": Command(
+        "run the Figure 9 interactive loop against a goal query",
+        _cmd_interactive,
+        options=(
+            _GOAL,
+            _opt(
+                "--checkpoint",
+                metavar="FILE",
+                default=None,
+                help="session checkpoint JSON: resumed from if the file exists, "
+                "written (updated) when the run stops",
+            ),
+        ),
+        configs=(InteractiveConfig,),
+        graph=True,
+    ),
+    "bench": Command(
+        "repeat query evaluations to exercise the engine caches",
+        _cmd_bench,
+        options=(
+            _opt(
+                "--expr",
+                action="append",
+                required=True,
+                help="query expression to evaluate (repeatable)",
+            ),
+            _opt("--repeat", type=int, default=100, help="evaluations per expression"),
+        ),
+        graph=True,
+    ),
+    "ingest": Command(
+        "bulk-load an edge file into a binary .rgz snapshot (storage layer)",
+        _cmd_ingest,
+        options=(
+            _opt(
+                "--input",
+                required=True,
+                metavar="FILE",
+                help="edge file (.tsv/.jsonl/.csv, '.gz' decompressed on the fly)",
+            ),
+            _opt(
+                "--format",
+                choices=("auto", "edge-list", "jsonl", "csv"),
+                default="auto",
+                help="input format (default: guessed from the suffix)",
+            ),
+            _opt("--output", metavar="FILE", default=None, help="snapshot file to write (.rgz)"),
+            _opt("--catalog", metavar="DIR", default=None, help="register the snapshot here"),
+            _opt("--name", default=None, help="catalog name (default: the input file's stem)"),
+            _opt(
+                "--on-error",
+                choices=("raise", "skip"),
+                default="raise",
+                help="malformed-line policy (default raise)",
+            ),
+            _opt(
+                "--max-errors",
+                type=int,
+                default=None,
+                help="with --on-error skip: abort after this many malformed lines",
+            ),
+        ),
+    ),
+    "info": Command(
+        "inspect a .rgz snapshot header or list a snapshot catalog",
+        _cmd_info,
+        options=(_opt("--name", default=None, help="with --catalog: describe one named snapshot"),),
+        exclusive=(
+            _opt("--snapshot", metavar="FILE", help="snapshot file to describe"),
+            _opt("--catalog", metavar="DIR", help="catalog directory to describe"),
+        ),
+    ),
+    "stats": Command(
+        "report engine/cache/storage economics for a graph workspace",
+        _cmd_stats,
+        options=(
+            _opt(
+                "--expr",
+                action="append",
+                default=None,
+                help="query traffic to drive before reporting (repeatable)",
+            ),
+            _opt("--repeat", type=int, default=1, help="evaluations per --expr expression"),
+            _opt(
+                "--prometheus",
+                action="store_true",
+                help="include the Prometheus text exposition in the envelope",
+            ),
+            _opt(
+                "--trace-file",
+                metavar="FILE",
+                default=None,
+                help="also summarize span timings and cache economics from this JSONL trace",
+            ),
+            _opt(
+                "--tenants",
+                action="store_true",
+                help="with --remote: report the daemon's per-tenant accounting table",
+            ),
+        ),
+        graph=True,
+        remote=_cmd_stats_remote,
+    ),
+    "trace": Command(
+        "tail, summarize or reconstruct a structured JSONL span trace",
+        _cmd_trace,
+        options=(
+            _opt(
+                "--file",
+                required=True,
+                action="append",
+                metavar="FILE",
+                help="a JSONL trace file (repeatable: e.g. the client's and the "
+                "server's files of one distributed trace)",
+            ),
+            _TAIL,
+            _opt(
+                "--id",
+                dest="trace_id",
+                metavar="TRACE_ID",
+                default=None,
+                help="reconstruct one distributed trace as a span tree (records "
+                "tagged with this trace id across every --file)",
+            ),
+        ),
+    ),
+    "slow": Command(
+        "tail or summarize a daemon's slow-query log (serve --slow-log)",
+        _cmd_slow,
+        options=(
+            _opt("--file", required=True, metavar="FILE", help="the slow-query JSONL log"),
+            _TAIL,
+        ),
+    ),
+    "serve": Command(
+        "run the query-service daemon over a catalog of snapshots",
+        _cmd_serve,
+        configs=(ServiceConfig,),
+    ),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Learning path queries on graph databases (Bonifati-Ciucanu-Lemay, "
+            "EDBT 2015): learn, evaluate and benchmark regular path queries "
+            "from the command line."
+        ),
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        options = (_INDENT, *command.options)
+        exclusive, configs = command.exclusive, command.configs
+        if command.graph:
+            exclusive = _GRAPH_SOURCES
+            configs = (EngineConfig, TelemetryConfig, *configs)
+            if command.remote is not None:
+                exclusive += (_REMOTE,)
+                options += _REMOTE_OPTIONS
+        if exclusive:
+            group = sub.add_mutually_exclusive_group(required=True)
+            for flags, kwargs in exclusive:
+                group.add_argument(*flags, **kwargs)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+        for config_cls in configs:
+            _add_config_flags(sub, config_cls)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     indent = args.indent if args.indent and args.indent > 0 else None
     started = time.perf_counter()
+    workspace = None
     try:
-        # The storage/trace/service commands work on files, catalogs or a
-        # remote daemon, not on a local workspace.
-        if args.command == "ingest":
-            outcome = _cmd_ingest(args)
-        elif args.command == "info":
-            outcome = _cmd_info(args)
-        elif args.command == "trace":
-            outcome = _cmd_trace(args)
-        elif args.command == "slow":
-            outcome = _cmd_slow(args)
-        elif args.command == "serve":
-            outcome = _cmd_serve(args)
-        elif args.command == "query" and getattr(args, "remote", None):
-            outcome = _cmd_query_remote(args)
-        elif args.command == "stats" and getattr(args, "remote", None):
-            outcome = _cmd_stats_remote(args)
-        else:
+        if command.remote is not None and args.remote:
+            outcome = command.remote(args)
+        elif command.graph:
             workspace = _make_workspace(args)
-            handler = {
-                "learn": _cmd_learn,
-                "query": _cmd_query,
-                "explain": _cmd_explain,
-                "experiment": _cmd_experiment,
-                "interactive": _cmd_interactive,
-                "bench": _cmd_bench,
-                "stats": _cmd_stats,
-            }[args.command]
-            outcome = handler(args, workspace)
+            outcome = command.run(args, workspace)
             # Push any buffered span records out so a --trace file is complete
             # when the envelope prints.
             workspace.telemetry.flush()
-        payload = outcome if isinstance(outcome, dict) else outcome.to_dict()
+        else:
+            # The storage/trace/service commands work on files, catalogs or a
+            # daemon, not on a local workspace.
+            outcome = command.run(args)
         envelope = {
             "ok": True,
             "command": args.command,
             "elapsed": time.perf_counter() - started,
-            "result": payload,
+            "result": outcome if isinstance(outcome, dict) else outcome.to_dict(),
         }
-        if args.command not in ("ingest", "info", "trace", "slow", "serve") and not getattr(
-            args, "remote", None
-        ):
+        if workspace is not None:
             envelope["engine_stats"] = workspace.stats()
     except (ReproError, OSError) as error:
         envelope = {

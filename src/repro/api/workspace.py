@@ -70,6 +70,16 @@ from repro.regex.ast import Regex
 #: ``--figure``) can load without a graph file.
 FIGURE_GRAPHS = ("geo", "g0")
 
+#: The evaluation semantics of :meth:`Workspace.query` / :meth:`Workspace.explain`
+#: (and of the CLI's and the daemon's ``semantics``): monadic or classical pairs.
+QUERY_SEMANTICS = ("path", "binary")
+
+
+def check_query_semantics(semantics: object) -> None:
+    """Reject anything but the two evaluation semantics."""
+    if semantics not in QUERY_SEMANTICS:
+        raise ConfigError(f"semantics must be 'path' or 'binary', got {semantics!r}")
+
 
 def _figure_graph(name: str) -> GraphDB:
     from repro.datasets.figures import example_graph_g0, geo_graph
@@ -229,6 +239,23 @@ class Workspace:
 
     # -- the five public operations -------------------------------------------
 
+    def _coerce_query(
+        self, expr: str | Regex | PathQuery | BinaryPathQuery, semantics: str
+    ) -> PathQuery | BinaryPathQuery:
+        """The query object ``expr`` denotes under ``semantics``, over this graph's
+        alphabet (an already-built query of the other class is re-parsed)."""
+        check_query_semantics(semantics)
+        if not isinstance(expr, (str, Regex, PathQuery, BinaryPathQuery)):
+            raise QueryError(
+                "expected an expression string (or Regex AST, PathQuery, "
+                f"BinaryPathQuery), got {type(expr).__name__}"
+            )
+        wanted = BinaryPathQuery if semantics == "binary" else PathQuery
+        if isinstance(expr, wanted):
+            return expr
+        source = expr.expression if isinstance(expr, (PathQuery, BinaryPathQuery)) else expr
+        return wanted.parse(source, self._graph.alphabet)
+
     def query(
         self, expr: str | Regex | PathQuery | BinaryPathQuery, *, semantics: str = "path"
     ) -> QueryResult:
@@ -239,13 +266,6 @@ class Workspace:
         monadic (``"path"``, the paper's main class) or classical binary
         RPQ evaluation.
         """
-        if semantics not in ("path", "binary"):
-            raise ConfigError(f"semantics must be 'path' or 'binary', got {semantics!r}")
-        if not isinstance(expr, (str, Regex, PathQuery, BinaryPathQuery)):
-            raise QueryError(
-                "expected an expression string (or Regex AST, PathQuery, "
-                f"BinaryPathQuery), got {type(expr).__name__}"
-            )
         started = time.perf_counter()
         # Locally traced runs mint a root TraceContext here (no-op when one
         # is already attached -- e.g. under the serving daemon -- or when
@@ -254,21 +274,8 @@ class Workspace:
         with self.telemetry.ensure_context(), self.telemetry.span(
             "workspace.query", semantics=semantics
         ) as span:
-            if semantics == "binary":
-                if isinstance(expr, BinaryPathQuery):
-                    query = expr
-                else:
-                    source = expr.expression if isinstance(expr, PathQuery) else expr
-                    query = BinaryPathQuery.parse(source, self._graph.alphabet)
-                selected: frozenset = query.evaluate(self._graph, engine=self._engine)
-            else:
-                if isinstance(expr, PathQuery):
-                    query = expr
-                elif isinstance(expr, BinaryPathQuery):
-                    query = PathQuery.parse(expr.expression, self._graph.alphabet)
-                else:
-                    query = PathQuery.parse(expr, self._graph.alphabet)
-                selected = query.evaluate(self._graph, engine=self._engine)
+            query = self._coerce_query(expr, semantics)
+            selected: frozenset = query.evaluate(self._graph, engine=self._engine)
             span.set(expression=query.expression, selected=len(selected))
         return QueryResult(
             query=query,
@@ -291,27 +298,9 @@ class Workspace:
         cache's disposition.  No kernel runs; the plan cache is warmed
         exactly as evaluation would warm it.
         """
-        if semantics not in ("path", "binary"):
-            raise ConfigError(f"semantics must be 'path' or 'binary', got {semantics!r}")
-        if not isinstance(expr, (str, Regex, PathQuery, BinaryPathQuery)):
-            raise QueryError(
-                "expected an expression string (or Regex AST, PathQuery, "
-                f"BinaryPathQuery), got {type(expr).__name__}"
-            )
         started = time.perf_counter()
         with self.telemetry.span("workspace.explain", semantics=semantics) as span:
-            if semantics == "binary":
-                if isinstance(expr, BinaryPathQuery):
-                    query: PathQuery | BinaryPathQuery = expr
-                else:
-                    source = expr.expression if isinstance(expr, PathQuery) else expr
-                    query = BinaryPathQuery.parse(source, self._graph.alphabet)
-            elif isinstance(expr, PathQuery):
-                query = expr
-            elif isinstance(expr, BinaryPathQuery):
-                query = PathQuery.parse(expr.expression, self._graph.alphabet)
-            else:
-                query = PathQuery.parse(expr, self._graph.alphabet)
+            query = self._coerce_query(expr, semantics)
             report = self._engine.explain(self._graph, query, semantics=semantics)
             span.set(
                 expression=query.expression,

@@ -36,18 +36,23 @@ labeled series and in the ``stats`` op's ``tenants`` table.
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
 
 from repro.api.config import InteractiveConfig, LearnerConfig, ServiceConfig
 from repro.api.result import QueryResult
-from repro.api.workspace import Workspace
+from repro.api.workspace import Workspace, check_query_semantics
 from repro.errors import (
+    AlphabetError,
     ConfigError,
     OverloadedError,
     ProtocolError,
+    QueryError,
+    RegexSyntaxError,
     ReproError,
+    SampleError,
     ServiceError,
     StorageError,
 )
@@ -64,6 +69,8 @@ from repro.storage.catalog import BUILTIN_DATASETS, DatasetCatalog
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import TraceContext, TraceSink
+
+_LOG = logging.getLogger(__name__)
 
 #: Latency buckets for the request histogram (seconds).
 _LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
@@ -431,7 +438,12 @@ class QueryService:
             return protocol.ok_response(
                 request, result, elapsed=elapsed, **extra
             )
-        except (ReproError, OSError) as error:
+        except Exception as error:
+            # The boundary a connection must outlive: library and I/O errors map
+            # to their structured codes, anything else is a bug -- logged with
+            # its traceback and answered as internal/500, never a dropped socket.
+            if not isinstance(error, (ReproError, OSError)):
+                _LOG.exception("unexpected error in op %r", op)
             elapsed = time.perf_counter() - started
             self._errors.inc()
             self._latency.observe(elapsed)
@@ -534,11 +546,9 @@ class QueryService:
     def _map_error(error: Exception) -> Exception:
         if isinstance(error, ServiceError):
             return error
-        if isinstance(error, (ConfigError, ProtocolError)) or type(error).__name__ in (
-            "RegexSyntaxError",
-            "QueryError",
-            "SampleError",
-            "AlphabetError",
+        if isinstance(
+            error,
+            (ConfigError, ProtocolError, RegexSyntaxError, QueryError, SampleError, AlphabetError),
         ):
             return ProtocolError(str(error))
         if isinstance(error, StorageError):
@@ -575,8 +585,7 @@ class QueryService:
         if not isinstance(expr, str) or not expr:
             raise ProtocolError("query needs params.expr (the expression string)")
         semantics = params.get("semantics", "path")
-        if semantics not in ("path", "binary"):
-            raise ProtocolError(f"semantics must be 'path' or 'binary', got {semantics!r}")
+        check_query_semantics(semantics)
         dataset = self._resolve_dataset(params)
         started = time.perf_counter()
         # Best-effort per-tenant work attribution: deltas of the shared

@@ -87,8 +87,8 @@ class Telemetry:
         Turn tracing on without a sink (spans land in the in-memory ring
         buffer only).  Implied by ``trace_path``.
     trace_path:
-        Write finished spans to this JSONL file (rotating at
-        ``trace_max_bytes``, keeping ``trace_keep`` rotated files).
+        Write finished spans to this JSONL file (a :class:`TraceSink` with
+        its default size-based rotation).
     profile:
         Capture a :class:`QueryProfile` per engine evaluation
         (``engine.take_profile()`` / ``QueryResult.profile``).
@@ -101,8 +101,6 @@ class Telemetry:
         by its creator: :meth:`close` detaches but does not close it.
         The serving daemon uses this to merge every dataset engine's
         spans into one rotating trace file.
-    buffer_events:
-        Size of the in-memory ring of recent span records.
     """
 
     def __init__(
@@ -113,9 +111,6 @@ class Telemetry:
         profile: bool = False,
         registry: MetricsRegistry | None = None,
         sink: TraceSink | None = None,
-        trace_max_bytes: int = DEFAULT_MAX_BYTES,
-        trace_keep: int = DEFAULT_KEEP,
-        buffer_events: int = 2048,
     ) -> None:
         if sink is not None and trace_path is not None:
             raise ValueError("pass either sink or trace_path, not both")
@@ -123,12 +118,8 @@ class Telemetry:
         self.profiling = bool(profile)
         self.enabled = bool(enabled) or trace_path is not None or sink is not None
         self._owns_sink = trace_path is not None
-        self.sink = (
-            TraceSink(trace_path, max_bytes=trace_max_bytes, keep=trace_keep)
-            if trace_path is not None
-            else sink
-        )
-        self.tracer = Tracer(self.sink, buffer=buffer_events) if self.enabled else None
+        self.sink = TraceSink(trace_path) if trace_path is not None else sink
+        self.tracer = Tracer(self.sink) if self.enabled else None
 
     @property
     def active(self) -> bool:

@@ -128,6 +128,75 @@ def test_bad_expression_is_structured_400(service):
         assert client.ping() is True
 
 
+MALFORMED_WIRE_CONFIGS = [
+    ("interactive", {"max_interactions": "x"}),
+    ("interactive", {"neighborhood_radius": 1.5}),
+    ("interactive", {"pool_size": "512"}),
+    ("interactive", {"target_f1": "1.0"}),
+    ("interactive", {"k_start": None}),
+    ("interactive", {"strategy": ["kR"]}),
+    ("learn", {"dynamic_k": "yes"}),
+    ("learn", {"k": "2"}),
+    ("learn", {"generalize": 0}),
+]
+
+
+@pytest.mark.parametrize("op, config", MALFORMED_WIRE_CONFIGS)
+def test_wrongly_typed_wire_config_is_a_400_envelope(service, op, config):
+    params = {"goal": GOAL, "positives": ["N2"], "negatives": ["N5"], "config": config}
+    answer = service.handle({"id": 7, "op": op, "params": params})
+    assert answer["ok"] is False and answer["id"] == 7
+    error = answer["error"]
+    assert (error["code"], error["status"]) == ("bad_request", 400), error
+    assert next(iter(config)) in error["message"]
+
+
+def test_malformed_wire_config_keeps_the_connection(service):
+    host, port = service.address
+    with socket.create_connection((host, port), timeout=10) as raw:
+        reader = raw.makefile("rb")
+        request = {
+            "id": 1,
+            "op": "interactive",
+            "params": {"goal": "tram", "config": {"max_interactions": "x"}},
+        }
+        raw.sendall(json.dumps(request).encode() + b"\n")
+        answer = json.loads(reader.readline())
+        assert answer["ok"] is False and answer["id"] == 1
+        assert answer["error"]["code"] == "bad_request" and answer["error"]["status"] == 400
+        # The same connection answers the next request.
+        raw.sendall(b'{"id": 2, "op": "ping"}\n')
+        answer = json.loads(reader.readline())
+        assert answer["ok"] is True and answer["id"] == 2
+
+
+def test_unexpected_exception_in_an_op_is_a_500_envelope(service, monkeypatch, caplog):
+    def broken(request, trace):
+        raise RuntimeError("bug in the op")
+
+    monkeypatch.setattr(service, "_op_catalog", broken)
+    errors_before = service.server_stats()["errors"]
+    with client_for(service) as client:
+        with pytest.raises(ServiceError) as exc_info:
+            client.catalog()
+        assert (exc_info.value.code, exc_info.value.status) == ("internal", 500)
+        assert "bug in the op" in str(exc_info.value)
+        # The connection loop survived the bug, and the traceback was logged.
+        assert client.ping() is True
+    assert service.server_stats()["errors"] == errors_before + 1
+    assert any(record.exc_info for record in caplog.records)
+
+
+def test_error_mapping_follows_the_class_hierarchy():
+    from repro.errors import AlphabetError, QueryError, RegexSyntaxError, SampleError
+
+    for base in (RegexSyntaxError, QueryError, SampleError, AlphabetError):
+        subclass = type("Special" + base.__name__, (base,), {})
+        mapped = QueryService._map_error(subclass("nope"))
+        assert isinstance(mapped, ProtocolError) and mapped.status == 400, base.__name__
+    assert QueryService._map_error(RuntimeError("boom")).status == 500
+
+
 def test_oversized_request_rejected_connection_survives(catalog_root):
     with make_service(catalog_root, max_frame_bytes=2048) as service:
         host, port = service.address
