@@ -13,7 +13,10 @@ when a halt condition holds.
 * :mod:`repro.interactive.oracle` -- simulated users that label nodes
   according to a goal query;
 * :mod:`repro.interactive.scenario` -- the interactive loop itself, with the
-  halt conditions used by the experiments.
+  halt conditions used by the experiments;
+* :mod:`repro.interactive.state` -- what a session carries across rounds:
+  one :class:`~repro.learning.scp.NegativeCoverage` (the frontier automaton
+  of ``paths_G(S-)``), the monotone verdict caches and the last hypothesis.
 """
 
 from repro.interactive.informativeness import (
@@ -25,12 +28,7 @@ from repro.interactive.informativeness import (
     k_informative_nodes,
     uncovered_k_paths,
 )
-from repro.interactive.state import (
-    SessionState,
-    count_uncovered_k_paths,
-    k_informative_set,
-    uncovered_words_table,
-)
+from repro.interactive.state import SessionState, k_informative_set
 from repro.interactive.strategies import (
     KInformativeRandomStrategy,
     KInformativeSmallestStrategy,
@@ -53,8 +51,6 @@ __all__ = [
     "k_informative_nodes",
     "k_informative_set",
     "uncovered_k_paths",
-    "uncovered_words_table",
-    "count_uncovered_k_paths",
     "certain_positive_nodes",
     "certain_negative_nodes",
     "SessionState",

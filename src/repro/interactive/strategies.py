@@ -22,8 +22,10 @@ from the full scan in our experiments).
 
 When the session passes its :class:`~repro.interactive.state.SessionState`
 to :meth:`Strategy.propose`, informativeness verdicts and uncovered-path
-counts come from the state's batched kernel structures (one CSR product
-walk per round, shared across all candidates); without a state the
+counts come from the state's one
+:class:`~repro.learning.scp.NegativeCoverage` (its ``table(k)`` cut under
+the engine's product walks, its ``uncovered_paths`` for the counts), shared
+across all candidates and rounds; without a state the
 strategies fall back to the legacy per-node walks, which the parity suite
 and the speed benchmark pin the batched path against.
 

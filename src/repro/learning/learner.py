@@ -13,10 +13,10 @@ paper exactly:
    the ones that contributed no SCP), otherwise return null.
 
 Steps 1 and 3 both question the fixed language ``paths_G(S-)``, and both go
-through one :class:`~repro.learning.scp.NegativeCoverage`: its prefix cache
-answers "is this word covered?", and its witness memo answers most of the
-merge guard's "does this candidate select a negative?" without touching the
-graph -- a candidate that accepts a word an earlier candidate was rejected
+through one :class:`~repro.learning.scp.NegativeCoverage`: its frontier
+automaton answers "is this word covered?", and its witness memo answers most
+of the merge guard's "does this candidate select a negative?" without
+touching the graph -- a candidate that accepts a word an earlier candidate was rejected
 by is rejected by the same word (sound because every remembered word is in
 ``paths_G(S-)``; the verdicts, hence the learned queries, are those of a
 guard that walks every candidate).  The coverage lives for one learning
@@ -290,7 +290,7 @@ def learn_with_dynamic_k(
 
     One learning episode: every ``k`` attempt shares one
     :class:`~repro.learning.scp.NegativeCoverage`, so a retry re-walks neither
-    the prefixes nor the rejected candidates of the attempt before it.
+    the frontiers nor the rejected candidates of the attempt before it.
     """
     sample.check_against(graph)
     coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)

@@ -1,4 +1,4 @@
-"""Selection of the smallest consistent paths (SCPs), and the negatives' memo.
+"""Selection of the smallest consistent paths (SCPs), and the negatives' automaton.
 
 For a positive node ``nu``, its smallest consistent path is the canonically
 smallest word of ``paths_G(nu) \\ paths_G(S-)`` -- the smallest path of
@@ -8,18 +8,22 @@ parameter ``k``; a positive node with no consistent path of length at most
 ``k`` simply contributes no SCP (the generalization step may still make the
 learned query select it, which line 6 of the algorithm verifies).
 
-Algorithm 1 asks the graph two questions, and both are about the one fixed
-language ``paths_G(S-)``: "is this word covered by a negative?" (SCP
-selection) and "does this candidate select a negative?" (the merge guard,
-lines 4-5).  :class:`NegativeCoverage` is the single home of what a
-learning episode knows about that language, so each question reaches the
-graph once:
+Algorithm 1's SCP selection (Lemma 3.1), its merge guard (lines 4-5) and
+Section 4.2's k-informativeness (Lemma 4.1) all ask about the one fixed
+language ``paths_G(S-)``.  :class:`NegativeCoverage` is the single home of
+what a learning episode knows about that language, so each question reaches
+the graph once:
 
-* *covered words* -- the multi-source frontier of every candidate word is
-  computed once on the CSR index's int node ids and shared across all
-  positive nodes, all ``k`` attempts and all rounds through a prefix-closed
-  cache; :meth:`NegativeCoverage.smallest_uncovered_path` enumerates a
-  node's paths on the same index against it;
+* *the frontier automaton* -- ``paths_G(S-)`` determinised on demand over
+  the CSR index's int node ids: a state is a distinct non-empty frontier,
+  the absorbing :data:`DEAD` state is the empty one ("uncovered"), and
+  :meth:`NegativeCoverage.step` computes each (frontier, label) move once.
+  Every consumer runs on it: :meth:`~NegativeCoverage.covers` (one word),
+  :meth:`~NegativeCoverage.uncovered_paths` (a node's uncovered paths in
+  canonical order: the SCP is the first, the ``kS`` count its capped
+  length) and :meth:`~NegativeCoverage.table` (the automaton cut at depth
+  ``k`` as a :class:`~repro.automata.kernel.TableDFA`, which the engine's
+  batched and per-candidate k-informativeness walks consume);
 * *witness words* -- when the guard's walk finds that a candidate selects a
   negative, the walk hands back the word it got there by, and
   :meth:`NegativeCoverage.violates` remembers it.  A remembered word is in
@@ -27,7 +31,9 @@ graph once:
   later candidates are first run on the remembered words (pure automaton
   work) and the graph is walked only when none is accepted.  The guard's
   verdict, hence every learned query, is unchanged; classical RPNI keeps
-  its negatives as words for the same reason.
+  its negatives as words for the same reason.  A walk only happens when no
+  remembered word is accepted and returns a word the candidate accepts, so
+  ``words`` never holds a duplicate: it is bounded by one word per walk.
 
 Lifetime: one episode.  A coverage is built by whoever starts the episode
 (:func:`~repro.learning.learner.learn_with_dynamic_k`, the interactive
@@ -36,7 +42,7 @@ and dropped with it; it is stale as soon as the graph's index or the
 negative set moves (:meth:`NegativeCoverage.is_current`).  Because
 ``paths_G(S-)`` only grows with ``S-``, :meth:`NegativeCoverage.extended`
 carries the remembered words over to a larger negative set on the same
-index.
+index; the automaton, which depends on the exact set, starts over.
 
 The object-level :func:`repro.graphdb.paths.enumerate_paths` /
 :func:`~repro.graphdb.paths.covered_by` walks remain behind the single-node
@@ -46,23 +52,31 @@ compare the index-side enumeration against.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.automata.alphabet import Alphabet, Word
+from repro.automata.kernel import NO_STATE, TableDFA
 from repro.errors import LearningError
 from repro.graphdb.graph import GraphDB, Node
 from repro.graphdb.paths import covered_by, enumerate_paths
 from repro.learning.sample import Sample
 
+#: The frontier automaton's absorbing state: the empty frontier, reached by
+#: exactly the words no node of the set covers.
+DEAD = -1
+
 
 class NegativeCoverage:
     """What one learning episode knows about ``paths_G(nodes)``, on the CSR index.
 
-    ``covers(word)`` is True iff some node of the set has ``word`` in its
-    ``paths_G``.  Frontiers (as sets of int node ids) are cached per word
-    prefix, so checking the canonical enumeration of candidate paths for
-    many positive nodes expands every distinct prefix exactly once over the
-    index's per-label CSR slices.
+    The language is held as its frontier automaton (see the module
+    docstring): states ``0, 1, ...`` are the distinct non-empty frontiers
+    (sets of int node ids) met so far, interned in the order met, and
+    :data:`DEAD` is the empty one.  ``step`` is memoised, so the canonical
+    enumerations of many positive nodes, every ``k`` attempt, every round
+    and every ``table`` cut expand a distinct (frontier, label) pair exactly
+    once over the index's per-label CSR slices.
 
     ``violates(candidate, ...)`` is the merge guard against the node set,
     answered from the remembered witness ``words`` when one of them is
@@ -73,9 +87,13 @@ class NegativeCoverage:
 
     __slots__ = (
         "_index",
-        "_frontiers",
         "nodes",
         "_starts",
+        "initial",
+        "_frontiers",
+        "_states",
+        "_steps",
+        "_table",
         "words",
         "_encoded",
         "guard_calls",
@@ -91,8 +109,14 @@ class NegativeCoverage:
         # The guard's start nodes in index order, not set order: which
         # witness a walk meets first must not depend on the hash seed.
         self._starts = sorted(self.nodes, key=node_ids.__getitem__)
-        start = frozenset(node_ids[node] for node in self._starts)
-        self._frontiers: dict[Word, frozenset[int]] = {(): start}
+        self._frontiers: list[frozenset[int]] = []
+        self._states: dict[frozenset[int], int] = {}
+        self._steps: dict[tuple[int, int], int] = {}
+        #: The automaton's initial state: the node set itself (``DEAD`` when
+        #: the set is empty -- then every word is uncovered).
+        self.initial = self._intern(node_ids[node] for node in self._starts)
+        # The last ``table`` cut, keyed by its ``(k, alphabet)``.
+        self._table: tuple[tuple[int, Alphabet], TableDFA] | None = None
         #: Remembered witnesses: words of ``paths_G(nodes)``, in the order
         #: the guard's walks found them.
         self.words: list[Word] = []
@@ -120,77 +144,143 @@ class NegativeCoverage:
 
         ``paths_G`` of a node set only grows with the set, so on the same
         index snapshot a superset inherits the remembered words (they still
-        reject whatever accepts them); the frontiers, which do depend on the
-        exact set, and the counters start over.
+        reject whatever accepts them); the automaton, which does depend on
+        the exact set, and the counters start over.
         """
         fresh = NegativeCoverage(index, nodes)
         if index is self._index and self.nodes <= fresh.nodes:
             fresh.words = list(self.words)
         return fresh
 
-    # -- covered words --------------------------------------------------------
+    # -- the frontier automaton -----------------------------------------------
 
-    def frontier(self, word: Word) -> frozenset[int]:
-        """The int ids reachable from the node set along ``word``."""
-        cached = self._frontiers.get(word)
-        if cached is not None:
-            return cached
-        previous = self.frontier(word[:-1])
-        index = self._index
-        label_id = index.label_ids.get(word[-1])
-        if label_id is None or not previous:
-            result: frozenset[int] = frozenset()
-        else:
-            offsets = index.fwd_offsets[label_id]
-            targets = index.fwd_targets[label_id]
-            moved: set[int] = set()
-            for node in previous:
-                moved.update(targets[offsets[node] : offsets[node + 1]])
-            result = frozenset(moved)
-        self._frontiers[word] = result
-        return result
+    def _intern(self, frontier: Iterable[int]) -> int:
+        """The state standing for ``frontier`` (``DEAD`` for the empty one)."""
+        frontier = frozenset(frontier)
+        if not frontier:
+            return DEAD
+        state = self._states.get(frontier)
+        if state is None:
+            state = self._states[frontier] = len(self._frontiers)
+            self._frontiers.append(frontier)
+        return state
+
+    def _successors(self, frontier: Iterable[int], label_id: int) -> set[int]:
+        """One multi-source step over the label's forward CSR slices."""
+        offsets = self._index.fwd_offsets[label_id]
+        targets = self._index.fwd_targets[label_id]
+        moved: set[int] = set()
+        for node in frontier:
+            start, stop = offsets[node], offsets[node + 1]
+            if start != stop:  # most nodes carry no edge of a given label
+                moved.update(targets[start:stop])
+        return moved
+
+    def step(self, state: int, label_id: int) -> int:
+        """The automaton's move on one of the index's label ids, computed once."""
+        if state == DEAD:
+            return DEAD  # emptiness is absorbing
+        target = self._steps.get((state, label_id))
+        if target is None:
+            target = self._intern(self._successors(self._frontiers[state], label_id))
+            self._steps[state, label_id] = target
+        return target
 
     def covers(self, word: Sequence[str]) -> bool:
         """Whether some node of the set covers ``word``."""
-        return bool(self.frontier(tuple(word)))
+        state, label_ids = self.initial, self._index.label_ids
+        for symbol in word:
+            label_id = label_ids.get(symbol)
+            state = DEAD if label_id is None else self.step(state, label_id)
+        return state != DEAD
+
+    def uncovered_paths(self, node: Node, k: int, alphabet: Alphabet) -> Iterator[Word]:
+        """``node``'s paths of length <= k that the set does not cover.
+
+        In canonical order, lazily.  The enumeration runs level by level on
+        the index: a level holds the node's paths of one length with their
+        int frontiers and automaton states, in lexicographic order, and is
+        extended label by label in ``alphabet`` order -- so the words come
+        out canonically with no heap and no sort key, and a caller that
+        wants only the first (or the first ``cap``) pays for no more.
+        Labels the graph never carries extend nothing.
+        """
+        if k < 0:
+            raise LearningError("the path-length bound k must be non-negative")
+        if self.initial == DEAD:
+            yield ()  # no covering node: the empty path is already uncovered
+        index, step = self._index, self.step
+        label_ids = index.label_ids
+        labels = [(symbol, label_ids[symbol]) for symbol in alphabet if symbol in label_ids]
+        level: list[tuple[Word, set[int], int]] = [((), {index.node_ids[node]}, self.initial)]
+        for _length in range(k):
+            next_level: list[tuple[Word, set[int], int]] = []
+            for word, reached, state in level:
+                for symbol, label_id in labels:
+                    moved = self._successors(reached, label_id)
+                    if not moved:
+                        continue  # the word is not a path of the node
+                    extended = word + (symbol,)
+                    target = step(state, label_id)
+                    if target == DEAD:
+                        yield extended
+                    next_level.append((extended, moved, target))
+            level = next_level
 
     def smallest_uncovered_path(self, node: Node, k: int, alphabet: Alphabet) -> Word | None:
         """The canonically smallest path of ``node`` (length <= k) not covered.
 
         ``None`` when every path of the node within the bound is covered.
-        The enumeration runs level by level on the index: a level holds the
-        node's *covered* paths of one length with their int frontiers, in
-        lexicographic order, and is extended label by label in ``alphabet``
-        order -- so the first uncovered extension met is the answer, with no
-        heap and no sort key.  (An uncovered word is never extended: it
-        would have been returned.)  Labels the graph never carries extend
-        nothing.
+        """
+        return next(self.uncovered_paths(node, k, alphabet), None)
+
+    def table(self, k: int, alphabet: Alphabet) -> TableDFA:
+        """The uncovered words of length <= k, as a :class:`TableDFA`.
+
+        The frontier automaton cut at depth ``k``: its states reachable
+        within ``k`` steps, renumbered breadth first (so the table does not
+        depend on what was asked of the automaton before), plus ``DEAD`` as
+        the one accepting, absorbing state.  A word of length <= k is
+        accepted iff no node of the set covers it -- the exact batched form
+        of :func:`repro.graphdb.paths.covered_by`.  States first reached at
+        depth ``k`` are left unexpanded (their rows stay
+        :data:`~repro.automata.kernel.NO_STATE`): the walks that consume the
+        table are themselves bounded to ``k`` symbols and never read them.
+        The last cut is kept, so asking again is free until ``k`` moves.
         """
         if k < 0:
             raise LearningError("the path-length bound k must be non-negative")
-        if not self._frontiers[()]:
-            return ()  # no covering node: the empty path is already uncovered
-        index = self._index
-        label_ids = index.label_ids
-        labels = [(symbol, label_ids[symbol]) for symbol in alphabet if symbol in label_ids]
-        fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-        level: list[tuple[Word, set[int]]] = [((), {index.node_ids[node]})]
-        for _length in range(k):
-            next_level: list[tuple[Word, set[int]]] = []
-            for word, reached in level:
-                for symbol, label_id in labels:
-                    offsets, targets = fwd_offsets[label_id], fwd_targets[label_id]
-                    moved: set[int] = set()
-                    for origin in reached:
-                        moved.update(targets[offsets[origin] : offsets[origin + 1]])
-                    if not moved:
-                        continue
-                    extended = word + (symbol,)
-                    if not self.frontier(extended):
-                        return extended
-                    next_level.append((extended, moved))
+        if self.initial == DEAD:
+            raise LearningError(
+                "the uncovered-words table needs a non-empty node set; with no "
+                "negatives every word is uncovered"
+            )
+        if self._table is not None and self._table[0] == (k, alphabet):
+            return self._table[1]
+        label_ids = self._index.label_ids
+        label_of = [label_ids.get(symbol) for symbol in alphabet]
+        number = {self.initial: 0}  # automaton state -> table state, in BFS order
+        rows: list[list[int]] = []  # rows[i]: the automaton row of table state i
+        level = [self.initial]
+        for _depth in range(k):
+            next_level: list[int] = []
+            for state in level:
+                row = [DEAD if label is None else self.step(state, label) for label in label_of]
+                for target in row:
+                    if target != DEAD and target not in number:
+                        number[target] = len(number)
+                        next_level.append(target)
+                rows.append(row)
             level = next_level
-        return None
+        dead, m = len(number), len(alphabet)
+        trans = array("i")
+        for row in rows:
+            trans.extend(dead if target == DEAD else number[target] for target in row)
+        trans.extend([NO_STATE] * ((dead - len(rows)) * m))
+        trans.extend([dead] * m)  # emptiness is absorbing
+        table = TableDFA(alphabet, n=dead + 1, trans=trans, finals=1 << dead, initial=0)
+        self._table = ((k, alphabet), table)
+        return table
 
     # -- witness words --------------------------------------------------------
 

@@ -448,7 +448,7 @@ class QueryService:
             self._errors.inc()
             self._latency.observe(elapsed)
             sheds = 1 if isinstance(error, OverloadedError) else 0
-            if op in _ACCOUNTED_OPS:
+            if isinstance(op, str) and op in _ACCOUNTED_OPS:  # ``op`` is any JSON value
                 self._tenant_account(
                     tenant if isinstance(tenant, str) else None,
                     queries=1,

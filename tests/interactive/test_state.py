@@ -10,6 +10,7 @@ randomized small graphs.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 from oracles.informativeness import (
@@ -26,13 +27,11 @@ from repro.interactive import (
     InteractiveSession,
     QueryOracle,
     SessionState,
-    count_uncovered_k_paths,
     is_certain,
     is_k_informative,
     k_informative_set,
     make_strategy,
     uncovered_k_paths,
-    uncovered_words_table,
 )
 from repro.interactive.informativeness import is_certain_negative, is_certain_positive
 from repro.learning import Sample
@@ -76,36 +75,27 @@ class TestBatchedInformativeness:
         graph = random_graph(seed)
         engine = QueryEngine()
         sample = random_sample(rng, graph)
-        index = engine.index_for(graph)
+        coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
         for k in (1, 2, 3):
-            table = uncovered_words_table(
-                index,
-                (index.node_ids[n] for n in sample.negatives),
-                k=k,
-                alphabet=graph.alphabet,
-            )
             for node in rng.sample(list(graph.node_order), 25):
                 want = uncovered_k_paths(graph, node, sample.negatives, k=k)
-                got = count_uncovered_k_paths(index, table, index.node_ids[node], k=k)
+                got = len(list(coverage.uncovered_paths(node, k, graph.alphabet)))
                 assert got == want, (node, k)
                 # The cap mirrors the legacy limit semantics.
-                capped = count_uncovered_k_paths(
-                    index, table, index.node_ids[node], k=k, cap=2
-                )
+                capped = len(list(islice(coverage.uncovered_paths(node, k, graph.alphabet), 2)))
                 assert capped == min(want, 2)
 
     def test_uncovered_counts_without_negatives(self, g0):
-        engine = QueryEngine()
-        index = engine.index_for(g0)
+        coverage = NegativeCoverage(QueryEngine().index_for(g0), ())
         for node in g0.nodes:
             want = uncovered_k_paths(g0, node, (), k=2)
-            got = count_uncovered_k_paths(index, None, index.node_ids[node], k=2)
+            got = len(list(coverage.uncovered_paths(node, 2, g0.alphabet)))
             assert got == want
 
     def test_uncovered_table_rejects_empty_negatives(self, g0):
-        index = QueryEngine().index_for(g0)
-        with pytest.raises(InteractionError):
-            uncovered_words_table(index, (), k=2, alphabet=g0.alphabet)
+        coverage = NegativeCoverage(QueryEngine().index_for(g0), ())
+        with pytest.raises(LearningError):
+            coverage.table(2, g0.alphabet)
 
 
 class TestSessionStateVerdicts:

@@ -170,6 +170,29 @@ def test_malformed_wire_config_keeps_the_connection(service):
         assert answer["ok"] is True and answer["id"] == 2
 
 
+@pytest.mark.parametrize("op", [["x"], {"query": 1}, 7, 1.5, True, None, "no-such-op"])
+def test_every_json_value_of_op_is_a_400_envelope(service, op):
+    errors_before = service.server_stats()["errors"]
+    answer = service.handle({"id": 3, "op": op})
+    assert answer["ok"] is False and answer["id"] == 3
+    assert (answer["error"]["code"], answer["error"]["status"]) == ("bad_request", 400)
+    assert service.server_stats()["errors"] == errors_before + 1
+
+
+def test_unhashable_op_keeps_the_connection(service):
+    host, port = service.address
+    with socket.create_connection((host, port), timeout=10) as raw:
+        reader = raw.makefile("rb")
+        raw.sendall(b'{"id": 1, "op": ["query"], "tenant": "acme"}\n')
+        answer = json.loads(reader.readline())
+        assert answer["ok"] is False and answer["id"] == 1
+        assert answer["error"]["code"] == "bad_request" and answer["error"]["status"] == 400
+        # The same connection answers the next request.
+        raw.sendall(b'{"id": 2, "op": "ping"}\n')
+        answer = json.loads(reader.readline())
+        assert answer["ok"] is True and answer["id"] == 2
+
+
 def test_unexpected_exception_in_an_op_is_a_500_envelope(service, monkeypatch, caplog):
     def broken(request, trace):
         raise RuntimeError("bug in the op")
