@@ -5,7 +5,7 @@ for: a full interactive learning session on the paper's smallest synthetic
 size (10k nodes, 3x edges, 20 labels) under the ``kS`` strategy, whose
 per-round work -- informativeness verdicts and uncovered-path counts over a
 512-candidate pool -- dominated the legacy loop.  The legacy path is the
-same session driven with ``incremental=False``: per-candidate
+same session driven by ``oracles.session.PerNodeSession``: per-candidate
 ``enumerate_paths`` plus a from-scratch multi-source ``covered_by`` walk per
 (candidate, path) pair, and a full re-learn every round.
 
@@ -20,6 +20,8 @@ from __future__ import annotations
 import time
 
 import pytest
+
+from oracles.session import PerNodeSession
 
 from repro.api import ExperimentConfig
 from repro.datasets.synthetic import scale_free_graph
@@ -46,10 +48,10 @@ def _workload():
     return graph, goal
 
 
-def _run_session(graph, goal, *, incremental):
+def _run_session(graph, goal, session_class=InteractiveSession):
     engine = QueryEngine()
     engine.index_for(graph)  # both paths start with a warm CSR index
-    session = InteractiveSession(
+    session = session_class(
         graph,
         QueryOracle(goal, engine=engine),
         make_strategy("kS", seed=SEED, pool_size=POOL_SIZE),
@@ -57,7 +59,6 @@ def _run_session(graph, goal, *, incremental):
         k_max=4,
         max_interactions=BUDGET,
         engine=engine,
-        incremental=incremental,
     )
     result = session.run()
     transcript = [
@@ -71,11 +72,11 @@ def test_incremental_session_beats_legacy_loop(benchmark):
     graph, goal = _workload()
 
     started = time.perf_counter()
-    legacy_transcript, legacy_result, _ = _run_session(graph, goal, incremental=False)
+    legacy_transcript, legacy_result, _ = _run_session(graph, goal, PerNodeSession)
     legacy_seconds = time.perf_counter() - started
 
     def run_incremental():
-        return _run_session(graph, goal, incremental=True)
+        return _run_session(graph, goal)
 
     transcript, result, session = benchmark.pedantic(run_incremental, rounds=1, iterations=1)
     incremental_seconds = benchmark.stats.stats.max

@@ -7,52 +7,62 @@ obtained by deleting every word that has a proper prefix in the language
 representative of an equivalence class is obtained by removing all outgoing
 transitions of every final state of the canonical DFA.  The learner and the
 experiment drivers normalize queries to this form before comparing them.
+
+Both questions are read off the canonical *table*
+(:class:`~repro.automata.kernel.TableDFA`): every state of a canonical
+automaton lies on some accepting run, so the language is prefix-free iff no
+final row has a move.  :class:`~repro.queries.PathQuery` calls the
+``*_table`` functions on the table it stores; the classic entry points
+canonicalise whatever automaton they are given first.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from repro.automata.dfa import DFA
-from repro.automata.minimize import canonical_dfa
+from repro.automata.kernel import NO_STATE, TableDFA
+from repro.automata.minimize import canonical_table
 from repro.automata.nfa import NFA
 
 
-def is_prefix_free(automaton: DFA | NFA) -> bool:
-    """Whether no accepted word is a proper prefix of another accepted word.
+def is_prefix_free_table(canonical: TableDFA) -> bool:
+    """Whether a *canonical* table's language is prefix-free.
 
-    Checked on the canonical DFA: the language is prefix-free iff no final
-    state can reach a final state through a non-empty path.
+    A canonical table is trimmed, so a move out of a final state leads to an
+    accepted word with an accepted proper prefix -- and nothing else does.
     """
-    dfa = canonical_dfa(automaton)
-    for final in dfa.final_states:
-        # Breadth-first search from the successors of the final state.
-        frontier = [target for _, target in dfa.outgoing(final)]
-        seen = set(frontier)
-        while frontier:
-            state = frontier.pop()
-            if dfa.is_final(state):
-                return False
-            for _, target in dfa.outgoing(state):
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-    return True
-
-
-def prefix_free(automaton: DFA | NFA) -> DFA:
-    """The canonical DFA of the prefix-free query equivalent to the input.
-
-    Construction from the paper: take the canonical DFA and drop every
-    outgoing transition of every final state, then re-canonicalize (the drop
-    can make states unreachable or non-distinguishable).
-    """
-    dfa = canonical_dfa(automaton)
-    stripped = DFA(
-        dfa.alphabet,
-        initial=dfa.initial,
-        states=dfa.states,
-        finals=dfa.final_states,
+    trans, m = canonical.trans, canonical.m
+    return not any(
+        trans[final * m + position] >= 0
+        for final in canonical.iter_finals()
+        for position in range(m)
     )
-    for source, symbol, target in dfa.transitions():
-        if not dfa.is_final(source):
-            stripped.add_transition(source, symbol, target)
-    return canonical_dfa(stripped)
+
+
+def prefix_free_table(canonical: TableDFA) -> TableDFA:
+    """The canonical table of the prefix-free query equivalent to a *canonical* one.
+
+    Construction from the paper: blank the row of every final state, then
+    re-canonicalize (the drop can make states unreachable or
+    non-distinguishable).  A table that is already prefix-free is returned
+    as it is.
+    """
+    if is_prefix_free_table(canonical):
+        return canonical
+    trans, m = array("i", canonical.trans), canonical.m
+    blank = array("i", [NO_STATE] * m)
+    for final in canonical.iter_finals():
+        trans[final * m : (final + 1) * m] = blank
+    stripped = TableDFA(canonical.alphabet, n=canonical.n, trans=trans, finals=canonical.finals)
+    return stripped.canonical()
+
+
+def is_prefix_free(automaton: DFA | NFA | TableDFA) -> bool:
+    """Whether no accepted word is a proper prefix of another accepted word."""
+    return is_prefix_free_table(canonical_table(automaton))
+
+
+def prefix_free(automaton: DFA | NFA | TableDFA) -> DFA:
+    """The canonical DFA of the prefix-free query equivalent to the input."""
+    return prefix_free_table(canonical_table(automaton)).to_dfa()

@@ -24,7 +24,7 @@ from weakref import WeakKeyDictionary, ref
 
 from repro.automata.alphabet import Word
 from repro.automata.dfa import DFA
-from repro.automata.kernel import TableAutomaton
+from repro.automata.kernel import TableAutomaton, TableDFA
 from repro.automata.nfa import NFA
 from repro.engine.cache import PlanCache, ResultCache, shared_caches
 from repro.engine.executor import KernelStats
@@ -41,8 +41,8 @@ from repro.telemetry import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import QueryProfile, fingerprint_token
 
-#: Anything the engine accepts as a query: a raw automaton or any object
-#: exposing a ``dfa`` attribute (``PathQuery``, ``BinaryPathQuery``).
+#: Anything the engine accepts as a query: a raw automaton or a query object
+#: carrying its canonical ``table`` (``PathQuery``, ``BinaryPathQuery``).
 Query = object
 
 #: Labeled dispatch counters: family -> (metric name, help, label key).
@@ -585,13 +585,13 @@ class QueryEngine:
     def _coerce_automaton(query: Query) -> DFA | NFA | TableAutomaton:
         if isinstance(query, (DFA, NFA, TableAutomaton)):
             return query
-        dfa = getattr(query, "dfa", None)
-        if isinstance(dfa, DFA):
-            return dfa
+        table = getattr(query, "table", None)
+        if isinstance(table, TableDFA):
+            return table
         raise QueryError(
             f"cannot evaluate {type(query).__name__!r}: expected a DFA, an NFA, "
-            "a kernel TableDFA/MergeFold or an object with a 'dfa' attribute "
-            "(PathQuery, BinaryPathQuery)"
+            "a kernel TableDFA/MergeFold or a query carrying its canonical "
+            "'table' (PathQuery, BinaryPathQuery)"
         )
 
     # -- kernel dispatch -----------------------------------------------------

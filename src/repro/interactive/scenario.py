@@ -29,7 +29,7 @@ from repro.graphdb.graph import GraphDB, Node
 from repro.interactive.oracle import Oracle
 from repro.interactive.state import SessionState
 from repro.interactive.strategies import Strategy, strategy_from_dict
-from repro.learning.learner import DEFAULT_K, LearnerResult, learn_path_query
+from repro.learning.learner import DEFAULT_K, LearnerResult
 from repro.learning.sample import Sample
 from repro.queries.path_query import PathQuery
 
@@ -181,17 +181,23 @@ class InteractiveSession:
         engine: QueryEngine,
         incremental: bool = True,
     ) -> None:
-        """With ``incremental=True`` the session carries a
+        """The session carries a
         :class:`~repro.interactive.state.SessionState` across rounds: batched
         k-informativeness (one CSR product walk per round), a shared
         negatives-coverage cache for the learner's SCP selection, and
         hypothesis reuse when a new positive label provably cannot change the
-        learned query.  ``incremental=False`` runs the per-node path -- same
-        proposals, same labels, same learned queries, just slower; it is the
-        reference the parity tests pin the state against.
+        learned query.  ``incremental`` accepts only ``True`` (callers that
+        spell it out keep working): the per-node loop -- same proposals,
+        labels and learned queries, just slower -- is the parity reference in
+        ``tests/oracles/session.py``.
         """
         if k_start < 0 or k_max < k_start:
             raise InteractionError("need 0 <= k_start <= k_max")
+        if incremental is not True:
+            raise InteractionError(
+                "incremental must be True: the per-node session loop is the "
+                "parity reference in tests/oracles/session.py"
+            )
         self.graph = graph
         self.oracle = oracle
         self.strategy = strategy
@@ -204,9 +210,7 @@ class InteractiveSession:
         self.sample = Sample()
         self.interactions: list[Interaction] = []
         self.last_result: LearnerResult | None = None
-        self.state = (
-            SessionState(graph, k=k_start, engine=engine) if incremental else None
-        )
+        self.state = SessionState(graph, k=k_start, engine=engine)
         #: Wall-clock seconds accumulated by earlier runs of a resumed
         #: session; the final result and checkpoints add it back in.
         self.prior_seconds = 0.0
@@ -229,8 +233,7 @@ class InteractiveSession:
             if self.k >= self.k_max:
                 return None
             self.k += 1
-            if self.state is not None:
-                self.state.set_k(self.k)
+            self.state.set_k(self.k)
 
     def neighborhood_of(self, node: Node) -> GraphDB:
         """Step 4: the fragment of the graph shown to the user for this node."""
@@ -240,8 +243,7 @@ class InteractiveSession:
     def record_label(self, node: Node, label: str) -> None:
         """Step 5: add the user's label to the sample."""
         self.sample = self.sample.with_example(node, label)
-        if self.state is not None:
-            self.state.observe(node, label, self.sample)
+        self.state.observe(node, label, self.sample)
 
     def learn(self) -> LearnerResult:
         """Step 6: run the learner on all labels collected so far.
@@ -252,23 +254,13 @@ class InteractiveSession:
         procedure of Section 5.1.  The strategy keeps using the session's
         ``k``, which only grows when no k-informative node remains.
 
-        Incremental sessions delegate to
-        :meth:`~repro.interactive.state.SessionState.learn`, which runs the
-        same procedure but shares the negatives-coverage cache across rounds
-        and skips the re-learn entirely when the new labels provably cannot
+        :meth:`~repro.interactive.state.SessionState.learn` runs that
+        procedure; it shares the negatives-coverage cache across rounds and
+        skips the re-learn entirely when the new labels provably cannot
         change the hypothesis.
         """
-        if self.state is not None:
-            result = self.state.learn(self.k, self.k_max)
-            self.last_result = result
-            return result
-        result = learn_path_query(self.graph, self.sample, k=self.k, engine=self.engine)
-        learn_k = self.k
-        while result.is_null and result.positives_without_scp and learn_k < self.k_max:
-            learn_k += 1
-            result = learn_path_query(self.graph, self.sample, k=learn_k, engine=self.engine)
-        self.last_result = result
-        return result
+        self.last_result = self.state.learn(self.k, self.k_max)
+        return self.last_result
 
     def step(self) -> Interaction | None:
         """Run one full interaction; returns None when no node can be proposed."""
@@ -287,22 +279,18 @@ class InteractiveSession:
             label = self.oracle.label(self.graph, node)
             labeled = time.perf_counter()
             self.record_label(node, label)
-            reuses_before = (
-                self.state.counters["reused_learns"] if self.state is not None else 0
-            )
+            reuses_before = self.state.counters["reused_learns"]
             result = self.learn()
             elapsed = time.perf_counter() - started
             profile = None
             if telemetry.profiling:
-                reused = (
-                    self.state is not None
-                    and self.state.counters["reused_learns"] > reuses_before
-                )
                 profile = {
                     "oracle_seconds": labeled - started,
                     "learn_seconds": result.elapsed,
                     "round_seconds": elapsed,
-                    "reused_hypothesis": reused,
+                    "reused_hypothesis": (
+                        self.state.counters["reused_learns"] > reuses_before
+                    ),
                     "evaluate": self.engine.take_profile(),
                 }
             interaction = Interaction(
@@ -398,7 +386,6 @@ class InteractiveSession:
         oracle: Oracle,
         *,
         engine: QueryEngine,
-        incremental: bool = True,
     ) -> "InteractiveSession":
         """Rebuild a session from a :class:`InteractiveCheckpoint`.
 
@@ -416,18 +403,15 @@ class InteractiveSession:
             max_interactions=checkpoint.max_interactions,
             neighborhood_radius=checkpoint.neighborhood_radius,
             engine=engine,
-            incremental=incremental,
         )
         session.prior_seconds = checkpoint.elapsed
         session.interactions = list(checkpoint.interactions)
         sample = Sample(checkpoint.positives, checkpoint.negatives)
         sample.check_against(graph)
         session.sample = sample
-        if session.state is not None:
-            session.state.sample = sample
+        session.state.sample = sample
         session.k = checkpoint.k
-        if session.state is not None:
-            session.state.set_k(checkpoint.k)
+        session.state.set_k(checkpoint.k)
         if sample.positives or sample.negatives:
             session.learn()
         return session

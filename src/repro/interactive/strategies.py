@@ -26,7 +26,7 @@ counts come from the state's one
 :class:`~repro.learning.scp.NegativeCoverage` (its ``table(k)`` cut under
 the engine's product walks, its ``uncovered_paths`` for the counts), shared
 across all candidates and rounds; without a state the
-strategies fall back to the legacy per-node walks, which the parity suite
+strategies fall back to the per-node walks, which the parity suite
 and the speed benchmark pin the batched path against.
 
 All candidate orderings derive from the graph's *stable node order*

@@ -52,7 +52,7 @@ def learn_scp_disjunction(
         )
     query = PathQuery.from_words(graph.alphabet, scps.values())
     selects_all = all(
-        engine.selects(graph, query.dfa, node) for node in sample.positives
+        engine.selects(graph, query, node) for node in sample.positives
     )
     return LearnerResult(
         query=query if selects_all else None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.automata.alphabet import Word
 from repro.automata.kernel import MergeFold, fold_generalize, pta_table
-from repro.automata.minimize import canonical_dfa
+from repro.automata.minimize import canonical_table
 from repro.errors import LearningError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
 from repro.engine.engine import QueryEngine
@@ -144,12 +144,12 @@ def learn_binary_query(
         )
 
     fold = fold_generalize(pta, violates)
-    canonical = canonical_dfa(fold.to_table())
+    canonical = canonical_table(fold.to_table())
     selects_all = all(
         engine.pair_selects(graph, canonical, origin, end)
         for origin, end in sample.positives
     )
-    query = BinaryPathQuery(canonical) if selects_all else None
+    query = BinaryPathQuery._from_canonical(canonical) if selects_all else None
     return BinaryLearnerResult(
         query=query,
         k=k,

@@ -11,42 +11,32 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.automata.dfa import DFA
-from repro.automata.minimize import canonical_dfa
-from repro.automata.nfa import NFA
-from repro.automata.operations import language_equivalent
 from repro.engine.engine import QueryEngine
 from repro.errors import QueryError
 from repro.graphdb.graph import GraphDB, Node
-from repro.queries.path_query import _RegexQuery
+from repro.queries.path_query import _language_hash, _RegexQuery, _same_language
 
 
 class BinaryPathQuery(_RegexQuery):
     """A regular path query under the binary (pairs-of-nodes) semantics."""
-
-    @classmethod
-    def from_automaton(cls, automaton: DFA | NFA) -> "BinaryPathQuery":
-        """Build a binary query from any automaton."""
-        return cls(canonical_dfa(automaton))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryPathQuery):
             return NotImplemented
         # Binary semantics distinguishes prefixes (the end node is observed),
         # so equivalence is plain language equivalence.
-        return language_equivalent(self._dfa, other._dfa)
+        return _same_language(self.table, other.table)
 
     def __hash__(self) -> int:
-        dfa = self._dfa
-        return hash((dfa.alphabet, len(dfa), frozenset(dfa.final_states)))
+        return _language_hash(self.table)
 
     def evaluate(self, graph: GraphDB, *, engine: QueryEngine) -> frozenset[tuple[Node, Node]]:
         """The set of node pairs selected on ``graph``."""
-        return engine.binary_evaluate(graph, self._dfa)
+        return engine.binary_evaluate(graph, self.table)
 
     def selects(self, graph: GraphDB, origin: Node, end: Node, *, engine: QueryEngine) -> bool:
         """Whether the query selects the pair ``(origin, end)``."""
-        return engine.pair_selects(graph, self._dfa, origin, end)
+        return engine.pair_selects(graph, self.table, origin, end)
 
     def selectivity(self, graph: GraphDB, *, engine: QueryEngine) -> float:
         """The fraction of node pairs selected (0.0 - 1.0)."""

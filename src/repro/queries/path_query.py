@@ -4,25 +4,30 @@ A path query is a regular expression ``q``; on a graph ``G`` it selects::
 
     q(G) = { nu in G | L(q) & paths_G(nu) != {} }
 
-A :class:`PathQuery` wraps the canonical DFA of the expression (the paper's
-query representation) together with, when available, the source expression
-for readable display.  Instances are immutable value objects: equality is
-language equivalence, hashing uses the relabeled canonical structure.
+A :class:`PathQuery` *is* the canonical DFA of the expression (the paper's
+query representation), stored once, in the form every layer computes on: the
+kernel :class:`~repro.automata.kernel.TableDFA` it was compiled or learned
+as, shared and never mutated, together with, when available, the source
+expression for readable display.  This module alone decides that format: the
+engine takes ``query.table``, the learners hand their canonical table
+straight in, and the object-level ``query.dfa`` is a view built on demand.
+Instances are immutable value objects: equality is query equivalence, and
+hashing uses only what equal queries share.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 from typing import TypeVar
 
 from repro.automata.alphabet import Alphabet, Word
 from repro.automata.dfa import DFA
-from repro.automata.kernel import TableDFA
-from repro.automata.minimize import canonical_dfa
+from repro.automata.kernel import TableDFA, pta_table
+from repro.automata.minimize import canonical_table
 from repro.automata.nfa import NFA
-from repro.automata.operations import language_equivalent
-from repro.automata.prefix_free import is_prefix_free, prefix_free
+from repro.automata.prefix_free import is_prefix_free_table, prefix_free_table
 from repro.engine.cache import LRUCache
 from repro.engine.engine import QueryEngine
 from repro.errors import QueryError
@@ -38,8 +43,8 @@ Q = TypeVar("Q", bound="_RegexQuery")
 #: :class:`TableDFA`.  Every text-to-automaton entry point (``parse``, hence
 #: ``from_dict``, ``Workspace.query``, the daemon's query op and the client's
 #: ``result_from_dict``) goes through it, so a repeated expression compiles
-#: once per process.  Only successes are stored; the table never leaves this
-#: module, each hit materializes a fresh :class:`DFA` from it.
+#: once per process.  Only successes are stored; a hit hands the cached table
+#: itself to the new query (tables are shared, never mutated).
 PARSE_CACHE = LRUCache(256)
 
 
@@ -54,12 +59,43 @@ def register_parse_cache_metrics(registry: MetricsRegistry) -> None:
     registry.callback("queries_parse_cache_misses_total", lambda: PARSE_CACHE.misses)
 
 
-class _RegexQuery:
-    """What the monadic and the binary query share: a canonical DFA, the
-    expression it came from, and the text <-> query conversions."""
+def _same_language(left: TableDFA, right: TableDFA) -> bool:
+    """Whether two *canonical* tables accept the same language.
 
-    def __init__(self, dfa: DFA, *, expression: str | None = None) -> None:
-        self._dfa = canonical_dfa(dfa)
+    Over one alphabet equal languages have identical canonical tables; over
+    two, both are re-read over the union alphabet first (``trimmed`` restores
+    the breadth-first numbering a different symbol order may have changed).
+    """
+    if left.alphabet != right.alphabet:
+        common = left.alphabet.union(right.alphabet)
+        left, right = left.reindexed(common).trimmed(), right.reindexed(common).trimmed()
+    return left.fingerprint() == right.fingerprint()
+
+
+def _language_hash(table: TableDFA) -> int:
+    """A hash of a *canonical* table that ignores its alphabet and numbering.
+
+    The state count and how many moves each symbol labels: what the
+    canonical tables of one language share whatever alphabets (or symbol
+    orders) they were built over, so equal queries hash equal.
+    """
+    symbols, m = table.alphabet.symbols, table.m
+    moves = Counter(symbols[code % m] for code, target in enumerate(table.trans) if target >= 0)
+    return hash((table.n, frozenset(moves.items())))
+
+
+class _RegexQuery:
+    """What the monadic and the binary query share: the canonical table, the
+    expression it came from, and the text <-> query conversions.
+
+    ``table`` is the canonical DFA of the query in kernel form -- the one
+    stored form, which the engine evaluates and the language-level methods
+    read; it is shared between queries (and with :data:`PARSE_CACHE`) and
+    never mutated.
+    """
+
+    def __init__(self, dfa: DFA | NFA | TableDFA, *, expression: str | None = None) -> None:
+        self.table = canonical_table(dfa)
         self._expression = expression
 
     @classmethod
@@ -89,27 +125,34 @@ class _RegexQuery:
     @classmethod
     def _from_canonical(cls: type[Q], table: TableDFA, expression: str | None = None) -> Q:
         """A query over an already-canonical table (``compile_table``'s or
-        ``canonical_table``'s output): the constructor's canonicalisation is
-        skipped.  The DFA is this query's own (callers may mutate it)."""
+        ``canonical_table``'s output), stored as it is: the constructor's
+        canonicalisation is skipped and nothing is copied."""
         query = cls.__new__(cls)
-        query._dfa = table.to_dfa()
+        query.table = table
         query._expression = expression
         return query
 
-    @property
+    @classmethod
+    def from_automaton(cls: type[Q], automaton: DFA | NFA | TableDFA) -> Q:
+        """Build a query from any automaton (canonicalized on construction)."""
+        return cls(automaton)
+
+    @cached_property
     def dfa(self) -> DFA:
-        """The canonical DFA representing the query."""
-        return self._dfa
+        """The canonical DFA as an object-level view, built on first use (for
+        display, characteristic samples and tests).  It is this query's own
+        copy: mutating it changes nothing the query computes."""
+        return self.table.to_dfa()  # the .dfa view
 
     @property
     def alphabet(self) -> Alphabet:
         """The alphabet the query is defined over."""
-        return self._dfa.alphabet
+        return self.table.alphabet
 
     @property
     def size(self) -> int:
         """The size of the query: number of states of its canonical DFA."""
-        return len(self._dfa)
+        return self.table.n
 
     @cached_property
     def expression(self) -> str:
@@ -120,7 +163,7 @@ class _RegexQuery:
         """
         if self._expression is not None:
             return self._expression
-        return str(dfa_to_regex(self._dfa))
+        return str(dfa_to_regex(self.dfa))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.expression!r}, size={self.size})"
@@ -146,18 +189,12 @@ class PathQuery(_RegexQuery):
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_automaton(cls, automaton: DFA | NFA) -> "PathQuery":
-        """Build a query from any automaton (canonicalized on construction)."""
-        dfa = automaton if isinstance(automaton, DFA) else canonical_dfa(automaton)
-        return cls(dfa)
-
-    @classmethod
     def from_words(cls, alphabet: Alphabet, words: Iterable[Sequence[str]]) -> "PathQuery":
         """The disjunction-of-words query selecting nodes with one of the given paths."""
         word_list = [tuple(word) for word in words]
         if not word_list:
             raise QueryError("a disjunction-of-words query needs at least one word")
-        return cls(canonical_dfa(NFA.from_words(alphabet, word_list)))
+        return cls._from_canonical(pta_table(alphabet, word_list).canonical())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathQuery):
@@ -165,33 +202,31 @@ class PathQuery(_RegexQuery):
         return self.equivalent_to(other)
 
     def __hash__(self) -> int:
-        dfa = self._dfa
-        return hash(
-            (
-                dfa.alphabet,
-                len(dfa),
-                frozenset(dfa.final_states),
-                frozenset(dfa.transitions()),
-            )
-        )
+        return _language_hash(self._prefix_free)
 
     # -- language-level operations ---------------------------------------------
 
     def accepts_word(self, word: Sequence[str]) -> bool:
         """Whether the word belongs to the query's language."""
-        return self._dfa.accepts(word)
+        alphabet = self.table.alphabet
+        return all(symbol in alphabet for symbol in word) and self.table.accepts(word)
 
     def is_empty(self) -> bool:
         """Whether the query language is empty (selects nothing on any graph)."""
-        return self._dfa.is_empty()
+        return self.table.is_empty_language()
 
     def is_prefix_free(self) -> bool:
         """Whether the query is prefix-free (Section 2)."""
-        return is_prefix_free(self._dfa)
+        return is_prefix_free_table(self.table)
+
+    @cached_property
+    def _prefix_free(self) -> TableDFA:
+        """The canonical table of the prefix-free form, computed once."""
+        return prefix_free_table(self.table)
 
     def prefix_free_form(self) -> "PathQuery":
         """The equivalent prefix-free query (the minimal representative)."""
-        return PathQuery(prefix_free(self._dfa))
+        return PathQuery._from_canonical(self._prefix_free)
 
     def equivalent_to(self, other: "PathQuery") -> bool:
         """Language equivalence of the two queries.
@@ -201,9 +236,7 @@ class PathQuery(_RegexQuery):
         ``a`` and ``a.b*`` are equivalent queries); that is the notion
         implemented here.
         """
-        return language_equivalent(
-            prefix_free(self._dfa), prefix_free(other._dfa)
-        )
+        return _same_language(self._prefix_free, other._prefix_free)
 
     # -- evaluation on graphs ----------------------------------------------------
 
@@ -214,11 +247,11 @@ class PathQuery(_RegexQuery):
         graph is CSR-indexed once per version, the canonical DFA compiles to
         a cached plan, and whole-graph results are cached per graph version.
         """
-        return engine.evaluate(graph, self._dfa)
+        return engine.evaluate(graph, self.table)
 
     def selects(self, graph: GraphDB, node: Node, *, engine: QueryEngine) -> bool:
         """Whether the query selects one given node of ``graph``."""
-        return engine.selects(graph, self._dfa, node)
+        return engine.selects(graph, self.table, node)
 
     def selectivity(self, graph: GraphDB, *, engine: QueryEngine) -> float:
         """The fraction of graph nodes selected by the query (0.0 - 1.0)."""
@@ -250,4 +283,4 @@ class PathQuery(_RegexQuery):
 
     def shortest_word(self) -> Word | None:
         """The canonically smallest word in the query language, if any."""
-        return self._dfa.shortest_accepted_word()
+        return self.table.shortest_word()

@@ -1,0 +1,107 @@
+"""No layer converts a query at its edge: pinned by count, not clock.
+
+With ``TableDFA.from_dfa`` / ``to_dfa`` / ``canonical`` wrapped (the
+``conversions`` fixture), a static sweep, a kR and a kS session and plain
+workspace queries int-code no ``DFA`` at all, canonicalise once per compile
+and once per learner call, and build an object-level ``DFA`` only through
+the ``.dfa`` view, when a *learned* query's expression is rendered.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.interactive.state as state_module
+import repro.learning.learner as learner_module
+from repro.api import ExperimentConfig, InteractiveConfig, Workspace
+from repro.datasets.synthetic import scale_free_graph
+from repro.evaluation.workloads import synthetic_query_expressions
+from repro.queries.path_query import PARSE_CACHE, parse_cache_stats
+
+GOALS = [str(expression) for expression in synthetic_query_expressions(6).values()]
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return scale_free_graph(400, alphabet_size=6, zipf_exponent=1.0, seed=11)
+
+
+@pytest.fixture
+def learner_calls(monkeypatch) -> list:
+    """One entry (the result) per ``learn_path_query`` call, wherever it is made."""
+    results: list = []
+    original = learner_module.learn_path_query
+
+    def counting(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(learner_module, "learn_path_query", counting)
+    monkeypatch.setattr(state_module, "learn_path_query", counting)
+    return results
+
+
+def check(conversions, learner_calls, compiles_before):
+    """The three count claims, against what the run actually did."""
+    assert not conversions["from_dfa"]
+    compiles = parse_cache_stats()["misses"] - compiles_before
+    assert len(conversions["canonical"]) <= compiles + len(learner_calls)
+    viewed = []
+    for frame in conversions["to_dfa"]:
+        # Only the ``.dfa`` view asks, and only for a query nobody wrote down.
+        assert frame.f_code.co_name == "dfa" and frame.f_code.co_filename.endswith(
+            "path_query.py"
+        )
+        query = frame.f_locals["self"]
+        assert query._expression is None
+        viewed.append(id(query.table))
+    learned = {id(result.hypothesis.table) for result in learner_calls if result.hypothesis}
+    assert len(viewed) == len(set(viewed)) and set(viewed) <= learned
+
+
+def test_a_static_sweep_converts_nothing(graph, conversions, learner_calls):
+    PARSE_CACHE.clear()
+    compiles = parse_cache_stats()["misses"]
+    workspace = Workspace(graph, name="counts")
+    for seed, goal in enumerate(GOALS):
+        result = workspace.run_experiment(
+            ExperimentConfig(
+                goal=goal,
+                scenario="static",
+                seed=seed,
+                labeled_fractions=(0.02, 0.05, 0.1),
+                k_start=2,
+                k_max=4,
+            )
+        )
+        assert len(result.points) == 3
+    assert len(learner_calls) >= 9 and any(r.hypothesis for r in learner_calls)
+    check(conversions, learner_calls, compiles)
+    assert conversions["to_dfa"], "a learned expression was rendered"
+
+
+@pytest.mark.parametrize("strategy", ["kR", "kS"])
+def test_a_session_converts_nothing(graph, conversions, learner_calls, strategy):
+    PARSE_CACHE.clear()
+    compiles = parse_cache_stats()["misses"]
+    workspace = Workspace(graph, name="counts")
+    result = workspace.learn_interactive(
+        GOALS[1],
+        InteractiveConfig(
+            strategy=strategy, seed=3, k_start=2, k_max=4, max_interactions=20, pool_size=48
+        ),
+    )
+    assert result.interaction_count == 20 and result.query is not None
+    check(conversions, learner_calls, compiles)
+
+
+def test_workspace_queries_convert_nothing_warm_or_cold(graph, conversions):
+    PARSE_CACHE.clear()
+    workspace = Workspace(graph, name="counts")
+    cold = workspace.query("l00.l01*.l02")
+    assert len(conversions["canonical"]) == 1  # the compile
+    warm = workspace.query("l00.l01*.l02")
+    assert warm.selected == cold.selected and warm.query.table is cold.query.table
+    assert warm.to_dict()["query"]["expression"] == "l00.l01*.l02"
+    assert len(conversions["canonical"]) == 1
+    assert not conversions["from_dfa"] and not conversions["to_dfa"]

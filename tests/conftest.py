@@ -46,6 +46,38 @@ def compilations(monkeypatch) -> list:
 
 
 @pytest.fixture
+def conversions(monkeypatch) -> dict[str, list]:
+    """Live call logs of ``TableDFA.from_dfa`` / ``to_dfa`` / ``canonical``.
+
+    One entry per call from here on: the converted object for ``from_dfa``
+    and ``canonical``, the *calling frame* for ``to_dfa`` (so a test can say
+    who asked for an object-level DFA).
+    """
+    import sys
+
+    calls: dict[str, list] = {"from_dfa": [], "to_dfa": [], "canonical": []}
+    from_dfa = TableDFA.from_dfa.__func__
+    to_dfa, canonical = TableDFA.to_dfa, TableDFA.canonical
+
+    def counting_from_dfa(cls, dfa):
+        calls["from_dfa"].append(dfa)
+        return from_dfa(cls, dfa)
+
+    def counting_to_dfa(self, states=None):
+        calls["to_dfa"].append(sys._getframe(1))
+        return to_dfa(self, states)
+
+    def counting_canonical(self):
+        calls["canonical"].append(self)
+        return canonical(self)
+
+    monkeypatch.setattr(TableDFA, "from_dfa", classmethod(counting_from_dfa))
+    monkeypatch.setattr(TableDFA, "to_dfa", counting_to_dfa)
+    monkeypatch.setattr(TableDFA, "canonical", counting_canonical)
+    return calls
+
+
+@pytest.fixture
 def g0():
     """The graph G0 of Figure 3."""
     return example_graph_g0()

@@ -17,6 +17,7 @@ from oracles.informativeness import (
     reference_is_certain_negative,
     reference_is_certain_positive,
 )
+from oracles.session import PerNodeSession
 
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
@@ -269,9 +270,9 @@ class TestSessionTranscriptParity:
         queries = synthetic_queries(graph, alphabet_size=6)
         goal = sorted(queries.items())[seed % len(queries)][1]
 
-        def run(incremental):
+        def run(session_class):
             engine = QueryEngine()
-            session = InteractiveSession(
+            session = session_class(
                 graph,
                 QueryOracle(goal, engine=engine),
                 make_strategy(strategy, seed=seed, pool_size=32),
@@ -279,7 +280,6 @@ class TestSessionTranscriptParity:
                 k_max=4,
                 max_interactions=20,
                 engine=engine,
-                incremental=incremental,
             )
             result = session.run()
             return (
@@ -287,7 +287,18 @@ class TestSessionTranscriptParity:
                 result.halted_by,
             )
 
-        assert run(True) == run(False)
+        assert run(InteractiveSession) == run(PerNodeSession)
+
+    def test_the_per_node_loop_is_not_reachable_through_the_keyword(self, g0, abstar_c):
+        engine = QueryEngine()
+        with pytest.raises(InteractionError):
+            InteractiveSession(
+                g0,
+                QueryOracle(abstar_c, engine=engine),
+                make_strategy("kR"),
+                engine=engine,
+                incremental=False,
+            )
 
 
 class TestStrategySerialization:

@@ -161,7 +161,7 @@ def test_error_isolated_to_its_request(batcher, dataset):
     good = PathQuery.parse("tram", dataset.graph.alphabet)
     bad = PathQuery.parse("bus", dataset.graph.alphabet)
     # Sabotage one query object so only its evaluation fails.
-    bad._dfa = None
+    bad.table = None
     batcher.pause()
     results, errors = {}, {}
     lock = threading.Lock()
