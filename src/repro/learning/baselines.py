@@ -51,8 +51,10 @@ def learn_scp_disjunction(
             elapsed=time.perf_counter() - started,
         )
     query = PathQuery.from_words(graph.alphabet, scps.values())
+    node_ids = engine.index_for(graph).node_ids  # index order: see learn_path_query
     selects_all = all(
-        engine.selects(graph, query, node) for node in sample.positives
+        engine.selects(graph, query, node)
+        for node in sorted(sample.positives, key=node_ids.__getitem__)
     )
     return LearnerResult(
         query=query if selects_all else None,

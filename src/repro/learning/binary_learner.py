@@ -10,6 +10,7 @@ negative pairs.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.automata.alphabet import Word
@@ -88,7 +89,7 @@ class BinaryLearnerResult:
             ) from error
 
 
-def _pair_covered(graph: GraphDB, word: Word, pairs: frozenset[tuple[Node, Node]]) -> bool:
+def _pair_covered(graph: GraphDB, word: Word, pairs: Iterable[tuple[Node, Node]]) -> bool:
     """Whether ``word`` labels a path between one of the given node pairs."""
     for origin, end in pairs:
         frontier = {origin}
@@ -123,7 +124,15 @@ def learn_binary_query(
     if not sample.positives:
         return BinaryLearnerResult(query=None, k=k, elapsed=time.perf_counter() - started)
 
-    negatives = sample.negatives
+    # Pairs in index order, not set order: which negative the guard meets
+    # first, and where a failing final check stops, decide the kernel work done
+    # and must not depend on the hash seed.
+    node_ids = engine.index_for(graph).node_ids
+
+    def in_index_order(pairs):
+        return sorted(pairs, key=lambda pair: (node_ids[pair[0]], node_ids[pair[1]]))
+
+    negatives = in_index_order(sample.negatives)
     scps: dict[tuple[Node, Node], Word] = {}
     for origin, end in sample.positives:
         for path in enumerate_paths_between(graph, origin, end, max_length=k):
@@ -147,7 +156,7 @@ def learn_binary_query(
     canonical = canonical_table(fold.to_table())
     selects_all = all(
         engine.pair_selects(graph, canonical, origin, end)
-        for origin, end in sample.positives
+        for origin, end in in_index_order(sample.positives)
     )
     query = BinaryPathQuery._from_canonical(canonical) if selects_all else None
     return BinaryLearnerResult(

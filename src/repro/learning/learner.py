@@ -220,9 +220,12 @@ def learn_path_query(
         with telemetry.span("learner.final_check"):
             # One-shot walks of the table as it stands: fingerprinting and
             # compiling a plan per learner call would cost more than they save.
+            # In index order, not set order: where a failing check stops, hence
+            # its kernel work, must not depend on the hash seed.
+            node_ids = engine.index_for(graph).node_ids
             selects_all = all(
                 engine.selects(graph, canonical, node, ephemeral=True)
-                for node in sample.positives
+                for node in sorted(sample.positives, key=node_ids.__getitem__)
             )
         hypothesis = PathQuery._from_canonical(canonical)
         query = hypothesis if selects_all else None

@@ -3,14 +3,13 @@
 The session's one ``NegativeCoverage`` interns frontiers in the order they
 are met, and the sets it is fed (negatives, carried SCP maps) iterate in
 hash order; nothing a user can observe -- which node is proposed, what is
-learned, what the guard remembered, how much kernel work proposing and
-generalising cost -- may follow from that order.
+learned, what the guard remembered, how much kernel work proposing,
+generalising and checking cost -- may follow from that order.
 
-One piece of work is excluded, as in ``test_guard_memo``: Algorithm 1's
-final check (``engine.selects`` per positive) stops at the first unselected
-positive *in set order*, so a failing attempt's cost is hash-dependent by
-design of ``all(...)``; the script books ``selects`` work separately and
-the pin is on everything else.
+Algorithm 1's final check (``engine.selects`` per positive) stops at the
+first unselected positive, so a failing attempt's cost depends on the order
+the positives are walked in: index order, not set order.  The script books
+``selects`` work on the side so the pin shows it was really exercised.
 """
 
 from __future__ import annotations
@@ -68,7 +67,8 @@ for strategy in ("kR", "kS"):
             "halted_by": result.halted_by,
             "counters": session.state.counters,
             "words": coverage.words,
-            "work": [total - booked for total, booked in zip(engine.work(), engine.selects_work)],
+            "work": engine.work(),
+            "selects_work": engine.selects_work,
         }}
 print(json.dumps(report))
 """
@@ -94,3 +94,6 @@ def test_sessions_are_deterministic_under_pythonhashseed():
         assert {"+", "-"} <= {label for _node, label, _k, _expr in cell["transcript"]}
     assert any(cell["counters"]["count_queries"] for cell in outputs[0].values())
     assert any(cell["counters"]["full_learns"] > 1 for cell in outputs[0].values())
+    # The final check did real work, beyond what proposing and the guard did.
+    for cell in outputs[0].values():
+        assert 0 < min(cell["selects_work"]) and cell["selects_work"][0] < cell["work"][0]

@@ -315,7 +315,7 @@ engine = QueryEngine()
 coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
 result = learn_path_query(graph, sample, k=2, engine=engine, coverage=coverage)
 print(json.dumps({{
-    "expression": result.query.expression,
+    "expression": None if result.is_null else result.query.expression,
     "words": coverage.words,
     "states_expanded": engine.stats.states_expanded,
     "edges_scanned": engine.stats.edges_scanned,
@@ -324,17 +324,28 @@ print(json.dumps({{
 
 
 def test_learning_is_deterministic_under_pythonhashseed():
-    """Which witness the guard meets first -- hence how many walks run and
-    what they cost -- must not depend on the iteration order of the set of
-    negatives.  (A sample learned at its first attempt: a *failing* attempt's
-    final check stops at the first unselected positive in set order.)"""
+    """Which witness the guard meets first, and at which positive a failing
+    final check stops -- hence how many walks run and what they cost -- must
+    not depend on the iteration order of the sample's sets: both are walked
+    in index order.  One sample learned at its first attempt, one whose
+    hypothesis misses a positive."""
     here = Path(__file__).resolve()
     paths = [str(here.parents[2] / "src"), str(here.parents[1]), str(here.parent)]
-    case = next(
-        (seed, goal)
-        for seed, goal in CASES
-        if not learn_path_query(*seeded_case(seed, goal), k=2, engine=QueryEngine()).is_null
-    )
+
+    def first_case(failing: bool):
+        for seed, goal in CASES:
+            graph, sample = seeded_case(seed, goal)
+            result = learn_path_query(graph, sample, k=2, engine=QueryEngine())
+            checked = bool(result.scps) and len(sample.positives) > 2
+            if checked and result.is_null == failing:
+                return seed, goal
+        raise AssertionError("no such case")
+
+    for case in (first_case(failing=False), first_case(failing=True)):
+        _assert_same_under_both_hash_seeds(paths, case)
+
+
+def _assert_same_under_both_hash_seeds(paths, case):
     outputs = []
     for hash_seed in ("0", "1"):
         completed = subprocess.run(
