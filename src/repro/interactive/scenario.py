@@ -288,9 +288,7 @@ class InteractiveSession:
                     "oracle_seconds": labeled - started,
                     "learn_seconds": result.elapsed,
                     "round_seconds": elapsed,
-                    "reused_hypothesis": (
-                        self.state.counters["reused_learns"] > reuses_before
-                    ),
+                    "reused_hypothesis": self.state.counters["reused_learns"] > reuses_before,
                     "evaluate": self.engine.take_profile(),
                 }
             interaction = Interaction(
