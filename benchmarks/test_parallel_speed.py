@@ -1,19 +1,14 @@
-"""The parallel execution layer: vectorized kernels and sharded pools.
-
-Two acceptance criteria of the layer, each asserted against its in-test
-twin on the identical workload:
+"""The vectorized whole-graph walk, asserted against its in-test twin.
 
 * the numpy-vectorized ``evaluate_all`` must beat the pure-python oracle
-  by at least 2x on a ~100k-edge whole-graph workload (PR CI; results must
-  be byte-identical -- the speedup is worthless otherwise);
-* sharded process-pool execution at 4 workers must beat single-shard
-  execution by at least 1.5x on a 1M-edge snapshot (nightly only: the 1M
-  build takes minutes, and the assertion needs >= 4 real cores).
+  by at least 2x on a ~100k-edge whole-graph workload (results must be
+  byte-identical -- the speedup is worthless otherwise);
+* dispatching it through the engine facade may not cost more than 50%
+  over the bare kernels.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -29,10 +24,8 @@ numpy = pytest.importorskip("numpy")
 
 #: ~100k edges: 33k nodes x 3 edges each (scale_free_graph's density).
 VECTOR_NODES = 33_000
-#: The nightly sharded smoke: ~1M edges.
-SHARDED_NODES = 333_000
 #: Star-heavy whole-graph queries -- wide BFS layers, where vectorized
-#: frontier expansion (and shard fan-out) actually has work to amortize.
+#: frontier expansion actually has work to amortize.
 EXPRESSION_SHAPES = [
     "{0}.({1}+{2})*",
     "({0}+{1})*.{3}",
@@ -89,57 +82,6 @@ def test_numpy_kernel_beats_python(benchmark):
 
     # The tentpole acceptance criterion: vectorization must win by >= 2x.
     assert speedup >= 2.0
-
-
-@pytest.mark.slow
-def test_sharded_pool_beats_single_worker(benchmark, tmp_path):
-    from repro.engine.parallel import ParallelExecutor
-    from repro.storage.snapshot import open_snapshot, write_snapshot
-
-    if (os.cpu_count() or 1) < 4:
-        pytest.skip("sharded speedup needs >= 4 real cores")
-
-    graph, plans = _workload(SHARDED_NODES, seed=17)
-    path = tmp_path / "sharded-smoke.rgz"
-    write_snapshot(GraphIndex.build(graph), path)
-    index = open_snapshot(path)
-
-    started = time.perf_counter()
-    single_results = [executor.numpy_evaluate_all(index, plan) for plan in plans]
-    single_seconds = time.perf_counter() - started
-
-    pool = ParallelExecutor(workers=4, backend="numpy", min_shard_edges=0)
-    try:
-        # Warm the pool (worker spawn + snapshot mmap) outside the timed runs.
-        warm = pool.evaluate_all(index, plans[0])
-        assert warm == single_results[0]
-
-        sharded_results = benchmark.pedantic(
-            lambda: [pool.evaluate_all(index, plan) for plan in plans],
-            rounds=3,
-            iterations=1,
-        )
-        sharded_seconds = benchmark.stats.stats.min
-    finally:
-        pool.shutdown()
-
-    assert sharded_results == single_results
-
-    speedup = single_seconds / sharded_seconds if sharded_seconds else float("inf")
-    benchmark.extra_info["single_seconds"] = single_seconds
-    benchmark.extra_info["sharded_seconds"] = sharded_seconds
-    benchmark.extra_info["speedup"] = speedup
-
-    print()
-    print(
-        f"workload: {len(plans)} whole-graph queries on "
-        f"{graph.node_count()} nodes / {graph.edge_count()} edges, 4 workers"
-    )
-    print(f"single shard:  {single_seconds:8.3f}s")
-    print(f"4-way sharded: {sharded_seconds:8.3f}s  ({speedup:.1f}x)")
-
-    # The nightly acceptance criterion: 4 workers must win by >= 1.5x.
-    assert speedup >= 1.5
 
 
 def test_engine_dispatch_overhead_is_negligible(benchmark):

@@ -43,7 +43,7 @@ graph source, sending the request to a running ``repro serve`` daemon
 (with ``--tenant`` and ``--dataset`` selecting the tenant id and the
 server-side snapshot).  A remote ``query --trace FILE`` records the
 client side of a distributed trace whose context propagates to the
-daemon's (and its shard workers') spans; ``stats --remote --tenants``
+daemon's spans; ``stats --remote --tenants``
 reports the daemon's per-tenant accounting table.
 
 Graphs come from ``--graph FILE`` (edge-list ``.tsv`` or ``.json``, see

@@ -9,7 +9,7 @@ runs the checks (raising :class:`~repro.errors.ConfigError`), ``to_dict`` /
 builds its options *and* its configs from them, and the configs hand their
 fields on by name (``EngineConfig.build()``, ``ServiceConfig.engine_config()``).
 
-* :class:`EngineConfig`       -- caches, index upkeep, backend, sharding and planner
+* :class:`EngineConfig`       -- caches, index upkeep, backend and planner
   of a :class:`~repro.engine.QueryEngine`;
 * :class:`TelemetryConfig`    -- the observability layer (tracing, profiling);
 * :class:`StorageConfig`      -- the storage layer (snapshots, catalog, mmap);
@@ -25,7 +25,6 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
-from repro.engine.parallel import DEFAULT_MIN_SHARD_EDGES
 from repro.errors import ConfigError
 
 #: The learner semantics a :class:`LearnerConfig` can select.
@@ -186,7 +185,7 @@ def _need_ordered(low_name: str, low: int, high_name: str, high: int) -> None:
 
 @_config
 class EngineConfig(_BaseConfig):
-    """Caches, index maintenance, kernel backend, sharding and planning of a
+    """Caches, index maintenance, kernel backend and planning of a
     per-workspace :class:`~repro.engine.QueryEngine` (its keyword arguments,
     field for field)."""
 
@@ -209,19 +208,6 @@ class EngineConfig(_BaseConfig):
         one_of(BACKENDS),
         "whole-graph kernel backend (auto: numpy when installed, else pure python)",
         "--backend",
-    )
-    workers: int = knob(
-        1,
-        POSITIVE_INT,
-        "shard whole-graph kernels of snapshot-backed graphs across this many "
-        "worker processes (1: in-process)",
-        "--workers",
-    )
-    min_shard_edges: int = knob(
-        DEFAULT_MIN_SHARD_EDGES,
-        NON_NEGATIVE_INT,
-        "smallest graph (in edges) worth sharding across the workers (0: always shard)",
-        "--min-shard-edges N",
     )
     planner: str = knob(
         "auto",
@@ -365,7 +351,6 @@ class ServiceConfig(_BaseConfig):
     plan_cache_size: int = same_as(EngineConfig, "plan_cache_size", flag=None)
     result_cache_size: int = same_as(EngineConfig, "result_cache_size", default=4096, flag=None)
     backend: str = same_as(EngineConfig, "backend")
-    workers: int = same_as(EngineConfig, "workers")
     planner: str = same_as(EngineConfig, "planner")
     cache_budget_bytes: int | None = same_as(EngineConfig, "cache_budget_bytes")
     share_caches: bool = knob(
@@ -396,7 +381,7 @@ class ServiceConfig(_BaseConfig):
     trace_path: str | None = same_as(
         TelemetryConfig,
         "trace_path",
-        doc="distributed tracing: server, engine and shard-worker spans land in this rotating "
+        doc="distributed tracing: server and engine spans land in this rotating "
         "JSONL file, parented onto client-supplied trace contexts",
     )
     slow_log_path: str | None = knob(
@@ -413,7 +398,6 @@ class ServiceConfig(_BaseConfig):
         "--slow-query-ms MS",
         per_unit=1000,
     )
-    min_shard_edges: int = same_as(EngineConfig, "min_shard_edges")
 
     catalog = StorageConfig.catalog
 

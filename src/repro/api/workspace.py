@@ -520,7 +520,6 @@ class Workspace:
             graph_edges=self._graph.edge_count(),
             graph_labels=len(self._graph.labels()),
             backend=self._engine.backend,
-            workers=self._engine.workers,
         )
         return snapshot
 

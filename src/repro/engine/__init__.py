@@ -20,8 +20,6 @@ semantics (the dict/frozenset construction is the parity oracle in
   per-source binary closure, bidirectional pair search) over one ``bind``
   adapter for every query representation; pure-python reference plus the
   optional numpy-vectorized twins of the whole-graph walks;
-* :mod:`repro.engine.parallel` -- :class:`ParallelExecutor`, sharded
-  process-pool execution over snapshot-backed indexes;
 * :mod:`repro.engine.engine` -- :class:`QueryEngine`, the facade with
   single-query, batch (:meth:`QueryEngine.evaluate_many`) and stats APIs.
 
@@ -50,13 +48,6 @@ from repro.engine.planner import (
     selectivity_ordered,
 )
 from repro.engine.index import GraphIndex
-from repro.engine.parallel import (
-    DEFAULT_MIN_SHARD_EDGES,
-    ParallelExecutor,
-    binary_evaluate_sharded,
-    evaluate_all_sharded,
-    shard_bounds,
-)
 from repro.engine.plan import CompiledPlan, automaton_fingerprint, compile_plan
 
 __all__ = [
@@ -64,29 +55,24 @@ __all__ = [
     "CompiledPlan",
     "CostEstimate",
     "CostModel",
-    "DEFAULT_MIN_SHARD_EDGES",
     "EngineStats",
     "GraphIndex",
     "KernelStats",
     "LRUCache",
     "PLANNER_MODES",
-    "ParallelExecutor",
     "PlanCache",
     "QueryEngine",
     "ResultCache",
     "RewriteOutcome",
     "automaton_fingerprint",
-    "binary_evaluate_sharded",
     "cheapest",
     "clear_shared_caches",
     "compile_plan",
     "estimate_entry_bytes",
-    "evaluate_all_sharded",
     "have_numpy",
     "resolve_backend",
     "rewrite_table",
     "selectivity_ordered",
-    "shard_bounds",
     "shared_cache_keys",
     "shared_caches",
 ]

@@ -1,7 +1,7 @@
 """The shared kernel cost model: CSR statistics in, strategy ranking out.
 
-Every dispatch decision the engine makes -- python vs. numpy vs. sharded
-for whole-graph walks, forward vs. bidirectional for pair queries, and the
+Every dispatch decision the engine makes -- python vs. numpy for
+whole-graph walks, forward vs. bidirectional for pair queries, and the
 adaptive per-query choice that keeps the chunked numpy binary kernel off
 sparse selective workloads -- reads the same handful of free statistics:
 the per-label edge counts and node/edge totals a :class:`GraphIndex`
@@ -38,8 +38,6 @@ NUMPY_ITEM_WEIGHT = 0.25
 NUMPY_CALL_WEIGHT = 5_000.0
 #: Cost per visited-mask byte the chunked numpy binary kernel zeroes.
 NUMPY_MASK_WEIGHT = 0.002
-#: Fixed cost of one shard fan-out (pickling, IPC, result merge).
-SHARD_CALL_WEIGHT = 200_000.0
 #: Growth factor from first-layer pair fan-out to a full early-exit search.
 PAIR_GROWTH = 1.0 / 16.0
 
@@ -128,16 +126,13 @@ class CostModel:
         plan: CompiledPlan,
         *,
         numpy_ok: bool = False,
-        shard_ok: bool = False,
-        workers: int = 1,
     ) -> list[CostEstimate]:
-        """Candidates for one backward whole-graph walk, python always last.
+        """Candidates for one backward whole-graph walk, python listed first.
 
         The walk seeds every ``(node, final state)`` pair, so the seed term
         scales with ``n * |finals|``; the scan term is :meth:`scan_work`.
         The vectorized kernel trades a fixed call cost for a ~4x per-item
-        win; a shard fan-out additionally divides the local cost across
-        workers but pays the IPC constant.
+        win.
         """
         seeds = self.num_nodes * max(1, len(plan.finals))
         scan = self.scan_work(plan)
@@ -157,15 +152,6 @@ class CostModel:
                     {"seeds": float(seeds), "scan_work": float(scan)},
                 )
             )
-        if shard_ok and workers > 1:
-            local = min(estimate.cost for estimate in estimates)
-            estimates.append(
-                CostEstimate(
-                    "sharded",
-                    SHARD_CALL_WEIGHT + local / workers,
-                    {"workers": float(workers), "local_cost": local},
-                )
-            )
         return estimates
 
     # -- whole-graph binary evaluation ---------------------------------------
@@ -175,8 +161,6 @@ class CostModel:
         plan: CompiledPlan,
         *,
         numpy_ok: bool = False,
-        shard_ok: bool = False,
-        workers: int = 1,
     ) -> list[CostEstimate]:
         """Candidates for one all-pairs evaluation (a BFS per source node).
 
@@ -212,15 +196,6 @@ class CostModel:
                     + mask_bytes * NUMPY_MASK_WEIGHT
                     + scan * min(n, forward) * NUMPY_ITEM_WEIGHT,
                     {"chunks": float(chunks), "mask_bytes": mask_bytes},
-                )
-            )
-        if shard_ok and workers > 1:
-            local = min(estimate.cost for estimate in estimates)
-            estimates.append(
-                CostEstimate(
-                    "sharded",
-                    SHARD_CALL_WEIGHT + local / workers,
-                    {"workers": float(workers), "local_cost": local},
                 )
             )
         return estimates

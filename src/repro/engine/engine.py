@@ -30,9 +30,8 @@ from repro.engine.cache import PlanCache, ResultCache, shared_caches
 from repro.engine.executor import KernelStats
 from repro.engine import executor
 from repro.engine import planner as planning
-from repro.engine.costs import CostEstimate, CostModel
+from repro.engine.costs import CostEstimate, CostModel, cheapest
 from repro.engine.index import GraphIndex
-from repro.engine.parallel import DEFAULT_MIN_SHARD_EDGES, ParallelExecutor
 from repro.engine.plan import CompiledPlan, automaton_fingerprint, compile_plan
 from repro.engine.planner import PLANNER_MODES
 from repro.errors import GraphError, QueryError
@@ -219,14 +218,6 @@ class QueryEngine:
         importable, else python).  Early-exit kernels always run the
         python path; pair queries additionally pick the bidirectional
         search from the index's degree stats.
-    workers:
-        Process-pool size for sharded execution.  At 1 (the default)
-        everything runs in-process; above 1, whole-graph evaluations on
-        snapshot-backed indexes with at least ``min_shard_edges`` edges
-        fan out across workers that ``open_snapshot`` the same file.
-    min_shard_edges:
-        The edge count below which sharding cannot amortize its process
-        fan-out and the engine stays in-process.
     planner:
         ``"auto"`` (the default) turns on the cost-based planning layer:
         automata are rewritten against the graph's label set before
@@ -234,8 +225,8 @@ class QueryEngine:
         early-exit plans are selectivity-ordered, and -- when the backend
         is also ``"auto"`` -- whole-graph kernels are chosen per query
         from the CSR cost model instead of being forced by the resolved
-        backend.  ``"off"`` restores verbatim compilation and the fixed
-        dispatch order.
+        backend.  ``"off"`` restores verbatim compilation and dispatches
+        the resolved backend.
     max_rewrite_passes:
         How many prune/minimize rounds the rewriter may run per automaton.
     cache_budget_bytes:
@@ -252,8 +243,6 @@ class QueryEngine:
         refresh_ratio: float = 0.25,
         telemetry: Telemetry | None = None,
         backend: str = "auto",
-        workers: int = 1,
-        min_shard_edges: int = DEFAULT_MIN_SHARD_EDGES,
         planner: str = "auto",
         max_rewrite_passes: int = 3,
         cache_budget_bytes: int | None = None,
@@ -275,17 +264,6 @@ class QueryEngine:
         #: Cost-based kernel choice only overrides an *unforced* request.
         self.backend_requested = backend
         self.backend = executor.resolve_backend(backend)
-        self.workers = workers
-        self._parallel = (
-            ParallelExecutor(
-                workers=workers,
-                backend=self.backend,
-                min_shard_edges=min_shard_edges,
-                registry=self.telemetry.registry,
-            )
-            if workers > 1
-            else None
-        )
         self._dispatch_counters: dict[tuple[str, str], object] = {}
         # Planner memos, keyed by (graph uid, version) generations; tiny
         # and cleared wholesale when full (8/64 generations is plenty --
@@ -537,49 +515,35 @@ class QueryEngine:
         return ordered
 
     def _estimates(
-        self, index: GraphIndex, plan: CompiledPlan, *, binary: bool, shard_ok: bool
+        self, index: GraphIndex, plan: CompiledPlan, *, binary: bool
     ) -> list[CostEstimate]:
         """Per-strategy cost candidates for one whole-graph dispatch."""
         model = self._cost_model(index)
         estimate = model.binary_estimates if binary else model.evaluate_all_estimates
-        return estimate(
-            plan,
-            numpy_ok=self.backend == "numpy",
-            shard_ok=shard_ok,
-            workers=self.workers,
-        )
+        return estimate(plan, numpy_ok=self.backend == "numpy")
 
-    def _dispatch_order(
+    def _whole_graph_strategy(
         self,
         index: GraphIndex,
-        plan: CompiledPlan,
+        plan: CompiledPlan | TableAutomaton,
         *,
         binary: bool,
-        allow_shard: bool = True,
-    ) -> list[str]:
-        """Strategy names to try, best first (shared by dispatch and explain).
+        ephemeral: bool = False,
+    ) -> str:
+        """The kernel that runs one whole-graph walk: ``"python"`` or ``"numpy"``.
 
-        Adaptive mode ranks the cost model's candidates cheapest-first;
-        otherwise this reproduces the fixed order (sharded when available,
-        then the resolved backend).  ``"python"`` is always last, so a
-        failed shard fan-out can never strand a query.
+        The one place the choice is made (dispatch and :meth:`explain` both
+        read it).  With both knobs ``"auto"`` it is the cheaper of the cost
+        model's estimates -- a choice from the observable input size; that
+        is also what keeps the chunked numpy binary walk off sparse
+        selective queries, whose dense per-chunk visited mask costs
+        ``sources * n * k`` regardless of selectivity.  A forced backend or
+        ``planner="off"`` gets the resolved backend, and so does an
+        ephemeral kernel table, which has no plan for the model to price.
         """
-        shard_ok = (
-            allow_shard
-            and self._parallel is not None
-            and self._parallel.available_for(index)
-        )
-        if self._adaptive:
-            estimates = self._estimates(index, plan, binary=binary, shard_ok=shard_ok)
-            return [
-                estimate.strategy
-                for estimate in sorted(estimates, key=lambda e: e.cost)
-            ]
-        order = ["sharded"] if shard_ok else []
-        if self.backend == "numpy":
-            order.append("numpy")
-        order.append("python")
-        return order
+        if ephemeral or not self._adaptive:
+            return self.backend
+        return cheapest(self._estimates(index, plan, binary=binary)).strategy
 
     @staticmethod
     def _coerce_automaton(query: Query) -> DFA | NFA | TableAutomaton:
@@ -605,25 +569,6 @@ class QueryEngine:
             self._dispatch_counters[family, label] = counter
         counter.inc()
 
-    def _shard_trace(self):
-        """The (wire context, ingest hook) pair for traced shard dispatch.
-
-        ``(None, None)`` unless tracing is on *and* a
-        :class:`~repro.telemetry.TraceContext` is attached to this thread
-        -- the checks live here, inside the sharded branch only, so the
-        telemetry-disabled dispatch path stays byte-identical.  Shard
-        workers parent their spans onto this thread's innermost open span
-        (the ``engine.evaluate`` span) and their records flow back through
-        ``Tracer.ingest`` into the coordinator's sink.
-        """
-        tracer = self.telemetry.tracer
-        if tracer is None:
-            return None, None
-        ctx = tracer.current_context()
-        if ctx is None:
-            return None, None
-        return ctx.child(tracer.current_ref()).to_dict(), tracer.ingest
-
     def _run_whole_graph(
         self,
         index: GraphIndex,
@@ -634,49 +579,16 @@ class QueryEngine:
         max_depth: int | None = None,
         depth_sizes: list[int] | None = None,
     ) -> tuple[frozenset, str]:
-        """Dispatch one whole-graph evaluation to the best backend.
-
-        The candidate order comes from :meth:`_dispatch_order` -- the fixed
-        sharded/vectorized/python preference, or (adaptive mode) the cost
-        model's cheapest-first ranking.  That ranking is also what keeps
-        the chunked numpy binary walk off sparse selective queries: its
-        dense per-chunk visited mask costs ``sources * n * k`` regardless
-        of selectivity, so the cost model hands those to the per-source
-        python search instead.  Sharding is skipped when a per-depth
-        profile was requested (layer sizes are a whole-walk property the
-        union of shard walks cannot reproduce).  A ``None`` from the
-        parallel layer means "pool unavailable" and falls through to the
-        next candidate -- results never depend on pool health.
-
-        An ephemeral kernel table has no plan for the cost model to price
-        and is never shipped to workers: it runs on the resolved backend.
-        """
-        if ephemeral:
-            order = [self.backend]
-        else:
-            order = self._dispatch_order(
-                index, plan, binary=binary, allow_shard=depth_sizes is None
-            )
+        """Run one whole-graph walk on the kernel :meth:`_whole_graph_strategy` names."""
+        strategy = self._whole_graph_strategy(index, plan, binary=binary, ephemeral=ephemeral)
+        monadic, pairs = executor.whole_graph_walks(strategy)
         kernel = self.stats.kernel
-        for strategy in order:
-            if strategy == "sharded":
-                trace, ingest = self._shard_trace()
-                pool = self._parallel
-                fan_out = pool.binary_evaluate if binary else pool.evaluate_all
-                selected = fan_out(index, plan, kernel, trace=trace, ingest=ingest)
-                if selected is None:
-                    continue
-            else:
-                monadic, pairs = executor.whole_graph_walks(strategy)
-                if binary:
-                    selected = pairs(index, plan, kernel)
-                else:
-                    selected = monadic(
-                        index, plan, kernel, depth_sizes=depth_sizes, max_depth=max_depth
-                    )
-            self._count("backend", strategy)
-            return selected, strategy
-        raise AssertionError("dispatch order always ends in 'python'")
+        if binary:
+            selected = pairs(index, plan, kernel)
+        else:
+            selected = monadic(index, plan, kernel, depth_sizes=depth_sizes, max_depth=max_depth)
+        self._count("backend", strategy)
+        return selected, strategy
 
     def _run_pair_selects(
         self, index: GraphIndex, plan: CompiledPlan, origin_id: int, end_id: int
@@ -801,11 +713,6 @@ class QueryEngine:
                 observation.plan, observation.report = plan, report
                 observation.plan_outcome = "miss" if self.plan_cache.misses > misses else "hit"
                 observation.compiled = perf_counter()
-                # Per-depth layer sizes are a whole-walk property only the
-                # in-process walks can report, so capturing them pins the
-                # walk in-process.  Collect them under profiling only: a
-                # traced-but-unprofiled query stays shard-eligible, which is
-                # what lets distributed traces reach the worker pool.
                 if self.telemetry.profiling and not binary:
                     observation.depth_sizes = []
             key = self._result_key("binary" if binary else "eval", plan, graph)
@@ -914,56 +821,10 @@ class QueryEngine:
         through the caches, so a batch amortizes the per-graph work across
         the workload -- the intended call pattern for the static experiment
         drivers and for serving query traffic.
-
-        With ``workers > 1`` and a snapshot-backed index above the shard
-        threshold, the batch's result-cache *misses* are deduplicated by
-        plan fingerprint and fanned across the process pool (one chunk of
-        plans per worker); cache hits are answered inline either way.  The
-        fan-out is skipped under active telemetry, which preserves the
-        per-query ``engine.evaluate`` span contract.
         """
         with self.telemetry.span("engine.evaluate_many", count=len(queries)):
-            index = self.index_for(graph)
-            if self._parallel is not None and not self.telemetry.active:
-                result = self._evaluate_many_fanned(graph, index, queries)
-                if result is not None:
-                    return result
+            self.index_for(graph)
             return [self.evaluate(graph, query) for query in queries]
-
-    def _evaluate_many_fanned(
-        self, graph: GraphDB, index: GraphIndex, queries: Sequence[Query]
-    ) -> list[frozenset[Node]] | None:
-        """Fan a batch's deduplicated cache misses across the shard pool.
-
-        Returns ``None`` when the fan-out is not worth it (fewer than two
-        distinct misses, index ineligible) or the pool failed -- the caller
-        then runs the plain per-query loop, which re-consults the caches
-        and loses nothing.
-        """
-        plans = [self._resolve_plan(graph, query)[0] for query in queries]
-        cached = [self.result_cache.get(self._result_key("eval", plan, graph)) for plan in plans]
-        misses: dict[object, CompiledPlan] = {}
-        for plan, hit in zip(plans, cached):
-            if hit is None and plan.fingerprint not in misses:
-                misses[plan.fingerprint] = plan
-        if len(misses) < 2 or not self._parallel.available_for(index):
-            return None
-        unique = list(misses.values())
-        fanned = self._parallel.evaluate_plans(index, unique, self.stats.kernel)
-        if fanned is None:
-            return None
-        nodes_by_id = index.nodes_by_id
-        by_fingerprint: dict[object, frozenset[Node]] = {}
-        for plan, selected_ids in zip(unique, fanned):
-            self.stats.inc("evaluations")
-            self._count("backend", "sharded")
-            result = frozenset(nodes_by_id[node_id] for node_id in selected_ids)
-            self.result_cache.put(self._result_key("eval", plan, graph), result)
-            by_fingerprint[plan.fingerprint] = result
-        return [
-            hit if hit is not None else by_fingerprint[plan.fingerprint]
-            for plan, hit in zip(plans, cached)
-        ]
 
     # -- early-exit membership -----------------------------------------------
 
@@ -1089,9 +950,8 @@ class QueryEngine:
         plan, report = self._resolve_plan(graph, query)
         index = self.index_for(graph)
         model = self._cost_model(index)
-        shard_ok = self._parallel is not None and self._parallel.available_for(index)
-        estimates = self._estimates(index, plan, binary=binary, shard_ok=shard_ok)
-        chosen = self._dispatch_order(index, plan, binary=binary)[0]
+        estimates = self._estimates(index, plan, binary=binary)
+        chosen = self._whole_graph_strategy(index, plan, binary=binary)
         pair_kind = (
             model.choose_pair_strategy(plan) if self.backend != "python" else "forward"
         )
@@ -1115,7 +975,6 @@ class QueryEngine:
                 "strategy": chosen,
                 "backend": self.backend,
                 "pair_strategy": pair_kind,
-                "workers": self.workers,
             },
             "cache": {
                 "disposition": "hit" if key in self.result_cache else "miss",
@@ -1139,12 +998,6 @@ class QueryEngine:
         self._ordered_plans.clear()
         with self._index_lock:
             self._indexes.clear()
-
-    def close(self) -> None:
-        """Release pooled resources (shard worker processes).  Idempotent;
-        an engine without workers is a no-op close."""
-        if self._parallel is not None:
-            self._parallel.shutdown()
 
     def stats_snapshot(self) -> dict[str, int | float]:
         """All counters (kernel work + cache hit rates) as one flat dict."""

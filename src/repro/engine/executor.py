@@ -9,8 +9,7 @@ per query representation:
   nodes (optionally to one ``end`` node, optionally depth-bounded; on
   request it hands back the witness word instead of ``True``);
 * :func:`evaluate_all` / :func:`numpy_evaluate_all` -- backward whole-graph
-  closure from the accepting pairs (seed-range restricted for sharding,
-  optionally depth-bounded);
+  closure from the accepting pairs (optionally depth-bounded);
 * :func:`binary_evaluate` / :func:`numpy_binary_evaluate` -- one forward
   closure per source node;
 * :func:`bidirectional_pair_selects` -- meet-in-the-middle pair search.
@@ -121,8 +120,8 @@ class KernelStats:
                 help="CSR adjacency entries touched by the BFS kernels",
             )
         # Both instruments share one lock so a flush is a single locked
-        # add -- parallel shard workers' merge path must not serialize on
-        # two locks per kernel call.
+        # add: the service layer's threads must not serialize on two locks
+        # per kernel call.
         self._lock = self._states._lock
         self._edges._lock = self._lock
 
@@ -208,7 +207,7 @@ class BoundMoves:
     the graph does not use simply matches nothing.
 
     The object lives for one walk; nothing is cached on the (shared,
-    pickled, thread-crossing) query it was bound from.
+    thread-crossing) query it was bound from.
     """
 
     __slots__ = ("span", "initials", "final_mask", "empty", "accepts_empty", "rows", "reverse_rows")
@@ -423,8 +422,6 @@ def evaluate_all(
     stats: KernelStats | None = None,
     *,
     depth_sizes: list[int] | None = None,
-    seed_lo: int = 0,
-    seed_hi: int | None = None,
     max_depth: int | None = None,
 ) -> frozenset[int]:
     """Int ids of all nodes the query selects (monadic semantics).
@@ -437,13 +434,6 @@ def evaluate_all(
     ``depth_sizes``, when given, receives the number of product pairs
     expanded per BFS layer (layer 0 = the accepting seed pairs) -- the
     per-depth frontier profile telemetry attaches to query results.
-
-    ``seed_lo``/``seed_hi`` restrict the accepting *seed* pairs to a node
-    range -- the sharding hook: co-reachability from a union of seed sets is
-    the union of the per-shard co-reachable sets, so the parallel layer
-    unions the selected sets of disjoint ranges.  (The empty-word and
-    empty-language guards are range-independent by design; the parallel
-    layer answers them before sharding.)
 
     ``max_depth`` bounds the accepted word length (layers run in
     word-length order), which is how the interactive layer's
@@ -464,7 +454,7 @@ def evaluate_all(
     visited = bytearray(n * span)
     frontier: list[int] = []
     for final in moves.final_states():
-        for node in range(seed_lo, n if seed_hi is None else seed_hi):
+        for node in range(n):
             code = node * span + final
             visited[code] = 1
             frontier.append(code)
@@ -509,16 +499,10 @@ def binary_evaluate(
     index: GraphIndex,
     query: Source,
     stats: KernelStats | None = None,
-    *,
-    source_lo: int = 0,
-    source_hi: int | None = None,
 ) -> frozenset[tuple[int, int]]:
     """All selected ``(source id, end id)`` pairs (binary semantics).
 
     One forward product BFS per source node, as in the reference.
-    ``source_lo``/``source_hi`` restrict the source nodes walked -- the
-    sharding hook: sources are independent, so disjoint ranges union to the
-    full answer.
     """
     moves = bind(index, query)
     if moves.empty:
@@ -530,7 +514,7 @@ def binary_evaluate(
     result: set[tuple[int, int]] = set()
     expanded = 0
     scanned = 0
-    for source in range(source_lo, n if source_hi is None else source_hi):
+    for source in range(n):
         visited: set[int] = set()
         queue: deque[int] = deque()
         for initial in moves.initials:
@@ -623,8 +607,6 @@ def numpy_evaluate_all(
     stats: KernelStats | None = None,
     *,
     depth_sizes: list[int] | None = None,
-    seed_lo: int = 0,
-    seed_hi: int | None = None,
     max_depth: int | None = None,
 ) -> frozenset[int]:
     """Vectorized :func:`evaluate_all` (identical results, layers, counters)."""
@@ -641,7 +623,7 @@ def numpy_evaluate_all(
 
     visited = np.zeros(n * span, dtype=bool)
     finals = np.array(moves.final_states(), dtype=np.int64)
-    nodes = np.arange(seed_lo, n if seed_hi is None else seed_hi, dtype=np.int64)
+    nodes = np.arange(n, dtype=np.int64)
     frontier = (nodes[:, None] * span + finals[None, :]).reshape(-1)
     visited[frontier] = True
 
@@ -684,9 +666,6 @@ def numpy_binary_evaluate(
     index: GraphIndex,
     query: Source,
     stats: KernelStats | None = None,
-    *,
-    source_lo: int = 0,
-    source_hi: int | None = None,
 ) -> frozenset[tuple[int, int]]:
     """Vectorized :func:`binary_evaluate`: sources in chunks, one BFS each.
 
@@ -699,7 +678,6 @@ def numpy_binary_evaluate(
     if moves.empty:
         return frozenset()
     n, span, rows = index.num_nodes, moves.span, moves.rows
-    hi = n if source_hi is None else source_hi
     fwd_offsets = [_np_view(o) for o in index.fwd_offsets]
     fwd_targets = [_np_view(t) for t in index.fwd_targets]
     is_final = np.zeros(span, dtype=bool)
@@ -710,8 +688,8 @@ def numpy_binary_evaluate(
     expanded = 0
     scanned = 0
     chunk = max(1, min(1024, (16 << 20) // max(1, n * span)))
-    for chunk_lo in range(source_lo, hi, chunk):
-        sources = np.arange(chunk_lo, min(chunk_lo + chunk, hi), dtype=np.int64)
+    for chunk_lo in range(0, n, chunk):
+        sources = np.arange(chunk_lo, min(chunk_lo + chunk, n), dtype=np.int64)
         c = int(sources.size)
         if moves.accepts_empty:
             result.update(zip(sources.tolist(), sources.tolist()))

@@ -277,8 +277,8 @@ class GraphIndex:
         """Per-label edge counts (CSR degree stats).
 
         ``counts[label_id]`` is the number of edges carrying that label --
-        the selectivity statistic the pair-search chooser and the shard
-        planner read instead of walking the graph.
+        the selectivity statistic the cost model and the pair-search
+        chooser read instead of walking the graph.
         """
         return [len(targets) for targets in self.fwd_targets]
 

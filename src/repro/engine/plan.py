@@ -98,22 +98,6 @@ class CompiledPlan:
             self._rstate_moves = _group_by_state(self.rdelta, self.num_states)
         return self._rstate_moves
 
-    def __getstate__(self) -> dict:
-        """Pickle support (plans are shipped to shard pool workers).
-
-        The lazily built reverse tables are dropped from the payload --
-        workers rebuild them on first use, and the forward tables they
-        derive from are part of the state, so the round trip is lossless.
-        """
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_rdelta"] = None
-        state["_rstate_moves"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def _some_final_reachable(self) -> bool:
         if not self.finals:
             return False

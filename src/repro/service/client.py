@@ -13,8 +13,8 @@ request/response pairs on the shared socket.
 With a :class:`~repro.telemetry.Telemetry` attached
 (``ServiceClient(host, port, telemetry=tel)``), every request mints a
 :class:`~repro.telemetry.TraceContext`, opens a ``client.request`` span,
-and ships the context on the wire's ``trace`` field -- the server and its
-shard workers parent their spans onto it, so the client's trace file plus
+and ships the context on the wire's ``trace`` field -- the server parents
+its spans onto it, so the client's trace file plus
 the server's reconstruct the whole distributed tree (``repro trace --id``).
 """
 

@@ -25,9 +25,9 @@ of request/shed/batch/latency instruments, serves its Prometheus text over
 With ``trace_path`` set the daemon participates in distributed traces:
 every request opens a ``server.request`` span under the client-supplied
 :class:`~repro.telemetry.TraceContext` (or a freshly minted one), every
-dataset engine shares the server's rotating trace sink, and shard workers'
-span records merge into it too -- one JSONL file reconstructs the whole
-cross-process tree (``repro trace --id``).  ``slow_log_path`` adds the
+dataset engine shares the server's rotating trace sink -- that file plus
+the client's reconstruct the whole cross-process tree (``repro trace
+--id``).  ``slow_log_path`` adds the
 slow-query log: any query over ``slow_query_seconds`` is written out with
 its profile and plan explanation (``repro slow``).  Per-tenant counters
 (queries, errors, sheds, cache hits, kernel work, wall time) aggregate on
@@ -100,6 +100,28 @@ _TENANT_SERIES = {
 }
 
 
+def _learn_examples(params: dict, name: str, binary: bool) -> list:
+    """``params[name]`` as learner examples, or a ``bad_request``.
+
+    The wire carries a list of nodes (JSON scalars) for the path semantics
+    and a list of ``[origin, end]`` pairs of them for the binary one.
+    """
+
+    def is_node(value: object) -> bool:
+        return not isinstance(value, (list, dict))
+
+    def is_pair(value: object) -> bool:
+        return isinstance(value, list) and len(value) == 2 and all(map(is_node, value))
+
+    examples = params.get(name)
+    if examples is None:
+        return []
+    if not isinstance(examples, list) or not all(map(is_pair if binary else is_node, examples)):
+        expected = "[origin, end] node pairs" if binary else "nodes"
+        raise ProtocolError(f"learn needs params.{name} as a list of {expected}, got {examples!r}")
+    return [tuple(pair) for pair in examples] if binary else examples
+
+
 class _Dataset:
     """One hot snapshot: its frozen view and the tenant-shared engine."""
 
@@ -154,8 +176,8 @@ class QueryService:
             registry=self.registry,
         )
         # Distributed tracing: the server owns the rotating sink; every
-        # dataset engine borrows it (Telemetry(sink=...)), so client,
-        # server, engine and shard-worker spans land in one file.
+        # dataset engine borrows it (Telemetry(sink=...)), so server and
+        # engine spans land in one file.
         self.telemetry = Telemetry(
             trace_path=self.config.trace_path, registry=self.registry
         )
@@ -489,8 +511,7 @@ class QueryService:
         The ``server.request`` span carries the wire request ``id`` (so
         wire ids and trace ids join in the trace file) and parents every
         downstream span: the ops receive a child context re-parented onto
-        it, which they attach around engine work and ship to the batcher
-        and shard workers.
+        it, which they attach around engine work and ship to the batcher.
         """
         tracer = self.telemetry.tracer
         if tracer is None or ctx is None:
@@ -686,19 +707,14 @@ class QueryService:
         params = request.params
         dataset = self._resolve_dataset(params)
         config = LearnerConfig.from_dict(params.get("config") or {})
-        positives = params.get("positives") or []
-        negatives = params.get("negatives") or []
-        if config.semantics == "binary":
-            sample: Sample | BinarySample = BinarySample(
-                [tuple(pair) for pair in positives],
-                [tuple(pair) for pair in negatives],
-            )
-        elif config.semantics == "path":
-            sample = Sample(list(positives), list(negatives))
-        else:
+        if config.semantics not in ("path", "binary"):
             raise ProtocolError(
                 f"the service supports 'path' and 'binary' learning, got {config.semantics!r}"
             )
+        binary = config.semantics == "binary"
+        positives = _learn_examples(params, "positives", binary)
+        negatives = _learn_examples(params, "negatives", binary)
+        sample: Sample | BinarySample = (BinarySample if binary else Sample)(positives, negatives)
         with dataset.workspace.telemetry.context(trace):
             result = dataset.workspace.learn(sample, config)
         return result.to_dict(), {"snapshot": dataset.name}
@@ -831,10 +847,8 @@ class QueryService:
         for dataset in hot:
             for key, value in dataset.workspace.stats().items():
                 # Only the integer counters aggregate meaningfully; derived
-                # ratios (hit rates) and config knobs (backend, workers) do
-                # not sum across engines.
-                if key == "workers":
-                    continue
+                # ratios (hit rates) and the backend name do not sum across
+                # engines.
                 if isinstance(value, int) and not isinstance(value, bool):
                     totals[key] = totals.get(key, 0) + value
         for key in sorted(totals):

@@ -160,11 +160,6 @@ class Telemetry:
         """The ref of this thread's innermost open span, or None."""
         return self.tracer.current_ref() if self.tracer is not None else None
 
-    def ingest(self, record: dict) -> None:
-        """Adopt a span record produced elsewhere (no-op when tracing is off)."""
-        if self.tracer is not None:
-            self.tracer.ingest(record)
-
     def events(self) -> list[dict]:
         """The in-memory ring of recent finished span records (oldest first)."""
         return list(self.tracer.events) if self.tracer is not None else []

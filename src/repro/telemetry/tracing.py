@@ -18,9 +18,8 @@ wall clock), so records order and subtract cleanly within one process.
 
 Distributed traces add a :class:`TraceContext` -- a trace id plus the
 globally-unique ref of the parent span, minted client-side and carried on
-the wire and into shard-worker payloads.  While a context is attached
-(:meth:`Tracer.context`, per thread), every finished record additionally
-carries::
+the wire.  While a context is attached (:meth:`Tracer.context`, per
+thread), every finished record additionally carries::
 
     {"trace": "9f2c...", "span": "a1b2c3d4:7", "parent": "e5f6a7b8:3",
      "tenant": "acme"}
@@ -56,8 +55,7 @@ class TraceContext:
     ``trace_id`` names the whole request; ``parent_span`` is the
     ``origin:span_id`` ref of the caller's open span (None for a root
     context); ``tenant`` stamps every record for per-tenant attribution.
-    The wire form (:meth:`to_dict`) rides the protocol's ``trace`` field
-    and the shard-worker task payloads unchanged.
+    The wire form (:meth:`to_dict`) rides the protocol's ``trace`` field.
     """
 
     trace_id: str
@@ -279,17 +277,6 @@ class Tracer:
         """The ref of this thread's innermost open span, or None."""
         stack = self._stack
         return self.span_ref(stack[-1]) if stack else None
-
-    def ingest(self, record: dict) -> None:
-        """Adopt a finished span record produced elsewhere (a shard worker).
-
-        The record lands in the ring and the sink verbatim -- it already
-        carries its own refs -- so worker spans merge into the
-        coordinator's trace file without the workers owning a sink.
-        """
-        self.events.append(record)
-        if self.sink is not None:
-            self.sink.write(record)
 
     # -- span lifecycle (called by Span.__enter__/__exit__) -------------------
 

@@ -79,7 +79,7 @@ def test_explain_subcommand(capsys):
     result = envelope["result"]
     assert result["type"] == "ExplainResult"
     assert result["planner"]["mode"] == "auto"
-    assert result["chosen"]["strategy"] in ("python", "numpy", "sharded")
+    assert result["chosen"]["strategy"] in ("python", "numpy")
     assert [e["strategy"] for e in result["estimates"]].count("python") == 1
     assert result["cache"]["disposition"] == "miss"
     # Explaining never evaluates: the engine ran no kernel.

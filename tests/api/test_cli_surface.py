@@ -1,8 +1,9 @@
 """The CLI's option surface, pinned against a committed snapshot.
 
 ``cli_surface.json`` was generated from the parser as it stood before the
-flags were derived from the config declarations (PR 16's parent commit);
-the derived parser must reproduce it exactly: per subcommand, every
+flags were derived from the config declarations (PR 16's parent commit),
+less the sixteen ``--workers`` / ``--min-shard-edges`` options deleted with
+the shard pool; the derived parser must reproduce it exactly: per subcommand, every
 option's strings, default, ``choices``, ``required``, value type and
 ``nargs``/action kind, plus the mutually exclusive groups.  Help texts and
 metavars are presentation and deliberately not pinned.
@@ -59,12 +60,14 @@ def cli_surface() -> dict:
     return surface
 
 
-def test_twelve_subcommands_63_distinct_flags_176_expanded():
+def test_twelve_subcommands_61_distinct_flags_160_expanded():
     surface = cli_surface()
     assert len(surface) == 12
     expanded = [flag for sub in surface.values() for flag in sub["options"]]
-    assert len(expanded) == 176
-    assert len(set(expanded)) == 63
+    assert len(expanded) == 160
+    assert len(set(expanded)) == 61
+    # 63 / 176 before the shard pool went: two flags on eight commands.
+    assert not {"--workers", "--min-shard-edges"} & set(expanded)
 
 
 def test_cli_surface_matches_the_committed_snapshot():

@@ -29,7 +29,7 @@ CONFIGS = (
 )
 
 
-def test_68_fields_each_with_a_check_and_a_doc():
+def test_64_fields_each_with_a_check_and_a_doc():
     count = 0
     for config_cls in CONFIGS:
         for spec in fields(config_cls):
@@ -38,7 +38,7 @@ def test_68_fields_each_with_a_check_and_a_doc():
             assert knob.doc and "\n" not in knob.doc, (config_cls.__name__, spec.name)
             assert knob.check.accepts(spec.default), (config_cls.__name__, spec.name)
             count += 1
-    assert count == 68
+    assert count == 64
 
 
 def test_check_lists_are_built_once_per_class():
@@ -74,7 +74,7 @@ def test_engine_config_carries_every_shared_field():
     shared = {spec.name for spec in fields(cfg.EngineConfig)} & {
         spec.name for spec in fields(cfg.ServiceConfig)
     }
-    assert len(shared) == 7
+    assert len(shared) == 5
     # Give every shared field a non-default value its own check accepts.
     changed = {}
     for spec in fields(cfg.ServiceConfig):
@@ -122,10 +122,23 @@ def test_shared_declarations_are_one_object():
     def knob_of(config_cls, name):
         return config_cls.__dataclass_fields__[name].metadata["knob"]
 
-    for name in ("backend", "workers", "planner", "cache_budget_bytes", "min_shard_edges"):
+    for name in ("backend", "planner", "cache_budget_bytes"):
         assert knob_of(cfg.ServiceConfig, name) == knob_of(cfg.EngineConfig, name)
     for name in ("strategy", "seed", "k_start", "target_f1"):
         assert knob_of(cfg.ExperimentConfig, name) == knob_of(cfg.InteractiveConfig, name)
+
+
+def test_the_shard_pool_knobs_are_gone_not_ignored():
+    for config_cls in (cfg.EngineConfig, cfg.ServiceConfig):
+        for name in ("workers", "min_shard_edges"):
+            assert name not in config_cls.__dataclass_fields__
+            with pytest.raises(ConfigError, match="unknown .* fields"):
+                config_cls.from_dict({name: 2})
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                config_cls(**{name: 2})
+    with pytest.raises(SystemExit) as usage:
+        _build_parser().parse_args(["query", "--figure", "geo", "--expr", "a", "--workers", "2"])
+    assert usage.value.code == 2
 
 
 # -- the CLI is derived from the declarations -----------------------------------
@@ -163,7 +176,7 @@ def test_every_config_backed_flag_takes_its_default_from_the_field():
                 if knob.check.choices:
                     assert tuple(action.choices) == knob.check.choices, (name, spec.name)
                 seen += 1
-    assert seen > 100  # 7 graph commands x 9 engine/telemetry flags, plus the rest
+    assert seen == 89  # 7 graph commands x 7 engine/telemetry flags, plus the rest
 
 
 def test_parsing_no_flags_rebuilds_the_default_configs():

@@ -91,7 +91,7 @@ class TestWorkspaceExplain:
         assert result.ok
         assert result.semantics == "path"
         assert result.planner["mode"] == "auto"
-        assert result.strategy in ("python", "numpy", "sharded")
+        assert result.strategy in ("python", "numpy")
         assert result.chosen["pair_strategy"] in ("forward", "bidirectional")
         assert result.graph["nodes"] == 10
         assert geo.stats()["evaluations"] == 0

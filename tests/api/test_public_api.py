@@ -6,6 +6,8 @@ the same change -- that is the point of the test.
 
 from __future__ import annotations
 
+import pytest
+
 import repro
 
 EXPECTED_ALL = frozenset(
@@ -101,3 +103,25 @@ def test_api_subpackage_all_importable():
 
     for name in repro.api.__all__:
         assert hasattr(repro.api, name)
+
+
+def test_engine_subpackage_lost_exactly_the_shard_pool():
+    import importlib
+
+    import repro.engine
+
+    gone = {
+        "ParallelExecutor",
+        "shard_bounds",
+        "evaluate_all_sharded",
+        "binary_evaluate_sharded",
+        "DEFAULT_MIN_SHARD_EDGES",  # the deleted min_shard_edges knob's default
+    }
+    assert len(repro.engine.__all__) == 29 - len(gone)
+    for name in gone:
+        assert name not in repro.engine.__all__ and not hasattr(repro.engine, name)
+    for name in repro.engine.__all__:
+        assert hasattr(repro.engine, name)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.parallel")
+    assert len(repro.__all__) == 55

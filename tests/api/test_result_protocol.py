@@ -118,7 +118,7 @@ def test_query_result_roundtrip(geo_workspace):
 def test_explain_result_roundtrip(geo_workspace):
     result = geo_workspace.explain("(tram+bus)*.cinema")
     assert_protocol(result)
-    assert result.strategy in ("python", "numpy", "sharded")
+    assert result.strategy in ("python", "numpy")
     rebuilt = roundtrip(result)
     assert rebuilt.to_dict() == result.to_dict()
     assert rebuilt.query.expression == result.query.expression

@@ -1,9 +1,9 @@
 """Cross-backend parity: every kernel backend returns byte-identical results.
 
 The pure-python kernels in :mod:`repro.engine.executor` are the oracle; the
-numpy-vectorized kernels, the bidirectional pair search and the sharded
-(seed-range-partitioned) execution must reproduce their answers exactly --
-selected sets, per-depth layer sizes AND the kernel work counters -- on a
+numpy-vectorized kernels and the bidirectional pair search must reproduce
+their answers exactly -- selected sets, per-depth layer sizes AND the
+kernel work counters -- on a
 randomized population of seeded graphs that includes the documented edge
 cases (empty language, empty-word acceptance, query labels the graph never
 uses, graphs with isolated nodes).
@@ -20,11 +20,6 @@ from repro.engine import executor
 from repro.engine.costs import CostModel
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
-from repro.engine.parallel import (
-    binary_evaluate_sharded,
-    evaluate_all_sharded,
-    shard_bounds,
-)
 from repro.engine.plan import compile_plan
 from repro.graphdb import GraphDB
 from repro.regex import compile_query
@@ -151,61 +146,6 @@ class TestBidirectionalPairSearch:
         kind = CostModel(index).choose_pair_strategy(plan)
         assert kind in ("forward", "bidirectional")
         assert CostModel(index).choose_pair_strategy(plan) == kind
-
-
-class TestShardInvariance:
-    """The union of shard results must not depend on the shard count."""
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    @pytest.mark.parametrize("expression", ["(a.b)*.c", "a*", "b.b.c.c", "z", "c.b*"])
-    def test_evaluate_all_shard_counts(self, backend, expression):
-        plan = plan_for(expression)
-        for graph in GRAPHS[:20]:
-            index = GraphIndex.build(graph)
-            single = evaluate_all_sharded(index, plan, 1, backend=backend)
-            for shards in (2, 4, 8):
-                assert (
-                    evaluate_all_sharded(index, plan, shards, backend=backend)
-                    == single
-                )
-
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    @pytest.mark.parametrize("expression", ["(a.b)*.c", "a*", "b.b.c.c", "z"])
-    def test_binary_evaluate_shard_counts(self, backend, expression):
-        plan = plan_for(expression)
-        for graph in GRAPHS[:20]:
-            index = GraphIndex.build(graph)
-            single = binary_evaluate_sharded(index, plan, 1, backend=backend)
-            for shards in (2, 4, 8):
-                assert (
-                    binary_evaluate_sharded(index, plan, shards, backend=backend)
-                    == single
-                )
-
-    def test_sharded_matches_unsharded_python_oracle(self):
-        plan = plan_for("(a+b)*.c")
-        for graph in GRAPHS[:20]:
-            index = GraphIndex.build(graph)
-            expected = executor.evaluate_all(index, plan)
-            assert evaluate_all_sharded(index, plan, 4) == expected
-            assert binary_evaluate_sharded(index, plan, 4) == executor.binary_evaluate(
-                index, plan
-            )
-
-
-class TestShardBounds:
-    def test_partition_covers_range_disjointly(self):
-        for n in (0, 1, 2, 7, 64, 1001):
-            for shards in (1, 2, 3, 8, 100):
-                bounds = shard_bounds(n, shards)
-                covered = [i for lo, hi in bounds for i in range(lo, hi)]
-                assert covered == list(range(n))
-                assert all(lo < hi for lo, hi in bounds if n)
-
-    def test_degenerate_inputs(self):
-        assert shard_bounds(0, 4) == [(0, 0)]
-        assert shard_bounds(3, 8) == [(0, 1), (1, 2), (2, 3)]
-        assert shard_bounds(10, 0) == [(0, 10)]
 
 
 class TestBackendResolution:

@@ -6,14 +6,18 @@ fan-outs -- computed exactly, and (b) the *orderings* the engine consumes:
 python wins small graphs, the vectorized kernel wins dense whole-graph
 walks, the chunked numpy binary kernel is kept off sparse selective
 workloads, and the pair-strategy rule reproduces the executor's historical
-``forward*8 <= backward`` decision.
+``forward*8 <= backward`` decision.  :class:`TestOneDispatchRule` pins the
+engine side: one strategy name per whole-graph walk, read by dispatch and
+``explain`` alike.
 """
 
 from __future__ import annotations
 
+import pytest
+
+from repro.engine import QueryEngine, have_numpy
 from repro.engine.costs import (
     NUMPY_CALL_WEIGHT,
-    SHARD_CALL_WEIGHT,
     CostEstimate,
     CostModel,
     cheapest,
@@ -21,7 +25,9 @@ from repro.engine.costs import (
 from repro.engine.index import GraphIndex
 from repro.engine.plan import compile_plan
 from repro.graphdb import GraphDB
+from repro.queries import PathQuery
 from repro.regex import compile_query
+from repro.telemetry import Telemetry
 
 ALPHABET = ["r", "d", "z"]
 
@@ -107,26 +113,12 @@ class TestEvaluateAllEstimates:
             estimates = model.evaluate_all_estimates(plan, numpy_ok=numpy_ok)
             assert estimates[0].strategy == "python"
 
-    def test_numpy_and_sharded_are_gated(self):
+    def test_numpy_is_gated_and_there_is_no_third_candidate(self):
         model = model_for(skewed_graph())
-        plan = plan_for("d*")
-        strategies = {
-            e.strategy for e in model.evaluate_all_estimates(plan, numpy_ok=False)
-        }
-        assert strategies == {"python"}
-        strategies = {
-            e.strategy
-            for e in model.evaluate_all_estimates(
-                plan, numpy_ok=True, shard_ok=True, workers=4
-            )
-        }
-        assert strategies == {"python", "numpy", "sharded"}
-        # workers=1 cannot shard even when the pool is allowed.
-        strategies = {
-            e.strategy
-            for e in model.evaluate_all_estimates(plan, shard_ok=True, workers=1)
-        }
-        assert strategies == {"python"}
+        for estimates_of in (model.evaluate_all_estimates, model.binary_estimates):
+            plan = plan_for("d*")
+            assert [e.strategy for e in estimates_of(plan)] == ["python"]
+            assert [e.strategy for e in estimates_of(plan, numpy_ok=True)] == ["python", "numpy"]
 
     def test_python_wins_small_graphs(self):
         model = model_for(skewed_graph(rare=2, dense=30))
@@ -137,15 +129,6 @@ class TestEvaluateAllEstimates:
         model = model_for(chain_graph(8000))
         estimates = model.evaluate_all_estimates(plan_for("d*"), numpy_ok=True)
         assert cheapest(estimates).strategy == "numpy"
-
-    def test_shard_pays_only_past_the_ipc_constant(self):
-        model = model_for(chain_graph(500))
-        estimates = model.evaluate_all_estimates(
-            plan_for("d*"), shard_ok=True, workers=8
-        )
-        by_name = {e.strategy: e for e in estimates}
-        assert by_name["sharded"].cost > SHARD_CALL_WEIGHT
-        assert cheapest(estimates).strategy == "python"
 
 
 class TestBinaryEstimates:
@@ -179,3 +162,84 @@ class TestEstimateObjects:
     def test_to_dict_flattens_detail(self):
         estimate = CostEstimate("numpy", 2.5, {"chunks": 3.0})
         assert estimate.to_dict() == {"strategy": "numpy", "cost": 2.5, "chunks": 3.0}
+
+
+def dispatched(engine: QueryEngine) -> dict[str, int]:
+    """``engine_backend_selected_total`` by label."""
+    prefix = 'engine_backend_selected_total{backend="'
+    return {
+        name[len(prefix) : -2]: value
+        for name, value in engine.telemetry.registry.snapshot().items()
+        if name.startswith(prefix)
+    }
+
+
+def query_for(expression: str) -> PathQuery:
+    return PathQuery.parse(expression, ALPHABET)
+
+
+def dense_graph(nodes: int) -> GraphDB:
+    """Every node has a "d" edge to every node: many edges on few nodes."""
+    graph = GraphDB(["r", "d"])
+    for origin in range(nodes):
+        for end in range(nodes):
+            graph.add_edge(origin, "d", end)
+    return graph
+
+
+class TestOneDispatchRule:
+    """Which kernel runs a whole-graph walk is one name, decided in one place."""
+
+    @pytest.mark.skipif(not have_numpy(), reason="the crossover needs the numpy walk")
+    def test_auto_picks_the_cheaper_estimate_and_explain_names_it(self):
+        # 30 "d" edges sit under the model's crossover, 6400 above it.
+        for graph, expected in ((skewed_graph(2, 30), "python"), (dense_graph(80), "numpy")):
+            for semantics, run in (("path", "evaluate"), ("binary", "binary_evaluate")):
+                engine = QueryEngine()
+                query = query_for("d.d*")
+                chosen = engine.explain(graph, query, semantics=semantics)["chosen"]
+                assert chosen["strategy"] == expected
+                assert dispatched(engine) == {}  # explaining runs nothing
+                getattr(engine, run)(graph, query)
+                assert dispatched(engine) == {expected: 1}
+
+    @pytest.mark.parametrize(
+        "knobs, graph",
+        [
+            # Each on the side of the crossover where "auto" picks the other walk.
+            ({"backend": "python"}, dense_graph(80)),
+            ({"planner": "off"}, skewed_graph(2, 30)),
+        ],
+        ids=["backend=python", "planner=off"],
+    )
+    def test_forced_knobs_dispatch_the_resolved_backend(self, knobs, graph):
+        engine, query = QueryEngine(**knobs), query_for("d.d*")
+        for semantics in ("path", "binary"):
+            chosen = engine.explain(graph, query, semantics=semantics)["chosen"]
+            assert chosen["strategy"] == engine.backend
+        engine.evaluate(graph, query)
+        engine.binary_evaluate(graph, query)
+        assert dispatched(engine) == {engine.backend: 2}
+
+    def test_no_third_label_whatever_the_knobs(self):
+        graph = chain_graph(300)
+        queries = [query_for(text) for text in ("d*.r", "d.d", "r")]
+        for backend in ("auto", "python"):
+            for planner in ("auto", "off"):
+                engine = QueryEngine(backend=backend, planner=planner)
+                engine.evaluate_many(graph, queries)
+                engine.binary_evaluate(graph, queries[0])
+                engine.evaluate(graph, queries[1].table, ephemeral=True)
+                counts = dispatched(engine)
+                assert set(counts) <= {"python", "numpy"}
+                assert sum(counts.values()) == len(queries) + 2
+
+    def test_profiled_and_unprofiled_walks_do_the_same_work(self):
+        graph, query = chain_graph(2000), query_for("d*.r")
+        work = []
+        for telemetry in (None, Telemetry(enabled=True), Telemetry(profile=True)):
+            engine = QueryEngine(telemetry=telemetry)
+            engine.evaluate(graph, query)
+            work.append((dispatched(engine), engine.stats.kernel.mark()))
+        assert work[0] == work[1] == work[2]
+        assert work[0][1] > (0, 0)

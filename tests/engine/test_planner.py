@@ -263,7 +263,7 @@ class TestEngineExplain:
         assert report["estimates"], "at least the python strategy must be costed"
         strategies = [estimate["strategy"] for estimate in report["estimates"]]
         assert "python" in strategies
-        assert report["chosen"]["strategy"] in ("python", "numpy", "sharded")
+        assert report["chosen"]["strategy"] in ("python", "numpy")
         assert report["chosen"]["pair_strategy"] in ("forward", "bidirectional")
         assert report["graph"]["nodes"] == graph.node_count()
 

@@ -151,6 +151,33 @@ def test_wrongly_typed_wire_config_is_a_400_envelope(service, op, config):
     assert next(iter(config)) in error["message"]
 
 
+BINARY = {"semantics": "binary"}
+MALFORMED_LEARN_PARAMS = [
+    ({"positives": 5, "negatives": []}, "params.positives"),
+    ({"positives": [["a"]]}, "params.positives"),
+    ({"positives": [1], "config": BINARY}, "params.positives"),
+    ({"positives": [["N1", "N4"]], "negatives": [["N1"]], "config": BINARY}, "params.negatives"),
+    ({"positives": ["no-such-node"]}, "not present in the graph"),
+    # The shard pool's knobs are gone from every config, the wire's included.
+    ({"positives": ["N2"], "config": {"workers": 2}}, "unknown LearnerConfig fields"),
+]
+
+
+@pytest.mark.parametrize(
+    "params, complaint",
+    MALFORMED_LEARN_PARAMS,
+    ids=["not-a-list", "nested-node", "node-for-pair", "short-pair", "unknown-node", "workers"],
+)
+def test_malformed_learn_examples_are_a_400_envelope(service, caplog, params, complaint):
+    with caplog.at_level("ERROR", logger="repro.service.server"):
+        answer = service.handle({"id": 9, "op": "learn", "params": params})
+    assert answer["ok"] is False and answer["id"] == 9
+    error = answer["error"]
+    assert (error["code"], error["status"]) == ("bad_request", 400), error
+    assert complaint in error["message"]
+    assert not caplog.records  # a client's mistake is not a server traceback
+
+
 def test_malformed_wire_config_keeps_the_connection(service):
     host, port = service.address
     with socket.create_connection((host, port), timeout=10) as raw:

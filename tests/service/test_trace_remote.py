@@ -1,12 +1,12 @@
-"""End-to-end distributed tracing: client -> daemon -> shard workers.
+"""End-to-end distributed tracing: client -> daemon -> engine.
 
-This file carries the PR's acceptance assertion: a traced query sent
-through :class:`~repro.service.ServiceClient` against a sharded
-(``workers>=2``) snapshot yields ONE trace -- client-side span, server-side
-request span, engine span, and shard-worker spans all stamped with the same
-trace id -- reconstructable into a single tree from the client's and the
-server's trace files.  The daemon runs as a real subprocess, so the spans
-genuinely cross two process boundaries (client/server and server/pool).
+A traced query sent through :class:`~repro.service.ServiceClient` to a
+tracing daemon yields ONE trace -- the client-side span, the server-side
+request span and the engine span all stamped with the same trace id and
+tenant, each parented onto the one before it across the wire --
+reconstructable into a single tree from the client's and the server's
+trace files (``repro trace --id``).  The daemon runs as a real subprocess,
+so the spans genuinely cross a process boundary.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ def catalog_root(tmp_path_factory):
     return str(root)
 
 
-def test_one_trace_spans_client_server_and_shard_workers(catalog_root, tmp_path):
+def test_one_trace_spans_client_server_and_engine(catalog_root, tmp_path):
     server_trace = tmp_path / "server-trace.jsonl"
     client_trace = tmp_path / "client-trace.jsonl"
+    repo_root = str(Path(__file__).resolve().parents[2])
     process = subprocess.Popen(
         [
             sys.executable,
@@ -47,15 +48,6 @@ def test_one_trace_spans_client_server_and_shard_workers(catalog_root, tmp_path)
             "0",
             "--snapshots",
             "geo",
-            # Two shard workers on a tiny graph: --min-shard-edges 1 makes
-            # it shard-eligible and --planner off pins dispatch to the
-            # sharded kernel, so worker spans appear deterministically.
-            "--workers",
-            "2",
-            "--min-shard-edges",
-            "1",
-            "--planner",
-            "off",
             "--trace",
             str(server_trace),
             "--allow-remote-shutdown",
@@ -65,7 +57,7 @@ def test_one_trace_spans_client_server_and_shard_workers(catalog_root, tmp_path)
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        cwd=str(Path(__file__).resolve().parents[2]),
+        cwd=repo_root,
     )
     try:
         ready = json.loads(process.stdout.readline())
@@ -89,39 +81,54 @@ def test_one_trace_spans_client_server_and_shard_workers(catalog_root, tmp_path)
             process.kill()
             process.communicate()
 
-    client_records = list(read_trace(client_trace))
-    server_records = list(read_trace(server_trace))
-    in_trace = [
-        r
-        for r in client_records + server_records
-        if r.get("trace") == trace_id
-    ]
-    names = {r["name"] for r in in_trace}
-    assert "client.request" in names
-    assert "server.request" in names
-    assert "engine.evaluate" in names
-    shard_spans = [r for r in in_trace if r["name"].startswith("shard.")]
-    assert len(shard_spans) >= 2  # one per worker process
-    # Worker spans really came from other processes and carry their work
-    # attribution and tenant stamp.
-    server_pid_spans = {r["attrs"]["pid"] for r in shard_spans}
-    assert all(isinstance(pid, int) for pid in server_pid_spans)
-    for span in shard_spans:
-        assert span["tenant"] == "acme"
-        assert "states_expanded" in span["attrs"]
+    def in_trace(path):
+        return {r["name"]: r for r in read_trace(path) if r.get("trace") == trace_id}
 
-    # The whole thing reassembles into one tree rooted at the client span.
-    tree = build_trace_tree(client_records + server_records, trace_id)
-    assert tree["spans"] == len(in_trace)
+    # One trace id across both files: the client's span in its own file, the
+    # daemon's spans in the server's.
+    client_spans, server_spans = in_trace(client_trace), in_trace(server_trace)
+    assert set(client_spans) == {"client.request"}
+    assert {"server.request", "engine.evaluate"} <= set(server_spans)
+    assert not any(name.startswith("shard.") for name in server_spans)
+
+    # Parent refs chain across the wire, and every span carries the tenant.
+    client_span = client_spans["client.request"]
+    request_span = server_spans["server.request"]
+    assert "parent" not in client_span
+    assert request_span["parent"] == client_span["span"]
+    origins = {span["span"].split(":")[0] for span in (client_span, request_span)}
+    assert len(origins) == 2  # two tracers, two processes
+    for span in (*client_spans.values(), *server_spans.values()):
+        assert span["tenant"] == "acme"
+    assert server_spans["engine.evaluate"]["attrs"]["selected"] == 4
+
+    # `repro trace --id` reassembles the two files into one tree.
+    report = subprocess.run(
+        [sys.executable, "-m", "repro", "trace", "--id", trace_id]
+        + ["--file", str(client_trace), "--file", str(server_trace), "--indent", "0"],
+        capture_output=True,
+        text=True,
+        cwd=repo_root,
+        timeout=60,
+    )
+    assert report.returncode == 0, report.stderr
+    tree = json.loads(report.stdout)["result"]["tree"]
+    records = [*read_trace(client_trace), *read_trace(server_trace)]
+    assert tree == json.loads(json.dumps(build_trace_tree(records, trace_id)))
+    assert tree["spans"] == len(client_spans) + len(server_spans)
     assert tree["tenants"] == ["acme"]
     (root,) = tree["roots"]
-    assert root["name"] == "client.request"
 
-    def walk(node):
-        yield node["name"]
+    def chain_to(node, name):
+        """Span names from ``node`` down to the first span called ``name``."""
+        if node["name"] == name:
+            return [name]
         for child in node["children"]:
-            yield from walk(child)
+            below = chain_to(child, name)
+            if below:
+                return [node["name"], *below]
+        return []
 
-    flattened = list(walk(root))
-    assert "server.request" in flattened
-    assert any(name.startswith("shard.") for name in flattened)
+    chain = chain_to(root, "engine.evaluate")
+    assert chain[:2] == ["client.request", "server.request"]
+    assert chain[-1] == "engine.evaluate"

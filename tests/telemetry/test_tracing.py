@@ -200,15 +200,6 @@ class TestTraceContext:
             assert tracer.current_ref() == tracer.span_ref(span)
         assert tracer.current_ref() is None
 
-    def test_ingest_adopts_foreign_records(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        tracer = Tracer(TraceSink(path))
-        foreign = {"name": "shard.evaluate_all", "trace": "t1", "span": "w1:1"}
-        tracer.ingest(foreign)
-        tracer.flush()
-        assert list(tracer.events) == [foreign]
-        assert [r["name"] for r in read_trace(path)] == ["shard.evaluate_all"]
-
 
 class TestBuildTraceTree:
     def _record(self, name, span, parent=None, trace="t1", start=0.0, **extra):
@@ -225,8 +216,8 @@ class TestBuildTraceTree:
     def test_links_cross_process_spans_into_one_tree(self):
         records = [
             # Arrival order is close-order (innermost first), spread over
-            # three origins as client/server/worker files would interleave.
-            self._record("shard.work", "w1:1", parent="s1:2", start=0.0),
+            # three origins as the files of three processes would interleave.
+            self._record("downstream.work", "w1:1", parent="s1:2", start=0.0),
             self._record("engine.evaluate", "s1:2", parent="s1:1", start=0.3),
             self._record("server.request", "s1:1", parent="c1:1", start=0.2),
             self._record("client.request", "c1:1", start=0.1, tenant="acme"),
@@ -245,7 +236,7 @@ class TestBuildTraceTree:
                 break
             (node,) = node["children"]
         assert chain == [
-            "client.request", "server.request", "engine.evaluate", "shard.work",
+            "client.request", "server.request", "engine.evaluate", "downstream.work",
         ]
 
     def test_orphans_become_roots(self):
