@@ -13,11 +13,11 @@ import time
 
 import pytest
 
+from repro.automata.kernel import TableDFA
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import executor
 from repro.engine.engine import QueryEngine
 from repro.engine.index import GraphIndex
-from repro.engine.plan import compile_plan
 from repro.regex import compile_query
 
 numpy = pytest.importorskip("numpy")
@@ -39,7 +39,7 @@ def _workload(node_count: int, seed: int):
     graph = scale_free_graph(node_count, alphabet_size=8, zipf_exponent=1.0, seed=seed)
     labels = sorted(graph.labels())
     plans = [
-        compile_plan(compile_query(shape.format(*labels), tuple(labels)))
+        TableDFA.from_dfa(compile_query(shape.format(*labels), tuple(labels)))[0]
         for shape in EXPRESSION_SHAPES
     ]
     return graph, plans

@@ -27,7 +27,7 @@ The classic object API (:mod:`repro.automata.dfa`,
 :mod:`~repro.automata.determinize`, :mod:`~repro.automata.minimize`,
 :mod:`~repro.automata.pta`, :mod:`~repro.automata.merging`) is preserved as
 thin wrappers that convert at the boundary; the engine's
-:func:`repro.engine.plan.compile_plan` consumes the kernel arrays directly.
+walks (:func:`repro.engine.executor.bind`) read the kernel arrays directly.
 """
 
 from __future__ import annotations

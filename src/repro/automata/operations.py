@@ -15,11 +15,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Sequence
 
-from repro.automata import kernel
 from repro.automata.alphabet import Alphabet, Word
 from repro.automata.dfa import DFA
 from repro.automata.determinize import determinize
-from repro.automata.kernel import TableDFA
 from repro.automata.nfa import NFA
 from repro.errors import AutomatonError
 
@@ -36,32 +34,12 @@ def _common_alphabet(left: Automaton, right: Automaton) -> Alphabet:
     return left.alphabet.union(right.alphabet)
 
 
-def _common_tables(left: DFA, right: DFA) -> tuple[TableDFA, TableDFA]:
-    """Int-code two DFAs over their common (union) alphabet."""
-    alphabet = _common_alphabet(left, right)
-    left_table, _ = TableDFA.from_dfa(left)
-    right_table, _ = TableDFA.from_dfa(right)
-    return left_table.reindexed(alphabet), right_table.reindexed(alphabet)
-
-
 def intersect(left: Automaton, right: Automaton) -> NFA:
     """The product automaton accepting ``L(left) & L(right)``.
 
     Only the part of the product reachable from the initial pairs is built.
-    Epsilon transitions are handled by closing each side first.  For the
-    common DFA/DFA case the pairing runs in the int-coded kernel
-    (:func:`repro.automata.kernel.product_table`); the wrapper restores the
-    classic pair-state NFA view.
+    Epsilon transitions are handled by closing each side first.
     """
-    if isinstance(left, DFA) and isinstance(right, DFA):
-        left_table, left_order = TableDFA.from_dfa(left)
-        right_table, right_order = TableDFA.from_dfa(right)
-        alphabet = _common_alphabet(left, right)
-        product, pairs = kernel.product_table(
-            left_table.reindexed(alphabet), right_table.reindexed(alphabet)
-        )
-        labels = [(left_order[ls], right_order[rs]) for ls, rs in pairs]
-        return product.to_dfa(states=labels).to_nfa()
     left_nfa = _as_nfa(left)
     right_nfa = _as_nfa(right)
     alphabet = _common_alphabet(left_nfa, right_nfa)
@@ -130,14 +108,7 @@ def is_empty(automaton: Automaton) -> bool:
 
 
 def intersection_empty(left: Automaton, right: Automaton) -> bool:
-    """Whether ``L(left) & L(right)`` is empty (PTIME product-emptiness).
-
-    DFA/DFA inputs take the kernel's early-exit pair BFS, which never
-    materializes the product; other inputs build the product NFA.
-    """
-    if isinstance(left, DFA) and isinstance(right, DFA):
-        left_table, right_table = _common_tables(left, right)
-        return not kernel.intersection_nonempty(left_table, right_table)
+    """Whether ``L(left) & L(right)`` is empty (PTIME product-emptiness)."""
     return intersect(left, right).is_empty()
 
 
@@ -169,12 +140,8 @@ def language_included(left: Automaton, right: Automaton) -> bool:
     The complementation determinizes the right-hand side, so this is
     exponential in the worst case (the problem is PSPACE-complete), which is
     fine for the small automata on which the exact characterizations are
-    evaluated.  When both sides are already deterministic the kernel's
-    linear product walk answers directly, with no complementation at all.
+    evaluated.
     """
-    if isinstance(left, DFA) and isinstance(right, DFA):
-        left_table, right_table = _common_tables(left, right)
-        return kernel.language_included_tables(left_table, right_table)
     alphabet = _common_alphabet(left, right)
     widened_right = _with_alphabet(right, alphabet)
     return intersection_empty(left, complement(widened_right))

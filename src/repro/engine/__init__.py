@@ -7,9 +7,8 @@ semantics (the dict/frozenset construction is the parity oracle in
 * :mod:`repro.engine.index` -- :class:`GraphIndex`, an immutable int-encoded
   per-label CSR snapshot of a graph, invalidated by the graph's version
   counter;
-* :mod:`repro.engine.plan` -- :class:`CompiledPlan`, a query automaton
-  flattened into dense int transition tables, fingerprinted for caching;
-* :mod:`repro.engine.cache` -- LRU plan cache and versioned result cache,
+* :mod:`repro.engine.cache` -- LRU plan cache (a plan is the query's kernel
+  ``TableDFA`` as the planner left it) and versioned result cache,
   with byte-budget eviction and a process-wide shared-cache registry keyed
   by snapshot content identity;
 * :mod:`repro.engine.costs` / :mod:`repro.engine.planner` -- the CSR-stats
@@ -18,7 +17,7 @@ semantics (the dict/frozenset construction is the parity oracle in
 * :mod:`repro.engine.executor` -- the product walk on int arrays, written
   once per shape (forward early-exit search, backward whole-graph closure,
   per-source binary closure, bidirectional pair search) over one ``bind``
-  adapter for every query representation; pure-python reference plus the
+  of the kernel's transition array; pure-python reference plus the
   optional numpy-vectorized twins of the whole-graph walks;
 * :mod:`repro.engine.engine` -- :class:`QueryEngine`, the facade with
   single-query, batch (:meth:`QueryEngine.evaluate_many`) and stats APIs.
@@ -41,18 +40,11 @@ from repro.engine.cache import (
 from repro.engine.costs import CostEstimate, CostModel, cheapest
 from repro.engine.engine import EngineStats, QueryEngine
 from repro.engine.executor import BACKENDS, KernelStats, have_numpy, resolve_backend
-from repro.engine.planner import (
-    PLANNER_MODES,
-    RewriteOutcome,
-    rewrite_table,
-    selectivity_ordered,
-)
+from repro.engine.planner import PLANNER_MODES, RewriteOutcome, rewrite_table
 from repro.engine.index import GraphIndex
-from repro.engine.plan import CompiledPlan, automaton_fingerprint, compile_plan
 
 __all__ = [
     "BACKENDS",
-    "CompiledPlan",
     "CostEstimate",
     "CostModel",
     "EngineStats",
@@ -64,15 +56,12 @@ __all__ = [
     "QueryEngine",
     "ResultCache",
     "RewriteOutcome",
-    "automaton_fingerprint",
     "cheapest",
     "clear_shared_caches",
-    "compile_plan",
     "estimate_entry_bytes",
     "have_numpy",
     "resolve_backend",
     "rewrite_table",
-    "selectivity_ordered",
     "shared_cache_keys",
     "shared_caches",
 ]

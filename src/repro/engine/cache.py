@@ -2,11 +2,13 @@
 
 Two caches back the engine:
 
-* the **plan cache** maps an automaton's structural fingerprint (see
-  :func:`repro.engine.plan.automaton_fingerprint`) to its
-  :class:`~repro.engine.plan.CompiledPlan`, so re-evaluating a query -- or a
-  different ``PathQuery`` object with the same canonical DFA -- skips the
-  flattening step;
+* the **plan cache** maps a query table's structural fingerprint
+  (:meth:`~repro.automata.kernel.TableDFA.fingerprint`; with the planner on,
+  paired with the graph's label set) to the entry ``(table, report)``: the
+  :class:`~repro.automata.kernel.TableDFA` the walks read -- the planner's
+  output, or the query's own table -- and the rewrite report.  Re-evaluating
+  a query -- or a different ``PathQuery`` object with the same canonical
+  table -- skips the rewrite and its parity checks;
 * the **result cache** maps ``(operation, fingerprint, graph uid, graph
   version)`` to a finished result (a node set or a pair set).  Because the
   graph's version counter participates in the key, a mutation silently
@@ -35,8 +37,6 @@ from collections.abc import Hashable
 from itertools import islice
 from typing import Any
 
-from repro.engine.plan import Fingerprint
-
 _MISSING = object()
 
 #: How many container elements :func:`estimate_entry_bytes` samples before
@@ -49,9 +49,8 @@ def estimate_entry_bytes(value: Any, _depth: int = 2) -> int:
     """A cheap byte estimate of one cache entry (key or value).
 
     Containers are sampled (up to a few elements, two levels deep) and
-    extrapolated; compiled plans are costed from their table dimensions.
-    The point is proportionality -- a 100k-pair binary result must dwarf a
-    ten-node set -- not accounting-grade precision.
+    extrapolated.  The point is proportionality -- a 100k-pair binary result
+    must dwarf a ten-node set -- not accounting-grade precision.
     """
     size = sys.getsizeof(value, 64)
     if _depth <= 0:
@@ -72,12 +71,6 @@ def estimate_entry_bytes(value: Any, _depth: int = 2) -> int:
                 for k, v in sampled
             ) / len(sampled)
             size += int(per_item * len(value))
-    elif isinstance(value, (bytes, bytearray, str)):
-        pass  # getsizeof is already exact for flat buffers
-    elif hasattr(value, "num_states") and hasattr(value, "symbols"):
-        # CompiledPlan (duck-typed to avoid an import cycle): dominated by
-        # its per-symbol transition dicts and per-state move tuples.
-        size += 96 * (value.num_states + 1) * (len(value.symbols) + 1)
     return size
 
 
@@ -199,7 +192,7 @@ class LRUCache:
 
 
 class PlanCache(LRUCache):
-    """LRU cache of compiled plans, keyed by automaton fingerprint."""
+    """LRU cache of ``(table, report)`` plans, keyed by table fingerprint."""
 
 
 class ResultCache(LRUCache):
@@ -207,7 +200,7 @@ class ResultCache(LRUCache):
 
     @staticmethod
     def key(
-        operation: str, fingerprint: Fingerprint, graph_uid: object, graph_version: int
+        operation: str, fingerprint: Hashable, graph_uid: object, graph_version: int
     ) -> tuple:
         """The versioned cache key of one evaluation.
 

@@ -5,19 +5,20 @@ whole-graph walks, forward vs. bidirectional for pair queries, and the
 adaptive per-query choice that keeps the chunked numpy binary kernel off
 sparse selective workloads -- reads the same handful of free statistics:
 the per-label edge counts and node/edge totals a :class:`GraphIndex`
-already holds, paired with the shape of the :class:`CompiledPlan` (which
-transitions exist, which states are initial/final).
+already holds, paired with the shape of the plan -- which is the kernel
+:class:`~repro.automata.kernel.TableDFA` itself: its flat transition array
+(which transitions exist), its initial state and its finals mask.
 
 The central quantity is :meth:`CostModel.scan_work`: for each automaton
 transition on symbol ``a``, the product BFS can cross each ``a``-edge of
 the graph at most once, so the sum of per-label edge counts over the
-plan's transitions bounds the edges one whole-graph epoch scans.  The
+table's transitions bounds the edges one whole-graph epoch scans.  The
 per-strategy estimates weight that bound with per-item and per-call
 constants calibrated against the committed speed benchmarks; the absolute
 numbers are unitless -- only the ordering between candidate strategies is
 consumed.
 
-The estimates deliberately stay O(plan transitions): the model sits on the
+The estimates deliberately stay O(table entries): the model sits on the
 dispatch hot path, so it must cost far less than the cheapest kernel run
 it arbitrates.
 """
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.automata.kernel import TableDFA
 from repro.engine.index import GraphIndex
-from repro.engine.plan import CompiledPlan
 
 #: Cost of one python-kernel product edge scan (the unit everything else
 #: is expressed in).
@@ -77,53 +78,45 @@ class CostModel:
 
     # -- shared quantities ---------------------------------------------------
 
-    def scan_work(self, plan: CompiledPlan) -> int:
+    def scan_work(self, table: TableDFA) -> int:
         """Edges one whole-graph product-BFS epoch can scan, at most.
 
-        Each plan transition on a symbol crosses each same-label graph edge
-        at most once, so the bound is the transition-weighted sum of the
+        Each transition on a symbol crosses each same-label graph edge at
+        most once, so the bound is the transition-weighted sum of the
         per-label edge counts.  Symbols the graph never uses contribute
         nothing -- exactly like the kernels, which skip them at bind time.
         """
-        counts = self.label_counts
-        sym_labels = plan.bind_symbols(self.label_ids)
+        counts, trans, m = self.label_counts, table.trans, table.m
         total = 0
-        for moves in plan.state_moves:
-            for symbol_pos, targets in moves:
-                label_id = sym_labels[symbol_pos]
-                if label_id >= 0:
-                    total += counts[label_id] * len(targets)
+        for position, label_id in enumerate(table.bind_labels(self.label_ids)):
+            if label_id >= 0:
+                total += counts[label_id] * sum(1 for target in trans[position::m] if target >= 0)
         return total
 
-    def first_layer_costs(self, plan: CompiledPlan) -> tuple[int, int]:
+    def first_layer_costs(self, table: TableDFA) -> tuple[int, int]:
         """``(forward, backward)`` first-layer fan-outs of a pair query.
 
-        Forward sums the edge counts of labels leaving the initial states;
-        backward sums those entering the final states (the statistic the
-        bidirectional search alternates on).
+        Forward sums the edge counts of labels leaving the initial state;
+        backward sums, per final state, those of the labels entering it (the
+        statistic the bidirectional search alternates on).
         """
-        counts = self.label_counts
-        sym_labels = plan.bind_symbols(self.label_ids)
-
-        def side(states, moves_of) -> int:
-            total = 0
-            for state in states:
-                for symbol_pos, _ in moves_of[state]:
-                    label_id = sym_labels[symbol_pos]
-                    if label_id >= 0:
-                        total += counts[label_id]
-            return total
-
-        return (
-            side(plan.initials, plan.state_moves),
-            side(plan.finals, plan.rstate_moves),
-        )
+        counts, trans, m, finals = self.label_counts, table.trans, table.m, table.finals
+        base = table.initial * m
+        forward = backward = 0
+        for position, label_id in enumerate(table.bind_labels(self.label_ids)):
+            if label_id < 0:
+                continue
+            if trans[base + position] >= 0:
+                forward += counts[label_id]
+            entered = {t for t in trans[position::m] if t >= 0 and (finals >> t) & 1}
+            backward += counts[label_id] * len(entered)
+        return forward, backward
 
     # -- whole-graph monadic evaluation --------------------------------------
 
     def evaluate_all_estimates(
         self,
-        plan: CompiledPlan,
+        table: TableDFA,
         *,
         numpy_ok: bool = False,
     ) -> list[CostEstimate]:
@@ -134,8 +127,8 @@ class CostModel:
         The vectorized kernel trades a fixed call cost for a ~4x per-item
         win.
         """
-        seeds = self.num_nodes * max(1, len(plan.finals))
-        scan = self.scan_work(plan)
+        seeds = self.num_nodes * max(1, table.finals.bit_count())
+        scan = self.scan_work(table)
         python_cost = (seeds + scan) * PYTHON_EDGE_WEIGHT
         estimates = [
             CostEstimate(
@@ -158,7 +151,7 @@ class CostModel:
 
     def binary_estimates(
         self,
-        plan: CompiledPlan,
+        table: TableDFA,
         *,
         numpy_ok: bool = False,
     ) -> list[CostEstimate]:
@@ -174,9 +167,9 @@ class CostModel:
         selectivity, which is precisely why it loses on sparse selective
         workloads and why this estimate keeps it off them.
         """
-        n, k = self.num_nodes, plan.num_states
-        scan = self.scan_work(plan)
-        forward, _ = self.first_layer_costs(plan)
+        n, k = self.num_nodes, table.n
+        scan = self.scan_work(table)
+        forward, _ = self.first_layer_costs(table)
         python_cost = (n + scan * min(n, forward)) * PYTHON_EDGE_WEIGHT
         estimates = [
             CostEstimate(
@@ -202,14 +195,14 @@ class CostModel:
 
     # -- pair queries --------------------------------------------------------
 
-    def pair_estimates(self, plan: CompiledPlan) -> list[CostEstimate]:
+    def pair_estimates(self, table: TableDFA) -> list[CostEstimate]:
         """Candidates for one early-exit pair search.
 
         Forward/backward are the first-layer fan-outs; the bidirectional
         meet-in-the-middle always advances its cheaper side, so its
         estimate is the smaller fan-out plus a bookkeeping share of both.
         """
-        forward, backward = self.first_layer_costs(plan)
+        forward, backward = self.first_layer_costs(table)
         return [
             CostEstimate("forward", float(forward)),
             CostEstimate("backward", float(backward)),
@@ -219,7 +212,7 @@ class CostModel:
             ),
         ]
 
-    def choose_pair_strategy(self, plan: CompiledPlan) -> str:
+    def choose_pair_strategy(self, table: TableDFA) -> str:
         """``"forward"`` or ``"bidirectional"`` for one pair query.
 
         Meeting in the middle pays whenever both ends have work to do; when
@@ -227,7 +220,7 @@ class CostModel:
         the end side's fan-in, the plain forward early-exit search is
         already optimal and skips the bidirectional bookkeeping.
         """
-        forward, backward = self.first_layer_costs(plan)
+        forward, backward = self.first_layer_costs(table)
         if forward * 8 <= backward:
             return "forward"
         return "bidirectional"

@@ -2,9 +2,13 @@
 
 The engine ties the subsystem together.  For every call it
 
-1. resolves the query (a ``PathQuery``/``BinaryPathQuery`` or a raw
-   DFA/NFA) to a :class:`~repro.engine.plan.CompiledPlan` through the LRU
-   plan cache,
+1. resolves the query to its *plan* through the LRU plan cache.  A plan is
+   a kernel :class:`~repro.automata.kernel.TableDFA` -- the one transition
+   format every layer shares: a ``PathQuery``/``BinaryPathQuery`` carries
+   its canonical table, a raw ``DFA``/``NFA`` is int-coded once at the door
+   (:meth:`QueryEngine._coerce_automaton`), and the cache entry is the
+   table the planner made of it (or the table itself, planner off) plus
+   the rewrite report,
 2. resolves the graph to a :class:`~repro.engine.index.GraphIndex`, rebuilt
    only when the graph's version counter moved,
 3. consults the versioned result cache for whole-graph evaluations, and
@@ -24,7 +28,7 @@ from weakref import WeakKeyDictionary, ref
 
 from repro.automata.alphabet import Word
 from repro.automata.dfa import DFA
-from repro.automata.kernel import TableAutomaton, TableDFA
+from repro.automata.kernel import MergeFold, TableAutomaton, TableDFA
 from repro.automata.nfa import NFA
 from repro.engine.cache import PlanCache, ResultCache, shared_caches
 from repro.engine.executor import KernelStats
@@ -32,7 +36,6 @@ from repro.engine import executor
 from repro.engine import planner as planning
 from repro.engine.costs import CostEstimate, CostModel, cheapest
 from repro.engine.index import GraphIndex
-from repro.engine.plan import CompiledPlan, automaton_fingerprint, compile_plan
 from repro.engine.planner import PLANNER_MODES
 from repro.errors import GraphError, QueryError
 from repro.graphdb.graph import GraphDB, Node
@@ -195,7 +198,7 @@ class QueryEngine:
     Parameters
     ----------
     plan_cache_size:
-        Capacity of the fingerprint -> :class:`CompiledPlan` LRU cache.
+        Capacity of the fingerprint -> ``(table, report)`` LRU plan cache.
     result_cache_size:
         Capacity of the versioned whole-graph result cache.
     incremental_refresh:
@@ -220,13 +223,13 @@ class QueryEngine:
         search from the index's degree stats.
     planner:
         ``"auto"`` (the default) turns on the cost-based planning layer:
-        automata are rewritten against the graph's label set before
-        compilation (parity-pinned -- see :mod:`repro.engine.planner`),
-        early-exit plans are selectivity-ordered, and -- when the backend
-        is also ``"auto"`` -- whole-graph kernels are chosen per query
-        from the CSR cost model instead of being forced by the resolved
-        backend.  ``"off"`` restores verbatim compilation and dispatches
-        the resolved backend.
+        tables are rewritten against the graph's label set before they
+        are cached (parity-pinned -- see :mod:`repro.engine.planner`),
+        early-exit searches bind their rows rare-label-first, and -- when
+        the backend is also ``"auto"`` -- whole-graph kernels are chosen
+        per query from the CSR cost model instead of being forced by the
+        resolved backend.  ``"off"`` walks every table verbatim and
+        dispatches the resolved backend.
     max_rewrite_passes:
         How many prune/minimize rounds the rewriter may run per automaton.
     cache_budget_bytes:
@@ -265,11 +268,10 @@ class QueryEngine:
         self.backend_requested = backend
         self.backend = executor.resolve_backend(backend)
         self._dispatch_counters: dict[tuple[str, str], object] = {}
-        # Planner memos, keyed by (graph uid, version) generations; tiny
-        # and cleared wholesale when full (8/64 generations is plenty --
-        # an engine rarely serves more than a handful of live graphs).
+        # Planner memo, keyed by (graph uid, version) generations; tiny
+        # and cleared wholesale when full (8 generations is plenty -- an
+        # engine rarely serves more than a handful of live graphs).
         self._cost_models: dict[tuple, CostModel] = {}
-        self._ordered_plans: dict[tuple, CompiledPlan] = {}
         self.stats = EngineStats(self.telemetry.registry)
         self.stats.attach_caches(self.plan_cache, self.result_cache)
         self._register_cache_metrics()
@@ -398,19 +400,6 @@ class QueryEngine:
             self._indexes[graph] = index
         self.stats.inc("index_adoptions")
 
-    def plan_for(self, query: Query) -> CompiledPlan:
-        """The (cached) compiled plan of a query or automaton."""
-        # Materialize a fold's quotient once; fingerprinting and compiling
-        # the fold separately would each build it.
-        automaton = planning.plan_automaton(self._coerce_automaton(query))
-        fingerprint = automaton_fingerprint(automaton)
-        plan = self.plan_cache.get(fingerprint)
-        if plan is None:
-            plan = compile_plan(automaton, fingerprint=fingerprint)
-            self.plan_cache.put(fingerprint, plan)
-            self.stats.inc("plan_compilations")
-        return plan
-
     # -- cost-based planning -------------------------------------------------
 
     @property
@@ -423,9 +412,9 @@ class QueryEngine:
         """
         return self.planner == "auto" and self.backend_requested == "auto"
 
-    def _result_key(self, operation: str, plan: CompiledPlan, graph: GraphDB) -> tuple:
+    def _result_key(self, operation: str, plan: TableDFA, graph: GraphDB) -> tuple:
         """The result-cache key of one (operation, plan, graph generation)."""
-        return ResultCache.key(operation, plan.fingerprint, *self._graph_identity(graph))
+        return ResultCache.key(operation, plan.fingerprint(), *self._graph_identity(graph))
 
     @staticmethod
     def _graph_identity(graph: GraphDB) -> tuple:
@@ -440,54 +429,40 @@ class QueryEngine:
             return (content, graph.version)
         return (graph.uid, graph.version)
 
-    def _resolve_plan(
-        self, graph: GraphDB, query: Query
-    ) -> tuple[CompiledPlan, dict | None]:
-        """The (cached) plan of ``query`` on ``graph``, planner applied.
+    def _resolve_plan(self, graph: GraphDB, query: Query) -> tuple[TableDFA, dict | None]:
+        """The (cached) plan of ``query`` on ``graph``: ``(table, report)``.
 
-        With the planner off this is exactly :meth:`plan_for`.  Otherwise
-        the plan cache is keyed by ``(automaton fingerprint, graph label
-        set)`` -- the rewrite depends on which labels the graph carries --
-        and the entry carries the rewrite report alongside the plan.
-        Either path performs exactly one plan-cache lookup per call (the
+        With the planner off the plan is the query's own table under its
+        fingerprint, and there is no report.  Otherwise the plan cache is
+        keyed by ``(table fingerprint, graph label set)`` -- the rewrite
+        depends on which labels the graph carries -- and the entry holds
+        the rewritten table (the query's own when nothing was to be done,
+        or a parity check failed) beside the rewrite report.  Exactly one
+        plan-cache lookup per call, one ``plan_compilations`` per miss (the
         cache-miss telemetry contract).
         """
-        if self.planner != "auto":
-            return self.plan_for(query), None
-        automaton = planning.plan_automaton(self._coerce_automaton(query))
-        fingerprint = automaton_fingerprint(automaton)
+        table = self._coerce_automaton(query)
+        if isinstance(table, MergeFold):
+            table = table.to_table()
+        key = table.fingerprint()
         labels_of = getattr(graph, "labels", None)
-        if not callable(labels_of):
-            return self.plan_for(query), None
-        labels = frozenset(labels_of())
-        key = ("planned", fingerprint, labels)
+        planned = self.planner == "auto" and callable(labels_of)
+        if planned:
+            labels = frozenset(labels_of())
+            key = ("planned", key, labels)
         entry = self.plan_cache.get(key)
-        if entry is not None:
-            return entry
-        report: dict | None = None
-        try:
-            table = planning.coerce_table(automaton)
-        except QueryError:
-            table = None
-        if table is None:
-            plan = compile_plan(automaton, fingerprint=fingerprint)
-        else:
-            outcome = planning.rewrite_table(
-                table, labels, max_passes=self.max_rewrite_passes
-            )
-            if outcome.parity == "verified":
-                plan = compile_plan(
-                    outcome.table, fingerprint=outcome.table.fingerprint()
-                )
-            else:
-                plan = compile_plan(automaton, fingerprint=fingerprint)
-            report = outcome.to_dict()
-            report["fingerprint"] = fingerprint_token(plan.fingerprint)
-            for name in outcome.applied:
-                self._count("rewrite", name)
-        self.stats.inc("plan_compilations")
-        entry = (plan, report)
-        self.plan_cache.put(key, entry)
+        if entry is None:
+            report = None
+            if planned:
+                outcome = planning.rewrite_table(table, labels, max_passes=self.max_rewrite_passes)
+                table = outcome.table
+                report = outcome.to_dict()
+                report["fingerprint"] = fingerprint_token(table.fingerprint())
+                for name in outcome.applied:
+                    self._count("rewrite", name)
+            self.stats.inc("plan_compilations")
+            entry = (table, report)
+            self.plan_cache.put(key, entry)
         return entry
 
     def _cost_model(self, index: GraphIndex) -> CostModel:
@@ -501,21 +476,8 @@ class QueryEngine:
             self._cost_models[key] = model
         return model
 
-    def _ordered_plan(self, index: GraphIndex, plan: CompiledPlan) -> CompiledPlan:
-        """The selectivity-ordered clone of ``plan`` for early-exit kernels."""
-        if self.planner != "auto":
-            return plan
-        key = (plan.fingerprint, index.graph_uid, index.graph_version)
-        ordered = self._ordered_plans.get(key)
-        if ordered is None:
-            ordered = planning.selectivity_ordered(plan, index)
-            if len(self._ordered_plans) >= 64:
-                self._ordered_plans.clear()
-            self._ordered_plans[key] = ordered
-        return ordered
-
     def _estimates(
-        self, index: GraphIndex, plan: CompiledPlan, *, binary: bool
+        self, index: GraphIndex, plan: TableDFA, *, binary: bool
     ) -> list[CostEstimate]:
         """Per-strategy cost candidates for one whole-graph dispatch."""
         model = self._cost_model(index)
@@ -525,7 +487,7 @@ class QueryEngine:
     def _whole_graph_strategy(
         self,
         index: GraphIndex,
-        plan: CompiledPlan | TableAutomaton,
+        plan: TableDFA,
         *,
         binary: bool,
         ephemeral: bool = False,
@@ -539,16 +501,30 @@ class QueryEngine:
         selective queries, whose dense per-chunk visited mask costs
         ``sources * n * k`` regardless of selectivity.  A forced backend or
         ``planner="off"`` gets the resolved backend, and so does an
-        ephemeral kernel table, which has no plan for the model to price.
+        ephemeral table, which is walked once and not worth pricing.
         """
         if ephemeral or not self._adaptive:
             return self.backend
         return cheapest(self._estimates(index, plan, binary=binary)).strategy
 
     @staticmethod
-    def _coerce_automaton(query: Query) -> DFA | NFA | TableAutomaton:
-        if isinstance(query, (DFA, NFA, TableAutomaton)):
+    def _coerce_automaton(query: Query) -> TableAutomaton:
+        """The kernel automaton of anything the engine accepts as a query.
+
+        The front door: a kernel table or fold passes as it is, a query
+        object hands over its canonical ``table``, and a raw ``DFA``/``NFA``
+        is int-coded here, once (an ``NFA`` by subset construction, so what
+        is walked is always deterministic).  An NFA with epsilon transitions
+        is refused, as the reference product construction refuses it.
+        """
+        if isinstance(query, TableAutomaton):
             return query
+        if isinstance(query, DFA):
+            return TableDFA.from_dfa(query)[0]
+        if isinstance(query, NFA):
+            if query.has_epsilon_transitions:
+                raise GraphError("query automata must be epsilon-free; determinize first")
+            return TableDFA.from_nfa(query)[0]
         table = getattr(query, "table", None)
         if isinstance(table, TableDFA):
             return table
@@ -572,7 +548,7 @@ class QueryEngine:
     def _run_whole_graph(
         self,
         index: GraphIndex,
-        plan: CompiledPlan | TableAutomaton,
+        plan: TableDFA,
         *,
         binary: bool,
         ephemeral: bool = False,
@@ -591,7 +567,7 @@ class QueryEngine:
         return selected, strategy
 
     def _run_pair_selects(
-        self, index: GraphIndex, plan: CompiledPlan, origin_id: int, end_id: int
+        self, index: GraphIndex, plan: TableDFA, origin_id: int, end_id: int
     ) -> bool:
         """Dispatch one pair query: forward or bidirectional product search.
 
@@ -600,28 +576,31 @@ class QueryEngine:
         (:meth:`~repro.engine.costs.CostModel.choose_pair_strategy`); with
         the pure-python backend the forward oracle always runs, so parity
         tests can pin one side against the other.  With the planner on the
-        search additionally walks the selectivity-ordered plan clone (same
-        reachable sets, rare labels first).
+        search additionally binds its rows rare-label-first (same reachable
+        sets, small frontiers first).
         """
         if self.backend != "python":
             kind = self._cost_model(index).choose_pair_strategy(plan)
         else:
             kind = "forward"
-        plan = self._ordered_plan(index, plan)
         self._count("pair", kind)
-        kernel = self.stats.kernel
+        kernel, rare_first = self.stats.kernel, self.planner == "auto"
         if kind == "bidirectional":
-            return executor.bidirectional_pair_selects(index, plan, origin_id, end_id, kernel)
-        return executor.any_selects(index, plan, (origin_id,), kernel, end=end_id)
+            return executor.bidirectional_pair_selects(
+                index, plan, origin_id, end_id, kernel, rare_first=rare_first
+            )
+        return executor.any_selects(
+            index, plan, (origin_id,), kernel, end=end_id, rare_first=rare_first
+        )
 
     # -- whole-graph evaluation ----------------------------------------------
 
     @staticmethod
-    def _check_max_depth(max_depth: int, ephemeral: bool, automaton: object) -> None:
+    def _check_max_depth(max_depth: int, ephemeral: bool, query: Query) -> None:
         """Reject a ``max_depth`` the call cannot honour, before any work."""
         if not ephemeral:
             raise QueryError("max_depth is only supported with ephemeral=True")
-        if not isinstance(automaton, TableAutomaton):
+        if isinstance(query, (DFA, NFA)):
             raise QueryError("max_depth needs a kernel TableDFA/MergeFold query")
         if max_depth < 0:
             raise QueryError(f"max_depth must be non-negative, got {max_depth}")
@@ -638,8 +617,8 @@ class QueryEngine:
 
         Pass ``ephemeral=True`` for throwaway kernel automata that will never
         be evaluated again (e.g. the interactive layer's per-round
-        uncovered-words automaton): the engine skips fingerprinting, plan
-        compilation and both caches and runs one backward walk on the CSR
+        uncovered-words automaton): the engine skips fingerprinting, the
+        planner and both caches and runs one backward walk on the CSR
         index.  ``max_depth`` (ephemeral only) bounds the accepted word
         length, which is how batched k-informativeness cuts the product at
         ``k`` symbols.
@@ -650,12 +629,12 @@ class QueryEngine:
         identical either way (pinned by the telemetry identity tests).
         """
         if ephemeral:
-            query = self._coerce_automaton(query)
-            if not isinstance(query, TableAutomaton):
+            if isinstance(query, (DFA, NFA)):
                 raise QueryError(
                     "ephemeral whole-graph evaluation needs a kernel "
                     f"TableDFA/MergeFold, got {type(query).__name__}"
                 )
+            query = self._coerce_automaton(query)
         if max_depth is not None:
             self._check_max_depth(max_depth, ephemeral, query)
         return self._whole_graph(graph, query, "evaluate", ephemeral, max_depth)
@@ -701,7 +680,7 @@ class QueryEngine:
         if ephemeral:
             # A fold is materialized first: the walk's bitmap is sized by
             # the state count, and the quotient is the compact form.
-            plan = planning.plan_automaton(query)
+            plan = query.to_table() if isinstance(query, MergeFold) else query
             key = None
             if observation is not None:
                 observation.cache = "ephemeral"
@@ -753,7 +732,7 @@ class QueryEngine:
         plan, index = observation.plan, observation.index
         depth_sizes = observation.depth_sizes or []
         total_seconds = ended - observation.started
-        token = fingerprint_token(plan.fingerprint) if plan is not None else None
+        token = fingerprint_token(plan.fingerprint()) if plan is not None else None
         attrs = {
             "cache": observation.cache,
             "selected": selected,
@@ -853,7 +832,7 @@ class QueryEngine:
         merge guard (a candidate is rejected iff it selects a negative node).
         Pass ``ephemeral=True`` for throwaway automata that will never be
         evaluated again (e.g. merge candidates): the engine then skips
-        fingerprinting, plan compilation and both caches and walks the
+        fingerprinting, the planner and both caches and walks the
         automaton as it stands on the CSR index.  ``max_depth`` (ephemeral
         kernel automata only) bounds the witness word's length -- the
         interactive layer's per-candidate k-informativeness check.
@@ -871,26 +850,27 @@ class QueryEngine:
                 raise GraphError(f"node {node!r} is not in the graph")
         walked = self._coerce_automaton(query)
         if max_depth is not None:
-            self._check_max_depth(max_depth, ephemeral, walked)
+            self._check_max_depth(max_depth, ephemeral, query)
         if not start_nodes:
             return None if witness else False
         if not ephemeral:
-            plan, _ = self._resolve_plan(graph, query)
+            walked, _ = self._resolve_plan(graph, walked)
             if not witness:
                 # A finished whole-graph evaluation answers membership for free.
-                cached = self.result_cache.get(self._result_key("eval", plan, graph))
+                cached = self.result_cache.get(self._result_key("eval", walked, graph))
                 if cached is not None:
                     return any(node in cached for node in start_nodes)
         index = self.index_for(graph)
-        if not ephemeral:
-            walked = self._ordered_plan(index, plan)
         node_ids = index.node_ids
-        start_ids = [node_ids[node] for node in start_nodes]
         found = executor.any_selects(
-            index, walked, start_ids, self.stats.kernel, max_depth=max_depth, witness=witness
+            index,
+            walked,
+            [node_ids[node] for node in start_nodes],
+            self.stats.kernel,
+            max_depth=max_depth,
+            witness=witness,
+            rare_first=not ephemeral and self.planner == "auto",
         )
-        # Counted once the walk has run: a call the walk rejects (an epsilon
-        # NFA surfaces only at bind time) must leave the counter untouched.
         self.stats.inc("evaluations")
         return found
 
@@ -911,7 +891,7 @@ class QueryEngine:
             raise GraphError("both endpoints must be in the graph")
         automaton = self._coerce_automaton(query)
         if not ephemeral:
-            plan, _ = self._resolve_plan(graph, query)
+            plan, _ = self._resolve_plan(graph, automaton)
             cached = self.result_cache.get(self._result_key("binary", plan, graph))
             if cached is not None:
                 return (origin, end) in cached
@@ -934,7 +914,7 @@ class QueryEngine:
         """Plan one query without running it: rewrites, costs, chosen kernel.
 
         Returns one JSON-safe dict: the planner's rewrite report, the
-        compiled plan's shape and fingerprint, the per-strategy cost
+        plan table's shape and fingerprint, the per-strategy cost
         estimates of the requested semantics (plus the pair-search
         candidates), the strategy the engine would actually dispatch, and
         the result cache's disposition for this exact (plan, graph
@@ -963,9 +943,13 @@ class QueryEngine:
             "semantics": semantics,
             "planner": {"mode": self.planner, **report},
             "plan": {
-                "fingerprint": fingerprint_token(plan.fingerprint),
-                "states": plan.num_states,
-                "symbols": list(plan.symbols),
+                "fingerprint": fingerprint_token(plan.fingerprint()),
+                "states": plan.n,
+                "symbols": [
+                    symbol
+                    for position, symbol in enumerate(plan.alphabet.symbols)
+                    if any(target >= 0 for target in plan.trans[position :: plan.m])
+                ],
             },
             "estimates": [estimate.to_dict() for estimate in estimates],
             "pair_estimates": [
@@ -991,11 +975,10 @@ class QueryEngine:
     # -- management ----------------------------------------------------------
 
     def clear_caches(self) -> None:
-        """Drop every cached plan, result and index (and the planner memos)."""
+        """Drop every cached plan, result and index (and the planner memo)."""
         self.plan_cache.clear()
         self.result_cache.clear()
         self._cost_models.clear()
-        self._ordered_plans.clear()
         with self._index_lock:
             self._indexes.clear()
 

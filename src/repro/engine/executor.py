@@ -14,12 +14,16 @@ per query representation:
   closure per source node;
 * :func:`bidirectional_pair_selects` -- meet-in-the-middle pair search.
 
-Every walk reads its transitions through :func:`bind`, the one adapter that
-knows how a query is represented (compiled plan, kernel table, mid-merge
-fold, raw ``DFA``/``NFA``).  It yields :class:`BoundMoves`: per-state rows
-of moves already resolved to the index's CSR label ids.  A walk looks a
-popped state's row up once and runs the per-edge loop inline over it, so
-its cost scales with the state's out-degree, not with the alphabet.
+Every walk reads its transitions through :func:`bind`, and :func:`bind`
+reads one format: the kernel's flat transition array, handed over as a
+:class:`~repro.automata.kernel.TableDFA` or a mid-merge
+:class:`~repro.automata.kernel.MergeFold` (the engine int-codes a raw
+``DFA``/``NFA`` once, at its front door).  It yields :class:`BoundMoves`:
+per-state rows of moves already resolved to the index's CSR label ids.  A
+walk looks a popped state's row up once and runs the per-edge loop inline
+over it, so its cost scales with the state's out-degree, not with the
+alphabet.  Ordering happens here too: an early-exit walk asked for
+``rare_first`` gets every row sorted by ascending per-label edge count.
 
 The product pair ``(node v, state s)`` is the single int ``v * span + s``.
 All walks take and return *int node ids*; mapping to and from user-facing
@@ -36,11 +40,8 @@ from collections.abc import Iterable
 from itertools import compress
 
 from repro.automata.alphabet import Word
-from repro.automata.dfa import DFA
-from repro.automata.kernel import TableAutomaton, TableDFA
-from repro.automata.nfa import NFA
+from repro.automata.kernel import TableAutomaton
 from repro.engine.index import GraphIndex
-from repro.engine.plan import CompiledPlan, compile_plan
 from repro.errors import QueryError
 from repro.telemetry.metrics import Counter, MetricsRegistry
 
@@ -159,26 +160,24 @@ class KernelStats:
 
 # -- the transition source ----------------------------------------------------
 
-#: Anything :func:`bind` accepts as a query.
-Source = CompiledPlan | TableAutomaton | DFA | NFA
-
 
 class _LazyRows(dict):
     """Forward rows of a kernel automaton, bound state by state on first touch.
 
     The learner's merge guard walks thousands of candidate hypotheses
     exactly once each and usually exits after touching a handful of states,
-    so binding the whole table up front (let alone compiling a plan) can
-    never pay for itself.  A row is built the first time the walk pops its
-    state and memoised for the rest of *this call only* -- the fold mutates
-    between calls.  ``find`` canonicalises a mid-merge fold's stale targets.
+    so binding the whole table up front can never pay for itself.  A row is
+    built the first time the walk pops its state and memoised for the rest
+    of *this call only* -- the fold mutates between calls.  ``find``
+    canonicalises a mid-merge fold's stale targets; ``counts`` (per-label
+    edge counts, or ``None``) asks for rare-label-first rows.
     """
 
-    __slots__ = ("_trans", "_m", "_find", "_finals", "_labels")
+    __slots__ = ("_trans", "_m", "_find", "_finals", "_labels", "_counts")
 
-    def __init__(self, trans, m, find, finals, labels) -> None:
+    def __init__(self, trans, m, find, finals, labels, counts) -> None:
         self._trans, self._m, self._find, self._finals = trans, m, find, finals
-        self._labels = labels
+        self._labels, self._counts = labels, counts
 
     def __missing__(self, state: int) -> list[tuple[int, tuple[int, ...], int]]:
         find, finals, labels = self._find, self._finals, self._labels
@@ -189,8 +188,19 @@ class _LazyRows(dict):
                 if find is not None:
                     target = find(target)
                 row.append((labels[position], (target,), (finals >> target) & 1))
+        if self._counts is not None:
+            _rare_first(row, self._counts)
         self[state] = row
         return row
+
+
+def _rare_first(row: list[tuple], counts: list[int]) -> None:
+    """Sort one row's moves by ascending per-label edge count, in place.
+
+    Rows are built in alphabet order and the sort is stable, so equally
+    frequent labels keep that order.
+    """
+    row.sort(key=lambda move: counts[move[0]])
 
 
 class BoundMoves:
@@ -216,7 +226,7 @@ class BoundMoves:
         self.span = span
         self.initials = initials
         self.final_mask = final_mask
-        #: No word is accepted at all (walks answer without touching the graph).
+        #: No state accepts (walks answer without touching the graph).
         self.empty = empty
         #: The empty word is accepted (every node / every ``(v, v)`` matches).
         self.accepts_empty = accepts_empty
@@ -229,68 +239,49 @@ class BoundMoves:
         return [state for state in range(self.span) if (mask >> state) & 1]
 
 
-def bind(index: GraphIndex, query: Source) -> BoundMoves:
+def bind(index: GraphIndex, query: TableAutomaton, *, rare_first: bool = False) -> BoundMoves:
     """Bind ``query``'s transitions to ``index``'s label ids.
 
-    The only place that knows a transition format.  A compiled plan is bound
-    eagerly (its rows are short and every walk over it may be whole-graph);
-    a kernel table or mid-merge fold is bound lazily (see
-    :class:`_LazyRows`); a raw ``DFA`` is int-coded through
-    :meth:`TableDFA.from_dfa` and a raw ``NFA`` compiled through
-    :func:`compile_plan` (which rejects epsilon transitions with
-    :class:`~repro.errors.GraphError`, like the reference construction).
+    The only place that reads the transition format, and it reads one: the
+    flat array of a kernel table or mid-merge fold, bound lazily (see
+    :class:`_LazyRows`).  Anything else is a :class:`~repro.errors.QueryError`
+    -- raw automata are int-coded by the engine before they get here.  With
+    ``rare_first`` every row, forward and backward, lists its moves by
+    ascending per-label edge count: an early-exit search then grows the
+    small frontiers first.  The reachable sets are the same under any move
+    order; only the traversal order (and so the work before an exit) moves.
     """
-    if isinstance(query, DFA):
-        query = TableDFA.from_dfa(query)[0]
-    elif isinstance(query, NFA):
-        # One-shot plan, never cached: skip the structural fingerprint.
-        query = compile_plan(query, fingerprint=())
-    if isinstance(query, TableAutomaton):
-        trans, m, find, finals, initial = query.kernel_walk()
-        labels = query.bind_labels(index.label_ids)
-        span = len(trans) // m if m else 1
+    if not isinstance(query, TableAutomaton):
+        raise QueryError(
+            f"cannot walk {type(query).__name__!r}: expected a kernel TableDFA/MergeFold"
+        )
+    trans, m, find, finals, initial = query.kernel_walk()
+    labels = query.bind_labels(index.label_ids)
+    span = len(trans) // m if m else 1
+    counts = index.label_edge_counts() if rare_first else None
 
-        def reverse_table():
-            inverted: list[dict[int, list[int]]] = [{} for _ in range(span)]
-            for code, target in enumerate(trans):
-                state, position = divmod(code, m)
-                if target >= 0 and labels[position] >= 0:
+    def reverse_rows():
+        # Position-major: a state's backward moves list their labels in
+        # alphabet order, like its forward row, and each label's
+        # predecessors ascending.
+        inverted: list[dict[int, list[int]]] = [{} for _ in range(span)]
+        for position, label_id in enumerate(labels):
+            if label_id < 0:
+                continue
+            for state, target in enumerate(trans[position::m]):
+                if target >= 0:
                     if find is not None:
                         target = find(target)
-                    inverted[target].setdefault(labels[position], []).append(state)
-            return [list(moves.items()) for moves in inverted]
+                    inverted[target].setdefault(label_id, []).append(state)
+        rows = [list(moves.items()) for moves in inverted]
+        if counts is not None:
+            for row in rows:
+                _rare_first(row, counts)
+        return rows
 
-        rows = _LazyRows(trans, m, find, finals, labels)
-        accepts_empty = (finals >> initial) & 1
-        return BoundMoves(span, (initial,), finals, not finals, accepts_empty, rows, reverse_table)
-    labels = query.bind_symbols(index.label_ids)
-    is_final = query.is_final
-    rows = [
-        [
-            (labels[pos], targets, any(is_final[t] for t in targets))
-            for pos, targets in moves
-            if labels[pos] >= 0
-        ]
-        for moves in query.state_moves
-    ]
-
-    def reverse_plan():
-        # The plan's own predecessor tables keep the move order the planner
-        # chose (selectivity-ordered clones sort them too).
-        return [
-            [(labels[pos], sources) for pos, sources in moves if labels[pos] >= 0]
-            for moves in query.rstate_moves
-        ]
-
-    return BoundMoves(
-        query.num_states,
-        query.initials,
-        sum(1 << state for state in query.finals),
-        query.is_empty_language,
-        query.accepts_empty_word,
-        rows,
-        reverse_plan,
-    )
+    rows = _LazyRows(trans, m, find, finals, labels, counts)
+    accepts_empty = (finals >> initial) & 1
+    return BoundMoves(span, (initial,), finals, not finals, accepts_empty, rows, reverse_rows)
 
 
 # -- the python walks ---------------------------------------------------------
@@ -298,13 +289,14 @@ def bind(index: GraphIndex, query: Source) -> BoundMoves:
 
 def any_selects(
     index: GraphIndex,
-    query: Source,
+    query: TableAutomaton,
     node_ids: Iterable[int],
     stats: KernelStats | None = None,
     *,
     end: int | None = None,
     max_depth: int | None = None,
     witness: bool = False,
+    rare_first: bool = False,
 ) -> bool | Word | None:
     """Whether the query selects at least one of the given nodes.
 
@@ -326,10 +318,10 @@ def any_selects(
     witness, so the pair dedup stays sound) and stops after that many.  This
     is how the interactive layer asks "does this candidate have an uncovered
     path of at most k symbols?" against the round's uncovered-words
-    automaton.
+    automaton.  ``rare_first`` walks :func:`bind`'s rare-label-first rows.
     """
     starts = list(node_ids)
-    moves = bind(index, query)
+    moves = bind(index, query, rare_first=rare_first)
     miss = None if witness else False
     if not starts or moves.empty:
         return miss
@@ -418,7 +410,7 @@ def _witness_word(
 
 def evaluate_all(
     index: GraphIndex,
-    query: Source,
+    query: TableAutomaton,
     stats: KernelStats | None = None,
     *,
     depth_sizes: list[int] | None = None,
@@ -497,7 +489,7 @@ def evaluate_all(
 
 def binary_evaluate(
     index: GraphIndex,
-    query: Source,
+    query: TableAutomaton,
     stats: KernelStats | None = None,
 ) -> frozenset[tuple[int, int]]:
     """All selected ``(source id, end id)`` pairs (binary semantics).
@@ -603,7 +595,7 @@ def _np_fresh(grown, visited, np):
 
 def numpy_evaluate_all(
     index: GraphIndex,
-    query: Source,
+    query: TableAutomaton,
     stats: KernelStats | None = None,
     *,
     depth_sizes: list[int] | None = None,
@@ -664,7 +656,7 @@ def numpy_evaluate_all(
 
 def numpy_binary_evaluate(
     index: GraphIndex,
-    query: Source,
+    query: TableAutomaton,
     stats: KernelStats | None = None,
 ) -> frozenset[tuple[int, int]]:
     """Vectorized :func:`binary_evaluate`: sources in chunks, one BFS each.
@@ -745,10 +737,12 @@ def whole_graph_walks(backend: str):
 
 def bidirectional_pair_selects(
     index: GraphIndex,
-    query: Source,
+    query: TableAutomaton,
     origin_id: int,
     end_id: int,
     stats: KernelStats | None = None,
+    *,
+    rare_first: bool = False,
 ) -> bool:
     """``any_selects(index, query, (origin,), end=end)`` meeting in the middle.
 
@@ -758,9 +752,9 @@ def bidirectional_pair_selects(
     degree stats again, now per layer).  The query selects the pair iff the
     visited sets ever intersect; either frontier emptying first proves the
     negative, usually touching far fewer product pairs than the one-sided
-    search on deep graphs.
+    search on deep graphs.  ``rare_first`` as in :func:`any_selects`.
     """
-    moves = bind(index, query)
+    moves = bind(index, query, rare_first=rare_first)
     if moves.empty:
         return False
     if origin_id == end_id and moves.accepts_empty:

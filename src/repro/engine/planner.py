@@ -1,7 +1,9 @@
-"""Automaton rewriting ahead of plan compilation, parity-pinned.
+"""Automaton rewriting ahead of the plan cache, parity-pinned.
 
-The planner sits between query coercion and :func:`compile_plan`.  Given
-the snapshot's declared label set it
+The planner sits between query coercion and the plan cache: it takes the
+query's kernel :class:`TableDFA` and hands back the table the walks will
+read (the cache entry *is* that table, plus the report of what was done).
+Given the snapshot's declared label set it
 
 1. **restricts the alphabet** -- transitions on symbols the graph never
    carries can never match an edge, so they are dropped wholesale (the
@@ -21,9 +23,9 @@ its full alphabet when the restriction dropped symbols.  A failed check --
 or any exception inside a pass -- falls back to the unrewritten automaton:
 the planner may only ever make plans smaller, never wrong.
 
-The module also hosts :func:`selectivity_ordered`, which reorders a
-compiled plan's per-state moves by ascending per-label edge count so
-early-exit searches try rare labels (and therefore small frontiers) first.
+Move ordering is not done here: a table has no move order to store, so
+the rare-label-first order of early-exit searches is a sort of each row at
+bind time (:func:`repro.engine.executor.bind`).
 """
 
 from __future__ import annotations
@@ -33,17 +35,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.automata.alphabet import Alphabet
-from repro.automata.dfa import DFA
-from repro.automata.kernel import (
-    NO_STATE,
-    MergeFold,
-    TableDFA,
-    language_included_tables,
-)
-from repro.automata.nfa import NFA
-from repro.engine.index import GraphIndex
-from repro.engine.plan import CompiledPlan
-from repro.errors import QueryError
+from repro.automata.kernel import NO_STATE, TableDFA, language_included_tables
 
 #: Planner modes ``EngineConfig.planner`` understands.
 PLANNER_MODES = ("auto", "off")
@@ -75,22 +67,6 @@ class RewriteOutcome:
             "states": {"before": self.states_before, "after": self.states_after},
             "symbols": {"before": self.symbols_before, "after": self.symbols_after},
         }
-
-
-def coerce_table(automaton: object) -> TableDFA:
-    """Int-code any engine-accepted automaton into a kernel :class:`TableDFA`."""
-    if isinstance(automaton, MergeFold):
-        automaton = automaton.to_table()
-    if isinstance(automaton, TableDFA):
-        return automaton
-    if isinstance(automaton, DFA):
-        return TableDFA.from_dfa(automaton)[0]
-    if isinstance(automaton, NFA):
-        return TableDFA.from_nfa(automaton)[0]
-    raise QueryError(
-        f"cannot plan {type(automaton).__name__!r}: expected a DFA, an NFA "
-        "or a kernel TableDFA/MergeFold"
-    )
 
 
 def restrict_alphabet(table: TableDFA, keep: Collection[str]) -> TableDFA:
@@ -198,46 +174,3 @@ def rewrite_table(
             original.m,
             original.m,
         )
-
-
-def selectivity_ordered(plan: CompiledPlan, index: GraphIndex) -> CompiledPlan:
-    """A plan clone whose per-state moves try rare labels first.
-
-    Early-exit kernels (pair search, membership probes) enqueue successors
-    move by move; visiting the small per-label frontiers first keeps the
-    working set tight and reaches rare-label accepting paths sooner.  The
-    reachable sets -- and therefore every evaluation result -- are
-    identical under any move order; only traversal order changes.  Returns
-    ``plan`` itself when no move list has more than one entry.
-    """
-    if all(len(moves) < 2 for moves in plan.state_moves):
-        return plan
-    counts = index.label_edge_counts()
-    sym_labels = plan.bind_symbols(index.label_ids)
-
-    def weight(move: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
-        label_id = sym_labels[move[0]]
-        return (counts[label_id] if label_id >= 0 else 0, move[0])
-
-    ordered = CompiledPlan(
-        num_states=plan.num_states,
-        initials=plan.initials,
-        finals=plan.finals,
-        symbols=plan.symbols,
-        delta=plan.delta,
-        fingerprint=plan.fingerprint,
-    )
-    ordered.state_moves = tuple(
-        tuple(sorted(moves, key=weight)) for moves in plan.state_moves
-    )
-    ordered._rstate_moves = tuple(
-        tuple(sorted(moves, key=weight)) for moves in plan.rstate_moves
-    )
-    return ordered
-
-
-def plan_automaton(automaton: object) -> object:
-    """Materialize fold hypotheses so one coercion serves fingerprint+rewrite."""
-    if isinstance(automaton, MergeFold):
-        return automaton.to_table()
-    return automaton

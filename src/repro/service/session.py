@@ -114,7 +114,9 @@ class SessionTable:
         self.max_sessions_per_tenant = max_sessions_per_tenant
         self._lock = threading.Lock()
         self._sessions: dict[str, dict[str, dict]] = {}
-        self._session_locks: dict[tuple[str, str], threading.Lock] = {}
+        # (tenant, name) -> [lock, holders + waiters]; an entry lives while
+        # its session is stored or a request is inside :meth:`lock_for`.
+        self._session_locks: dict[tuple[str, str], list] = {}
         if registry is not None:
             self._gauge = registry.gauge(
                 "service_sessions", help="interactive sessions currently checkpointed"
@@ -122,16 +124,46 @@ class SessionTable:
         else:
             self._gauge = None
 
-    def lock_for(self, tenant: str, name: str) -> threading.Lock:
-        """The lock serializing one session's resume-run-checkpoint cycle.
+    @contextmanager
+    def lock_for(self, tenant: str, name: str):
+        """Hold one session for a resume-run-checkpoint cycle.
 
         Interactive requests are read-modify-write on the checkpoint;
         without per-session exclusion two concurrent calls of the same
         tenant would both resume the same state and one update would be
         lost.  Different sessions (and different tenants) stay parallel.
+
+        A *new* name is refused here, before the caller does any work, when
+        the tenant's stored and in-flight names already fill its cap.  On
+        the way out the lock is dropped again unless the name now stores a
+        checkpoint (or another request still waits on it), so a refused or
+        failed request leaves nothing behind.
         """
+        key = (tenant, name)
         with self._lock:
-            return self._session_locks.setdefault((tenant, name), threading.Lock())
+            in_use = set(self._sessions.get(tenant, ()))
+            in_use.update(held for owner, held in self._session_locks if owner == tenant)
+            if name not in in_use and len(in_use) >= self.max_sessions_per_tenant:
+                raise self._at_cap(tenant)
+            entry = self._session_locks.setdefault(key, [threading.Lock(), 0])
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._lock:
+                entry[1] -= 1
+                if not entry[1] and name not in self._sessions.get(tenant, ()):
+                    del self._session_locks[key]
+
+    def _at_cap(self, tenant: str) -> ServiceError:
+        """The structured 429 of a tenant whose session cap is full."""
+        return ServiceError(
+            f"tenant {tenant!r} at its {self.max_sessions_per_tenant}-session "
+            "cap; release one first",
+            code="session_limit",
+            status=429,
+        )
 
     def get(self, tenant: str, name: str) -> dict | None:
         """The stored checkpoint payload, or None for a fresh session."""
@@ -146,12 +178,7 @@ class SessionTable:
         with self._lock:
             table = self._sessions.setdefault(tenant, {})
             if name not in table and len(table) >= self.max_sessions_per_tenant:
-                raise ServiceError(
-                    f"tenant {tenant!r} at its {self.max_sessions_per_tenant}-session "
-                    "cap; release one first",
-                    code="session_limit",
-                    status=429,
-                )
+                raise self._at_cap(tenant)
             created = name not in table
             table[name] = dict(checkpoint)
             if created and self._gauge is not None:
@@ -166,7 +193,9 @@ class SessionTable:
             del table[name]
             if not table:
                 del self._sessions[tenant]
-            self._session_locks.pop((tenant, name), None)
+            entry = self._session_locks.get((tenant, name))
+            if entry is not None and not entry[1]:
+                del self._session_locks[tenant, name]
         if self._gauge is not None:
             self._gauge.dec()
         return True

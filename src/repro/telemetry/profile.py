@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+try:  # hashlib.blake2b's own C module: importing hashlib loads OpenSSL, ~3.7 MiB of RSS
+    from _blake2 import blake2b
+except ImportError:  # not CPython
+    from hashlib import blake2b
+
 
 @dataclass
 class QueryProfile:
@@ -62,12 +67,14 @@ class QueryProfile:
         }
 
 
-def fingerprint_token(fingerprint: object) -> str:
-    """A short printable token for a plan fingerprint span attribute.
+def fingerprint_token(fingerprint: tuple) -> str:
+    """A short printable token for a plan fingerprint: 12 hex digits.
 
-    Fingerprints are arbitrary hashable structural values (tuples, raw
-    automaton bytes); traces want something short and comparable *within a
-    process*, so this hashes to 12 hex digits rather than serializing the
-    structure.
+    A content digest (``blake2b`` of the fingerprint's ``repr``), so the
+    token in ``repro explain``, planner reports, slow-log records and span
+    attributes is the same in every process and across daemon restarts.
+    That needs a ``repr`` that does not follow the hash seed, which the one
+    fingerprint shape there is, ``TableDFA.fingerprint()`` (strings, ints
+    and bytes in a tuple), has.
     """
-    return format(hash(fingerprint) & 0xFFFFFFFFFFFF, "012x")
+    return blake2b(repr(fingerprint).encode(), digest_size=6).hexdigest()

@@ -116,12 +116,18 @@ def test_engine_subpackage_lost_exactly_the_shard_pool():
         "evaluate_all_sharded",
         "binary_evaluate_sharded",
         "DEFAULT_MIN_SHARD_EDGES",  # the deleted min_shard_edges knob's default
+        # PR 21: the plan layer (a plan is its kernel table)
+        "CompiledPlan",
+        "compile_plan",
+        "automaton_fingerprint",
+        "selectivity_ordered",
     }
-    assert len(repro.engine.__all__) == 29 - len(gone)
+    assert len(repro.engine.__all__) == 29 - len(gone) == 20
     for name in gone:
         assert name not in repro.engine.__all__ and not hasattr(repro.engine, name)
     for name in repro.engine.__all__:
         assert hasattr(repro.engine, name)
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.engine.parallel")
+    for module in ("repro.engine.parallel", "repro.engine.plan"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
     assert len(repro.__all__) == 55

@@ -20,7 +20,6 @@ from repro.engine import executor
 from repro.engine.costs import CostModel
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
-from repro.engine.plan import compile_plan
 from repro.graphdb import GraphDB
 from repro.regex import compile_query
 
@@ -66,8 +65,9 @@ GRAPHS = seeded_graphs(50)
 ALPHABET = LABELS + ["z"]
 
 
-def plan_for(expression: str):
-    return compile_plan(compile_query(expression, ALPHABET))
+def plan_for(expression: str) -> TableDFA:
+    """The expression's plan: the kernel table the walks read."""
+    return TableDFA.from_dfa(compile_query(expression, ALPHABET))[0]
 
 
 class TestNumpyEvaluateAll:
@@ -107,7 +107,7 @@ class TestNumpyTableEvaluateAll:
     @pytest.mark.parametrize("expression", EXPRESSIONS)
     @pytest.mark.parametrize("max_depth", [None, 0, 2])
     def test_matches_python_on_population(self, expression, max_depth):
-        table, _ = TableDFA.from_dfa(compile_query(expression, ALPHABET))
+        table = plan_for(expression)
         for graph in GRAPHS[:25]:
             index = GraphIndex.build(graph)
             py_stats, np_stats = KernelStats(), KernelStats()

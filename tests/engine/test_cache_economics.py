@@ -40,17 +40,6 @@ class TestEstimateEntryBytes:
         large = estimate_entry_bytes(frozenset(range(10_000)))
         assert large > small * 100
 
-    def test_costs_compiled_plans_from_their_table(self):
-        class FakePlan:
-            num_states = 10
-            symbols = ("a", "b", "c")
-
-        class BiggerPlan:
-            num_states = 100
-            symbols = ("a", "b", "c")
-
-        assert estimate_entry_bytes(BiggerPlan()) > estimate_entry_bytes(FakePlan())
-
     def test_flat_buffers_are_exact_enough(self):
         assert estimate_entry_bytes(b"x" * 1000) >= 1000
 

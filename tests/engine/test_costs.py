@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.automata.kernel import TableDFA
 from repro.engine import QueryEngine, have_numpy
 from repro.engine.costs import (
     NUMPY_CALL_WEIGHT,
@@ -23,7 +24,6 @@ from repro.engine.costs import (
     cheapest,
 )
 from repro.engine.index import GraphIndex
-from repro.engine.plan import compile_plan
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
 from repro.regex import compile_query
@@ -54,8 +54,9 @@ def model_for(graph: GraphDB) -> CostModel:
     return CostModel(GraphIndex.build(graph))
 
 
-def plan_for(expression: str):
-    return compile_plan(compile_query(expression, ALPHABET))
+def plan_for(expression: str) -> TableDFA:
+    """The expression's plan: the kernel table the cost model reads."""
+    return TableDFA.from_dfa(compile_query(expression, ALPHABET))[0]
 
 
 class TestSharedQuantities:

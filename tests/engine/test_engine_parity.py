@@ -135,17 +135,21 @@ class TestEdgeCases:
             with pytest.raises(error):
                 call()
             assert engine.stats.as_dict() == before
-        # An epsilon NFA is only detected when the walk binds it -- after the
-        # index exists -- and must still not count as an evaluation.
-        engine.index_for(g0)
-        before = engine.stats.as_dict()
+        # An epsilon NFA is refused at the door, on every entry point and in
+        # both modes, before the plan cache is even asked.
+        before = engine.stats_snapshot()
         for call in (
             lambda: any_of(g0, epsilon, ["v1"], ephemeral=True),
             lambda: pair(g0, epsilon, "v1", "v2", ephemeral=True),
+            lambda: any_of(g0, epsilon, ["v1"]),
+            lambda: pair(g0, epsilon, "v1", "v2"),
+            lambda: whole(g0, epsilon),
+            lambda: engine.binary_evaluate(g0, epsilon),
+            lambda: engine.explain(g0, epsilon),
         ):
-            with pytest.raises(GraphError):
+            with pytest.raises(GraphError, match="epsilon-free"):
                 call()
-            assert engine.stats.as_dict() == before
+            assert engine.stats_snapshot() == before
 
     def test_empty_node_set(self, engine, g0):
         query = compile_query("a*", g0.alphabet)
@@ -255,16 +259,21 @@ class TestTableAutomatonParity:
                 table, _ = TableDFA.from_dfa(dfa)
                 assert engine.evaluate(graph, table) == engine.evaluate(graph, dfa)
 
-    def test_table_fingerprint_shares_plan_cache(self):
+    def test_table_fingerprint_shares_plan_cache(self, g0):
         from repro.automata.kernel import TableDFA
-        from repro.engine.plan import automaton_fingerprint
 
         dfa = compile_query("(a.b)*.c", self.LABELS)
         left, _ = TableDFA.from_dfa(dfa)
         right, _ = TableDFA.from_dfa(dfa)
-        assert automaton_fingerprint(left) == automaton_fingerprint(right)
-        engine = QueryEngine()
-        assert engine.plan_for(left) is engine.plan_for(right)
+        assert left.fingerprint() == right.fingerprint()
+        for planner in ("auto", "off"):
+            engine = QueryEngine(planner=planner)
+            plan, _ = engine._resolve_plan(g0, left)
+            # The raw DFA is int-coded at the door to the same table, so it
+            # shares the entry too.
+            assert engine._resolve_plan(g0, right)[0] is plan
+            assert engine._resolve_plan(g0, dfa)[0] is plan
+            assert engine.stats.plan_compilations == 1
 
 
 class TestBatchEvaluation:

@@ -1,17 +1,14 @@
-"""Unit tests of the engine internals: CSR index, compiled plans, caches."""
+"""Unit tests of the engine internals: CSR index, plans (kernel tables), caches."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.automata.alphabet import Alphabet
 from repro.automata.dfa import DFA
-from repro.engine import (
-    GraphIndex,
-    LRUCache,
-    QueryEngine,
-    automaton_fingerprint,
-    compile_plan,
-)
+from repro.automata.kernel import TableDFA
+from repro.engine import GraphIndex, LRUCache, QueryEngine
+from repro.engine.executor import bind
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
 
@@ -92,40 +89,58 @@ class TestGraphIndex:
 
 
 class TestCompiledPlan:
+    """A plan is its table: what ``CompiledPlan`` used to carry (fingerprint,
+    emptiness flags, predecessor tables, the symbol binding) is read off the
+    kernel ``TableDFA`` and the rows :func:`bind` makes of it."""
+
     def test_fingerprint_shared_by_equal_queries(self):
         left = PathQuery.parse("a.b*", ["a", "b"])
         right = PathQuery.parse("a.b*", ["a", "b"])
         assert left.dfa is not right.dfa
-        assert automaton_fingerprint(left.dfa) == automaton_fingerprint(right.dfa)
+        assert left.table.fingerprint() == right.table.fingerprint()
+        assert TableDFA.from_dfa(left.dfa)[0].fingerprint() == left.table.fingerprint()
 
     def test_fingerprint_distinguishes_languages(self):
-        one = PathQuery.parse("a", ["a", "b"]).dfa
-        other = PathQuery.parse("b", ["a", "b"]).dfa
-        assert automaton_fingerprint(one) != automaton_fingerprint(other)
+        one = PathQuery.parse("a", ["a", "b"]).table
+        other = PathQuery.parse("b", ["a", "b"]).table
+        assert one.fingerprint() != other.fingerprint()
 
     def test_empty_word_and_empty_language_flags(self):
-        star = compile_plan(PathQuery.parse("a*", ["a"]).dfa)
-        assert star.accepts_empty_word
-        assert not star.is_empty_language
-        from repro.automata.alphabet import Alphabet
-
-        empty = compile_plan(DFA(Alphabet(["a"]), initial=0))
-        assert empty.is_empty_language
+        graph = GraphDB(["a"])
+        graph.add_edge("x", "a", "y")
+        index = GraphIndex.build(graph)
+        star = bind(index, PathQuery.parse("a*", ["a"]).table)
+        assert star.accepts_empty
+        assert not star.empty
+        empty = bind(index, TableDFA.from_dfa(DFA(Alphabet(["a"]), initial=0))[0])
+        assert empty.empty
 
     def test_delta_round_trip(self):
-        dfa = PathQuery.parse("a.b", ["a", "b"]).dfa
-        plan = compile_plan(dfa)
-        # rdelta inverts delta.
-        for symbol_pos, by_state in enumerate(plan.delta):
-            for source, targets in by_state.items():
-                for target in targets:
-                    assert source in plan.rdelta[symbol_pos][target]
+        graph = GraphDB(["a", "b"])
+        graph.add_edge("x", "a", "y")
+        graph.add_edge("y", "b", "x")
+        index = GraphIndex.build(graph)
+        moves = bind(index, PathQuery.parse("(a.b)*.a", ["a", "b"]).table)
+        # The backward rows invert the forward rows.
+        forward = {
+            (state, label_id, target)
+            for state in range(moves.span)
+            for label_id, targets, _ in moves.rows[state]
+            for target in targets
+        }
+        backward = {
+            (source, label_id, state)
+            for state, row in enumerate(moves.reverse_rows())
+            for label_id, sources in row
+            for source in sources
+        }
+        assert forward == backward and forward
 
     def test_bind_symbols_maps_missing_labels_to_minus_one(self):
-        plan = compile_plan(PathQuery.parse("a.z", ["a", "z"]).dfa)
-        binding = plan.bind_symbols({"a": 0, "b": 1})
-        assert binding[plan.symbol_positions["a"]] == 0
-        assert binding[plan.symbol_positions["z"]] == -1
+        table = PathQuery.parse("a.z", ["a", "z"]).table
+        binding = table.bind_labels({"a": 0, "b": 1})
+        assert binding[table.alphabet.index("a")] == 0
+        assert binding[table.alphabet.index("z")] == -1
 
 
 class TestLRUCache:

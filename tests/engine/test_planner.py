@@ -8,7 +8,8 @@ on a randomized population of seeded graphs -- byte-identical selected sets
 between ``planner="auto"`` and ``planner="off"`` engines, and work counters
 that never exceed the planner-off baseline -- plus the rewriter's unit
 behaviors (alphabet restriction, dead-branch pruning, parity rejection
-fallback) and the planned-plan cache's single-miss economics.
+fallback), the rare-label-first row order early-exit searches bind with,
+and the planned-plan cache's single-miss economics.
 """
 
 from __future__ import annotations
@@ -18,16 +19,10 @@ import random
 import pytest
 
 from repro.automata.kernel import TableDFA, language_included_tables
-from repro.engine import QueryEngine
-from repro.engine.planner import (
-    PLANNER_MODES,
-    coerce_table,
-    restrict_alphabet,
-    rewrite_table,
-    selectivity_ordered,
-)
+from repro.engine import QueryEngine, executor
+from repro.engine.executor import bind
+from repro.engine.planner import PLANNER_MODES, restrict_alphabet, rewrite_table
 from repro.engine.index import GraphIndex
-from repro.engine.plan import compile_plan
 from repro.errors import QueryError
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
@@ -135,40 +130,100 @@ class TestRewriteTable:
         assert set(report["states"]) == {"before", "after"}
 
     def test_coerce_table_rejects_non_automata(self):
+        # Int-coding moved to the engine's door; the refusal went with it.
         with pytest.raises(QueryError):
-            coerce_table("not an automaton")
+            QueryEngine._coerce_automaton("not an automaton")
 
     def test_planner_modes_frozen(self):
         assert PLANNER_MODES == ("auto", "off")
 
 
+def skewed_index() -> GraphIndex:
+    """Thirty ``a`` edges in a chain and a single ``b`` edge."""
+    graph = GraphDB(["a", "b"])
+    for i in range(30):
+        graph.add_edge(i, "a", i + 1)
+    graph.add_edge(0, "b", 31)
+    return GraphIndex.build(graph)
+
+
+def all_rows(moves) -> tuple[list, list]:
+    """Every forward and backward row of one binding, by state."""
+    return [moves.rows[state] for state in range(moves.span)], moves.reverse_rows()
+
+
 class TestSelectivityOrdered:
+    """``bind(..., rare_first=True)``: the order the plan clone used to carry."""
+
     def test_moves_sorted_by_label_rarity(self):
-        graph = GraphDB(["a", "b"])
-        for i in range(30):
-            graph.add_edge(i, "a", i + 1)
-        graph.add_edge(0, "b", 31)
-        index = GraphIndex.build(graph)
-        plan = compile_plan(compile_query("(a+b).a*", ["a", "b"]))
-        ordered = selectivity_ordered(plan, index)
-        sym_labels = plan.bind_symbols(index.label_ids)
+        index = skewed_index()
         counts = index.label_edge_counts()
-        for moves in ordered.state_moves:
-            weights = [
-                counts[sym_labels[pos]] if sym_labels[pos] >= 0 else 0
-                for pos, _ in moves
-            ]
-            assert weights == sorted(weights)
+        rare, common = index.label_ids["b"], index.label_ids["a"]
+        # "(a+b).a*" leaves its initial state on both labels; "a.(a+b)"
+        # enters its final state on both.
+        for expression in ("(a+b).a*", "a.(a+b)"):
+            table = TableDFA.from_dfa(compile_query(expression, ["a", "b"]))[0]
+            forward, backward = all_rows(bind(index, table, rare_first=True))
+            for row in (*forward, *backward):
+                weights = [counts[move[0]] for move in row]
+                assert weights == sorted(weights)
+            plain_forward, plain_backward = all_rows(bind(index, table))
+            if expression == "(a+b).a*":
+                assert [move[0] for move in plain_forward[table.initial]] == [common, rare]
+                assert [move[0] for move in forward[table.initial]] == [rare, common]
+            else:
+                entered_twice = [s for s, row in enumerate(plain_backward) if len(row) == 2]
+                assert entered_twice
+                for state in entered_twice:
+                    assert [move[0] for move in plain_backward[state]] == [common, rare]
+                    assert [move[0] for move in backward[state]] == [rare, common]
 
     def test_ordering_preserves_fingerprint_and_shape(self):
+        index = GraphIndex.build(GRAPHS[7])
+        table = table_for("(a+b)*.c")
+        fingerprint = table.fingerprint()
+        plain, ordered = bind(index, table), bind(index, table, rare_first=True)
+        assert table.fingerprint() == fingerprint
+        assert (ordered.span, ordered.initials, ordered.final_mask) == (
+            plain.span,
+            plain.initials,
+            plain.final_mask,
+        )
+        for before, after in zip(all_rows(plain), all_rows(ordered)):
+            assert [sorted(row) for row in before] == [sorted(row) for row in after]
+
+    def test_only_cached_planned_searches_are_reordered(self, monkeypatch):
+        """Rare-first is asked for by the non-ephemeral early-exit searches of
+        a ``planner="auto"`` engine and by nothing else: an ephemeral walk, a
+        ``planner="off"`` engine and the whole-graph walks bind in alphabet
+        order."""
+        asked: list[bool] = []
+
+        def spy(index, query, *, rare_first=False):
+            asked.append(rare_first)
+            return bind(index, query, rare_first=rare_first)
+
+        monkeypatch.setattr(executor, "bind", spy)
         graph = GRAPHS[7]
-        index = GraphIndex.build(graph)
-        plan = compile_plan(compile_query("(a+b)*.c", ALPHABET))
-        ordered = selectivity_ordered(plan, index)
-        assert ordered.fingerprint == plan.fingerprint
-        assert ordered.num_states == plan.num_states
-        for before, after in zip(plan.state_moves, ordered.state_moves):
-            assert sorted(before) == sorted(after)
+        nodes = sorted(graph.nodes, key=repr)[:3]
+        table = table_for("(a+b)*.c")
+
+        def calls(engine, **options):
+            del asked[:]
+            engine.any_selects(graph, table, nodes, **options)
+            engine.any_selects(graph, table, nodes, witness=True, **options)
+            engine.pair_selects(graph, table, nodes[0], nodes[1], **options)
+            return asked[:]
+
+        assert calls(QueryEngine(planner="auto")) == [True, True, True]
+        assert calls(QueryEngine(planner="auto", backend="python")) == [True, True, True]
+        assert calls(QueryEngine(planner="auto"), ephemeral=True) == [False, False, False]
+        assert calls(QueryEngine(planner="off")) == [False, False, False]
+        del asked[:]
+        engine = QueryEngine(planner="auto")
+        engine.evaluate(graph, table)
+        engine.binary_evaluate(graph, table)
+        assert asked == [False, False]
 
 
 class TestEngineParityRandomized:
@@ -240,7 +295,11 @@ class TestPlannedPlanCache:
         query = query_for("a+z.b")
         plan, report = engine._resolve_plan(graph, query)
         assert report is None
-        assert plan.fingerprint == engine.plan_for(query).fingerprint
+        assert plan is query.table
+        # With the planner on the same query is cached as a smaller table.
+        planned, report = QueryEngine(planner="auto")._resolve_plan(graph, query)
+        assert report["parity"] == "verified"
+        assert planned.n < plan.n and planned.fingerprint() != plan.fingerprint()
 
 
 class TestEngineExplain:

@@ -1,10 +1,13 @@
 """Transition source x stop rule: the product walk's parity matrix.
 
-:mod:`repro.engine.executor` writes each walk once and reads every query
-representation through one ``bind`` adapter.  This matrix pins that claim:
-the *same automaton*, handed over as a compiled plan (verbatim, i.e. what
-``planner="off"`` compiles), a kernel ``TableDFA``, a ``MergeFold``, a raw
-``DFA`` or a raw ``NFA``, must
+:mod:`repro.engine.executor` writes each walk once and ``bind`` reads one
+transition format, the kernel's flat array.  This matrix pins that claim
+along both halves of the source axis.  At the executor: a kernel
+``TableDFA`` and a ``MergeFold``.  At the engine's door: a raw ``DFA`` and
+a raw ``NFA``, int-coded once by ``QueryEngine._coerce_automaton``, and the
+*plan* -- the entry a ``planner="off"`` engine caches for that ``DFA``,
+which is again a table.  The *same automaton*, whichever way it came in,
+must
 
 * answer every stop rule (any-of-nodes, pair, depth-bounded, whole-graph)
   exactly like the independent ``reference_*`` construction in
@@ -17,6 +20,7 @@ the *same automaton*, handed over as a compiled plan (verbatim, i.e. what
 The automata are the canonical DFAs of the suite's expressions plus the
 quotients of *mid-merge* folds (there the fold itself is the fold source and
 the other four representations are derived from its materialized table).
+``bind`` itself refuses everything but a kernel automaton.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.automata.kernel import MergeFold, TableDFA, pta_table
 from repro.engine import QueryEngine, executor
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
-from repro.engine.plan import compile_plan
+from repro.errors import QueryError
 from repro.graphdb import GraphDB
 from repro.graphdb.paths import covered_by, enumerate_paths, enumerate_paths_between
 from repro.regex import compile_query
@@ -63,7 +67,7 @@ def mid_merge_fold(seed: int) -> MergeFold:
 
 
 def representations(case: str) -> dict[str, object]:
-    """The five representations of one automaton (see the module docstring)."""
+    """The five ways in of one automaton (see the module docstring)."""
     if case.startswith("fold:"):
         fold = mid_merge_fold(int(case.removeprefix("fold:")))
         table = fold.to_table()
@@ -72,7 +76,7 @@ def representations(case: str) -> dict[str, object]:
         fold = MergeFold(table)
     dfa = table.to_dfa()
     return {
-        "plan": compile_plan(dfa),
+        "plan": QueryEngine(planner="off")._resolve_plan(GraphDB(LABELS), dfa)[0],
         "table": table,
         "fold": fold,
         "dfa": dfa,
@@ -93,7 +97,12 @@ def population():
 
 
 def walk(rule, index, source, nodes, *, end=None, depth=None, witness=False):
-    """Run one stop rule on one source; returns ``(answer, work counters)``."""
+    """Run one stop rule on one source; returns ``(answer, work counters)``.
+
+    Every source enters through the engine's door, which int-codes the raw
+    ``DFA``/``NFA`` and passes a table or fold as it is.
+    """
+    source = QueryEngine._coerce_automaton(source)
     stats = KernelStats()
     ids = index.node_ids
     if rule == "whole":
@@ -187,7 +196,7 @@ class TestSourceByStopRule:
 
 @pytest.mark.parametrize("case", CASES)
 def test_every_source_does_identical_work(case):
-    """One automaton, five representations, one ``(expanded, scanned)``.
+    """One automaton, five ways in, one ``(expanded, scanned)``.
 
     A mid-merge fold is the one exception, and only for the backward
     closure: its absorbed states still carry their accepting bits, so it
@@ -207,11 +216,28 @@ def test_every_source_does_identical_work(case):
             assert len(set(work.values())) == 1, (rule, nodes, options, work)
 
 
+@pytest.mark.parametrize("form", ["dfa", "nfa", "expression"])
+def test_bind_takes_kernel_automata_only(form):
+    """``bind`` has one branch: a raw automaton (or anything else) that got
+    past the engine's door un-coded is a ``QueryError``, not a walk."""
+    dfa = compile_query("(a.b)*.c", LABELS)
+    query = {"dfa": dfa, "nfa": dfa.to_nfa(), "expression": "(a.b)*.c"}[form]
+    _, index, subset = next(population())
+    with pytest.raises(QueryError, match="kernel TableDFA/MergeFold"):
+        executor.bind(index, query)
+    stats = KernelStats()
+    with pytest.raises(QueryError):
+        executor.any_selects(index, query, [index.node_ids[subset[0]]], stats)
+    with pytest.raises(QueryError):
+        executor.evaluate_all(index, query, stats)
+    assert stats.mark() == (0, 0)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_engine_ephemeral_calls_take_every_uncompiled_source(case):
     """``QueryEngine``'s ephemeral entry points are one call each into the
     same walks: tables, mid-merge folds and raw automata all answer like the
-    reference, with no plan compiled."""
+    reference, with no plan cached."""
     forms = representations(case)
     engine = QueryEngine()
     for graph, _, subset in population():

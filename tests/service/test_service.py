@@ -473,6 +473,48 @@ def test_interactive_session_resumes_across_requests(service):
         assert client.stats()["tenant_sessions"] == []
 
 
+def test_session_cap_refuses_a_new_name_before_any_work(service):
+    """At the cap a *new* name is a 429 that runs nothing and keeps no lock;
+    an existing name still resumes, and a release makes room again."""
+    sessions = service.sessions
+    cap = sessions.max_sessions_per_tenant
+    engine = service._resolve_dataset({}).engine
+
+    def interactive(name, tenant="cap-tester", goal=GOAL):
+        params = {"goal": goal, "session": name, "config": {"max_interactions": 1}}
+        return service.handle({"op": "interactive", "tenant": tenant, "params": params})
+
+    def no_orphan_locks():
+        stored = {(t, n) for t in sessions._sessions for n in sessions.names(t)}
+        return set(sessions._session_locks) <= stored
+
+    try:
+        for number in range(cap):
+            assert interactive(f"s{number}")["ok"]
+        evaluations = engine.stats.evaluations
+        for number in range(cap, cap + 5):
+            refused = interactive(f"s{number}")
+            assert not refused["ok"]
+            assert (refused["error"]["code"], refused["error"]["status"]) == ("session_limit", 429)
+        assert engine.stats.evaluations == evaluations  # refused before any walk
+        assert sessions.names("cap-tester") == sorted(f"s{n}" for n in range(cap))
+        assert len(sessions._session_locks) <= sessions.total() and no_orphan_locks()
+        resumed = interactive("s0")
+        assert resumed["ok"] and resumed["session"]["resumed"] is True
+        released = service.handle(
+            {"op": "session.release", "tenant": "cap-tester", "params": {"session": "s1"}}
+        )
+        assert released["result"]["released"] is True
+        assert interactive("fresh")["ok"]
+        # A run that raises stores nothing, so its lock goes too.
+        assert not interactive("broken", tenant="cap-other", goal="((")["ok"]
+        assert sessions.names("cap-other") == [] and no_orphan_locks()
+    finally:
+        for name in sessions.names("cap-tester"):
+            sessions.release("cap-tester", name)
+    assert no_orphan_locks()
+
+
 def test_session_runs_to_goal_matches_local(service):
     local = Workspace.from_figure("geo").learn_interactive(GOAL)
     with client_for(service, tenant="goal-seeker") as client:

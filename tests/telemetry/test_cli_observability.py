@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +303,25 @@ class TestLargeInteractiveTrace:
         trace_section = envelope["result"]["trace"]
         assert trace_section["cache"]["hit"] + trace_section["cache"]["miss"] >= 1
         assert 0.0 <= trace_section["cache"]["hit_rate"] <= 1.0
+
+
+def test_explain_fingerprint_is_the_same_in_every_process():
+    """The plan token is a content digest, not ``hash()``: two interpreters
+    with different hash seeds print the same ``fingerprint`` for one plan."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    command = [sys.executable, "-m", "repro", "explain", "--figure", "geo"]
+    command += ["--expr", "(tram+bus)*.cinema", "--indent", "0"]
+    tokens = []
+    for hash_seed in ("0", "1"):
+        completed = subprocess.run(
+            command,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        result = json.loads(completed.stdout)["result"]
+        tokens.append((result["plan"]["fingerprint"], result["planner"]["fingerprint"]))
+    assert tokens[0] == tokens[1]
+    assert len(tokens[0][0]) == 12 and int(tokens[0][0], 16) >= 0
