@@ -719,7 +719,7 @@ class QueryEngine:
         if binary:
             result = frozenset((nodes_by_id[src], nodes_by_id[end]) for src, end in selected_ids)
         else:
-            result = frozenset(nodes_by_id[node_id] for node_id in selected_ids)
+            result = frozenset(map(nodes_by_id.__getitem__, selected_ids))
         if key is not None:
             self.result_cache.put(key, result)
         if observation is not None:

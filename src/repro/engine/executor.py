@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from functools import cache
 from itertools import compress
 
 from repro.automata.alphabet import Word
@@ -51,20 +52,14 @@ from repro.telemetry.metrics import Counter, MetricsRegistry
 #: layer up).
 BACKENDS = ("auto", "python", "numpy")
 
-_NUMPY = None  # unresolved; becomes the module or False after first probe
-
-
+@cache
 def _load_numpy():
     """The numpy module, or ``False`` when not installed (cached probe)."""
-    global _NUMPY
-    if _NUMPY is None:
-        try:
-            import numpy
-        except ImportError:
-            _NUMPY = False
-        else:
-            _NUMPY = numpy
-    return _NUMPY
+    try:
+        import numpy
+    except ImportError:
+        return False
+    return numpy
 
 
 def have_numpy() -> bool:
@@ -543,52 +538,66 @@ def binary_evaluate(
 # -- the numpy backend --------------------------------------------------------
 #
 # Vectorized twins of the whole-graph walks above.  A layer of the product
-# BFS is expanded in one shot: the frontier is an int64 array of product
-# codes, the CSR gather turns per-node (start, stop) ranges into one flat
-# neighbour array via repeat/cumsum arithmetic, and dedup is one
-# ``np.unique`` plus a visited-bool mask.  The ``offsets``/``targets``
-# arrays are viewed zero-copy through ``np.frombuffer`` -- both the heap
-# ``array`` form and the storage layer's mmap ``memoryview`` form expose the
-# buffer protocol, so a snapshot-backed index vectorizes without a copy.
-# Results are converted back through ``.tolist()`` (true python ints), which
-# keeps the returned frozensets byte-identical to the pure-python oracle's.
+# BFS is expanded in one shot: the frontier is a sorted, duplicate-free int64
+# array of product codes, grouped by state with one ``bincount``; the CSR
+# gather turns per-node (start, stop) ranges into one flat neighbour array
+# via repeat/cumsum arithmetic; dedup masks out the visited codes, sorts the
+# rest and keeps each first-of-run -- no hash table anywhere.  The CSR arrays
+# are viewed zero-copy through ``np.frombuffer`` -- the heap ``array`` form
+# and the storage layer's read-only mmap ``memoryview`` form both expose the
+# buffer protocol, so a snapshot-backed index vectorizes without a copy (and
+# nothing here writes through a view).  Results come back through
+# ``.tolist()`` (true python ints): byte-identical to the python oracle's.
 
 
-def _np_view(buffer):
-    """A read-only int numpy view over a CSR array (zero-copy)."""
-    np = _load_numpy()
-    itemsize = buffer.itemsize
-    return np.frombuffer(buffer, dtype=np.int64 if itemsize == 8 else np.int32)
+def _np_views(offsets: list, targets: list):
+    """``views(label_id)``: that label's ``(offsets, targets)`` CSR arrays as
+    numpy views, built the first time a row asks and kept for one walk only."""
+    frombuffer = _load_numpy().frombuffer
+    return cache(
+        lambda label_id: tuple(
+            frombuffer(arrays[label_id], dtype=f"i{arrays[label_id].itemsize}")
+            for arrays in (offsets, targets)
+        )
+    )
+
+
+def _np_by_state(layer_states, rows, span, np):
+    """``(moves row, layer mask, count)`` for each state the layer holds,
+    ascending; states without moves are skipped."""
+    for state, count in enumerate(np.bincount(layer_states, minlength=span).tolist()):
+        if count and rows[state]:
+            yield rows[state], layer_states == state, count
 
 
 def _np_gather(offsets, targets, nodes, np):
-    """All CSR neighbours of ``nodes`` flattened, with per-node repeats.
+    """``(neighbours, counts)``: the CSR neighbours of ``nodes``, flattened.
 
-    Returns ``(neighbours, counts, total)`` where ``counts[i]`` is node i's
-    degree and ``neighbours`` concatenates every node's targets slice in
-    order (duplicate input nodes contribute duplicate slices, exactly like
-    the scalar loop).
+    ``counts[i]`` is node i's degree and ``neighbours`` concatenates every
+    node's targets slice in order (duplicate input nodes contribute
+    duplicate slices, exactly like the scalar loop), so its size is the
+    number of adjacency entries the scalar loop would have scanned.
     """
     starts = offsets[nodes]
     counts = offsets[nodes + 1] - starts
     total = int(counts.sum())
     if not total:
-        return None, counts, 0
-    # positions[j] = starts[i] + (j - first flat slot of node i): the classic
-    # vectorized CSR expansion -- one arange, two repeats, no python loop.
-    shifts = np.cumsum(counts) - counts
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(shifts, counts)
-        + np.repeat(starts.astype(np.int64), counts)
-    )
-    return targets[positions], counts, total
+        return targets[:0], counts
+    # positions[j] = j + (starts[i] - first flat slot of node i): the classic
+    # vectorized CSR expansion -- one arange, one repeat, no python loop.
+    shifts = starts - (np.cumsum(counts) - counts)
+    return targets[np.arange(total, dtype=np.int64) + np.repeat(shifts, counts)], counts
 
 
 def _np_fresh(grown, visited, np):
-    """The not-yet-visited codes among a layer's candidates, marked visited."""
-    fresh = np.unique(np.concatenate(grown))
+    """The not-yet-visited codes among a layer's candidate arrays (left
+    untouched): sorted, duplicate-free, marked visited.  Visited codes go
+    first, so the sort sees only what is left; then the first code stays and
+    every code that differs from the one before it."""
+    fresh = np.concatenate(grown)
     fresh = fresh[~visited[fresh]]
+    fresh.sort()
+    fresh = np.concatenate((fresh[:1], fresh[1:][fresh[1:] != fresh[:-1]]))
     visited[fresh] = True
     return fresh
 
@@ -610,8 +619,7 @@ def numpy_evaluate_all(
     if moves.accepts_empty:
         return frozenset(range(n))
     rrows = moves.reverse_rows()
-    bwd_offsets = [_np_view(o) for o in index.bwd_offsets]
-    bwd_targets = [_np_view(t) for t in index.bwd_targets]
+    views = _np_views(index.bwd_offsets, index.bwd_targets)
 
     visited = np.zeros(n * span, dtype=bool)
     finals = np.array(moves.final_states(), dtype=np.int64)
@@ -629,21 +637,20 @@ def numpy_evaluate_all(
         expanded += int(frontier.size)
         layer_nodes, layer_states = np.divmod(frontier, span)
         grown: list = []
-        for state in np.unique(layer_states):
-            row = rrows[state]
-            if not row:
-                continue
-            at_state = layer_nodes[layer_states == state]
+        for row, mask, count in _np_by_state(layer_states, rrows, span, np):
+            # The frontier is sorted and duplicate-free, so n codes at one
+            # state are every node in order (always true of the seed layer):
+            # their gathered predecessors are the label's whole CSR array.
+            at_state = None if count == n else layer_nodes[mask]
             for label_id, pred_states in row:
-                preds, _, total = _np_gather(
-                    bwd_offsets[label_id], bwd_targets[label_id], at_state, np
-                )
-                if not total:
+                offsets, preds = views(label_id)
+                if at_state is not None:
+                    preds, _ = _np_gather(offsets, preds, at_state, np)
+                if not preds.size:
                     continue
-                scanned += total
+                scanned += int(preds.size)
                 base = preds * span
-                for pred_state in pred_states:
-                    grown.append(base + pred_state)
+                grown += [base + pred_state for pred_state in pred_states]
         frontier = _np_fresh(grown, visited, np) if grown else nodes[:0]
         if depth_sizes is not None and frontier.size:
             depth_sizes.append(int(frontier.size))
@@ -670,8 +677,7 @@ def numpy_binary_evaluate(
     if moves.empty:
         return frozenset()
     n, span, rows = index.num_nodes, moves.span, moves.rows
-    fwd_offsets = [_np_view(o) for o in index.fwd_offsets]
-    fwd_targets = [_np_view(t) for t in index.fwd_targets]
+    views = _np_views(index.fwd_offsets, index.fwd_targets)
     is_final = np.zeros(span, dtype=bool)
     is_final[moves.final_states()] = True
     initials = np.array(moves.initials, dtype=np.int64)
@@ -696,23 +702,16 @@ def numpy_binary_evaluate(
             rest, layer_states = np.divmod(frontier, span)
             layer_locals, layer_nodes = np.divmod(rest, n)
             grown: list = []
-            for state in np.unique(layer_states):
-                row = rows[state]
-                if not row:
-                    continue
-                mask = layer_states == state
+            for row, mask, _ in _np_by_state(layer_states, rows, span, np):
                 at_nodes = layer_nodes[mask]
                 at_locals = layer_locals[mask]
                 for label_id, targets, _ in row:
-                    neighbours, counts, total = _np_gather(
-                        fwd_offsets[label_id], fwd_targets[label_id], at_nodes, np
-                    )
-                    if not total:
+                    neighbours, counts = _np_gather(*views(label_id), at_nodes, np)
+                    if not neighbours.size:
                         continue
-                    scanned += total
+                    scanned += int(neighbours.size)
                     base = (np.repeat(at_locals, counts) * n + neighbours) * span
-                    for target_state in targets:
-                        grown.append(base + target_state)
+                    grown += [base + target_state for target_state in targets]
             if not grown:
                 break
             frontier = _np_fresh(grown, visited, np)
