@@ -124,8 +124,8 @@ class CostModel:
 
         The walk seeds every ``(node, final state)`` pair, so the seed term
         scales with ``n * |finals|``; the scan term is :meth:`scan_work`.
-        The vectorized kernel trades a fixed call cost for a ~4x per-item
-        win.
+        The vectorized kernel trades a fixed call cost for a per-item win:
+        the weights say 4x, an ``A.B*.C`` walk measures 2.6x (1k nodes) to 12x (30k).
         """
         seeds = self.num_nodes * max(1, table.finals.bit_count())
         scan = self.scan_work(table)

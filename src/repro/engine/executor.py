@@ -52,6 +52,7 @@ from repro.telemetry.metrics import Counter, MetricsRegistry
 #: layer up).
 BACKENDS = ("auto", "python", "numpy")
 
+
 @cache
 def _load_numpy():
     """The numpy module, or ``False`` when not installed (cached probe)."""
@@ -573,10 +574,9 @@ def _np_by_state(layer_states, rows, span, np):
 def _np_gather(offsets, targets, nodes, np):
     """``(neighbours, counts)``: the CSR neighbours of ``nodes``, flattened.
 
-    ``counts[i]`` is node i's degree and ``neighbours`` concatenates every
-    node's targets slice in order (duplicate input nodes contribute
-    duplicate slices, exactly like the scalar loop), so its size is the
-    number of adjacency entries the scalar loop would have scanned.
+    ``counts[i]`` is node i's degree; ``neighbours`` concatenates every node's
+    targets slice in order (a duplicate node contributes its slice again, as
+    in the scalar loop), so its size is the adjacency entries scanned.
     """
     starts = offsets[nodes]
     counts = offsets[nodes + 1] - starts
@@ -648,7 +648,7 @@ def numpy_evaluate_all(
                     preds, _ = _np_gather(offsets, preds, at_state, np)
                 if not preds.size:
                     continue
-                scanned += int(preds.size)
+                scanned += preds.size
                 base = preds * span
                 grown += [base + pred_state for pred_state in pred_states]
         frontier = _np_fresh(grown, visited, np) if grown else nodes[:0]
@@ -709,7 +709,7 @@ def numpy_binary_evaluate(
                     neighbours, counts = _np_gather(*views(label_id), at_nodes, np)
                     if not neighbours.size:
                         continue
-                    scanned += int(neighbours.size)
+                    scanned += neighbours.size
                     base = (np.repeat(at_locals, counts) * n + neighbours) * span
                     grown += [base + target_state for target_state in targets]
             if not grown:

@@ -96,7 +96,7 @@ class TestFresh:
 # -- (b) the full-layer read --------------------------------------------------
 
 
-def ring(labels_per_edge: dict[str, list[tuple[int, int]]], nodes: int) -> GraphDB:
+def graph_of(labels_per_edge: dict[str, list[tuple[int, int]]], nodes: int) -> GraphDB:
     graph = GraphDB(sorted(labels_per_edge))
     graph.add_nodes(range(nodes))
     for label, edges in labels_per_edge.items():
@@ -112,7 +112,7 @@ class TestFullLayerRead:
         reads a whole CSR array and the gather never runs."""
         n = 7
         cycle = [(v, (v + 1) % n) for v in range(n)]
-        graph = ring({"a": cycle, "b": cycle}, n)
+        graph = graph_of({"a": cycle, "b": cycle}, n)
         index, table = GraphIndex.build(graph), table_of("a.b", graph)
         answer, depths, work = assert_twins_agree(index, table)
         assert answer == frozenset(range(n)) and depths == [n, n, n]
@@ -128,7 +128,7 @@ class TestFullLayerRead:
         """Layer 1 of ``a.c+b.d`` holds ``n`` codes, two at each of two
         states: a shortcut keyed on the layer's size would read all of
         ``a``'s array for the ``c`` half and select node 3."""
-        graph = ring(
+        graph = graph_of(
             {"a": [(3, 2), (2, 0)], "b": [(0, 3)], "c": [(0, 1), (1, 0)], "d": [(2, 3), (3, 2)]},
             4,
         )
