@@ -19,7 +19,7 @@ Subcommands
 -----------
 ``learn``        learn a query from ``--positives``/``--negatives`` labels;
 ``query``        evaluate a regular path query on the graph;
-``explain``      plan a query without running it (rewrites, cost estimates,
+``explain``      plan a query without running it (rewrites, decision inputs,
                  chosen kernel, cache disposition);
 ``experiment``   run a Section 5 experiment (static sweep or interactive loop);
 ``interactive``  run one interactive session against a goal query, with
@@ -548,7 +548,7 @@ COMMANDS = {
         remote=_cmd_query_remote,
     ),
     "explain": Command(
-        "plan a query without running it (rewrites, costs, chosen kernel)",
+        "plan a query without running it (rewrites, inputs, chosen kernel)",
         _cmd_explain,
         options=(_EXPR, _SEMANTICS),
         graph=True,

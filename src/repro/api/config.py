@@ -185,7 +185,7 @@ def _need_ordered(low_name: str, low: int, high_name: str, high: int) -> None:
 
 @_config
 class EngineConfig(_BaseConfig):
-    """Caches, index maintenance, kernel backend and planning of a
+    """Caches, kernel backend and planning of a
     per-workspace :class:`~repro.engine.QueryEngine` (its keyword arguments,
     field for field)."""
 
@@ -194,14 +194,6 @@ class EngineConfig(_BaseConfig):
     )
     result_cache_size: int = knob(
         1024, POSITIVE_INT, "result cache capacity (entries)", "--result-cache-size"
-    )
-    incremental_refresh: bool = knob(
-        True, BOOL, "refresh a stale CSR index from the graph's mutation delta log, not rebuild it"
-    )
-    refresh_ratio: float = knob(
-        0.25,
-        NON_NEGATIVE_NUMBER,
-        "delta-to-index size ratio beyond which a refresh falls back to a rebuild",
     )
     backend: str = knob(
         "auto",
@@ -212,12 +204,9 @@ class EngineConfig(_BaseConfig):
     planner: str = knob(
         "auto",
         one_of(PLANNERS),
-        "cost-based planning (auto: parity-pinned automaton rewrites, selectivity-ordered "
-        "early-exit plans, per-query kernel choice; off: verbatim compilation, fixed dispatch)",
+        "query planning (auto: one parity-pinned automaton rewrite round, rare-label-first "
+        "early-exit searches, per-query kernel choice; off: verbatim tables, fixed dispatch)",
         "--planner",
-    )
-    max_rewrite_passes: int = knob(
-        3, NON_NEGATIVE_INT, "bound on the planner's automaton rewrite passes"
     )
     cache_budget_bytes: int | None = knob(
         None,

@@ -144,8 +144,8 @@ class ExplainResult:
 
     A query *plan*, not an answer: which rewrites the planner applied (and
     their parity status), the compiled plan's fingerprint and shape, the
-    cost model's per-strategy estimates, the kernel/backend the engine
-    would dispatch, and the result cache's disposition for this exact
+    ``inputs`` the kernel and pair choices read, the kernel/backend the
+    engine would dispatch, and the result cache's disposition for this exact
     (plan, graph version) key.  ``selected`` never appears -- explaining
     runs no kernel.  Implements the :class:`Result` protocol.
     """
@@ -154,8 +154,7 @@ class ExplainResult:
     semantics: str
     plan: dict
     planner: dict
-    estimates: tuple
-    pair_estimates: tuple
+    inputs: dict
     chosen: dict
     cache: dict
     graph: dict
@@ -194,8 +193,7 @@ class ExplainResult:
             "query": self.query.to_dict(),
             "plan": self.plan,
             "planner": self.planner,
-            "estimates": list(self.estimates),
-            "pair_estimates": list(self.pair_estimates),
+            "inputs": self.inputs,
             "chosen": self.chosen,
             "cache": self.cache,
             "graph": self.graph,
@@ -217,8 +215,7 @@ class ExplainResult:
                 semantics=semantics,
                 plan=dict(payload["plan"]),
                 planner=dict(payload["planner"]),
-                estimates=tuple(payload.get("estimates", ())),
-                pair_estimates=tuple(payload.get("pair_estimates", ())),
+                inputs=dict(payload.get("inputs", {})),
                 chosen=dict(payload["chosen"]),
                 cache=dict(payload.get("cache", {})),
                 graph=dict(payload.get("graph", {})),

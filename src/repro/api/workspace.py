@@ -293,8 +293,8 @@ class Workspace:
         Accepts everything :meth:`query` accepts and returns an
         :class:`~repro.api.ExplainResult`: the planner's rewrite report
         (parity-pinned against the unrewritten automaton), the compiled
-        plan's fingerprint and shape, the cost model's per-strategy
-        estimates, the kernel the engine would dispatch, and the result
+        plan's fingerprint and shape, the inputs the kernel and pair
+        choices read, the kernel the engine would dispatch, and the result
         cache's disposition.  No kernel runs; the plan cache is warmed
         exactly as evaluation would warm it.
         """
@@ -307,18 +307,8 @@ class Workspace:
                 strategy=report["chosen"]["strategy"],
                 rewrites=len(report["planner"].get("rewrites", [])),
             )
-        return ExplainResult(
-            query=query,
-            semantics=semantics,
-            plan=report["plan"],
-            planner=report["planner"],
-            estimates=tuple(report["estimates"]),
-            pair_estimates=tuple(report["pair_estimates"]),
-            chosen=report["chosen"],
-            cache=report["cache"],
-            graph=report["graph"],
-            elapsed=time.perf_counter() - started,
-        )
+        # The engine's report is the result's fields, key for key.
+        return ExplainResult(query=query, elapsed=time.perf_counter() - started, **report)
 
     def learn(
         self,

@@ -12,10 +12,9 @@ module is the single dense representation they now share:
   ``-1`` for missing transitions, and the accepting set is an int bitmask.
 * Kernel-native algorithms -- PTA construction from interned words
   (:func:`pta_table`), Hopcroft minimization (:meth:`TableDFA.minimized`),
-  subset determinization (:meth:`TableDFA.from_nfa`), reachable product /
-  intersection / inclusion (:func:`product_table`,
-  :func:`intersection_nonempty`, :func:`language_included_tables`) and
-  batched membership (:meth:`TableDFA.accepts_many`).
+  subset determinization (:meth:`TableDFA.from_nfa`), language inclusion on
+  the reachable product (:func:`language_included_tables`) and batched
+  membership (:meth:`TableDFA.accepts_many`).
 * :class:`MergeFold` -- the union-find RPNI merge-and-fold that replaces
   the copying ``deterministic_merge``: candidate merges are applied *in
   place* against an undo log (:meth:`MergeFold.mark` /
@@ -521,18 +520,6 @@ class TableDFA(TableAutomaton):
             alphabet, n=self.n, trans=trans, finals=self.finals, initial=self.initial
         )
 
-    def complemented(self) -> "TableDFA":
-        """A complete automaton for the complement language."""
-        complete = self.completed()
-        all_states = (1 << complete.n) - 1
-        return TableDFA(
-            complete.alphabet,
-            n=complete.n,
-            trans=array("i", complete.trans),
-            finals=all_states & ~complete.finals,
-            initial=complete.initial,
-        )
-
 
 # -- Hopcroft ------------------------------------------------------------------
 
@@ -651,85 +638,7 @@ def pta_table(
     return tdfa
 
 
-# -- products ------------------------------------------------------------------
-
-
-def product_table(left: TableDFA, right: TableDFA) -> tuple[TableDFA, list[tuple[int, int]]]:
-    """The reachable product (intersection) of two same-alphabet tables.
-
-    Returns the product automaton and the ``(left state, right state)``
-    pair behind each product state.  Only pairs where both sides are alive
-    are built, so the output is reachability-trimmed like the classic
-    construction.
-    """
-    if left.alphabet != right.alphabet:
-        raise AutomatonError("product requires a common alphabet; reindex first")
-    m = left.m
-    lt, rt = left.trans, right.trans
-    pairs: list[tuple[int, int]] = [(left.initial, right.initial)]
-    ids = {pairs[0]: 0}
-    rows: list[array] = [array("i", [NO_STATE] * m)]
-    finals = 1 if (left.is_final(left.initial) and right.is_final(right.initial)) else 0
-    queue = deque([0])
-    while queue:
-        current = queue.popleft()
-        left_state, right_state = pairs[current]
-        lbase, rbase = left_state * m, right_state * m
-        row = rows[current]
-        for position in range(m):
-            left_target = lt[lbase + position]
-            if left_target < 0:
-                continue
-            right_target = rt[rbase + position]
-            if right_target < 0:
-                continue
-            pair = (left_target, right_target)
-            pair_id = ids.get(pair)
-            if pair_id is None:
-                pair_id = len(pairs)
-                ids[pair] = pair_id
-                pairs.append(pair)
-                rows.append(array("i", [NO_STATE] * m))
-                if left.is_final(left_target) and right.is_final(right_target):
-                    finals |= 1 << pair_id
-                queue.append(pair_id)
-            row[position] = pair_id
-    trans = array("i")
-    for row in rows:
-        trans.extend(row)
-    product = TableDFA(left.alphabet, n=len(pairs), trans=trans, finals=finals)
-    return product, pairs
-
-
-def intersection_nonempty(left: TableDFA, right: TableDFA) -> bool:
-    """Whether ``L(left) & L(right)`` is non-empty (early-exit pair BFS)."""
-    if left.alphabet != right.alphabet:
-        raise AutomatonError("intersection requires a common alphabet; reindex first")
-    m = left.m
-    lt, rt = left.trans, right.trans
-    lf, rf = left.finals, right.finals
-    start = (left.initial, right.initial)
-    if ((lf >> start[0]) & 1) and ((rf >> start[1]) & 1):
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        left_state, right_state = queue.popleft()
-        lbase, rbase = left_state * m, right_state * m
-        for position in range(m):
-            left_target = lt[lbase + position]
-            if left_target < 0:
-                continue
-            right_target = rt[rbase + position]
-            if right_target < 0:
-                continue
-            if ((lf >> left_target) & 1) and ((rf >> right_target) & 1):
-                return True
-            pair = (left_target, right_target)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return False
+# -- inclusion -----------------------------------------------------------------
 
 
 def language_included_tables(left: TableDFA, right: TableDFA) -> bool:

@@ -11,9 +11,9 @@ semantics (the dict/frozenset construction is the parity oracle in
   ``TableDFA`` as the planner left it) and versioned result cache,
   with byte-budget eviction and a process-wide shared-cache registry keyed
   by snapshot content identity;
-* :mod:`repro.engine.costs` / :mod:`repro.engine.planner` -- the CSR-stats
-  cost model and the parity-pinned automaton rewriter behind the
-  cost-based planning layer (``EngineConfig.planner``);
+* :mod:`repro.engine.planner` -- every planning decision
+  (``EngineConfig.planner``): the parity-pinned automaton rewriter and the
+  three comparisons on the index's label counts that pick a kernel;
 * :mod:`repro.engine.executor` -- the product walk on int arrays, written
   once per shape (forward early-exit search, backward whole-graph closure,
   per-source binary closure, bidirectional pair search) over one ``bind``
@@ -37,7 +37,6 @@ from repro.engine.cache import (
     shared_cache_keys,
     shared_caches,
 )
-from repro.engine.costs import CostEstimate, CostModel, cheapest
 from repro.engine.engine import EngineStats, QueryEngine
 from repro.engine.executor import BACKENDS, KernelStats, have_numpy, resolve_backend
 from repro.engine.planner import PLANNER_MODES, RewriteOutcome, rewrite_table
@@ -45,8 +44,6 @@ from repro.engine.index import GraphIndex
 
 __all__ = [
     "BACKENDS",
-    "CostEstimate",
-    "CostModel",
     "EngineStats",
     "GraphIndex",
     "KernelStats",
@@ -56,7 +53,6 @@ __all__ = [
     "QueryEngine",
     "ResultCache",
     "RewriteOutcome",
-    "cheapest",
     "clear_shared_caches",
     "estimate_entry_bytes",
     "have_numpy",

@@ -34,7 +34,6 @@ from repro.engine.cache import PlanCache, ResultCache, shared_caches
 from repro.engine.executor import KernelStats
 from repro.engine import executor
 from repro.engine import planner as planning
-from repro.engine.costs import CostEstimate, CostModel, cheapest
 from repro.engine.index import GraphIndex
 from repro.engine.planner import PLANNER_MODES
 from repro.errors import GraphError, QueryError
@@ -201,14 +200,6 @@ class QueryEngine:
         Capacity of the fingerprint -> ``(table, report)`` LRU plan cache.
     result_cache_size:
         Capacity of the versioned whole-graph result cache.
-    incremental_refresh:
-        When a cached index goes stale, merge the graph's mutation delta
-        log into it (:meth:`GraphIndex.refresh`) instead of rebuilding from
-        scratch.  On by default; refresh falls back to a full build by
-        itself when the delta is unavailable or too large.
-    refresh_ratio:
-        The delta-to-index size ratio above which refresh gives up and the
-        engine rebuilds (per-row merging stops paying off around there).
     telemetry:
         A :class:`~repro.telemetry.Telemetry` bundle.  Omitted, the engine
         creates a disabled one (metrics registry only -- the near-zero-cost
@@ -222,16 +213,14 @@ class QueryEngine:
         python path; pair queries additionally pick the bidirectional
         search from the index's degree stats.
     planner:
-        ``"auto"`` (the default) turns on the cost-based planning layer:
+        ``"auto"`` (the default) turns on :mod:`repro.engine.planner`:
         tables are rewritten against the graph's label set before they
-        are cached (parity-pinned -- see :mod:`repro.engine.planner`),
-        early-exit searches bind their rows rare-label-first, and -- when
-        the backend is also ``"auto"`` -- whole-graph kernels are chosen
-        per query from the CSR cost model instead of being forced by the
+        are cached (one parity-pinned round), early-exit searches bind
+        their rows rare-label-first, and -- when the backend is also
+        ``"auto"`` -- the kernel of a whole-graph walk is chosen per query
+        from the index's label counts instead of being forced by the
         resolved backend.  ``"off"`` walks every table verbatim and
         dispatches the resolved backend.
-    max_rewrite_passes:
-        How many prune/minimize rounds the rewriter may run per automaton.
     cache_budget_bytes:
         Optional byte budget for the result cache (estimated sizes); LRU
         entries are evicted past it.  ``None`` bounds by entry count only.
@@ -242,12 +231,9 @@ class QueryEngine:
         *,
         plan_cache_size: int = 256,
         result_cache_size: int = 1024,
-        incremental_refresh: bool = True,
-        refresh_ratio: float = 0.25,
         telemetry: Telemetry | None = None,
         backend: str = "auto",
         planner: str = "auto",
-        max_rewrite_passes: int = 3,
         cache_budget_bytes: int | None = None,
     ) -> None:
         if planner not in PLANNER_MODES:
@@ -258,20 +244,14 @@ class QueryEngine:
         self.result_cache = ResultCache(
             result_cache_size, budget_bytes=cache_budget_bytes
         )
-        self.incremental_refresh = incremental_refresh
-        self.refresh_ratio = refresh_ratio
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.planner = planner
-        self.max_rewrite_passes = max_rewrite_passes
-        #: The backend as requested; ``self.backend`` is the resolved one.
-        #: Cost-based kernel choice only overrides an *unforced* request.
-        self.backend_requested = backend
         self.backend = executor.resolve_backend(backend)
+        #: Whether whole-graph kernels are chosen per query: only when both
+        #: knobs are ``"auto"`` -- an explicitly forced backend is honored
+        #: verbatim (parity suites and benchmarks depend on that).
+        self._adaptive = planner == "auto" and backend == "auto"
         self._dispatch_counters: dict[tuple[str, str], object] = {}
-        # Planner memo, keyed by (graph uid, version) generations; tiny
-        # and cleared wholesale when full (8 generations is plenty -- an
-        # engine rarely serves more than a handful of live graphs).
-        self._cost_models: dict[tuple, CostModel] = {}
         self.stats = EngineStats(self.telemetry.registry)
         self.stats.attach_caches(self.plan_cache, self.result_cache)
         self._register_cache_metrics()
@@ -358,19 +338,21 @@ class QueryEngine:
         if index is not None:
             if index.is_current(graph):
                 return index
-            if self.incremental_refresh:
-                with self.telemetry.span("engine.index_refresh") as span:
-                    refreshed = index.refresh(graph, max_ratio=self.refresh_ratio)
-                    if refreshed is not None:
-                        self._indexes[graph] = refreshed
-                        self.stats.inc("index_refreshes")
-                        span.set(
-                            nodes=refreshed.num_nodes,
-                            edges=refreshed.edge_count,
-                            build_seconds=round(refreshed.build_seconds, 9),
-                        )
-                        return refreshed
-                    span.set(fallback="rebuild")
+            # A stale index is repaired from the graph's delta log: 2.3x to
+            # 51x a rebuild at 3k-30k nodes, never slower; past a delta it
+            # can see is too large, refresh declines and the build below runs.
+            with self.telemetry.span("engine.index_refresh") as span:
+                refreshed = index.refresh(graph)
+                if refreshed is not None:
+                    self._indexes[graph] = refreshed
+                    self.stats.inc("index_refreshes")
+                    span.set(
+                        nodes=refreshed.num_nodes,
+                        edges=refreshed.edge_count,
+                        build_seconds=round(refreshed.build_seconds, 9),
+                    )
+                    return refreshed
+                span.set(fallback="rebuild")
         else:
             prebuilt = getattr(graph, "prebuilt_index", None)
             if prebuilt is not None and prebuilt.is_current(graph):
@@ -400,17 +382,7 @@ class QueryEngine:
             self._indexes[graph] = index
         self.stats.inc("index_adoptions")
 
-    # -- cost-based planning -------------------------------------------------
-
-    @property
-    def _adaptive(self) -> bool:
-        """Whether whole-graph kernels are chosen per query by cost.
-
-        An explicitly forced backend (``backend="numpy"``/``"python"``) is
-        honored verbatim -- parity suites and benchmarks depend on that --
-        so the cost model only arbitrates when both knobs are ``"auto"``.
-        """
-        return self.planner == "auto" and self.backend_requested == "auto"
+    # -- planning ------------------------------------------------------------
 
     def _result_key(self, operation: str, plan: TableDFA, graph: GraphDB) -> tuple:
         """The result-cache key of one (operation, plan, graph generation)."""
@@ -429,7 +401,9 @@ class QueryEngine:
             return (content, graph.version)
         return (graph.uid, graph.version)
 
-    def _resolve_plan(self, graph: GraphDB, query: Query) -> tuple[TableDFA, dict | None]:
+    def _resolve_plan(
+        self, graph: GraphDB, query: Query, table: TableAutomaton | None = None
+    ) -> tuple[TableDFA, dict | None]:
         """The (cached) plan of ``query`` on ``graph``: ``(table, report)``.
 
         With the planner off the plan is the query's own table under its
@@ -439,9 +413,14 @@ class QueryEngine:
         the rewritten table (the query's own when nothing was to be done,
         or a parity check failed) beside the rewrite report.  Exactly one
         plan-cache lookup per call, one ``plan_compilations`` per miss (the
-        cache-miss telemetry contract).
+        cache-miss telemetry contract).  ``table`` is ``query`` through
+        :meth:`_coerce_automaton`, for a caller that already has it.
         """
-        table = self._coerce_automaton(query)
+        if table is None:
+            table = self._coerce_automaton(query)
+        # Only a query's own table is canonical by construction; a raw
+        # automaton int-coded at the door or a materialized fold is not.
+        canonical = table is getattr(query, "table", None)
         if isinstance(table, MergeFold):
             table = table.to_table()
         key = table.fingerprint()
@@ -454,7 +433,7 @@ class QueryEngine:
         if entry is None:
             report = None
             if planned:
-                outcome = planning.rewrite_table(table, labels, max_passes=self.max_rewrite_passes)
+                outcome = planning.rewrite_table(table, labels, canonical=canonical)
                 table = outcome.table
                 report = outcome.to_dict()
                 report["fingerprint"] = fingerprint_token(table.fingerprint())
@@ -464,25 +443,6 @@ class QueryEngine:
             entry = (table, report)
             self.plan_cache.put(key, entry)
         return entry
-
-    def _cost_model(self, index: GraphIndex) -> CostModel:
-        """The memoized :class:`CostModel` of one index generation."""
-        key = (index.graph_uid, index.graph_version)
-        model = self._cost_models.get(key)
-        if model is None:
-            model = CostModel(index)
-            if len(self._cost_models) >= 8:
-                self._cost_models.clear()
-            self._cost_models[key] = model
-        return model
-
-    def _estimates(
-        self, index: GraphIndex, plan: TableDFA, *, binary: bool
-    ) -> list[CostEstimate]:
-        """Per-strategy cost candidates for one whole-graph dispatch."""
-        model = self._cost_model(index)
-        estimate = model.binary_estimates if binary else model.evaluate_all_estimates
-        return estimate(plan, numpy_ok=self.backend == "numpy")
 
     def _whole_graph_strategy(
         self,
@@ -495,17 +455,25 @@ class QueryEngine:
         """The kernel that runs one whole-graph walk: ``"python"`` or ``"numpy"``.
 
         The one place the choice is made (dispatch and :meth:`explain` both
-        read it).  With both knobs ``"auto"`` it is the cheaper of the cost
-        model's estimates -- a choice from the observable input size; that
-        is also what keeps the chunked numpy binary walk off sparse
-        selective queries, whose dense per-chunk visited mask costs
-        ``sources * n * k`` regardless of selectivity.  A forced backend or
-        ``planner="off"`` gets the resolved backend, and so does an
-        ephemeral table, which is walked once and not worth pricing.
+        read it).  With both knobs ``"auto"`` and numpy importable it is one
+        comparison on the observable input size
+        (:func:`~repro.engine.planner.whole_graph_kernel`); the binary one
+        is also what keeps the chunked numpy walk off sparse selective
+        queries.  A forced backend or ``planner="off"`` gets the resolved
+        backend, and so does an ephemeral table, which is walked once and
+        not worth pricing.
         """
-        if ephemeral or not self._adaptive:
+        if ephemeral or not self._adaptive or self.backend != "numpy":
             return self.backend
-        return cheapest(self._estimates(index, plan, binary=binary)).strategy
+        return planning.whole_graph_kernel(index, plan, binary=binary)
+
+    def _pair_strategy(self, index: GraphIndex, plan: TableDFA) -> str:
+        """The search of one pair query, from its first-layer fan-outs
+        (:func:`~repro.engine.planner.pair_strategy`); the pure-python backend
+        always runs the forward oracle, so parity tests can pin the two."""
+        if self.backend == "python":
+            return "forward"
+        return planning.pair_strategy(*planning.first_layer_costs(index, plan))
 
     @staticmethod
     def _coerce_automaton(query: Query) -> TableAutomaton:
@@ -569,20 +537,12 @@ class QueryEngine:
     def _run_pair_selects(
         self, index: GraphIndex, plan: TableDFA, origin_id: int, end_id: int
     ) -> bool:
-        """Dispatch one pair query: forward or bidirectional product search.
+        """Run one pair query on the search :meth:`_pair_strategy` names.
 
-        The strategy is chosen per query from the index's per-label degree
-        stats through the shared cost model
-        (:meth:`~repro.engine.costs.CostModel.choose_pair_strategy`); with
-        the pure-python backend the forward oracle always runs, so parity
-        tests can pin one side against the other.  With the planner on the
-        search additionally binds its rows rare-label-first (same reachable
-        sets, small frontiers first).
+        With the planner on the search additionally binds its rows
+        rare-label-first (same reachable sets, small frontiers first).
         """
-        if self.backend != "python":
-            kind = self._cost_model(index).choose_pair_strategy(plan)
-        else:
-            kind = "forward"
+        kind = self._pair_strategy(index, plan)
         self._count("pair", kind)
         kernel, rare_first = self.stats.kernel, self.planner == "auto"
         if kind == "bidirectional":
@@ -854,7 +814,7 @@ class QueryEngine:
         if not start_nodes:
             return None if witness else False
         if not ephemeral:
-            walked, _ = self._resolve_plan(graph, walked)
+            walked, _ = self._resolve_plan(graph, query, walked)
             if not witness:
                 # A finished whole-graph evaluation answers membership for free.
                 cached = self.result_cache.get(self._result_key("eval", walked, graph))
@@ -891,7 +851,7 @@ class QueryEngine:
             raise GraphError("both endpoints must be in the graph")
         automaton = self._coerce_automaton(query)
         if not ephemeral:
-            plan, _ = self._resolve_plan(graph, automaton)
+            plan, _ = self._resolve_plan(graph, query, automaton)
             cached = self.result_cache.get(self._result_key("binary", plan, graph))
             if cached is not None:
                 return (origin, end) in cached
@@ -911,16 +871,16 @@ class QueryEngine:
     def explain(
         self, graph: GraphDB, query: Query, *, semantics: str = "path"
     ) -> dict:
-        """Plan one query without running it: rewrites, costs, chosen kernel.
+        """Plan one query without running it: rewrites, inputs, chosen kernel.
 
-        Returns one JSON-safe dict: the planner's rewrite report, the
-        plan table's shape and fingerprint, the per-strategy cost
-        estimates of the requested semantics (plus the pair-search
-        candidates), the strategy the engine would actually dispatch, and
-        the result cache's disposition for this exact (plan, graph
-        version) key.  Resolving the plan warms the plan cache exactly as
-        evaluation would; the result cache is only membership-probed (no
-        hit/miss counting), so explaining is observationally free.
+        Returns one JSON-safe dict: the planner's rewrite report, the plan
+        table's shape and fingerprint, the ``inputs`` the kernel and pair
+        choices read (:func:`~repro.engine.planner.decision_inputs`), the
+        strategies the engine would actually dispatch, and the result
+        cache's disposition for this exact (plan, graph version) key.
+        Resolving the plan warms the plan cache exactly as evaluation would;
+        the result cache is only membership-probed (no hit/miss counting),
+        so explaining is observationally free.
         """
         if semantics not in ("path", "binary"):
             raise QueryError(
@@ -929,12 +889,7 @@ class QueryEngine:
         binary = semantics == "binary"
         plan, report = self._resolve_plan(graph, query)
         index = self.index_for(graph)
-        model = self._cost_model(index)
-        estimates = self._estimates(index, plan, binary=binary)
         chosen = self._whole_graph_strategy(index, plan, binary=binary)
-        pair_kind = (
-            model.choose_pair_strategy(plan) if self.backend != "python" else "forward"
-        )
         operation = "binary" if binary else "eval"
         key = self._result_key(operation, plan, graph)
         if report is None:
@@ -951,14 +906,11 @@ class QueryEngine:
                     if any(target >= 0 for target in plan.trans[position :: plan.m])
                 ],
             },
-            "estimates": [estimate.to_dict() for estimate in estimates],
-            "pair_estimates": [
-                estimate.to_dict() for estimate in model.pair_estimates(plan)
-            ],
+            "inputs": planning.decision_inputs(index, plan, binary=binary),
             "chosen": {
                 "strategy": chosen,
                 "backend": self.backend,
-                "pair_strategy": pair_kind,
+                "pair_strategy": self._pair_strategy(index, plan),
             },
             "cache": {
                 "disposition": "hit" if key in self.result_cache else "miss",
@@ -975,10 +927,9 @@ class QueryEngine:
     # -- management ----------------------------------------------------------
 
     def clear_caches(self) -> None:
-        """Drop every cached plan, result and index (and the planner memo)."""
+        """Drop every cached plan, result and index."""
         self.plan_cache.clear()
         self.result_cache.clear()
-        self._cost_models.clear()
         with self._index_lock:
             self._indexes.clear()
 

@@ -35,6 +35,10 @@ from time import perf_counter
 
 from repro.graphdb.graph import GraphDB, Node
 
+#: Delta-to-index size ratio past which :meth:`GraphIndex.refresh` declines
+#: and the engine rebuilds (per-row merging stops paying off around there).
+REFRESH_RATIO = 0.25
+
 
 class GraphIndex:
     """An immutable int-encoded, per-label CSR view of a graph database.
@@ -152,7 +156,7 @@ class GraphIndex:
 
     # -- incremental maintenance ---------------------------------------------
 
-    def refresh(self, graph: GraphDB, *, max_ratio: float = 0.25) -> "GraphIndex | None":
+    def refresh(self, graph: GraphDB, *, max_ratio: float = REFRESH_RATIO) -> "GraphIndex | None":
         """A new index incorporating ``graph``'s mutations since this one.
 
         Merges the graph's mutation delta log into copies of the CSR arrays:
@@ -277,8 +281,8 @@ class GraphIndex:
         """Per-label edge counts (CSR degree stats).
 
         ``counts[label_id]`` is the number of edges carrying that label --
-        the selectivity statistic the cost model and the pair-search
-        chooser read instead of walking the graph.
+        the selectivity statistic the planner's kernel and pair-search
+        choices read instead of walking the graph.
         """
         return [len(targets) for targets in self.fwd_targets]
 

@@ -12,7 +12,7 @@ from repro.automata.minimize import canonical_dfa, canonical_table
 from repro.automata.nfa import NFA
 from repro.errors import RegexSyntaxError
 from repro.regex.ast import Concat, EmptySet, Epsilon, Regex, Star, Symbol, Union
-from repro.regex.parser import parse
+from repro.regex.parser import parse, too_deep
 
 
 def regex_to_nfa(regex: Regex, alphabet: Alphabet | None = None) -> NFA:
@@ -93,14 +93,19 @@ def compile_table(
     regex = parse(expression) if isinstance(expression, str) else expression
     if alphabet is not None and not isinstance(alphabet, Alphabet):
         alphabet = Alphabet(alphabet)
-    if alphabet is not None:
-        mentioned = regex.alphabet_symbols()
-        missing = mentioned - set(alphabet.symbols)
-        if missing:
-            raise RegexSyntaxError(
-                f"expression uses symbols outside the alphabet: {sorted(missing)!r}"
-            )
-    return canonical_table(regex_to_nfa(regex, alphabet))
+    try:
+        if alphabet is not None:
+            mentioned = regex.alphabet_symbols()
+            missing = mentioned - set(alphabet.symbols)
+            if missing:
+                raise RegexSyntaxError(
+                    f"expression uses symbols outside the alphabet: {sorted(missing)!r}"
+                )
+        return canonical_table(regex_to_nfa(regex, alphabet))
+    except RecursionError:
+        # The AST passes recurse per operand: a chain of a thousand is as
+        # deep as a thousand parentheses, and as much a user error.
+        raise too_deep() from None
 
 
 def compile_query(expression: str | Regex, alphabet: Alphabet | Iterable[str] | None = None) -> DFA:

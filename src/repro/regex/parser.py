@@ -159,4 +159,12 @@ def parse(text: str) -> Regex:
     """
     if not text or not text.strip():
         raise RegexSyntaxError("empty regular expression")
-    return _Parser(_tokenize(text), text).parse()
+    try:
+        return _Parser(_tokenize(text), text).parse()
+    except RecursionError:
+        raise too_deep() from None
+
+
+def too_deep() -> RegexSyntaxError:
+    """The error of an expression the recursive passes cannot descend."""
+    return RegexSyntaxError("expression is nested too deeply (parentheses or operand chain)")

@@ -251,12 +251,14 @@ class QueryService:
             return dataset
 
     def _resolve_dataset(self, params: dict) -> _Dataset:
-        name = params.get("snapshot") or self.default_snapshot
+        name = params.get("snapshot")
+        if name is None:  # only an absent name falls back, not a falsy one
+            name = self.default_snapshot
         if name is None:
             raise ProtocolError(
                 "no snapshot named and the server has no default; pass params.snapshot"
             )
-        if not isinstance(name, str):
+        if not isinstance(name, str) or not name:
             raise ProtocolError(f"snapshot must be a name string, got {name!r}")
         return self._open_dataset(name)
 

@@ -80,7 +80,7 @@ def test_explain_subcommand(capsys):
     assert result["type"] == "ExplainResult"
     assert result["planner"]["mode"] == "auto"
     assert result["chosen"]["strategy"] in ("python", "numpy")
-    assert [e["strategy"] for e in result["estimates"]].count("python") == 1
+    assert set(result["inputs"]) == {"seeds", "scan_work", "first_layer"}
     assert result["cache"]["disposition"] == "miss"
     # Explaining never evaluates: the engine ran no kernel.
     assert envelope["engine_stats"]["evaluations"] == 0
@@ -206,6 +206,17 @@ def test_syntax_error_envelope(capsys):
     code, envelope = run_cli(capsys, "query", "--figure", "geo", "--expr", "(((")
     assert code == 1
     assert envelope["error"]["type"] == "RegexSyntaxError"
+
+
+@pytest.mark.parametrize(
+    "expr", ["(" * 300 + "tram" + ")" * 300, "tram" + ".tram" * 1000], ids=["parentheses", "chain"]
+)
+def test_too_deep_an_expression_is_the_usual_error_envelope(capsys, expr):
+    code, envelope = run_cli(capsys, "query", "--figure", "geo", "--expr", expr)
+    assert code == 1
+    assert envelope["ok"] is False
+    assert envelope["error"]["type"] == "RegexSyntaxError"
+    assert "nested too deeply" in envelope["error"]["message"]
 
 
 @pytest.mark.parametrize("module_args", [["-m", "repro"]])

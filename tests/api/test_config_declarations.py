@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import config as cfg
 from repro.api.cli import COMMANDS, _build_parser, _config_from_args
+from repro.engine import QueryEngine
 from repro.errors import ConfigError
 
 CONFIGS = (
@@ -29,7 +30,7 @@ CONFIGS = (
 )
 
 
-def test_64_fields_each_with_a_check_and_a_doc():
+def test_61_fields_each_with_a_check_and_a_doc():
     count = 0
     for config_cls in CONFIGS:
         for spec in fields(config_cls):
@@ -38,7 +39,7 @@ def test_64_fields_each_with_a_check_and_a_doc():
             assert knob.doc and "\n" not in knob.doc, (config_cls.__name__, spec.name)
             assert knob.check.accepts(spec.default), (config_cls.__name__, spec.name)
             count += 1
-    assert count == 64
+    assert count == 61
 
 
 def test_check_lists_are_built_once_per_class():
@@ -99,14 +100,10 @@ def test_engine_build_hands_every_field_to_the_engine():
         plan_cache_size=7,
         result_cache_size=9,
         planner="off",
-        max_rewrite_passes=1,
-        refresh_ratio=0.5,
-        incremental_refresh=False,
         cache_budget_bytes=2048,
     ).build()
     assert engine.plan_cache.capacity == 7 and engine.result_cache.capacity == 9
-    assert engine.planner == "off" and engine.max_rewrite_passes == 1
-    assert engine.refresh_ratio == 0.5 and engine.incremental_refresh is False
+    assert engine.planner == "off" and engine.result_cache.budget_bytes == 2048
 
 
 def test_telemetry_build_enables_tracing_from_a_path_alone(tmp_path):
@@ -139,6 +136,19 @@ def test_the_shard_pool_knobs_are_gone_not_ignored():
     with pytest.raises(SystemExit) as usage:
         _build_parser().parse_args(["query", "--figure", "geo", "--expr", "a", "--workers", "2"])
     assert usage.value.code == 2
+
+
+def test_the_knobs_with_one_distinguishable_value_are_gone_not_ignored():
+    # PR 23: one rewrite round (max_passes 1, 2, 3, 10 gave one table on
+    # 3,000 of 3,000 inputs) and an unconditional refresh (2.3x-51x a rebuild).
+    for name in ("max_rewrite_passes", "incremental_refresh", "refresh_ratio"):
+        assert name not in cfg.EngineConfig.__dataclass_fields__
+        with pytest.raises(ConfigError, match="unknown .* fields"):
+            cfg.EngineConfig.from_dict({name: 1})
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            cfg.EngineConfig(**{name: 1})
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            QueryEngine(**{name: 1})
 
 
 # -- the CLI is derived from the declarations -----------------------------------

@@ -121,13 +121,17 @@ def test_engine_subpackage_lost_exactly_the_shard_pool():
         "compile_plan",
         "automaton_fingerprint",
         "selectivity_ordered",
+        # PR 23: the cost model (three comparisons in engine/planner.py)
+        "CostEstimate",
+        "CostModel",
+        "cheapest",
     }
-    assert len(repro.engine.__all__) == 29 - len(gone) == 20
+    assert len(repro.engine.__all__) == 29 - len(gone) == 17
     for name in gone:
         assert name not in repro.engine.__all__ and not hasattr(repro.engine, name)
     for name in repro.engine.__all__:
         assert hasattr(repro.engine, name)
-    for module in ("repro.engine.parallel", "repro.engine.plan"):
+    for module in ("repro.engine.parallel", "repro.engine.plan", "repro.engine.costs"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     assert len(repro.__all__) == 55

@@ -135,11 +135,16 @@ class TestStorageConfig:
     def test_engine_config_refresh_fields(self):
         from repro.api.config import EngineConfig
 
-        engine = EngineConfig(incremental_refresh=False, refresh_ratio=0.5).build()
-        assert engine.incremental_refresh is False
-        assert engine.refresh_ratio == 0.5
-        with pytest.raises(ConfigError):
-            EngineConfig(refresh_ratio=-1)
+        # Refresh is unconditional and its ratio a constant of engine/index.py:
+        # the two fields are refused, not ignored.
+        for name in ("incremental_refresh", "refresh_ratio"):
+            with pytest.raises(ConfigError):
+                EngineConfig.from_dict({name: 0.5})
+        ws = Workspace(geo_graph())
+        ws.query("tram")
+        ws.graph.add_edge("N1", "tram", "N5")
+        ws.query("tram")
+        assert (ws.stats()["index_builds"], ws.stats()["index_refreshes"]) == (1, 1)
 
 
 class TestCli:

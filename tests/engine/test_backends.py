@@ -17,7 +17,7 @@ import pytest
 
 from repro.automata.kernel import TableDFA
 from repro.engine import executor
-from repro.engine.costs import CostModel
+from repro.engine.planner import first_layer_costs, pair_strategy
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
@@ -143,9 +143,9 @@ class TestBidirectionalPairSearch:
     def test_kernel_choice_is_deterministic(self):
         plan = plan_for("(a.b)*.c")
         index = GraphIndex.build(GRAPHS[3])
-        kind = CostModel(index).choose_pair_strategy(plan)
+        kind = pair_strategy(*first_layer_costs(index, plan))
         assert kind in ("forward", "bidirectional")
-        assert CostModel(index).choose_pair_strategy(plan) == kind
+        assert pair_strategy(*first_layer_costs(index, plan)) == kind
 
 
 class TestBackendResolution:

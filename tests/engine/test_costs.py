@@ -1,14 +1,16 @@
-"""The shared kernel cost model, exercised on degree-skewed graphs.
+"""The planner's kernel and pair choices, exercised on degree-skewed graphs.
 
-The absolute estimates are unitless; what these tests pin is (a) the free
-statistics feeding them -- transition-weighted scan work, first-layer
-fan-outs -- computed exactly, and (b) the *orderings* the engine consumes:
-python wins small graphs, the vectorized kernel wins dense whole-graph
-walks, the chunked numpy binary kernel is kept off sparse selective
-workloads, and the pair-strategy rule reproduces the executor's historical
-``forward*8 <= backward`` decision.  :class:`TestOneDispatchRule` pins the
-engine side: one strategy name per whole-graph walk, read by dispatch and
-``explain`` alike.
+What these tests pin is (a) the free statistics the choices read --
+transition-weighted scan work, first-layer fan-outs -- computed exactly, and
+(b) the *choices* the engine consumes: python wins small graphs, the
+vectorized kernel wins dense whole-graph walks, the chunked numpy binary
+kernel is kept off sparse selective workloads, and the pair-strategy rule
+reproduces the executor's historical ``forward*8 <= backward`` decision.
+:class:`TestOneDispatchRule` pins the engine side: one strategy name per
+whole-graph walk, read by dispatch and ``explain`` alike.  (The file keeps
+the name of the ``engine/costs.py`` it was written against; PR 23 replaced
+that module's estimate lists by three comparisons in ``engine/planner.py``,
+and ``test_planner_trial.py`` holds the recorded dispatches they reproduce.)
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.automata.kernel import TableDFA
-from repro.engine import QueryEngine, have_numpy
-from repro.engine.costs import (
-    NUMPY_CALL_WEIGHT,
-    CostEstimate,
-    CostModel,
-    cheapest,
-)
+from repro.engine import QueryEngine, have_numpy, planner
 from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
@@ -50,119 +46,89 @@ def chain_graph(length: int) -> GraphDB:
     return graph
 
 
-def model_for(graph: GraphDB) -> CostModel:
-    return CostModel(GraphIndex.build(graph))
-
-
 def plan_for(expression: str) -> TableDFA:
-    """The expression's plan: the kernel table the cost model reads."""
+    """The expression's plan: the kernel table the choices read."""
     return TableDFA.from_dfa(compile_query(expression, ALPHABET))[0]
+
+
+def pair_choice(graph: GraphDB, expression: str) -> str:
+    index = GraphIndex.build(graph)
+    return planner.pair_strategy(*planner.first_layer_costs(index, plan_for(expression)))
+
+
+def kernel_choice(graph: GraphDB, expression: str, *, binary: bool = False) -> str:
+    """The walk the planner picks when numpy is there to be picked."""
+    return planner.whole_graph_kernel(GraphIndex.build(graph), plan_for(expression), binary=binary)
 
 
 class TestSharedQuantities:
     def test_scan_work_is_transition_weighted_edge_count(self):
-        graph = skewed_graph(rare=3, dense=50)
-        model = model_for(graph)
-        index = GraphIndex.build(graph)
+        index = GraphIndex.build(skewed_graph(rare=3, dense=50))
         rare_count = index.label_edge_counts()[index.label_ids["r"]]
         assert rare_count == 3
         # A single-transition automaton scans exactly its label's edges.
-        assert model.scan_work(plan_for("r")) == 3
-        assert model.scan_work(plan_for("d")) == 50
+        assert planner.scan_work(index, plan_for("r")) == 3
+        assert planner.scan_work(index, plan_for("d")) == 50
 
     def test_absent_labels_contribute_nothing(self):
-        model = model_for(skewed_graph())
-        assert model.scan_work(plan_for("z")) == 0
-        assert model.scan_work(plan_for("z.z")) == 0
+        index = GraphIndex.build(skewed_graph())
+        assert planner.scan_work(index, plan_for("z")) == 0
+        assert planner.scan_work(index, plan_for("z.z")) == 0
 
     def test_first_layer_costs_split_by_direction(self):
-        model = model_for(skewed_graph(rare=2, dense=200))
-        forward, backward = model.first_layer_costs(plan_for("r.d"))
+        index = GraphIndex.build(skewed_graph(rare=2, dense=200))
+        forward, backward = planner.first_layer_costs(index, plan_for("r.d"))
         assert forward == 2  # "r" edges leave the initial state
         assert backward == 200  # "d" edges enter the final state
-
-    def test_repr_mentions_shape(self):
-        text = repr(model_for(skewed_graph()))
-        assert "CostModel" in text and "nodes=" in text
 
 
 class TestPairStrategy:
     def test_rare_origin_side_goes_forward(self):
         # forward*8 <= backward: the historical executor rule, preserved.
-        model = model_for(skewed_graph(rare=2, dense=200))
-        assert model.choose_pair_strategy(plan_for("r.d")) == "forward"
+        assert pair_choice(skewed_graph(rare=2, dense=200), "r.d") == "forward"
 
     def test_balanced_sides_meet_in_the_middle(self):
-        model = model_for(skewed_graph(rare=2, dense=200))
-        assert model.choose_pair_strategy(plan_for("d.r")) == "bidirectional"
-        assert model.choose_pair_strategy(plan_for("d.d")) == "bidirectional"
-
-    def test_pair_estimates_cover_all_strategies(self):
-        estimates = model_for(skewed_graph()).pair_estimates(plan_for("r.d"))
-        assert [e.strategy for e in estimates] == [
-            "forward",
-            "backward",
-            "bidirectional",
-        ]
+        graph = skewed_graph(rare=2, dense=200)
+        assert pair_choice(graph, "d.r") == "bidirectional"
+        assert pair_choice(graph, "d.d") == "bidirectional"
 
 
 class TestEvaluateAllEstimates:
-    def test_python_always_listed_first(self):
-        model = model_for(skewed_graph())
-        plan = plan_for("d*")
-        for numpy_ok in (False, True):
-            estimates = model.evaluate_all_estimates(plan, numpy_ok=numpy_ok)
-            assert estimates[0].strategy == "python"
-
-    def test_numpy_is_gated_and_there_is_no_third_candidate(self):
-        model = model_for(skewed_graph())
-        for estimates_of in (model.evaluate_all_estimates, model.binary_estimates):
-            plan = plan_for("d*")
-            assert [e.strategy for e in estimates_of(plan)] == ["python"]
-            assert [e.strategy for e in estimates_of(plan, numpy_ok=True)] == ["python", "numpy"]
+    def test_numpy_is_gated_and_there_is_no_third_candidate(self, monkeypatch):
+        # Above the crossover, but numpy is not importable: the engine never
+        # asks the planner, whose two answers are the only two kernels.
+        monkeypatch.setattr("repro.engine.executor.have_numpy", lambda: False)
+        engine, graph = QueryEngine(), chain_graph(8000)
+        assert engine.backend == "python" and engine._adaptive
+        for semantics in ("path", "binary"):
+            chosen = engine.explain(graph, query_for("d.d*"), semantics=semantics)["chosen"]
+            assert chosen["strategy"] == "python"
+        for work in (0, 6_666, 6_667, 10**9):
+            assert planner.monadic_kernel(work, 0) in ("python", "numpy")
 
     def test_python_wins_small_graphs(self):
-        model = model_for(skewed_graph(rare=2, dense=30))
-        estimates = model.evaluate_all_estimates(plan_for("d*"), numpy_ok=True)
-        assert cheapest(estimates).strategy == "python"
+        assert kernel_choice(skewed_graph(rare=2, dense=30), "d*") == "python"
 
     def test_numpy_wins_large_dense_walks(self):
-        model = model_for(chain_graph(8000))
-        estimates = model.evaluate_all_estimates(plan_for("d*"), numpy_ok=True)
-        assert cheapest(estimates).strategy == "numpy"
+        assert kernel_choice(chain_graph(8000), "d*") == "numpy"
 
 
 class TestBinaryEstimates:
     def test_sparse_selective_prefers_python(self):
         # One "r" edge guards the initial state: almost every source dies in
         # its first layer, which the dense numpy visited mask cannot exploit.
-        model = model_for(chain_graph(2000))
-        estimates = model.binary_estimates(plan_for("r.d*"), numpy_ok=True)
-        assert cheapest(estimates).strategy == "python"
+        assert kernel_choice(chain_graph(2000), "r.d*", binary=True) == "python"
 
     def test_dense_unselective_prefers_numpy(self):
-        model = model_for(chain_graph(6000))
-        estimates = model.binary_estimates(plan_for("d.d*"), numpy_ok=True)
-        assert cheapest(estimates).strategy == "numpy"
+        assert kernel_choice(chain_graph(6000), "d.d*", binary=True) == "numpy"
 
     def test_numpy_estimate_carries_mask_accounting(self):
-        model = model_for(chain_graph(100))
-        estimates = model.binary_estimates(plan_for("d*"), numpy_ok=True)
-        numpy_estimate = next(e for e in estimates if e.strategy == "numpy")
-        assert numpy_estimate.detail["chunks"] >= 1
-        assert numpy_estimate.detail["mask_bytes"] > 0
-        assert numpy_estimate.cost >= NUMPY_CALL_WEIGHT
-
-
-class TestEstimateObjects:
-    def test_cheapest_breaks_ties_by_listing_order(self):
-        first = CostEstimate("python", 10.0)
-        second = CostEstimate("numpy", 10.0)
-        assert cheapest([first, second]) is first
-
-    def test_to_dict_flattens_detail(self):
-        estimate = CostEstimate("numpy", 2.5, {"chunks": 3.0})
-        assert estimate.to_dict() == {"strategy": "numpy", "cost": 2.5, "chunks": 3.0}
+        index, plan = GraphIndex.build(chain_graph(100)), plan_for("d*")
+        chunks, mask_bytes = planner.binary_mask(index.num_nodes, plan.n)
+        assert chunks >= 1 and mask_bytes > 0
+        inputs = planner.decision_inputs(index, plan, binary=True)
+        assert (inputs["chunks"], inputs["mask_bytes"]) == (chunks, mask_bytes)
+        assert "chunks" not in planner.decision_inputs(index, plan, binary=False)
 
 
 def dispatched(engine: QueryEngine) -> dict[str, int]:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import RegexSyntaxError
+from repro.queries import PathQuery
 from repro.regex import parse
+from repro.regex.build import compile_table
 from repro.regex.ast import Concat, Epsilon, Star, Symbol, Union
 
 
@@ -98,3 +100,17 @@ class TestErrors:
     def test_dangling_close_paren_raises(self):
         with pytest.raises(RegexSyntaxError):
             parse("a)b")
+
+    def test_too_deep_a_nesting_is_a_syntax_error_not_a_recursion_error(self):
+        with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+            parse("(" * 300 + "a" + ")" * 300)
+        # A long chain parses (the parser loops over operands), but the AST
+        # it builds is as deep as the chain: compiling it is the same error.
+        chain = "a" + ".a" * 1000
+        with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+            compile_table(chain, ["a"])
+        with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+            compile_table(parse(chain))
+        with pytest.raises(RegexSyntaxError, match="nested too deeply"):
+            PathQuery.parse(chain, ["a"])
+        assert PathQuery.parse("a" + ".a" * 100, ["a"]).table.n == 102

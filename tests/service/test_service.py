@@ -197,6 +197,48 @@ def test_malformed_wire_config_keeps_the_connection(service):
         assert answer["ok"] is True and answer["id"] == 2
 
 
+DEEP_EXPRESSIONS = ["(" * 300 + "tram" + ")" * 300, "tram" + ".tram" * 1000]
+
+
+@pytest.mark.parametrize("expr", DEEP_EXPRESSIONS, ids=["parentheses", "chain"])
+def test_too_deep_an_expression_is_a_400_envelope(service, caplog, expr):
+    with caplog.at_level("ERROR", logger="repro.service.server"):
+        answer = service.handle({"id": 4, "op": "query", "params": {"expr": expr}})
+    assert answer["ok"] is False and answer["id"] == 4
+    error = answer["error"]
+    assert (error["code"], error["status"]) == ("bad_request", 400), error
+    assert "nested too deeply" in error["message"]
+    assert not caplog.records  # a syntax error, not a RecursionError traceback
+
+
+def test_too_deep_an_expression_keeps_the_connection(service):
+    host, port = service.address
+    with socket.create_connection((host, port), timeout=10) as raw:
+        reader = raw.makefile("rb")
+        request = {"id": 1, "op": "query", "params": {"expr": DEEP_EXPRESSIONS[1]}}
+        raw.sendall(json.dumps(request).encode() + b"\n")
+        answer = json.loads(reader.readline())
+        assert answer["ok"] is False and answer["id"] == 1
+        assert answer["error"]["code"] == "bad_request" and answer["error"]["status"] == 400
+        raw.sendall(b'{"id": 2, "op": "ping"}\n')
+        answer = json.loads(reader.readline())
+        assert answer["ok"] is True and answer["id"] == 2
+
+
+@pytest.mark.parametrize("op", ["query", "learn", "interactive"])
+@pytest.mark.parametrize("snapshot", [0, "", [], False], ids=repr)
+def test_a_falsy_snapshot_is_refused_not_served_from_the_default(service, op, snapshot):
+    params = {"expr": "tram", "goal": GOAL, "positives": ["N2"], "negatives": ["N5"]}
+    answer = service.handle({"id": 5, "op": op, "params": {**params, "snapshot": snapshot}})
+    assert answer["ok"] is False and answer["id"] == 5
+    error = answer["error"]
+    assert (error["code"], error["status"]) == ("bad_request", 400), error
+    assert "snapshot must be a name string" in error["message"]
+    # Only an absent (or null) name falls back to the default.
+    for fallback in (params, {**params, "snapshot": None}):
+        assert service.handle({"id": 6, "op": op, "params": fallback})["ok"] is True
+
+
 @pytest.mark.parametrize("op", [["x"], {"query": 1}, 7, 1.5, True, None, "no-such-op"])
 def test_every_json_value_of_op_is_a_400_envelope(service, op):
     errors_before = service.server_stats()["errors"]

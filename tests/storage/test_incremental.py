@@ -157,16 +157,21 @@ class TestEngineIntegration:
         assert engine.stats.index_builds == 1
         assert engine.stats.index_refreshes == 1
 
-    def test_engine_rebuilds_when_disabled(self):
-        engine = QueryEngine(incremental_refresh=False)
+    def test_engine_rebuilds_when_refresh_declines(self):
+        # There is no switch: the engine always asks for a refresh, and
+        # rebuilds only when the index declines (here: a delta past
+        # REFRESH_RATIO of the indexed edges, and past the 16-event floor).
+        engine = QueryEngine()
         graph = GraphDB(["l"])
         graph.add_edge("a", "l", "b")
         query = PathQuery.parse("l", ["l"])
         engine.evaluate(graph, query)
-        graph.add_edge("b", "l", "c")
-        engine.evaluate(graph, query)
+        for i in range(20):
+            graph.add_edge(f"n{i}", "l", f"n{i + 1}")
+        assert engine.evaluate(graph, query) == {"a"} | {f"n{i}" for i in range(20)}
         assert engine.stats.index_builds == 2
         assert engine.stats.index_refreshes == 0
+        assert_byte_identical(engine.index_for(graph), GraphIndex.build(graph))
 
     def test_result_caches_invalidate_across_deltas(self):
         engine = QueryEngine()
@@ -201,7 +206,6 @@ class TestEngineIntegration:
         rng = random.Random(1000 + seed)
         graph = random_graph(rng, nodes=40, edges=80)
         incremental = QueryEngine()
-        rebuild_only = QueryEngine(incremental_refresh=False)
         expressions = ["l0.l1", "(l0+l2)*.l3", "l4*", "l1.l1"]
         for _ in range(20):
             if rng.random() < 0.6:
@@ -211,7 +215,9 @@ class TestEngineIntegration:
             else:
                 graph.add_node(f"x{rng.randrange(30)}")
             query = PathQuery.parse(rng.choice(expressions), graph.alphabet)
-            assert incremental.evaluate(graph, query) == rebuild_only.evaluate(graph, query)
+            rebuilt = QueryEngine()
+            rebuilt.adopt_index(graph, GraphIndex.build(graph))
+            assert incremental.evaluate(graph, query) == rebuilt.evaluate(graph, query)
         assert incremental.stats.index_refreshes > 0
         assert incremental.stats.index_builds == 1
 
