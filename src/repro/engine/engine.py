@@ -255,9 +255,7 @@ class QueryEngine:
         self.stats = EngineStats(self.telemetry.registry)
         self.stats.attach_caches(self.plan_cache, self.result_cache)
         self._register_cache_metrics()
-        #: The profile of the most recent evaluation (profiling mode only);
-        #: take it with :meth:`take_profile`.
-        self.last_profile: dict | None = None
+        self._profiles = threading.local()
         # Strongly holds each live graph's index; dies with the graph.
         self._indexes: WeakKeyDictionary[GraphDB, GraphIndex] = WeakKeyDictionary()
         # Serializes index resolution (build/refresh/adopt) under concurrent
@@ -740,13 +738,23 @@ class QueryEngine:
                 profile["planner"] = observation.report
             self.last_profile = profile
 
+    @property
+    def last_profile(self) -> dict | None:
+        """The profile of the calling thread's most recent evaluation
+        (profiling mode only); take it with :meth:`take_profile`."""
+        return getattr(self._profiles, "last", None)
+
+    @last_profile.setter
+    def last_profile(self, profile: dict | None) -> None:
+        self._profiles.last = profile
+
     def take_profile(self) -> dict | None:
-        """Pop the profile of the most recent evaluation (or None).
+        """Pop the profile of this thread's most recent evaluation (or None).
 
         Profiles are recorded only in profiling mode
         (``Telemetry(profile=True)``); the engine keeps exactly the latest
-        one, so take it immediately after the call of interest
-        (single-threaded use -- the same discipline the caches assume).
+        one per thread, so take it right after the call of interest -- no
+        other thread's evaluation can replace or take it.
         """
         profile, self.last_profile = self.last_profile, None
         return profile

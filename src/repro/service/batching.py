@@ -1,12 +1,11 @@
-"""The micro-batcher: coalesce concurrent queries into ``evaluate_many``.
+"""The micro-batcher: coalesce concurrent queries into one engine pass.
 
 Requests for the *same snapshot* that arrive within one batching window are
 drained together, deduplicated by query expression (a burst of clients
 asking the same question costs one evaluation, fanned back to each), and
-answered by a single :meth:`~repro.engine.QueryEngine.evaluate_many` call,
-which resolves the CSR index once and routes every plan/result through the
-shared caches -- the amortization the engine's batch API was built for, now
-applied across clients instead of within one driver loop.
+answered by one pass of the worker through the snapshot's engine, every
+plan and result going through the shared caches.  Each request gets back
+what its own evaluation produced: the answer, the error, the profile.
 
 Submitting threads block on a per-request event; a single worker thread
 owns the engine calls.  Admission is bounded: past ``queue_depth`` pending
@@ -33,7 +32,9 @@ class _Pending:
     explicitly.
     """
 
-    __slots__ = ("dataset", "query", "event", "result", "error", "abandoned", "trace")
+    __slots__ = (
+        "dataset", "query", "event", "result", "error", "abandoned", "trace", "profile",
+    )
 
     def __init__(self, dataset, query, trace=None) -> None:
         self.dataset = dataset
@@ -43,14 +44,16 @@ class _Pending:
         self.error: Exception | None = None
         self.abandoned = False
         self.trace = trace
+        self.profile: dict | None = None
 
 
 class MicroBatcher:
     """Group compatible single-query requests into engine batch calls.
 
-    ``dataset`` handles passed to :meth:`submit` must expose ``.graph`` and
-    ``.engine``; grouping is by dataset identity, so only requests against
-    the same open snapshot ever share a batch.
+    The ``dataset`` passed to :meth:`submit` is the hot snapshot's
+    :class:`~repro.api.Workspace` (its ``.graph``, ``.engine`` and
+    ``.telemetry`` are used); grouping is by dataset identity, so only
+    requests against the same open snapshot ever share a batch.
     """
 
     def __init__(
@@ -72,7 +75,7 @@ class MicroBatcher:
         self._worker: threading.Thread | None = None
         if registry is not None:
             self._batches = registry.counter(
-                "service_batches_total", help="evaluate_many calls issued by the micro-batcher"
+                "service_batches_total", help="batches executed by the micro-batcher"
             )
             self._batched = registry.counter(
                 "service_batched_queries_total",
@@ -81,7 +84,7 @@ class MicroBatcher:
             self._batch_size = registry.histogram(
                 "service_batch_size",
                 buckets=(1, 2, 4, 8, 16, 32),
-                help="queries coalesced per evaluate_many call",
+                help="queries coalesced per batch",
             )
             self._shed = registry.counter(
                 "service_batch_shed_total",
@@ -177,6 +180,9 @@ class MicroBatcher:
             )
         if pending.error is not None:
             raise pending.error
+        # As if this thread had called ``engine.evaluate`` itself: the answer
+        # is returned and its profile waits in this thread's slot.
+        dataset.engine.last_profile = pending.profile
         return pending.result
 
     # -- the worker ----------------------------------------------------------
@@ -230,61 +236,27 @@ class MicroBatcher:
             self._batches.inc()
             self._batched.inc(len(batch))
             self._batch_size.observe(len(batch))
-        # Traced requests opt out of coalescing: their spans must attribute
-        # to exactly one request's trace, and the batch kernel would smear
-        # one evaluation across several contexts.  Tracing is an opt-in
-        # diagnostic mode -- fidelity beats batching there.
-        traced = [pending for pending in batch if pending.trace is not None]
-        if traced:
-            batch = [pending for pending in batch if pending.trace is None]
-            telemetry = getattr(
-                getattr(dataset, "workspace", None), "telemetry", None
-            )
-            for pending in traced:
-                try:
-                    if telemetry is not None:
-                        with telemetry.context(pending.trace):
-                            pending.result = dataset.engine.evaluate(
-                                dataset.graph, pending.query
-                            )
-                    else:
-                        pending.result = dataset.engine.evaluate(
-                            dataset.graph, pending.query
-                        )
-                except Exception as error:  # noqa: BLE001 - delivered to the caller
-                    pending.error = error
-                pending.event.set()
-            if not batch:
-                return
-        # Evaluate each distinct expression once and fan the answer back to
-        # every duplicate submitter.
-        leaders: dict[object, int] = {}
-        unique: list[_Pending] = []
-        positions: list[int] = []
+        # Evaluate each distinct expression once and fan the answer (its
+        # error, its profile) back to every duplicate submitter.  Traced
+        # requests opt out: their spans must attribute to exactly one
+        # request's trace -- tracing is a diagnostic mode, fidelity beats
+        # coalescing there.
+        leaders: dict[object, _Pending] = {}
         for pending in batch:
-            key = self._dedupe_key(pending)
-            slot = leaders.get(key)
-            if slot is None:
-                leaders[key] = len(unique)
-                slot = len(unique)
-                unique.append(pending)
-            positions.append(slot)
-        if self._deduped is not None and len(unique) < len(batch):
-            self._deduped.inc(len(batch) - len(unique))
-        try:
-            selected = dataset.engine.evaluate_many(
-                dataset.graph, [pending.query for pending in unique]
-            )
-        except Exception:
-            # One bad query must not fail its batch-mates: fall back to
-            # per-item evaluation so errors attribute to their request.
-            for pending in batch:
+            key = pending if pending.trace is not None else self._dedupe_key(pending)
+            leader = leaders.setdefault(key, pending)
+            if leader is pending:
                 try:
-                    pending.result = dataset.engine.evaluate(dataset.graph, pending.query)
+                    with dataset.telemetry.context(pending.trace):
+                        pending.result = dataset.engine.evaluate(dataset.graph, pending.query)
+                    # The profile is this thread's; it rides back with the
+                    # answer instead of waiting in a slot the tenants share.
+                    pending.profile = dataset.engine.take_profile()
                 except Exception as error:  # noqa: BLE001 - delivered to the caller
                     pending.error = error
-                pending.event.set()
-            return
-        for pending, slot in zip(batch, positions):
-            pending.result = selected[slot]
+            else:
+                pending.result, pending.error = leader.result, leader.error
+                pending.profile = leader.profile
             pending.event.set()
+        if self._deduped is not None and len(leaders) < len(batch):
+            self._deduped.inc(len(batch) - len(leaders))

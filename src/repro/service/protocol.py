@@ -28,27 +28,76 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from repro.api.config import NAME, TEXT, Check, one_of, optional
+from repro.api.workspace import QUERY_SEMANTICS
 from repro.errors import OverloadedError, ProtocolError, ServiceError
 
 #: Default per-frame size cap (requests and responses alike).
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
-#: The operations a server understands (``parse_request`` rejects others).
-OPS = (
-    "ping",
-    "query",
-    "learn",
-    "interactive",
-    "session.release",
-    "stats",
-    "metrics",
-    "catalog",
-    "shutdown",
-)
+
+class Op(NamedTuple):
+    """One operation's declaration -- everything the server knows about it.
+
+    ``params`` are the names the op reads, each with the check its value
+    must pass (an absent param is checked as ``None``); a name not declared
+    here is refused.  ``accounted`` ops are charged to the tenant's row of
+    the accounting table: the work ops are, health checks and the
+    observability ops are free -- charging a tenant for *reading* its bill
+    would make the table drift under monitoring traffic.  ``admitted`` ops
+    hold an admission slot while they run; a health check is never shed.
+    """
+
+    params: dict[str, Check] = {}
+    accounted: bool = False
+    admitted: bool = True
+
+
+_SNAPSHOT = optional(NAME, "a name string")
+_CONFIG = optional(Check(lambda v: isinstance(v, dict), "an object"))
+_EXAMPLES = optional(Check(lambda v: isinstance(v, list), "a list"))
+
+#: The operations a server understands: the one inventory.  The server finds
+#: the handler by name (``QueryService._op_<name>``), ``ServiceClient`` has
+#: one method per entry.
+OPS: dict[str, Op] = {
+    "ping": Op(admitted=False),
+    "query": Op(
+        {"expr": NAME, "semantics": optional(one_of(QUERY_SEMANTICS)), "snapshot": _SNAPSHOT},
+        accounted=True,
+    ),
+    "learn": Op(
+        {"positives": _EXAMPLES, "negatives": _EXAMPLES, "config": _CONFIG, "snapshot": _SNAPSHOT},
+        accounted=True,
+    ),
+    "interactive": Op(
+        {"goal": NAME, "session": optional(NAME), "config": _CONFIG, "snapshot": _SNAPSHOT},
+        accounted=True,
+    ),
+    "session.release": Op({"session": NAME}, accounted=True),
+    "stats": Op(),
+    "metrics": Op(),
+    "catalog": Op(),
+    "shutdown": Op(),
+}
 
 #: Default tenant for clients that do not name one.
 DEFAULT_TENANT = "default"
+
+#: A tenant names a row of the accounting table and a Prometheus label value,
+#: so it is held to what both can carry.
+TENANT = Check(
+    lambda v: isinstance(v, str)
+    and 0 < len(v) <= 128
+    and v.isprintable()
+    and not any(ch in v for ch in '"\\'),
+    "a printable string of 1 to 128 characters without '\"' or '\\'",
+)
+
+#: The fields of a wire trace context; nothing else travels on or is echoed.
+_TRACE = {"trace_id": NAME, "parent_span": optional(TEXT), "tenant": optional(TENANT)}
 
 
 @dataclass(frozen=True)
@@ -81,11 +130,22 @@ def encode_frame(payload: dict, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
     return frame
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# Strict JSON: ``NaN`` and ``+-Infinity`` would be echoed as what no JSON
+# parser on the other side accepts.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_frame(line: bytes) -> dict:
     """Parse one received line into its payload dict."""
     try:
-        payload = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        payload = _DECODER.decode(line.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        # ValueError: bad JSON, bad UTF-8, an integer past the digit limit;
+        # RecursionError: nesting deeper than the interpreter's stack.
         raise ProtocolError(f"frame is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -116,7 +176,14 @@ def read_frame(stream, *, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
 
 
 def parse_request(payload: dict) -> Request:
-    """Validate a request payload into a :class:`Request`."""
+    """Validate a request frame into a :class:`Request`.
+
+    The frame's own fields are checked here; the op's ``params`` are checked
+    against its declaration by :func:`check_params`, once the request can be
+    attributed to its tenant and trace.
+    """
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"frame must be a JSON object, got {type(payload).__name__}")
     op = payload.get("op")
     if not isinstance(op, str) or op not in OPS:
         raise ProtocolError(f"unknown op {op!r}; expected one of {sorted(OPS)}")
@@ -124,33 +191,49 @@ def parse_request(payload: dict) -> Request:
     if request_id is not None and not isinstance(request_id, (int, str)):
         raise ProtocolError(f"request id must be an int or string, got {request_id!r}")
     tenant = payload.get("tenant", DEFAULT_TENANT)
-    if not isinstance(tenant, str) or not tenant:
-        raise ProtocolError(f"tenant must be a non-empty string, got {tenant!r}")
+    if not TENANT.accepts(tenant):
+        raise ProtocolError(f"tenant must be {TENANT.expected}, got {tenant!r}")
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise ProtocolError(f"params must be an object, got {type(params).__name__}")
     trace = payload.get("trace")
     if trace is not None:
         if not isinstance(trace, dict):
-            raise ProtocolError(
-                f"trace must be an object, got {type(trace).__name__}"
-            )
-        trace_id = trace.get("trace_id")
-        if not isinstance(trace_id, str) or not trace_id:
-            raise ProtocolError(
-                f"trace.trace_id must be a non-empty string, got {trace_id!r}"
-            )
-        parent_span = trace.get("parent_span")
-        if parent_span is not None and not isinstance(parent_span, str):
-            raise ProtocolError(
-                f"trace.parent_span must be a string, got {parent_span!r}"
-            )
-        trace_tenant = trace.get("tenant")
-        if trace_tenant is not None and not isinstance(trace_tenant, str):
-            raise ProtocolError(
-                f"trace.tenant must be a string, got {trace_tenant!r}"
-            )
+            raise ProtocolError(f"trace must be an object, got {type(trace).__name__}")
+        for name, check in _TRACE.items():
+            if not check.accepts(trace.get(name)):
+                raise ProtocolError(
+                    f"trace.{name} must be {check.expected}, got {trace.get(name)!r}"
+                )
+        trace = {name: trace[name] for name in _TRACE if trace.get(name) is not None}
     return Request(id=request_id, op=op, tenant=tenant, params=params, trace=trace)
+
+
+def check_params(request: Request) -> None:
+    """The op's guard: only declared params, each passing its declared check."""
+    declared = OPS[request.op].params
+    for name in request.params:
+        if name not in declared:
+            raise ProtocolError(
+                f"{request.op} takes no params.{name}; it reads {sorted(declared)}"
+            )
+    for name, check in declared.items():
+        value = request.params.get(name)
+        if not check.accepts(value):
+            raise ProtocolError(
+                f"{request.op} needs params.{name}: {name} must be {check.expected}, "
+                f"got {value!r}"
+            )
+
+
+def echo_of(payload: object) -> tuple[int | str | None, str | None]:
+    """The ``id`` and ``op`` of a refused frame, as far as they can be echoed."""
+    frame = payload if isinstance(payload, dict) else {}
+    request_id, op = frame.get("id"), frame.get("op")
+    return (
+        request_id if isinstance(request_id, (int, str)) else None,
+        op if isinstance(op, str) else None,
+    )
 
 
 def ok_response(request: Request, result: dict, *, elapsed: float, **extra) -> dict:

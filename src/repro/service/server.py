@@ -14,8 +14,13 @@ every other tenant asking the same thing of the same snapshot -- results
 are immutable node sets, never tenant data.  What *is* per-tenant
 (interactive sessions, in-flight caps) lives in
 :mod:`repro.service.session`; single-query traffic is coalesced by the
-:mod:`repro.service.batching` micro-batcher into
-:meth:`~repro.engine.QueryEngine.evaluate_many` calls.
+:mod:`repro.service.batching` micro-batcher.
+
+The request path is one table, one pipeline, one boundary: an op is one
+entry of :data:`repro.service.protocol.OPS` (its params and their checks,
+whether it is admitted, whether its tenant is charged) and one ``_op_<name>``
+method here; :meth:`QueryService.handle` runs every request through the same
+steps and is the only place a failure becomes an envelope.
 
 Observability: the server keeps a :class:`~repro.telemetry.MetricsRegistry`
 of request/shed/batch/latency instruments, serves its Prometheus text over
@@ -40,10 +45,11 @@ import logging
 import socket
 import threading
 import time
+from contextlib import nullcontext
 
 from repro.api.config import InteractiveConfig, LearnerConfig, ServiceConfig
 from repro.api.result import QueryResult
-from repro.api.workspace import Workspace, check_query_semantics
+from repro.api.workspace import QUERY_SEMANTICS, Workspace
 from repro.errors import (
     AlphabetError,
     ConfigError,
@@ -67,7 +73,7 @@ from repro.service.batching import MicroBatcher
 from repro.service.session import AdmissionController, SessionTable
 from repro.storage.catalog import BUILTIN_DATASETS, DatasetCatalog
 from repro.telemetry import Telemetry
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import Counter, MetricsRegistry
 from repro.telemetry.tracing import TraceContext, TraceSink
 
 _LOG = logging.getLogger(__name__)
@@ -75,12 +81,7 @@ _LOG = logging.getLogger(__name__)
 #: Latency buckets for the request histogram (seconds).
 _LATENCY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
 
-#: The per-tenant accounting table's counters and their labeled series.
-# Ops charged to the per-tenant accounting table.  Health checks and the
-# observability ops (stats/metrics/catalog) are free: charging a tenant for
-# *reading* its bill would make the table drift under monitoring traffic.
-_ACCOUNTED_OPS = frozenset({"query", "learn", "interactive", "session.release"})
-
+#: The per-tenant accounting table's columns and their labeled series.
 _TENANT_SERIES = {
     "queries": ("service_tenant_queries_total", "requests received per tenant"),
     "errors": ("service_tenant_errors_total", "error envelopes per tenant"),
@@ -113,31 +114,11 @@ def _learn_examples(params: dict, name: str, binary: bool) -> list:
     def is_pair(value: object) -> bool:
         return isinstance(value, list) and len(value) == 2 and all(map(is_node, value))
 
-    examples = params.get(name)
-    if examples is None:
-        return []
-    if not isinstance(examples, list) or not all(map(is_pair if binary else is_node, examples)):
+    examples = params.get(name) or []
+    if not all(map(is_pair if binary else is_node, examples)):
         expected = "[origin, end] node pairs" if binary else "nodes"
         raise ProtocolError(f"learn needs params.{name} as a list of {expected}, got {examples!r}")
     return [tuple(pair) for pair in examples] if binary else examples
-
-
-class _Dataset:
-    """One hot snapshot: its frozen view and the tenant-shared engine."""
-
-    __slots__ = ("name", "workspace")
-
-    def __init__(self, name: str, workspace: Workspace) -> None:
-        self.name = name
-        self.workspace = workspace
-
-    @property
-    def graph(self):
-        return self.workspace.graph
-
-    @property
-    def engine(self):
-        return self.workspace.engine
 
 
 class QueryService:
@@ -186,10 +167,9 @@ class QueryService:
             if self.config.slow_log_path is not None
             else None
         )
-        self._tenants: dict[str, dict[str, float]] = {}
-        self._tenants_lock = threading.Lock()
-        self._tenant_counters: dict[tuple[str, str], object] = {}
-        self._datasets: dict[str, _Dataset] = {}
+        # tenant -> column -> its labeled counter: the series are the table.
+        self._tenants: dict[str, dict[str, Counter]] = {}
+        self._datasets: dict[str, Workspace] = {}
         self._datasets_lock = threading.Lock()
         self._ops_lock = threading.Lock()
         self._ops: dict[str, int] = {}
@@ -211,8 +191,9 @@ class QueryService:
 
     # -- datasets ------------------------------------------------------------
 
-    def _open_dataset(self, name: str) -> _Dataset:
-        """Open (and cache) the named catalog snapshot as a hot dataset."""
+    def _open_dataset(self, name: str) -> Workspace:
+        """Open (and cache) the named catalog snapshot: its frozen view and
+        the tenant-shared engine, as one hot :class:`~repro.api.Workspace`."""
         with self._datasets_lock:
             dataset = self._datasets.get(name)
             if dataset is not None:
@@ -246,20 +227,17 @@ class QueryService:
             content_uid = getattr(view, "content_uid", None)
             if self.config.share_caches and content_uid is not None:
                 workspace.engine.adopt_shared_caches(content_uid)
-            dataset = _Dataset(name, workspace)
-            self._datasets[name] = dataset
-            return dataset
+            self._datasets[name] = workspace
+            return workspace
 
-    def _resolve_dataset(self, params: dict) -> _Dataset:
-        name = params.get("snapshot")
-        if name is None:  # only an absent name falls back, not a falsy one
-            name = self.default_snapshot
+    def _resolve_dataset(self, params: dict) -> Workspace:
+        # Only an absent (or null) name falls back: the op's guard refused
+        # every other falsy value.
+        name = params.get("snapshot") or self.default_snapshot
         if name is None:
             raise ProtocolError(
                 "no snapshot named and the server has no default; pass params.snapshot"
             )
-        if not isinstance(name, str) or not name:
-            raise ProtocolError(f"snapshot must be a name string, got {name!r}")
         return self._open_dataset(name)
 
     @property
@@ -397,16 +375,14 @@ class QueryService:
                     payload = protocol.read_frame(
                         reader, max_bytes=self.config.max_frame_bytes
                     )
-                except ProtocolError as error:
+                except ProtocolError as refused:
                     # The stream is still framed (read_frame drained the
-                    # line), so reject the frame and keep the connection.
-                    self._errors.inc()
-                    self._send(connection, protocol.error_response(None, error))
-                    continue
+                    # line): handle() answers the refusal like any failing
+                    # request, and the connection goes on.
+                    payload = refused
                 if payload is None:
                     return
-                response = self.handle(payload)
-                self._send(connection, response)
+                self._send(connection, self.handle(payload))
         except OSError:
             return  # peer went away (or shutdown closed the socket)
         finally:
@@ -431,58 +407,53 @@ class QueryService:
 
     # -- request handling ----------------------------------------------------
 
-    def handle(self, payload: dict) -> dict:
+    def handle(self, payload: dict | ProtocolError) -> dict:
         """Execute one request payload and return its response envelope.
 
         This is the whole server minus the socket, which is what the tests
-        and the in-process client paths use directly.
+        and the in-process client paths use directly.  It is total: every
+        payload -- any JSON value, or the error that refused a frame on its
+        way in, which is what the socket loop passes for one -- gets an
+        envelope, through one pipeline: parse, trace context, span, admit,
+        guard, handler, account, envelope.
         """
         self._requests.inc()
         started = time.perf_counter()
-        request_id = payload.get("id") if isinstance(payload, dict) else None
-        op = payload.get("op") if isinstance(payload, dict) else None
-        tenant = payload.get("tenant") if isinstance(payload, dict) else None
-        trace_echo: dict | None = None
+        request = trace = error = None
         try:
+            if isinstance(payload, ProtocolError):
+                raise payload
             request = protocol.parse_request(payload)
-            tenant = request.tenant
             with self._ops_lock:
                 self._ops[request.op] = self._ops.get(request.op, 0) + 1
             ctx = self._trace_context(request)
-            trace_echo = ctx.to_dict() if ctx is not None else request.trace
-            result, extra = self._handle_traced(request, ctx)
-            elapsed = time.perf_counter() - started
-            self._latency.observe(elapsed)
-            if request.op in _ACCOUNTED_OPS:
-                self._tenant_account(
-                    tenant, queries=1, wall_milliseconds=int(elapsed * 1000)
-                )
-            if trace_echo is not None:
-                extra = {**extra, "trace": trace_echo}
-            return protocol.ok_response(
-                request, result, elapsed=elapsed, **extra
-            )
-        except Exception as error:
+            trace = ctx.to_dict() if ctx is not None else request.trace
+            result, extra = self._run(request, ctx)
+        except Exception as failure:
             # The boundary a connection must outlive: library and I/O errors map
             # to their structured codes, anything else is a bug -- logged with
             # its traceback and answered as internal/500, never a dropped socket.
-            if not isinstance(error, (ReproError, OSError)):
-                _LOG.exception("unexpected error in op %r", op)
-            elapsed = time.perf_counter() - started
+            if not isinstance(failure, (ReproError, OSError)):
+                _LOG.exception("unexpected error in op %r", request and request.op)
+            error = self._map_error(failure)
             self._errors.inc()
-            self._latency.observe(elapsed)
-            sheds = 1 if isinstance(error, OverloadedError) else 0
-            if isinstance(op, str) and op in _ACCOUNTED_OPS:  # ``op`` is any JSON value
-                self._tenant_account(
-                    tenant if isinstance(tenant, str) else None,
-                    queries=1,
-                    errors=1,
-                    sheds=sheds,
-                    wall_milliseconds=int(elapsed * 1000),
-                )
-            return protocol.error_response(
-                request_id, self._map_error(error), op=op, trace=trace_echo
+        # Both outcomes leave through here, touching only validated fields.
+        elapsed = time.perf_counter() - started
+        self._latency.observe(elapsed)
+        if request is not None and protocol.OPS[request.op].accounted:
+            self._tenant_account(
+                request.tenant,
+                queries=1,
+                errors=int(error is not None),
+                sheds=int(isinstance(error, OverloadedError)),
+                wall_milliseconds=int(elapsed * 1000),
             )
+        if error is not None:
+            request_id, op = protocol.echo_of(payload)
+            return protocol.error_response(request_id, error, op=op, trace=trace)
+        if trace is not None:
+            extra = {**extra, "trace": trace}
+        return protocol.ok_response(request, result, elapsed=elapsed, **extra)
 
     def _trace_context(self, request: protocol.Request) -> TraceContext | None:
         """The request's trace context (wire-supplied or server-minted).
@@ -490,80 +461,60 @@ class QueryService:
         None when tracing is off -- untraced serving carries no context
         anywhere.  A request that arrives without one, on a tracing
         server, gets a root context so purely server-side spans are still
-        joinable by trace id.
+        joinable by trace id; a wire context that names no tenant is stamped
+        with the request's.
         """
         if self.telemetry.tracer is None:
             return None
-        if request.trace is not None:
-            ctx = TraceContext.from_dict(request.trace)
-            if ctx.tenant is None:
-                ctx = TraceContext(
-                    trace_id=ctx.trace_id,
-                    parent_span=ctx.parent_span,
-                    tenant=request.tenant,
-                )
-            return ctx
-        return TraceContext.mint(tenant=request.tenant)
+        if request.trace is None:
+            return TraceContext.mint(tenant=request.tenant)
+        return TraceContext(**{"tenant": request.tenant, **request.trace})
 
-    def _handle_traced(
+    def _run(
         self, request: protocol.Request, ctx: TraceContext | None
     ) -> tuple[dict, dict]:
-        """Admit and dispatch one parsed request, under its span when tracing.
+        """Admit, guard and dispatch one parsed request as ``protocol.OPS`` declares it.
 
-        The ``server.request`` span carries the wire request ``id`` (so
-        wire ids and trace ids join in the trace file) and parents every
-        downstream span: the ops receive a child context re-parented onto
-        it, which they attach around engine work and ship to the batcher.
+        The ``server.request`` span (a no-op when tracing is off) carries
+        the wire request ``id`` (so wire ids and trace ids join in the trace
+        file) and parents every downstream span: the op receives a child
+        context re-parented onto it, which it attaches around engine work
+        and ships to the batcher.
         """
-        tracer = self.telemetry.tracer
-        if tracer is None or ctx is None:
-            if request.op == "ping":  # never shed a health check
-                return self._op_ping(request, None)
-            with self.admission.admit(request.tenant):
-                return self._dispatch(request, None)
-        with tracer.context(ctx):
-            with tracer.span(
-                "server.request",
-                op=request.op,
-                tenant=request.tenant,
-                request=request.id,
-            ) as span:
-                child = ctx.child(tracer.span_ref(span))
-                if request.op == "ping":
-                    return self._op_ping(request, child)
-                with self.admission.admit(request.tenant):
-                    return self._dispatch(request, child)
+        op = protocol.OPS[request.op]
+        telemetry = self.telemetry
+        with telemetry.context(ctx), telemetry.span(
+            "server.request", op=request.op, tenant=request.tenant, request=request.id
+        ) as span:
+            child = ctx.child(telemetry.tracer.span_ref(span)) if ctx is not None else None
+            # An op declared exempt (the health check) is never shed.
+            with self.admission.admit(request.tenant) if op.admitted else nullcontext():
+                protocol.check_params(request)
+                handler = getattr(self, "_op_" + request.op.replace(".", "_"))
+                return handler(request, child)
 
-    def _tenant_account(self, tenant: str | None, **deltas: int) -> None:
-        """Add per-tenant counter deltas (stats table + labeled series)."""
-        if not tenant:
-            return
-        with self._tenants_lock:
-            entry = self._tenants.setdefault(
-                tenant, {key: 0 for key in _TENANT_SERIES}
-            )
-            for key, amount in deltas.items():
-                entry[key] += amount
-        for key, amount in deltas.items():
+    def _tenant_account(self, tenant: str, **deltas: int) -> None:
+        """Add counter deltas to a (validated) tenant's row of the table."""
+        row = self._tenants.setdefault(tenant, {})
+        for column, amount in deltas.items():
             if not amount:
-                continue
-            series_key = (key, tenant)
-            counter = self._tenant_counters.get(series_key)
-            if counter is None:
-                name, help_text = _TENANT_SERIES[key]
-                counter = self.registry.counter(
-                    name, help=help_text, labels={"tenant": tenant}
+                continue  # a series appears with its first count
+            counter = row.get(column)
+            if counter is None:  # racing creators get one counter from the registry
+                name, text = _TENANT_SERIES[column]
+                counter = row[column] = self.registry.counter(
+                    name, help=text, labels={"tenant": tenant}
                 )
-                self._tenant_counters[series_key] = counter
             counter.inc(amount)
 
     def tenant_stats(self) -> dict[str, dict[str, int]]:
         """The per-tenant accounting table (sorted copy)."""
-        with self._tenants_lock:
-            return {
-                tenant: dict(self._tenants[tenant])
-                for tenant in sorted(self._tenants)
+        return {
+            tenant: {
+                column: row[column].value if column in row else 0 for column in _TENANT_SERIES
             }
+            for tenant, row in sorted(self._tenants.items())
+        }
 
     @staticmethod
     def _map_error(error: Exception) -> Exception:
@@ -578,21 +529,6 @@ class QueryService:
             return ServiceError(str(error), code="not_found", status=404)
         return ServiceError(str(error), code="internal", status=500)
 
-    def _dispatch(
-        self, request: protocol.Request, trace: TraceContext | None
-    ) -> tuple[dict, dict]:
-        handler = {
-            "query": self._op_query,
-            "learn": self._op_learn,
-            "interactive": self._op_interactive,
-            "session.release": self._op_session_release,
-            "stats": self._op_stats,
-            "metrics": self._op_metrics,
-            "catalog": self._op_catalog,
-            "shutdown": self._op_shutdown,
-        }[request.op]
-        return handler(request, trace)
-
     # -- ops -----------------------------------------------------------------
 
     def _op_ping(
@@ -603,50 +539,38 @@ class QueryService:
     def _op_query(
         self, request: protocol.Request, trace: TraceContext | None
     ) -> tuple[dict, dict]:
-        params = request.params
-        expr = params.get("expr")
-        if not isinstance(expr, str) or not expr:
-            raise ProtocolError("query needs params.expr (the expression string)")
-        semantics = params.get("semantics", "path")
-        check_query_semantics(semantics)
-        dataset = self._resolve_dataset(params)
+        expr = request.params["expr"]
+        dataset = self._resolve_dataset(request.params)
         started = time.perf_counter()
         # Best-effort per-tenant work attribution: deltas of the shared
         # engine's counters around this call.  Concurrent queries on the
         # same dataset can bleed into each other's deltas; totals across
         # tenants stay exact, which is what capacity accounting needs.
         before = dataset.engine.stats_snapshot()
-        if semantics == "binary":
+        if request.params.get("semantics") == "binary":
             # Pair selection has no batch kernel; answer it directly (the
             # shared result cache still applies).
-            with dataset.workspace.telemetry.context(trace):
-                result = dataset.workspace.query(expr, semantics="binary")
-            self._account_query(request, dataset, before)
-            self._maybe_log_slow(
-                request, dataset, expr, semantics, result.elapsed, trace,
-                profile=result.profile,
+            with dataset.telemetry.context(trace):
+                result = dataset.query(expr, semantics="binary")
+            profile = result.profile
+        else:
+            query = PathQuery.parse(expr, dataset.graph.alphabet)
+            selected = self.batcher.submit(
+                dataset, query, timeout=self.config.request_timeout, trace=trace
             )
-            return result.to_dict(), {"snapshot": dataset.name}
-        query = PathQuery.parse(expr, dataset.graph.alphabet)
-        selected = self.batcher.submit(
-            dataset, query, timeout=self.config.request_timeout, trace=trace
-        )
-        elapsed = time.perf_counter() - started
-        result = QueryResult(
-            query=query,
-            semantics="path",
-            selected=selected,
-            elapsed=elapsed,
-        )
+            result = QueryResult(
+                query=query,
+                semantics="path",
+                selected=selected,
+                elapsed=time.perf_counter() - started,
+            )
+            profile = dataset.engine.take_profile()
         self._account_query(request, dataset, before)
-        self._maybe_log_slow(
-            request, dataset, expr, semantics, elapsed, trace,
-            profile=dataset.engine.take_profile(),
-        )
+        self._maybe_log_slow(request, dataset, result, profile, trace)
         return result.to_dict(), {"snapshot": dataset.name}
 
     def _account_query(
-        self, request: protocol.Request, dataset: _Dataset, before: dict
+        self, request: protocol.Request, dataset: Workspace, before: dict
     ) -> None:
         """Charge the engine-counter deltas of one query to its tenant."""
         after = dataset.engine.stats_snapshot()
@@ -663,13 +587,10 @@ class QueryService:
     def _maybe_log_slow(
         self,
         request: protocol.Request,
-        dataset: _Dataset,
-        expr: str,
-        semantics: str,
-        elapsed: float,
-        trace: TraceContext | None,
-        *,
+        dataset: Workspace,
+        result: QueryResult,
         profile: dict | None,
+        trace: TraceContext | None,
     ) -> None:
         """Append one slow-query record when the threshold is exceeded.
 
@@ -680,25 +601,24 @@ class QueryService:
         ``explain`` never runs a kernel, so it is cheap relative to the
         query that just blew the threshold).
         """
-        if self._slow_log is None or elapsed < self.config.slow_query_seconds:
+        if self._slow_log is None or result.elapsed < self.config.slow_query_seconds:
             return
+        expr = request.params["expr"]
         record = {
             "ts": time.time(),
             "tenant": request.tenant,
             "request": request.id,
             "snapshot": dataset.name,
             "expr": expr,
-            "semantics": semantics,
-            "elapsed": round(elapsed, 9),
+            "semantics": result.semantics,
+            "elapsed": round(result.elapsed, 9),
             "threshold": self.config.slow_query_seconds,
             "trace": trace.trace_id if trace is not None else None,
         }
         if profile is not None:
             record["profile"] = profile
         try:
-            record["explain"] = dataset.workspace.explain(
-                expr, semantics=semantics
-            ).to_dict()
+            record["explain"] = dataset.explain(expr, semantics=result.semantics).to_dict()
         except ReproError:  # the query itself succeeded; keep the record
             record["explain"] = None
         self._slow_log.write(record)
@@ -709,7 +629,7 @@ class QueryService:
         params = request.params
         dataset = self._resolve_dataset(params)
         config = LearnerConfig.from_dict(params.get("config") or {})
-        if config.semantics not in ("path", "binary"):
+        if config.semantics not in QUERY_SEMANTICS:
             raise ProtocolError(
                 f"the service supports 'path' and 'binary' learning, got {config.semantics!r}"
             )
@@ -717,8 +637,8 @@ class QueryService:
         positives = _learn_examples(params, "positives", binary)
         negatives = _learn_examples(params, "negatives", binary)
         sample: Sample | BinarySample = (BinarySample if binary else Sample)(positives, negatives)
-        with dataset.workspace.telemetry.context(trace):
-            result = dataset.workspace.learn(sample, config)
+        with dataset.telemetry.context(trace):
+            result = dataset.learn(sample, config)
         return result.to_dict(), {"snapshot": dataset.name}
 
     def _op_interactive(
@@ -726,27 +646,20 @@ class QueryService:
     ) -> tuple[dict, dict]:
         params = request.params
         dataset = self._resolve_dataset(params)
-        goal = params.get("goal")
-        if not isinstance(goal, str) or not goal:
-            raise ProtocolError("interactive needs params.goal (the goal expression)")
+        goal, name = params["goal"], params.get("session")
         config = InteractiveConfig.from_dict(params.get("config") or {})
-        name = params.get("session")
-        if name is not None and (not isinstance(name, str) or not name):
-            raise ProtocolError(f"session must be a non-empty name, got {name!r}")
         extra: dict = {"snapshot": dataset.name}
         if name is None:
-            with dataset.workspace.telemetry.context(trace):
-                result = dataset.workspace.interactive_session(goal, config).run()
+            with dataset.telemetry.context(trace):
+                result = dataset.interactive_session(goal, config).run()
             return result.to_dict(), extra
         # Resume-run-checkpoint is read-modify-write on the stored session:
         # serialize it per (tenant, session) so concurrent calls of the
         # same tenant chain instead of losing each other's interactions.
         with self.sessions.lock_for(request.tenant, name):
             checkpoint = self.sessions.get(request.tenant, name)
-            session = dataset.workspace.interactive_session(
-                goal, config, resume_from=checkpoint
-            )
-            with dataset.workspace.telemetry.context(trace):
+            session = dataset.interactive_session(goal, config, resume_from=checkpoint)
+            with dataset.telemetry.context(trace):
                 result = session.run()
             self.sessions.put(request.tenant, name, session.checkpoint().to_dict())
         extra["session"] = {
@@ -759,10 +672,7 @@ class QueryService:
     def _op_session_release(
         self, request: protocol.Request, trace: TraceContext | None
     ) -> tuple[dict, dict]:
-        name = request.params.get("session")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError("session.release needs params.session (the name)")
-        released = self.sessions.release(request.tenant, name)
+        released = self.sessions.release(request.tenant, request.params["session"])
         return {"type": "SessionRelease", "ok": True, "released": released}, {}
 
     def server_stats(self) -> dict:
@@ -783,16 +693,13 @@ class QueryService:
     def _op_stats(
         self, request: protocol.Request, trace: TraceContext | None
     ) -> tuple[dict, dict]:
-        datasets = {}
         with self._datasets_lock:
             hot = list(self._datasets.values())
-        for dataset in hot:
-            datasets[dataset.name] = dataset.workspace.stats()
         return {
             "type": "ServiceStats",
             "ok": True,
             "server": self.server_stats(),
-            "datasets": datasets,
+            "datasets": {dataset.name: dataset.stats() for dataset in hot},
             # Only the *requesting* tenant's sessions: names are tenant data.
             "tenant_sessions": self.sessions.names(request.tenant),
         }, {}
@@ -847,7 +754,7 @@ class QueryService:
             hot = list(self._datasets.values())
         totals: dict[str, int] = {}
         for dataset in hot:
-            for key, value in dataset.workspace.stats().items():
+            for key, value in dataset.stats().items():
                 # Only the integer counters aggregate meaningfully; derived
                 # ratios (hit rates) and the backend name do not sum across
                 # engines.

@@ -35,8 +35,6 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._inflight_total = 0
         self._inflight: dict[str, int] = {}
-        self._registry = registry
-        self._tenant_sheds: dict[str, object] = {}
         if registry is not None:
             self._gauge = registry.gauge(
                 "service_inflight", help="requests currently admitted and executing"
@@ -47,38 +45,20 @@ class AdmissionController:
         else:
             self._gauge = self._shed = None
 
-    def _count_shed(self, tenant: str) -> None:
-        """Bump the total and the shed tenant's labeled series."""
-        if self._shed is None:
-            return
-        self._shed.inc()
-        counter = self._tenant_sheds.get(tenant)
-        if counter is None:
-            counter = self._registry.counter(
-                "service_admission_sheds_total",
-                help="requests shed by admission control, per tenant",
-                labels={"tenant": tenant},
-            )
-            self._tenant_sheds[tenant] = counter
-        counter.inc()
-
     @contextmanager
     def admit(self, tenant: str):
         """Hold one admission slot for ``tenant`` (or shed with a 429)."""
         with self._lock:
-            if self._inflight_total >= self.max_concurrent:
-                self._count_shed(tenant)
-                raise OverloadedError(
-                    f"server at max_concurrent={self.max_concurrent} in-flight "
-                    "requests; retry later"
-                )
             tenant_inflight = self._inflight.get(tenant, 0)
-            if tenant_inflight >= self.per_tenant:
-                self._count_shed(tenant)
-                raise OverloadedError(
-                    f"tenant {tenant!r} at its per_tenant={self.per_tenant} "
-                    "in-flight cap; retry later"
-                )
+            full = None
+            if self._inflight_total >= self.max_concurrent:
+                full = f"server at max_concurrent={self.max_concurrent} in-flight requests"
+            elif tenant_inflight >= self.per_tenant:
+                full = f"tenant {tenant!r} at its per_tenant={self.per_tenant} in-flight cap"
+            if full is not None:
+                if self._shed is not None:
+                    self._shed.inc()
+                raise OverloadedError(f"{full}; retry later")
             self._inflight_total += 1
             self._inflight[tenant] = tenant_inflight + 1
             if self._gauge is not None:

@@ -13,17 +13,10 @@ from repro.service.batching import MicroBatcher
 from repro.telemetry.metrics import MetricsRegistry
 
 
-class _Dataset:
-    """The duck the batcher expects: a graph plus its engine."""
-
-    def __init__(self, workspace: Workspace) -> None:
-        self.graph = workspace.graph
-        self.engine = workspace.engine
-
-
 @pytest.fixture
 def dataset():
-    return _Dataset(Workspace.from_figure("geo"))
+    """What the batcher is handed: the hot snapshot's workspace."""
+    return Workspace.from_figure("geo")
 
 
 @pytest.fixture

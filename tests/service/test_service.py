@@ -128,6 +128,14 @@ def test_bad_expression_is_structured_400(service):
         assert client.ping() is True
 
 
+# What each work op needs besides the param under test; only declared names
+# (an undeclared one is refused before anything else is looked at).
+OP_PARAMS = {
+    "query": {"expr": "tram"},
+    "learn": {"positives": ["N2"], "negatives": ["N5"]},
+    "interactive": {"goal": GOAL},
+}
+
 MALFORMED_WIRE_CONFIGS = [
     ("interactive", {"max_interactions": "x"}),
     ("interactive", {"neighborhood_radius": 1.5}),
@@ -143,7 +151,7 @@ MALFORMED_WIRE_CONFIGS = [
 
 @pytest.mark.parametrize("op, config", MALFORMED_WIRE_CONFIGS)
 def test_wrongly_typed_wire_config_is_a_400_envelope(service, op, config):
-    params = {"goal": GOAL, "positives": ["N2"], "negatives": ["N5"], "config": config}
+    params = {**OP_PARAMS[op], "config": config}
     answer = service.handle({"id": 7, "op": op, "params": params})
     assert answer["ok"] is False and answer["id"] == 7
     error = answer["error"]
@@ -228,7 +236,7 @@ def test_too_deep_an_expression_keeps_the_connection(service):
 @pytest.mark.parametrize("op", ["query", "learn", "interactive"])
 @pytest.mark.parametrize("snapshot", [0, "", [], False], ids=repr)
 def test_a_falsy_snapshot_is_refused_not_served_from_the_default(service, op, snapshot):
-    params = {"expr": "tram", "goal": GOAL, "positives": ["N2"], "negatives": ["N5"]}
+    params = OP_PARAMS[op]
     answer = service.handle({"id": 5, "op": op, "params": {**params, "snapshot": snapshot}})
     assert answer["ok"] is False and answer["id"] == 5
     error = answer["error"]
@@ -754,6 +762,50 @@ def test_slow_query_log_records_profile_and_explain(catalog_root, tmp_path):
     summary = summarize_slow(entries)
     assert summary["entries"] == len(entries)
     assert summary["tenants"] == {"acme": len(entries)}
+
+
+def test_a_slow_log_record_carries_the_profile_of_its_own_evaluation(catalog_root, tmp_path):
+    """Six clients, two semantics, one tenant-shared engine, a one-entry result
+    cache: every record's profile is the one its own query's evaluation left
+    (the engine's slot used to be shared, the batch worker's last query won it)."""
+    from repro.telemetry import read_trace
+
+    expressions = ["tram", "bus", GOAL, "tram.tram", "bus.cinema", "tram*.cinema"]
+    slow_log = tmp_path / "slow.jsonl"
+    errors: list[Exception] = []
+    with make_service(
+        catalog_root,
+        slow_log_path=str(slow_log),
+        slow_query_seconds=1e-9,
+        result_cache_size=1,
+        share_caches=False,
+    ) as service:
+
+        def worker(i: int) -> None:
+            try:
+                with client_for(service, tenant=f"tenant-{i}") as client:
+                    for j in range(60):
+                        client.query(
+                            expressions[(i + j) % 6], semantics=("path", "binary")[i % 2]
+                        )
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    assert not errors, errors[0]
+    records = list(read_trace(slow_log))
+    assert len(records) == 360
+    assert [record["request"] for record in records if "profile" not in record] == []
+    mismatched = [
+        (record["expr"], record["semantics"])
+        for record in records
+        if record["profile"]["plan"] != record["explain"]["plan"]["fingerprint"]
+    ]
+    assert mismatched == []
 
 
 def test_slow_query_log_carries_the_trace_id(catalog_root, tmp_path):
