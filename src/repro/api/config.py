@@ -323,7 +323,7 @@ class ServiceConfig(_BaseConfig):
     batch_window: float = knob(
         0.002,
         NON_NEGATIVE_NUMBER,
-        "micro-batch coalescing window (seconds; milliseconds on the command line)",
+        "longest a queued query waits for batch-mates (seconds; ms on the command line)",
         "--batch-window-ms MS",
         per_unit=1000,
     )

@@ -1,11 +1,17 @@
 """The micro-batcher: coalesce concurrent queries into one engine pass.
 
-Requests for the *same snapshot* that arrive within one batching window are
-drained together, deduplicated by query expression (a burst of clients
-asking the same question costs one evaluation, fanned back to each), and
-answered by one pass of the worker through the snapshot's engine, every
-plan and result going through the shared caches.  Each request gets back
-what its own evaluation produced: the answer, the error, the profile.
+Requests for the *same snapshot* that queue together are drained together,
+deduplicated by query expression (a burst of clients asking the same
+question costs one evaluation, fanned back to each), and answered by one
+pass of the worker through the snapshot's engine, every plan and result
+going through the shared caches.  Each request gets back what its own
+evaluation produced: the answer, the error, the profile.
+
+Batches start at least ``batch_window`` apart: a request that arrives a
+window or more after the last batch started drains at once (so a client
+that pauses between queries never waits), and requests arriving sooner
+collect into one batch that starts when the window has passed or
+``batch_max`` is reached.
 
 Submitting threads block on a per-request event; a single worker thread
 owns the engine calls.  Admission is bounded: past ``queue_depth`` pending
@@ -32,9 +38,7 @@ class _Pending:
     explicitly.
     """
 
-    __slots__ = (
-        "dataset", "query", "event", "result", "error", "abandoned", "trace", "profile",
-    )
+    __slots__ = ("dataset", "query", "event", "result", "error", "trace", "profile", "queued")
 
     def __init__(self, dataset, query, trace=None) -> None:
         self.dataset = dataset
@@ -42,9 +46,9 @@ class _Pending:
         self.event = threading.Event()
         self.result = None
         self.error: Exception | None = None
-        self.abandoned = False
         self.trace = trace
         self.profile: dict | None = None
+        self.queued = time.perf_counter()
 
 
 class MicroBatcher:
@@ -94,9 +98,12 @@ class MicroBatcher:
                 "service_batch_deduped_total",
                 help="batched requests answered by a duplicate batch-mate's evaluation",
             )
+            self._wait = registry.histogram(
+                "service_batch_wait_seconds", help="seconds from enqueue to the batch's start"
+            )
         else:
             self._batches = self._batched = self._batch_size = self._shed = None
-            self._deduped = None
+            self._deduped = self._wait = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -134,6 +141,7 @@ class MicroBatcher:
         """Hold draining; submissions queue up (until ``queue_depth``)."""
         with self._wakeup:
             self._paused = True
+            self._wakeup.notify_all()
 
     def resume(self) -> None:
         """Resume draining whatever accumulated while paused."""
@@ -155,8 +163,8 @@ class MicroBatcher:
         Blocks until the owning batch executed; raises
         :class:`~repro.errors.OverloadedError` immediately when the queue
         is full, and a 504-style timeout error when the batch did not
-        complete within ``timeout`` seconds.  ``trace`` carries the
-        request's trace context into the worker thread.
+        complete within ``timeout`` seconds (the request leaves the queue).
+        ``trace`` carries the request's trace context into the worker thread.
         """
         from repro.errors import OverloadedError, ServiceError
 
@@ -174,7 +182,8 @@ class MicroBatcher:
             self._wakeup.notify_all()
         if not pending.event.wait(timeout):
             with self._lock:
-                pending.abandoned = True
+                if pending in self._pending:  # once drained, its answer is dropped
+                    self._pending.remove(pending)
             raise ServiceError(
                 f"query did not complete within {timeout}s", code="timeout", status=504
             )
@@ -188,39 +197,39 @@ class MicroBatcher:
     # -- the worker ----------------------------------------------------------
 
     def _run(self) -> None:
+        opens = 0.0  # the next batch may start from here on
         while True:
             with self._wakeup:
                 while not self._stopped and (self._paused or not self._pending):
                     self._wakeup.wait()
                 if self._stopped:
                     return
-            # Let a burst of concurrent submissions land before draining, so
-            # simultaneous clients actually share a batch.
-            if self.batch_window > 0:
-                time.sleep(self.batch_window)
-            batch = self._drain_one_group()
+                # Collect batch-mates until the window since the last batch's
+                # start has passed (stop() empties the queue).
+                while not self._paused and 0 < len(self._pending) < self.batch_max:
+                    if not self._wakeup.wait(opens - time.perf_counter()):
+                        break
+                batch = self._drain_one_group()
             if batch:
+                opens = time.perf_counter() + self.batch_window
                 self._execute(batch)
 
     def _drain_one_group(self) -> list[_Pending]:
-        """Pop up to ``batch_max`` live requests of the oldest dataset."""
-        with self._wakeup:
-            if self._paused or not self._pending:
-                return []
-            dataset = self._pending[0].dataset
-            batch: list[_Pending] = []
-            keep: list[_Pending] = []
-            for pending in self._pending:
-                if pending.abandoned:
-                    continue
-                if pending.dataset is dataset and len(batch) < self.batch_max:
-                    batch.append(pending)
-                else:
-                    keep.append(pending)
-            self._pending = keep
-            if keep:  # another group (or overflow) is still waiting
-                self._wakeup.notify_all()
-            return batch
+        """Pop up to ``batch_max`` requests of the oldest dataset (lock held)."""
+        if self._paused or not self._pending:
+            return []
+        dataset = self._pending[0].dataset
+        batch: list[_Pending] = []
+        keep: list[_Pending] = []
+        for pending in self._pending:
+            if pending.dataset is dataset and len(batch) < self.batch_max:
+                batch.append(pending)
+            else:
+                keep.append(pending)
+        self._pending = keep
+        if keep:  # another group (or overflow) is still waiting
+            self._wakeup.notify_all()
+        return batch
 
     @staticmethod
     def _dedupe_key(pending: _Pending):
@@ -233,9 +242,12 @@ class MicroBatcher:
     def _execute(self, batch: list[_Pending]) -> None:
         dataset = batch[0].dataset
         if self._batches is not None:
+            started = time.perf_counter()
             self._batches.inc()
             self._batched.inc(len(batch))
             self._batch_size.observe(len(batch))
+            for pending in batch:
+                self._wait.observe(started - pending.queued)
         # Evaluate each distinct expression once and fan the answer (its
         # error, its profile) back to every duplicate submitter.  Traced
         # requests opt out: their spans must attribute to exactly one

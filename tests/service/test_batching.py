@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -281,3 +283,158 @@ def test_queries_without_expression_never_deduplicate(batcher, dataset):
     assert not errors
     assert results[0] == results[1] == expected
     assert batcher.registry.counter("service_batch_deduped_total").value == 0
+
+
+def test_a_timed_out_request_leaves_the_queue(dataset):
+    """A 504 frees its slot: the dead entry is neither drained nor counted."""
+    registry = MetricsRegistry()
+    batcher = MicroBatcher(batch_window=0.0, queue_depth=2, registry=registry)
+    batcher.start()
+    try:
+        batcher.pause()
+        query = PathQuery.parse("tram", dataset.graph.alphabet)
+        for _ in range(2):
+            with pytest.raises(ServiceError) as exc_info:
+                batcher.submit(dataset, query, timeout=0.05)
+            assert exc_info.value.status == 504
+        assert batcher.depth == 0
+        batcher.resume()
+        # Not shed with "batch queue full (2 pending)": nobody is waiting.
+        assert batcher.submit(dataset, query, timeout=30.0) == dataset.engine.evaluate(
+            dataset.graph, query
+        )
+        assert registry.counter("service_batched_queries_total").value == 1
+    finally:
+        batcher.stop()
+
+
+def test_the_wait_histogram_observes_every_batched_request(batcher, dataset):
+    queries = [PathQuery.parse(e, dataset.graph.alphabet) for e in ("tram", "bus", "tram")]
+    for query in queries:
+        batcher.submit(dataset, query, timeout=30.0)
+    _submit_concurrently(batcher, dataset, queries)
+    waits = batcher.registry.snapshot()["service_batch_wait_seconds"]
+    batched = batcher.registry.counter("service_batched_queries_total").value
+    assert waits["count"] == batched == 6
+    assert waits["sum"] >= 0.0
+
+
+# -- the window: batches start at least one window apart -------------------------
+
+
+@pytest.fixture
+def windowed(request):
+    """Start a batcher with the given ``batch_window``; stopped after the test."""
+
+    def make(seconds: float, **overrides) -> MicroBatcher:
+        registry = MetricsRegistry()
+        batcher = MicroBatcher(batch_window=seconds, registry=registry, **overrides)
+        batcher.registry = registry
+        batcher.start()
+        request.addfinalizer(batcher.stop)
+        return batcher
+
+    return make
+
+
+def _in_thread(call, *args, **kwargs):
+    """Run ``call`` on a thread; return the thread and its outcome dict."""
+    outcome: dict = {}
+
+    def run():
+        try:
+            outcome["result"] = call(*args, **kwargs)
+        except Exception as error:  # noqa: BLE001 - asserted by callers
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+def _wait_for_depth(batcher, depth: int) -> None:
+    for _ in range(500):
+        if batcher.depth == depth:
+            return
+        threading.Event().wait(0.01)
+    assert batcher.depth == depth
+
+
+def test_a_lone_submit_does_not_wait_for_the_window(windowed, dataset):
+    batcher = windowed(10.0)
+    query = PathQuery.parse("tram", dataset.graph.alphabet)
+    started = time.perf_counter()
+    assert batcher.submit(dataset, query, timeout=30.0) == dataset.engine.evaluate(
+        dataset.graph, query
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+def test_requests_inside_the_window_collect_until_batch_max(windowed, dataset):
+    """Within a 10 s window the next request waits for a batch-mate, and the
+    one that fills ``batch_max`` starts the batch at once."""
+    batcher = windowed(10.0, batch_max=2)
+    tram, bus = (PathQuery.parse(e, dataset.graph.alphabet) for e in ("tram", "bus"))
+    started = time.perf_counter()
+    batcher.submit(dataset, tram, timeout=30.0)  # the window opens here
+    second, outcome = _in_thread(batcher.submit, dataset, bus, timeout=30.0)
+    _wait_for_depth(batcher, 1)
+    second.join(0.05)
+    assert second.is_alive() and not outcome and batcher.depth == 1
+    third = batcher.submit(dataset, tram, timeout=30.0)
+    second.join(10.0)
+    assert time.perf_counter() - started < 5.0
+    assert outcome["result"] == dataset.engine.evaluate(dataset.graph, bus)
+    assert third == dataset.engine.evaluate(dataset.graph, tram)
+    assert batcher.registry.counter("service_batches_total").value == 2
+    size = batcher.registry.snapshot()["service_batch_size"]
+    assert size["count"] == 2 and size["sum"] == 3.0
+
+
+def test_the_window_bounds_the_wait_and_a_quiet_spell_ends_it(windowed, dataset):
+    window = 0.3
+    batcher = windowed(window)
+    query = PathQuery.parse("tram", dataset.graph.alphabet)
+    started = time.perf_counter()
+    batcher.submit(dataset, query, timeout=30.0)
+    batcher.submit(dataset, query, timeout=30.0)  # alone: drains when the window ends
+    assert window * 0.9 <= time.perf_counter() - started < 5.0
+    waits = batcher.registry.snapshot()["service_batch_wait_seconds"]
+    assert waits["count"] == 2 and waits["sum"] >= window / 2
+    threading.Event().wait(window)
+    started = time.perf_counter()
+    batcher.submit(dataset, query, timeout=30.0)
+    assert time.perf_counter() - started < window / 2
+    assert batcher.registry.counter("service_batches_total").value == 3
+
+
+def test_stop_ends_the_collection_with_a_503(windowed, dataset):
+    batcher = windowed(10.0)
+    query = PathQuery.parse("tram", dataset.graph.alphabet)
+    batcher.submit(dataset, query, timeout=30.0)
+    waiting, outcome = _in_thread(batcher.submit, dataset, query, timeout=30.0)
+    _wait_for_depth(batcher, 1)
+    batcher.stop()
+    waiting.join(5.0)
+    assert not waiting.is_alive() and outcome["error"].status == 503
+
+
+def test_concurrent_clients_coalesce_and_each_request_is_observed_once(windowed, dataset):
+    """Rounds of eight concurrent submitters under a short switch interval:
+    every request is answered and observed once, in fewer batches than
+    requests."""
+    batcher = windowed(0.05, queue_depth=64)
+    tram = PathQuery.parse("tram", dataset.graph.alphabet)
+    expected = dataset.engine.evaluate(dataset.graph, tram)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(4):
+            results, errors = _submit_concurrently(batcher, dataset, [tram] * 8)
+            assert not errors and list(results.values()) == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
+    batched = batcher.registry.counter("service_batched_queries_total").value
+    waits = batcher.registry.snapshot()["service_batch_wait_seconds"]
+    assert waits["count"] == batched == 32 and batcher.depth == 0
+    assert batcher.registry.counter("service_batches_total").value < 32

@@ -503,6 +503,14 @@ def test_per_tenant_cap_sheds_noisy_tenant_only(catalog_root):
             assert quiet.query(GOAL).count == 4
 
 
+def test_a_lone_query_does_not_wait_for_the_window(catalog_root):
+    with make_service(catalog_root, batch_window=10.0) as service:
+        started = time.perf_counter()
+        envelope = service.handle({"op": "query", "params": {"expr": GOAL}})
+        assert envelope["ok"] and time.perf_counter() - started < 1.0
+        assert service.registry.counter("service_batches_total").value == 1
+
+
 # -- sessions over the wire ---------------------------------------------------
 
 
