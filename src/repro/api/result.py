@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
+from repro.engine.index import Answer
 from repro.errors import SerializationError
 from repro.evaluation.interactive import InteractiveExperimentResult
 from repro.evaluation.static import StaticExperimentResult
@@ -53,23 +54,47 @@ class Result(Protocol):
         """A JSON-safe snapshot carrying a ``"type"`` tag."""
 
 
-@dataclass(frozen=True)
 class QueryResult:
     """The outcome of one :meth:`repro.api.Workspace.query` evaluation.
 
     ``selected`` holds the selected nodes (monadic semantics) or node pairs
     (binary semantics).  Implements the :class:`Result` protocol.
 
+    A monadic evaluation hands over the engine's
+    :class:`~repro.engine.index.Answer` (the walk's node ids), and
+    ``selected`` is built from it on first read; ``count``, :meth:`nodes`
+    and :meth:`to_dict` read the ids and never build the set.
+
     ``profile`` is the per-query execution profile captured when the owning
     workspace's telemetry runs in profiling mode (compile/index/walk splits,
     cache attribution, per-depth frontier sizes); None otherwise.
     """
 
-    query: PathQuery | BinaryPathQuery
-    semantics: str
-    selected: frozenset
-    elapsed: float = 0.0
-    profile: dict | None = None
+    __slots__ = ("query", "semantics", "elapsed", "profile", "_answer", "_selected")
+
+    def __init__(
+        self,
+        query: PathQuery | BinaryPathQuery,
+        semantics: str,
+        selected: frozenset | Answer,
+        elapsed: float = 0.0,
+        profile: dict | None = None,
+    ) -> None:
+        self.query = query
+        self.semantics = semantics
+        self.elapsed = elapsed
+        self.profile = profile
+        if isinstance(selected, Answer):
+            self._answer, self._selected = selected, None
+        else:
+            self._answer, self._selected = None, selected
+
+    @property
+    def selected(self) -> frozenset:
+        """The selected nodes (or pairs) as a set."""
+        if self._selected is None:
+            self._selected = self._answer.node_set()
+        return self._selected
 
     @property
     def ok(self) -> bool:
@@ -79,11 +104,24 @@ class QueryResult:
     @property
     def count(self) -> int:
         """The number of selected nodes (or pairs)."""
-        return len(self.selected)
+        return len(self._answer if self._selected is None else self._selected)
 
     def nodes(self) -> list:
         """The selected nodes/pairs in deterministic order (for display)."""
-        return sorted(self.selected, key=repr)
+        if self._selected is None:
+            return self._answer.in_repr_order()
+        return sorted(self._selected, key=repr)
+
+    def _fields(self) -> tuple:
+        return (self.query, self.semantics, self.selected, self.elapsed, self.profile)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueryResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         return (
@@ -98,7 +136,7 @@ class QueryResult:
         if self.semantics == "binary":
             selected: list = sorted(([o, e] for o, e in self.selected), key=repr)
         else:
-            selected = sorted(self.selected, key=repr)
+            selected = self.nodes()
         payload = {
             "type": "QueryResult",
             "ok": self.ok,

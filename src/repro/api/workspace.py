@@ -275,7 +275,10 @@ class Workspace:
             "workspace.query", semantics=semantics
         ) as span:
             query = self._coerce_query(expr, semantics)
-            selected: frozenset = query.evaluate(self._graph, engine=self._engine)
+            if semantics == "binary":
+                selected = query.evaluate(self._graph, engine=self._engine)
+            else:
+                selected = self._engine.answer(self._graph, query.table)
             span.set(expression=query.expression, selected=len(selected))
         return QueryResult(
             query=query,

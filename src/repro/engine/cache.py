@@ -10,10 +10,11 @@ Two caches back the engine:
   a query -- or a different ``PathQuery`` object with the same canonical
   table -- skips the rewrite and its parity checks;
 * the **result cache** maps ``(operation, fingerprint, graph uid, graph
-  version)`` to a finished result (a node set or a pair set).  Because the
-  graph's version counter participates in the key, a mutation silently
-  invalidates every stale entry: the new version simply misses and the old
-  entries age out of the LRU.
+  version)`` to a finished result: a monadic
+  :class:`~repro.engine.index.Answer` (the walk's id array) or a pair set.
+  Because the graph's version counter participates in the key, a mutation
+  silently invalidates every stale entry: the new version simply misses and
+  the old entries age out of the LRU.
 
 Retention note: entries are evicted by capacity, not by graph lifetime, so
 results for graphs that have since been garbage collected (including
@@ -50,7 +51,9 @@ def estimate_entry_bytes(value: Any, _depth: int = 2) -> int:
 
     Containers are sampled (up to a few elements, two levels deep) and
     extrapolated.  The point is proportionality -- a 100k-pair binary result
-    must dwarf a ten-node set -- not accounting-grade precision.
+    must dwarf a ten-node set -- not accounting-grade precision.  Anything
+    else is its ``sys.getsizeof``, which for a monadic
+    :class:`~repro.engine.index.Answer` is exact: the id array's bytes.
     """
     size = sys.getsizeof(value, 64)
     if _depth <= 0:

@@ -34,7 +34,7 @@ from repro.engine.cache import PlanCache, ResultCache, shared_caches
 from repro.engine.executor import KernelStats
 from repro.engine import executor
 from repro.engine import planner as planning
-from repro.engine.index import GraphIndex
+from repro.engine.index import Answer, GraphIndex
 from repro.engine.planner import PLANNER_MODES
 from repro.errors import GraphError, QueryError
 from repro.graphdb.graph import GraphDB, Node
@@ -222,7 +222,8 @@ class QueryEngine:
         resolved backend.  ``"off"`` walks every table verbatim and
         dispatches the resolved backend.
     cache_budget_bytes:
-        Optional byte budget for the result cache (estimated sizes); LRU
+        Optional byte budget for the result cache (a monadic answer is
+        charged its id array's bytes, a pair set a sampled estimate); LRU
         entries are evicted past it.  ``None`` bounds by entry count only.
     """
 
@@ -520,8 +521,9 @@ class QueryEngine:
         ephemeral: bool = False,
         max_depth: int | None = None,
         depth_sizes: list[int] | None = None,
-    ) -> tuple[frozenset, str]:
-        """Run one whole-graph walk on the kernel :meth:`_whole_graph_strategy` names."""
+    ) -> tuple:
+        """Run one whole-graph walk on the kernel :meth:`_whole_graph_strategy`
+        names: ``(ascending node ids or a set of id pairs, kernel)``."""
         strategy = self._whole_graph_strategy(index, plan, binary=binary, ephemeral=ephemeral)
         monadic, pairs = executor.whole_graph_walks(strategy)
         kernel = self.stats.kernel
@@ -571,7 +573,29 @@ class QueryEngine:
         ephemeral: bool = False,
         max_depth: int | None = None,
     ) -> frozenset[Node]:
-        """The set of nodes selected on ``graph`` (monadic semantics).
+        """The set of nodes selected on ``graph`` (monadic semantics): the
+        names of :meth:`answer`'s ids.
+
+        An answer this call puts in the result cache keeps its name set,
+        charged to the cache's byte budget with the ids, so asking again is
+        a lookup.
+        """
+        return self._monadic(graph, query, ephemeral, max_depth, names=True).node_set()
+
+    def answer(
+        self,
+        graph: GraphDB,
+        query: Query,
+        *,
+        ephemeral: bool = False,
+        max_depth: int | None = None,
+    ) -> Answer:
+        """The nodes selected on ``graph`` as the walk found them: an
+        :class:`~repro.engine.index.Answer` of ascending ids.
+
+        This is what the result cache holds, and what a reply is encoded
+        from (:meth:`Answer.in_repr_order`) without a set of names ever
+        being built.
 
         Pass ``ephemeral=True`` for throwaway kernel automata that will never
         be evaluated again (e.g. the interactive layer's per-round
@@ -583,9 +607,15 @@ class QueryEngine:
 
         With telemetry active the call additionally emits an
         ``engine.evaluate`` span and (in profiling mode) records a
-        :class:`~repro.telemetry.profile.QueryProfile`; the selected set is
+        :class:`~repro.telemetry.profile.QueryProfile`; the answer is
         identical either way (pinned by the telemetry identity tests).
         """
+        return self._monadic(graph, query, ephemeral, max_depth, names=False)
+
+    def _monadic(
+        self, graph: GraphDB, query: Query, ephemeral: bool, max_depth: int | None, names: bool
+    ) -> Answer:
+        """Check one monadic call's options, then answer it."""
         if ephemeral:
             if isinstance(query, (DFA, NFA)):
                 raise QueryError(
@@ -595,7 +625,7 @@ class QueryEngine:
             query = self._coerce_automaton(query)
         if max_depth is not None:
             self._check_max_depth(max_depth, ephemeral, query)
-        return self._whole_graph(graph, query, "evaluate", ephemeral, max_depth)
+        return self._whole_graph(graph, query, "evaluate", ephemeral, max_depth, names)
 
     def binary_evaluate(self, graph: GraphDB, query: Query) -> frozenset[tuple[Node, Node]]:
         """The set of node pairs selected under the binary semantics."""
@@ -608,7 +638,8 @@ class QueryEngine:
         operation: str,
         ephemeral: bool = False,
         max_depth: int | None = None,
-    ) -> frozenset:
+        names: bool = False,
+    ) -> Answer | frozenset:
         """Answer one whole-graph call; observe it iff telemetry is active.
 
         Both modes run the same :meth:`_answer`.  The disabled mode hands it
@@ -618,10 +649,10 @@ class QueryEngine:
         """
         binary = operation == "binary_evaluate"
         if not self.telemetry.active:
-            return self._answer(graph, query, binary, ephemeral, max_depth, None)
+            return self._answer(graph, query, binary, ephemeral, max_depth, names, None)
         observation = _Observation()
         with self.telemetry.span(f"engine.{operation}") as span:
-            result = self._answer(graph, query, binary, ephemeral, max_depth, observation)
+            result = self._answer(graph, query, binary, ephemeral, max_depth, names, observation)
             self._observe(span, operation, observation, len(result))
         return result
 
@@ -632,9 +663,12 @@ class QueryEngine:
         binary: bool,
         ephemeral: bool,
         max_depth: int | None,
+        names: bool,
         observation: _Observation | None,
-    ) -> frozenset:
-        """Plan cache -> result cache -> index -> walk, for both semantics."""
+    ) -> Answer | frozenset:
+        """Plan cache -> result cache -> index -> walk, for both semantics: an
+        :class:`~repro.engine.index.Answer` (monadic; with its name set when
+        ``names``) or a set of name pairs."""
         if ephemeral:
             # A fold is materialized first: the walk's bitmap is sized by
             # the state count, and the quotient is the compact form.
@@ -673,11 +707,11 @@ class QueryEngine:
             depth_sizes=depth_sizes,
         )
         self.stats.inc("evaluations")
-        nodes_by_id = index.nodes_by_id
         if binary:
+            nodes_by_id = index.nodes_by_id
             result = frozenset((nodes_by_id[src], nodes_by_id[end]) for src, end in selected_ids)
         else:
-            result = frozenset(map(nodes_by_id.__getitem__, selected_ids))
+            result = Answer(selected_ids, index, names=names)
         if key is not None:
             self.result_cache.put(key, result)
         if observation is not None:

@@ -35,6 +35,7 @@ for both (``tests/engine`` pins them against each other).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from collections.abc import Iterable
 from functools import cache
@@ -42,7 +43,7 @@ from itertools import compress
 
 from repro.automata.alphabet import Word
 from repro.automata.kernel import TableAutomaton
-from repro.engine.index import GraphIndex
+from repro.engine.index import GraphIndex, load_numpy
 from repro.errors import QueryError
 from repro.telemetry.metrics import Counter, MetricsRegistry
 
@@ -53,19 +54,9 @@ from repro.telemetry.metrics import Counter, MetricsRegistry
 BACKENDS = ("auto", "python", "numpy")
 
 
-@cache
-def _load_numpy():
-    """The numpy module, or ``False`` when not installed (cached probe)."""
-    try:
-        import numpy
-    except ImportError:
-        return False
-    return numpy
-
-
 def have_numpy() -> bool:
     """Whether the optional numpy backend can be used in this process."""
-    return bool(_load_numpy())
+    return bool(load_numpy())
 
 
 def resolve_backend(requested: str) -> str:
@@ -411,8 +402,9 @@ def evaluate_all(
     *,
     depth_sizes: list[int] | None = None,
     max_depth: int | None = None,
-) -> frozenset[int]:
-    """Int ids of all nodes the query selects (monadic semantics).
+) -> array:
+    """Int ids of all nodes the query selects (monadic semantics): ascending,
+    in an array of the index's ``id_typecode``.
 
     One *backward* BFS over the product from every accepting pair computes
     the co-reachable set; a node is selected iff one of its initial pairs is
@@ -430,12 +422,12 @@ def evaluate_all(
     its un-merged state count; materialise it (``to_table()``) first.
     """
     moves = bind(index, query)
+    n, span, typecode = index.num_nodes, moves.span, index.id_typecode
     if moves.empty:
-        return frozenset()
-    n, span = index.num_nodes, moves.span
+        return array(typecode)
     if moves.accepts_empty:
         # Every node trivially matches via the empty path.
-        return frozenset(range(n))
+        return array(typecode, range(n))
     rrows = moves.reverse_rows()
     bwd_offsets, bwd_targets = index.bwd_offsets, index.bwd_targets
 
@@ -477,10 +469,8 @@ def evaluate_all(
     if stats is not None:
         stats.add(expanded, scanned)
 
-    selected: set[int] = set()
-    for initial in moves.initials:
-        selected.update(compress(range(n), visited[initial::span]))
-    return frozenset(selected)
+    (initial,) = moves.initials
+    return array(typecode, compress(range(n), visited[initial::span]))
 
 
 def binary_evaluate(
@@ -547,14 +537,15 @@ def binary_evaluate(
 # are viewed zero-copy through ``np.frombuffer`` -- the heap ``array`` form
 # and the storage layer's read-only mmap ``memoryview`` form both expose the
 # buffer protocol, so a snapshot-backed index vectorizes without a copy (and
-# nothing here writes through a view).  Results come back through
+# nothing here writes through a view).  A monadic answer stays a numpy
+# array of the python walk's ids and typecode; pairs come back through
 # ``.tolist()`` (true python ints): byte-identical to the python oracle's.
 
 
 def _np_views(offsets: list, targets: list):
     """``views(label_id)``: that label's ``(offsets, targets)`` CSR arrays as
     numpy views, built the first time a row asks and kept for one walk only."""
-    frombuffer = _load_numpy().frombuffer
+    frombuffer = load_numpy().frombuffer
     return cache(
         lambda label_id: tuple(
             frombuffer(arrays[label_id], dtype=f"i{arrays[label_id].itemsize}")
@@ -609,15 +600,15 @@ def numpy_evaluate_all(
     *,
     depth_sizes: list[int] | None = None,
     max_depth: int | None = None,
-) -> frozenset[int]:
+):
     """Vectorized :func:`evaluate_all` (identical results, layers, counters)."""
-    np = _load_numpy()
+    np = load_numpy()
     moves = bind(index, query)
+    n, span, typecode = index.num_nodes, moves.span, index.id_typecode
     if moves.empty:
-        return frozenset()
-    n, span = index.num_nodes, moves.span
+        return np.arange(0, dtype=typecode)
     if moves.accepts_empty:
-        return frozenset(range(n))
+        return np.arange(n, dtype=typecode)
     rrows = moves.reverse_rows()
     views = _np_views(index.bwd_offsets, index.bwd_targets)
 
@@ -657,8 +648,8 @@ def numpy_evaluate_all(
     if stats is not None:
         stats.add(expanded, scanned)
 
-    at_initials = visited.reshape(n, span)[:, list(moves.initials)]
-    return frozenset(np.nonzero(at_initials.any(axis=1))[0].tolist())
+    (initial,) = moves.initials
+    return np.flatnonzero(visited[initial::span]).astype(typecode)
 
 
 def numpy_binary_evaluate(
@@ -672,7 +663,7 @@ def numpy_binary_evaluate(
     ``(local_source * n + node) * span + state``; the chunk size is bounded
     so the dense visited mask stays around 16 MB however large the graph is.
     """
-    np = _load_numpy()
+    np = load_numpy()
     moves = bind(index, query)
     if moves.empty:
         return frozenset()

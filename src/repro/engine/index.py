@@ -28,7 +28,10 @@ touched by the delta have their CSR rows re-merged.
 
 from __future__ import annotations
 
+import sys
 from array import array
+from bisect import bisect_left
+from functools import cache
 from itertools import accumulate, chain
 from operator import sub
 from time import perf_counter
@@ -38,6 +41,36 @@ from repro.graphdb.graph import GraphDB, Node
 #: Delta-to-index size ratio past which :meth:`GraphIndex.refresh` declines
 #: and the engine rebuilds (per-row merging stops paying off around there).
 REFRESH_RATIO = 0.25
+
+
+@cache
+def load_numpy():
+    """The numpy module, or ``False`` when not installed (cached probe)."""
+    try:
+        import numpy
+    except ImportError:
+        return False
+    return numpy
+
+
+def repr_rank(nodes: tuple[Node, ...], typecode: str):
+    """``rank[node_id]``: the node's position in ``repr`` order, ties by id.
+
+    A numpy array of ``typecode`` when numpy is importable, else a list.
+    Sorting by rank is sorting the nodes by ``repr``, without calling
+    ``repr`` again.
+    """
+    reprs = list(map(repr, nodes))
+    order = sorted(range(len(nodes)), key=reprs.__getitem__)  # stable: ties by id
+    np = load_numpy()
+    if np:
+        rank = np.empty(len(nodes), dtype=typecode)
+        rank[order] = np.arange(len(nodes), dtype=typecode)
+        return rank
+    rank = [0] * len(nodes)
+    for position, node_id in enumerate(order):
+        rank[node_id] = position
+    return rank
 
 
 class GraphIndex:
@@ -55,7 +88,7 @@ class GraphIndex:
         "num_nodes",
         "num_labels",
         "nodes_by_id",
-        "node_ids",
+        "_node_ids",
         "labels_by_id",
         "label_ids",
         "fwd_offsets",
@@ -64,6 +97,7 @@ class GraphIndex:
         "bwd_targets",
         "edge_count",
         "build_seconds",
+        "_rank",
     )
 
     def __init__(
@@ -84,11 +118,7 @@ class GraphIndex:
         self.graph_uid = graph_uid
         self.graph_version = graph_version
         self.nodes_by_id = nodes_by_id
-        self.node_ids = (
-            {node: index for index, node in enumerate(nodes_by_id)}
-            if node_ids is None
-            else node_ids
-        )
+        self._node_ids = node_ids
         self.labels_by_id = labels_by_id
         self.label_ids = (
             {label: index for index, label in enumerate(labels_by_id)}
@@ -107,6 +137,7 @@ class GraphIndex:
         #: loads and hand-constructed indexes.  Telemetry only -- never
         #: part of the canonical byte form.
         self.build_seconds = 0.0
+        self._rank = None
 
     # -- construction --------------------------------------------------------
 
@@ -277,6 +308,40 @@ class GraphIndex:
         """The int id of ``node``, or None if it is not indexed."""
         return self.node_ids.get(node)
 
+    @property
+    def node_ids(self) -> dict[Node, int]:
+        """``node -> id``, the inverse of :attr:`nodes_by_id`.
+
+        Built on first use when the constructor was not handed one (a
+        snapshot load): a daemon that only answers path queries never
+        looks a node up by name, and is spared a dict the size of the node
+        table.
+        """
+        node_ids = self._node_ids
+        if node_ids is None:
+            node_ids = self._node_ids = {node: i for i, node in enumerate(self.nodes_by_id)}
+        return node_ids
+
+    @property
+    def rank(self):
+        """Each node id's position in ``repr`` order (:func:`repr_rank`).
+
+        Built on first use and kept for the index's lifetime; a refresh
+        makes a new index and with it a new rank.  Two threads racing to
+        the first use build equal ranks and one of them is kept.
+        """
+        rank = self._rank
+        if rank is None:
+            rank = self._rank = repr_rank(self.nodes_by_id, self.id_typecode)
+        return rank
+
+    @property
+    def id_typecode(self) -> str:
+        """The narrowest :mod:`array` typecode (numpy takes it too) that holds
+        every node id: an answer of this index is an array of it."""
+        n = self.num_nodes
+        return "H" if n <= 1 << 16 else "I" if n <= 1 << 32 else "q"
+
     def label_edge_counts(self) -> list[int]:
         """Per-label edge counts (CSR degree stats).
 
@@ -301,6 +366,67 @@ class GraphIndex:
             f"GraphIndex(nodes={self.num_nodes}, labels={self.num_labels}, "
             f"edges={self.edge_count}, version={self.graph_version})"
         )
+
+
+class Answer:
+    """One monadic answer: the selected node ids of one index, ascending, in
+    an array of the index's :attr:`~GraphIndex.id_typecode`.
+
+    What a whole-graph walk returns, kept as it came: the result cache
+    holds it, the service hands it to the reply, and names are made only
+    at the end -- :meth:`in_repr_order` for a reply, :meth:`node_set` for a
+    caller that wants the node set.  The set is kept only when it is made
+    with the answer (``names=True``, what ``QueryEngine.evaluate`` asks
+    for), so ``sys.getsizeof`` of an answer never changes: a cache charges
+    it the id array plus that set, and never the shared index.
+    """
+
+    __slots__ = ("ids", "index", "_nodes")
+
+    def __init__(self, ids, index: GraphIndex, *, names: bool = False) -> None:
+        self.ids = ids
+        self.index = index
+        self._nodes = None
+        if names:
+            self._nodes = self.node_set()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __contains__(self, node: Node) -> bool:
+        node_id = self.index.node_ids.get(node)
+        if node_id is None:
+            return False
+        position = bisect_left(self.ids, node_id)
+        return position < len(self.ids) and self.ids[position] == node_id
+
+    def __sizeof__(self) -> int:
+        # The walks hand over arrays that own their buffer, which
+        # ``sys.getsizeof`` counts (a numpy view's would not); the set's
+        # names are the index's own objects, so its table is all it adds.
+        size = object.__sizeof__(self) + sys.getsizeof(self.ids)
+        return size if self._nodes is None else size + sys.getsizeof(self._nodes)
+
+    def node_set(self) -> frozenset[Node]:
+        """The selected nodes as a set of names."""
+        if self._nodes is not None:
+            return self._nodes
+        return frozenset(map(self.index.nodes_by_id.__getitem__, self.ids.tolist()))
+
+    def in_repr_order(self) -> list[Node]:
+        """The selected nodes sorted by ``repr`` (ties by id), the display and
+        wire order: one sort of their ranks and one take over the node table."""
+        rank = self.index.rank
+        np = load_numpy()
+        if np:
+            ids = np.asarray(self.ids)
+            ordered = ids[np.argsort(rank[ids])].tolist()
+        else:
+            ordered = sorted(self.ids, key=rank.__getitem__)
+        return list(map(self.index.nodes_by_id.__getitem__, ordered))
+
+    def __repr__(self) -> str:
+        return f"Answer({len(self.ids)} of {self.index.num_nodes} nodes)"
 
 
 def csr_pair(

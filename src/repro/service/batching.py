@@ -189,7 +189,7 @@ class MicroBatcher:
             )
         if pending.error is not None:
             raise pending.error
-        # As if this thread had called ``engine.evaluate`` itself: the answer
+        # As if this thread had called ``engine.answer`` itself: the answer
         # is returned and its profile waits in this thread's slot.
         dataset.engine.last_profile = pending.profile
         return pending.result
@@ -260,7 +260,7 @@ class MicroBatcher:
             if leader is pending:
                 try:
                     with dataset.telemetry.context(pending.trace):
-                        pending.result = dataset.engine.evaluate(dataset.graph, pending.query)
+                        pending.result = dataset.engine.answer(dataset.graph, pending.query)
                     # The profile is this thread's; it rides back with the
                     # answer instead of waiting in a slot the tenants share.
                     pending.profile = dataset.engine.take_profile()

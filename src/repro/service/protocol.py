@@ -48,11 +48,14 @@ class Op(NamedTuple):
     observability ops are free -- charging a tenant for *reading* its bill
     would make the table drift under monitoring traffic.  ``admitted`` ops
     hold an admission slot while they run; a health check is never shed.
+    ``traced`` ops run engine work and take the request's trace context as
+    their handler's second argument; the others take the request alone.
     """
 
     params: dict[str, Check] = {}
     accounted: bool = False
     admitted: bool = True
+    traced: bool = False
 
 
 _SNAPSHOT = optional(NAME, "a name string")
@@ -67,14 +70,17 @@ OPS: dict[str, Op] = {
     "query": Op(
         {"expr": NAME, "semantics": optional(one_of(QUERY_SEMANTICS)), "snapshot": _SNAPSHOT},
         accounted=True,
+        traced=True,
     ),
     "learn": Op(
         {"positives": _EXAMPLES, "negatives": _EXAMPLES, "config": _CONFIG, "snapshot": _SNAPSHOT},
         accounted=True,
+        traced=True,
     ),
     "interactive": Op(
         {"goal": NAME, "session": optional(NAME), "config": _CONFIG, "snapshot": _SNAPSHOT},
         accounted=True,
+        traced=True,
     ),
     "session.release": Op({"session": NAME}, accounted=True),
     "stats": Op(),

@@ -477,9 +477,9 @@ class QueryService:
 
         The ``server.request`` span (a no-op when tracing is off) carries
         the wire request ``id`` (so wire ids and trace ids join in the trace
-        file) and parents every downstream span: the op receives a child
-        context re-parented onto it, which it attaches around engine work
-        and ships to the batcher.
+        file) and parents every downstream span: an op declared ``traced``
+        receives a child context re-parented onto it, which it attaches
+        around engine work and ships to the batcher.
         """
         op = protocol.OPS[request.op]
         telemetry = self.telemetry
@@ -491,7 +491,7 @@ class QueryService:
             with self.admission.admit(request.tenant) if op.admitted else nullcontext():
                 protocol.check_params(request)
                 handler = getattr(self, "_op_" + request.op.replace(".", "_"))
-                return handler(request, child)
+                return handler(request, child) if op.traced else handler(request)
 
     def _tenant_account(self, tenant: str, **deltas: int) -> None:
         """Add counter deltas to a (validated) tenant's row of the table."""
@@ -531,9 +531,7 @@ class QueryService:
 
     # -- ops -----------------------------------------------------------------
 
-    def _op_ping(
-        self, request: protocol.Request, trace: TraceContext | None
-    ) -> tuple[dict, dict]:
+    def _op_ping(self, request: protocol.Request) -> tuple[dict, dict]:
         return {"type": "Pong", "ok": True}, {}
 
     def _op_query(
@@ -555,13 +553,13 @@ class QueryService:
             profile = result.profile
         else:
             query = PathQuery.parse(expr, dataset.graph.alphabet)
-            selected = self.batcher.submit(
+            answer = self.batcher.submit(
                 dataset, query, timeout=self.config.request_timeout, trace=trace
             )
             result = QueryResult(
                 query=query,
                 semantics="path",
-                selected=selected,
+                selected=answer,
                 elapsed=time.perf_counter() - started,
             )
             profile = dataset.engine.take_profile()
@@ -669,9 +667,7 @@ class QueryService:
         }
         return result.to_dict(), extra
 
-    def _op_session_release(
-        self, request: protocol.Request, trace: TraceContext | None
-    ) -> tuple[dict, dict]:
+    def _op_session_release(self, request: protocol.Request) -> tuple[dict, dict]:
         released = self.sessions.release(request.tenant, request.params["session"])
         return {"type": "SessionRelease", "ok": True, "released": released}, {}
 
@@ -690,9 +686,7 @@ class QueryService:
             "tenants": self.tenant_stats(),
         }
 
-    def _op_stats(
-        self, request: protocol.Request, trace: TraceContext | None
-    ) -> tuple[dict, dict]:
+    def _op_stats(self, request: protocol.Request) -> tuple[dict, dict]:
         with self._datasets_lock:
             hot = list(self._datasets.values())
         return {
@@ -704,14 +698,10 @@ class QueryService:
             "tenant_sessions": self.sessions.names(request.tenant),
         }, {}
 
-    def _op_metrics(
-        self, request: protocol.Request, trace: TraceContext | None
-    ) -> tuple[dict, dict]:
+    def _op_metrics(self, request: protocol.Request) -> tuple[dict, dict]:
         return {"type": "MetricsReport", "ok": True, "text": self.metrics_text()}, {}
 
-    def _op_catalog(
-        self, request: protocol.Request, trace: TraceContext | None
-    ) -> tuple[dict, dict]:
+    def _op_catalog(self, request: protocol.Request) -> tuple[dict, dict]:
         return {
             "type": "CatalogInfo",
             "ok": True,
@@ -723,9 +713,7 @@ class QueryService:
             },
         }, {}
 
-    def _op_shutdown(
-        self, request: protocol.Request, trace: TraceContext | None
-    ) -> tuple[dict, dict]:
+    def _op_shutdown(self, request: protocol.Request) -> tuple[dict, dict]:
         if not self.config.allow_remote_shutdown:
             raise ServiceError(
                 "remote shutdown is disabled (start with allow_remote_shutdown)",

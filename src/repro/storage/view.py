@@ -39,6 +39,8 @@ class GraphView:
         self._edges: frozenset[Edge] | None = None
         self._thawed_cache: GraphDB | None = None
         self._alphabet: Alphabet | None = None
+        # One set for the view's lifetime: the planner keys every plan by it.
+        self._labels = frozenset(index.labels_by_id)
 
     # -- identity (shared with the index, so the engine adopts it) ----------
 
@@ -79,7 +81,7 @@ class GraphView:
         return self._index.labels_by_id
 
     def labels(self) -> frozenset[str]:
-        return frozenset(self._index.labels_by_id)
+        return self._labels
 
     def _declared_alphabet(self) -> list[str] | None:
         # Snapshots persist a graph's declared (fixed) alphabet in their

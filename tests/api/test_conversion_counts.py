@@ -1,22 +1,34 @@
-"""No layer converts a query at its edge: pinned by count, not clock.
+"""No layer converts a query -- or an answer -- at its edge: pinned by count.
 
 With ``TableDFA.from_dfa`` / ``to_dfa`` / ``canonical`` wrapped (the
 ``conversions`` fixture), a static sweep, a kR and a kS session and plain
 workspace queries int-code no ``DFA`` at all, canonicalise once per compile
 and once per learner call, and build an object-level ``DFA`` only through
 the ``.dfa`` view, when a *learned* query's expression is rendered.
+
+An answer goes from the walk to the reply as node ids: a served path query
+sorts ids by the index's ``repr`` rank (built once per index), never sorts
+names with ``key=repr``, never builds a set of names and never looks a node
+up by name (so a snapshot-backed index never builds its name dict).
 """
 
 from __future__ import annotations
 
+import builtins
+
 import pytest
 
+import repro.engine.index as index_module
 import repro.interactive.state as state_module
 import repro.learning.learner as learner_module
 from repro.api import ExperimentConfig, InteractiveConfig, Workspace
+from repro.api.config import ServiceConfig
 from repro.datasets.synthetic import scale_free_graph
+from repro.engine.index import Answer, GraphIndex
 from repro.evaluation.workloads import synthetic_query_expressions
 from repro.queries.path_query import PARSE_CACHE, parse_cache_stats
+from repro.service import QueryService
+from repro.storage.catalog import DatasetCatalog
 
 GOALS = [str(expression) for expression in synthetic_query_expressions(6).values()]
 
@@ -105,3 +117,56 @@ def test_workspace_queries_convert_nothing_warm_or_cold(graph, conversions):
     assert warm.to_dict()["query"]["expression"] == "l00.l01*.l02"
     assert len(conversions["canonical"]) == 1
     assert not conversions["from_dfa"] and not conversions["to_dfa"]
+
+
+@pytest.fixture
+def answer_work(monkeypatch) -> dict[str, int]:
+    """Live counts of rank builds, ``sorted(..., key=repr)`` calls, name sets
+    built from an answer and reads of an index's name dict, from here on."""
+    counts = {"rank_builds": 0, "repr_sorts": 0, "name_sets": 0, "name_lookups": 0}
+    repr_rank, node_set, builtin_sorted = index_module.repr_rank, Answer.node_set, builtins.sorted
+    node_ids = GraphIndex.node_ids
+
+    def counting_rank(nodes, typecode):
+        counts["rank_builds"] += 1
+        return repr_rank(nodes, typecode)
+
+    def counting_node_set(self):
+        counts["name_sets"] += 1
+        return node_set(self)
+
+    def counting_sorted(iterable, /, *, key=None, reverse=False):
+        counts["repr_sorts"] += key is repr
+        return builtin_sorted(iterable, key=key, reverse=reverse)
+
+    def counting_node_ids(self):
+        counts["name_lookups"] += 1
+        return node_ids.fget(self)
+
+    monkeypatch.setattr(index_module, "repr_rank", counting_rank)
+    monkeypatch.setattr(GraphIndex, "node_ids", property(counting_node_ids))
+    monkeypatch.setattr(Answer, "node_set", counting_node_set)
+    monkeypatch.setattr(builtins, "sorted", counting_sorted)
+    return counts
+
+
+def test_served_path_queries_sort_ids_not_names(graph, tmp_path, answer_work):
+    DatasetCatalog(tmp_path).save("counts", graph)
+    config = ServiceConfig(
+        catalog_root=str(tmp_path), snapshots=("counts",), batch_window=0.0, share_caches=False
+    )
+    labels = sorted(graph.labels())
+    expressions = [f"{a}.{b}*.{c}" for a in labels for b in labels for c in labels][:100]
+    with QueryService(config) as service:
+        replies = [service.handle({"op": "query", "params": {"expr": e}}) for e in expressions]
+        assert all(reply["ok"] for reply in replies)
+        assert any(reply["result"]["count"] for reply in replies)
+        assert answer_work == {"rank_builds": 1, "repr_sorts": 0, "name_sets": 0, "name_lookups": 0}
+        hit = service.handle({"op": "query", "params": {"expr": expressions[-1]}})
+        assert hit["result"]["selected"] == replies[-1]["result"]["selected"]
+        assert answer_work == {"rank_builds": 1, "repr_sorts": 0, "name_sets": 0, "name_lookups": 0}
+        stats = service.handle({"op": "stats"})["result"]["datasets"]["counts"]
+        assert stats["result_cache_hits"] == 1 and stats["result_cache_misses"] == 100
+    for expression, reply in zip(expressions, replies):
+        expected = Workspace(graph).query(expression).selected
+        assert reply["result"]["selected"] == builtins.sorted(expected, key=repr)

@@ -85,7 +85,7 @@ class TestNumpyEvaluateAll:
             got = executor.numpy_evaluate_all(
                 index, plan, np_stats, depth_sizes=np_depths
             )
-            assert got == expected
+            assert got.tolist() == expected.tolist()
             assert np_depths == py_depths
             assert np_stats.mark() == py_stats.mark()
 
@@ -119,7 +119,7 @@ class TestNumpyTableEvaluateAll:
             got = executor.numpy_evaluate_all(
                 index, table, np_stats, max_depth=max_depth, depth_sizes=np_depths
             )
-            assert got == expected
+            assert got.tolist() == expected.tolist()
             assert np_depths == py_depths
             assert np_stats.mark() == py_stats.mark()
 

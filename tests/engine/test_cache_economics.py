@@ -4,13 +4,17 @@ The LRU caches gained two economic dimensions in the planner PR: an
 optional **byte budget** (estimated entry sizes; LRU eviction past it, the
 most recent entry always survives) and a process-wide **shared registry**
 keyed by snapshot content identity, which lets every engine serving the
-same bytes pay for a plan or a result exactly once.
+same bytes pay for a plan or a result exactly once.  A monadic answer is
+charged exactly: the bytes of its id array.
 """
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.engine.cache import (
     LRUCache,
@@ -102,6 +106,50 @@ class TestByteBudget:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(4, budget_bytes=0)
+
+
+class TestAnswerBytes:
+    """The result cache charges an answer the id array it holds."""
+
+    def test_size_bytes_is_the_id_arrays_and_eviction_still_happens(self):
+        graph = scale_free_graph(3000, alphabet_size=6, zipf_exponent=1.0, seed=7)
+        labels = sorted(graph.labels())
+        engine = QueryEngine(cache_budget_bytes=64 * 1024)
+        cache = engine.result_cache
+        for first in labels:
+            for second in labels:
+                query = PathQuery.parse(f"{first}*.{second}", graph.alphabet)
+                answer = engine.answer(graph, query)
+                assert sys.getsizeof(answer) >= len(answer) * answer.ids.itemsize
+        assert cache.evictions > 0 and cache.size_bytes <= cache.budget_bytes
+        held = list(cache._data.items())
+        assert len(held) > 1
+        real = sum(
+            estimate_entry_bytes(key) + len(answer) * answer.ids.itemsize
+            for key, answer in held
+        )
+        assert cache.size_bytes == pytest.approx(real, rel=0.1)
+
+    def test_reading_names_does_not_grow_the_cached_answer(self):
+        graph = scale_free_graph(500, alphabet_size=4, seed=3)
+        engine = QueryEngine(cache_budget_bytes=1 << 20)
+        query = PathQuery.parse(" + ".join(sorted(graph.labels())), graph.alphabet)
+        answer = engine.answer(graph, query)
+        charged, size = engine.result_cache.size_bytes, sys.getsizeof(answer)
+        assert engine.evaluate(graph, query) == answer.node_set() and len(answer) > 100
+        assert engine.answer(graph, query) is answer  # a hit: the cached object
+        assert sys.getsizeof(answer) == size and engine.result_cache.size_bytes == charged
+
+    def test_an_evaluated_answer_is_charged_its_name_set_too(self):
+        graph = scale_free_graph(500, alphabet_size=4, seed=3)
+        engine = QueryEngine(cache_budget_bytes=1 << 20)
+        query = PathQuery.parse(" + ".join(sorted(graph.labels())), graph.alphabet)
+        names = engine.evaluate(graph, query)
+        answer = engine.answer(graph, query)  # a hit: the cached object
+        assert answer.node_set() is names and engine.evaluate(graph, query) is names
+        assert sys.getsizeof(answer) > sys.getsizeof(answer.ids) + sys.getsizeof(names)
+        keys = engine.result_cache.size_bytes - sys.getsizeof(answer)
+        assert 0 < keys < sys.getsizeof(names)
 
 
 class TestSharedRegistry:

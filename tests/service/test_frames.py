@@ -13,6 +13,7 @@ of well-formed requests are the ones recorded on this PR's parent.
 
 from __future__ import annotations
 
+import inspect
 import json
 import socket
 from pathlib import Path
@@ -216,12 +217,20 @@ def test_op_table(service):
     assert accounted == {"query", "learn", "interactive", "session.release"}
     assert sorted({name for op in protocol.OPS.values() for name in op.params}) == DECLARED
     assert [name for name, op in protocol.OPS.items() if not op.admitted] == ["ping"]
+    # A handler takes the trace context iff its op is declared traced.
+    traced = {name for name, op in protocol.OPS.items() if op.traced}
+    assert traced == {"query", "learn", "interactive"}
+    for name, op in protocol.OPS.items():
+        handler = getattr(QueryService, "_op_" + name.replace(".", "_"))
+        takes = list(inspect.signature(handler).parameters)
+        assert takes == (["self", "request", "trace"] if op.traced else ["self", "request"])
     # The README's op table is written from the same declarations.
     readme = (Path(__file__).parents[2] / "README.md").read_text()
     for name, op in protocol.OPS.items():
         (row,) = [line for line in readme.splitlines() if line.startswith(f"  | `{name}` |")]
         cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
-        assert cells[2:] == ["yes" if op.accounted else "no", "yes" if op.admitted else "no"]
+        flags = (op.accounted, op.admitted, op.traced)
+        assert cells[2:] == ["yes" if flag else "no" for flag in flags]
         declared = [part.split("`")[1] for part in cells[1].split(";") if "`" in part]
         assert declared == list(op.params)
 

@@ -271,7 +271,7 @@ def test_unhashable_op_keeps_the_connection(service):
 
 
 def test_unexpected_exception_in_an_op_is_a_500_envelope(service, monkeypatch, caplog):
-    def broken(request, trace):
+    def broken(request):
         raise RuntimeError("bug in the op")
 
     monkeypatch.setattr(service, "_op_catalog", broken)
