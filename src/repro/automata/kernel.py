@@ -229,10 +229,6 @@ class TableDFA(TableAutomaton):
 
     # -- accessors -----------------------------------------------------------
 
-    def delta_id(self, state: int, symbol_id: int) -> int:
-        """Successor of ``state`` on interned ``symbol_id`` (or -1)."""
-        return self.trans[state * self.m + symbol_id]
-
     def is_final(self, state: int) -> bool:
         """Whether the given table state is accepting."""
         return bool((self.finals >> state) & 1)
@@ -704,12 +700,13 @@ class MergeFold(TableAutomaton):
     Candidate merges mutate the fold directly; :meth:`mark` /
     :meth:`rollback` bracket a speculative merge (the undo log records
     every union and row write), and :meth:`commit` freezes an accepted
-    merge (compressing the union-find paths and clearing the log).  The
+    merge (compressing the union-find paths and starting a new log).  The
     learner loop therefore never copies the automaton: a rejected candidate
-    costs exactly the work of undoing its own writes.
+    costs exactly the work of undoing its own writes (:meth:`changes` and
+    the ``_id`` methods say what moved, and which candidate a commit kept).
     """
 
-    __slots__ = ("alphabet", "n", "m", "_parent", "_trans", "finals", "_initial", "_log")
+    __slots__ = ("alphabet", "n", "m", "_parent", "_trans", "finals", "_initial", "_log", "_commit")
 
     def __init__(self, table: TableDFA) -> None:
         self.alphabet = table.alphabet
@@ -719,7 +716,9 @@ class MergeFold(TableAutomaton):
         self._trans = array("i", table.trans)
         self.finals = table.finals
         self._initial = table.initial
+        # (_UNION, child, root) per union, (_TRANS, slot, old target) per row write.
         self._log: list[tuple[int, int, int]] = []
+        self._commit: tuple[int, tuple] = (0, ())  # commit count, that commit's log
 
     # -- union-find ----------------------------------------------------------
 
@@ -786,7 +785,7 @@ class MergeFold(TableAutomaton):
                 continue
             if child < root:
                 root, child = child, root
-            log.append((_UNION, child, child))
+            log.append((_UNION, child, root))
             parent[child] = root
             if (self.finals >> child) & 1:
                 self.finals |= 1 << root
@@ -807,19 +806,36 @@ class MergeFold(TableAutomaton):
         position, finals = mark
         log, parent, trans = self._log, self._parent, self._trans
         while len(log) > position:
-            kind, where, old = log.pop()
+            kind, where, value = log.pop()
             if kind == _UNION:
-                parent[where] = old
+                parent[where] = where  # a union's child was a root
             else:
-                trans[where] = old
+                trans[where] = value
         self.finals = finals
 
     def commit(self) -> None:
-        """Accept the speculative merges: compress paths, clear the log."""
+        """Accept the speculative merges: compress paths, start a new log."""
         parent, find = self._parent, self.find
         for state in range(self.n):
             parent[state] = find(state)
+        self._commit = self.candidate_id()
         self._log.clear()
+
+    def changes(self) -> tuple[list[int], list[int]]:
+        """The states absorbed into another class since the last commit (roots
+        then) and those whose rows were written: any other class is unchanged."""
+        absorbed = [where for kind, where, _ in self._log if kind == _UNION]
+        rewritten = [where // self.m for kind, where, _ in self._log if kind == _TRANS]
+        return absorbed, rewritten
+
+    def commit_id(self) -> tuple[int, tuple]:
+        """Names the committed hypothesis: the commit count and that commit's log."""
+        return self._commit
+
+    def candidate_id(self) -> tuple[int, tuple]:
+        """Names the current hypothesis: its :meth:`commit_id` once committed.
+        A union entry names its root, so the log fixes the hypothesis."""
+        return (self._commit[0] + 1, tuple(self._log)) if self._log else self._commit
 
     # -- semantics ------------------------------------------------------------
 

@@ -822,7 +822,7 @@ class QueryEngine:
         self,
         graph: GraphDB,
         query: Query,
-        nodes: Iterable[Node],
+        nodes: Iterable[Node] | executor.FoldReach,
         *,
         ephemeral: bool = False,
         max_depth: int | None = None,
@@ -844,8 +844,15 @@ class QueryEngine:
         nodes (possibly the empty tuple -- test ``is not None``), or
         ``None`` when no node is selected.  It always comes from a walk (see
         :func:`repro.engine.executor.any_selects`), never from a cached
-        whole-graph result, which has no path to show.
+        whole-graph result, which has no path to show.  ``nodes`` may be
+        one fold run's merge guard (:class:`~repro.engine.executor.FoldReach`).
         """
+        if isinstance(nodes, executor.FoldReach):
+            if not ephemeral or witness or max_depth is not None:
+                raise QueryError("a FoldReach answers ephemeral, unbounded verdicts only")
+            found = nodes.selects(self.index_for(graph), query, self.stats.kernel)
+            self.stats.inc("evaluations")
+            return found
         start_nodes = list(nodes)
         for node in start_nodes:
             if node not in graph:

@@ -8,6 +8,7 @@ per query representation:
 * :func:`any_selects` -- forward early-exit search from a set of start
   nodes (optionally to one ``end`` node, optionally depth-bounded; on
   request it hands back the witness word instead of ``True``);
+* :class:`FoldReach` -- that search, kept across a merge fold's candidates;
 * :func:`evaluate_all` / :func:`numpy_evaluate_all` -- backward whole-graph
   closure from the accepting pairs (optionally depth-bounded);
 * :func:`binary_evaluate` / :func:`numpy_binary_evaluate` -- one forward
@@ -42,7 +43,7 @@ from functools import cache
 from itertools import compress
 
 from repro.automata.alphabet import Word
-from repro.automata.kernel import TableAutomaton
+from repro.automata.kernel import MergeFold, TableAutomaton
 from repro.engine.index import GraphIndex, load_numpy
 from repro.errors import QueryError
 from repro.telemetry.metrics import Counter, MetricsRegistry
@@ -151,11 +152,11 @@ class KernelStats:
 class _LazyRows(dict):
     """Forward rows of a kernel automaton, bound state by state on first touch.
 
-    The learner's merge guard walks thousands of candidate hypotheses
-    exactly once each and usually exits after touching a handful of states,
-    so binding the whole table up front can never pay for itself.  A row is
-    built the first time the walk pops its state and memoised for the rest
-    of *this call only* -- the fold mutates between calls.  ``find``
+    The learner's merge guard checks thousands of candidates once each and
+    walks on from the merged classes only (:class:`FoldReach`), touching a
+    handful of states, so binding the whole table up front never pays.  A
+    row is built the first time the walk pops its state and memoised for
+    the rest of *this call only* -- the fold mutates between calls.  ``find``
     canonicalises a mid-merge fold's stale targets; ``counts`` (per-label
     edge counts, or ``None``) asks for rare-label-first rows.
     """
@@ -393,6 +394,102 @@ def _witness_word(
         code, parent = parent, parents[parent]
     labels_by_id = index.labels_by_id
     return tuple(labels_by_id[label] for label in reversed(label_ids))
+
+
+class FoldReach:
+    """Algorithm 1's merge guard over one fold: the product pairs it reaches.
+
+    Keeps the pairs ``(node, class root)`` the fold's last committed
+    hypothesis reaches from the start nodes (ids of ``index``, the one index
+    it answers on).  A merge only adds transitions and a class that absorbed
+    nothing keeps its row, so a check walks on from merged roots only
+    (Decker's rule).  A miss is *pending* until the fold commits exactly that
+    candidate (:meth:`~repro.automata.kernel.MergeFold.commit_id`); anything
+    unrecognised -- another fold, an unchecked commit -- restarts.
+    """
+
+    __slots__ = ("index", "starts", "_fold", "_labels", "_reached", "_reached_id", "_pending")
+
+    def __init__(self, index: GraphIndex, starts: list[int]) -> None:
+        self.index, self.starts = index, starts
+        self._fold: MergeFold | None = None
+        self._labels: list[int] = []  # the fold's symbol ids bound to label ids
+        # state -> node ids reached under ``_reached_id``; a check copies what it extends.
+        self._reached: dict[int, set[int]] = {}
+        self._reached_id: tuple | None = None
+        self._pending: tuple | None = None  # (absorbed, extended sets, id) of a miss
+
+    def selects(self, index: GraphIndex, fold: MergeFold, stats: KernelStats | None = None) -> bool:
+        """Whether the fold as it stands selects one of the start nodes: the
+        absorbed classes' nodes move onto their roots (a reached final root is
+        a hit), then the walk goes on from the merged roots' pairs."""
+        if index is not self.index or not isinstance(fold, MergeFold):
+            raise QueryError("a FoldReach walks a MergeFold on the index it was built on")
+        committed = fold.commit_id()
+        if fold is not self._fold:
+            self._fold, self._reached_id = fold, None
+            self._labels = fold.bind_labels(index.label_ids)
+        elif self._pending is not None and self._pending[2] == committed:
+            absorbed, extended, self._reached_id = self._pending
+            for state in absorbed:
+                self._reached.pop(state, None)
+            self._reached.update(extended)
+        self._pending = None
+        absorbed, rewritten = fold.changes()
+        seeds: dict = {}  # merged root -> the nodes reached at it
+        reached: dict[int, set[int]] = {}  # the copies this check extends, by state
+        if self._reached_id == committed:
+            base, find = self._reached, fold.find
+            for state in (*absorbed, *rewritten):
+                seeds[find(state)] = base.get(find(state), ())
+            for state in absorbed:
+                if base.get(state):
+                    reached.setdefault(find(state), set(seeds[find(state)])).update(base[state])
+            seeds.update((root, list(nodes)) for root, nodes in reached.items())
+        else:
+            self._reached, self._reached_id = {}, None
+            seeds[fold.initial], reached[fold.initial] = self.starts, set(self.starts)
+        if self._walk(fold, seeds, reached, stats):
+            return True
+        self._pending = (absorbed, reached, fold.candidate_id())
+        return False
+
+    def _walk(self, fold: MergeFold, seeds: dict, reached: dict[int, set[int]], stats) -> bool:
+        """Walk on from the ``seeds`` pairs (root -> kept set or list), copying
+        into ``reached`` each kept set it extends; True at the first final pair."""
+        finals, base = fold.finals, self._reached
+        if any(nodes and (finals >> root) & 1 for root, nodes in seeds.items()):
+            return True
+        trans, m, find, _, _ = fold.kernel_walk()
+        rows = _LazyRows(trans, m, find, finals, self._labels, None)
+        fwd_offsets, fwd_targets = self.index.fwd_offsets, self.index.fwd_targets
+        level = {root: nodes for root, nodes in seeds.items() if nodes}
+        expanded = scanned = 0
+        try:
+            while level:
+                next_level: dict[int, list[int]] = {}
+                for state, nodes in level.items():
+                    expanded += len(nodes)
+                    for label_id, (target,), accepting in rows[state]:
+                        offsets, targets = fwd_offsets[label_id], fwd_targets[label_id]
+                        known = reached.get(target)
+                        if known is None:
+                            known = reached[target] = set(base.get(target, ()))
+                        for node in nodes:
+                            start, stop = offsets[node], offsets[node + 1]
+                            if start != stop:
+                                scanned += stop - start
+                                if accepting:
+                                    return True
+                                for target_node in targets[start:stop]:
+                                    if target_node not in known:
+                                        known.add(target_node)
+                                        next_level.setdefault(target, []).append(target_node)
+                level = next_level
+            return False
+        finally:
+            if stats is not None:
+                stats.add(expanded, scanned)
 
 
 def evaluate_all(

@@ -18,9 +18,8 @@ current negatives:
 * :class:`SessionState` carries the pieces across rounds and invalidates
   only what a new label can change: a positive label leaves the coverage and
   the informative set untouched (certainty is monotone, Lemma 4.1), while a
-  negative label replaces the coverage -- automaton and table with it; the
-  merge guard's witness words, which stay true under a growing negative
-  set, move on to the next one -- and drops the informative set; and when
+  negative label replaces the coverage (automaton and table with it) and
+  drops the informative set; and when
   the new positive's smallest consistent path is already among the
   learner's SCPs, the previous MergeFold hypothesis is provably identical
   and is reused without re-learning.
@@ -82,9 +81,7 @@ class SessionState:
        set -- certainty is monotone in the sample (Lemma 4.1), so no other
        node's verdict can change.
     .. [#] its frontier automaton, and with it the uncovered-words table
-       (a ``k`` move only re-cuts the table from the same automaton); the
-       merge guard's remembered witness words are carried over to the grown
-       negative set (``paths_G(S-)`` only grows with ``S-``).
+       (a ``k`` move only re-cuts the table from the same automaton).
     """
 
     def __init__(
@@ -123,8 +120,7 @@ class SessionState:
             "count_queries": 0,
             "full_learns": 0,
             "reused_learns": 0,
-            "guard_memo_hits": 0,
-            "guard_walks": 0,
+            "guard_calls": 0,
         }
         # Mirror the counters into the engine's metrics registry as computed
         # gauges (one registration per session; a newer session for the same
@@ -277,16 +273,11 @@ class SessionState:
     def coverage(self) -> NegativeCoverage:
         """The shared :class:`NegativeCoverage` of the current negative set.
 
-        Rebuilt when the negative set or the graph's index moved; a grown
-        negative set on the same index inherits the remembered witness words
-        (``paths_G(S-)`` only grows with ``S-``).
+        Rebuilt when the negative set or the graph's index moved.
         """
         negatives = self.sample.negatives
-        stale = self._coverage
-        if stale is None:
+        if self._coverage is None or not self._coverage.is_current(self.graph, negatives):
             self._coverage = NegativeCoverage(self._index(), negatives)
-        elif not stale.is_current(self.graph, negatives):
-            self._coverage = stale.extended(self._index(), negatives)
         return self._coverage
 
     def _reusable_result(self, k: int) -> LearnerResult | None:
@@ -361,7 +352,7 @@ class SessionState:
                 span.set(reused=True)
             else:
                 coverage = self.coverage()
-                hits, walks = coverage.guard_memo_hits, coverage.guard_walks
+                calls = coverage.guard_calls
                 result = learn_path_query(
                     self.graph, self.sample, k=k, engine=self.engine, coverage=coverage
                 )
@@ -373,8 +364,7 @@ class SessionState:
                         self.graph, self.sample, k=learn_k, engine=self.engine, coverage=coverage
                     )
                     self.counters["full_learns"] += 1
-                self.counters["guard_memo_hits"] += coverage.guard_memo_hits - hits
-                self.counters["guard_walks"] += coverage.guard_walks - walks
+                self.counters["guard_calls"] += coverage.guard_calls - calls
                 span.set(reused=False, final_k=result.k)
         self.last_result = result
         self._pending_positives.clear()

@@ -14,15 +14,14 @@ paper exactly:
 
 Steps 1 and 3 both question the fixed language ``paths_G(S-)``, and both go
 through one :class:`~repro.learning.scp.NegativeCoverage`: its frontier
-automaton answers "is this word covered?", and its witness memo answers most
-of the merge guard's "does this candidate select a negative?" without
-touching the graph -- a candidate that accepts a word an earlier candidate was rejected
-by is rejected by the same word (sound because every remembered word is in
-``paths_G(S-)``; the verdicts, hence the learned queries, are those of a
-guard that walks every candidate).  The coverage lives for one learning
-episode: :func:`learn_with_dynamic_k` builds one and hands it to every
-``k`` attempt, the interactive session keeps one across rounds, and a bare
-:func:`learn_path_query` call builds its own.
+automaton answers "is this word covered?", and its merge guard answers "does
+this candidate select a negative?" by extending the product pairs the last
+accepted hypothesis reached from the merged classes only (a merge only adds
+transitions, so nothing the accepted hypothesis reached is lost).  The
+coverage lives for one learning episode: :func:`learn_with_dynamic_k`
+builds one and hands it to every ``k`` attempt, the interactive session
+keeps one across rounds, and a bare :func:`learn_path_query` call builds
+its own.
 
 Section 5.1 sets ``k`` dynamically in the experiments (start at 2, grow while
 the learned query misses a positive); :func:`learn_with_dynamic_k` implements
@@ -196,25 +195,16 @@ def learn_path_query(
         # The whole select/merge/check loop runs on the int-coded kernel: the
         # PTA is built directly as a TableDFA from the interned SCPs, candidate
         # merges mutate one MergeFold in place (undo log, no copies), and the
-        # guard runs each fold on the coverage's remembered witness words
-        # before it walks it against the engine's CSR index (early-exit
-        # multi-source product BFS, no plan compilation).
+        # guard extends the product pairs the last committed fold reached on
+        # the engine's CSR index from the merged classes only.
         pta = pta_table(graph.alphabet, scps.values())
 
-        def violates(candidate) -> bool:
-            return coverage.violates(candidate, graph=graph, engine=engine)
-
         with telemetry.span("learner.generalize", pta_states=pta.n) as merge_span:
-            calls_before, hits_before = coverage.guard_calls, coverage.guard_memo_hits
-            fold = fold_generalize(pta, violates)
+            calls_before = coverage.guard_calls
+            fold = fold_generalize(pta, coverage.merge_guard(graph=graph, engine=engine))
             canonical = canonical_table(fold.to_table())
-            calls = coverage.guard_calls - calls_before
-            hits = coverage.guard_memo_hits - hits_before
             merge_span.set(
-                generalized_states=canonical.n,
-                guard_calls=calls,
-                guard_memo_hits=hits,
-                guard_walks=calls - hits,
+                generalized_states=canonical.n, guard_calls=coverage.guard_calls - calls_before
             )
 
         with telemetry.span("learner.final_check"):
@@ -292,8 +282,9 @@ def learn_with_dynamic_k(
     """Algorithm 1 under the dynamic-``k`` procedure of Section 5.1.
 
     One learning episode: every ``k`` attempt shares one
-    :class:`~repro.learning.scp.NegativeCoverage`, so a retry re-walks neither
-    the frontiers nor the rejected candidates of the attempt before it.
+    :class:`~repro.learning.scp.NegativeCoverage`, so a retry does not
+    recompute the frontiers of the attempt before it.  Each attempt's fold
+    gets its own merge guard.
     """
     sample.check_against(graph)
     coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)

@@ -24,25 +24,17 @@ the graph once:
   length) and :meth:`~NegativeCoverage.table` (the automaton cut at depth
   ``k`` as a :class:`~repro.automata.kernel.TableDFA`, which the engine's
   batched and per-candidate k-informativeness walks consume);
-* *witness words* -- when the guard's walk finds that a candidate selects a
-  negative, the walk hands back the word it got there by, and
-  :meth:`NegativeCoverage.violates` remembers it.  A remembered word is in
-  ``paths_G(S-)``, so **any** candidate that accepts it selects a negative:
-  later candidates are first run on the remembered words (pure automaton
-  work) and the graph is walked only when none is accepted.  The guard's
-  verdict, hence every learned query, is unchanged; classical RPNI keeps
-  its negatives as words for the same reason.  A walk only happens when no
-  remembered word is accepted and returns a word the candidate accepts, so
-  ``words`` never holds a duplicate: it is bounded by one word per walk.
+* *the merge guard* -- :meth:`NegativeCoverage.merge_guard`: one
+  ``fold_generalize`` run's :class:`~repro.engine.executor.FoldReach` of the
+  negatives' int ids, asked through ``engine.any_selects``.
 
 Lifetime: one episode.  A coverage is built by whoever starts the episode
 (:func:`~repro.learning.learner.learn_with_dynamic_k`, the interactive
 :class:`~repro.interactive.state.SessionState`), passed to every attempt,
 and dropped with it; it is stale as soon as the graph's index or the
-negative set moves (:meth:`NegativeCoverage.is_current`).  Because
-``paths_G(S-)`` only grows with ``S-``, :meth:`NegativeCoverage.extended`
-carries the remembered words over to a larger negative set on the same
-index; the automaton, which depends on the exact set, starts over.
+negative set moves (:meth:`NegativeCoverage.is_current`), and a grown
+negative set gets a fresh coverage.  A guard's reachable set lives for its
+one fold run.
 
 The object-level :func:`repro.graphdb.paths.enumerate_paths` /
 :func:`~repro.graphdb.paths.covered_by` walks remain behind the single-node
@@ -53,10 +45,11 @@ compare the index-side enumeration against.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.automata.alphabet import Alphabet, Word
-from repro.automata.kernel import NO_STATE, TableDFA
+from repro.automata.kernel import NO_STATE, MergeFold, TableDFA
+from repro.engine.executor import FoldReach
 from repro.errors import LearningError
 from repro.graphdb.graph import GraphDB, Node
 from repro.graphdb.paths import covered_by, enumerate_paths
@@ -78,26 +71,20 @@ class NegativeCoverage:
     and every ``table`` cut expand a distinct (frontier, label) pair exactly
     once over the index's per-label CSR slices.
 
-    ``violates(candidate, ...)`` is the merge guard against the node set,
-    answered from the remembered witness ``words`` when one of them is
-    accepted and by one early-exit product walk otherwise (see the module
-    docstring for the soundness argument).  ``guard_calls`` and
-    ``guard_memo_hits`` count both outcomes.
+    :meth:`merge_guard` is the merge guard against the node set, one per
+    fold run; ``guard_calls`` counts its calls over the episode.
     """
 
     __slots__ = (
         "_index",
         "nodes",
-        "_starts",
+        "_start_ids",
         "initial",
         "_frontiers",
         "_states",
         "_steps",
         "_table",
-        "words",
-        "_encoded",
         "guard_calls",
-        "guard_memo_hits",
     )
 
     def __init__(self, index, nodes: Iterable[Node]) -> None:
@@ -106,29 +93,18 @@ class NegativeCoverage:
         #: caller hands a prebuilt cache to the batch selection).
         self.nodes = frozenset(nodes)
         node_ids = index.node_ids
-        # The guard's start nodes in index order, not set order: which
-        # witness a walk meets first must not depend on the hash seed.
-        self._starts = sorted(self.nodes, key=node_ids.__getitem__)
+        # In index order, not set order: the guard's walk order (hence its
+        # kernel work) must not depend on the hash seed.
+        self._start_ids = sorted(node_ids[node] for node in self.nodes)
         self._frontiers: list[frozenset[int]] = []
         self._states: dict[frozenset[int], int] = {}
         self._steps: dict[tuple[int, int], int] = {}
         #: The automaton's initial state: the node set itself (``DEAD`` when
         #: the set is empty -- then every word is uncovered).
-        self.initial = self._intern(node_ids[node] for node in self._starts)
+        self.initial = self._intern(self._start_ids)
         # The last ``table`` cut, keyed by its ``(k, alphabet)``.
         self._table: tuple[tuple[int, Alphabet], TableDFA] | None = None
-        #: Remembered witnesses: words of ``paths_G(nodes)``, in the order
-        #: the guard's walks found them.
-        self.words: list[Word] = []
-        # ``words`` int-coded for the alphabet of the last candidate.
-        self._encoded: tuple[Alphabet | None, list] = (None, [])
         self.guard_calls = 0
-        self.guard_memo_hits = 0
-
-    @property
-    def guard_walks(self) -> int:
-        """Guard calls that reached the graph (no remembered word applied)."""
-        return self.guard_calls - self.guard_memo_hits
 
     def is_current(self, graph: GraphDB, nodes: Iterable[Node]) -> bool:
         """Whether this cache still matches the graph snapshot and node set.
@@ -138,19 +114,6 @@ class NegativeCoverage:
         it stale, a new positive label does not.
         """
         return self.nodes == frozenset(nodes) and self._index.is_current(graph)
-
-    def extended(self, index, nodes: Iterable[Node]) -> "NegativeCoverage":
-        """A fresh coverage of ``nodes`` that keeps what is still true.
-
-        ``paths_G`` of a node set only grows with the set, so on the same
-        index snapshot a superset inherits the remembered words (they still
-        reject whatever accepts them); the automaton, which does depend on
-        the exact set, and the counters start over.
-        """
-        fresh = NegativeCoverage(index, nodes)
-        if index is self._index and self.nodes <= fresh.nodes:
-            fresh.words = list(self.words)
-        return fresh
 
     # -- the frontier automaton -----------------------------------------------
 
@@ -282,44 +245,20 @@ class NegativeCoverage:
         self._table = ((k, alphabet), table)
         return table
 
-    # -- witness words --------------------------------------------------------
+    # -- the merge guard ------------------------------------------------------
 
-    def violates(self, candidate, *, graph: GraphDB, engine) -> bool:
-        """The merge guard: whether ``candidate`` selects a node of the set.
+    def merge_guard(self, *, graph: GraphDB, engine) -> Callable[[MergeFold], bool]:
+        """One ``fold_generalize`` run's guard: ``guard(fold)`` is the verdict
+        of ``engine.any_selects(graph, fold, nodes, ephemeral=True)``, asked
+        through that method with a :class:`~repro.engine.executor.FoldReach`
+        that lives for the run."""
+        reach = FoldReach(self._index, self._start_ids)
 
-        ``candidate`` is a kernel automaton (``TableDFA`` / ``MergeFold``).
-        Identical in verdict to ``engine.any_selects(graph, candidate,
-        nodes, ephemeral=True)``; the walk, when one is needed, still enters
-        through that method, with ``witness=True``.
-        """
-        if not self._starts:
-            return False
-        self.guard_calls += 1
-        accepts = candidate.accepts_ids
-        for word_ids in self._encoded_words(candidate.alphabet):
-            if word_ids is not None and accepts(word_ids):
-                self.guard_memo_hits += 1
-                return True
-        word = engine.any_selects(graph, candidate, self._starts, ephemeral=True, witness=True)
-        if word is None:
-            return False
-        self.words.append(word)
-        return True
+        def guard(candidate: MergeFold) -> bool:
+            self.guard_calls += 1
+            return engine.any_selects(graph, candidate, reach, ephemeral=True)
 
-    def _encoded_words(self, alphabet: Alphabet) -> list[tuple[int, ...] | None]:
-        """``words`` as symbol positions of ``alphabet``, encoded once each.
-
-        A word using a symbol outside the alphabet is ``None``: no automaton
-        over that alphabet accepts it.
-        """
-        known, encoded = self._encoded
-        if known is not alphabet:
-            encoded = []
-            self._encoded = (alphabet, encoded)
-        for word in self.words[len(encoded) :]:
-            foreign = any(symbol not in alphabet for symbol in word)
-            encoded.append(None if foreign else tuple(map(alphabet.index, word)))
-        return encoded
+        return guard
 
 
 def smallest_consistent_path(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.automata import Alphabet
 from repro.automata.kernel import TableDFA
@@ -17,6 +18,9 @@ from repro.datasets.figures import g0_characteristic_sample
 from repro.engine import QueryEngine
 from repro.learning import Sample
 from repro.queries import PathQuery
+
+#: ``pytest --hypothesis-profile=nightly``: the nightly job's long property runs.
+settings.register_profile("nightly", max_examples=5_000)
 
 
 @pytest.fixture

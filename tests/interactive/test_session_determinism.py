@@ -3,7 +3,7 @@
 The session's one ``NegativeCoverage`` interns frontiers in the order they
 are met, and the sets it is fed (negatives, carried SCP maps) iterate in
 hash order; nothing a user can observe -- which node is proposed, what is
-learned, what the guard remembered, how much kernel work proposing,
+learned, how often the guard ran, how much kernel work proposing,
 generalising and checking cost -- may follow from that order.
 
 Algorithm 1's final check (``engine.selects`` per positive) stops at the
@@ -61,12 +61,10 @@ for strategy in ("kR", "kS"):
             incremental=True,
         )
         result = session.run()
-        coverage = session.state.coverage()
         report[strategy + " " + goal_text] = {{
             "transcript": [[i.node, i.label, i.k, i.learned_expression] for i in result.interactions],
             "halted_by": result.halted_by,
             "counters": session.state.counters,
-            "words": coverage.words,
             "work": engine.work(),
             "selects_work": engine.selects_work,
         }}

@@ -226,9 +226,11 @@ class TestSharedCoverage:
             )
 
 
-    def test_a_new_negative_keeps_the_guards_words(self, seed=6):
-        """``paths_G(S-)`` only grows with ``S-``: the witness words a session
-        has paid for move on to the coverage of the grown negative set."""
+    def test_a_new_negative_gets_a_fresh_coverage_and_relearns_like_a_fresh_session(
+        self, seed=6
+    ):
+        """A negative label replaces the coverage with one of the grown set,
+        and the forced re-learn learns what a fresh session learns."""
         graph = random_graph(seed, nodes=150, labels=6)
         engine = QueryEngine()
         goal = synthetic_queries(graph, alphabet_size=6)["syn2"]
@@ -240,8 +242,8 @@ class TestSharedCoverage:
         state = SessionState(graph, k=2, engine=engine, sample=sample)
         first = state.learn(2, 4)
         before = state.coverage()
-        walks, hits = state.counters["guard_walks"], state.counters["guard_memo_hits"]
-        assert before.words and walks >= len(before.words)
+        calls = state.counters["guard_calls"]
+        assert calls > 0
 
         # A node the hypothesis wrongly selects: labeling it forces a re-learn.
         wrong = min(first.hypothesis.evaluate(graph, engine=engine) - selected - sample.labeled)
@@ -249,15 +251,14 @@ class TestSharedCoverage:
         state.observe(wrong, "-", sample)
         after = state.coverage()
         assert after is not before and after.nodes == sample.negatives
-        assert after.words == before.words
+        assert after.guard_calls == 0
         second = state.learn(2, 4)
         assert state.counters["full_learns"] == 2 and state.counters["reused_learns"] == 0
-        assert state.counters["guard_memo_hits"] > hits
+        assert state.counters["guard_calls"] - calls == after.guard_calls > 0
 
         fresh = SessionState(graph, k=2, engine=QueryEngine(), sample=sample)
         assert fresh.learn(2, 4).hypothesis == second.hypothesis
-        # The carried words saved the re-learn walks a fresh session pays for.
-        assert state.counters["guard_walks"] - walks < fresh.counters["guard_walks"]
+        assert fresh.counters["guard_calls"] == after.guard_calls
 
 
 class TestSessionTranscriptParity:

@@ -10,9 +10,9 @@ Checked against the object-level reference (``graphdb.paths.enumerate_paths``
 * ``table(k)`` accepts exactly the words of length <= k that ``covered_by``
   rejects, and a coverage asked for k = 2, 3, 2 hands out the tables a fresh
   one would;
-* ``extended`` keeps the remembered words and starts a fresh automaton;
 * each distinct (frontier, label) step is computed once per coverage;
-* ``words`` never holds a duplicate (one word per guard walk).
+* a coverage shared by a learner's attempts enumerates no duplicate word,
+  and a session's coverage follows its negative labels.
 """
 
 from __future__ import annotations
@@ -139,23 +139,6 @@ def test_a_k_move_recuts_the_table_a_fresh_coverage_would_build(seed):
 # -- lifetime ------------------------------------------------------------------------
 
 
-def test_extended_keeps_the_words_and_starts_a_fresh_automaton():
-    graph, sample = seeded_case(0, 0)
-    engine = QueryEngine()
-    index = engine.index_for(graph)
-    coverage = NegativeCoverage(index, sample.negatives)
-    learn_path_query(graph, sample, k=2, engine=engine, coverage=coverage)
-    coverage.table(2, graph.alphabet)
-    assert coverage.words and coverage._steps
-    extra = next(node for node in graph.node_order if node not in sample.labeled)
-    grown = coverage.extended(index, sample.negatives | {extra})
-    assert grown.words == coverage.words
-    assert grown._steps == {} and grown._table is None
-    assert grown._frontiers == [frozenset(index.node_ids[node] for node in grown.nodes)]
-    fresh = NegativeCoverage(index, grown.nodes).table(3, graph.alphabet)
-    assert grown.table(3, graph.alphabet).fingerprint() == fresh.fingerprint()
-
-
 def test_each_frontier_step_is_computed_once(monkeypatch):
     graph, sample = seeded_case(3, 0)
     alphabet = graph.alphabet
@@ -186,23 +169,31 @@ def test_each_frontier_step_is_computed_once(monkeypatch):
     assert len(interned) == 1 + len(coverage._steps)
 
 
-# -- the witness memo's bound --------------------------------------------------------
+# -- a shared coverage ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed, goal", CASES[::5])
 def test_words_never_holds_a_duplicate(seed, goal):
-    """A walk only runs when no remembered word is accepted, and returns a
-    word the candidate accepts: ``len(words)`` is bounded by the walks."""
+    """The uncovered words a coverage shared by a learner's k = 2, 3, 4
+    attempts enumerates for a positive hold no duplicate, come in strictly
+    increasing canonical order, and start with that attempt's SCP."""
     graph, sample = seeded_case(seed, goal)
     engine = QueryEngine()
     coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
+    key = graph.alphabet.word_key
     for k in (2, 3, 4):
-        learn_path_query(graph, sample, k=k, engine=engine, coverage=coverage)
-        assert len(set(coverage.words)) == len(coverage.words) <= coverage.guard_walks
+        result = learn_path_query(graph, sample, k=k, engine=engine, coverage=coverage)
+        for node in sorted(sample.positives):
+            words = list(coverage.uncovered_paths(node, k, graph.alphabet))
+            keys = [key(word) for word in words]
+            assert keys == sorted(set(keys))
+            assert result.scps.get(node) == (words[0] if words else None)
 
 
 @pytest.mark.parametrize("strategy", ["kR", "kS"])
-def test_words_stay_distinct_across_a_sessions_negative_labels(strategy):
+def test_a_sessions_coverage_follows_its_negative_labels(strategy):
+    """A negative label gets the session a fresh coverage of the grown set;
+    any other round keeps the one it has."""
     graph, _sample = seeded_case(2, 1)
     engine = QueryEngine()
     goal = PathQuery.parse("(l00+l01).l02*.(l03+l04)", graph.alphabet)
@@ -216,7 +207,12 @@ def test_words_stay_distinct_across_a_sessions_negative_labels(strategy):
         engine=engine,
         incremental=True,
     )
+    coverages = [session.state.coverage()]
     while not session.goal_reached() and session.step() is not None:
-        words = session.state.coverage().words
-        assert len(set(words)) == len(words)
-    assert session.state.counters["guard_walks"] > 0
+        coverage = session.state.coverage()
+        assert coverage.nodes == session.state.sample.negatives
+        if coverage is not coverages[-1]:
+            assert coverage.nodes > coverages[-1].nodes
+            coverages.append(coverage)
+    assert len(coverages) > 2
+    assert session.state.counters["guard_calls"] > 0

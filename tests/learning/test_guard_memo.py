@@ -1,20 +1,20 @@
-"""The episode-scoped ``NegativeCoverage``: witness memo and index-side SCPs.
+"""The episode-scoped ``NegativeCoverage``: merge guard and index-side SCPs.
 
 Everything here is checked by count or against an independent oracle, never
 by clock:
 
 * *guard parity* -- on 60 seeded graph x sample cases the learner's canonical
-  DFA equals the one learned with the memo bypassed (guard = plain
-  ``engine.any_selects``) and the object-level ``reference_generalize_pta``
-  learner; every remembered word really is covered by the negatives;
-* *once means once* -- a dynamic-``k`` retry walks the graph less than the
-  same attempt from an empty coverage, and a repeated episode on a fresh
-  engine repeats the first one's walks exactly (nothing is process-global);
+  DFA equals the one learned with a guard that walks every candidate from
+  scratch (plain ``engine.any_selects``) and the object-level
+  ``reference_generalize_pta`` learner;
+* *nothing outlives the episode* -- a dynamic-``k`` run shares one coverage
+  across its attempts, and a repeated run on a fresh engine repeats the
+  first one's guard calls and kernel work exactly;
 * *SCP parity* -- the CSR enumeration equals the object-level
   ``smallest_consistent_path`` for every positive, ``k`` in 0..4, with labels
   the graph never carries and nodes without out-edges;
-* *hash-seed independence* -- expression, remembered words and kernel work
-  are the same under ``PYTHONHASHSEED=0`` and ``=1``.
+* *hash-seed independence* -- expression, guard calls and kernel work are
+  the same under ``PYTHONHASHSEED=0`` and ``=1``.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from repro.automata.kernel import MergeFold, fold_generalize, pta_table
 from repro.automata.minimize import canonical_table
 from repro.automata.pta import prefix_tree_acceptor
 from repro.datasets.synthetic import scale_free_graph
-from repro.engine import QueryEngine, executor
+from repro.engine import QueryEngine
 from repro.errors import LearningError
 from repro.evaluation.static import draw_sample
-from repro.graphdb import GraphDB, covered_by
+from repro.graphdb import GraphDB
 from repro.learning import Sample
 from repro.learning.learner import learn_path_query, learn_with_dynamic_k
 from repro.learning.scp import (
@@ -74,7 +74,7 @@ CASES = [(seed, goal) for seed in GRAPH_SEEDS for goal in range(len(GOALS))]
 
 
 def plain_guard(graph, negatives, engine):
-    """The merge guard with the memo bypassed: every candidate is walked."""
+    """A merge guard that walks every candidate from the negatives."""
 
     def violates(candidate) -> bool:
         return bool(negatives) and engine.any_selects(
@@ -111,20 +111,6 @@ def learn_by_reference(graph, sample, *, k, engine):
     return reference_canonical_dfa(generalized)
 
 
-class CountingWalk:
-    """A counting wrapper on ``executor.any_selects`` (the guard's walk)."""
-
-    def __init__(self, monkeypatch) -> None:
-        self.calls = 0
-        real = executor.any_selects
-
-        def counting(*args, **kwargs):
-            self.calls += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(executor, "any_selects", counting)
-
-
 # -- guard parity ---------------------------------------------------------------
 
 
@@ -142,11 +128,7 @@ def test_learned_dfa_equals_unmemoised_and_reference_learners(seed, goal):
                 assert learned is None, (other.__name__, k)
             else:
                 assert learned.structurally_equal(expected), (other.__name__, k)
-        # Soundness of the memo: a remembered word is in paths_G(S-).
-        for word in coverage.words:
-            assert covered_by(graph, word, sample.negatives), word
-    # Each remembered word is one rejecting walk; accepting walks add none.
-    assert 0 < len(coverage.words) <= coverage.guard_walks
+    assert coverage.guard_calls > 0
 
 
 WORDS = st.lists(st.lists(st.sampled_from("abc"), max_size=4).map(tuple), min_size=1, max_size=6)
@@ -162,13 +144,14 @@ WORDS = st.lists(st.lists(st.sampled_from("abc"), max_size=4).map(tuple), min_si
 def test_violates_agrees_with_the_plain_walk_on_arbitrary_folds(
     graph_seed, word_sets, merges, negatives
 ):
-    """One coverage, a stream of unrelated folds (committed or mid-merge):
-    with and without the memo the verdicts are the same."""
+    """One guard, a stream of unrelated folds (mid-merge): each one's
+    verdict is the plain walk's."""
     graph = scale_free_graph(12, alphabet="abc", seed=graph_seed)
     nodes = sorted(graph.nodes)
     chosen = [nodes[i] for i in negatives]
     engine = QueryEngine()
     coverage = NegativeCoverage(engine.index_for(graph), chosen)
+    violates = coverage.merge_guard(graph=graph, engine=engine)
     plain = plain_guard(graph, chosen, QueryEngine())
     for words in word_sets:
         fold = MergeFold(pta_table(graph.alphabet, words))
@@ -177,25 +160,27 @@ def test_violates_agrees_with_the_plain_walk_on_arbitrary_folds(
             keep, remove = roots[keep % len(roots)], roots[remove % len(roots)]
             if keep != remove:
                 fold.merge(min(keep, remove), max(keep, remove))
-        assert coverage.violates(fold, graph=graph, engine=engine) == plain(fold)
-    assert coverage.guard_walks + coverage.guard_memo_hits == coverage.guard_calls
-    for word in coverage.words:
-        assert covered_by(graph, word, chosen)
+        assert violates(fold) == plain(fold)
+    assert coverage.guard_calls == len(word_sets)
 
 
 def test_a_word_outside_the_candidates_alphabet_is_never_accepted():
+    """A fold over another alphabet than the graph's: a symbol the graph
+    lacks moves nowhere, and a label the fold lacks is never followed."""
     graph = GraphDB(["a", "b"])
     graph.add_edge("u", "b", "v")
     engine = QueryEngine()
     coverage = NegativeCoverage(engine.index_for(graph), ["u"])
     wide = MergeFold(pta_table(graph.alphabet, [("b",)]))
-    assert coverage.violates(wide, graph=graph, engine=engine)
-    assert coverage.words == [("b",)]
+    assert coverage.merge_guard(graph=graph, engine=engine)(wide)
     narrow = MergeFold(pta_table(GraphDB(["a"]).alphabet, [("a",)]))
-    assert not coverage.violates(narrow, graph=graph, engine=engine)
+    assert not coverage.merge_guard(graph=graph, engine=engine)(narrow)
+    other = MergeFold(pta_table(GraphDB(["a", "c"]).alphabet, [("c",), ("a", "c")]))
+    other.merge(0, 1)  # a*.c: u has neither label
+    assert not coverage.merge_guard(graph=graph, engine=engine)(other)
 
 
-# -- once means once --------------------------------------------------------------
+# -- nothing outlives the episode ---------------------------------------------------
 
 
 def retry_cases():
@@ -206,55 +191,26 @@ def retry_cases():
             yield graph, sample
 
 
-def test_a_retry_walks_less_than_the_same_attempt_from_scratch(monkeypatch):
-    walk = CountingWalk(monkeypatch)
-    cases = list(retry_cases())
-    assert len(cases) >= 10
-    for graph, sample in cases:
-        engine = QueryEngine()
-        coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
-        learn_path_query(graph, sample, k=2, engine=engine, coverage=coverage)
-        assert coverage.words, "the first attempt rejected nothing"
-        walk.calls = 0
-        shared = learn_path_query(graph, sample, k=3, engine=engine, coverage=coverage)
-        shared_walks = walk.calls
-        walk.calls = 0
-        alone = learn_path_query(graph, sample, k=3, engine=QueryEngine())
-        assert shared_walks < walk.calls
-        assert shared.hypothesis.dfa.structurally_equal(alone.hypothesis.dfa)
-
-
 def test_dynamic_k_shares_one_coverage_and_a_fresh_engine_repeats_it(monkeypatch):
-    walk = CountingWalk(monkeypatch)
+    built = []
+    real_init = NegativeCoverage.__init__
+
+    def counting(self, index, nodes):
+        built.append(self)
+        real_init(self, index, nodes)
+
+    monkeypatch.setattr(NegativeCoverage, "__init__", counting)
     graph, sample = next(retry_cases())
-    counts = []
+    runs = []
     for _ in range(2):
-        walk.calls = 0
-        result = learn_with_dynamic_k(graph, sample, k_start=2, k_max=4, engine=QueryEngine())
-        counts.append((walk.calls, result.k, result.best_effort_query.expression))
+        built.clear()
+        engine = QueryEngine()
+        result = learn_with_dynamic_k(graph, sample, k_start=2, k_max=4, engine=engine)
+        assert result.k > 2 and len(built) == 1
+        work = (engine.stats.states_expanded, engine.stats.edges_scanned)
+        runs.append((built[0].guard_calls, work, result.best_effort_query.expression))
     # Nothing survives the episode: the second run does the first one's work.
-    assert counts[0] == counts[1]
-    walk.calls = 0
-    for k in range(2, counts[0][1] + 1):
-        learn_path_query(graph, sample, k=k, engine=QueryEngine())
-    assert counts[0][0] < walk.calls  # separate attempts start from empty memos
-
-
-def test_extended_keeps_words_only_for_a_superset_on_the_same_index():
-    graph, sample = next(retry_cases())
-    engine = QueryEngine()
-    index = engine.index_for(graph)
-    coverage = NegativeCoverage(index, sample.negatives)
-    learn_path_query(graph, sample, k=2, engine=engine, coverage=coverage)
-    assert coverage.words
-    extra = next(node for node in graph.nodes if node not in sample.labeled)
-    grown = coverage.extended(index, sample.negatives | {extra})
-    assert grown.words == coverage.words and grown.words is not coverage.words
-    assert (grown.guard_calls, grown.guard_memo_hits) == (0, 0)
-    shrunk = coverage.extended(index, sorted(sample.negatives)[1:])
-    assert shrunk.words == []
-    graph.add_edge(extra, "l00", extra)
-    assert coverage.extended(engine.index_for(graph), sample.negatives).words == []
+    assert runs[0] == runs[1] and runs[0][0] > 0
 
 
 def test_a_stale_coverage_is_refused(g0, g0_sample, engine):
@@ -316,7 +272,7 @@ coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
 result = learn_path_query(graph, sample, k=2, engine=engine, coverage=coverage)
 print(json.dumps({{
     "expression": None if result.is_null else result.query.expression,
-    "words": coverage.words,
+    "guard_calls": coverage.guard_calls,
     "states_expanded": engine.stats.states_expanded,
     "edges_scanned": engine.stats.edges_scanned,
 }}))
@@ -324,10 +280,10 @@ print(json.dumps({{
 
 
 def test_learning_is_deterministic_under_pythonhashseed():
-    """Which witness the guard meets first, and at which positive a failing
-    final check stops -- hence how many walks run and what they cost -- must
-    not depend on the iteration order of the sample's sets: both are walked
-    in index order.  One sample learned at its first attempt, one whose
+    """The order the guard walks the negatives in, and at which positive a
+    failing final check stops -- hence what the walks cost -- must not
+    depend on the iteration order of the sample's sets: both are walked in
+    index order.  One sample learned at its first attempt, one whose
     hypothesis misses a positive."""
     here = Path(__file__).resolve()
     paths = [str(here.parents[2] / "src"), str(here.parents[1]), str(here.parent)]
@@ -358,4 +314,4 @@ def _assert_same_under_both_hash_seeds(paths, case):
         assert completed.returncode == 0, completed.stderr
         outputs.append(json.loads(completed.stdout))
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]["words"]) > 1 and outputs[0]["states_expanded"] > 0
+    assert outputs[0]["guard_calls"] > 1 and outputs[0]["states_expanded"] > 0

@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) on the learning algorithms.
 
 Random small graphs and random goal queries are generated; samples are
-labeled by the goal (so they are always consistent).  The invariants tested
-are the paper's soundness guarantees: a returned query is always consistent
-with the sample, SCPs are never covered by negatives, and RPNI's output is
-always consistent with its word sample.
+labeled by the goal (so they are always consistent), or arbitrarily (so they
+may not be).  The invariants tested are the paper's soundness guarantees: a
+returned query is always consistent with the sample -- on an arbitrary
+labelling the learner abstains rather than break that, at the least ``k``
+the per-``k`` learner would stop at -- SCPs are never covered by negatives,
+and RPNI's output is always consistent with its word sample.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api.config import EngineConfig
 from repro.automata import Alphabet
 from repro.engine import QueryEngine
 from repro.graphdb import GraphDB, covered_by
-from repro.learning import Sample, learn_path_query, rpni
+from repro.learning import Sample, learn_path_query, learn_with_dynamic_k, rpni
 from repro.learning.scp import select_smallest_consistent_paths
 from repro.queries import PathQuery
 
@@ -62,6 +65,18 @@ def graph_and_goal_sample(draw):
     positives = set(rng.sample(sorted(selected), min(len(selected), 3))) if selected else set()
     negatives = set(rng.sample(sorted(unselected), min(len(unselected), 3))) if unselected else set()
     return graph, goal, Sample(positives, negatives)
+
+
+@st.composite
+def graph_and_arbitrary_sample(draw):
+    """A random graph plus an arbitrary labelling: consistent with some
+    query or not, possibly without positives or without negatives."""
+    graph = draw(random_graphs())
+    nodes = sorted(graph.nodes)
+    labels = draw(st.lists(st.sampled_from("+- "), min_size=len(nodes), max_size=len(nodes)))
+    positives = [node for node, label in zip(nodes, labels) if label == "+"]
+    negatives = [node for node, label in zip(nodes, labels) if label == "-"]
+    return graph, Sample(positives, negatives)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,3 +146,17 @@ def test_learner_abstains_or_selects_all_positives(case):
     result = learn_path_query(graph, sample, k=4, engine=engine)
     if result.query is not None:
         assert all(result.query.selects(graph, node, engine=engine) for node in sample.positives)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=graph_and_arbitrary_sample())
+def test_dynamic_k_abstains_or_is_consistent_at_the_per_k_learners_k(case):
+    graph, sample = case
+    result = learn_with_dynamic_k(graph, sample, k_start=1, k_max=3, engine=QueryEngine())
+    if result.query is not None:
+        oracle = EngineConfig(backend="python", planner="off").build()
+        selected = result.query.evaluate(graph, engine=oracle)
+        assert sample.positives <= selected and not sample.negatives & selected
+    attempts = [learn_path_query(graph, sample, k=k, engine=QueryEngine()) for k in (1, 2, 3)]
+    stop = next((attempt for attempt in attempts if not attempt.is_null), attempts[-1])
+    assert (result.k, result.hypothesis) == (stop.k, stop.hypothesis)
