@@ -73,6 +73,24 @@ def repr_rank(nodes: tuple[Node, ...], typecode: str):
     return rank
 
 
+def out_label_masks(bwd_targets, n: int) -> list[int]:
+    """Per node, the bit set of its out-edges' labels (plain ints), read off
+    the backward CSR targets (each label's edge origins); vectorised when
+    numpy is importable and the bits fit an int64."""
+    np = load_numpy()
+    if np and len(bwd_targets) < 64:
+        masks = np.zeros(n, dtype=np.int64)
+        for label_id, origins in enumerate(bwd_targets):
+            masks[np.asarray(origins)] |= 1 << label_id
+        return masks.tolist()
+    masks = [0] * n
+    for label_id, origins in enumerate(bwd_targets):
+        bit = 1 << label_id
+        for node_id in origins:
+            masks[node_id] |= bit
+    return masks
+
+
 class GraphIndex:
     """An immutable int-encoded, per-label CSR view of a graph database.
 
@@ -98,6 +116,7 @@ class GraphIndex:
         "edge_count",
         "build_seconds",
         "_rank",
+        "_out_label_masks",
     )
 
     def __init__(
@@ -138,6 +157,7 @@ class GraphIndex:
         #: part of the canonical byte form.
         self.build_seconds = 0.0
         self._rank = None
+        self._out_label_masks = None
 
     # -- construction --------------------------------------------------------
 
@@ -334,6 +354,16 @@ class GraphIndex:
         if rank is None:
             rank = self._rank = repr_rank(self.nodes_by_id, self.id_typecode)
         return rank
+
+    @property
+    def out_label_masks(self) -> list[int]:
+        """``masks[node_id]``: bit ``l`` is set iff the node has an out-edge
+        labelled ``l``.  Built on first use, like :attr:`rank`; only the
+        learner's path enumeration reads it."""
+        masks = self._out_label_masks
+        if masks is None:
+            masks = self._out_label_masks = out_label_masks(self.bwd_targets, self.num_nodes)
+        return masks
 
     @property
     def id_typecode(self) -> str:

@@ -18,7 +18,7 @@ current negatives:
 * :class:`SessionState` carries the pieces across rounds and invalidates
   only what a new label can change: a positive label leaves the coverage and
   the informative set untouched (certainty is monotone, Lemma 4.1), while a
-  negative label replaces the coverage (automaton and table with it) and
+  negative label replaces the coverage (on the same frontier memo) and
   drops the informative set; and when
   the new positive's smallest consistent path is already among the
   learner's SCPs, the previous MergeFold hypothesis is provably identical
@@ -28,6 +28,8 @@ current negatives:
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from itertools import islice
 
@@ -74,14 +76,17 @@ class SessionState:
     ======================  =======================  =====================
     k-informative set        negative label, k move   positive labels [#]_
     NegativeCoverage         negative label [#]_      positive labels, k moves
+    frontier memo            new index                every label, k moves
+    unlabeled population     new index                every label [#]_
     learner result           negative label, new SCP  positives w/ known SCP
     ======================  =======================  =====================
 
     .. [#] a positive label only removes the labeled node itself from the
        set -- certainty is monotone in the sample (Lemma 4.1), so no other
        node's verdict can change.
-    .. [#] its frontier automaton, and with it the uncovered-words table
-       (a ``k`` move only re-cuts the table from the same automaton).
+    .. [#] its start set and table cut; the interned frontiers and step memo
+       pass to the next coverage (a ``k`` move only re-cuts the table).
+    .. [#] ascending ids: a label deletes its own; rebuilt on first use.
     """
 
     def __init__(
@@ -110,9 +115,11 @@ class SessionState:
         self._non_informative: set[Node] = set()
         self._informative_nodes: set[Node] = set()
         self._coverage: NegativeCoverage | None = None
+        self._unlabeled: list[int] | None = None
         self._pending_positives: list[Node] = []
         self._pending_negatives: list[Node] = []
-        #: Incrementality counters (reported by the simulation driver).
+        #: Incrementality counters (reported by the simulation driver); a ``kS``
+        #: candidate's one ``count_queries`` is its verdict: no ``node_walks``.
         self.counters = {
             "batched_walks": 0,
             "node_walks": 0,
@@ -138,6 +145,11 @@ class SessionState:
     def observe(self, node: Node, label: str, sample: Sample) -> None:
         """Propagate one new label; invalidate only what it can change."""
         self.sample = sample
+        if self._unlabeled is not None:  # built on ``_seen_index``: delete the id
+            ids, node_id = self._unlabeled, self._seen_index.node_ids.get(node, -1)
+            position = bisect_left(ids, node_id)
+            if position < len(ids) and ids[position] == node_id:
+                del ids[position]
         if label == NEGATIVE:
             # The negative set moved: the coverage (replaced on its next
             # use) and every *informative* verdict derived from it are
@@ -190,8 +202,25 @@ class SessionState:
                 self._informative = None
                 self._informative_nodes.clear()
                 self._non_informative.clear()
+            self._unlabeled = None
             self._seen_index = index
         return index
+
+    def unlabeled_ids(self) -> list[int]:
+        """The unlabeled nodes' ids, ascending: the order and length of the
+        strategies' stateless node list, so a draw on it consumes the RNG
+        identically.  Kept across labels; callers must not mutate it."""
+        index = self._index()  # first: a new index drops the list
+        if self._unlabeled is None:
+            labeled = self.sample.labeled
+            self._unlabeled = [
+                node_id for node_id, node in enumerate(index.nodes_by_id) if node not in labeled
+            ]
+        return self._unlabeled
+
+    def nodes_of(self, ids: Iterable[int]) -> Iterator[Node]:
+        """The nodes of ids taken from :meth:`unlabeled_ids`, lazily."""
+        return map(self._seen_index.nodes_by_id.__getitem__, ids)
 
     def informative_nodes(self) -> frozenset[Node]:
         """The current k-informative (unlabeled) nodes, batched and cached.
@@ -263,21 +292,28 @@ class SessionState:
         """How many paths of one candidate (length <= k) no negative covers.
 
         ``cap`` stops the count early (``kS`` only compares small counts).
+        0 means not k-informative: the verdict caches are read and fed.
         """
+        self._index()  # first: drops every cache if the graph moved
+        if node in self._non_informative:
+            self.counters["verdict_hits"] += 1
+            return 0
         self.counters["count_queries"] += 1
         paths = self.coverage().uncovered_paths(node, self.k, self.graph.alphabet)
-        return sum(1 for _ in islice(paths, cap))
+        count = sum(1 for _ in islice(paths, cap))
+        (self._informative_nodes if count else self._non_informative).add(node)
+        return count
 
     # -- learning -------------------------------------------------------------
 
     def coverage(self) -> NegativeCoverage:
         """The shared :class:`NegativeCoverage` of the current negative set.
 
-        Rebuilt when the negative set or the graph's index moved.
+        Rebuilt when the negatives or the index moved; the memo outlives the former.
         """
         negatives = self.sample.negatives
         if self._coverage is None or not self._coverage.is_current(self.graph, negatives):
-            self._coverage = NegativeCoverage(self._index(), negatives)
+            self._coverage = NegativeCoverage(self._index(), negatives, memo_from=self._coverage)
         return self._coverage
 
     def _reusable_result(self, k: int) -> LearnerResult | None:

@@ -25,9 +25,10 @@ to :meth:`Strategy.propose`, informativeness verdicts and uncovered-path
 counts come from the state's one
 :class:`~repro.learning.scp.NegativeCoverage` (its ``table(k)`` cut under
 the engine's product walks, its ``uncovered_paths`` for the counts), shared
-across all candidates and rounds; without a state the
-strategies fall back to the per-node walks, which the parity suite
-and the speed benchmark pin the batched path against.
+across all candidates and rounds, and candidates are drawn from the state's
+kept unlabeled ids; without a state the strategies fall back to the per-node
+walks, which the parity suite and the speed benchmark pin the batched path
+against.
 
 All candidate orderings derive from the graph's *stable node order*
 (insertion order), never from ``repr`` sorting or raw set iteration, so a
@@ -38,7 +39,7 @@ of the hash seed or of how nodes print themselves.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.errors import InteractionError
@@ -88,7 +89,7 @@ class Strategy:
 
 
 def _unlabeled_nodes(graph: GraphDB, sample: Sample) -> list[Node]:
-    labeled = sample.labeled
+    labeled = sample.labeled  # stateless
     return [node for node in graph.node_order if node not in labeled]
 
 
@@ -111,10 +112,11 @@ class RandomStrategy(Strategy):
         # The candidates come pre-ordered by the graph's stable node order;
         # sorting by repr here would make the draw depend on how nodes print
         # themselves (a default object repr embeds the memory address).
-        candidates = _unlabeled_nodes(graph, sample)
-        if not candidates:
-            return None
-        return self._rng.choice(candidates)
+        if state is None:
+            candidates = _unlabeled_nodes(graph, sample)
+            return self._rng.choice(candidates) if candidates else None
+        ids = state.unlabeled_ids()
+        return next(state.nodes_of([self._rng.choice(ids)])) if ids else None
 
 
 class _PooledKStrategy(Strategy):
@@ -129,14 +131,16 @@ class _PooledKStrategy(Strategy):
     def config_dict(self) -> dict:
         return {"name": self.name, "pool_size": self._pool_size, "rng_state": self.rng_state()}
 
-    def _candidate_pool(self, graph: GraphDB, sample: Sample) -> list[Node]:
-        unlabeled = _unlabeled_nodes(graph, sample)
-        if not unlabeled:
-            return []
-        if self._pool_size is None or len(unlabeled) <= self._pool_size:
-            self._rng.shuffle(unlabeled)
-            return unlabeled
-        return self._rng.sample(unlabeled, self._pool_size)
+    def _candidate_pool(self, graph: GraphDB, sample: Sample, state) -> Iterable[Node]:
+        # The state's kept ids and the stateless node list have the same
+        # order and length: the same RNG calls pick the same nodes.
+        population = _unlabeled_nodes(graph, sample) if state is None else state.unlabeled_ids()
+        if self._pool_size is None or len(population) <= self._pool_size:
+            pool = list(population)
+            self._rng.shuffle(pool)
+        else:
+            pool = self._rng.sample(population, self._pool_size)
+        return pool if state is None else state.nodes_of(pool)
 
 
 class KInformativeRandomStrategy(_PooledKStrategy):
@@ -152,23 +156,13 @@ class KInformativeRandomStrategy(_PooledKStrategy):
         k: int,
         state: "SessionState | None" = None,
     ) -> Node | None:
-        pool = self._candidate_pool(graph, sample)
-        if state is not None:
-            if self._pool_size is None:
-                # Full scan: one batched product walk decides every node.
-                informative = state.informative_nodes()
-                for node in pool:
-                    if node in informative:
-                        return node
-                return None
-            for node in pool:
-                if state.is_informative(node):
-                    return node
-            return None
-        for node in pool:
-            if is_k_informative(graph, sample, node, k=k):
-                return node
-        return None
+        pool = self._candidate_pool(graph, sample, state)
+        if state is None:
+            return next((n for n in pool if is_k_informative(graph, sample, n, k=k)), None)
+        if self._pool_size is None:  # full scan: one batched walk decides every node
+            informative = state.informative_nodes()
+            return next((node for node in pool if node in informative), None)
+        return next(filter(state.is_informative, pool), None)
 
 
 class KInformativeSmallestStrategy(_PooledKStrategy):
@@ -190,26 +184,18 @@ class KInformativeSmallestStrategy(_PooledKStrategy):
     ) -> Node | None:
         best_node: Node | None = None
         best_count: int | None = None
-        batched = (
-            state.informative_nodes()
-            if state is not None and self._pool_size is None
-            else None
-        )
-        for node in self._candidate_pool(graph, sample):
-            if node in sample.labeled:
-                continue
-            if batched is not None:
-                if node not in batched:
-                    continue  # batched verdict: zero uncovered paths
-                count = state.uncovered_count(node, cap=self.count_cap)
-            elif state is not None:
-                if not state.is_informative(node):
-                    continue  # cached/per-candidate verdict: zero uncovered paths
-                count = state.uncovered_count(node, cap=self.count_cap)
-            else:
+        full_scan = state is not None and self._pool_size is None
+        batched = state.informative_nodes() if full_scan else None
+        for node in self._candidate_pool(graph, sample, state):
+            if state is None:
                 count = uncovered_k_paths(
                     graph, node, sample.negatives, k=k, limit=self.count_cap
                 )
+            elif batched is not None and node not in batched:
+                continue  # batched verdict: zero uncovered paths
+            else:
+                # One count per candidate: 0 is also its verdict (cached).
+                count = state.uncovered_count(node, cap=self.count_cap)
             if count == 0:
                 continue  # not k-informative
             if best_count is None or count < best_count:

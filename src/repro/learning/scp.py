@@ -32,9 +32,11 @@ Lifetime: one episode.  A coverage is built by whoever starts the episode
 (:func:`~repro.learning.learner.learn_with_dynamic_k`, the interactive
 :class:`~repro.interactive.state.SessionState`), passed to every attempt,
 and dropped with it; it is stale as soon as the graph's index or the
-negative set moves (:meth:`NegativeCoverage.is_current`), and a grown
-negative set gets a fresh coverage.  A guard's reachable set lives for its
-one fold run.
+negative set moves (:meth:`NegativeCoverage.is_current`).  A grown
+negative set gets a new coverage built ``memo_from`` the old one: the
+interned frontiers and the step memo depend on the index alone and live as
+long as it; only the initial state and the table cut are the node set's.
+A guard's reachable set lives for its one fold run.
 
 The object-level :func:`repro.graphdb.paths.enumerate_paths` /
 :func:`~repro.graphdb.paths.covered_by` walks remain behind the single-node
@@ -46,6 +48,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import reduce
+from operator import or_
 
 from repro.automata.alphabet import Alphabet, Word
 from repro.automata.kernel import NO_STATE, MergeFold, TableDFA
@@ -87,7 +91,7 @@ class NegativeCoverage:
         "guard_calls",
     )
 
-    def __init__(self, index, nodes: Iterable[Node]) -> None:
+    def __init__(self, index, nodes: Iterable[Node], *, memo_from=None) -> None:
         self._index = index
         #: The covering node set this cache was built for (validated when a
         #: caller hands a prebuilt cache to the batch selection).
@@ -96,9 +100,11 @@ class NegativeCoverage:
         # In index order, not set order: the guard's walk order (hence its
         # kernel work) must not depend on the hash seed.
         self._start_ids = sorted(node_ids[node] for node in self.nodes)
-        self._frontiers: list[frozenset[int]] = []
-        self._states: dict[frozenset[int], int] = {}
-        self._steps: dict[tuple[int, int], int] = {}
+        # A frontier's moves depend on the frontier and the index, not on the
+        # start set: on the same index, share (and grow) ``memo_from``'s memo.
+        shared = memo_from is not None and memo_from._index is index
+        memo = (memo_from._frontiers, memo_from._states, memo_from._steps) if shared else None
+        self._frontiers, self._states, self._steps = memo or ([], {}, {})
         #: The automaton's initial state: the node set itself (``DEAD`` when
         #: the set is empty -- then every word is uncovered).
         self.initial = self._intern(self._start_ids)
@@ -166,23 +172,24 @@ class NegativeCoverage:
         extended label by label in ``alphabet`` order -- so the words come
         out canonically with no heap and no sort key, and a caller that
         wants only the first (or the first ``cap``) pays for no more.
-        Labels the graph never carries extend nothing.
+        Only labels its reached nodes have edges of extend a word (``out_label_masks``).
         """
         if k < 0:
             raise LearningError("the path-length bound k must be non-negative")
         if self.initial == DEAD:
             yield ()  # no covering node: the empty path is already uncovered
         index, step = self._index, self.step
-        label_ids = index.label_ids
+        label_ids, masks = index.label_ids, index.out_label_masks
         labels = [(symbol, label_ids[symbol]) for symbol in alphabet if symbol in label_ids]
         level: list[tuple[Word, set[int], int]] = [((), {index.node_ids[node]}, self.initial)]
         for _length in range(k):
             next_level: list[tuple[Word, set[int], int]] = []
             for word, reached, state in level:
+                present = reduce(or_, map(masks.__getitem__, reached))
                 for symbol, label_id in labels:
-                    moved = self._successors(reached, label_id)
-                    if not moved:
+                    if not present >> label_id & 1:
                         continue  # the word is not a path of the node
+                    moved = self._successors(reached, label_id)
                     extended = word + (symbol,)
                     target = step(state, label_id)
                     if target == DEAD:

@@ -90,7 +90,14 @@ def test_sessions_are_deterministic_under_pythonhashseed():
         # The sessions really exercised the shared structures.
         assert len(cell["transcript"]) > 5 and min(cell["work"]) > 0
         assert {"+", "-"} <= {label for _node, label, _k, _expr in cell["transcript"]}
-    assert any(cell["counters"]["count_queries"] for cell in outputs[0].values())
+    # A kS candidate's one uncovered-path count is also its verdict: kS walks
+    # no node, and kR, which walks them, counts nothing.
+    for name, cell in outputs[0].items():
+        counters = cell["counters"]
+        if name.startswith("kS"):
+            assert counters["node_walks"] == 0 < counters["count_queries"]
+        else:
+            assert counters["count_queries"] == 0 < counters["node_walks"]
     assert any(cell["counters"]["full_learns"] > 1 for cell in outputs[0].values())
     # The final check did real work, beyond what proposing and the guard did.
     for cell in outputs[0].values():

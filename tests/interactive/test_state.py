@@ -70,14 +70,16 @@ class TestBatchedInformativeness:
         sample = Sample(positives={"v1"})
         assert k_informative_set(g0, sample, k=2, engine=engine) == g0.nodes - {"v1"}
 
-    @pytest.mark.parametrize("seed", [4, 5])
+    @pytest.mark.parametrize("seed", [4, 5, 18, 19, 20, 21])
     def test_uncovered_counts_match_legacy(self, seed):
+        """The label-masked enumeration counts what the object-level walk
+        counts, for k up to 3."""
         rng = random.Random(seed)
         graph = random_graph(seed)
         engine = QueryEngine()
         sample = random_sample(rng, graph)
         coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
-        for k in (1, 2, 3):
+        for k in (0, 1, 2, 3):
             for node in rng.sample(list(graph.node_order), 25):
                 want = uncovered_k_paths(graph, node, sample.negatives, k=k)
                 got = len(list(coverage.uncovered_paths(node, k, graph.alphabet)))
@@ -150,6 +152,40 @@ class TestSessionStateVerdicts:
         # And the informative set only ever shrinks under new negatives.
         after = state.informative_nodes()
         assert after <= before
+
+    def test_an_uncovered_count_is_the_nodes_verdict(self, seed=22):
+        """``kS`` asks one count per candidate: 0 iff not k-informative, fed
+        to the verdict caches, and a known non-informative node is free."""
+        rng = random.Random(seed)
+        graph = random_graph(seed, nodes=80)
+        sample = random_sample(rng, graph)
+        state = SessionState(graph, k=2, engine=QueryEngine(), sample=sample)
+        unlabeled = [n for n in graph.node_order if n not in sample.labeled][:40]
+        counts = {node: state.uncovered_count(node, cap=64) for node in unlabeled}
+        assert {n for n, c in counts.items() if c} == {
+            n for n in unlabeled if is_k_informative(graph, sample, n, k=2)
+        }
+        assert 0 in counts.values() and any(counts.values())
+        queries = state.counters["count_queries"]
+        for node, count in counts.items():
+            assert state.is_informative(node) == (count > 0)  # cache hits
+            if not count:
+                assert state.uncovered_count(node, cap=64) == 0
+        assert state.counters["node_walks"] == 0
+        assert state.counters["count_queries"] == queries  # the second counts were hits
+
+    def test_graph_mutation_starts_a_fresh_memo_and_population(self, g0):
+        state = SessionState(g0, k=1, engine=QueryEngine())
+        sample = Sample().with_negative("v2")
+        state.observe("v2", "-", sample)
+        before = state.coverage()
+        assert [*state.nodes_of(state.unlabeled_ids())] == [
+            n for n in g0.node_order if n != "v2"
+        ]
+        g0.add_edge("v4", "c", "v9")  # a new node on a refreshed index
+        after = state.coverage()
+        assert after is not before and after._steps is not before._steps
+        assert [*state.nodes_of(state.unlabeled_ids())][-1] == "v9"
 
     def test_graph_mutation_drops_stale_verdicts(self, g0):
         """Regression: an edge added mid-session can make a cached
@@ -229,7 +265,8 @@ class TestSharedCoverage:
     def test_a_new_negative_gets_a_fresh_coverage_and_relearns_like_a_fresh_session(
         self, seed=6
     ):
-        """A negative label replaces the coverage with one of the grown set,
+        """A negative label replaces the coverage with one of the grown set
+        -- fresh start set, table and guard count on the old frontier memo --
         and the forced re-learn learns what a fresh session learns."""
         graph = random_graph(seed, nodes=150, labels=6)
         engine = QueryEngine()
@@ -251,7 +288,8 @@ class TestSharedCoverage:
         state.observe(wrong, "-", sample)
         after = state.coverage()
         assert after is not before and after.nodes == sample.negatives
-        assert after.guard_calls == 0
+        assert after.initial != before.initial and after.guard_calls == 0
+        assert after._steps is before._steps and after._frontiers is before._frontiers
         second = state.learn(2, 4)
         assert state.counters["full_learns"] == 2 and state.counters["reused_learns"] == 0
         assert state.counters["guard_calls"] - calls == after.guard_calls > 0

@@ -11,6 +11,8 @@ Checked against the object-level reference (``graphdb.paths.enumerate_paths``
   rejects, and a coverage asked for k = 2, 3, 2 hands out the tables a fresh
   one would;
 * each distinct (frontier, label) step is computed once per coverage;
+* a coverage built on the memo of a grown, shrunk or disjoint node set
+  answers like a fresh one, and a refreshed or other index never shares it;
 * a coverage shared by a learner's attempts enumerates no duplicate word,
   and a session's coverage follows its negative labels.
 """
@@ -169,6 +171,71 @@ def test_each_frontier_step_is_computed_once(monkeypatch):
     assert len(interned) == 1 + len(coverage._steps)
 
 
+def table_bytes(table):
+    return table.n, table.finals, table.trans.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("relation", ["grown", "shrunk", "disjoint"])
+def test_a_coverage_on_another_sets_memo_answers_like_a_fresh_one(seed, relation):
+    """Built ``memo_from`` a coverage of a grown, shrunk or disjoint set on
+    the same index, a coverage shares that memo and still cuts the same
+    tables, enumerates the same paths and covers the same words as one
+    built from nothing."""
+    graph, sample = seeded_case(seed, seed % 3)
+    alphabet = graph.alphabet
+    index = QueryEngine().index_for(graph)
+    negatives = sorted(sample.negatives)
+    outsiders = sorted(graph.nodes - sample.labeled)[:3]
+    first, second = {
+        "grown": (negatives[:-1], negatives),
+        "shrunk": (negatives, negatives[:-1]),
+        "disjoint": (negatives, outsiders),
+    }[relation]
+    assert first and second
+    probes = [*sorted(sample.positives)[:5], *outsiders, "island"]
+    previous = NegativeCoverage(index, first)
+    for node in probes:  # grow the memo first: answers must not depend on it
+        list(previous.uncovered_paths(node, 3, alphabet))
+    previous.table(3, alphabet)
+    shared = NegativeCoverage(index, second, memo_from=previous)
+    fresh = NegativeCoverage(index, second)
+    assert shared._steps is previous._steps and shared._frontiers is previous._frontiers
+    assert fresh._steps is not previous._steps
+    for k in range(4):
+        assert table_bytes(shared.table(k, alphabet)) == table_bytes(fresh.table(k, alphabet))
+        for node in probes:
+            assert list(shared.uncovered_paths(node, k, alphabet)) == list(
+                fresh.uncovered_paths(node, k, alphabet)
+            ), (node, k)
+    for length in range(3):
+        for word in product(alphabet, repeat=length):
+            assert shared.covers(word) == fresh.covers(word), word
+
+
+def test_a_refreshed_or_other_index_never_shares_the_memo():
+    graph, sample = seeded_case(1, 0)
+    alphabet, negatives = graph.alphabet, sample.negatives
+    engine = QueryEngine()
+    index = engine.index_for(graph)
+    previous = NegativeCoverage(index, negatives)
+    previous.table(3, alphabet)
+    other = NegativeCoverage(QueryEngine().index_for(graph), negatives, memo_from=previous)
+    assert other._index is not index and other._steps is not previous._steps
+    assert len(other._frontiers) == 1 and not other._steps  # its initial state only
+
+    node = min(negatives)
+    graph.add_edge(node, "zz", "island")  # a label only this edge carries
+    refreshed = engine.index_for(graph)
+    assert refreshed is not index
+    moved = NegativeCoverage(refreshed, negatives, memo_from=previous)
+    assert moved._steps is not previous._steps and moved._frontiers is not previous._frontiers
+    fresh = NegativeCoverage(refreshed, negatives)
+    assert moved.covers(("zz",)) and not previous.covers(("zz",))
+    for k in range(4):
+        assert table_bytes(moved.table(k, alphabet)) == table_bytes(fresh.table(k, alphabet))
+
+
 # -- a shared coverage ----------------------------------------------------------------
 
 
@@ -192,8 +259,8 @@ def test_words_never_holds_a_duplicate(seed, goal):
 
 @pytest.mark.parametrize("strategy", ["kR", "kS"])
 def test_a_sessions_coverage_follows_its_negative_labels(strategy):
-    """A negative label gets the session a fresh coverage of the grown set;
-    any other round keeps the one it has."""
+    """A negative label gets the session a new coverage of the grown set on
+    the one frontier memo of the index; any other round keeps the one it has."""
     graph, _sample = seeded_case(2, 1)
     engine = QueryEngine()
     goal = PathQuery.parse("(l00+l01).l02*.(l03+l04)", graph.alphabet)
@@ -213,6 +280,7 @@ def test_a_sessions_coverage_follows_its_negative_labels(strategy):
         assert coverage.nodes == session.state.sample.negatives
         if coverage is not coverages[-1]:
             assert coverage.nodes > coverages[-1].nodes
+            assert coverage._steps is coverages[0]._steps
             coverages.append(coverage)
     assert len(coverages) > 2
     assert session.state.counters["guard_calls"] > 0
