@@ -20,10 +20,9 @@ from __future__ import annotations
 import random
 import time
 
-from oracles.generalize import reference_generalize_pta
+from oracles.generalize import prefix_tree_acceptor, reference_generalize_pta
 from oracles.minimize import reference_canonical_dfa
 
-from repro.automata.pta import prefix_tree_acceptor
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.evaluation.static import draw_sample

@@ -28,8 +28,8 @@ The same pipeline is drivable without Python through ``python -m repro``
 Subpackages
 -----------
 ``repro.api``          the public surface: Workspace, typed configs, Result protocol, CLI.
-``repro.automata``     finite automata substrate (NFA/DFA, canonical DFA, PTA).
-``repro.regex``        regular expressions: parser, Thompson construction, display.
+``repro.automata``     the int-coded automata kernel (canonical tables, PTA, merge-fold).
+``repro.regex``        regular expressions: parser, Glushkov construction, display.
 ``repro.graphdb``      the graph database, path semantics and query evaluation.
 ``repro.engine``       the indexed query engine: CSR index, compiled plans, caches.
 ``repro.storage``      durable storage: binary snapshots, mmap indexes, bulk ingest, catalog.

@@ -14,34 +14,17 @@ database layer and the learning algorithms are built on:
   algorithms every layer shares -- PTA construction, Hopcroft minimization,
   subset determinization, products, batched membership and the union-find
   :class:`~repro.automata.kernel.MergeFold` behind RPNI's merge-and-fold.
-* Determinization, Hopcroft minimization and the *canonical DFA*
-  representation of a regular language (the paper represents every query by
-  its canonical DFA; the size of a query is its number of states) -- thin
-  wrappers over the kernel preserving the classic object API.
-* Boolean operations: product/intersection, union, complement, emptiness,
-  language inclusion and equivalence.
-* The prefix tree acceptor (PTA) and state-merging quotients used by the
-  learner's generalization phase.
+* Hopcroft minimization and the *canonical DFA* representation of a regular
+  language (the paper represents every query by its canonical DFA; the size
+  of a query is its number of states) -- thin wrappers over the kernel
+  preserving the classic object API.
 * The prefix-free transformation of Section 2 of the paper.
 """
 
 from repro.automata.alphabet import Alphabet, Word, canonical_key, canonical_less
 from repro.automata.nfa import NFA
 from repro.automata.dfa import DFA
-from repro.automata.determinize import determinize
 from repro.automata.minimize import canonical_dfa, minimize
-from repro.automata.operations import (
-    complement,
-    enumerate_words,
-    intersect,
-    intersection_empty,
-    is_empty,
-    language_equivalent,
-    language_included,
-    union,
-)
-from repro.automata.pta import prefix_tree_acceptor
-from repro.automata.merging import merge_states, deterministic_merge
 from repro.automata.prefix_free import is_prefix_free, prefix_free
 from repro.automata.kernel import (
     MergeFold,
@@ -63,20 +46,8 @@ __all__ = [
     "canonical_less",
     "NFA",
     "DFA",
-    "determinize",
     "minimize",
     "canonical_dfa",
-    "intersect",
-    "union",
-    "complement",
-    "is_empty",
-    "intersection_empty",
-    "language_included",
-    "language_equivalent",
-    "enumerate_words",
-    "prefix_tree_acceptor",
-    "merge_states",
-    "deterministic_merge",
     "is_prefix_free",
     "prefix_free",
 ]

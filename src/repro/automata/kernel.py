@@ -15,18 +15,16 @@ module is the single dense representation they now share:
   subset determinization (:meth:`TableDFA.from_nfa`), language inclusion on
   the reachable product (:func:`language_included_tables`) and batched
   membership (:meth:`TableDFA.accepts_many`).
-* :class:`MergeFold` -- the union-find RPNI merge-and-fold that replaces
-  the copying ``deterministic_merge``: candidate merges are applied *in
-  place* against an undo log (:meth:`MergeFold.mark` /
+* :class:`MergeFold` -- the union-find RPNI merge-and-fold: candidate
+  merges are applied *in place* against an undo log (:meth:`MergeFold.mark` /
   :meth:`MergeFold.rollback`), so the learner's merge loop never clones the
   hypothesis automaton.  :func:`fold_generalize` is the red-blue loop of
   Algorithm 1 run directly on the fold.
 
-The classic object API (:mod:`repro.automata.dfa`,
-:mod:`~repro.automata.determinize`, :mod:`~repro.automata.minimize`,
-:mod:`~repro.automata.pta`, :mod:`~repro.automata.merging`) is preserved as
-thin wrappers that convert at the boundary; the engine's
-walks (:func:`repro.engine.executor.bind`) read the kernel arrays directly.
+The object automata (:mod:`repro.automata.dfa`, :mod:`~repro.automata.nfa`)
+and :mod:`~repro.automata.minimize` are thin views that convert at the
+boundary; the engine's walks (:func:`repro.engine.executor.bind`) read the
+kernel arrays directly.
 """
 
 from __future__ import annotations

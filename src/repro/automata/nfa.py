@@ -3,8 +3,8 @@
 The definition follows Appendix A of the paper: an NFA is a tuple
 ``(Q, Sigma, delta, I, F)`` with a set of initial states ``I`` and a
 transition function ``delta : Q x Sigma -> 2^Q``.  We additionally support
-epsilon transitions because the Thompson construction of the regex layer
-produces them; :func:`repro.automata.determinize.determinize` removes them.
+epsilon transitions; :meth:`repro.automata.kernel.TableDFA.from_nfa`
+removes them.
 
 States may be any hashable value; the graph layer uses graph node
 identifiers directly as automaton states, which makes the "graph as an NFA"

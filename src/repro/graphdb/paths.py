@@ -5,9 +5,9 @@ node sequence starting at ``nu`` (Section 2).  The set is infinite as soon
 as a cycle is reachable from ``nu``, so the library exposes it in two forms:
 
 * as an :class:`~repro.automata.nfa.NFA` whose states are the graph's own
-  nodes and whose states are all accepting (:func:`paths_nfa`) -- this is the
-  representation used for the exact language-level checks of Lemmas 3.1/4.1
-  and for the polynomial intersection-emptiness tests of Algorithm 1;
+  nodes and whose states are all accepting (:func:`paths_nfa`), and that NFA
+  determinized into a kernel table (:func:`paths_table`) -- the form the
+  exact language-level checks of Lemmas 3.1/4.1 compare by inclusion;
 * as a bounded enumeration in canonical order (:func:`enumerate_paths`) --
   this is what the learner's SCP-selection step and the ``k``-informativeness
   strategies consume.
@@ -19,6 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from heapq import heappop, heappush
 
 from repro.automata.alphabet import Word
+from repro.automata.kernel import TableDFA
 from repro.automata.nfa import NFA
 from repro.errors import GraphError
 from repro.graphdb.graph import GraphDB, Node
@@ -42,6 +43,12 @@ def paths_nfa(graph: GraphDB, start_nodes: Iterable[Node] | Node) -> NFA:
     for origin, label, end in graph.edges:
         nfa.add_transition(origin, label, end)
     return nfa
+
+
+def paths_table(graph: GraphDB, start_nodes: Iterable[Node] | Node) -> TableDFA:
+    """``paths_G(X)`` determinized straight into the int-coded kernel."""
+    table, _subsets = TableDFA.from_nfa(paths_nfa(graph, start_nodes))
+    return table
 
 
 def paths_between_nfa(graph: GraphDB, origin: Node, end: Node) -> NFA:

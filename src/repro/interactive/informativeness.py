@@ -20,16 +20,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.automata.kernel import TableDFA, language_included_tables
+from repro.automata.kernel import language_included_tables
 from repro.graphdb.graph import GraphDB, Node
-from repro.graphdb.paths import covered_by, enumerate_paths, paths_nfa
+from repro.graphdb.paths import covered_by, enumerate_paths, paths_table
 from repro.learning.sample import Sample
-
-
-def _paths_table(graph: GraphDB, start_nodes: Iterable[Node] | Node) -> TableDFA:
-    """``paths_G(X)`` determinized straight into the int-coded kernel."""
-    table, _subsets = TableDFA.from_nfa(paths_nfa(graph, start_nodes))
-    return table
 
 
 def is_certain_positive(graph: GraphDB, sample: Sample, node: Node) -> bool:
@@ -44,9 +38,9 @@ def is_certain_positive(graph: GraphDB, sample: Sample, node: Node) -> bool:
     """
     if not sample.positives:
         return False
-    cover = _paths_table(graph, set(sample.negatives) | {node})
+    cover = paths_table(graph, set(sample.negatives) | {node})
     for positive in sample.positives:
-        if language_included_tables(_paths_table(graph, positive), cover):
+        if language_included_tables(paths_table(graph, positive), cover):
             return True
     return False
 
@@ -59,7 +53,7 @@ def is_certain_negative(graph: GraphDB, sample: Sample, node: Node) -> bool:
     if not sample.negatives:
         return False
     return language_included_tables(
-        _paths_table(graph, node), _paths_table(graph, sample.negatives)
+        paths_table(graph, node), paths_table(graph, sample.negatives)
     )
 
 

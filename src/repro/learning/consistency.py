@@ -6,18 +6,18 @@ every positive node and no negative node.  Lemma 3.1 characterizes this:
 ``paths_G(nu)`` is not included in ``paths_G(S-)``.
 
 Deciding this exactly is PSPACE-complete (Lemma 3.2) -- the exact check here
-determinizes the negative-paths NFA and is therefore exponential in the
-worst case; it is meant for the small graphs of tests and examples.  The
+determinizes the path automata and is therefore exponential in the worst
+case; it is meant for the small graphs of tests and examples.  The
 *bounded* check (paths of length at most ``k``) is what Algorithm 1
 effectively uses and runs in polynomial time.
 """
 
 from __future__ import annotations
 
-from repro.automata.operations import language_included
+from repro.automata.kernel import language_included_tables
 from repro.engine.engine import QueryEngine
 from repro.graphdb.graph import GraphDB
-from repro.graphdb.paths import paths_nfa
+from repro.graphdb.paths import paths_table
 from repro.learning.sample import Sample
 from repro.learning.scp import NegativeCoverage
 
@@ -25,22 +25,18 @@ from repro.learning.scp import NegativeCoverage
 def is_consistent(graph: GraphDB, sample: Sample) -> bool:
     """Exact consistency check (Lemma 3.1).
 
-    Uses language inclusion between the positive node's path automaton and
-    the negative set's path automaton.  Exponential in the worst case; use
-    :func:`bounded_consistent` on large graphs.
+    Uses language inclusion between the positive node's path table and the
+    negative set's path table.  Exponential in the worst case (the
+    determinization); use :func:`bounded_consistent` on large graphs.
     """
     sample.check_against(graph)
-    if not sample.positives:
+    if not sample.positives or not sample.negatives:
         return True
-    if not sample.negatives:
-        return True
-    negative_paths = paths_nfa(graph, sample.negatives)
-    for node in sample.positives:
-        positive_paths = paths_nfa(graph, node)
-        if not language_included(positive_paths, negative_paths):
-            continue
-        return False
-    return True
+    negative_paths = paths_table(graph, sample.negatives)
+    return not any(
+        language_included_tables(paths_table(graph, node), negative_paths)
+        for node in sample.positives
+    )
 
 
 def bounded_consistent(graph: GraphDB, sample: Sample, *, k: int, engine: QueryEngine) -> bool:

@@ -140,7 +140,7 @@ class _RegexQuery:
     @cached_property
     def dfa(self) -> DFA:
         """The canonical DFA as an object-level view, built on first use (for
-        display, characteristic samples and tests).  It is this query's own
+        characteristic samples and tests).  It is this query's own
         copy: mutating it changes nothing the query computes."""
         return self.table.to_dfa()  # the .dfa view
 
@@ -159,11 +159,11 @@ class _RegexQuery:
         """A regular-expression rendering of the query.
 
         The original expression string if the query was parsed from one,
-        otherwise an expression recovered from the DFA by state elimination.
+        otherwise an expression recovered from the table by state elimination.
         """
         if self._expression is not None:
             return self._expression
-        return str(dfa_to_regex(self.dfa))
+        return str(dfa_to_regex(self.table))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.expression!r}, size={self.size})"

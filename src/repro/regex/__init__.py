@@ -5,11 +5,11 @@ The grammar is exactly the one of Section 2 of the paper::
     q := eps | a (a in Sigma) | q1 + q2 | q1 . q2 | q*
 
 This subpackage provides the AST (:mod:`repro.regex.ast`), a parser for a
-human-friendly textual syntax (:mod:`repro.regex.parser`), the Thompson
-construction into an NFA and through it the canonical DFA
-(:mod:`repro.regex.build`), and the reverse conversion from a DFA back to a
-regular expression by state elimination (:mod:`repro.regex.convert`), used to
-report learned queries in readable form.
+human-friendly textual syntax (:mod:`repro.regex.parser`), the Glushkov
+position construction straight into the canonical kernel table
+(:mod:`repro.regex.build`), and the reverse conversion from a table back to
+a regular expression by state elimination (:mod:`repro.regex.convert`), used
+to report learned queries in readable form.
 """
 
 from repro.regex.ast import (
@@ -27,7 +27,7 @@ from repro.regex.ast import (
     symbol,
 )
 from repro.regex.parser import parse
-from repro.regex.build import regex_to_nfa, regex_to_dfa, compile_query
+from repro.regex.build import compile_query
 from repro.regex.convert import dfa_to_regex
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "disjunction",
     "star",
     "parse",
-    "regex_to_nfa",
-    "regex_to_dfa",
     "compile_query",
     "dfa_to_regex",
 ]

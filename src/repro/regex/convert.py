@@ -1,6 +1,6 @@
-"""DFA -> regular expression conversion by state elimination.
+"""Canonical table -> regular expression conversion by state elimination.
 
-The learner returns queries as canonical DFAs; for reporting (examples,
+The learner returns queries as canonical tables; for reporting (examples,
 experiment logs, EXPERIMENTS.md) it is far more readable to show the
 equivalent regular expression, so this module implements the classical
 state-elimination (Brzozowski-McCluskey) algorithm over the regex AST.
@@ -10,14 +10,15 @@ but it is always language-equivalent to the input automaton.
 
 from __future__ import annotations
 
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
+from repro.automata.kernel import TableDFA
 from repro.regex.ast import (
+    Concat,
     EmptySet,
     Epsilon,
     Regex,
     Star,
     Symbol,
+    Union,
     concat,
     disjunction,
     star,
@@ -30,28 +31,25 @@ def _add_edge(edges: dict[tuple[object, object], Regex], source: object, target:
     edges[key] = label if existing is None else disjunction(existing, label)
 
 
-def dfa_to_regex(automaton: DFA | NFA) -> Regex:
-    """Return a regular expression denoting the language of the automaton."""
-    nfa = automaton.to_nfa() if isinstance(automaton, DFA) else automaton
-    nfa = nfa.trim()
-    if nfa.is_empty():
+def dfa_to_regex(table: TableDFA) -> Regex:
+    """Return a regular expression denoting the language of the table."""
+    table = table.trimmed()
+    if not table.finals:
         return EmptySet()
 
     # Generalized NFA with a unique fresh start and accept state.
     start, accept = ("__start__",), ("__accept__",)
     edges: dict[tuple[object, object], Regex] = {}
-    for state in nfa.initial_states:
-        _add_edge(edges, start, state, Epsilon())
-    for state in nfa.final_states:
+    _add_edge(edges, start, table.initial, Epsilon())
+    for state in table.iter_finals():
         _add_edge(edges, state, accept, Epsilon())
-    for source, symbol, target in nfa.transitions():
-        _add_edge(edges, source, target, Symbol(symbol))
-    for source in nfa.states:
-        for target in nfa.epsilon_successors(source):
-            _add_edge(edges, source, target, Epsilon())
+    symbols, m = table.alphabet.symbols, table.m
+    for code, target in enumerate(table.trans):
+        if target >= 0:
+            source, column = divmod(code, m)
+            _add_edge(edges, source, target, Symbol(symbols[column]))
 
-    interior = sorted(nfa.states, key=repr)
-    for eliminated in interior:
+    for eliminated in sorted(range(table.n), key=repr):
         self_loop = edges.pop((eliminated, eliminated), None)
         loop_regex: Regex = star(self_loop) if self_loop is not None else Epsilon()
         incoming = [
@@ -78,11 +76,6 @@ def dfa_to_regex(automaton: DFA | NFA) -> Regex:
     return _simplify(result)
 
 
-def symbol_node(name: str) -> Regex:
-    """Build a symbol node (kept as a tiny helper for symmetry in callers)."""
-    return Symbol(name)
-
-
 def _simplify(regex: Regex) -> Regex:
     """Light syntactic clean-up: drop redundant epsilon in stars and unions."""
     if isinstance(regex, Star):
@@ -90,8 +83,6 @@ def _simplify(regex: Regex) -> Regex:
     if isinstance(regex, (Epsilon, EmptySet, Symbol)):
         return regex
     # Concat / Union: rebuild through the smart constructors.
-    from repro.regex.ast import Concat, Union
-
     if isinstance(regex, Concat):
         return concat(_simplify(regex.left), _simplify(regex.right))
     if isinstance(regex, Union):

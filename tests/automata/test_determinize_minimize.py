@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.automata import Alphabet, canonical_dfa, determinize, minimize
+from repro.automata import Alphabet, canonical_dfa, minimize
 from repro.automata.dfa import DFA
+from repro.automata.kernel import TableDFA
 from repro.automata.minimize import query_size
 from repro.automata.nfa import NFA
 from repro.regex import compile_query
@@ -12,6 +13,12 @@ from repro.regex import compile_query
 @pytest.fixture
 def abc():
     return Alphabet(["a", "b", "c"])
+
+
+def determinize(nfa: NFA) -> TableDFA:
+    """The kernel's subset construction (the subsets themselves unused)."""
+    table, _subsets = TableDFA.from_nfa(nfa)
+    return table
 
 
 class TestDeterminize:
@@ -34,7 +41,7 @@ class TestDeterminize:
 
     def test_determinize_empty_language(self, abc):
         nfa = NFA(abc, initial=[0])
-        assert determinize(nfa).is_empty()
+        assert determinize(nfa).is_empty_language()
 
 
 class TestMinimize:

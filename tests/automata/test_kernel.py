@@ -17,12 +17,13 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.determinize import reference_determinize
-from oracles.generalize import reference_generalize_pta
+from oracles.generalize import prefix_tree_acceptor, reference_generalize_pta
 from oracles.merging import reference_deterministic_merge
 from oracles.minimize import reference_canonical_dfa, reference_minimize
+from oracles.operations import intersection_empty, language_equivalent, language_included
+from oracles.regex import regex_to_nfa, regexes
 
-from repro.automata import Alphabet, language_equivalent, prefix_tree_acceptor
-from repro.automata.determinize import determinize
+from repro.automata import Alphabet
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.automata.kernel import (
@@ -32,37 +33,17 @@ from repro.automata.kernel import (
     language_included_tables,
     pta_table,
 )
-from repro.automata.merging import deterministic_merge
 from repro.automata.minimize import canonical_dfa, minimize
-from repro.automata.operations import intersection_empty, language_included
 from repro.errors import LearningError
 from repro.learning.generalize import generalize_pta
 from repro.learning.rpni import rpni
-from repro.regex import compile_query, parse, regex_to_dfa, regex_to_nfa
-from repro.regex.ast import Epsilon, Regex, Star, Symbol, concat, disjunction
+from repro.regex import compile_query, parse
 
 ALPHABET = Alphabet(["a", "b", "c"])
 SYMBOLS = list(ALPHABET.symbols)
 
 words = st.lists(st.sampled_from(SYMBOLS), max_size=5).map(tuple)
 word_sets = st.lists(words, min_size=1, max_size=8)
-
-
-def regexes(max_depth: int = 3) -> st.SearchStrategy[Regex]:
-    """Random small regular expressions over {a, b, c}."""
-    leaves = st.one_of(
-        st.sampled_from(SYMBOLS).map(Symbol),
-        st.just(Epsilon()),
-    )
-
-    def extend(children: st.SearchStrategy[Regex]) -> st.SearchStrategy[Regex]:
-        return st.one_of(
-            st.tuples(children, children).map(lambda pair: concat(*pair)),
-            st.tuples(children, children).map(lambda pair: disjunction(*pair)),
-            children.map(lambda inner: Star(inner) if not isinstance(inner, Epsilon) else inner),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=6)
 
 
 def assert_same_dfa(left: DFA, right: DFA) -> None:
@@ -78,28 +59,28 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(regex=regexes())
     def test_dfa_table_round_trip_is_exact(self, regex):
-        dfa = regex_to_dfa(regex, ALPHABET)
+        dfa = compile_query(regex, ALPHABET)
         table, order = TableDFA.from_dfa(dfa)
         assert_same_dfa(table.to_dfa(states=order), dfa)
 
     @settings(max_examples=50, deadline=None)
     @given(regex=regexes(), word=words)
     def test_table_membership_matches_dfa(self, regex, word):
-        dfa = regex_to_dfa(regex, ALPHABET)
+        dfa = compile_query(regex, ALPHABET)
         table, _ = TableDFA.from_dfa(dfa)
         assert table.accepts(word) == dfa.accepts(word)
 
     @settings(max_examples=30, deadline=None)
     @given(regex=regexes(), sample=word_sets)
     def test_batched_membership_matches_per_word(self, regex, sample):
-        dfa = regex_to_dfa(regex, ALPHABET)
+        dfa = compile_query(regex, ALPHABET)
         table, _ = TableDFA.from_dfa(dfa)
         assert table.accepts_many(sample) == [dfa.accepts(word) for word in sample]
 
     @settings(max_examples=30, deadline=None)
     @given(regex=regexes())
     def test_emptiness_and_shortest_word_match(self, regex):
-        dfa = regex_to_dfa(regex, ALPHABET)
+        dfa = compile_query(regex, ALPHABET)
         table, _ = TableDFA.from_dfa(dfa)
         assert table.is_empty_language() == dfa.is_empty()
         assert table.shortest_word() == dfa.shortest_accepted_word()
@@ -156,7 +137,8 @@ class TestDeterminizeParity:
     @given(regex=regexes())
     def test_subset_construction_matches_reference(self, regex):
         nfa = regex_to_nfa(regex, ALPHABET)
-        assert_same_dfa(determinize(nfa), reference_determinize(nfa))
+        table, subsets = TableDFA.from_nfa(nfa)
+        assert_same_dfa(table.to_dfa(states=subsets), reference_determinize(nfa))
 
     @settings(max_examples=200, deadline=None)
     @given(nfa=raw_nfas())
@@ -195,7 +177,7 @@ class TestMinimizeParity:
     @settings(max_examples=50, deadline=None)
     @given(regex=regexes())
     def test_hopcroft_agrees_with_moore(self, regex):
-        dfa = regex_to_dfa(regex, ALPHABET)
+        dfa = compile_query(regex, ALPHABET)
         hopcroft = minimize(dfa)
         moore = reference_minimize(dfa)
         assert len(hopcroft) == len(moore)
@@ -215,8 +197,8 @@ class TestProducts:
         # The kernel's own product table and early-exit emptiness test are
         # gone (test-only since PR 21).  The product walk it keeps is the
         # inclusion one: L & R is empty iff L is inside R's complement.
-        left_dfa = regex_to_dfa(left, ALPHABET)
-        right_dfa = regex_to_dfa(right, ALPHABET)
+        left_dfa = compile_query(left, ALPHABET)
+        right_dfa = compile_query(right, ALPHABET)
         left_table, _ = TableDFA.from_dfa(left_dfa)
         outside_right, _ = TableDFA.from_dfa(right_dfa.complement())
         assert intersection_empty(left_dfa, right_dfa) == language_included_tables(
@@ -226,8 +208,8 @@ class TestProducts:
     @settings(max_examples=40, deadline=None)
     @given(left=regexes(), right=regexes())
     def test_inclusion_matches_complement_route(self, left, right):
-        left_dfa = regex_to_dfa(left, ALPHABET)
-        right_dfa = regex_to_dfa(right, ALPHABET)
+        left_dfa = compile_query(left, ALPHABET)
+        right_dfa = compile_query(right, ALPHABET)
         left_table, _ = TableDFA.from_dfa(left_dfa)
         right_table, _ = TableDFA.from_dfa(right_dfa)
         via_kernel = language_included_tables(left_table, right_table)
@@ -251,7 +233,10 @@ class TestMergeFold:
         pta, _ = self._random_pta(rng)
         states = sorted(pta.states, key=ALPHABET.word_key)
         keep, remove = rng.sample(states, 2) if len(states) > 1 else (states[0], states[0])
-        merged = deterministic_merge(pta, keep, remove)
+        table, labels = TableDFA.from_dfa(pta)
+        fold = MergeFold(table)
+        fold.merge(labels.index(keep), labels.index(remove))
+        merged = fold.to_table().to_dfa()
         reference = reference_deterministic_merge(pta, keep, remove)
         # The merged partition is unique; representatives may differ, so
         # compare class count and language, then the canonical normal form.
@@ -273,16 +258,6 @@ class TestMergeFold:
             fold.merge(keep, remove)
         fold.rollback(mark)
         assert fold.to_table().fingerprint() == before
-
-    def test_deterministic_merge_keeps_keep_as_representative(self):
-        # The public wrapper must preserve the legacy guarantee that the
-        # merged class is named `keep`, even when `remove` is canonically
-        # smaller (the fold's internal min-root rule would pick it).
-        pta = prefix_tree_acceptor(ALPHABET, [("a", "b"), ("b",)])
-        merged = deterministic_merge(pta, ("a",), ())
-        assert ("a",) in merged.states
-        assert () not in merged.states
-        assert merged.initial == ("a",)
 
     def test_speculative_merge_then_commit(self):
         pta = prefix_tree_acceptor(ALPHABET, [("a", "b", "c"), ("c",)])
@@ -473,6 +448,12 @@ class TestPtaTable:
         assert sorted(table.iter_finals()) == [2, 4]
 
     def test_table_pta_equals_wrapper_pta(self):
+        # Against a trie built move by move over DFA objects.
         sample = [("a", "b"), ("a",), ("c", "c")]
         table, prefixes = pta_table(ALPHABET, sample, with_prefixes=True)
-        assert_same_dfa(table.to_dfa(states=prefixes), prefix_tree_acceptor(ALPHABET, sample))
+        trie = DFA(ALPHABET, initial=())
+        for word in sample:
+            for cut in range(len(word)):
+                trie.add_transition(word[:cut], word[cut], word[: cut + 1])
+            trie.add_final(word)
+        assert_same_dfa(table.to_dfa(states=prefixes), trie)

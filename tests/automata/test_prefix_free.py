@@ -1,9 +1,9 @@
 """Unit tests for prefix-free queries (Section 2 of the paper)."""
 
 import pytest
+from oracles.operations import language_equivalent
 
 from repro.automata import Alphabet, is_prefix_free, prefix_free
-from repro.automata.operations import language_equivalent
 from repro.regex import compile_query
 
 

@@ -12,20 +12,13 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.operations import complement, intersect, language_equivalent, union
+from oracles.regex import regex_to_nfa, regexes
 
-from repro.automata import (
-    Alphabet,
-    canonical_dfa,
-    complement,
-    determinize,
-    intersect,
-    language_equivalent,
-    prefix_tree_acceptor,
-    union,
-)
+from repro.automata import Alphabet, canonical_dfa
+from repro.automata.kernel import TableDFA, pta_table
 from repro.automata.prefix_free import is_prefix_free, prefix_free
-from repro.regex import regex_to_dfa, regex_to_nfa
-from repro.regex.ast import Epsilon, Regex, Star, Symbol, concat, disjunction
+from repro.regex import compile_query
 
 ALPHABET = Alphabet(["a", "b", "c"])
 SYMBOLS = list(ALPHABET.symbols)
@@ -34,29 +27,12 @@ words = st.lists(st.sampled_from(SYMBOLS), max_size=5).map(tuple)
 word_sets = st.lists(words, min_size=1, max_size=6)
 
 
-def regexes(max_depth: int = 3) -> st.SearchStrategy[Regex]:
-    """Random small regular expressions over {a, b, c}."""
-    leaves = st.one_of(
-        st.sampled_from(SYMBOLS).map(Symbol),
-        st.just(Epsilon()),
-    )
-
-    def extend(children: st.SearchStrategy[Regex]) -> st.SearchStrategy[Regex]:
-        return st.one_of(
-            st.tuples(children, children).map(lambda pair: concat(*pair)),
-            st.tuples(children, children).map(lambda pair: disjunction(*pair)),
-            children.map(lambda inner: Star(inner) if not isinstance(inner, Epsilon) else inner),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=6)
-
-
 @settings(max_examples=60, deadline=None)
 @given(regex=regexes(), word=words)
 def test_determinization_preserves_language(regex, word):
     nfa = regex_to_nfa(regex, ALPHABET)
-    dfa = determinize(nfa)
-    assert dfa.accepts(word) == nfa.accepts(word)
+    table, _ = TableDFA.from_nfa(nfa)
+    assert table.accepts(word) == nfa.accepts(word)
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,8 +55,8 @@ def test_canonical_dfa_is_a_normal_form(regex):
 @settings(max_examples=50, deadline=None)
 @given(left=regexes(), right=regexes(), word=words)
 def test_intersection_behaves_like_set_intersection(left, right, word):
-    left_dfa = regex_to_dfa(left, ALPHABET)
-    right_dfa = regex_to_dfa(right, ALPHABET)
+    left_dfa = compile_query(left, ALPHABET)
+    right_dfa = compile_query(right, ALPHABET)
     product = intersect(left_dfa, right_dfa)
     assert product.accepts(word) == (left_dfa.accepts(word) and right_dfa.accepts(word))
 
@@ -88,8 +64,8 @@ def test_intersection_behaves_like_set_intersection(left, right, word):
 @settings(max_examples=50, deadline=None)
 @given(left=regexes(), right=regexes(), word=words)
 def test_union_behaves_like_set_union(left, right, word):
-    left_dfa = regex_to_dfa(left, ALPHABET)
-    right_dfa = regex_to_dfa(right, ALPHABET)
+    left_dfa = compile_query(left, ALPHABET)
+    right_dfa = compile_query(right, ALPHABET)
     combined = union(left_dfa, right_dfa)
     assert combined.accepts(word) == (left_dfa.accepts(word) or right_dfa.accepts(word))
 
@@ -97,14 +73,14 @@ def test_union_behaves_like_set_union(left, right, word):
 @settings(max_examples=50, deadline=None)
 @given(regex=regexes(), word=words)
 def test_complement_flips_membership(regex, word):
-    dfa = regex_to_dfa(regex, ALPHABET)
+    dfa = compile_query(regex, ALPHABET)
     assert complement(dfa).accepts(word) == (not dfa.accepts(word))
 
 
 @settings(max_examples=40, deadline=None)
 @given(sample=word_sets)
 def test_pta_accepts_exactly_the_sample(sample):
-    pta = prefix_tree_acceptor(ALPHABET, sample)
+    pta = pta_table(ALPHABET, sample)
     for word in sample:
         assert pta.accepts(word)
     # Any word that is not in the sample is rejected.
@@ -115,7 +91,7 @@ def test_pta_accepts_exactly_the_sample(sample):
 @settings(max_examples=40, deadline=None)
 @given(regex=regexes())
 def test_prefix_free_form_is_prefix_free(regex):
-    dfa = regex_to_dfa(regex, ALPHABET)
+    dfa = compile_query(regex, ALPHABET)
     if dfa.is_empty():
         pytest.skip("empty language has no prefix-free representative of interest")
     assert is_prefix_free(prefix_free(dfa))
@@ -124,7 +100,7 @@ def test_prefix_free_form_is_prefix_free(regex):
 @settings(max_examples=40, deadline=None)
 @given(regex=regexes(), word=words)
 def test_prefix_free_accepts_only_minimal_words(regex, word):
-    dfa = regex_to_dfa(regex, ALPHABET)
+    dfa = compile_query(regex, ALPHABET)
     reduced = prefix_free(dfa)
     has_proper_prefix_in_language = any(
         dfa.accepts(word[:cut]) for cut in range(len(word))
@@ -136,5 +112,5 @@ def test_prefix_free_accepts_only_minimal_words(regex, word):
 @settings(max_examples=40, deadline=None)
 @given(regex=regexes())
 def test_language_equivalence_is_reflexive(regex):
-    dfa = regex_to_dfa(regex, ALPHABET)
+    dfa = compile_query(regex, ALPHABET)
     assert language_equivalent(dfa, canonical_dfa(dfa))

@@ -1,16 +1,28 @@
-"""Unit tests for the prefix tree acceptor and state-merging operations."""
+"""Unit tests for the prefix tree acceptor and the merge-and-fold.
+
+Both run on the kernel: the PTA is :func:`pta_table` viewed with its prefix
+words as state names, a merge is one :meth:`MergeFold.merge`.
+"""
 
 import pytest
+from oracles.generalize import prefix_tree_acceptor
 
-from repro.automata import Alphabet, prefix_tree_acceptor
-from repro.automata.merging import deterministic_merge, merge_states
-from repro.automata.pta import pta_states_in_canonical_order
-from repro.errors import AutomatonError
+from repro.automata import Alphabet
+from repro.automata.dfa import DFA
+from repro.automata.kernel import MergeFold, pta_table
 
 
 @pytest.fixture
 def abc():
     return Alphabet(["a", "b", "c"])
+
+
+def merged(alphabet: Alphabet, words, keep, remove) -> DFA:
+    """The PTA of ``words`` after merging prefix ``remove`` into ``keep``."""
+    table, prefixes = pta_table(alphabet, words, with_prefixes=True)
+    fold = MergeFold(table)
+    fold.merge(prefixes.index(keep), prefixes.index(remove))
+    return fold.to_table().to_dfa()
 
 
 class TestPrefixTreeAcceptor:
@@ -34,9 +46,11 @@ class TestPrefixTreeAcceptor:
         assert len(pta) == 1
 
     def test_pta_states_in_canonical_order(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a", "b", "c"), ("c",)])
-        ordered = pta_states_in_canonical_order(pta, abc)
-        assert ordered == [(), ("a",), ("c",), ("a", "b"), ("a", "b", "c")]
+        # The table numbers states in canonical prefix order: the merge order
+        # of Algorithm 1 is plain int order on state ids.
+        _, prefixes = pta_table(abc, [("a", "b", "c"), ("c",)], with_prefixes=True)
+        assert prefixes == [(), ("a",), ("c",), ("a", "b"), ("a", "b", "c")]
+        assert prefixes == sorted(prefixes, key=abc.word_key)
 
     def test_pta_shares_prefixes(self, abc):
         pta = prefix_tree_acceptor(abc, [("a", "b"), ("a", "c")])
@@ -44,53 +58,30 @@ class TestPrefixTreeAcceptor:
         assert len(pta) == 4
 
 
-class TestMergeStates:
-    def test_plain_merge_may_create_nondeterminism(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a", "b", "c"), ("c",)])
-        merged = merge_states(pta, (), ("a",))
-        # Merging eps and a creates the language a*(c + bc) (paper Section 3.2).
-        assert merged.accepts(("b", "c"))
-        assert merged.accepts(("c",))
-        assert merged.accepts(("a", "a", "c"))
-
-    def test_merge_unknown_state_raises(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a",)])
-        with pytest.raises(AutomatonError):
-            merge_states(pta, (), ("z",))
-
-
 class TestDeterministicMerge:
     def test_paper_merge_eps_ab_yields_abstar_c(self, abc):
         # Section 3.2: merging eps and ab in the PTA of {abc, c} gives (a.b)*.c.
-        pta = prefix_tree_acceptor(abc, [("a", "b", "c"), ("c",)])
-        merged = deterministic_merge(pta, (), ("a", "b"))
-        assert merged.accepts(("c",))
-        assert merged.accepts(("a", "b", "c"))
-        assert merged.accepts(("a", "b", "a", "b", "c"))
-        assert not merged.accepts(("b", "c"))
-        assert not merged.accepts(())
+        result = merged(abc, [("a", "b", "c"), ("c",)], (), ("a", "b"))
+        assert result.accepts(("c",))
+        assert result.accepts(("a", "b", "c"))
+        assert result.accepts(("a", "b", "a", "b", "c"))
+        assert not result.accepts(("b", "c"))
+        assert not result.accepts(())
 
     def test_merge_result_is_deterministic(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a", "b", "c"), ("c",), ("a", "c")])
-        merged = deterministic_merge(pta, (), ("a",))
+        # A DFA refuses a second move on one symbol, so building it is the check.
+        result = merged(abc, [("a", "b", "c"), ("c",), ("a", "c")], (), ("a",))
         seen = {}
-        for source, symbol, _ in merged.transitions():
+        for source, symbol, _ in result.transitions():
             assert (source, symbol) not in seen
             seen[(source, symbol)] = True
 
     def test_merge_language_includes_original(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a", "b"), ("b",)])
-        merged = deterministic_merge(pta, (), ("a",))
+        result = merged(abc, [("a", "b"), ("b",)], (), ("a",))
         for word in [("a", "b"), ("b",)]:
-            assert merged.accepts(word)
+            assert result.accepts(word)
 
     def test_merge_same_state_is_identity(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a",)])
-        merged = deterministic_merge(pta, (), ())
-        assert merged.accepts(("a",))
-        assert len(merged) == len(pta)
-
-    def test_merge_unknown_state_raises(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a",)])
-        with pytest.raises(AutomatonError):
-            deterministic_merge(pta, ("z",), ())
+        result = merged(abc, [("a",)], (), ())
+        assert result.accepts(("a",))
+        assert len(result) == len(prefix_tree_acceptor(abc, [("a",)]))

@@ -18,6 +18,7 @@ from repro.datasets.figures import g0_characteristic_sample
 from repro.engine import QueryEngine
 from repro.learning import Sample
 from repro.queries import PathQuery
+from repro.regex import build as regex_build
 
 #: ``pytest --hypothesis-profile=nightly``: the nightly job's long property runs.
 settings.register_profile("nightly", max_examples=5_000)
@@ -37,15 +38,16 @@ def engine() -> QueryEngine:
 
 @pytest.fixture
 def compilations(monkeypatch) -> list:
-    """A live list with one entry per ``TableDFA.from_nfa`` call from here on."""
+    """A live list with one entry (the AST) per expression compiled from here
+    on: every compile builds its Glushkov automaton exactly once."""
     calls: list = []
-    original = TableDFA.from_nfa.__func__
+    original = regex_build._glushkov
 
-    def counting(cls, nfa):
-        calls.append(nfa)
-        return original(cls, nfa)
+    def counting(regex, alphabet):
+        calls.append(regex)
+        return original(regex, alphabet)
 
-    monkeypatch.setattr(TableDFA, "from_nfa", classmethod(counting))
+    monkeypatch.setattr(regex_build, "_glushkov", counting)
     return calls
 
 

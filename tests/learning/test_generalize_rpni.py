@@ -1,8 +1,9 @@
 """Unit tests for the generalization engine and the word-level RPNI learner."""
 
 import pytest
+from oracles.generalize import prefix_tree_acceptor
 
-from repro.automata import Alphabet, prefix_tree_acceptor
+from repro.automata import Alphabet
 from repro.errors import LearningError
 from repro.learning import rpni
 from repro.learning.generalize import generalize_pta

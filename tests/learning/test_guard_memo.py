@@ -28,13 +28,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.generalize import reference_generalize_pta
+from oracles.generalize import prefix_tree_acceptor, reference_generalize_pta
 from oracles.minimize import reference_canonical_dfa
 
 from repro.automata import Alphabet
 from repro.automata.kernel import MergeFold, fold_generalize, pta_table
 from repro.automata.minimize import canonical_table
-from repro.automata.pta import prefix_tree_acceptor
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.errors import LearningError

@@ -14,12 +14,20 @@ from __future__ import annotations
 import random
 
 from hypothesis import given, settings, strategies as st
+from oracles.operations import language_included
 
 from repro.api.config import EngineConfig
 from repro.automata import Alphabet
 from repro.engine import QueryEngine
-from repro.graphdb import GraphDB, covered_by
-from repro.learning import Sample, learn_path_query, learn_with_dynamic_k, rpni
+from repro.graphdb import GraphDB, covered_by, paths_nfa
+from repro.learning import (
+    Sample,
+    bounded_consistent,
+    is_consistent,
+    learn_path_query,
+    learn_with_dynamic_k,
+    rpni,
+)
 from repro.learning.scp import select_smallest_consistent_paths
 from repro.queries import PathQuery
 
@@ -160,3 +168,20 @@ def test_dynamic_k_abstains_or_is_consistent_at_the_per_k_learners_k(case):
     attempts = [learn_path_query(graph, sample, k=k, engine=QueryEngine()) for k in (1, 2, 3)]
     stop = next((attempt for attempt in attempts if not attempt.is_null), attempts[-1])
     assert (result.k, result.hypothesis) == (stop.k, stop.hypothesis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=graph_and_arbitrary_sample(), k=st.integers(min_value=0, max_value=4))
+def test_exact_consistency_agrees_with_the_object_inclusion_oracle(case, k):
+    # Lemma 3.1 on kernel tables against the same inclusions on object NFAs;
+    # the bounded check is a certificate, so its yes must be the exact yes.
+    graph, sample = case
+    consistent = is_consistent(graph, sample)
+    if sample.positives and sample.negatives:
+        negative_paths = paths_nfa(graph, sample.negatives)
+        covered = [language_included(paths_nfa(graph, v), negative_paths) for v in sample.positives]
+        assert consistent == (not any(covered))
+    else:
+        assert consistent
+    if bounded_consistent(graph, sample, k=k, engine=QueryEngine()):
+        assert consistent

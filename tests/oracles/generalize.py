@@ -3,12 +3,21 @@ the pre-kernel baseline of the learner-speed benchmark)."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 
 from oracles.merging import reference_deterministic_merge
 from repro.automata.alphabet import Alphabet
 from repro.automata.dfa import DFA
+from repro.automata.kernel import pta_table
 from repro.errors import LearningError
+
+
+def prefix_tree_acceptor(alphabet: Alphabet, words: Iterable[Sequence[str]]) -> DFA:
+    """The PTA of ``words`` as a DFA whose states are the prefix words
+    (Figure 6(a) names them ``eps, a, ab, abc, c``): the input the object
+    loop below reads.  Built by the kernel's :func:`pta_table`."""
+    table, prefixes = pta_table(alphabet, words, with_prefixes=True)
+    return table.to_dfa(states=prefixes)
 
 
 def _state_order_key(alphabet: Alphabet, state: object) -> tuple:

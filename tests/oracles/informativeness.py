@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.automata.operations import language_included, union
+from oracles.operations import language_included, union
+
 from repro.graphdb.graph import GraphDB, Node
 from repro.graphdb.paths import paths_nfa
 from repro.learning.sample import Sample

@@ -1,7 +1,7 @@
 """The interned parse: one compile per ``(text, alphabet)`` and process.
 
-Everything here is asserted by *count* (``TableDFA.from_nfa`` calls, the
-LRU's own counters), never by clock.
+Everything here is asserted by *count* (Glushkov constructions, the LRU's
+own counters), never by clock.
 """
 
 from __future__ import annotations

@@ -10,33 +10,19 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 from oracles.prefix_free import reference_is_prefix_free, reference_prefix_free
+from oracles.regex import regex_to_nfa, regexes
 
 from repro.automata import Alphabet, canonical_dfa
 from repro.automata.kernel import TableDFA
 from repro.automata.nfa import NFA
 from repro.automata.prefix_free import is_prefix_free, prefix_free
 from repro.queries import BinaryPathQuery, PathQuery
-from repro.regex import compile_query, regex_to_nfa
-from repro.regex.ast import Epsilon, Regex, Star, Symbol, concat, disjunction
+from repro.regex import compile_query
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
-
-
-def regexes() -> st.SearchStrategy[Regex]:
-    """Random small regular expressions over {a, b, c}."""
-    leaves = st.one_of(st.sampled_from(ABC.symbols).map(Symbol), st.just(Epsilon()))
-
-    def extend(children):
-        return st.one_of(
-            st.tuples(children, children).map(lambda pair: concat(*pair)),
-            st.tuples(children, children).map(lambda pair: disjunction(*pair)),
-            children.map(lambda inner: inner if isinstance(inner, Epsilon) else Star(inner)),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=6)
 
 
 class TestHashFollowsEquality:

@@ -1,11 +1,19 @@
-"""Unit tests for regex compilation (Thompson) and DFA -> regex conversion."""
+"""Unit tests for regex compilation and table -> regex conversion.
+
+Compilation is the Glushkov construction (``compile_table``); its class
+keeps the name of the Thompson construction it replaced, which is now the
+oracle (``oracles.regex``) both are checked against.
+"""
 
 import pytest
+from oracles.regex import regex_to_nfa
 
-from repro.automata import Alphabet, canonical_dfa, language_equivalent
+from repro.automata import Alphabet
+from repro.automata.kernel import TableDFA
 from repro.errors import RegexSyntaxError
-from repro.regex import compile_query, dfa_to_regex, parse, regex_to_dfa, regex_to_nfa
+from repro.regex import compile_query, dfa_to_regex, parse
 from repro.regex.ast import EmptySet
+from repro.regex.build import compile_table
 
 
 @pytest.fixture
@@ -36,13 +44,13 @@ class TestThompsonConstruction:
     )
     def test_language_of_compiled_expression(self, abc, expression, accepted, rejected):
         nfa = regex_to_nfa(parse(expression), abc)
-        dfa = regex_to_dfa(parse(expression), abc)
+        table = compile_table(parse(expression), abc)
         for word in accepted:
             assert nfa.accepts(word)
-            assert dfa.accepts(word)
+            assert table.accepts(word)
         for word in rejected:
             assert not nfa.accepts(word)
-            assert not dfa.accepts(word)
+            assert not table.accepts(word)
 
     def test_compile_query_accepts_string_and_ast(self, abc):
         from_string = compile_query("(a.b)*.c", abc)
@@ -68,17 +76,22 @@ class TestStateElimination:
         ["a", "a.b", "a+b", "a*", "(a.b)*.c", "(a+b)*.c", "a.(b+c)*", "a.b.c+b"],
     )
     def test_roundtrip_preserves_language(self, abc, expression):
-        dfa = compile_query(expression, abc)
-        recovered = dfa_to_regex(dfa)
-        assert language_equivalent(compile_query(recovered, abc), dfa)
+        # Equal languages over one alphabet have identical canonical tables.
+        table = compile_table(expression, abc)
+        recovered = dfa_to_regex(table)
+        assert compile_table(recovered, abc).fingerprint() == table.fingerprint()
 
     def test_empty_language_gives_empty_set(self, abc):
-        from repro.automata.dfa import DFA
-
-        empty = DFA(abc, initial=0)
-        assert dfa_to_regex(empty) == EmptySet()
+        assert dfa_to_regex(TableDFA.blank(abc, 1)) == EmptySet()
 
     def test_roundtrip_of_canonical_dfa(self, abc):
-        original = compile_query("(a.b)*.c", abc)
-        recovered = compile_query(dfa_to_regex(canonical_dfa(original)), abc)
-        assert language_equivalent(original, recovered)
+        # A table with a dead state renders like its canonical form.
+        original = compile_table("(a.b)*.c", abc)
+        padded = TableDFA(
+            abc,
+            n=original.n + 1,
+            trans=original.trans + TableDFA.blank(abc, 1).trans,
+            finals=original.finals,
+        )
+        recovered = compile_table(dfa_to_regex(padded), abc)
+        assert recovered.fingerprint() == original.fingerprint()
