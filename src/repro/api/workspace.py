@@ -278,7 +278,7 @@ class Workspace:
             if semantics == "binary":
                 selected = query.evaluate(self._graph, engine=self._engine)
             else:
-                selected = self._engine.answer(self._graph, query.table)
+                selected = self._engine.answer(self._graph, query)
             span.set(expression=query.expression, selected=len(selected))
         return QueryResult(
             query=query,

@@ -627,16 +627,21 @@ def binary_evaluate(
 #
 # Vectorized twins of the whole-graph walks above.  A layer of the product
 # BFS is expanded in one shot: the frontier is a sorted, duplicate-free int64
-# array of product codes, grouped by state with one ``bincount``; the CSR
-# gather turns per-node (start, stop) ranges into one flat neighbour array
-# via repeat/cumsum arithmetic; dedup masks out the visited codes, sorts the
-# rest and keeps each first-of-run -- no hash table anywhere.  The CSR arrays
-# are viewed zero-copy through ``np.frombuffer`` -- the heap ``array`` form
-# and the storage layer's read-only mmap ``memoryview`` form both expose the
-# buffer protocol, so a snapshot-backed index vectorizes without a copy (and
-# nothing here writes through a view).  A monadic answer stays a numpy
-# array of the python walk's ids and typecode; pairs come back through
-# ``.tolist()`` (true python ints): byte-identical to the python oracle's.
+# array of product codes.  The monadic walk codes a pair state-major, as
+# ``state * n + node``, so each state's pairs are one contiguous run of the
+# frontier, cut out with one ``searchsorted`` over the ``span + 1`` state
+# bounds, and the answer is one slice of the visited mask; the binary walk
+# keeps the node-major code and groups a layer by state with one
+# ``bincount``.  The CSR gather turns per-node (start, stop) ranges into one
+# flat neighbour array via repeat/cumsum arithmetic; dedup masks out the
+# visited codes, sorts the rest and keeps each first-of-run -- no hash table
+# anywhere.  The CSR arrays are viewed zero-copy through ``np.frombuffer`` --
+# the heap ``array`` form and the storage layer's read-only mmap
+# ``memoryview`` form both expose the buffer protocol, so a snapshot-backed
+# index vectorizes without a copy (and nothing here writes through a view).
+# A monadic answer stays a numpy array of the python walk's ids and
+# typecode; pairs come back through ``.tolist()`` (true python ints):
+# byte-identical to the python oracle's.
 
 
 def _np_views(offsets: list, targets: list):
@@ -660,7 +665,8 @@ def _np_by_state(layer_states, rows, span, np):
 
 
 def _np_gather(offsets, targets, nodes, np):
-    """``(neighbours, counts)``: the CSR neighbours of ``nodes``, flattened.
+    """``(neighbours, counts)``: the CSR neighbours of ``nodes`` (never
+    empty), flattened.
 
     ``counts[i]`` is node i's degree; ``neighbours`` concatenates every node's
     targets slice in order (a duplicate node contributes its slice again, as
@@ -668,13 +674,14 @@ def _np_gather(offsets, targets, nodes, np):
     """
     starts = offsets[nodes]
     counts = offsets[nodes + 1] - starts
-    total = int(counts.sum())
+    ends = counts.cumsum()
+    total = int(ends[-1])
     if not total:
         return targets[:0], counts
     # positions[j] = j + (starts[i] - first flat slot of node i): the classic
     # vectorized CSR expansion -- one arange, one repeat, no python loop.
-    shifts = starts - (np.cumsum(counts) - counts)
-    return targets[np.arange(total, dtype=np.int64) + np.repeat(shifts, counts)], counts
+    shifts = starts - (ends - counts)
+    return targets[np.arange(total, dtype=np.int64) + shifts.repeat(counts)], counts
 
 
 def _np_fresh(grown, visited, np):
@@ -698,7 +705,13 @@ def numpy_evaluate_all(
     depth_sizes: list[int] | None = None,
     max_depth: int | None = None,
 ):
-    """Vectorized :func:`evaluate_all` (identical results, layers, counters)."""
+    """Vectorized :func:`evaluate_all` (identical results, layers, counters).
+
+    A product pair is the state-major code ``state * n + node``, so a sorted
+    layer holds each state's nodes as one run, found by one ``searchsorted``
+    over the state bounds.  Every pair of a layer counts as expanded, also
+    the ones at a state with no backward moves, as in the python walk.
+    """
     np = load_numpy()
     moves = bind(index, query)
     n, span, typecode = index.num_nodes, moves.span, index.id_typecode
@@ -709,11 +722,11 @@ def numpy_evaluate_all(
     rrows = moves.reverse_rows()
     views = _np_views(index.bwd_offsets, index.bwd_targets)
 
-    visited = np.zeros(n * span, dtype=bool)
-    finals = np.array(moves.final_states(), dtype=np.int64)
+    visited = np.zeros(span * n, dtype=bool)
     nodes = np.arange(n, dtype=np.int64)
-    frontier = (nodes[:, None] * span + finals[None, :]).reshape(-1)
+    frontier = np.concatenate([nodes + final * n for final in moves.final_states()])
     visited[frontier] = True
+    bounds = np.arange(span + 1, dtype=np.int64) * n
 
     expanded = 0
     scanned = 0
@@ -723,13 +736,16 @@ def numpy_evaluate_all(
     while frontier.size and (max_depth is None or depth < max_depth):
         depth += 1
         expanded += int(frontier.size)
-        layer_nodes, layer_states = np.divmod(frontier, span)
+        cuts = np.searchsorted(frontier, bounds).tolist()
         grown: list = []
-        for row, mask, count in _np_by_state(layer_states, rrows, span, np):
+        for state, row in enumerate(rrows):
+            lo, hi = cuts[state], cuts[state + 1]
+            if lo == hi or not row:
+                continue
             # The frontier is sorted and duplicate-free, so n codes at one
             # state are every node in order (always true of the seed layer):
             # their gathered predecessors are the label's whole CSR array.
-            at_state = None if count == n else layer_nodes[mask]
+            at_state = None if hi - lo == n else frontier[lo:hi] - state * n
             for label_id, pred_states in row:
                 offsets, preds = views(label_id)
                 if at_state is not None:
@@ -737,8 +753,7 @@ def numpy_evaluate_all(
                 if not preds.size:
                     continue
                 scanned += preds.size
-                base = preds * span
-                grown += [base + pred_state for pred_state in pred_states]
+                grown += [preds + pred_state * n for pred_state in pred_states]
         frontier = _np_fresh(grown, visited, np) if grown else nodes[:0]
         if depth_sizes is not None and frontier.size:
             depth_sizes.append(int(frontier.size))
@@ -746,7 +761,7 @@ def numpy_evaluate_all(
         stats.add(expanded, scanned)
 
     (initial,) = moves.initials
-    return np.flatnonzero(visited[initial::span]).astype(typecode)
+    return np.flatnonzero(visited[initial * n : (initial + 1) * n]).astype(typecode)
 
 
 def numpy_binary_evaluate(

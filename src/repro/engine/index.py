@@ -54,23 +54,28 @@ def load_numpy():
 
 
 def repr_rank(nodes: tuple[Node, ...], typecode: str):
-    """``rank[node_id]``: the node's position in ``repr`` order, ties by id.
+    """``(rank, by_rank)``: ``rank[node_id]`` is the node's position in
+    ``repr`` order, ties by id, and ``by_rank[position]`` the node there.
 
-    A numpy array of ``typecode`` when numpy is importable, else a list.
-    Sorting by rank is sorting the nodes by ``repr``, without calling
-    ``repr`` again.
+    Numpy arrays (of ``typecode``, and of objects) when numpy is importable,
+    else lists.  Sorting ids by rank is sorting the nodes by ``repr``,
+    without calling ``repr`` again, and a sorted run of ranks takes its
+    names from ``by_rank`` in one gather.
     """
     reprs = list(map(repr, nodes))
     order = sorted(range(len(nodes)), key=reprs.__getitem__)  # stable: ties by id
+    by_rank = map(nodes.__getitem__, order)
     np = load_numpy()
     if np:
         rank = np.empty(len(nodes), dtype=typecode)
         rank[order] = np.arange(len(nodes), dtype=typecode)
-        return rank
+        # fromiter stores each node as one object, where ``np.array`` of a
+        # list would spread same-length tuple names over a second axis.
+        return rank, np.fromiter(by_rank, dtype=object, count=len(nodes))
     rank = [0] * len(nodes)
     for position, node_id in enumerate(order):
         rank[node_id] = position
-    return rank
+    return rank, list(by_rank)
 
 
 def out_label_masks(bwd_targets, n: int) -> list[int]:
@@ -115,7 +120,7 @@ class GraphIndex:
         "bwd_targets",
         "edge_count",
         "build_seconds",
-        "_rank",
+        "_repr_order",
         "_out_label_masks",
     )
 
@@ -156,7 +161,7 @@ class GraphIndex:
         #: loads and hand-constructed indexes.  Telemetry only -- never
         #: part of the canonical byte form.
         self.build_seconds = 0.0
-        self._rank = None
+        self._repr_order = None
         self._out_label_masks = None
 
     # -- construction --------------------------------------------------------
@@ -343,22 +348,22 @@ class GraphIndex:
         return node_ids
 
     @property
-    def rank(self):
-        """Each node id's position in ``repr`` order (:func:`repr_rank`).
+    def repr_order(self):
+        """``(rank, by_rank)`` of the node table (:func:`repr_rank`).
 
         Built on first use and kept for the index's lifetime; a refresh
-        makes a new index and with it a new rank.  Two threads racing to
-        the first use build equal ranks and one of them is kept.
+        makes a new index and with it a new table.  Two threads racing to
+        the first use build equal tables and one of them is kept.
         """
-        rank = self._rank
-        if rank is None:
-            rank = self._rank = repr_rank(self.nodes_by_id, self.id_typecode)
-        return rank
+        order = self._repr_order
+        if order is None:
+            order = self._repr_order = repr_rank(self.nodes_by_id, self.id_typecode)
+        return order
 
     @property
     def out_label_masks(self) -> list[int]:
         """``masks[node_id]``: bit ``l`` is set iff the node has an out-edge
-        labelled ``l``.  Built on first use, like :attr:`rank`; only the
+        labelled ``l``.  Built on first use, like :attr:`repr_order`; only the
         learner's path enumeration reads it."""
         masks = self._out_label_masks
         if masks is None:
@@ -445,15 +450,15 @@ class Answer:
 
     def in_repr_order(self) -> list[Node]:
         """The selected nodes sorted by ``repr`` (ties by id), the display and
-        wire order: one sort of their ranks and one take over the node table."""
-        rank = self.index.rank
+        wire order: one sort of their ranks and one take over the index's
+        rank-ordered node table."""
+        rank, by_rank = self.index.repr_order
         np = load_numpy()
         if np:
-            ids = np.asarray(self.ids)
-            ordered = ids[np.argsort(rank[ids])].tolist()
-        else:
-            ordered = sorted(self.ids, key=rank.__getitem__)
-        return list(map(self.index.nodes_by_id.__getitem__, ordered))
+            ranks = rank[np.asarray(self.ids)]
+            ranks.sort()
+            return by_rank[ranks].tolist()
+        return list(map(by_rank.__getitem__, sorted(map(rank.__getitem__, self.ids))))
 
     def __repr__(self) -> str:
         return f"Answer({len(self.ids)} of {self.index.num_nodes} nodes)"

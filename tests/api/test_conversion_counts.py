@@ -23,6 +23,7 @@ import repro.interactive.state as state_module
 import repro.learning.learner as learner_module
 from repro.api import ExperimentConfig, InteractiveConfig, Workspace
 from repro.api.config import ServiceConfig
+from repro.automata.kernel import TableDFA
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine.index import Answer, GraphIndex
 from repro.evaluation.workloads import synthetic_query_expressions
@@ -108,6 +109,28 @@ def test_workspace_queries_convert_nothing_warm_or_cold(graph, conversions):
     assert warm.to_dict()["query"]["expression"] == "l00.l01*.l02"
     assert len(conversions["canonical"]) == 1
     assert not conversions["from_dfa"] and not conversions["to_dfa"]
+
+
+def test_a_workspace_query_takes_the_planner_fast_path(graph, compilations, monkeypatch):
+    """A fresh expression's own table is canonical: the planner takes it as
+    it is, so the compile is the only place ``TableDFA.minimized`` runs, and
+    the plan's report lists no rewrite."""
+    minimized_in = []
+    minimized = TableDFA.minimized
+
+    def counting_minimized(self):
+        minimized_in.append(len(compilations))
+        return minimized(self)
+
+    monkeypatch.setattr(TableDFA, "minimized", counting_minimized)
+    PARSE_CACHE.clear()
+    workspace = Workspace(graph, name="counts")
+    for number, expression in enumerate(("l00.l01*.l02", "(l03+l04).l05*", "l02*"), 1):
+        workspace.query(expression)
+        assert len(compilations) == number and minimized_in == list(range(1, number + 1))
+        plan = workspace.explain(expression)
+        assert plan.cache["disposition"] == "hit"  # the report is the query's own plan's
+        assert plan.rewrites == () and plan.planner["parity"] == "clean"
 
 
 @pytest.fixture

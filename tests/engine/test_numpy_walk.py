@@ -1,23 +1,30 @@
 """The vectorised whole-graph walks without a hash pass.
 
 ``numpy_evaluate_all`` / ``numpy_binary_evaluate`` dedup a layer by
-mask-sort-first-of-run (:func:`executor._np_fresh`), group it by state with a
-``bincount``, and -- the monadic twin only -- read a layer that holds every
-node at one state straight off the label's CSR array.  Each of the three is
-pinned here against what it replaced: the ``np.unique`` formula (kept in this
-file), and the pure-python walks, *counters and layer profile included*.
+mask-sort-first-of-run (:func:`executor._np_fresh`).  The monadic twin codes
+a product pair state-major (``state * n + node``), cuts a layer into its
+states' runs with one ``searchsorted``, and reads a run that holds every
+node straight off the label's CSR array; the binary twin groups a layer by
+state with a ``bincount``.  Each piece is pinned here against what it
+replaced: the ``np.unique`` formula (kept in this file), and the
+pure-python walks, *counters and layer profile included* -- also by a
+property over random automata (several finals, finals no move reaches,
+depth bounds).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_backends import EXPRESSIONS, GRAPHS, plan_for
 
+from repro.automata import Alphabet
+from repro.automata.kernel import NO_STATE, TableDFA
 from repro.datasets import scale_free_graph
 from repro.engine import executor
 from repro.engine.executor import KernelStats
@@ -124,6 +131,32 @@ class TestFullLayerRead:
         monkeypatch.setattr(executor, "_np_gather", no_gather)
         assert monadic(executor.numpy_evaluate_all, index, table) == (answer, depths, work)
 
+    def test_last_layer_at_a_state_with_no_backward_moves(self, monkeypatch):
+        """``a.b`` on the path ``0 -a-> 1 -b-> 2``: the last layer is one
+        code at the initial state, which no move enters.  The walk has
+        nothing to expand there, but the python walk pops it, so it counts
+        in ``states_expanded`` and ``depth_sizes`` all the same."""
+        graph = graph_of({"a": [(0, 1)], "b": [(1, 2)]}, 3)
+        index, table = GraphIndex.build(graph), table_of("a.b", graph)
+        assert not executor.bind(index, table).reverse_rows()[table.initial]
+        answer, depths, work = assert_twins_agree(index, table)
+        assert answer == [index.node_ids[0]]
+        assert depths == [3, 1, 1] and work == (5, 2)
+        # Cut before the last layer is expanded, it is listed but not counted.
+        assert assert_twins_agree(index, table, max_depth=2) == (answer, [3, 1, 1], (4, 2))
+
+        # Layer 2 holds one node at a state without moves and gathers
+        # nothing: the one gather is layer 1's, of the middle node.
+        gathers, gather = [], executor._np_gather
+
+        def logged_gather(offsets, targets, nodes, np):
+            gathers.append(nodes.tolist())
+            return gather(offsets, targets, nodes, np)
+
+        monkeypatch.setattr(executor, "_np_gather", logged_gather)
+        assert monadic(executor.numpy_evaluate_all, index, table) == (answer, depths, work)
+        assert gathers == [[index.node_ids[1]]]
+
     def test_n_codes_over_two_states_is_not_a_full_layer(self):
         """Layer 1 of ``a.c+b.d`` holds ``n`` codes, two at each of two
         states: a shortcut keyed on the layer's size would read all of
@@ -222,3 +255,53 @@ def test_serve_cold_shaped_differential():
             digest.update(repr((sorted(answer), depths, work)).encode())
         digests.append(digest.hexdigest())
     assert digests[0] == digests[1]
+
+
+# -- (f) the parity property over random automata ------------------------------
+
+
+ALPHABET = Alphabet(["a", "b", "c", "z"])  # the graphs never carry "z"
+
+
+@st.composite
+def automata(draw):
+    """A random partial DFA over :data:`ALPHABET` with at least one final and
+    an initial state that does not accept.  Several finals, finals no move
+    reaches, states no move leaves and unreachable states all come up; a
+    drawn flag adds one final that no move enters or leaves."""
+    n = draw(st.integers(2, 5))
+    moves = st.one_of(st.just(NO_STATE), st.integers(0, n - 1))
+    trans = draw(st.lists(moves, min_size=n * len(ALPHABET), max_size=n * len(ALPHABET)))
+    finals = draw(st.integers(1, (1 << (n - 1)) - 1)) << 1  # never state 0
+    if draw(st.booleans()):
+        trans += [NO_STATE] * len(ALPHABET)
+        finals |= 1 << n
+        n += 1
+    return TableDFA(ALPHABET, n=n, trans=array("i", trans), finals=finals)
+
+
+@st.composite
+def small_graphs(draw):
+    nodes = draw(st.integers(0, 12))
+    graph = GraphDB(["a", "b", "c"])
+    graph.add_nodes(range(nodes))
+    if nodes:
+        node = st.integers(0, nodes - 1)
+        edges = st.tuples(node, st.sampled_from("abc"), node)
+        graph.add_edges(draw(st.lists(edges, max_size=40)))
+    return graph
+
+
+#: Tier-1 replays a fixed set of examples; the nightly job draws 5,000 fresh
+#: ones (``--hypothesis-profile=nightly``).
+NIGHTLY = settings.default.max_examples >= 5_000
+
+
+@settings(
+    deadline=None, derandomize=not NIGHTLY, max_examples=max(settings.default.max_examples, 300)
+)
+@given(graph=small_graphs(), table=automata(), max_depth=st.one_of(st.none(), st.integers(0, 4)))
+def test_monadic_twins_agree_on_random_automata(graph, table, max_depth):
+    """Answers, layer sizes and work counters, equal between the python walk
+    and its numpy twin, with and without a depth bound."""
+    assert_twins_agree(GraphIndex.build(graph), table, max_depth=max_depth)
