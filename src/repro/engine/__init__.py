@@ -13,7 +13,7 @@ semantics (the dict/frozenset construction is the parity oracle in
   by snapshot content identity;
 * :mod:`repro.engine.planner` -- every planning decision
   (``EngineConfig.planner``): the parity-pinned automaton rewriter and the
-  three comparisons on the index's label counts that pick a kernel;
+  two comparisons that pick an all-pairs kernel and a pair search;
 * :mod:`repro.engine.executor` -- the product walk on int arrays, written
   once per shape (forward early-exit search, backward whole-graph closure,
   per-source binary closure, bidirectional pair search) over one ``bind``

@@ -454,17 +454,17 @@ class QueryEngine:
         """The kernel that runs one whole-graph walk: ``"python"`` or ``"numpy"``.
 
         The one place the choice is made (dispatch and :meth:`explain` both
-        read it).  With both knobs ``"auto"`` and numpy importable it is one
-        comparison on the observable input size
-        (:func:`~repro.engine.planner.whole_graph_kernel`); the binary one
-        is also what keeps the chunked numpy walk off sparse selective
-        queries.  A forced backend or ``planner="off"`` gets the resolved
-        backend, and so does an ephemeral table, which is walked once and
-        not worth pricing.
+        read it).  A monadic walk runs on the resolved backend: the numpy
+        walk beats the python one from about 1k nodes up.  An all-pairs walk
+        with both knobs ``"auto"`` and numpy importable is priced
+        (:func:`~repro.engine.planner.binary_walk_kernel`), which keeps the
+        chunked numpy walk off sparse selective queries; a forced backend,
+        ``planner="off"`` or an ephemeral table, walked once and not worth
+        pricing, gets the resolved backend too.
         """
-        if ephemeral or not self._adaptive or self.backend != "numpy":
+        if not binary or ephemeral or not self._adaptive or self.backend != "numpy":
             return self.backend
-        return planning.whole_graph_kernel(index, plan, binary=binary)
+        return planning.binary_walk_kernel(index, plan)
 
     def _pair_strategy(self, index: GraphIndex, plan: TableDFA) -> str:
         """The search of one pair query, from its first-layer fan-outs

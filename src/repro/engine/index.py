@@ -32,7 +32,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, filterfalse
 from operator import sub
 from time import perf_counter
 
@@ -459,6 +459,24 @@ class Answer:
             ranks.sort()
             return by_rank[ranks].tolist()
         return list(map(by_rank.__getitem__, sorted(map(rank.__getitem__, self.ids))))
+
+    def complement(self) -> "Answer":
+        """The index's nodes this answer does not select, as an answer."""
+        n, typecode = self.index.num_nodes, self.index.id_typecode
+        np = load_numpy()
+        if np:
+            ids = np.setdiff1d(np.arange(n, dtype=typecode), self.ids, assume_unique=True)
+        else:
+            ids = array(typecode, filterfalse(set(self.ids).__contains__, range(n)))
+        return Answer(ids, self.index)
+
+    def overlap(self, other: "Answer") -> int:
+        """How many nodes this answer and ``other``, an answer on the same
+        graph version, both select."""
+        np = load_numpy()
+        if np:
+            return len(np.intersect1d(self.ids, other.ids, assume_unique=True))
+        return len(set(self.ids).intersection(other.ids))
 
     def __repr__(self) -> str:
         return f"Answer({len(self.ids)} of {self.index.num_nodes} nodes)"

@@ -1,4 +1,4 @@
-"""Every planning decision of the engine: one rewrite round, three comparisons.
+"""Every planning decision of the engine: one rewrite round, two comparisons.
 
 **The rewrite.**  The planner sits between query coercion and the plan
 cache: it takes the query's kernel :class:`TableDFA` and hands back the
@@ -29,13 +29,15 @@ its full alphabet when the restriction dropped symbols.  A failed check --
 or any exception inside a pass -- falls back to the unrewritten automaton:
 the planner may only ever make plans smaller, never wrong.
 
-**The choices.**  Which kernel runs a whole-graph walk and which search
+**The choices.**  Which kernel runs an all-pairs walk and which search
 answers a pair query are read off the free statistics a :class:`GraphIndex`
 holds (per-label edge counts, the node count) and the table's shape, one
-comparison each: :func:`monadic_kernel`, :func:`binary_kernel`,
-:func:`pair_strategy`.  ``tests/engine/dispatch_trial.json`` pins them on
-1,500 recorded dispatches (no choice may move unmeasured); the weights are
-named constants, so re-fitting the python:numpy break-even is one line.
+comparison each: :func:`binary_kernel`, :func:`pair_strategy`.
+``tests/engine/dispatch_trial.json`` pins them on 1,500 recorded dispatches
+(no choice may move unmeasured); the weights are named constants, so
+re-fitting the python:numpy break-even is one line.  A monadic walk is not
+priced: the engine runs it on the resolved backend, as the numpy walk beats
+the python one on every recorded graph from 1k nodes up.
 
 Move ordering is not done here: a table has no move order to store, so
 the rare-label-first order of early-exit searches is a sort of each row at
@@ -226,16 +228,6 @@ def binary_mask(num_nodes: int, states: int) -> tuple[int, int]:
     return chunks, chunks * chunk * num_nodes * states
 
 
-def monadic_kernel(seeds: int, scan: int) -> str:
-    """The kernel of one backward whole-graph walk, numpy being importable.
-
-    The vectorized walk trades a fixed call cost for a per-item discount, so
-    it wins past 6,666 units of seeds plus scan work (the weights say 4x; an
-    ``A.B*.C`` walk measures 2.6x at 1k nodes to 12x at 30k).
-    """
-    return "numpy" if seeds + scan > NUMPY_CALL_WEIGHT / (1 - NUMPY_ITEM_WEIGHT) else "python"
-
-
 def binary_kernel(num_nodes: int, states: int, scan: int, forward: int) -> str:
     """The kernel of one all-pairs evaluation (a BFS per source node).
 
@@ -253,13 +245,10 @@ def binary_kernel(num_nodes: int, states: int, scan: int, forward: int) -> str:
     return "numpy" if fixed + work * NUMPY_ITEM_WEIGHT < num_nodes + work else "python"
 
 
-def whole_graph_kernel(index: GraphIndex, table: TableDFA, *, binary: bool) -> str:
-    """``"python"`` or ``"numpy"`` for one whole-graph walk of ``table``."""
-    scan = scan_work(index, table)
-    if binary:
-        forward, _ = first_layer_costs(index, table)
-        return binary_kernel(index.num_nodes, table.n, scan, forward)
-    return monadic_kernel(seed_count(index, table), scan)
+def binary_walk_kernel(index: GraphIndex, table: TableDFA) -> str:
+    """``"python"`` or ``"numpy"`` for one all-pairs walk of ``table``."""
+    forward, _ = first_layer_costs(index, table)
+    return binary_kernel(index.num_nodes, table.n, scan_work(index, table), forward)
 
 
 def pair_strategy(forward: int, backward: int) -> str:

@@ -8,11 +8,10 @@ selects; precision, recall and F1 follow the usual definitions.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.engine.engine import QueryEngine
-from repro.graphdb.graph import GraphDB, Node
+from repro.graphdb.graph import GraphDB
 from repro.queries.path_query import PathQuery
 
 
@@ -59,27 +58,6 @@ class ClassificationScores:
         return (self.true_positives + self.true_negatives) / total
 
 
-def compare_node_sets(
-    predicted: Iterable[Node],
-    reference: Iterable[Node],
-    universe: Iterable[Node],
-) -> ClassificationScores:
-    """Score a predicted node set against a reference set over a node universe."""
-    predicted_set = set(predicted)
-    reference_set = set(reference)
-    universe_set = set(universe)
-    true_positives = len(predicted_set & reference_set)
-    false_positives = len(predicted_set - reference_set)
-    false_negatives = len(reference_set - predicted_set)
-    true_negatives = len(universe_set - predicted_set - reference_set)
-    return ClassificationScores(
-        true_positives=true_positives,
-        false_positives=false_positives,
-        false_negatives=false_negatives,
-        true_negatives=true_negatives,
-    )
-
-
 def score_query(
     learned: PathQuery | None,
     goal: PathQuery,
@@ -91,13 +69,21 @@ def score_query(
 
     A null (abstained) learned query is scored as the empty prediction, which
     is how the static experiments account for runs where the learner had too
-    few examples.  Both node sets are computed through the query engine, so
-    the goal's (fixed) reference set is a result-cache hit after the first
+    few examples.  The counts are read off the engine's id arrays, naming no
+    node; the goal's (fixed) answer is a result-cache hit after the first
     scoring round on a given graph.
     """
-    reference = goal.evaluate(graph, engine=engine)
-    predicted = learned.evaluate(graph, engine=engine) if learned is not None else frozenset()
-    return compare_node_sets(predicted, reference, graph.nodes)
+    reference = engine.answer(graph, goal)
+    predicted = true_positives = 0
+    if learned is not None:
+        answer = engine.answer(graph, learned)
+        predicted, true_positives = len(answer), answer.overlap(reference)
+    return ClassificationScores(
+        true_positives=true_positives,
+        false_positives=predicted - true_positives,
+        false_negatives=len(reference) - true_positives,
+        true_negatives=graph.node_count() - predicted - len(reference) + true_positives,
+    )
 
 
 def f1_score(

@@ -135,11 +135,17 @@ def draw_sample(
     nodes; by default the labels follow the goal query's own selectivity
     (labeling uniformly random nodes), but at least one positive and one
     negative are always included when the goal makes both possible.
+
+    Positives are drawn from the goal's answer and negatives from its
+    complement, each listed in ``repr`` order (ties by node id), so a seed
+    draws the same sample whatever order the graph holds its nodes in.
     """
     if not 0.0 < labeled_fraction <= 1.0:
         raise LearningError("labeled_fraction must be in (0, 1]")
-    selected = goal.evaluate(graph, engine=engine)
-    unselected = graph.nodes - selected
+    if positive_share is not None and not 0.0 <= positive_share <= 1.0:
+        raise LearningError("positive_share must be in [0, 1]")
+    selected = engine.answer(graph, goal)
+    unselected = selected.complement()
     total = max(2, int(round(labeled_fraction * graph.node_count())))
     if positive_share is None:
         positive_share = len(selected) / graph.node_count() if graph.node_count() else 0.0
@@ -153,10 +159,10 @@ def draw_sample(
         negative_count = 1
 
     positives: list[Node] = (
-        rng.sample(sorted(selected, key=repr), positive_count) if positive_count else []
+        rng.sample(selected.in_repr_order(), positive_count) if positive_count else []
     )
     negatives: list[Node] = (
-        rng.sample(sorted(unselected, key=repr), negative_count) if negative_count else []
+        rng.sample(unselected.in_repr_order(), negative_count) if negative_count else []
     )
     return Sample(positives, negatives)
 

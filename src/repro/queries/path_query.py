@@ -257,7 +257,7 @@ class PathQuery(_RegexQuery):
         """The fraction of graph nodes selected by the query (0.0 - 1.0)."""
         if graph.node_count() == 0:
             raise QueryError("selectivity is undefined on an empty graph")
-        return len(self.evaluate(graph, engine=engine)) / graph.node_count()
+        return len(engine.answer(graph, self)) / graph.node_count()
 
     def equivalent_on(self, other: "PathQuery", graph: GraphDB, *, engine: QueryEngine) -> bool:
         """Whether the two queries select the same node set on this graph.

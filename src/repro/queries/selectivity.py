@@ -38,11 +38,11 @@ def selectivity_report(
     items = queries.items() if isinstance(queries, Mapping) else list(queries)
     report: dict[str, dict[str, float | int | str]] = {}
     for name, query in items:
-        selected = query.evaluate(graph, engine=engine)
-        fraction = len(selected) / graph.node_count()
+        selected = len(engine.answer(graph, query))
+        fraction = selected / graph.node_count()
         report[name] = {
             "expression": query.expression,
-            "selected_nodes": len(selected),
+            "selected_nodes": selected,
             "selectivity": fraction,
             "selectivity_percent": 100.0 * fraction,
         }

@@ -2,22 +2,27 @@
 
 What these tests pin is (a) the free statistics the choices read --
 transition-weighted scan work, first-layer fan-outs -- computed exactly, and
-(b) the *choices* the engine consumes: python wins small graphs, the
-vectorized kernel wins dense whole-graph walks, the chunked numpy binary
-kernel is kept off sparse selective workloads, and the pair-strategy rule
-reproduces the executor's historical ``forward*8 <= backward`` decision.
+(b) the *choices* the engine consumes: python wins small all-pairs walks,
+the vectorized kernel wins dense ones, the chunked numpy binary kernel is
+kept off sparse selective workloads, and the pair-strategy rule reproduces
+the executor's historical ``forward*8 <= backward`` decision.
 :class:`TestOneDispatchRule` pins the engine side: one strategy name per
-whole-graph walk, read by dispatch and ``explain`` alike.  (The file keeps
+whole-graph walk, read by dispatch and ``explain`` alike, and a monadic walk
+on the resolved backend whatever the graph's size.  (The file keeps
 the name of the ``engine/costs.py`` it was written against; PR 23 replaced
-that module's estimate lists by three comparisons in ``engine/planner.py``,
+that module's estimate lists by comparisons in ``engine/planner.py``,
 and ``test_planner_trial.py`` holds the recorded dispatches they reproduce.)
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.automata.kernel import TableDFA
+from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine, have_numpy, planner
 from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
@@ -26,6 +31,7 @@ from repro.regex import compile_query
 from repro.telemetry import Telemetry
 
 ALPHABET = ["r", "d", "z"]
+DISPATCH_TRIAL = Path(__file__).parent / "dispatch_trial.json"
 
 
 def skewed_graph(rare: int = 2, dense: int = 200) -> GraphDB:
@@ -56,9 +62,9 @@ def pair_choice(graph: GraphDB, expression: str) -> str:
     return planner.pair_strategy(*planner.first_layer_costs(index, plan_for(expression)))
 
 
-def kernel_choice(graph: GraphDB, expression: str, *, binary: bool = False) -> str:
-    """The walk the planner picks when numpy is there to be picked."""
-    return planner.whole_graph_kernel(GraphIndex.build(graph), plan_for(expression), binary=binary)
+def kernel_choice(graph: GraphDB, expression: str) -> str:
+    """The all-pairs walk the planner picks when numpy is there to be picked."""
+    return planner.binary_walk_kernel(GraphIndex.build(graph), plan_for(expression))
 
 
 class TestSharedQuantities:
@@ -103,8 +109,8 @@ class TestEvaluateAllEstimates:
         for semantics in ("path", "binary"):
             chosen = engine.explain(graph, query_for("d.d*"), semantics=semantics)["chosen"]
             assert chosen["strategy"] == "python"
-        for work in (0, 6_666, 6_667, 10**9):
-            assert planner.monadic_kernel(work, 0) in ("python", "numpy")
+        for work in (0, 16_256, 16_257, 10**9):
+            assert planner.binary_kernel(1000, 4, work, 1) in ("python", "numpy")
 
     def test_python_wins_small_graphs(self):
         assert kernel_choice(skewed_graph(rare=2, dense=30), "d*") == "python"
@@ -117,10 +123,10 @@ class TestBinaryEstimates:
     def test_sparse_selective_prefers_python(self):
         # One "r" edge guards the initial state: almost every source dies in
         # its first layer, which the dense numpy visited mask cannot exploit.
-        assert kernel_choice(chain_graph(2000), "r.d*", binary=True) == "python"
+        assert kernel_choice(chain_graph(2000), "r.d*") == "python"
 
     def test_dense_unselective_prefers_numpy(self):
-        assert kernel_choice(chain_graph(6000), "d.d*", binary=True) == "numpy"
+        assert kernel_choice(chain_graph(6000), "d.d*") == "numpy"
 
     def test_numpy_estimate_carries_mask_accounting(self):
         index, plan = GraphIndex.build(chain_graph(100)), plan_for("d*")
@@ -159,16 +165,33 @@ class TestOneDispatchRule:
 
     @pytest.mark.skipif(not have_numpy(), reason="the crossover needs the numpy walk")
     def test_auto_picks_the_cheaper_estimate_and_explain_names_it(self):
-        # 30 "d" edges sit under the model's crossover, 6400 above it.
+        # 30 "d" edges sit under the binary model's crossover, 6400 above it.
         for graph, expected in ((skewed_graph(2, 30), "python"), (dense_graph(80), "numpy")):
-            for semantics, run in (("path", "evaluate"), ("binary", "binary_evaluate")):
-                engine = QueryEngine()
-                query = query_for("d.d*")
-                chosen = engine.explain(graph, query, semantics=semantics)["chosen"]
-                assert chosen["strategy"] == expected
-                assert dispatched(engine) == {}  # explaining runs nothing
-                getattr(engine, run)(graph, query)
-                assert dispatched(engine) == {expected: 1}
+            engine = QueryEngine()
+            query = query_for("d.d*")
+            chosen = engine.explain(graph, query, semantics="binary")["chosen"]
+            assert chosen["strategy"] == expected
+            assert dispatched(engine) == {}  # explaining runs nothing
+            engine.binary_evaluate(graph, query)
+            assert dispatched(engine) == {expected: 1}
+
+    @pytest.mark.skipif(not have_numpy(), reason="the monadic walk needs numpy to pick it")
+    @pytest.mark.parametrize("position", [0, 2], ids=["300", "3000"])
+    def test_auto_walks_every_monadic_plan_on_numpy_and_explain_names_it(self, position):
+        # The recorded trial graphs: the deleted rule sent every walk on the
+        # 300-node graph and 178 of 300 on the 3k-node one to python.
+        entry = json.loads(DISPATCH_TRIAL.read_text())["graphs"][position]
+        graph = scale_free_graph(
+            entry["nodes"], alphabet_size=20, zipf_exponent=1.0, seed=entry["graph_seed"]
+        )
+        labels = sorted(graph.labels())
+        engine = QueryEngine()
+        assert engine.backend == "numpy"
+        for expression in (f"{labels[0]}.{labels[1]}*.{labels[2]}", f"({labels[3]}+{labels[4]})*"):
+            query = PathQuery.parse(expression, graph.alphabet)
+            assert engine.explain(graph, query)["chosen"]["strategy"] == "numpy"
+            engine.answer(graph, query)
+        assert dispatched(engine) == {"numpy": 2}
 
     @pytest.mark.parametrize(
         "knobs, graph",

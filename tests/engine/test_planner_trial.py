@@ -8,7 +8,10 @@ Two fixtures were recorded **on the parent** of the PR that deleted
   the numbers the cost model read (``seeds``, ``scan_work``, first-layer
   ``forward`` / ``backward``, the table's state count) and what
   ``cheapest(...)`` / ``choose_pair_strategy`` answered.  The planner's
-  three predicates must reproduce every row.
+  binary-kernel and pair-search predicates must reproduce every row.  The
+  monadic column records a rule that is gone: a monadic walk now runs on
+  the resolved backend unpriced (``TestOneDispatchRule`` in
+  ``test_costs.py`` pins the engine side).
 * ``rewrite_trial.json`` -- digests of ``rewrite_table``'s outcome
   (rewrites, parity, table fingerprint) with ``max_passes=3`` over the
   3,000-input population of :func:`rewrite_population`; on the parent
@@ -115,21 +118,21 @@ CHOICES = {"p": "python", "n": "numpy", "f": "forward", "b": "bidirectional"}
 
 
 class TestRecordedDispatches:
-    def test_the_three_predicates_reproduce_every_row(self):
+    def test_the_two_predicates_reproduce_every_row(self):
         graphs = load("dispatch_trial.json")["graphs"]
         assert [entry["nodes"] for entry in graphs] == [300, 1000, 3000, 10000, 30000]
         rows = 0
         for entry in graphs:
             nodes = entry["nodes"]
-            for seeds, scan, forward, backward, states, monadic, binary, pair in entry["rows"]:
-                assert planner.monadic_kernel(seeds, scan) == CHOICES[monadic]
+            for _, scan, forward, backward, states, _, binary, pair in entry["rows"]:
                 assert planner.binary_kernel(nodes, states, scan, forward) == CHOICES[binary]
                 assert planner.pair_strategy(forward, backward) == CHOICES[pair]
                 rows += 1
         assert rows == 1500
 
     def test_the_parent_split_is_the_recorded_one(self):
-        # Guards the fixture itself: the numbers PR 23's issue quotes.
+        # Guards the fixture itself: the recorded split (the monadic column
+        # is what the deleted python:numpy rule chose).
         graphs = load("dispatch_trial.json")["graphs"]
         numpy_rows = [sum(row[5] == "n" for row in entry["rows"]) for entry in graphs]
         assert numpy_rows == [0, 0, 122, 300, 300]
@@ -154,8 +157,7 @@ class TestRecordedDispatches:
                 backward,
                 table.n,
             ] == row[:5]
-            assert planner.whole_graph_kernel(index, table, binary=False) == CHOICES[row[5]]
-            assert planner.whole_graph_kernel(index, table, binary=True) == CHOICES[row[6]]
+            assert planner.binary_walk_kernel(index, table) == CHOICES[row[6]]
             inputs = planner.decision_inputs(index, table, binary=False)
             assert inputs == {
                 "seeds": row[0],
@@ -168,13 +170,6 @@ class TestRecordedDispatches:
 
 
 class TestBoundaries:
-    def test_monadic_break_even_sits_between_6666_and_6667_units(self):
-        assert planner.NUMPY_CALL_WEIGHT / (1 - planner.NUMPY_ITEM_WEIGHT) == 5000 / 0.75
-        for seeds, scan in ((6_666, 0), (0, 6_666), (3_333, 3_333)):
-            assert planner.monadic_kernel(seeds, scan) == "python"
-        for seeds, scan in ((6_667, 0), (0, 6_667), (3_333, 3_334)):
-            assert planner.monadic_kernel(seeds, scan) == "numpy"
-
     def test_pair_rule_is_inclusive(self):
         assert planner.pair_strategy(5, 40) == "forward"  # forward * 8 == backward
         assert planner.pair_strategy(5, 39) == "bidirectional"

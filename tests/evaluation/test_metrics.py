@@ -1,9 +1,22 @@
-"""Unit tests for the F1 / precision / recall metrics."""
+"""Unit tests for the F1 / precision / recall metrics.
+
+``score_query`` counts on the engine's id arrays; the name-set scorer it
+replaced (``oracles.evaluation``) is the reference it must equal field by
+field, with numpy and without it.
+"""
 
 import pytest
+from hypothesis import given, settings
+from oracles.evaluation import (
+    NUMPY_MODES,
+    compare_node_sets,
+    numpy_mode,
+    reference_score_query,
+    shuffled_graphs,
+)
 
+from repro.engine import QueryEngine
 from repro.evaluation import ClassificationScores, f1_score, score_query
-from repro.evaluation.metrics import compare_node_sets
 from repro.queries import PathQuery
 
 
@@ -53,3 +66,26 @@ class TestQueryScoring:
         scores = score_query(broad, abstar_c, g0, engine=engine)
         assert scores.recall == 1.0
         assert scores.precision == pytest.approx(2 / 6)
+
+
+#: ``(a+b)*`` selects every node (the empty word), ``c`` none (no ``c`` edge).
+EXPRESSIONS = ("a", "b.a", "a.b*", "(a+b)*", "c", "b*.a+c", "a.a.a")
+
+
+class TestAgainstTheNameSetOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(shuffled_graphs())
+    def test_score_query_equals_the_oracle_field_by_field(self, graph):
+        # Every goal against every learned query and a null one: the goals
+        # include an empty one (``c``) and one selecting every node.
+        queries = [PathQuery.parse(text, graph.alphabet) for text in EXPRESSIONS]
+        pairs = [(learned, goal) for goal in queries for learned in [None, *queries]]
+        oracle = QueryEngine(backend="python", planner="off")
+        expected = [reference_score_query(*pair, graph, engine=oracle) for pair in pairs]
+        for with_numpy in NUMPY_MODES:
+            with numpy_mode(with_numpy):
+                engine = QueryEngine()
+                assert engine.backend == ("numpy" if with_numpy else "python")
+                got = [score_query(*pair, graph, engine=engine) for pair in pairs]
+            assert got == expected
+            assert [score.f1 for score in got] == [score.f1 for score in expected]
