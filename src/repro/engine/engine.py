@@ -337,9 +337,9 @@ class QueryEngine:
         if index is not None:
             if index.is_current(graph):
                 return index
-            # A stale index is repaired from the graph's delta log: 2.3x to
-            # 51x a rebuild at 3k-30k nodes, never slower; past a delta it
-            # can see is too large, refresh declines and the build below runs.
+            # A stale index is repaired from the graph's delta log, faster
+            # than a rebuild up to the measured break-even (refresh_ratio);
+            # past it, refresh declines and the build below runs.
             with self.telemetry.span("engine.index_refresh") as span:
                 refreshed = index.refresh(graph)
                 if refreshed is not None:

@@ -17,13 +17,18 @@ A :class:`GraphIndex` is a read-optimized snapshot of a
 * the snapshot records the graph's ``(uid, version)`` at build time, so
   staleness is a single integer comparison (:meth:`GraphIndex.is_current`).
 
-Building the index costs one pass over the edge set; every evaluation after
-that avoids the per-call dict/frozenset churn of the reference product
-construction (``tests/oracles/product.py``).  When the graph mutates, the
-index can usually be *refreshed* (:meth:`GraphIndex.refresh`) from the
-graph's mutation delta log instead of rebuilt: stable node/label numbering
-means new nodes and labels are appended and only the labels actually
-touched by the delta have their CSR rows re-merged.
+Building the index is a counting sort per label: the edge set is encoded
+once into int columns (label, and ``(origin << 32) | end`` codes), and each
+label's codes are sorted and counted into its offsets and targets -- numpy
+when importable, ``sorted`` and a running sum without it.  That is
+O(E log E + m * n) time for ``E`` edges, ``m`` labels and ``n`` nodes, with
+O(E + n) temporaries.  Every evaluation after that avoids the per-call
+dict/frozenset churn of the reference product construction
+(``tests/oracles/product.py``).  When the graph mutates, the index can
+usually be *refreshed* (:meth:`GraphIndex.refresh`) from the graph's
+mutation delta log instead of rebuilt: stable node/label numbering means new
+nodes and labels are appended and only the labels actually touched by the
+delta get new CSR arrays.
 """
 
 from __future__ import annotations
@@ -31,16 +36,19 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from functools import cache
-from itertools import accumulate, chain, filterfalse
-from operator import sub
+from itertools import accumulate, chain, filterfalse, repeat
+from operator import add, itemgetter, sub
 from time import perf_counter
 
 from repro.graphdb.graph import GraphDB, Node
 
-#: Delta-to-index size ratio past which :meth:`GraphIndex.refresh` declines
-#: and the engine rebuilds (per-row merging stops paying off around there).
-REFRESH_RATIO = 0.25
+#: The low half of a packed ``(origin << 32) | end`` edge code.
+_LOW32 = 0xFFFFFFFF
+#: The CSR arrays' ``array("l")`` item, as a numpy dtype.
+_ITEMSIZE = array("l").itemsize
+_DTYPE = f"i{_ITEMSIZE}"
 
 
 @cache
@@ -51,6 +59,13 @@ def load_numpy():
     except ImportError:
         return False
     return numpy
+
+
+def refresh_ratio() -> float:
+    """Delta-to-index size ratio past which :meth:`GraphIndex.refresh`
+    declines and the engine rebuilds: each backend's measured break-even
+    (a refresh sorts the touched labels, a rebuild encodes every edge)."""
+    return 1.0 if load_numpy() else 0.4
 
 
 def repr_rank(nodes: tuple[Node, ...], typecode: str):
@@ -168,7 +183,7 @@ class GraphIndex:
 
     @classmethod
     def build(cls, graph: GraphDB) -> "GraphIndex":
-        """Snapshot the graph into CSR form (one pass over the edge set)."""
+        """Snapshot the graph into CSR form (a counting sort per label)."""
         started = perf_counter()
         nodes_by_id = tuple(graph.node_order)
         node_ids = {node: index for index, node in enumerate(nodes_by_id)}
@@ -177,23 +192,29 @@ class GraphIndex:
         n = len(nodes_by_id)
         m = len(labels_by_id)
 
-        # Bucket the int-encoded edges per label, then sort each bucket so
-        # every node's targets slice comes out ascending (canonical form).
-        per_label: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for origin, label, end in graph.edges:
-            per_label[label_ids[label]].append((node_ids[origin], node_ids[end]))
+        # Encode the edges once, as int columns: label, and origin and end
+        # packed into one code, ``(origin << 32) | end``.
+        edges = list(graph.edges)
+        labels = map(label_ids.__getitem__, map(itemgetter(1), edges))
+        origins = map(node_ids.__getitem__, map(itemgetter(0), edges))
+        ends = map(node_ids.__getitem__, map(itemgetter(2), edges))
+        np = load_numpy()
+        if np:
+            # One stable sort by label (a radix sort on the narrowest
+            # dtype): each label's codes are then a slice.
+            count = len(edges)
+            labels = np.fromiter(labels, np.min_scalar_type(m), count)
+            codes = np.fromiter(origins, np.int64, count) << 32 | np.fromiter(ends, np.int64, count)
+            codes = codes[labels.argsort(kind="stable")]
+            bounds = np.bincount(labels, minlength=m).cumsum().tolist()
+            per_label = [codes[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+        else:
+            per_label = [[] for _ in range(m)]
+            for label, origin, end in zip(labels, origins, ends):
+                per_label[label].append(origin << 32 | end)
 
-        fwd_offsets: list[array] = []
-        fwd_targets: list[array] = []
-        bwd_offsets: list[array] = []
-        bwd_targets: list[array] = []
-        for edges in per_label:
-            fwd_off, fwd_tgt, bwd_off, bwd_tgt = csr_pair(edges, n)
-            fwd_offsets.append(fwd_off)
-            fwd_targets.append(fwd_tgt)
-            bwd_offsets.append(bwd_off)
-            bwd_targets.append(bwd_tgt)
-
+        rows = (csr_pair(label_codes, n) for label_codes in per_label)
+        fwd_offsets, fwd_targets, bwd_offsets, bwd_targets = csr_columns(rows)
         index = cls(
             graph_uid=graph.uid,
             graph_version=graph.version,
@@ -212,21 +233,22 @@ class GraphIndex:
 
     # -- incremental maintenance ---------------------------------------------
 
-    def refresh(self, graph: GraphDB, *, max_ratio: float = REFRESH_RATIO) -> "GraphIndex | None":
+    def refresh(self, graph: GraphDB, *, max_ratio: float | None = None) -> "GraphIndex | None":
         """A new index incorporating ``graph``'s mutations since this one.
 
         Merges the graph's mutation delta log into copies of the CSR arrays:
         new nodes and labels are appended (the stable orders guarantee a
         fresh build would number them identically), and only the labels
-        actually touched by the delta have their rows re-merged -- untouched
-        labels share their arrays with this index.  The result is
-        byte-identical to ``GraphIndex.build(graph)``.
+        actually touched by the delta get new arrays -- with numpy their
+        codes plus the delta's sorted afresh, without it the delta merged in
+        row by row -- while untouched labels share theirs with this index.
+        The result is byte-identical to ``GraphIndex.build(graph)``.
 
         Returns ``self`` when already current, or ``None`` when incremental
         maintenance is impossible or not worthwhile: a different graph, a
-        truncated delta log, or a delta larger than ``max_ratio`` of the
-        indexed edge set (at that size a full counting-sort rebuild is
-        cheaper than per-row merging).
+        truncated delta log, or a delta larger than ``max_ratio`` (default
+        :func:`refresh_ratio`) of the indexed edge set, past which a full
+        rebuild is cheaper.
         """
         if graph.uid != self.graph_uid:
             return None
@@ -238,6 +260,8 @@ class GraphIndex:
         delta = delta_since(self.graph_version)
         if delta is None:
             return None
+        if max_ratio is None:
+            max_ratio = refresh_ratio()
         if len(delta) > max(16, int(max_ratio * max(1, self.edge_count))):
             return None
         started = perf_counter()
@@ -259,50 +283,37 @@ class GraphIndex:
 
         labels_by_id = list(self.labels_by_id)
         label_ids = dict(self.label_ids)
-        delta_by_label: dict[int, list[tuple[int, int]]] = {}
+        delta_by_label: dict[int, list[int]] = {}
         for origin, label, end in delta_edges:
             label_id = label_ids.get(label)
             if label_id is None:
                 label_id = len(labels_by_id)
                 label_ids[label] = label_id
                 labels_by_id.append(label)
-            delta_by_label.setdefault(label_id, []).append((node_ids[origin], node_ids[end]))
+            delta_by_label.setdefault(label_id, []).append(node_ids[origin] << 32 | node_ids[end])
 
-        fwd_offsets: list = []
-        fwd_targets: list = []
-        bwd_offsets: list = []
-        bwd_targets: list = []
-        for label_id in range(len(labels_by_id)):
+        np = load_numpy()
+        rows = []
+        old_rows = zip(self.fwd_offsets, self.fwd_targets, self.bwd_offsets, self.bwd_targets)
+        for label_id, (fwd_off, fwd_tgt, bwd_off, bwd_tgt) in enumerate(old_rows):
             additions = delta_by_label.get(label_id)
-            if label_id >= old_m:
-                # A label first used by the delta: its rows are all new.
-                fwd_off, fwd_tgt, bwd_off, bwd_tgt = csr_pair(additions, n)
-            elif additions is None:
+            if additions is None:
                 # Untouched label: share the targets; extend the offsets
                 # only if nodes were appended (degree 0 for all of them).
-                fwd_off = _extend_offsets(self.fwd_offsets[label_id], old_n, n)
-                bwd_off = _extend_offsets(self.bwd_offsets[label_id], old_n, n)
-                fwd_tgt = self.fwd_targets[label_id]
-                bwd_tgt = self.bwd_targets[label_id]
+                fwd_off, bwd_off = _extend_offsets(fwd_off, n), _extend_offsets(bwd_off, n)
+                rows.append((fwd_off, fwd_tgt, bwd_off, bwd_tgt))
+            elif np:
+                # numpy re-sorts the label: its indexed edges plus the delta's.
+                codes = np.concatenate((_np_codes(fwd_off, fwd_tgt, np), additions))
+                rows.append(csr_pair(codes, n))
             else:
-                fwd_off, fwd_tgt = _merge_csr(
-                    self.fwd_offsets[label_id],
-                    self.fwd_targets[label_id],
-                    old_n,
-                    n,
-                    sorted(additions),
-                )
-                bwd_off, bwd_tgt = _merge_csr(
-                    self.bwd_offsets[label_id],
-                    self.bwd_targets[label_id],
-                    old_n,
-                    n,
-                    sorted((end, origin) for origin, end in additions),
-                )
-            fwd_offsets.append(fwd_off)
-            fwd_targets.append(fwd_tgt)
-            bwd_offsets.append(bwd_off)
-            bwd_targets.append(bwd_tgt)
+                # Without numpy a re-sort costs about a rebuild: merge rows.
+                swapped = [(code & _LOW32) << 32 | code >> 32 for code in additions]
+                forward = _merge_csr(fwd_off, fwd_tgt, additions, n)
+                rows.append(forward + _merge_csr(bwd_off, bwd_tgt, swapped, n))
+        # Labels first used by the delta: their rows are all new.
+        rows += [csr_pair(delta_by_label[label_id], n) for label_id in range(old_m, len(label_ids))]
+        fwd_offsets, fwd_targets, bwd_offsets, bwd_targets = csr_columns(rows)
 
         # Always a plain in-memory index, even when refreshing a subclass
         # (e.g. a storage-layer mapped index): the merged arrays are heap
@@ -482,42 +493,67 @@ class Answer:
         return f"Answer({len(self.ids)} of {self.index.num_nodes} nodes)"
 
 
-def csr_pair(
-    edges: list[tuple[int, int]], n: int
-) -> tuple[array, array, array, array]:
+def csr_pair(codes, n: int) -> tuple[array, array, array, array]:
     """One label's canonical forward and backward CSR arrays.
 
-    ``edges`` are int-encoded ``(origin, end)`` pairs in any order.  This is
+    ``codes`` are the label's edges packed as ``(origin << 32) | end`` ints,
+    in any order: a list, an ``array("q")`` or a numpy int64 array.  This is
     the single definition of the canonical form (each slice sorted
     ascending) that full builds, incremental refreshes and the bulk
-    ingester must all agree on byte for byte.
+    ingester must all agree on byte for byte.  Sorting the codes sorts the
+    edges by origin, then end; swapping the halves gives the backward
+    order.  Time O(E log E + n), temporaries O(E + n).
     """
-    forward = sorted(edges)
-    fwd_off, fwd_tgt = _csr(forward, n)
-    backward = sorted((end, origin) for origin, end in forward)
-    bwd_off, bwd_tgt = _csr(backward, n)
-    return fwd_off, fwd_tgt, bwd_off, bwd_tgt
+    np = load_numpy()
+    if np:
+        forward = np.asarray(codes, dtype=np.int64)
+        backward = (forward & _LOW32) << 32 | forward >> 32
+        return (*_np_csr(forward, n, np), *_np_csr(backward, n, np))
+    forward = sorted(codes)
+    backward = sorted([(code & _LOW32) << 32 | code >> 32 for code in forward])
+    return (*_csr(forward, n), *_csr(backward, n))
 
 
-def _csr(pairs: list[tuple[int, int]], n: int) -> tuple[array, array]:
-    """CSR arrays for one label from ``(key, value)`` pairs sorted by pair.
+def csr_columns(rows) -> tuple[list, list, list, list]:
+    """Per-label :func:`csr_pair` rows as ``(fwd_offsets, fwd_targets,
+    bwd_offsets, bwd_targets)``, one list per array kind."""
+    columns: tuple[list, list, list, list] = ([], [], [], [])
+    for row in rows:
+        for column, csr in zip(columns, row):
+            column.append(csr)
+    return columns
 
-    Because the input is sorted, the flat targets array is simply the values
-    in order and each key's slice comes out ascending (canonical form).
-    """
-    offsets = array("l", [0] * (n + 1))
-    for key, _ in pairs:
-        offsets[key + 1] += 1
-    for i in range(1, n + 1):
-        offsets[i] += offsets[i - 1]
-    targets = array("l", [0] * len(pairs))
-    for position, (_, value) in enumerate(pairs):
-        targets[position] = value
+
+def _np_codes(offsets, targets, np):
+    """The packed codes of one label's forward CSR arrays, ascending: the
+    inverse of :func:`csr_pair`'s forward half."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    origins = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    return origins << 32 | np.asarray(targets, dtype=np.int64)
+
+
+def _np_csr(codes, n: int, np) -> tuple[array, array]:
+    """CSR arrays from one direction's packed codes: a counting sort whose
+    offsets and targets numpy writes straight into the ``array("l")``s."""
+    codes = np.sort(codes)
+    offsets = array("l", bytes((n + 1) * _ITEMSIZE))
+    targets = array("l", bytes(len(codes) * _ITEMSIZE))
+    np.cumsum(np.bincount(codes >> 32, minlength=n), out=np.frombuffer(offsets, _DTYPE)[1:])
+    np.bitwise_and(codes, _LOW32, out=np.frombuffer(targets, _DTYPE))
     return offsets, targets
 
 
-def _extend_offsets(offsets, old_n: int, n: int):
-    """Offsets grown from ``old_n + 1`` to ``n + 1`` entries (0-degree tail)."""
+def _csr(codes: list[int], n: int) -> tuple[array, array]:
+    """CSR arrays from one direction's packed codes, sorted: the targets are
+    the low halves in order, the offsets a running sum of per-key counts."""
+    counts = Counter([code >> 32 for code in codes])
+    offsets = array("l", [0, *accumulate(map(counts.get, range(n), repeat(0)))])
+    return offsets, array("l", [code & _LOW32 for code in codes])
+
+
+def _extend_offsets(offsets, n: int):
+    """Offsets grown to ``n + 1`` entries (a 0-degree tail)."""
+    old_n = len(offsets) - 1
     if n == old_n:
         return offsets
     grown = array("l", offsets)
@@ -525,36 +561,35 @@ def _extend_offsets(offsets, old_n: int, n: int):
     return grown
 
 
-def _merge_csr(
-    old_offsets, old_targets, old_n: int, n: int, additions: list[tuple[int, int]]
-) -> tuple[array, array]:
-    """One label's CSR with ``additions`` (sorted ``(key, value)`` pairs) merged in.
+def _merge_csr(old_offsets, old_targets, additions: list[int], n: int) -> tuple[array, array]:
+    """One direction of a label's CSR grown to ``n`` nodes, with
+    ``additions`` (packed codes) merged in: the refresh without numpy.
 
-    Re-derives the offsets from per-key degrees and splices the new values
-    into the flat targets array with bulk slice copies between affected
-    keys, keeping every slice sorted -- byte-identical to a full rebuild.
+    Raises the offsets past each touched key in one C-speed pass and
+    splices the new values into the flat targets array with bulk slice
+    copies between touched keys, keeping every slice sorted --
+    byte-identical to a full rebuild.
     """
+    old_n = len(old_offsets) - 1
     add_by_key: dict[int, list[int]] = {}
-    for key, value in additions:
-        add_by_key.setdefault(key, []).append(value)
+    for code in additions:
+        add_by_key.setdefault(code >> 32, []).append(code & _LOW32)
+    keys = sorted(add_by_key)
 
-    # Per-key degrees via C-speed iterator pairs (the pure-Python loop here
-    # dominated refresh time on 10k+ node graphs).
-    high = iter(old_offsets)
-    next(high)
-    degrees = list(map(sub, high, old_offsets))
-    if n > old_n:
-        degrees.extend([0] * (n - old_n))
-    for key, values in add_by_key.items():
-        degrees[key] += len(values)
-    offsets = array("l", chain((0,), accumulate(degrees)))
+    # Offset j rises by the values added at keys below j: a run of equal
+    # raises from each touched key up to the next.
+    offsets = array("l", old_offsets)
+    offsets.extend(repeat(offsets[old_n], n - old_n))
+    raises = accumulate(len(add_by_key[key]) for key in keys)
+    steps = chain.from_iterable(map(repeat, raises, map(sub, [*keys[1:], n], keys)))
+    offsets[keys[0] + 1 :] = array("l", map(add, offsets[keys[0] + 1 :], steps))
 
     if not isinstance(old_targets, array):
         old_targets = array("l", old_targets)
     old_len = len(old_targets)
     targets = array("l", bytes(offsets[-1] * offsets.itemsize))
     write = read = 0
-    for key in sorted(add_by_key):
+    for key in keys:
         old_start = old_offsets[key] if key < old_n else old_len
         old_stop = old_offsets[key + 1] if key < old_n else old_len
         chunk = old_targets[read:old_start]

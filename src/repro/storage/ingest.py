@@ -30,7 +30,7 @@ from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.engine.index import GraphIndex, csr_pair
+from repro.engine.index import GraphIndex, csr_columns, csr_pair
 from repro.errors import StorageError
 from repro.graphdb.graph import mint_graph_uid
 from repro.graphdb.io import unescape_field
@@ -42,7 +42,6 @@ _NOOP_TELEMETRY = Telemetry()
 
 #: Node ids are packed two-per-int64; each must fit 32 bits.
 _MAX_NODES = 1 << 31
-_LOW32 = 0xFFFFFFFF
 
 #: Accepted ``on_error`` policies.
 ERROR_POLICIES = ("raise", "skip")
@@ -146,20 +145,8 @@ class _StreamingBuilder:
         return True
 
     def build_index(self) -> GraphIndex:
-        n = len(self.nodes)
-        fwd_offsets: list[array] = []
-        fwd_targets: list[array] = []
-        bwd_offsets: list[array] = []
-        bwd_targets: list[array] = []
-        edge_count = 0
-        for codes in self.codes:
-            edge_count += len(codes)
-            pairs = [(code >> 32, code & _LOW32) for code in codes]
-            fwd_off, fwd_tgt, bwd_off, bwd_tgt = csr_pair(pairs, n)
-            fwd_offsets.append(fwd_off)
-            fwd_targets.append(fwd_tgt)
-            bwd_offsets.append(bwd_off)
-            bwd_targets.append(bwd_tgt)
+        rows = (csr_pair(codes, len(self.nodes)) for codes in self.codes)
+        fwd_offsets, fwd_targets, bwd_offsets, bwd_targets = csr_columns(rows)
         return GraphIndex(
             graph_uid=mint_graph_uid(),
             graph_version=0,
@@ -171,7 +158,7 @@ class _StreamingBuilder:
             fwd_targets=fwd_targets,
             bwd_offsets=bwd_offsets,
             bwd_targets=bwd_targets,
-            edge_count=edge_count,
+            edge_count=sum(map(len, self.codes)),
         )
 
 
