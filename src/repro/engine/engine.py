@@ -338,7 +338,7 @@ class QueryEngine:
             if index.is_current(graph):
                 return index
             # A stale index is repaired from the graph's delta log, faster
-            # than a rebuild up to the measured break-even (refresh_ratio);
+            # than a rebuild up to the measured break-even (GraphIndex.refresh);
             # past it, refresh declines and the build below runs.
             with self.telemetry.span("engine.index_refresh") as span:
                 refreshed = index.refresh(graph)

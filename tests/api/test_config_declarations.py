@@ -140,7 +140,8 @@ def test_the_shard_pool_knobs_are_gone_not_ignored():
 
 def test_the_knobs_with_one_distinguishable_value_are_gone_not_ignored():
     # PR 23: one rewrite round (max_passes 1, 2, 3, 10 gave one table on
-    # 3,000 of 3,000 inputs) and an unconditional refresh (2.3x-51x a rebuild).
+    # 3,000 of 3,000 inputs) and an unconditional refresh (it declines past
+    # the measured break-even with a rebuild).
     for name in ("max_rewrite_passes", "incremental_refresh", "refresh_ratio"):
         assert name not in cfg.EngineConfig.__dataclass_fields__
         with pytest.raises(ConfigError, match="unknown .* fields"):
