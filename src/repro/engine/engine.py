@@ -217,8 +217,8 @@ class QueryEngine:
         tables are rewritten against the graph's label set before they
         are cached (one parity-pinned round), early-exit searches bind
         their rows rare-label-first, and -- when the backend is also
-        ``"auto"`` -- the kernel of a whole-graph walk is chosen per query
-        from the index's label counts instead of being forced by the
+        ``"auto"`` -- the kernel of an all-pairs walk is priced per query
+        from the index's label counts; a monadic walk always runs on the
         resolved backend.  ``"off"`` walks every table verbatim and
         dispatches the resolved backend.
     cache_budget_bytes:

@@ -2,18 +2,19 @@
 
 The paper evaluates a path query -- and checks Algorithm 1's merge guard --
 with one construction, reachability in the product of the graph and the
-query automaton.  This module implements it once per *shape of walk*, never
-per query representation:
+query automaton.  In pure python it is written once, as the layered BFS
+:func:`_walk`; the entry points seed it and read its visited map:
 
 * :func:`any_selects` -- forward early-exit search from a set of start
   nodes (optionally to one ``end`` node, optionally depth-bounded; on
   request it hands back the witness word instead of ``True``);
-* :class:`FoldReach` -- that search, kept across a merge fold's candidates;
-* :func:`evaluate_all` / :func:`numpy_evaluate_all` -- backward whole-graph
-  closure from the accepting pairs (optionally depth-bounded);
-* :func:`binary_evaluate` / :func:`numpy_binary_evaluate` -- one forward
-  closure per source node;
+* :func:`evaluate_all` -- backward whole-graph closure from the accepting
+  pairs (optionally depth-bounded);
+* :func:`binary_evaluate` -- one forward closure per source node;
 * :func:`bidirectional_pair_selects` -- meet-in-the-middle pair search.
+
+:class:`FoldReach` (that search, kept across a fold's candidates) and the
+numpy twins keep loops of their own; each says why.
 
 Every walk reads its transitions through :func:`bind`, and :func:`bind`
 reads one format: the kernel's flat transition array, handed over as a
@@ -31,16 +32,17 @@ All walks take and return *int node ids*; mapping to and from user-facing
 node identifiers is the :class:`~repro.engine.engine.QueryEngine`'s job.
 The pure-python walks are the parity reference for the numpy twins, and
 ``tests/oracles/product.py``'s ``reference_*`` functions are the reference
-for both (``tests/engine`` pins them against each other).
+for both; ``tests/engine`` pins them against each other and, in
+``test_walk_golden.py``, the python walks' work across commits.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 from functools import cache
-from itertools import compress
+from itertools import chain, compress
+from operator import sub
 
 from repro.automata.alphabet import Word
 from repro.automata.kernel import MergeFold, TableAutomaton
@@ -89,8 +91,7 @@ class KernelStats:
     ``kernel_edges_scanned_total`` when a registry is supplied).  Kernels
     accumulate into locals and flush once per call through :meth:`add`,
     which takes the instruments' locks -- one locked add per kernel call,
-    safe under the service layer's concurrent workers.  The int properties
-    remain for reads and single-threaded resets (not atomic).
+    safe under the service layer's concurrent workers.
     """
 
     __slots__ = ("_states", "_edges", "_lock")
@@ -118,17 +119,9 @@ class KernelStats:
     def states_expanded(self) -> int:
         return self._states.value
 
-    @states_expanded.setter
-    def states_expanded(self, value: int) -> None:
-        self._states.value = value
-
     @property
     def edges_scanned(self) -> int:
         return self._edges.value
-
-    @edges_scanned.setter
-    def edges_scanned(self, value: int) -> None:
-        self._edges.value = value
 
     def add(self, states: int, edges: int) -> None:
         """Atomically add one kernel call's work to both counters.
@@ -199,8 +192,9 @@ class BoundMoves:
     states, and whether any of them is final (so the early-exit test costs
     one flag read per expanded move, not one lookup per edge).
     ``reverse_rows()`` builds the backward rows ``(label_id, predecessor
-    states)`` on demand -- only the backward closures and the bidirectional
-    search need them, the forward early-exit walk never pays.  Moves on
+    states, 0)`` on first call -- the same shape, never flagged: no backward
+    walk halts.  Only the backward closures and the bidirectional search
+    need them, the forward early-exit walk never pays.  Moves on
     labels the graph never carries are dropped at bind time: a query label
     the graph does not use simply matches nothing.
 
@@ -208,11 +202,11 @@ class BoundMoves:
     thread-crossing) query it was bound from.
     """
 
-    __slots__ = ("span", "initials", "final_mask", "empty", "accepts_empty", "rows", "reverse_rows")
+    __slots__ = ("span", "initial", "final_mask", "empty", "accepts_empty", "rows", "reverse_rows")
 
-    def __init__(self, span, initials, final_mask, empty, accepts_empty, rows, reverse_rows):
+    def __init__(self, span, initial, final_mask, empty, accepts_empty, rows, reverse_rows):
         self.span = span
-        self.initials = initials
+        self.initial = initial
         self.final_mask = final_mask
         #: No state accepts (walks answer without touching the graph).
         self.empty = empty
@@ -248,10 +242,14 @@ def bind(index: GraphIndex, query: TableAutomaton, *, rare_first: bool = False) 
     span = len(trans) // m if m else 1
     counts = index.label_edge_counts() if rare_first else None
 
+    built: list[list] = []  # the backward rows, filled on the first call
+
     def reverse_rows():
         # Position-major: a state's backward moves list their labels in
         # alphabet order, like its forward row, and each label's
         # predecessors ascending.
+        if built:
+            return built
         inverted: list[dict[int, list[int]]] = [{} for _ in range(span)]
         for position, label_id in enumerate(labels):
             if label_id < 0:
@@ -261,18 +259,85 @@ def bind(index: GraphIndex, query: TableAutomaton, *, rare_first: bool = False) 
                     if find is not None:
                         target = find(target)
                     inverted[target].setdefault(label_id, []).append(state)
-        rows = [list(moves.items()) for moves in inverted]
-        if counts is not None:
-            for row in rows:
+        for moves in inverted:
+            row = [(label_id, states, 0) for label_id, states in moves.items()]
+            if counts is not None:
                 _rare_first(row, counts)
-        return rows
+            built.append(row)
+        return built
 
     rows = _LazyRows(trans, m, find, finals, labels, counts)
     accepts_empty = (finals >> initial) & 1
-    return BoundMoves(span, (initial,), finals, not finals, accepts_empty, rows, reverse_rows)
+    return BoundMoves(span, initial, finals, not finals, accepts_empty, rows, reverse_rows)
 
 
 # -- the python walks ---------------------------------------------------------
+
+
+def _walk(
+    index: GraphIndex,
+    moves: BoundMoves,
+    visited: dict[int, int],
+    stats: KernelStats | None,
+    *,
+    level: list[int] | None = None,
+    backward: bool = False,
+    halt: bool = False,
+    meet: Container[int] = (),
+    max_depth: int | None = None,
+    depth_sizes: list[int] | None = None,
+) -> tuple[tuple[int, int] | None, list[int]]:
+    """The layered product BFS under every python entry point below.
+
+    Expands ``level`` (pairs in ``visited``; default: all of them) one word
+    length per layer, at most ``max_depth`` layers, on the forward rows and
+    CSR or the ``backward`` ones.  A new pair is stored as ``code -> the pair
+    it was reached from``: the BFS tree :func:`_witness_word` reads.
+    ``halt`` stops at the first flagged move with an edge, ``meet`` at the
+    first new pair it holds (disjoint from ``visited`` until then); both
+    return the hit ``(pair, label_id)``.  ``depth_sizes`` gets each
+    non-empty layer's size, seeds first.  Returns ``(hit or None, the last
+    layer)``; the work goes into ``stats`` in one add.
+    """
+    if backward:
+        rows, offsets_of, targets_of = moves.reverse_rows(), index.bwd_offsets, index.bwd_targets
+    else:
+        rows, offsets_of, targets_of = moves.rows, index.fwd_offsets, index.fwd_targets
+    span, level = moves.span, list(visited) if level is None else level
+    expanded = scanned = depth = 0
+    try:
+        while level:
+            if depth_sizes is not None:
+                depth_sizes.append(len(level))
+            if max_depth is not None and depth >= max_depth:
+                break
+            depth += 1
+            next_level: list[int] = []
+            for code in level:
+                node, state = divmod(code, span)
+                expanded += 1
+                for label_id, next_states, flag in rows[state]:
+                    offsets = offsets_of[label_id]
+                    start, stop = offsets[node], offsets[node + 1]
+                    if start == stop:
+                        continue
+                    scanned += stop - start
+                    if flag and halt:
+                        return (code, label_id), level
+                    for next_node in targets_of[label_id][start:stop]:
+                        base = next_node * span
+                        for next_state in next_states:
+                            next_code = base + next_state
+                            if next_code not in visited:
+                                if next_code in meet:
+                                    return (code, label_id), level
+                                visited[next_code] = code
+                                next_level.append(next_code)
+            level = next_level
+        return None, level
+    finally:
+        if stats is not None:
+            stats.add(expanded, scanned)
 
 
 def any_selects(
@@ -290,7 +355,9 @@ def any_selects(
 
     Multi-source forward product BFS that exits as soon as an accepting
     pair is reached -- the engine-side version of the
-    intersection-emptiness test of Algorithm 1's merge guard.
+    intersection-emptiness test of Algorithm 1's merge guard.  The seeds
+    are the start pairs; without ``end`` the walk halts at the first
+    accepting move, with it at the first ``(end, final)`` pair.
 
     The visited map doubles as the BFS tree: every pair records the pair it
     was first reached from.  With ``witness`` a hit returns, instead of
@@ -298,7 +365,10 @@ def any_selects(
     word that labels a path from one of the start nodes; the empty tuple
     when the empty word is accepted) and a miss returns ``None``.  The word
     is rebuilt from the parent links on the hit only, so a walk does the
-    same work -- and counts the same ``stats`` -- either way.
+    same work -- and counts the same ``stats`` -- either way.  The map is a
+    sparse dict: early exits usually touch a tiny fraction of the product,
+    so a dense ``|V| * span`` table would cost more to allocate than the
+    search.
 
     With ``end`` the accepted path must additionally stop at that node (the
     binary semantics' pair test).  ``max_depth`` bounds the accepted word's
@@ -315,57 +385,14 @@ def any_selects(
         return miss
     if moves.accepts_empty and (end is None or end in starts):
         return () if witness else True
-    span, rows = moves.span, moves.rows
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-
-    # Sparse visited map (int-coded pair -> the pair it was reached from, -1
-    # for a start): early exits usually touch a tiny fraction of the product,
-    # so a dense |V|*span table would cost more to allocate than the search.
-    visited: dict[int, int] = {}
-    level: list[int] = []
+    span, visited = moves.span, {}
     for node in starts:
-        for initial in moves.initials:
-            code = node * span + initial
-            if code not in visited:
-                visited[code] = -1
-                level.append(code)
-
-    expanded = 0
-    scanned = 0
-    depth = 0
-    try:
-        while level and (max_depth is None or depth < max_depth):
-            depth += 1
-            next_level: list[int] = []
-            for code in level:
-                node, state = divmod(code, span)
-                expanded += 1
-                for label_id, targets, accepting in rows[state]:
-                    offsets = fwd_offsets[label_id]
-                    start, stop = offsets[node], offsets[node + 1]
-                    if start == stop:
-                        continue
-                    scanned += stop - start
-                    if accepting and end is None:
-                        if witness:
-                            return _witness_word(index, moves, visited, code, label_id)
-                        return True
-                    for target_node in fwd_targets[label_id][start:stop]:
-                        if accepting and target_node == end:
-                            if witness:
-                                return _witness_word(index, moves, visited, code, label_id)
-                            return True
-                        base = target_node * span
-                        for target_state in targets:
-                            target_code = base + target_state
-                            if target_code not in visited:
-                                visited[target_code] = code
-                                next_level.append(target_code)
-            level = next_level
+        visited.setdefault(node * span + moves.initial, -1)
+    meet = () if end is None else {end * span + final for final in moves.final_states()}
+    hit, _ = _walk(index, moves, visited, stats, halt=end is None, meet=meet, max_depth=max_depth)
+    if hit is None:
         return miss
-    finally:
-        if stats is not None:
-            stats.add(expanded, scanned)
+    return _witness_word(index, moves, visited, *hit) if witness else True
 
 
 def _witness_word(
@@ -385,10 +412,8 @@ def _witness_word(
         node, state = divmod(code, span)
         origin, origin_state = divmod(parent, span)
         for move_label, targets, _ in rows[origin_state]:
-            offsets = fwd_offsets[move_label]
-            if state in targets and node in fwd_targets[move_label][
-                offsets[origin] : offsets[origin + 1]
-            ]:
+            start, stop = fwd_offsets[move_label][origin : origin + 2]
+            if state in targets and node in fwd_targets[move_label][start:stop]:
                 label_ids.append(move_label)
                 break
         code, parent = parent, parents[parent]
@@ -406,6 +431,9 @@ class FoldReach:
     (Decker's rule).  A miss is *pending* until the fold commits exactly that
     candidate (:meth:`~repro.automata.kernel.MergeFold.commit_id`); anything
     unrecognised -- another fold, an unchecked commit -- restarts.
+
+    Not :func:`_walk`: its per-state node sets, expanded state by state, are
+    the guard's measured gain, and its early exits come after other work.
     """
 
     __slots__ = ("index", "starts", "_fold", "_labels", "_reached", "_reached_id", "_pending")
@@ -505,8 +533,7 @@ def evaluate_all(
 
     One *backward* BFS over the product from every accepting pair computes
     the co-reachable set; a node is selected iff one of its initial pairs is
-    co-reachable.  ``O(|E| * k + |V| * k)`` like the reference, but on a
-    dense bitmap over int codes.
+    co-reachable.  ``O(|E| * k + |V| * k)`` like the reference, on int codes.
 
     ``depth_sizes``, when given, receives the number of product pairs
     expanded per BFS layer (layer 0 = the accepting seed pairs) -- the
@@ -515,8 +542,7 @@ def evaluate_all(
     ``max_depth`` bounds the accepted word length (layers run in
     word-length order), which is how the interactive layer's
     one-walk-per-round batched k-informativeness check cuts the product at
-    ``k`` symbols.  A mid-merge fold walks correctly but sizes the bitmap by
-    its un-merged state count; materialise it (``to_table()``) first.
+    ``k`` symbols.
     """
     moves = bind(index, query)
     n, span, typecode = index.num_nodes, moves.span, index.id_typecode
@@ -525,49 +551,11 @@ def evaluate_all(
     if moves.accepts_empty:
         # Every node trivially matches via the empty path.
         return array(typecode, range(n))
-    rrows = moves.reverse_rows()
-    bwd_offsets, bwd_targets = index.bwd_offsets, index.bwd_targets
-
-    visited = bytearray(n * span)
-    frontier: list[int] = []
-    for final in moves.final_states():
-        for node in range(n):
-            code = node * span + final
-            visited[code] = 1
-            frontier.append(code)
-
-    expanded = 0
-    scanned = 0
-    depth = 0
-    if depth_sizes is not None and frontier:
-        depth_sizes.append(len(frontier))
-    while frontier and (max_depth is None or depth < max_depth):
-        depth += 1
-        next_frontier: list[int] = []
-        for code in frontier:
-            node, state = divmod(code, span)
-            expanded += 1
-            for label_id, pred_states in rrows[state]:
-                offsets = bwd_offsets[label_id]
-                start, stop = offsets[node], offsets[node + 1]
-                if start == stop:
-                    continue
-                scanned += stop - start
-                for pred_node in bwd_targets[label_id][start:stop]:
-                    base = pred_node * span
-                    for pred_state in pred_states:
-                        pred_code = base + pred_state
-                        if not visited[pred_code]:
-                            visited[pred_code] = 1
-                            next_frontier.append(pred_code)
-        frontier = next_frontier
-        if depth_sizes is not None and frontier:
-            depth_sizes.append(len(frontier))
-    if stats is not None:
-        stats.add(expanded, scanned)
-
-    (initial,) = moves.initials
-    return array(typecode, compress(range(n), visited[initial::span]))
+    seeds = chain.from_iterable(range(final, n * span, span) for final in moves.final_states())
+    visited = dict.fromkeys(seeds, -1)
+    _walk(index, moves, visited, stats, backward=True, max_depth=max_depth, depth_sizes=depth_sizes)
+    initial_pairs = range(moves.initial, n * span, span)
+    return array(typecode, compress(range(n), map(visited.__contains__, initial_pairs)))
 
 
 def binary_evaluate(
@@ -577,49 +565,27 @@ def binary_evaluate(
 ) -> frozenset[tuple[int, int]]:
     """All selected ``(source id, end id)`` pairs (binary semantics).
 
-    One forward product BFS per source node, as in the reference.
+    One forward product BFS per source node, as in the reference: the
+    source's pairs are its walk's visited pairs at a final state.  A source
+    without an edge on its initial row expands its initial pair and stops;
+    those are found from the CSR offsets and counted in one go, so a
+    selective first label pays for the sources it lets through.
     """
     moves = bind(index, query)
     if moves.empty:
         return frozenset()
-    n, span, rows = index.num_nodes, moves.span, moves.rows
-    final_mask = moves.final_mask
-    fwd_offsets, fwd_targets = index.fwd_offsets, index.fwd_targets
-
-    result: set[tuple[int, int]] = set()
-    expanded = 0
-    scanned = 0
-    for source in range(n):
-        visited: set[int] = set()
-        queue: deque[int] = deque()
-        for initial in moves.initials:
-            code = source * span + initial
-            if code not in visited:
-                visited.add(code)
-                queue.append(code)
-        if moves.accepts_empty:
-            result.add((source, source))
-        while queue:
-            code = queue.popleft()
-            node, state = divmod(code, span)
-            expanded += 1
-            for label_id, targets, accepting in rows[state]:
-                offsets = fwd_offsets[label_id]
-                start, stop = offsets[node], offsets[node + 1]
-                if start == stop:
-                    continue
-                scanned += stop - start
-                for target_node in fwd_targets[label_id][start:stop]:
-                    base = target_node * span
-                    for target_state in targets:
-                        target_code = base + target_state
-                        if target_code not in visited:
-                            visited.add(target_code)
-                            queue.append(target_code)
-                            if accepting and (final_mask >> target_state) & 1:
-                                result.add((source, target_node))
+    n, span, initial, finals = index.num_nodes, moves.span, moves.initial, moves.final_mask
+    moving: set[int] = set()
+    for label_id, _, _ in moves.rows[initial]:
+        offsets = index.fwd_offsets[label_id]
+        moving.update(compress(range(n), map(sub, offsets[1:], offsets)))
     if stats is not None:
-        stats.add(expanded, scanned)
+        stats.add(n - len(moving), 0)
+    result = set(zip(range(n), range(n))) if moves.accepts_empty else set()
+    for source in moving:
+        visited = {source * span + initial: -1}
+        _walk(index, moves, visited, stats)
+        result.update((source, code // span) for code in visited if (finals >> code % span) & 1)
     return frozenset(result)
 
 
@@ -641,7 +607,8 @@ def binary_evaluate(
 # index vectorizes without a copy (and nothing here writes through a view).
 # A monadic answer stays a numpy array of the python walk's ids and
 # typecode; pairs come back through ``.tolist()`` (true python ints):
-# byte-identical to the python oracle's.
+# byte-identical to the python oracle's.  They stay beside :func:`_walk`:
+# a layer per numpy call is 10-12x the python walk on a serve-sized graph.
 
 
 def _np_views(offsets: list, targets: list):
@@ -746,7 +713,7 @@ def numpy_evaluate_all(
             # state are every node in order (always true of the seed layer):
             # their gathered predecessors are the label's whole CSR array.
             at_state = None if hi - lo == n else frontier[lo:hi] - state * n
-            for label_id, pred_states in row:
+            for label_id, pred_states, _ in row:
                 offsets, preds = views(label_id)
                 if at_state is not None:
                     preds, _ = _np_gather(offsets, preds, at_state, np)
@@ -760,8 +727,7 @@ def numpy_evaluate_all(
     if stats is not None:
         stats.add(expanded, scanned)
 
-    (initial,) = moves.initials
-    return np.flatnonzero(visited[initial * n : (initial + 1) * n]).astype(typecode)
+    return np.flatnonzero(visited[moves.initial * n : (moves.initial + 1) * n]).astype(typecode)
 
 
 def numpy_binary_evaluate(
@@ -783,7 +749,6 @@ def numpy_binary_evaluate(
     views = _np_views(index.fwd_offsets, index.fwd_targets)
     is_final = np.zeros(span, dtype=bool)
     is_final[moves.final_states()] = True
-    initials = np.array(moves.initials, dtype=np.int64)
 
     result: set[tuple[int, int]] = set()
     expanded = 0
@@ -795,10 +760,7 @@ def numpy_binary_evaluate(
         if moves.accepts_empty:
             result.update(zip(sources.tolist(), sources.tolist()))
         visited = np.zeros(c * n * span, dtype=bool)
-        local = np.arange(c, dtype=np.int64)
-        frontier = (
-            (local[:, None] * n + sources[:, None]) * span + initials[None, :]
-        ).reshape(-1)
+        frontier = (np.arange(c, dtype=np.int64) * n + sources) * span + moves.initial
         visited[frontier] = True
         while frontier.size:
             expanded += int(frontier.size)
@@ -848,7 +810,7 @@ def bidirectional_pair_selects(
 ) -> bool:
     """``any_selects(index, query, (origin,), end=end)`` meeting in the middle.
 
-    Two frontiers -- forward from ``(origin, initials)``, backward from
+    Two frontiers -- forward from ``(origin, initial)``, backward from
     ``(end, finals)`` -- expand in alternating layers; each step grows the
     side whose frontier has the smaller summed CSR degree (the per-label
     degree stats again, now per layer).  The query selects the pair iff the
@@ -861,54 +823,28 @@ def bidirectional_pair_selects(
         return False
     if origin_id == end_id and moves.accepts_empty:
         return True
-    span = moves.span
-    fwd_visited = {origin_id * span + initial for initial in moves.initials}
-    bwd_visited = {end_id * span + final for final in moves.final_states()}
-    # One record per side: [frontier, visited, rows, CSR offsets, CSR targets].
-    rows, rrows = moves.rows, moves.reverse_rows()
-    forward = [list(fwd_visited), fwd_visited, rows, index.fwd_offsets, index.fwd_targets]
-    backward = [list(bwd_visited), bwd_visited, rrows, index.bwd_offsets, index.bwd_targets]
+    span, rows, rrows = moves.span, moves.rows, moves.reverse_rows()
+    fwd = {origin_id * span + moves.initial: -1}
+    # Seeded in set order: the expansion order (and so the work before a
+    # meet) that tests/engine/walk_golden.json records.
+    bwd = dict.fromkeys({end_id * span + final for final in moves.final_states()}, -1)
+    fwd_level, bwd_level = list(fwd), list(bwd)
 
-    def layer_degree(side) -> int:
-        frontier, _, rows, offsets_of, _ = side
-        total = 0
-        for code in frontier:
-            node, state = divmod(code, span)
-            for move in rows[state]:
-                offsets = offsets_of[move[0]]
-                total += offsets[node + 1] - offsets[node]
-        return total
+    def layer_degree(level: list[int], side_rows, offsets_of) -> int:
+        return sum(
+            offsets_of[label_id][node + 1] - offsets_of[label_id][node]
+            for node, state in [divmod(code, span) for code in level]
+            for label_id, _, _ in side_rows[state]
+        )
 
-    expanded = 0
-    scanned = 0
-    try:
-        while forward[0] and backward[0]:
-            if layer_degree(forward) <= layer_degree(backward):
-                side, other_visited = forward, bwd_visited
-            else:
-                side, other_visited = backward, fwd_visited
-            frontier, visited, rows, offsets_of, targets_of = side
-            side[0] = grown = []
-            for code in frontier:
-                node, state = divmod(code, span)
-                expanded += 1
-                for move in rows[state]:
-                    label_id, next_states = move[0], move[1]
-                    offsets = offsets_of[label_id]
-                    start, stop = offsets[node], offsets[node + 1]
-                    if start == stop:
-                        continue
-                    scanned += stop - start
-                    for next_node in targets_of[label_id][start:stop]:
-                        base = next_node * span
-                        for next_state in next_states:
-                            next_code = base + next_state
-                            if next_code in other_visited:
-                                return True
-                            if next_code not in visited:
-                                visited.add(next_code)
-                                grown.append(next_code)
-        return False
-    finally:
-        if stats is not None:
-            stats.add(expanded, scanned)
+    while fwd_level and bwd_level:
+        fwd_degree = layer_degree(fwd_level, rows, index.fwd_offsets)
+        if fwd_degree <= layer_degree(bwd_level, rrows, index.bwd_offsets):
+            hit, fwd_level = _walk(index, moves, fwd, stats, level=fwd_level, meet=bwd, max_depth=1)
+        else:
+            hit, bwd_level = _walk(
+                index, moves, bwd, stats, level=bwd_level, backward=True, meet=fwd, max_depth=1
+            )
+        if hit is not None:
+            return True
+    return False

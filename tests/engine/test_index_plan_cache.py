@@ -131,7 +131,7 @@ class TestCompiledPlan:
         backward = {
             (source, label_id, state)
             for state, row in enumerate(moves.reverse_rows())
-            for label_id, sources in row
+            for label_id, sources, _ in row
             for source in sources
         }
         assert forward == backward and forward

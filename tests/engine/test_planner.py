@@ -188,9 +188,9 @@ class TestSelectivityOrdered:
         fingerprint = table.fingerprint()
         plain, ordered = bind(index, table), bind(index, table, rare_first=True)
         assert table.fingerprint() == fingerprint
-        assert (ordered.span, ordered.initials, ordered.final_mask) == (
+        assert (ordered.span, ordered.initial, ordered.final_mask) == (
             plain.span,
-            plain.initials,
+            plain.initial,
             plain.final_mask,
         )
         for before, after in zip(all_rows(plain), all_rows(ordered)):
