@@ -5,9 +5,10 @@ for: a full interactive learning session on the paper's smallest synthetic
 size (10k nodes, 3x edges, 20 labels) under the ``kS`` strategy, whose
 per-round work -- informativeness verdicts and uncovered-path counts over a
 512-candidate pool -- dominated the legacy loop.  The legacy path is the
-same session driven by ``oracles.session.PerNodeSession``: per-candidate
+same session driven by ``oracles.session.PerNodeSession``: every proposal
+is ``oracles.strategies.stateless_propose`` (per candidate,
 ``enumerate_paths`` plus a from-scratch multi-source ``covered_by`` walk per
-(candidate, path) pair, and a full re-learn every round.
+(candidate, path) pair), and a full re-learn every round.
 
 Two assertions pin the acceptance criteria: the node-labeling transcripts of
 the two sessions must be *identical* (same nodes proposed in the same order,

@@ -22,13 +22,13 @@ import time
 
 from oracles.generalize import prefix_tree_acceptor, reference_generalize_pta
 from oracles.minimize import reference_canonical_dfa
+from oracles.paths import smallest_consistent_path
 
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.evaluation.static import draw_sample
 from repro.evaluation.workloads import synthetic_queries
 from repro.learning.learner import learn_path_query, learn_with_dynamic_k
-from repro.learning.scp import smallest_consistent_path
 from repro.queries.path_query import PathQuery
 
 #: The paper's smallest synthetic size (Section 5.1): 10k nodes, 3x edges.

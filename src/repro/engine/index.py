@@ -371,7 +371,7 @@ class GraphIndex:
     def out_label_masks(self) -> list[int]:
         """``masks[node_id]``: bit ``l`` is set iff the node has an out-edge
         labelled ``l``.  Built on first use, like :attr:`repr_order`; only the
-        learner's path enumeration reads it."""
+        learner's path walks (``NegativeCoverage``) read it."""
         masks = self._out_label_masks
         if masks is None:
             masks = self._out_label_masks = out_label_masks(self.bwd_targets, self.num_nodes)

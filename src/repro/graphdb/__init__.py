@@ -6,20 +6,15 @@ This subpackage provides:
 
 * :class:`~repro.graphdb.graph.GraphDB` -- the graph itself, with node/edge
   construction, adjacency queries, neighborhood extraction and (de)serialization;
-* :mod:`repro.graphdb.paths` -- the path semantics ``paths_G(nu)``: the graph
-  viewed as an NFA, bounded canonical-order path enumeration, and coverage
-  checks against sets of nodes;
+* :mod:`repro.graphdb.paths` -- the binary path semantics
+  ``paths2_G(origin, end)`` as a bounded canonical-order enumeration (the
+  monadic ``paths_G(X)`` lives on the CSR index, in
+  :class:`~repro.learning.scp.NegativeCoverage`);
 * :mod:`repro.graphdb.io` -- edge-list and JSON serialization.
 """
 
 from repro.graphdb.graph import GraphDB
-from repro.graphdb.paths import (
-    covered_by,
-    enumerate_paths,
-    enumerate_paths_between,
-    paths_nfa,
-    paths_between_nfa,
-)
+from repro.graphdb.paths import enumerate_paths_between
 from repro.graphdb.io import (
     graph_from_edge_list,
     graph_from_json,
@@ -31,11 +26,7 @@ from repro.graphdb.io import (
 
 __all__ = [
     "GraphDB",
-    "paths_nfa",
-    "paths_between_nfa",
-    "enumerate_paths",
     "enumerate_paths_between",
-    "covered_by",
     "graph_from_edge_list",
     "graph_to_edge_list",
     "graph_from_json",

@@ -5,8 +5,8 @@ picks a node according to a *strategy*, asks the user (here: a simulated
 oracle) to label it, propagates the label, re-runs the learner, and stops
 when a halt condition holds.
 
-* :mod:`repro.interactive.informativeness` -- certain nodes (Lemma 4.1),
-  informative nodes, and the practical ``k``-informativeness notion;
+* :mod:`repro.interactive.informativeness` -- certain and informative
+  nodes, exactly (Lemma 4.1);
 * :mod:`repro.interactive.strategies` -- the paper's strategies ``kR``
   (random k-informative node) and ``kS`` (k-informative node with the fewest
   non-covered k-paths), plus a naive random baseline;
@@ -24,9 +24,6 @@ from repro.interactive.informativeness import (
     certain_positive_nodes,
     is_certain,
     is_informative,
-    is_k_informative,
-    k_informative_nodes,
-    uncovered_k_paths,
 )
 from repro.interactive.state import SessionState, k_informative_set
 from repro.interactive.strategies import (
@@ -47,10 +44,7 @@ from repro.interactive.scenario import (
 __all__ = [
     "is_certain",
     "is_informative",
-    "is_k_informative",
-    "k_informative_nodes",
     "k_informative_set",
-    "uncovered_k_paths",
     "certain_positive_nodes",
     "certain_negative_nodes",
     "SessionState",

@@ -1,4 +1,4 @@
-"""Certain, informative and k-informative nodes (Section 4.2).
+"""Certain and informative nodes (Section 4.2).
 
 A node is *certain* w.r.t. a sample when labeling it cannot eliminate any
 consistent query; Lemma 4.1 characterizes the two flavours:
@@ -9,137 +9,93 @@ consistent query; Lemma 4.1 characterizes the two flavours:
 
 A node is *informative* when it is neither labeled nor certain.  Deciding
 informativeness exactly is PSPACE-complete (Lemma 4.2) -- the exact
-functions here go through automata inclusion and are intended for small
-graphs (tests, worked examples).  The practical notion the strategies use is
-``k``-informativeness: a node with at least one path of length at most ``k``
-that no negative covers is guaranteed informative, and counting such paths
-is cheap.
+functions here are unbounded
+:meth:`~repro.learning.scp.NegativeCoverage.includes` walks, exponential in
+the worst case, and are intended for small graphs (tests, worked examples).
+The practical notion the strategies use is ``k``-informativeness: a node
+with at least one path of length at most ``k`` that no negative covers is
+guaranteed informative, and counting such paths is cheap
+(:class:`~repro.interactive.state.SessionState`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
-from repro.automata.kernel import language_included_tables
+from repro.engine.engine import QueryEngine
+from repro.errors import GraphError
 from repro.graphdb.graph import GraphDB, Node
-from repro.graphdb.paths import covered_by, enumerate_paths, paths_table
 from repro.learning.sample import Sample
+from repro.learning.scp import NegativeCoverage
 
 
-def is_certain_positive(graph: GraphDB, sample: Sample, node: Node) -> bool:
+def _negatives(graph: GraphDB, sample: Sample, nodes: Iterable[Node], engine: QueryEngine):
+    """The index and the negatives' coverage, once every node the check
+    reads (the probed ``nodes`` and the sample's) is known to the graph."""
+    for node in (*nodes, *sample.labeled):
+        if node not in graph:
+            raise GraphError(f"node {node!r} is not in the graph")
+    index = engine.index_for(graph)
+    return index, NegativeCoverage(index, sample.negatives)
+
+
+def _certain_positive(index, negatives: NegativeCoverage, sample: Sample, node: Node) -> bool:
+    # paths(S-) | paths(node) is one more start node, on the negatives' memo.
+    cover = NegativeCoverage(index, negatives.nodes | {node}, memo_from=negatives)
+    return any(map(cover.includes, sample.positives))
+
+
+def is_certain_positive(graph: GraphDB, sample: Sample, node: Node, *, engine: QueryEngine) -> bool:
     """Exact certain-positive check (Lemma 4.1, item 1).
 
-    Runs on the kernel: both path languages are determinized into
-    :class:`~repro.automata.kernel.TableDFA` form and compared with the
-    linear product-inclusion walk (no complementation).  The covering
-    language ``paths(S-) | paths(node)`` is one multi-initial NFA -- the
-    graph with the negatives *and* the node as start states -- rather than
-    an explicit union automaton.
+    Whether some positive's paths are included in the paths of the negatives
+    *and* the node: the covering language is one more start node of the
+    negatives' frontier automaton, asked with
+    :meth:`~repro.learning.scp.NegativeCoverage.includes` on ``engine``'s CSR
+    index.
     """
-    if not sample.positives:
-        return False
-    cover = paths_table(graph, set(sample.negatives) | {node})
-    for positive in sample.positives:
-        if language_included_tables(paths_table(graph, positive), cover):
-            return True
-    return False
+    return _certain_positive(*_negatives(graph, sample, (node,), engine), sample, node)
 
 
-def is_certain_negative(graph: GraphDB, sample: Sample, node: Node) -> bool:
+def is_certain_negative(graph: GraphDB, sample: Sample, node: Node, *, engine: QueryEngine) -> bool:
     """Exact certain-negative check (Lemma 4.1, item 2).
 
-    Kernel-backed like :func:`is_certain_positive`.
+    Whether the node's paths are included in the negatives' paths, on the
+    same automaton as :func:`is_certain_positive`.
     """
-    if not sample.negatives:
-        return False
-    return language_included_tables(
-        paths_table(graph, node), paths_table(graph, sample.negatives)
-    )
+    return _negatives(graph, sample, (node,), engine)[1].includes(node)
 
 
-def is_certain(graph: GraphDB, sample: Sample, node: Node) -> bool:
+def is_certain(graph: GraphDB, sample: Sample, node: Node, *, engine: QueryEngine) -> bool:
     """Whether the node is certain (either certain-positive or certain-negative)."""
-    return is_certain_negative(graph, sample, node) or is_certain_positive(
-        graph, sample, node
-    )
+    index, negatives = _negatives(graph, sample, (node,), engine)
+    return negatives.includes(node) or _certain_positive(index, negatives, sample, node)
 
 
-def is_informative(graph: GraphDB, sample: Sample, node: Node) -> bool:
+def is_informative(graph: GraphDB, sample: Sample, node: Node, *, engine: QueryEngine) -> bool:
     """Exact informativeness: not labeled and not certain.
 
-    PSPACE-complete in general (Lemma 4.2); use :func:`is_k_informative` on
-    anything larger than toy graphs.
+    PSPACE-complete in general (Lemma 4.2); use the session state's
+    k-informativeness on anything larger than toy graphs.
     """
-    if node in sample.labeled:
-        return False
-    return not is_certain(graph, sample, node)
+    return node not in sample.labeled and not is_certain(graph, sample, node, engine=engine)
 
 
-def certain_positive_nodes(graph: GraphDB, sample: Sample) -> frozenset[Node]:
-    """All unlabeled nodes that are certain-positive (exact, small graphs only)."""
-    return frozenset(
-        node
-        for node in graph.nodes
-        if node not in sample.labeled and is_certain_positive(graph, sample, node)
-    )
+def certain_positive_nodes(graph: GraphDB, sample: Sample, *, engine: QueryEngine) -> frozenset:
+    """All unlabeled nodes that are certain-positive (exact, small graphs only).
 
-
-def certain_negative_nodes(graph: GraphDB, sample: Sample) -> frozenset[Node]:
-    """All unlabeled nodes that are certain-negative (exact, small graphs only)."""
-    return frozenset(
-        node
-        for node in graph.nodes
-        if node not in sample.labeled and is_certain_negative(graph, sample, node)
-    )
-
-
-# -- the practical, bounded notion ---------------------------------------------
-
-
-def uncovered_k_paths(
-    graph: GraphDB,
-    node: Node,
-    negatives: Iterable[Node],
-    *,
-    k: int,
-    limit: int | None = None,
-) -> int:
-    """The number of paths of ``node`` (length <= k) not covered by the negatives.
-
-    This is the quantity the ``kS`` strategy minimizes.  ``limit`` stops the
-    count early (the strategies only need to compare small counts).
+    Every node's check grows the one frontier memo of the negatives.
     """
-    negative_set = frozenset(negatives)
-    count = 0
-    for path in enumerate_paths(graph, node, max_length=k):
-        if not covered_by(graph, path, negative_set):
-            count += 1
-            if limit is not None and count >= limit:
-                break
-    return count
+    index, negatives = _negatives(graph, sample, (), engine)
+    unlabeled = graph.nodes - sample.labeled
+    return frozenset(n for n in unlabeled if _certain_positive(index, negatives, sample, n))
 
 
-def is_k_informative(graph: GraphDB, sample: Sample, node: Node, *, k: int) -> bool:
-    """Whether the node is ``k``-informative (Section 4.2).
+def certain_negative_nodes(graph: GraphDB, sample: Sample, *, engine: QueryEngine) -> frozenset:
+    """All unlabeled nodes that are certain-negative (exact, small graphs only).
 
-    A node is k-informative when it is unlabeled and has at least one path
-    of length at most ``k`` that no negative example covers.  Every
-    k-informative node is informative; the converse need not hold.
+    Every node's check grows the one frontier memo of the negatives.
     """
-    if node in sample.labeled:
-        return False
-    return uncovered_k_paths(graph, node, sample.negatives, k=k, limit=1) > 0
-
-
-def k_informative_nodes(
-    graph: GraphDB,
-    sample: Sample,
-    *,
-    k: int,
-    candidates: Iterable[Node] | None = None,
-) -> Iterator[Node]:
-    """Yield the k-informative nodes among ``candidates`` (default: all nodes)."""
-    pool = candidates if candidates is not None else graph.nodes
-    for node in pool:
-        if is_k_informative(graph, sample, node, k=k):
-            yield node
+    negatives = _negatives(graph, sample, (), engine)[1]
+    unlabeled = graph.nodes - sample.labeled
+    return frozenset(filter(negatives.includes, unlabeled))

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.engine.engine import QueryEngine
-from repro.errors import InteractionError, SerializationError
+from repro.errors import InteractionError, SampleError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
 from repro.interactive.oracle import Oracle
 from repro.interactive.state import SessionState
@@ -241,7 +241,9 @@ class InteractiveSession:
         return self.graph.neighborhood(node, radius)
 
     def record_label(self, node: Node, label: str) -> None:
-        """Step 5: add the user's label to the sample."""
+        """Step 5: add the user's label to the sample (refusing a node not in the graph)."""
+        if node not in self.graph:
+            raise SampleError(f"node {node!r} is not in the graph")
         self.sample = self.sample.with_example(node, label)
         self.state.observe(node, label, self.sample)
 

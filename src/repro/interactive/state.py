@@ -50,10 +50,10 @@ def k_informative_set(
 ) -> frozenset[Node]:
     """All k-informative nodes of the graph, in one batched product walk.
 
-    Semantically identical to filtering every unlabeled node through
-    :func:`repro.interactive.informativeness.is_k_informative` (the parity
-    suite pins this), but computed for the whole graph at once: one
-    uncovered-words table, one backward CSR walk.
+    Semantically identical to asking every unlabeled node for a path of
+    length <= ``k`` that no negative covers (the parity suite pins this
+    against the per-node walk in ``tests/oracles/``), but computed for the
+    whole graph at once: one uncovered-words table, one backward CSR walk.
     """
     labeled = sample.labeled
     if not sample.negatives:

@@ -20,15 +20,15 @@ nodes of that size (the default, 512, keeps per-interaction times in the
 "order of seconds" regime the paper reports while behaving indistinguishably
 from the full scan in our experiments).
 
-When the session passes its :class:`~repro.interactive.state.SessionState`
-to :meth:`Strategy.propose`, informativeness verdicts and uncovered-path
-counts come from the state's one
+:meth:`Strategy.propose` reads the session's
+:class:`~repro.interactive.state.SessionState`: informativeness verdicts
+and uncovered-path counts come from the state's one
 :class:`~repro.learning.scp.NegativeCoverage` (its ``table(k)`` cut under
 the engine's product walks, its ``uncovered_paths`` for the counts), shared
 across all candidates and rounds, and candidates are drawn from the state's
-kept unlabeled ids; without a state the strategies fall back to the per-node
-walks, which the parity suite and the speed benchmark pin the batched path
-against.
+kept unlabeled ids.  The per-node walks the parity suite and the speed
+benchmark pin this against, making the same RNG calls, are a test oracle
+(``tests/oracles/strategies.py``).
 
 All candidate orderings derive from the graph's *stable node order*
 (insertion order), never from ``repr`` sorting or raw set iteration, so a
@@ -39,12 +39,11 @@ of the hash seed or of how nodes print themselves.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from repro.errors import InteractionError
 from repro.graphdb.graph import GraphDB, Node
-from repro.interactive.informativeness import is_k_informative, uncovered_k_paths
 from repro.learning.sample import Sample
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle at import time
@@ -63,7 +62,7 @@ class Strategy:
         sample: Sample,
         *,
         k: int,
-        state: "SessionState | None" = None,
+        state: "SessionState",
     ) -> Node | None:
         """Return the next node to label, or None when no useful node remains."""
         raise NotImplementedError
@@ -88,11 +87,6 @@ class Strategy:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _unlabeled_nodes(graph: GraphDB, sample: Sample) -> list[Node]:
-    labeled = sample.labeled  # stateless
-    return [node for node in graph.node_order if node not in labeled]
-
-
 class RandomStrategy(Strategy):
     """Naive baseline: a uniformly random unlabeled node (no informativeness filter)."""
 
@@ -107,14 +101,11 @@ class RandomStrategy(Strategy):
         sample: Sample,
         *,
         k: int,
-        state: "SessionState | None" = None,
+        state: "SessionState",
     ) -> Node | None:
         # The candidates come pre-ordered by the graph's stable node order;
         # sorting by repr here would make the draw depend on how nodes print
         # themselves (a default object repr embeds the memory address).
-        if state is None:
-            candidates = _unlabeled_nodes(graph, sample)
-            return self._rng.choice(candidates) if candidates else None
         ids = state.unlabeled_ids()
         return next(state.nodes_of([self._rng.choice(ids)])) if ids else None
 
@@ -131,16 +122,14 @@ class _PooledKStrategy(Strategy):
     def config_dict(self) -> dict:
         return {"name": self.name, "pool_size": self._pool_size, "rng_state": self.rng_state()}
 
-    def _candidate_pool(self, graph: GraphDB, sample: Sample, state) -> Iterable[Node]:
-        # The state's kept ids and the stateless node list have the same
-        # order and length: the same RNG calls pick the same nodes.
-        population = _unlabeled_nodes(graph, sample) if state is None else state.unlabeled_ids()
+    def _candidate_pool(self, state: "SessionState") -> Iterator[Node]:
+        population = state.unlabeled_ids()
         if self._pool_size is None or len(population) <= self._pool_size:
             pool = list(population)
             self._rng.shuffle(pool)
         else:
             pool = self._rng.sample(population, self._pool_size)
-        return pool if state is None else state.nodes_of(pool)
+        return state.nodes_of(pool)
 
 
 class KInformativeRandomStrategy(_PooledKStrategy):
@@ -154,11 +143,9 @@ class KInformativeRandomStrategy(_PooledKStrategy):
         sample: Sample,
         *,
         k: int,
-        state: "SessionState | None" = None,
+        state: "SessionState",
     ) -> Node | None:
-        pool = self._candidate_pool(graph, sample, state)
-        if state is None:
-            return next((n for n in pool if is_k_informative(graph, sample, n, k=k)), None)
+        pool = self._candidate_pool(state)
         if self._pool_size is None:  # full scan: one batched walk decides every node
             informative = state.informative_nodes()
             return next((node for node in pool if node in informative), None)
@@ -180,22 +167,16 @@ class KInformativeSmallestStrategy(_PooledKStrategy):
         sample: Sample,
         *,
         k: int,
-        state: "SessionState | None" = None,
+        state: "SessionState",
     ) -> Node | None:
         best_node: Node | None = None
         best_count: int | None = None
-        full_scan = state is not None and self._pool_size is None
-        batched = state.informative_nodes() if full_scan else None
-        for node in self._candidate_pool(graph, sample, state):
-            if state is None:
-                count = uncovered_k_paths(
-                    graph, node, sample.negatives, k=k, limit=self.count_cap
-                )
-            elif batched is not None and node not in batched:
+        batched = state.informative_nodes() if self._pool_size is None else None
+        for node in self._candidate_pool(state):
+            if batched is not None and node not in batched:
                 continue  # batched verdict: zero uncovered paths
-            else:
-                # One count per candidate: 0 is also its verdict (cached).
-                count = state.uncovered_count(node, cap=self.count_cap)
+            # One count per candidate: 0 is also its verdict (cached).
+            count = state.uncovered_count(node, cap=self.count_cap)
             if count == 0:
                 continue  # not k-informative
             if best_count is None or count < best_count:

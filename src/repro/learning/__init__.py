@@ -26,7 +26,7 @@ from repro.learning.consistency import (
     is_consistent,
     sample_has_consistent_query,
 )
-from repro.learning.scp import select_smallest_consistent_paths, smallest_consistent_path
+from repro.learning.scp import select_smallest_consistent_paths
 from repro.learning.generalize import generalize_pta
 from repro.learning.learner import LearnerResult, learn_path_query, learn_with_dynamic_k
 from repro.learning.rpni import rpni
@@ -45,7 +45,6 @@ __all__ = [
     "is_consistent",
     "bounded_consistent",
     "sample_has_consistent_query",
-    "smallest_consistent_path",
     "select_smallest_consistent_paths",
     "generalize_pta",
     "LearnerResult",

@@ -5,38 +5,33 @@ every positive node and no negative node.  Lemma 3.1 characterizes this:
 ``S`` is consistent iff for every positive node ``nu``,
 ``paths_G(nu)`` is not included in ``paths_G(S-)``.
 
-Deciding this exactly is PSPACE-complete (Lemma 3.2) -- the exact check here
-determinizes the path automata and is therefore exponential in the worst
-case; it is meant for the small graphs of tests and examples.  The
+Deciding this exactly is PSPACE-complete (Lemma 3.2).  The exact check here
+is one :meth:`~repro.learning.scp.NegativeCoverage.includes` walk per
+positive over the negatives' frontier automaton; its pair space is
+exponential in the worst case, so it is meant for small graphs.  The
 *bounded* check (paths of length at most ``k``) is what Algorithm 1
 effectively uses and runs in polynomial time.
 """
 
 from __future__ import annotations
 
-from repro.automata.kernel import language_included_tables
 from repro.engine.engine import QueryEngine
 from repro.graphdb.graph import GraphDB
-from repro.graphdb.paths import paths_table
 from repro.learning.sample import Sample
 from repro.learning.scp import NegativeCoverage
 
 
-def is_consistent(graph: GraphDB, sample: Sample) -> bool:
+def is_consistent(graph: GraphDB, sample: Sample, *, engine: QueryEngine) -> bool:
     """Exact consistency check (Lemma 3.1).
 
-    Uses language inclusion between the positive node's path table and the
-    negative set's path table.  Exponential in the worst case (the
-    determinization); use :func:`bounded_consistent` on large graphs.
+    No positive node's paths may be included in the negatives' paths: one
+    unbounded :meth:`~repro.learning.scp.NegativeCoverage.includes` walk per
+    positive on ``engine``'s CSR index.  Exponential in the worst case; use
+    :func:`bounded_consistent` on large graphs.
     """
     sample.check_against(graph)
-    if not sample.positives or not sample.negatives:
-        return True
-    negative_paths = paths_table(graph, sample.negatives)
-    return not any(
-        language_included_tables(paths_table(graph, node), negative_paths)
-        for node in sample.positives
-    )
+    coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
+    return not any(map(coverage.includes, sample.positives))
 
 
 def bounded_consistent(graph: GraphDB, sample: Sample, *, k: int, engine: QueryEngine) -> bool:
@@ -64,5 +59,5 @@ def sample_has_consistent_query(
 ) -> bool:
     """Convenience dispatcher: exact check if ``k`` is None, bounded otherwise."""
     if k is None:
-        return is_consistent(graph, sample)
+        return is_consistent(graph, sample, engine=engine)
     return bounded_consistent(graph, sample, k=k, engine=engine)

@@ -21,7 +21,8 @@ the graph once:
   Every consumer runs on it: :meth:`~NegativeCoverage.covers` (one word),
   :meth:`~NegativeCoverage.uncovered_paths` (a node's uncovered paths in
   canonical order: the SCP is the first, the ``kS`` count its capped
-  length) and :meth:`~NegativeCoverage.table` (the automaton cut at depth
+  length), :meth:`~NegativeCoverage.includes` (a node's whole path language,
+  unbounded) and :meth:`~NegativeCoverage.table` (the automaton cut at depth
   ``k`` as a :class:`~repro.automata.kernel.TableDFA`, which the engine's
   batched and per-candidate k-informativeness walks consume);
 * *the merge guard* -- :meth:`NegativeCoverage.merge_guard`: one
@@ -38,10 +39,11 @@ interned frontiers and the step memo depend on the index alone and live as
 long as it; only the initial state and the table cut are the node set's.
 A guard's reachable set lives for its one fold run.
 
-The object-level :func:`repro.graphdb.paths.enumerate_paths` /
-:func:`~repro.graphdb.paths.covered_by` walks remain behind the single-node
-:func:`smallest_consistent_path`, the independent reference the tests
-compare the index-side enumeration against.
+The exact, unbounded checks of Lemmas 3.1 and 4.1
+(:mod:`repro.learning.consistency`, :mod:`repro.interactive.informativeness`)
+are :meth:`NegativeCoverage.includes` queries on the same automaton.  The
+object-level walks over dict adjacency that the tests compare all of this
+against live in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from repro.automata.kernel import NO_STATE, MergeFold, TableDFA
 from repro.engine.executor import FoldReach
 from repro.errors import LearningError
 from repro.graphdb.graph import GraphDB, Node
-from repro.graphdb.paths import covered_by, enumerate_paths
 from repro.learning.sample import Sample
 
 #: The frontier automaton's absorbing state: the empty frontier, reached by
@@ -197,6 +198,40 @@ class NegativeCoverage:
                     next_level.append((extended, moved, target))
             level = next_level
 
+    def includes(self, node: Node) -> bool:
+        """Whether ``paths_G(node)`` is included in the set's, with no length bound.
+
+        Lemmas 3.1 and 4.1 ask this.  A breadth-first walk over the distinct
+        pairs (the node's frontier, this automaton's state), both interned in
+        the one memo, steps only labels the node's frontier carries
+        (``out_label_masks``): the first move of the set's side to
+        :data:`DEAD` is an uncovered path.  A pair whose node frontier is a
+        subset of the set's is not expanded: paths grow with the start set.
+        An empty set covers not even the empty path.  The pairs are finite
+        but may be exponentially many (Lemma 3.2).
+        """
+        if self.initial == DEAD:
+            return False
+        masks, frontiers, step = self._index.out_label_masks, self._frontiers, self.step
+        start = (self._intern([self._index.node_ids[node]]), self.initial)
+        seen = {start}
+        queue = [start]
+        for own, state in queue:  # the list grows as it is read: breadth first
+            if frontiers[own] <= frontiers[state]:
+                continue  # the set covers every path from here on
+            present = reduce(or_, map(masks.__getitem__, frontiers[own]))
+            for label_id in range(present.bit_length()):
+                if not present >> label_id & 1:
+                    continue
+                target = step(state, label_id)
+                if target == DEAD:
+                    return False
+                pair = (step(own, label_id), target)
+                if pair not in seen:
+                    seen.add(pair)
+                    queue.append(pair)
+        return True
+
     def smallest_uncovered_path(self, node: Node, k: int, alphabet: Alphabet) -> Word | None:
         """The canonically smallest path of ``node`` (length <= k) not covered.
 
@@ -212,8 +247,8 @@ class NegativeCoverage:
         depend on what was asked of the automaton before), plus ``DEAD`` as
         the one accepting, absorbing state.  A word of length <= k is
         accepted iff no node of the set covers it -- the exact batched form
-        of :func:`repro.graphdb.paths.covered_by`.  States first reached at
-        depth ``k`` are left unexpanded (their rows stay
+        of :meth:`covers`.  States first reached at depth ``k`` are left
+        unexpanded (their rows stay
         :data:`~repro.automata.kernel.NO_STATE`): the walks that consume the
         table are themselves bounded to ``k`` symbols and never read them.
         The last cut is kept, so asking again is free until ``k`` moves.
@@ -266,29 +301,6 @@ class NegativeCoverage:
             return engine.any_selects(graph, candidate, reach, ephemeral=True)
 
         return guard
-
-
-def smallest_consistent_path(
-    graph: GraphDB,
-    node: Node,
-    negatives: Iterable[Node],
-    *,
-    k: int,
-) -> Word | None:
-    """The smallest path of ``node`` (length <= k) not covered by the negatives.
-
-    Returns None when no such path exists within the bound.  This is the
-    object-level reference (dict adjacency, one ``covered_by`` walk per
-    candidate); the learner's hot path is
-    :meth:`NegativeCoverage.smallest_uncovered_path`.
-    """
-    if k < 0:
-        raise LearningError("the path-length bound k must be non-negative")
-    negative_set = frozenset(negatives)
-    for path in enumerate_paths(graph, node, max_length=k):  # the reference walk
-        if not covered_by(graph, path, negative_set):
-            return path
-    return None
 
 
 def select_smallest_consistent_paths(

@@ -15,6 +15,7 @@ import random
 from functools import cache
 
 import pytest
+from oracles.paths import covered_by
 from oracles.product import (
     reference_any_node_selects,
     reference_binary_evaluate,
@@ -27,7 +28,6 @@ from repro.automata.kernel import TableDFA
 from repro.automata.nfa import NFA
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine, have_numpy
-from repro.graphdb.paths import covered_by
 
 NFA_COUNT = 200
 CONFIGS = [

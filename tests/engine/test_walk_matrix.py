@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles.paths import covered_by, enumerate_paths
 from oracles.product import (
     reference_any_node_selects,
     reference_evaluate,
@@ -42,7 +43,7 @@ from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
 from repro.errors import QueryError
 from repro.graphdb import GraphDB
-from repro.graphdb.paths import covered_by, enumerate_paths, enumerate_paths_between
+from repro.graphdb.paths import enumerate_paths_between
 from repro.regex import compile_query
 
 LABELS = ["a", "b", "c"]

@@ -1,49 +1,71 @@
-"""Unit tests for certain / informative / k-informative node characterizations."""
+"""Unit tests for certain / informative / k-informative node characterizations.
 
+The exact checks are the library's; the k-informativeness walks are the
+per-node oracles the session state is pinned against.
+"""
+
+import pytest
+from oracles.informativeness import is_k_informative, k_informative_nodes, uncovered_k_paths
+
+from repro.errors import GraphError
 from repro.interactive import (
     certain_negative_nodes,
     certain_positive_nodes,
     is_certain,
     is_informative,
-    is_k_informative,
-    k_informative_nodes,
-    uncovered_k_paths,
 )
 from repro.interactive.informativeness import is_certain_negative, is_certain_positive
 from repro.learning import Sample
 
 
 class TestCertainNodes:
-    def test_figure10_certain_positive(self, certain_case):
+    def test_figure10_certain_positive(self, certain_case, engine):
         graph, sample, certain = certain_case
-        assert is_certain_positive(graph, sample, certain)
-        assert not is_certain_negative(graph, sample, certain)
-        assert is_certain(graph, sample, certain)
+        assert is_certain_positive(graph, sample, certain, engine=engine)
+        assert not is_certain_negative(graph, sample, certain, engine=engine)
+        assert is_certain(graph, sample, certain, engine=engine)
 
-    def test_labeled_nodes_are_not_informative(self, certain_case):
+    def test_labeled_nodes_are_not_informative(self, certain_case, engine):
         graph, sample, _ = certain_case
         for node in sample.labeled:
-            assert not is_informative(graph, sample, node)
+            assert not is_informative(graph, sample, node, engine=engine)
 
-    def test_node_with_fresh_paths_is_informative(self, g0, g0_sample):
+    def test_node_with_fresh_paths_is_informative(self, g0, g0_sample, engine):
         # v6 has paths (e.g. towards v1's abc continuation) not covered by
         # the negatives, and no positive is dominated by it: informative.
-        assert is_informative(g0, g0_sample, "v6")
+        assert is_informative(g0, g0_sample, "v6", engine=engine)
 
-    def test_dead_end_node_is_certain_negative(self, g0, g0_sample):
+    def test_dead_end_node_is_certain_negative(self, g0, g0_sample, engine):
         # v4 has no outgoing edge: paths(v4) = {eps}, covered by the negatives.
-        assert is_certain_negative(g0, g0_sample, "v4")
-        assert not is_informative(g0, g0_sample, "v4")
+        assert is_certain_negative(g0, g0_sample, "v4", engine=engine)
+        assert not is_informative(g0, g0_sample, "v4", engine=engine)
 
-    def test_certain_sets_enumeration(self, certain_case):
+    def test_certain_sets_enumeration(self, certain_case, engine):
         graph, sample, certain = certain_case
-        assert certain in certain_positive_nodes(graph, sample)
-        negatives = certain_negative_nodes(graph, sample)
+        assert certain in certain_positive_nodes(graph, sample, engine=engine)
+        negatives = certain_negative_nodes(graph, sample, engine=engine)
         assert negatives.isdisjoint(sample.labeled)
 
-    def test_without_negatives_nothing_is_certain_negative(self, g0):
+    def test_without_negatives_nothing_is_certain_negative(self, g0, engine):
         sample = Sample(positives={"v1"})
-        assert certain_negative_nodes(g0, sample) == frozenset()
+        assert certain_negative_nodes(g0, sample, engine=engine) == frozenset()
+
+
+class TestExactCheckErrors:
+    """An unknown node is a ``GraphError`` at every exact check, whether it is
+    the probed node or a node of the sample."""
+
+    @pytest.mark.parametrize(
+        "check", [is_certain_positive, is_certain_negative, is_certain, is_informative]
+    )
+    @pytest.mark.parametrize("where", ["probed", "sample"])
+    def test_an_unknown_node_raises_graph_error(self, g0, g0_sample, engine, check, where):
+        if where == "probed":
+            sample, node = g0_sample, "zz"
+        else:
+            sample, node = g0_sample.with_negative("zz"), "v6"
+        with pytest.raises(GraphError):
+            check(g0, sample, node, engine=engine)
 
 
 class TestKInformativeness:
@@ -57,10 +79,10 @@ class TestKInformativeness:
         limited = uncovered_k_paths(g0, "v1", set(), k=2, limit=2)
         assert limited == 2 <= full
 
-    def test_k_informative_implies_informative(self, g0, g0_sample):
+    def test_k_informative_implies_informative(self, g0, g0_sample, engine):
         for node in g0.nodes:
             if is_k_informative(g0, g0_sample, node, k=2):
-                assert is_informative(g0, g0_sample, node)
+                assert is_informative(g0, g0_sample, node, engine=engine)
 
     def test_labeled_nodes_are_not_k_informative(self, g0, g0_sample):
         for node in g0_sample.labeled:

@@ -3,13 +3,13 @@
 ``SessionState`` keeps the unlabeled population (ascending ids, one deleted
 per label), the verdict caches and one frontier memo per index, and the
 strategies draw their candidates from that population with the RNG calls
-the stateless path makes on its fresh node list.  The property drives
-arbitrary streams of positive and negative labels, ``set_k`` moves,
-proposals and graph mutations (each one refreshes the index mid-stream) and
-checks that
+``oracles.strategies.stateless_propose`` makes on its fresh node list.  The
+property drives arbitrary streams of positive and negative labels, ``set_k``
+moves, proposals and graph mutations (each one refreshes the index
+mid-stream) and checks that
 
 * ``kR``, ``kS`` and ``random`` backed by the state propose, with equal
-  seeds, exactly the nodes the stateless strategies propose -- at
+  seeds, exactly the nodes ``stateless_propose`` proposes -- at
   ``pool_size`` None, below the graph's size and at or above it;
 * after every label the kept population equals
   ``[n for n in graph.node_order if n not in sample.labeled]``.
@@ -22,6 +22,7 @@ module under the ``nightly`` Hypothesis profile (``tests/conftest.py``):
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
+from oracles.strategies import stateless_propose
 
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
@@ -60,7 +61,7 @@ def test_state_backed_proposals_equal_stateless_ones(graph_seed, name, pool, see
     for kind, a, b in ops:
         if kind == "propose":
             proposed = backed.propose(graph, sample, k=state.k, state=state)
-            assert proposed == stateless.propose(graph, sample, k=state.k)
+            assert proposed == stateless_propose(stateless, graph, sample, k=state.k)
         elif kind == "label":
             unlabeled = population(graph, sample)
             if not unlabeled:

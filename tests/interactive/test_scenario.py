@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import InteractionError
+from repro.errors import InteractionError, SampleError
 from repro.interactive import (
     InteractiveSession,
     QueryOracle,
@@ -103,6 +103,22 @@ class TestSessionInternals:
         assert interaction is not None
         assert interaction.node in session.sample.labeled
         assert session.last_result is not None
+
+    @pytest.mark.parametrize("label", ["+", "-"])
+    def test_a_label_on_a_node_outside_the_graph_is_refused(self, g0, abstar_c, engine, label):
+        """Regression: the label used to be taken, and the next proposal (a
+        negative) or learn (a positive) failed far from the mistake."""
+        session = InteractiveSession(
+            g0, QueryOracle(abstar_c, engine=engine), make_strategy("kR", seed=2), engine=engine
+        )
+        session.record_label("v2", "-")
+        sample, unlabeled = session.sample, list(session.state.unlabeled_ids())
+        with pytest.raises(SampleError):
+            session.record_label("zz", label)
+        assert session.sample is sample and session.state.sample is sample
+        assert session.state.unlabeled_ids() == unlabeled
+        assert session.propose_node() in g0.nodes
+        assert session.learn() is session.last_result
 
     def test_k_grows_when_no_informative_node_remains(self, certain_case, engine):
         graph, _, _ = certain_case

@@ -14,8 +14,10 @@ from itertools import islice
 
 import pytest
 from oracles.informativeness import (
+    is_k_informative,
     reference_is_certain_negative,
     reference_is_certain_positive,
+    uncovered_k_paths,
 )
 from oracles.session import PerNodeSession
 
@@ -28,11 +30,11 @@ from repro.interactive import (
     InteractiveSession,
     QueryOracle,
     SessionState,
+    certain_negative_nodes,
+    certain_positive_nodes,
     is_certain,
-    is_k_informative,
     k_informative_set,
     make_strategy,
-    uncovered_k_paths,
 )
 from repro.interactive.informativeness import is_certain_negative, is_certain_positive
 from repro.learning import Sample
@@ -218,26 +220,31 @@ class TestSessionStateVerdicts:
 
 
 class TestKernelCertainty:
-    def test_matches_reference_on_worked_example(self, certain_case):
+    def test_matches_reference_on_worked_example(self, certain_case, engine):
         graph, sample, certain = certain_case
-        assert is_certain_positive(graph, sample, certain)
-        assert not is_certain_negative(graph, sample, certain)
+        assert is_certain_positive(graph, sample, certain, engine=engine)
+        assert not is_certain_negative(graph, sample, certain, engine=engine)
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_matches_reference_on_random_graphs(self, seed):
+        """Per node, and through the certain-node sets' one shared memo."""
         rng = random.Random(seed)
         graph = random_graph(seed, nodes=14, labels=3)
         sample = random_sample(rng, graph, positives=2, negatives=3)
+        engine = QueryEngine()
+        positives = certain_positive_nodes(graph, sample, engine=engine)
+        negatives = certain_negative_nodes(graph, sample, engine=engine)
         for node in graph.nodes:
-            assert is_certain_positive(graph, sample, node) == reference_is_certain_positive(
-                graph, sample, node
-            ), node
-            assert is_certain_negative(graph, sample, node) == reference_is_certain_negative(
-                graph, sample, node
-            ), node
+            want_positive = reference_is_certain_positive(graph, sample, node)
+            want_negative = reference_is_certain_negative(graph, sample, node)
+            assert is_certain_positive(graph, sample, node, engine=engine) == want_positive, node
+            assert is_certain_negative(graph, sample, node, engine=engine) == want_negative, node
+            unlabeled = node not in sample.labeled
+            assert (node in positives) == (unlabeled and want_positive), node
+            assert (node in negatives) == (unlabeled and want_negative), node
 
-    def test_is_certain_uses_kernel_checks(self, g0, g0_sample):
-        assert is_certain(g0, g0_sample, "v4")  # dead end: certain-negative
+    def test_is_certain_uses_kernel_checks(self, g0, g0_sample, engine):
+        assert is_certain(g0, g0_sample, "v4", engine=engine)  # dead end: certain-negative
 
 
 class TestSharedCoverage:

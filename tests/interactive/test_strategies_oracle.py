@@ -5,18 +5,26 @@ import sys
 import textwrap
 
 import pytest
+from oracles.informativeness import is_k_informative, uncovered_k_paths
 
+from repro.engine import QueryEngine
 from repro.errors import InteractionError
 from repro.interactive import (
     KInformativeRandomStrategy,
     KInformativeSmallestStrategy,
     QueryOracle,
     RandomStrategy,
+    SessionState,
     make_strategy,
 )
-from repro.interactive.informativeness import is_k_informative, uncovered_k_paths
 from repro.learning import Sample
 from repro.queries import PathQuery
+
+
+def propose(strategy, graph, sample, *, k):
+    """One proposal backed by a fresh session state of the sample."""
+    state = SessionState(graph, k=k, engine=QueryEngine(), sample=sample)
+    return strategy.propose(graph, sample, k=k, state=state)
 
 
 class TestStrategyFactory:
@@ -33,16 +41,21 @@ class TestStrategyFactory:
         with pytest.raises(InteractionError):
             make_strategy("kR", pool_size=0)
 
+    @pytest.mark.parametrize("name", ["kR", "kS", "random"])
+    def test_a_proposal_needs_the_session_state(self, g0, g0_sample, name):
+        with pytest.raises(TypeError):
+            make_strategy(name).propose(g0, g0_sample, k=2)
+
 
 class TestRandomStrategy:
     def test_proposes_unlabeled_node(self, g0, g0_sample):
-        node = RandomStrategy(seed=1).propose(g0, g0_sample, k=2)
+        node = propose(RandomStrategy(seed=1), g0, g0_sample, k=2)
         assert node in g0.nodes
         assert node not in g0_sample.labeled
 
     def test_returns_none_when_everything_is_labeled(self, g0):
         sample = Sample(set(list(g0.nodes)[:4]), set(list(g0.nodes)[4:]))
-        assert RandomStrategy(seed=1).propose(g0, sample, k=2) is None
+        assert propose(RandomStrategy(seed=1), g0, sample, k=2) is None
 
 
 class TestKInformativeStrategies:
@@ -52,7 +65,7 @@ class TestKInformativeStrategies:
         sample = Sample({"v3"}, {"v2"})
         strategy = KInformativeRandomStrategy(seed=3, pool_size=None)
         for _ in range(5):
-            node = strategy.propose(g0, sample, k=3)
+            node = propose(strategy, g0, sample, k=3)
             assert node is not None
             assert is_k_informative(g0, sample, node, k=3)
 
@@ -61,7 +74,7 @@ class TestKInformativeStrategies:
 
         sample = Sample({"v3"}, {"v2"})
         strategy = KInformativeSmallestStrategy(seed=0, pool_size=None)
-        node = strategy.propose(g0, sample, k=3)
+        node = propose(strategy, g0, sample, k=3)
         assert node is not None
         count = uncovered_k_paths(g0, node, sample.negatives, k=3)
         for other in g0.nodes:
@@ -79,11 +92,11 @@ class TestKInformativeStrategies:
         full = sample
         for node in graph.nodes - sample.labeled:
             full = full.with_positive(node) if node == certain else full.with_negative(node)
-        assert KInformativeRandomStrategy(seed=1).propose(graph, full, k=2) is None
+        assert propose(KInformativeRandomStrategy(seed=1), graph, full, k=2) is None
 
     def test_determinism_with_same_seed(self, g0, g0_sample):
-        left = KInformativeRandomStrategy(seed=7).propose(g0, g0_sample, k=2)
-        right = KInformativeRandomStrategy(seed=7).propose(g0, g0_sample, k=2)
+        left = propose(KInformativeRandomStrategy(seed=7), g0, g0_sample, k=2)
+        right = propose(KInformativeRandomStrategy(seed=7), g0, g0_sample, k=2)
         assert left == right
 
 
@@ -98,8 +111,9 @@ class TestStableNodeOrder:
 
     _PROPOSE_SCRIPT = textwrap.dedent(
         """
+        from repro.engine import QueryEngine
         from repro.graphdb import GraphDB
-        from repro.interactive import RandomStrategy, make_strategy
+        from repro.interactive import RandomStrategy, SessionState, make_strategy
         from repro.learning import Sample
 
         graph = GraphDB()
@@ -107,9 +121,13 @@ class TestStableNodeOrder:
         for i in range(40):
             graph.add_edge(f"n{i:02d}", "a", f"n{(i + 1) % 40:02d}")
         sample = Sample(negatives={"n00"})
-        print(RandomStrategy(seed=7).propose(graph, sample, k=2))
-        print(make_strategy("kR", seed=7, pool_size=8).propose(graph, sample, k=2))
-        print(make_strategy("kS", seed=7, pool_size=8).propose(graph, sample, k=2))
+        for strategy in (
+            RandomStrategy(seed=7),
+            make_strategy("kR", seed=7, pool_size=8),
+            make_strategy("kS", seed=7, pool_size=8),
+        ):
+            state = SessionState(graph, k=2, engine=QueryEngine(), sample=sample)
+            print(strategy.propose(graph, sample, k=2, state=state))
         """
     )
 
@@ -155,8 +173,8 @@ class TestStableNodeOrder:
 
         graph_a, nodes_a = build()
         graph_b, nodes_b = build()
-        pick_a = RandomStrategy(seed=5).propose(graph_a, Sample(), k=2)
-        pick_b = RandomStrategy(seed=5).propose(graph_b, Sample(), k=2)
+        pick_a = propose(RandomStrategy(seed=5), graph_a, Sample(), k=2)
+        pick_b = propose(RandomStrategy(seed=5), graph_b, Sample(), k=2)
         assert nodes_a.index(pick_a) == nodes_b.index(pick_b)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for consistency checking (Lemma 3.1) and SCP selection."""
 
 import pytest
+from oracles.paths import covered_by, smallest_consistent_path
 
 from repro.errors import LearningError
 from repro.learning import (
@@ -9,27 +10,26 @@ from repro.learning import (
     is_consistent,
     sample_has_consistent_query,
     select_smallest_consistent_paths,
-    smallest_consistent_path,
 )
 
 
 class TestExactConsistency:
-    def test_paper_sample_on_g0_is_consistent(self, g0, g0_sample):
-        assert is_consistent(g0, g0_sample)
+    def test_paper_sample_on_g0_is_consistent(self, g0, g0_sample, engine):
+        assert is_consistent(g0, g0_sample, engine=engine)
 
-    def test_figure5_sample_is_inconsistent(self, inconsistent_case):
+    def test_figure5_sample_is_inconsistent(self, inconsistent_case, engine):
         graph, sample = inconsistent_case
-        assert not is_consistent(graph, sample)
+        assert not is_consistent(graph, sample, engine=engine)
 
-    def test_sample_without_positives_is_consistent(self, g0):
-        assert is_consistent(g0, Sample(negatives={"v2"}))
+    def test_sample_without_positives_is_consistent(self, g0, engine):
+        assert is_consistent(g0, Sample(negatives={"v2"}), engine=engine)
 
-    def test_sample_without_negatives_is_consistent(self, g0):
-        assert is_consistent(g0, Sample(positives={"v1", "v4"}))
+    def test_sample_without_negatives_is_consistent(self, g0, engine):
+        assert is_consistent(g0, Sample(positives={"v1", "v4"}), engine=engine)
 
-    def test_positive_dominated_by_negative_is_inconsistent(self, g0):
+    def test_positive_dominated_by_negative_is_inconsistent(self, g0, engine):
         # v4 has no outgoing edge, so paths(v4) = {eps} which any negative covers.
-        assert not is_consistent(g0, Sample({"v4"}, {"v5"}))
+        assert not is_consistent(g0, Sample({"v4"}, {"v5"}), engine=engine)
 
 
 class TestBoundedConsistency:
@@ -85,8 +85,6 @@ class TestSelectSCPs:
         assert scps["v3"] == ("c",)
 
     def test_scps_are_never_covered_by_negatives(self, g0, g0_sample, engine):
-        from repro.graphdb import covered_by
-
         scps = select_smallest_consistent_paths(g0, g0_sample, k=4, engine=engine)
         for path in scps.values():
             assert not covered_by(g0, path, g0_sample.negatives)

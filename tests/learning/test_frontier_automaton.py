@@ -1,6 +1,6 @@
 """``NegativeCoverage`` as the one frontier automaton of ``paths_G(S-)``.
 
-Checked against the object-level reference (``graphdb.paths.enumerate_paths``
+Checked against the object-level reference (``oracles.paths.enumerate_paths``
 + ``covered_by``) and by count, never by clock:
 
 * ``uncovered_paths`` yields exactly the reference's uncovered paths, in the
@@ -22,16 +22,17 @@ from __future__ import annotations
 from itertools import islice, product
 
 import pytest
+from oracles.informativeness import uncovered_k_paths
+from oracles.paths import covered_by, enumerate_paths, smallest_consistent_path
 from test_guard_memo import CASES, seeded_case
 
 from repro.automata import Alphabet
 from repro.engine import QueryEngine
 from repro.errors import LearningError
-from repro.graphdb import GraphDB, covered_by
-from repro.graphdb.paths import enumerate_paths
-from repro.interactive import InteractiveSession, QueryOracle, make_strategy, uncovered_k_paths
+from repro.graphdb import GraphDB
+from repro.interactive import InteractiveSession, QueryOracle, make_strategy
 from repro.learning.learner import learn_path_query
-from repro.learning.scp import DEAD, NegativeCoverage, smallest_consistent_path
+from repro.learning.scp import DEAD, NegativeCoverage
 from repro.queries.path_query import PathQuery
 
 SEEDS = range(0, 20, 4)

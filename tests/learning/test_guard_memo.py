@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.generalize import prefix_tree_acceptor, reference_generalize_pta
 from oracles.minimize import reference_canonical_dfa
+from oracles.paths import smallest_consistent_path
 
 from repro.automata import Alphabet
 from repro.automata.kernel import MergeFold, fold_generalize, pta_table
@@ -44,7 +45,6 @@ from repro.learning.learner import learn_path_query, learn_with_dynamic_k
 from repro.learning.scp import (
     NegativeCoverage,
     select_smallest_consistent_paths,
-    smallest_consistent_path,
 )
 from repro.queries.path_query import PathQuery
 

@@ -15,11 +15,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 from oracles.operations import language_included
+from oracles.paths import covered_by, enumerate_paths, paths_nfa
 
 from repro.api.config import EngineConfig
 from repro.automata import Alphabet
 from repro.engine import QueryEngine
-from repro.graphdb import GraphDB, covered_by, paths_nfa
+from repro.graphdb import GraphDB
 from repro.learning import (
     Sample,
     bounded_consistent,
@@ -120,8 +121,6 @@ def test_scps_are_uncovered_and_canonically_minimal(case):
     for node, path in scps.items():
         assert not covered_by(graph, path, sample.negatives)
         # No strictly smaller uncovered path exists for that node.
-        from repro.graphdb import enumerate_paths
-
         for smaller in enumerate_paths(graph, node, max_length=3):
             if graph.alphabet.word_key(smaller) >= graph.alphabet.word_key(path):
                 break
@@ -173,10 +172,11 @@ def test_dynamic_k_abstains_or_is_consistent_at_the_per_k_learners_k(case):
 @settings(max_examples=60, deadline=None)
 @given(case=graph_and_arbitrary_sample(), k=st.integers(min_value=0, max_value=4))
 def test_exact_consistency_agrees_with_the_object_inclusion_oracle(case, k):
-    # Lemma 3.1 on kernel tables against the same inclusions on object NFAs;
-    # the bounded check is a certificate, so its yes must be the exact yes.
+    # Lemma 3.1 on the negatives' frontier automaton against the same
+    # inclusions on object NFAs; the bounded check is a certificate, so its
+    # yes must be the exact yes.
     graph, sample = case
-    consistent = is_consistent(graph, sample)
+    consistent = is_consistent(graph, sample, engine=QueryEngine())
     if sample.positives and sample.negatives:
         negative_paths = paths_nfa(graph, sample.negatives)
         covered = [language_included(paths_nfa(graph, v), negative_paths) for v in sample.positives]

@@ -1,7 +1,7 @@
 """The per-node interactive loop: the parity reference of ``SessionState``.
 
 What ``InteractiveSession(incremental=False)`` ran before the loop left the
-library: every proposal asks the strategy *without* a session state (per
+library: every proposal is ``oracles.strategies.stateless_propose`` (per
 candidate, ``enumerate_paths`` plus a from-scratch ``covered_by`` walk per
 path), no label is propagated anywhere, and every round re-learns from
 scratch with a private dynamic-``k`` retry.  Same proposals, same labels,
@@ -9,6 +9,8 @@ same learned queries as the incremental session -- just slower.
 """
 
 from __future__ import annotations
+
+from oracles.strategies import stateless_propose
 
 from repro.graphdb.graph import Node
 from repro.interactive.scenario import InteractiveSession
@@ -20,7 +22,7 @@ class PerNodeSession(InteractiveSession):
 
     def propose_node(self) -> Node | None:
         while True:
-            node = self.strategy.propose(self.graph, self.sample, k=self.k)
+            node = stateless_propose(self.strategy, self.graph, self.sample, k=self.k)
             if node is not None:
                 return node
             if self.k >= self.k_max:
