@@ -555,16 +555,6 @@ class QueryEngine:
 
     # -- whole-graph evaluation ----------------------------------------------
 
-    @staticmethod
-    def _check_max_depth(max_depth: int, ephemeral: bool, query: Query) -> None:
-        """Reject a ``max_depth`` the call cannot honour, before any work."""
-        if not ephemeral:
-            raise QueryError("max_depth is only supported with ephemeral=True")
-        if isinstance(query, (DFA, NFA)):
-            raise QueryError("max_depth needs a kernel TableDFA/MergeFold query")
-        if max_depth < 0:
-            raise QueryError(f"max_depth must be non-negative, got {max_depth}")
-
     def evaluate(
         self,
         graph: GraphDB,
@@ -615,7 +605,12 @@ class QueryEngine:
     def _monadic(
         self, graph: GraphDB, query: Query, ephemeral: bool, max_depth: int | None, names: bool
     ) -> Answer:
-        """Check one monadic call's options, then answer it."""
+        """Check one monadic call's options, before any work, then answer it."""
+        if max_depth is not None:
+            if not ephemeral:
+                raise QueryError("max_depth is only supported with ephemeral=True")
+            if max_depth < 0:
+                raise QueryError(f"max_depth must be non-negative, got {max_depth}")
         if ephemeral:
             if isinstance(query, (DFA, NFA)):
                 raise QueryError(
@@ -623,8 +618,6 @@ class QueryEngine:
                     f"TableDFA/MergeFold, got {type(query).__name__}"
                 )
             query = self._coerce_automaton(query)
-        if max_depth is not None:
-            self._check_max_depth(max_depth, ephemeral, query)
         return self._whole_graph(graph, query, "evaluate", ephemeral, max_depth, names)
 
     def binary_evaluate(self, graph: GraphDB, query: Query) -> frozenset[tuple[Node, Node]]:
@@ -825,7 +818,6 @@ class QueryEngine:
         nodes: Iterable[Node] | executor.FoldReach,
         *,
         ephemeral: bool = False,
-        max_depth: int | None = None,
         witness: bool = False,
     ) -> bool | Word | None:
         """Whether the query selects at least one of the given nodes.
@@ -835,9 +827,7 @@ class QueryEngine:
         Pass ``ephemeral=True`` for throwaway automata that will never be
         evaluated again (e.g. merge candidates): the engine then skips
         fingerprinting, the planner and both caches and walks the
-        automaton as it stands on the CSR index.  ``max_depth`` (ephemeral
-        kernel automata only) bounds the witness word's length -- the
-        interactive layer's per-candidate k-informativeness check.
+        automaton as it stands on the CSR index.
 
         With ``witness=True`` the answer is the evidence instead of the
         verdict: a shortest accepted word labelling a path from one of the
@@ -848,8 +838,8 @@ class QueryEngine:
         one fold run's merge guard (:class:`~repro.engine.executor.FoldReach`).
         """
         if isinstance(nodes, executor.FoldReach):
-            if not ephemeral or witness or max_depth is not None:
-                raise QueryError("a FoldReach answers ephemeral, unbounded verdicts only")
+            if not ephemeral or witness:
+                raise QueryError("a FoldReach answers ephemeral verdicts only")
             found = nodes.selects(self.index_for(graph), query, self.stats.kernel)
             self.stats.inc("evaluations")
             return found
@@ -858,8 +848,6 @@ class QueryEngine:
             if node not in graph:
                 raise GraphError(f"node {node!r} is not in the graph")
         walked = self._coerce_automaton(query)
-        if max_depth is not None:
-            self._check_max_depth(max_depth, ephemeral, query)
         if not start_nodes:
             return None if witness else False
         if not ephemeral:
@@ -876,7 +864,6 @@ class QueryEngine:
             walked,
             [node_ids[node] for node in start_nodes],
             self.stats.kernel,
-            max_depth=max_depth,
             witness=witness,
             rare_first=not ephemeral and self.planner == "auto",
         )

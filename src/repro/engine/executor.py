@@ -373,10 +373,8 @@ def any_selects(
     With ``end`` the accepted path must additionally stop at that node (the
     binary semantics' pair test).  ``max_depth`` bounds the accepted word's
     length: the BFS runs in word-length layers (first visit = shortest
-    witness, so the pair dedup stays sound) and stops after that many.  This
-    is how the interactive layer asks "does this candidate have an uncovered
-    path of at most k symbols?" against the round's uncovered-words
-    automaton.  ``rare_first`` walks :func:`bind`'s rare-label-first rows.
+    witness, so the pair dedup stays sound) and stops after that many.
+    ``rare_first`` walks :func:`bind`'s rare-label-first rows.
     """
     starts = list(node_ids)
     moves = bind(index, query, rare_first=rare_first)

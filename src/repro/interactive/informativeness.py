@@ -13,9 +13,12 @@ functions here are unbounded
 :meth:`~repro.learning.scp.NegativeCoverage.includes` walks, exponential in
 the worst case, and are intended for small graphs (tests, worked examples).
 The practical notion the strategies use is ``k``-informativeness: a node
-with at least one path of length at most ``k`` that no negative covers is
-guaranteed informative, and counting such paths is cheap
-(:class:`~repro.interactive.state.SessionState`).
+is k-informative when no negative covers one of its paths of length at most
+``k``, and finding or counting such paths is cheap
+(:class:`~repro.interactive.state.SessionState`).  Such a node is guaranteed
+not certain-negative, but it may still be certain-positive -- the
+k-informativeness test never looks at the positives (Figure 10's certain
+node is 1-informative) -- so it is not guaranteed informative.
 """
 
 from __future__ import annotations

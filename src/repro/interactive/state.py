@@ -5,16 +5,15 @@ question -- "is this word in ``paths_G(S-)``?" -- so the session answers
 both from the one :class:`~repro.learning.scp.NegativeCoverage` of its
 current negatives:
 
+* ``coverage.uncovered_paths(node, k, alphabet)`` is the per-candidate
+  walk: the ``kS`` count (its capped length), the ``kR`` verdict (whether it
+  has a first element) and the learner's SCP (its first element);
 * ``coverage.table(k, alphabet)`` is the frontier automaton cut at ``k``:
   one :class:`~repro.automata.kernel.TableDFA` accepting exactly the words
-  of length <= ``k`` no negative covers;
-* batched k-informativeness runs **one** depth-bounded backward CSR product
-  walk of that table per round (:func:`repro.engine.executor.evaluate_all`
-  through the engine's ephemeral path) and yields the verdict of *every*
-  node at once; a pooled strategy asks per candidate instead, one early-exit
-  forward walk each;
-* ``coverage.uncovered_paths(node, k, alphabet)`` is the ``kS`` count (its
-  capped length) and the learner's SCP (its first element);
+  of length <= ``k`` no negative covers.  It serves full scans only:
+  **one** depth-bounded backward CSR product walk of that table per round
+  (:func:`repro.engine.executor.evaluate_all` through the engine's
+  ephemeral path) yields the verdict of *every* node at once;
 * :class:`SessionState` carries the pieces across rounds and invalidates
   only what a new label can change: a positive label leaves the coverage and
   the informative set untouched (certainty is monotone, Lemma 4.1), while a
@@ -257,14 +256,16 @@ class SessionState:
         return self._informative
 
     def is_informative(self, node: Node) -> bool:
-        """Per-candidate k-informativeness against the shared round table.
+        """Per-candidate k-informativeness on the shared coverage.
 
-        A cache hit is O(1); a miss runs one early-exit forward product walk
-        (:func:`repro.engine.executor.any_selects`, bounded to ``k``
-        symbols) against the uncovered-words automaton, then records the
-        verdict with the monotone lifetime rules documented on the class.
-        The caller is responsible for excluding labeled nodes (labeled nodes
-        are never informative).
+        A cache hit is O(1); a miss is one coverage walk, the same one
+        :meth:`uncovered_count` runs, stopped at the node's first uncovered
+        path of at most ``k`` symbols
+        (:meth:`~repro.learning.scp.NegativeCoverage.smallest_uncovered_path`);
+        the verdict is then recorded with the monotone lifetime rules
+        documented on the class.  A node not in the graph is a
+        :class:`~repro.errors.GraphError`.  The caller is responsible for
+        excluding labeled nodes (labeled nodes are never informative).
         """
         self._index()  # first: drops every cache if the graph moved
         if node in self._non_informative:
@@ -273,15 +274,10 @@ class SessionState:
         if node in self._informative_nodes:
             self.counters["verdict_hits"] += 1
             return True
-        if not self.sample.negatives:
-            # Every node's empty path is uncovered.
-            self._informative_nodes.add(node)
-            return True
-        table = self.coverage().table(self.k, self.graph.alphabet)
-        verdict = self.engine.any_selects(
-            self.graph, table, (node,), ephemeral=True, max_depth=self.k
-        )
-        self.counters["node_walks"] += 1
+        coverage = self.coverage()
+        verdict = coverage.smallest_uncovered_path(node, self.k, self.graph.alphabet) is not None
+        if self.sample.negatives:  # with none, the empty path is uncovered: no walk
+            self.counters["node_walks"] += 1
         if verdict:
             self._informative_nodes.add(node)
         else:
@@ -292,7 +288,8 @@ class SessionState:
         """How many paths of one candidate (length <= k) no negative covers.
 
         ``cap`` stops the count early (``kS`` only compares small counts).
-        0 means not k-informative: the verdict caches are read and fed.
+        0 means not k-informative: the verdict caches are read and fed.  A
+        node not in the graph is a :class:`~repro.errors.GraphError`.
         """
         self._index()  # first: drops every cache if the graph moved
         if node in self._non_informative:

@@ -23,9 +23,10 @@ from the full scan in our experiments).
 :meth:`Strategy.propose` reads the session's
 :class:`~repro.interactive.state.SessionState`: informativeness verdicts
 and uncovered-path counts come from the state's one
-:class:`~repro.learning.scp.NegativeCoverage` (its ``table(k)`` cut under
-the engine's product walks, its ``uncovered_paths`` for the counts), shared
-across all candidates and rounds, and candidates are drawn from the state's
+:class:`~repro.learning.scp.NegativeCoverage` (a pooled candidate's verdict
+and count are walks of its ``uncovered_paths``; a full scan cuts its
+``table(k)`` for one engine product walk over every node), shared across
+all candidates and rounds, and candidates are drawn from the state's
 kept unlabeled ids.  The per-node walks the parity suite and the speed
 benchmark pin this against, making the same RNG calls, are a test oracle
 (``tests/oracles/strategies.py``).

@@ -24,7 +24,8 @@ the graph once:
   length), :meth:`~NegativeCoverage.includes` (a node's whole path language,
   unbounded) and :meth:`~NegativeCoverage.table` (the automaton cut at depth
   ``k`` as a :class:`~repro.automata.kernel.TableDFA`, which the engine's
-  batched and per-candidate k-informativeness walks consume);
+  batched k-informativeness walk over every node consumes; a per-candidate
+  verdict is an :meth:`~NegativeCoverage.uncovered_paths` walk);
 * *the merge guard* -- :meth:`NegativeCoverage.merge_guard`: one
   ``fold_generalize`` run's :class:`~repro.engine.executor.FoldReach` of the
   negatives' int ids, asked through ``engine.any_selects``.
@@ -56,7 +57,7 @@ from operator import or_
 from repro.automata.alphabet import Alphabet, Word
 from repro.automata.kernel import NO_STATE, MergeFold, TableDFA
 from repro.engine.executor import FoldReach
-from repro.errors import LearningError
+from repro.errors import GraphError, LearningError
 from repro.graphdb.graph import GraphDB, Node
 from repro.learning.sample import Sample
 
@@ -173,29 +174,34 @@ class NegativeCoverage:
         extended label by label in ``alphabet`` order -- so the words come
         out canonically with no heap and no sort key, and a caller that
         wants only the first (or the first ``cap``) pays for no more.
-        Only labels its reached nodes have edges of extend a word (``out_label_masks``).
+        Only labels its reached nodes have edges of extend a word (``out_label_masks``);
+        a word of length ``k`` is never extended, so its reached set is not computed.
+        A node not in the graph is a :class:`~repro.errors.GraphError`.
         """
         if k < 0:
             raise LearningError("the path-length bound k must be non-negative")
+        index, step = self._index, self.step
+        node_id = index.node_ids.get(node)
+        if node_id is None:
+            raise GraphError(f"node {node!r} is not in the graph")
         if self.initial == DEAD:
             yield ()  # no covering node: the empty path is already uncovered
-        index, step = self._index, self.step
         label_ids, masks = index.label_ids, index.out_label_masks
         labels = [(symbol, label_ids[symbol]) for symbol in alphabet if symbol in label_ids]
-        level: list[tuple[Word, set[int], int]] = [((), {index.node_ids[node]}, self.initial)]
-        for _length in range(k):
+        level: list[tuple[Word, set[int], int]] = [((), {node_id}, self.initial)]
+        for length in range(1, k + 1):
             next_level: list[tuple[Word, set[int], int]] = []
             for word, reached, state in level:
                 present = reduce(or_, map(masks.__getitem__, reached))
                 for symbol, label_id in labels:
                     if not present >> label_id & 1:
                         continue  # the word is not a path of the node
-                    moved = self._successors(reached, label_id)
                     extended = word + (symbol,)
                     target = step(state, label_id)
                     if target == DEAD:
                         yield extended
-                    next_level.append((extended, moved, target))
+                    if length < k:
+                        next_level.append((extended, self._successors(reached, label_id), target))
             level = next_level
 
     def includes(self, node: Node) -> bool:

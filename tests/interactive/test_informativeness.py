@@ -9,6 +9,7 @@ from oracles.informativeness import is_k_informative, k_informative_nodes, uncov
 
 from repro.errors import GraphError
 from repro.interactive import (
+    SessionState,
     certain_negative_nodes,
     certain_positive_nodes,
     is_certain,
@@ -83,6 +84,15 @@ class TestKInformativeness:
         for node in g0.nodes:
             if is_k_informative(g0, g0_sample, node, k=2):
                 assert is_informative(g0, g0_sample, node, engine=engine)
+
+    def test_a_k_informative_node_may_be_certain_positive(self, certain_case, engine):
+        # Figure 10: ``cert``'s path b is uncovered (1-informative), yet pos's
+        # paths {eps, a, b} are covered by neg's and cert's: certain-positive.
+        graph, sample, certain = certain_case
+        state = SessionState(graph, k=1, engine=engine, sample=sample)
+        assert state.is_informative(certain)
+        assert is_certain_positive(graph, sample, certain, engine=engine)
+        assert not is_informative(graph, sample, certain, engine=engine)
 
     def test_labeled_nodes_are_not_k_informative(self, g0, g0_sample):
         for node in g0_sample.labeled:

@@ -10,7 +10,8 @@ Checked against the object-level reference (``oracles.paths.enumerate_paths``
 * ``table(k)`` accepts exactly the words of length <= k that ``covered_by``
   rejects, and a coverage asked for k = 2, 3, 2 hands out the tables a fresh
   one would;
-* each distinct (frontier, label) step is computed once per coverage;
+* each distinct (frontier, label) step is computed once per coverage, and
+  ``uncovered_paths`` never builds the reached set of a word of length ``k``;
 * a coverage built on the memo of a grown, shrunk or disjoint node set
   answers like a fresh one, and a refreshed or other index never shares it;
 * a coverage shared by a learner's attempts enumerates no duplicate word,
@@ -170,6 +171,31 @@ def test_each_frontier_step_is_computed_once(monkeypatch):
     assert len(set(coverage._frontiers)) == len(coverage._frontiers)
     ask_everything()
     assert len(interned) == 1 + len(coverage._steps)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_word_of_length_k_is_never_extended(monkeypatch, seed, k):
+    """On a warm memo every ``_successors`` call extends one path of the node
+    shorter than ``k``: the last level's reached sets are never built."""
+    graph, sample = seeded_case(seed, 0)
+    coverage = NegativeCoverage(QueryEngine().index_for(graph), sample.negatives)
+    nodes = graph.node_order[:20]
+    for node in nodes:  # warm the step memo: ``step`` calls ``_successors`` too
+        list(coverage.uncovered_paths(node, k, graph.alphabet))
+    calls = []
+    successors = NegativeCoverage._successors
+
+    def counting(self, frontier, label_id):
+        calls.append(label_id)
+        return successors(self, frontier, label_id)
+
+    monkeypatch.setattr(NegativeCoverage, "_successors", counting)
+    for node in nodes:
+        calls.clear()
+        list(coverage.uncovered_paths(node, k, graph.alphabet))
+        shorter = [word for word in enumerate_paths(graph, node, max_length=max(k - 1, 0)) if word]
+        assert len(calls) == len(shorter)
 
 
 def table_bytes(table):
