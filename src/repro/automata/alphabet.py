@@ -120,10 +120,6 @@ class Alphabet:
         """
         return (len(word), tuple(self._index[s] for s in word))
 
-    def lex_key(self, word: Sequence[str]) -> tuple[int, ...]:
-        """Sort key realizing the plain lexicographic order on words."""
-        return tuple(self._index[s] for s in word)
-
     def canonical_less(self, left: Sequence[str], right: Sequence[str]) -> bool:
         """Return True iff ``left`` is strictly before ``right`` canonically."""
         return self.word_key(left) < self.word_key(right)

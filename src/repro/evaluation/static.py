@@ -176,8 +176,8 @@ def run_static_experiment(
     disjunction-of-SCPs baseline (the A1 ablation).
 
     ``engine`` is the query engine used throughout the sweep: sampling, F1
-    scoring *and* the learner's internal merge-guard/positives checks all run
-    on it, so per-engine cache stats account for the whole experiment
+    scoring *and* the learner's merge guard and line-6 walks (of the positives
+    without an SCP) run on it, so per-engine stats account for the whole experiment
     (:meth:`repro.api.Workspace.run_experiment` passes the workspace's).
     """
     rng = random.Random(config.seed)

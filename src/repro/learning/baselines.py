@@ -31,16 +31,14 @@ def learn_scp_disjunction(
     """The no-generalization baseline: the disjunction of the SCPs.
 
     Abstains (returns a null result) when no positive node yields an SCP or
-    when the disjunction fails to select some positive node (which happens
-    exactly when that node has no consistent path of length at most ``k``).
+    when the disjunction misses some positive node: exactly a node without an
+    SCP (its paths of length at most ``k`` are all covered, and every SCP is
+    an uncovered word of length at most ``k``), so nothing is walked.
 
-    ``engine`` is the query engine used by the SCP selection and the
-    positives check (``LearnerConfig(generalize=False)`` routes here).
+    ``engine`` is the query engine whose CSR index the SCP selection runs on
+    (``LearnerConfig(generalize=False)`` routes here).
     """
-    sample.check_against(graph)
     started = time.perf_counter()
-    if not sample.positives:
-        return LearnerResult(query=None, k=k, elapsed=time.perf_counter() - started)
     scps = select_smallest_consistent_paths(graph, sample, k=k, engine=engine)
     positives_without_scp = frozenset(sample.positives - scps.keys())
     if not scps:
@@ -51,11 +49,7 @@ def learn_scp_disjunction(
             elapsed=time.perf_counter() - started,
         )
     query = PathQuery.from_words(graph.alphabet, scps.values())
-    node_ids = engine.index_for(graph).node_ids  # index order: see learn_path_query
-    selects_all = all(
-        engine.selects(graph, query, node)
-        for node in sorted(sample.positives, key=node_ids.__getitem__)
-    )
+    selects_all = not positives_without_scp
     return LearnerResult(
         query=query if selects_all else None,
         k=k,

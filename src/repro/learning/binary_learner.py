@@ -154,9 +154,10 @@ def learn_binary_query(
 
     fold = fold_generalize(pta, violates)
     canonical = canonical_table(fold.to_table())
+    # As in Algorithm 1, the query selects every pair with an SCP by construction.
     selects_all = all(
         engine.pair_selects(graph, canonical, origin, end)
-        for origin, end in in_index_order(sample.positives)
+        for origin, end in in_index_order(sample.positives - scps.keys())
     )
     query = BinaryPathQuery._from_canonical(canonical) if selects_all else None
     return BinaryLearnerResult(

@@ -9,8 +9,10 @@ paper exactly:
    most ``k`` (skipping positives that have none);
 2. build the prefix tree acceptor of those paths;
 3. generalize it by state merging while no negative node is selected;
-4. return the resulting query if it selects *every* positive node (including
-   the ones that contributed no SCP), otherwise return null.
+4. return the resulting query if it selects *every* positive node, otherwise
+   return null.  Only the positives that contributed no SCP are walked: one
+   with an SCP has that word as a path, the PTA accepts it, and merging and
+   minimising only add words, so the query selects it by construction.
 
 Steps 1 and 3 both question the fixed language ``paths_G(S-)``, and both go
 through one :class:`~repro.learning.scp.NegativeCoverage`: its frontier
@@ -157,11 +159,13 @@ def learn_path_query(
     (the dynamic-``k`` procedure shares one across its attempts, the
     interactive session across rounds while the negative set is unchanged);
     a stale or mismatched one raises :class:`~repro.errors.LearningError`.
+    Its builder checked the sample; a call without one checks it here.
     :meth:`repro.api.Workspace.learn` calls this with the workspace engine.
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")
-    sample.check_against(graph)
+    if coverage is None:  # a bare call is its own episode
+        sample.check_against(graph)
     started = time.perf_counter()
 
     if not sample.positives:
@@ -208,14 +212,14 @@ def learn_path_query(
             )
 
         with telemetry.span("learner.final_check"):
-            # One-shot walks of the table as it stands: fingerprinting and
-            # compiling a plan per learner call would cost more than they save.
-            # In index order, not set order: where a failing check stops, hence
-            # its kernel work, must not depend on the hash seed.
+            # Line 6 walks the positives without an SCP only (module docstring),
+            # one-shot on the table as it stands: a fingerprint and a plan per
+            # learner call would cost more than they save.  In index order, not
+            # set order: where a failing check stops must not follow the hash seed.
             node_ids = engine.index_for(graph).node_ids
             selects_all = all(
                 engine.selects(graph, canonical, node, ephemeral=True)
-                for node in sorted(sample.positives, key=node_ids.__getitem__)
+                for node in sorted(positives_without_scp, key=node_ids.__getitem__)
             )
         hypothesis = PathQuery._from_canonical(canonical)
         query = hypothesis if selects_all else None
@@ -281,10 +285,10 @@ def learn_with_dynamic_k(
 ) -> LearnerResult:
     """Algorithm 1 under the dynamic-``k`` procedure of Section 5.1.
 
-    One learning episode: every ``k`` attempt shares one
-    :class:`~repro.learning.scp.NegativeCoverage`, so a retry does not
-    recompute the frontiers of the attempt before it.  Each attempt's fold
-    gets its own merge guard.
+    One learning episode: the sample is checked once, and every ``k``
+    attempt shares one :class:`~repro.learning.scp.NegativeCoverage`, so a
+    retry does not recompute the frontiers of the attempt before it.  Each
+    attempt's fold gets its own merge guard.
     """
     sample.check_against(graph)
     coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)

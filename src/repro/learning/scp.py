@@ -6,7 +6,8 @@ smallest word of ``paths_G(nu) \\ paths_G(S-)`` -- the smallest path of
 ``paths_G(nu)`` can be infinite, the search is bounded by the learner's
 parameter ``k``; a positive node with no consistent path of length at most
 ``k`` simply contributes no SCP (the generalization step may still make the
-learned query select it, which line 6 of the algorithm verifies).
+learned query select it, which line 6 of the algorithm verifies -- for
+those positives only: one with an SCP is selected by construction).
 
 Algorithm 1's SCP selection (Lemma 3.1), its merge guard (lines 4-5) and
 Section 4.2's k-informativeness (Lemma 4.1) all ask about the one fixed
@@ -169,18 +170,19 @@ class NegativeCoverage:
         """``node``'s paths of length <= k that the set does not cover.
 
         In canonical order, lazily.  The enumeration runs level by level on
-        the index: a level holds the node's paths of one length with their
-        int frontiers and automaton states, in lexicographic order, and is
-        extended label by label in ``alphabet`` order -- so the words come
-        out canonically with no heap and no sort key, and a caller that
-        wants only the first (or the first ``cap``) pays for no more.
-        Only labels its reached nodes have edges of extend a word (``out_label_masks``);
-        a word of length ``k`` is never extended, so its reached set is not computed.
+        the index: a level holds the node's paths of one length, each with its
+        parent's int frontier, last label id (None at the root) and automaton
+        state, in lexicographic order; it is extended label by label in
+        ``alphabet`` order, so the words come out canonically with no heap or
+        sort key and a caller that wants only the first few pays for no more.
+        A word's own frontier is computed when it is extended, by the labels
+        it has edges of (``out_label_masks``): neither a caller that stops at
+        a length nor a word of length ``k`` pays for one.
         A node not in the graph is a :class:`~repro.errors.GraphError`.
         """
         if k < 0:
             raise LearningError("the path-length bound k must be non-negative")
-        index, step = self._index, self.step
+        index, step, successors = self._index, self.step, self._successors
         node_id = index.node_ids.get(node)
         if node_id is None:
             raise GraphError(f"node {node!r} is not in the graph")
@@ -188,10 +190,12 @@ class NegativeCoverage:
             yield ()  # no covering node: the empty path is already uncovered
         label_ids, masks = index.label_ids, index.out_label_masks
         labels = [(symbol, label_ids[symbol]) for symbol in alphabet if symbol in label_ids]
-        level: list[tuple[Word, set[int], int]] = [((), {node_id}, self.initial)]
+        level = [((), {node_id}, None, self.initial)]
         for length in range(1, k + 1):
-            next_level: list[tuple[Word, set[int], int]] = []
-            for word, reached, state in level:
+            next_level = []
+            for word, reached, last, state in level:
+                if last is not None:
+                    reached = successors(reached, last)
                 present = reduce(or_, map(masks.__getitem__, reached))
                 for symbol, label_id in labels:
                     if not present >> label_id & 1:
@@ -201,7 +205,7 @@ class NegativeCoverage:
                     if target == DEAD:
                         yield extended
                     if length < k:
-                        next_level.append((extended, self._successors(reached, label_id), target))
+                        next_level.append((extended, reached, label_id, target))
             level = next_level
 
     def includes(self, node: Node) -> bool:
@@ -327,12 +331,13 @@ def select_smallest_consistent_paths(
     runs on.  ``coverage`` lets a caller that learns repeatedly against the
     *same* negative set (the dynamic-``k`` procedure, the interactive
     session) reuse one cache across calls; a stale or mismatched cache
-    raises :class:`~repro.errors.LearningError`.
+    raises :class:`~repro.errors.LearningError`; without one, this call
+    checks the sample against the graph (whoever built one checked it).
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")
-    sample.check_against(graph)
     if coverage is None:
+        sample.check_against(graph)
         coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
     elif not coverage.is_current(graph, sample.negatives):
         raise LearningError(

@@ -63,6 +63,12 @@ def work(monkeypatch) -> dict:
     return tally
 
 
+#: Operations that run no kernel walk: the SCP-disjunction baseline selects
+#: its SCPs on the negatives' frontier automaton, and its query misses exactly
+#: the positives without an SCP, so its positives check walks nothing.
+NO_WALK = {"learn-path-baseline"}
+
+
 @pytest.mark.parametrize("operation", sorted(OPERATIONS))
 def test_operation_runs_on_the_workspace_engine_only(operation, work):
     ws = Workspace(geo_graph())
@@ -70,7 +76,7 @@ def test_operation_runs_on_the_workspace_engine_only(operation, work):
     assert work["indexed"] == [ws.graph]
     stats = ws.stats()
     assert stats["index_builds"] == 1
-    assert work["states"] > 0
+    assert (work["states"] > 0) == (operation not in NO_WALK)
     assert (stats["states_expanded"], stats["edges_scanned"]) == (work["states"], work["edges"])
 
 

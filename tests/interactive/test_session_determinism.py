@@ -6,10 +6,12 @@ hash order; nothing a user can observe -- which node is proposed, what is
 learned, how often the guard ran, how much kernel work proposing,
 generalising and checking cost -- may follow from that order.
 
-Algorithm 1's final check (``engine.selects`` per positive) stops at the
-first unselected positive, so a failing attempt's cost depends on the order
-the positives are walked in: index order, not set order.  The script books
-``selects`` work on the side so the pin shows it was really exercised.
+Algorithm 1's final check (``engine.selects`` per positive without an SCP;
+one with an SCP is selected by construction) stops at the first unselected
+positive, so a failing attempt's cost depends on the order the positives are
+walked in: index order, not set order.  The script books ``selects`` work on
+the side, and per learner call the walks against the SCP-less positives, so
+the pin shows exactly what the check walked and that it was exercised.
 """
 
 from __future__ import annotations
@@ -26,17 +28,20 @@ sys.path[:0] = {paths!r}
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.interactive import InteractiveSession, QueryOracle, make_strategy
+from repro.interactive import state as state_module
 from repro.queries.path_query import PathQuery
 
 
 class BookedEngine(QueryEngine):
     # Books the kernel work done inside ``selects`` on the side.
     selects_work = (0, 0)
+    selects_calls = 0
 
     def work(self):
         return (self.stats.states_expanded, self.stats.edges_scanned)
 
     def selects(self, *args, **kwargs):
+        self.selects_calls += 1
         before = self.work()
         try:
             return super().selects(*args, **kwargs)
@@ -45,11 +50,28 @@ class BookedEngine(QueryEngine):
             self.selects_work = tuple(map(sum, zip(self.selects_work, spent)))
 
 
+plain_learn = state_module.learn_path_query
+checks = []  # per learner call: (final-check walks, SCP-less positives, passed)
+
+
+def booked_learn(graph, sample, *, engine, **kwargs):
+    calls = engine.selects_calls
+    result = plain_learn(graph, sample, engine=engine, **kwargs)
+    if result.scps:  # no SCP, no hypothesis: line 6 does not run
+        checks.append(
+            (engine.selects_calls - calls, len(result.positives_without_scp),
+             result.selects_all_positives)
+        )
+    return result
+
+
+state_module.learn_path_query = booked_learn
 graph = scale_free_graph(400, alphabet_size=6, zipf_exponent=1.0, seed=11)
 report = {{}}
 for strategy in ("kR", "kS"):
     for goal_text in ("l00.l01*.l02", "(l00+l01).l02*.(l03+l04)"):
         engine = BookedEngine()
+        checks = []
         session = InteractiveSession(
             graph,
             QueryOracle(PathQuery.parse(goal_text, graph.alphabet), engine=engine),
@@ -67,6 +89,7 @@ for strategy in ("kR", "kS"):
             "counters": session.state.counters,
             "work": engine.work(),
             "selects_work": engine.selects_work,
+            "checks": checks,
         }}
 print(json.dumps(report))
 """
@@ -99,6 +122,17 @@ def test_sessions_are_deterministic_under_pythonhashseed():
         else:
             assert counters["count_queries"] == 0 < counters["node_walks"]
     assert any(cell["counters"]["full_learns"] > 1 for cell in outputs[0].values())
-    # The final check did real work, beyond what proposing and the guard did.
+    # The final check walks exactly the positives without an SCP, in index
+    # order up to the first one the hypothesis misses: all of them when it
+    # passes, at least one when it fails.
     for cell in outputs[0].values():
-        assert 0 < min(cell["selects_work"]) and cell["selects_work"][0] < cell["work"][0]
+        assert cell["checks"]
+        for walks, scp_less, passed in cell["checks"]:
+            assert walks == scp_less if passed else 1 <= walks <= scp_less
+    # Some cell's check really walked, with work beyond proposing and the guard.
+    assert any(
+        sum(walks for walks, _, _ in cell["checks"]) > 0
+        and 0 < min(cell["selects_work"])
+        and cell["selects_work"][0] < cell["work"][0]
+        for cell in outputs[0].values()
+    )
