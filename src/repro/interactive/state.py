@@ -5,9 +5,9 @@ question -- "is this word in ``paths_G(S-)``?" -- so the session answers
 both from the one :class:`~repro.learning.scp.NegativeCoverage` of its
 current negatives:
 
-* ``coverage.uncovered_paths(node, k, alphabet)`` is the per-candidate
-  walk: the ``kS`` count (its capped length), the ``kR`` verdict (whether it
-  has a first element) and the learner's SCP (its first element);
+* ``coverage.uncovered_count(node, k, alphabet, cap=)`` is the per-candidate
+  walk, building no word: the ``kS`` count (capped at the best so far) and
+  the ``kR`` verdict (capped at 1); the learner's SCP is the first word;
 * ``coverage.table(k, alphabet)`` is the frontier automaton cut at ``k``:
   one :class:`~repro.automata.kernel.TableDFA` accepting exactly the words
   of length <= ``k`` no negative covers.  It serves full scans only:
@@ -30,10 +30,10 @@ import time
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
-from itertools import islice
 
 from repro.engine.engine import QueryEngine
 from repro.engine.index import GraphIndex
+from repro.errors import InteractionError
 from repro.graphdb.graph import GraphDB, Node
 from repro.learning.learner import LearnerResult, learn_path_query
 from repro.learning.sample import NEGATIVE, Sample
@@ -258,11 +258,10 @@ class SessionState:
     def is_informative(self, node: Node) -> bool:
         """Per-candidate k-informativeness on the shared coverage.
 
-        A cache hit is O(1); a miss is one coverage walk, the same one
-        :meth:`uncovered_count` runs, stopped at the node's first uncovered
-        path of at most ``k`` symbols
-        (:meth:`~repro.learning.scp.NegativeCoverage.smallest_uncovered_path`);
-        the verdict is then recorded with the monotone lifetime rules
+        A cache hit is O(1); a miss is the walk :meth:`uncovered_count` runs,
+        capped at 1 (:meth:`~repro.learning.scp.NegativeCoverage.uncovered_count`):
+        it stops at the node's first uncovered path of at most ``k`` symbols.
+        The verdict is then recorded with the monotone lifetime rules
         documented on the class.  A node not in the graph is a
         :class:`~repro.errors.GraphError`.  The caller is responsible for
         excluding labeled nodes (labeled nodes are never informative).
@@ -275,7 +274,7 @@ class SessionState:
             self.counters["verdict_hits"] += 1
             return True
         coverage = self.coverage()
-        verdict = coverage.smallest_uncovered_path(node, self.k, self.graph.alphabet) is not None
+        verdict = coverage.uncovered_count(node, self.k, self.graph.alphabet, cap=1) > 0
         if self.sample.negatives:  # with none, the empty path is uncovered: no walk
             self.counters["node_walks"] += 1
         if verdict:
@@ -287,17 +286,19 @@ class SessionState:
     def uncovered_count(self, node: Node, *, cap: int | None = None) -> int:
         """How many paths of one candidate (length <= k) no negative covers.
 
-        ``cap`` stops the count early (``kS`` only compares small counts).
-        0 means not k-informative: the verdict caches are read and fed.  A
-        node not in the graph is a :class:`~repro.errors.GraphError`.
+        The coverage's counting walk, building no word; ``cap`` stops it, and
+        one below 1 is an :class:`~repro.errors.InteractionError` before any
+        cache is touched.  0 means not k-informative: the verdict caches are
+        read and fed.  A node not in the graph is a :class:`~repro.errors.GraphError`.
         """
+        if cap is not None and cap < 1:
+            raise InteractionError(f"the count cap must be at least 1, got {cap}")
         self._index()  # first: drops every cache if the graph moved
         if node in self._non_informative:
             self.counters["verdict_hits"] += 1
             return 0
         self.counters["count_queries"] += 1
-        paths = self.coverage().uncovered_paths(node, self.k, self.graph.alphabet)
-        count = sum(1 for _ in islice(paths, cap))
+        count = self.coverage().uncovered_count(node, self.k, self.graph.alphabet, cap=cap)
         (self._informative_nodes if count else self._non_informative).add(node)
         return count
 

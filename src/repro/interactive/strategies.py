@@ -24,8 +24,8 @@ from the full scan in our experiments).
 :class:`~repro.interactive.state.SessionState`: informativeness verdicts
 and uncovered-path counts come from the state's one
 :class:`~repro.learning.scp.NegativeCoverage` (a pooled candidate's verdict
-and count are walks of its ``uncovered_paths``; a full scan cuts its
-``table(k)`` for one engine product walk over every node), shared across
+and count are its ``uncovered_count`` walk, capped at 1 and at the best count
+so far; a full scan cuts its ``table(k)`` for one product walk), shared across
 all candidates and rounds, and candidates are drawn from the state's
 kept unlabeled ids.  The per-node walks the parity suite and the speed
 benchmark pin this against, making the same RNG calls, are a test oracle
@@ -171,18 +171,17 @@ class KInformativeSmallestStrategy(_PooledKStrategy):
         state: "SessionState",
     ) -> Node | None:
         best_node: Node | None = None
-        best_count: int | None = None
+        best_count = self.count_cap + 1
         batched = state.informative_nodes() if self._pool_size is None else None
         for node in self._candidate_pool(state):
             if batched is not None and node not in batched:
                 continue  # batched verdict: zero uncovered paths
-            # One count per candidate: 0 is also its verdict (cached).
-            count = state.uncovered_count(node, cap=self.count_cap)
-            if count == 0:
-                continue  # not k-informative
-            if best_count is None or count < best_count:
+            # One count per candidate: 0 is also its verdict (cached).  It stops at
+            # the best count so far, which cannot win; a best of 1 broke the loop.
+            count = state.uncovered_count(node, cap=min(self.count_cap, best_count))
+            if 0 < count < best_count:
                 best_node, best_count = node, count
-                if best_count == 1:
+                if count == 1:
                     break  # cannot do better
         return best_node
 

@@ -43,15 +43,9 @@ def bounded_consistent(graph: GraphDB, sample: Sample, *, k: int, engine: QueryE
     may still be consistent via longer paths.
     """
     sample.check_against(graph)
-    if not sample.negatives:
-        # Every positive's empty path is trivially uncovered.
-        return True
     coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
-    alphabet = graph.alphabet
-    return all(
-        coverage.smallest_uncovered_path(node, k, alphabet) is not None
-        for node in sample.positives
-    )
+    count = coverage.uncovered_count  # with no negatives, the empty path is uncovered
+    return all(count(node, k, graph.alphabet, cap=1) for node in sample.positives)
 
 
 def sample_has_consistent_query(

@@ -21,12 +21,12 @@ the graph once:
   :meth:`NegativeCoverage.step` computes each (frontier, label) move once.
   Every consumer runs on it: :meth:`~NegativeCoverage.covers` (one word),
   :meth:`~NegativeCoverage.uncovered_paths` (a node's uncovered paths in
-  canonical order: the SCP is the first, the ``kS`` count its capped
-  length), :meth:`~NegativeCoverage.includes` (a node's whole path language,
-  unbounded) and :meth:`~NegativeCoverage.table` (the automaton cut at depth
-  ``k`` as a :class:`~repro.automata.kernel.TableDFA`, which the engine's
-  batched k-informativeness walk over every node consumes; a per-candidate
-  verdict is an :meth:`~NegativeCoverage.uncovered_paths` walk);
+  canonical order: the SCP is the first), ``uncovered_count`` (their number
+  up to a cap, building no word: the ``kS`` count, at cap 1 a pooled
+  verdict), :meth:`~NegativeCoverage.includes` (a node's whole path
+  language, unbounded) and :meth:`~NegativeCoverage.table` (the automaton
+  cut at depth ``k`` as a :class:`~repro.automata.kernel.TableDFA`, which
+  the engine's batched k-informativeness walk over every node consumes);
 * *the merge guard* -- :meth:`NegativeCoverage.merge_guard`: one
   ``fold_generalize`` run's :class:`~repro.engine.executor.FoldReach` of the
   negatives' int ids, asked through ``engine.any_selects``.
@@ -37,8 +37,8 @@ Lifetime: one episode.  A coverage is built by whoever starts the episode
 and dropped with it; it is stale as soon as the graph's index or the
 negative set moves (:meth:`NegativeCoverage.is_current`).  A grown
 negative set gets a new coverage built ``memo_from`` the old one: the
-interned frontiers and the step memo depend on the index alone and live as
-long as it; only the initial state and the table cut are the node set's.
+interned frontiers, step memo and per-state label masks depend on the index
+alone and live as long as it; the initial state and table cut do not.
 A guard's reachable set lives for its one fold run.
 
 The exact, unbounded checks of Lemmas 3.1 and 4.1
@@ -90,7 +90,9 @@ class NegativeCoverage:
         "_frontiers",
         "_states",
         "_steps",
+        "_covered",
         "_table",
+        "_alphabet_mask",
         "guard_calls",
     )
 
@@ -104,15 +106,20 @@ class NegativeCoverage:
         # kernel work) must not depend on the hash seed.
         self._start_ids = sorted(node_ids[node] for node in self.nodes)
         # A frontier's moves depend on the frontier and the index, not on the
-        # start set: on the same index, share (and grow) ``memo_from``'s memo.
-        shared = memo_from is not None and memo_from._index is index
-        memo = (memo_from._frontiers, memo_from._states, memo_from._steps) if shared else None
-        self._frontiers, self._states, self._steps = memo or ([], {}, {})
+        # start set: on the same index, share (and grow) ``memo_from``'s memo
+        # (and the labels each state's frontier carries: none for ``DEAD``).
+        if memo_from is not None and memo_from._index is index:
+            memo = memo_from._frontiers, memo_from._states, memo_from._steps, memo_from._covered
+        else:
+            memo = [], {}, {}, {DEAD: 0}
+        self._frontiers, self._states, self._steps, self._covered = memo
         #: The automaton's initial state: the node set itself (``DEAD`` when
         #: the set is empty -- then every word is uncovered).
         self.initial = self._intern(self._start_ids)
         # The last ``table`` cut, keyed by its ``(k, alphabet)``.
         self._table: tuple[tuple[int, Alphabet], TableDFA] | None = None
+        # The last alphabet counted over, with the bit set of its label ids.
+        self._alphabet_mask: tuple[Alphabet | None, int] = (None, 0)
         self.guard_calls = 0
 
     def is_current(self, graph: GraphDB, nodes: Iterable[Node]) -> bool:
@@ -207,6 +214,45 @@ class NegativeCoverage:
                     if length < k:
                         next_level.append((extended, reached, label_id, target))
             level = next_level
+
+    def uncovered_count(
+        self, node: Node, k: int, alphabet: Alphabet, *, cap: int | None = None
+    ) -> int:
+        """``min(cap, len(list(uncovered_paths(node, k, alphabet))))``, building no word:
+        per entry of the same levels, it adds the alphabet's labels its reached
+        ids carry and its state's frontier does not (those ``step`` sends to
+        :data:`DEAD`), and ``step`` runs only to build the next level."""
+        if k < 0 or (cap is not None and cap < 1):
+            raise LearningError(f"k must be non-negative and a cap positive, not {k}, {cap}")
+        index, step, successors, covered = self._index, self.step, self._successors, self._covered
+        node_id = index.node_ids.get(node)
+        if node_id is None:
+            raise GraphError(f"node {node!r} is not in the graph")
+        label_ids, masks, frontiers = index.label_ids, index.out_label_masks, self._frontiers
+        if self._alphabet_mask[0] is not alphabet:
+            bits = (1 << label_ids[symbol] for symbol in alphabet if symbol in label_ids)
+            self._alphabet_mask = (alphabet, reduce(or_, bits, 0))
+        allowed, limit = self._alphabet_mask[1], float("inf") if cap is None else cap
+        count = int(self.initial == DEAD)  # the empty path
+        level = [((node_id,), None, self.initial)]
+        for length in range(1, k + 1):
+            next_level = []
+            for reached, last, state in level:
+                if last is not None:
+                    reached = successors(reached, last)
+                present = reduce(or_, map(masks.__getitem__, reached)) & allowed
+                carried = covered.get(state)  # the labels the state's frontier carries
+                if carried is None:
+                    carried = covered[state] = reduce(or_, map(masks.__getitem__, frontiers[state]))
+                count += (present & ~carried).bit_count()
+                if count >= limit:
+                    return cap
+                while length < k and present:
+                    label_id = (present & -present).bit_length() - 1
+                    next_level.append((reached, label_id, step(state, label_id)))
+                    present ^= 1 << label_id
+            level = next_level
+        return count
 
     def includes(self, node: Node) -> bool:
         """Whether ``paths_G(node)`` is included in the set's, with no length bound.
