@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.automata.kernel import TableDFA
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import executor
 from repro.engine.engine import QueryEngine
 from repro.engine.index import GraphIndex
 from repro.regex import compile_query
-
-numpy = pytest.importorskip("numpy")
 
 #: ~100k edges: 33k nodes x 3 edges each (scale_free_graph's density).
 VECTOR_NODES = 33_000

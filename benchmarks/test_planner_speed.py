@@ -25,8 +25,6 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from repro.engine import QueryEngine
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
@@ -127,7 +125,6 @@ def test_planner_prunes_dead_branches(benchmark):
 
 
 def test_planner_beats_forced_numpy_on_selective_binary(benchmark):
-    pytest.importorskip("numpy")
     # Larger than the monadic workload: the numpy kernel's dense visited
     # masks grow with n*k, which is exactly the asymmetry being measured.
     graph = selective_graph(5000)

@@ -25,6 +25,7 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
+from repro.engine.executor import BACKENDS
 from repro.errors import ConfigError
 
 #: The learner semantics a :class:`LearnerConfig` can select.
@@ -35,9 +36,6 @@ SCENARIOS = ("static", "interactive")
 
 #: The interactive strategies the paper evaluates (plus the naive baseline).
 STRATEGIES = ("kR", "kS", "random")
-
-#: The kernel backends an :class:`EngineConfig` can select.
-BACKENDS = ("auto", "python", "numpy")
 
 #: The planner modes an :class:`EngineConfig` can select.
 PLANNERS = ("auto", "off")
@@ -198,7 +196,7 @@ class EngineConfig(_BaseConfig):
     backend: str = knob(
         "auto",
         one_of(BACKENDS),
-        "whole-graph kernel backend (auto: numpy when installed, else pure python)",
+        "whole-graph kernel backend (auto: numpy; python: the pure-python reference walks)",
         "--backend",
     )
     planner: str = knob(

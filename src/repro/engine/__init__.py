@@ -17,8 +17,8 @@ semantics (the dict/frozenset construction is the parity oracle in
 * :mod:`repro.engine.executor` -- the product walk on int arrays, written
   once per shape (forward early-exit search, backward whole-graph closure,
   per-source binary closure, bidirectional pair search) over one ``bind``
-  of the kernel's transition array; pure-python reference plus the
-  optional numpy-vectorized twins of the whole-graph walks;
+  of the kernel's transition array; the pure-python walks are the
+  reference for the numpy-vectorized twins of the whole-graph walks;
 * :mod:`repro.engine.engine` -- :class:`QueryEngine`, the facade with
   single-query, batch (:meth:`QueryEngine.evaluate_many`) and stats APIs.
 
@@ -38,7 +38,7 @@ from repro.engine.cache import (
     shared_caches,
 )
 from repro.engine.engine import EngineStats, QueryEngine
-from repro.engine.executor import BACKENDS, KernelStats, have_numpy, resolve_backend
+from repro.engine.executor import BACKENDS, KernelStats, resolve_backend
 from repro.engine.planner import PLANNER_MODES, RewriteOutcome, rewrite_table
 from repro.engine.index import GraphIndex
 
@@ -55,7 +55,6 @@ __all__ = [
     "RewriteOutcome",
     "clear_shared_caches",
     "estimate_entry_bytes",
-    "have_numpy",
     "resolve_backend",
     "rewrite_table",
     "shared_cache_keys",

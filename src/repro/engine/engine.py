@@ -206,12 +206,12 @@ class QueryEngine:
         default).  Pass one with tracing or profiling enabled to capture
         spans and per-query profiles.
     backend:
-        The whole-graph kernel backend: ``"python"`` (the reference,
-        always available), ``"numpy"`` (vectorized frontier expansion;
-        needs the optional numpy extra) or ``"auto"`` (numpy when
-        importable, else python).  Early-exit kernels always run the
-        python path; pair queries additionally pick the bidirectional
-        search from the index's degree stats.
+        The whole-graph kernel backend: ``"python"`` (the reference
+        walks), ``"numpy"`` (vectorized frontier expansion) or ``"auto"``
+        (numpy; with ``planner="auto"`` an all-pairs walk is priced per
+        query).  Early-exit kernels always run the python path; pair
+        queries additionally pick the bidirectional search from the
+        index's degree stats.
     planner:
         ``"auto"`` (the default) turns on :mod:`repro.engine.planner`:
         tables are rewritten against the graph's label set before they
@@ -456,7 +456,7 @@ class QueryEngine:
         The one place the choice is made (dispatch and :meth:`explain` both
         read it).  A monadic walk runs on the resolved backend: the numpy
         walk beats the python one from about 1k nodes up.  An all-pairs walk
-        with both knobs ``"auto"`` and numpy importable is priced
+        with both knobs ``"auto"`` is priced
         (:func:`~repro.engine.planner.binary_walk_kernel`), which keeps the
         chunked numpy walk off sparse selective queries; a forced backend,
         ``planner="off"`` or an ephemeral table, walked once and not worth

@@ -44,43 +44,29 @@ from functools import cache
 from itertools import chain, compress
 from operator import sub
 
+import numpy as np
+
 from repro.automata.alphabet import Word
 from repro.automata.kernel import MergeFold, TableAutomaton
-from repro.engine.index import GraphIndex, load_numpy
+from repro.engine.index import GraphIndex
 from repro.errors import QueryError
 from repro.telemetry.metrics import Counter, MetricsRegistry
 
-#: Backend names the executor dispatch understands.  ``auto`` resolves to
-#: ``numpy`` when importable, else ``python``; the pure-python kernels are
-#: always retained as the parity oracle (the ``reference_*`` pattern one
-#: layer up).
+#: Backend names the executor dispatch understands, the one declaration
+#: (``EngineConfig.backend`` checks against it).  ``auto`` resolves to
+#: ``numpy``; the pure-python walks stay as the parity reference and the
+#: planner's pick for sparse all-pairs walks.
 BACKENDS = ("auto", "python", "numpy")
 
 
-def have_numpy() -> bool:
-    """Whether the optional numpy backend can be used in this process."""
-    return bool(load_numpy())
-
-
 def resolve_backend(requested: str) -> str:
-    """Resolve a configured backend name to a concrete one.
-
-    ``auto`` picks ``numpy`` when importable and falls back to ``python``
-    silently; asking for ``numpy`` explicitly without numpy installed is an
-    error (the caller opted out of the fallback).
-    """
+    """Resolve a configured backend name to a concrete one (``auto`` is
+    ``numpy``); an unknown name is a :class:`QueryError`."""
     if requested not in BACKENDS:
         raise QueryError(
             f"unknown engine backend {requested!r}: expected one of {BACKENDS}"
         )
-    if requested == "auto":
-        return "numpy" if have_numpy() else "python"
-    if requested == "numpy" and not have_numpy():
-        raise QueryError(
-            "backend 'numpy' requested but numpy is not importable; "
-            "install the [numpy] extra or use backend='auto'"
-        )
-    return requested
+    return "numpy" if requested == "auto" else requested
 
 
 class KernelStats:
@@ -612,16 +598,15 @@ def binary_evaluate(
 def _np_views(offsets: list, targets: list):
     """``views(label_id)``: that label's ``(offsets, targets)`` CSR arrays as
     numpy views, built the first time a row asks and kept for one walk only."""
-    frombuffer = load_numpy().frombuffer
     return cache(
         lambda label_id: tuple(
-            frombuffer(arrays[label_id], dtype=f"i{arrays[label_id].itemsize}")
+            np.frombuffer(arrays[label_id], dtype=f"i{arrays[label_id].itemsize}")
             for arrays in (offsets, targets)
         )
     )
 
 
-def _np_by_state(layer_states, rows, span, np):
+def _np_by_state(layer_states, rows, span):
     """``(moves row, layer mask, count)`` for each state the layer holds,
     ascending; states without moves are skipped."""
     for state, count in enumerate(np.bincount(layer_states, minlength=span).tolist()):
@@ -629,7 +614,7 @@ def _np_by_state(layer_states, rows, span, np):
             yield rows[state], layer_states == state, count
 
 
-def _np_gather(offsets, targets, nodes, np):
+def _np_gather(offsets, targets, nodes):
     """``(neighbours, counts)``: the CSR neighbours of ``nodes`` (never
     empty), flattened.
 
@@ -649,7 +634,7 @@ def _np_gather(offsets, targets, nodes, np):
     return targets[np.arange(total, dtype=np.int64) + shifts.repeat(counts)], counts
 
 
-def _np_fresh(grown, visited, np):
+def _np_fresh(grown, visited):
     """The not-yet-visited codes among a layer's candidate arrays (left
     untouched): sorted, duplicate-free, marked visited.  Visited codes go
     first, so the sort sees only what is left; then the first code stays and
@@ -677,7 +662,6 @@ def numpy_evaluate_all(
     over the state bounds.  Every pair of a layer counts as expanded, also
     the ones at a state with no backward moves, as in the python walk.
     """
-    np = load_numpy()
     moves = bind(index, query)
     n, span, typecode = index.num_nodes, moves.span, index.id_typecode
     if moves.empty:
@@ -714,12 +698,12 @@ def numpy_evaluate_all(
             for label_id, pred_states, _ in row:
                 offsets, preds = views(label_id)
                 if at_state is not None:
-                    preds, _ = _np_gather(offsets, preds, at_state, np)
+                    preds, _ = _np_gather(offsets, preds, at_state)
                 if not preds.size:
                     continue
                 scanned += preds.size
                 grown += [preds + pred_state * n for pred_state in pred_states]
-        frontier = _np_fresh(grown, visited, np) if grown else nodes[:0]
+        frontier = _np_fresh(grown, visited) if grown else nodes[:0]
         if depth_sizes is not None and frontier.size:
             depth_sizes.append(int(frontier.size))
     if stats is not None:
@@ -739,7 +723,6 @@ def numpy_binary_evaluate(
     ``(local_source * n + node) * span + state``; the chunk size is bounded
     so the dense visited mask stays around 16 MB however large the graph is.
     """
-    np = load_numpy()
     moves = bind(index, query)
     if moves.empty:
         return frozenset()
@@ -765,11 +748,11 @@ def numpy_binary_evaluate(
             rest, layer_states = np.divmod(frontier, span)
             layer_locals, layer_nodes = np.divmod(rest, n)
             grown: list = []
-            for row, mask, _ in _np_by_state(layer_states, rows, span, np):
+            for row, mask, _ in _np_by_state(layer_states, rows, span):
                 at_nodes = layer_nodes[mask]
                 at_locals = layer_locals[mask]
                 for label_id, targets, _ in row:
-                    neighbours, counts = _np_gather(*views(label_id), at_nodes, np)
+                    neighbours, counts = _np_gather(*views(label_id), at_nodes)
                     if not neighbours.size:
                         continue
                     scanned += neighbours.size
@@ -777,7 +760,7 @@ def numpy_binary_evaluate(
                     grown += [base + target_state for target_state in targets]
             if not grown:
                 break
-            frontier = _np_fresh(grown, visited, np)
+            frontier = _np_fresh(grown, visited)
             accepting = frontier[is_final[frontier % span]]
             if accepting.size:
                 acc_locals, acc_nodes = np.divmod(accepting // span, n)

@@ -19,11 +19,10 @@ A :class:`GraphIndex` is a read-optimized snapshot of a
 
 Building the index is a counting sort per label: the edge set is encoded
 once into int columns (label, and ``(origin << 32) | end`` codes), and each
-label's codes are sorted and counted into its offsets and targets -- numpy
-when importable, ``sorted`` and a running sum without it.  That is
-O(E log E + m * n) time for ``E`` edges, ``m`` labels and ``n`` nodes, with
-O(E + n) temporaries.  Every evaluation after that avoids the per-call
-dict/frozenset churn of the reference product construction
+label's codes are sorted and counted into its offsets and targets by numpy.
+That is O(E log E + m * n) time for ``E`` edges, ``m`` labels and ``n``
+nodes, with O(E + n) temporaries.  Every evaluation after that avoids the
+per-call dict/frozenset churn of the reference product construction
 (``tests/oracles/product.py``).  When the graph mutates, the index can
 usually be *refreshed* (:meth:`GraphIndex.refresh`) from the graph's
 mutation delta log instead of rebuilt: stable node/label numbering means new
@@ -36,11 +35,10 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter
-from functools import cache
-from itertools import accumulate, chain, filterfalse, repeat
-from operator import add, itemgetter, sub
+from operator import itemgetter
 from time import perf_counter
+
+import numpy as np
 
 from repro.graphdb.graph import GraphDB, Node
 
@@ -51,47 +49,28 @@ _ITEMSIZE = array("l").itemsize
 _DTYPE = f"i{_ITEMSIZE}"
 
 
-@cache
-def load_numpy():
-    """The numpy module, or ``False`` when not installed (cached probe)."""
-    try:
-        import numpy
-    except ImportError:
-        return False
-    return numpy
-
-
 def repr_rank(nodes: tuple[Node, ...], typecode: str):
     """``(rank, by_rank)``: ``rank[node_id]`` is the node's position in
     ``repr`` order, ties by id, and ``by_rank[position]`` the node there.
 
-    Numpy arrays (of ``typecode``, and of objects) when numpy is importable,
-    else lists.  Sorting ids by rank is sorting the nodes by ``repr``,
-    without calling ``repr`` again, and a sorted run of ranks takes its
-    names from ``by_rank`` in one gather.
+    Numpy arrays, of ``typecode`` and of objects.  Sorting ids by rank is
+    sorting the nodes by ``repr``, without calling ``repr`` again, and a
+    sorted run of ranks takes its names from ``by_rank`` in one gather.
     """
     reprs = list(map(repr, nodes))
     order = sorted(range(len(nodes)), key=reprs.__getitem__)  # stable: ties by id
-    by_rank = map(nodes.__getitem__, order)
-    np = load_numpy()
-    if np:
-        rank = np.empty(len(nodes), dtype=typecode)
-        rank[order] = np.arange(len(nodes), dtype=typecode)
-        # fromiter stores each node as one object, where ``np.array`` of a
-        # list would spread same-length tuple names over a second axis.
-        return rank, np.fromiter(by_rank, dtype=object, count=len(nodes))
-    rank = [0] * len(nodes)
-    for position, node_id in enumerate(order):
-        rank[node_id] = position
-    return rank, list(by_rank)
+    rank = np.empty(len(nodes), dtype=typecode)
+    rank[order] = np.arange(len(nodes), dtype=typecode)
+    # fromiter stores each node as one object, where ``np.array`` of a list
+    # would spread same-length tuple names over a second axis.
+    return rank, np.fromiter(map(nodes.__getitem__, order), dtype=object, count=len(nodes))
 
 
 def out_label_masks(bwd_targets, n: int) -> list[int]:
     """Per node, the bit set of its out-edges' labels (plain ints), read off
     the backward CSR targets (each label's edge origins); vectorised when
-    numpy is importable and the bits fit an int64."""
-    np = load_numpy()
-    if np and len(bwd_targets) < 64:
+    the bits fit an int64."""
+    if len(bwd_targets) < 64:
         masks = np.zeros(n, dtype=np.int64)
         for label_id, origins in enumerate(bwd_targets):
             masks[np.asarray(origins)] |= 1 << label_id
@@ -191,20 +170,14 @@ class GraphIndex:
         labels = map(label_ids.__getitem__, map(itemgetter(1), edges))
         origins = map(node_ids.__getitem__, map(itemgetter(0), edges))
         ends = map(node_ids.__getitem__, map(itemgetter(2), edges))
-        np = load_numpy()
-        if np:
-            # One stable sort by label (a radix sort on the narrowest
-            # dtype): each label's codes are then a slice.
-            count = len(edges)
-            labels = np.fromiter(labels, np.min_scalar_type(m), count)
-            codes = np.fromiter(origins, np.int64, count) << 32 | np.fromiter(ends, np.int64, count)
-            codes = codes[labels.argsort(kind="stable")]
-            bounds = np.bincount(labels, minlength=m).cumsum().tolist()
-            per_label = [codes[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
-        else:
-            per_label = [[] for _ in range(m)]
-            for label, origin, end in zip(labels, origins, ends):
-                per_label[label].append(origin << 32 | end)
+        # One stable sort by label (a radix sort on the narrowest dtype):
+        # each label's codes are then a slice.
+        count = len(edges)
+        labels = np.fromiter(labels, np.min_scalar_type(m), count)
+        codes = np.fromiter(origins, np.int64, count) << 32 | np.fromiter(ends, np.int64, count)
+        codes = codes[labels.argsort(kind="stable")]
+        bounds = np.bincount(labels, minlength=m).cumsum().tolist()
+        per_label = [codes[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
 
         rows = (csr_pair(label_codes, n) for label_codes in per_label)
         fwd_offsets, fwd_targets, bwd_offsets, bwd_targets = csr_columns(rows)
@@ -226,21 +199,22 @@ class GraphIndex:
 
     # -- incremental maintenance ---------------------------------------------
 
-    def refresh(self, graph: GraphDB, *, max_ratio: float | None = None) -> "GraphIndex | None":
+    def refresh(self, graph: GraphDB, *, max_ratio: float = 1.0) -> "GraphIndex | None":
         """A new index incorporating ``graph``'s mutations since this one.
 
         Merges the graph's mutation delta log into copies of the CSR arrays:
         new nodes and labels are appended (the stable orders guarantee a
         fresh build would number them identically), and only the labels
-        actually touched by the delta get new arrays -- with numpy their
-        codes plus the delta's sorted afresh, without it the delta merged in
-        row by row -- while untouched labels share theirs with this index.
-        The result is byte-identical to ``GraphIndex.build(graph)``.
+        actually touched by the delta get new arrays, their codes plus the
+        delta's sorted afresh, while untouched labels share theirs with this
+        index.  The result is byte-identical to ``GraphIndex.build(graph)``.
 
         Returns ``self`` when already current, or ``None`` when incremental
         maintenance is impossible or not worthwhile: a different graph, a
         truncated delta log, or a delta larger than ``max_ratio`` of the
-        indexed edge set, past which a full rebuild is cheaper.
+        indexed edge set, past which a full rebuild is cheaper.  The default
+        is the measured break-even on 3k- to 30k-node graphs: a refresh still
+        matched a rebuild at a 100 % delta.
         """
         if graph.uid != self.graph_uid:
             return None
@@ -252,11 +226,6 @@ class GraphIndex:
         delta = delta_since(self.graph_version)
         if delta is None:
             return None
-        if max_ratio is None:
-            # The measured break-even on 3k- to 30k-node graphs: with numpy a
-            # refresh still matched a rebuild at a 100 % delta; without it,
-            # a rebuild won from 33-55 %.
-            max_ratio = 1.0 if load_numpy() else 0.4
         if len(delta) > max(16, int(max_ratio * max(1, self.edge_count))):
             return None
         started = perf_counter()
@@ -287,7 +256,6 @@ class GraphIndex:
                 labels_by_id.append(label)
             delta_by_label.setdefault(label_id, []).append(node_ids[origin] << 32 | node_ids[end])
 
-        np = load_numpy()
         rows = []
         old_rows = zip(self.fwd_offsets, self.fwd_targets, self.bwd_offsets, self.bwd_targets)
         for label_id, (fwd_off, fwd_tgt, bwd_off, bwd_tgt) in enumerate(old_rows):
@@ -297,16 +265,11 @@ class GraphIndex:
                 # only if nodes were appended (degree 0 for all of them).
                 fwd_off, bwd_off = _extend_offsets(fwd_off, n), _extend_offsets(bwd_off, n)
                 rows.append((fwd_off, fwd_tgt, bwd_off, bwd_tgt))
-            elif np:
-                # numpy re-sorts the label, its indexed edges plus the delta's:
-                # 1.5-7.5x a numpy rebuild at 0.1-25 %, where the merge read 0.2-2.1x.
-                codes = np.concatenate((_np_codes(fwd_off, fwd_tgt, np), additions))
-                rows.append(csr_pair(codes, n))
             else:
-                # Without numpy a re-sort costs about a rebuild: merge rows.
-                swapped = [(code & _LOW32) << 32 | code >> 32 for code in additions]
-                forward = _merge_csr(fwd_off, fwd_tgt, additions, n)
-                rows.append(forward + _merge_csr(bwd_off, bwd_tgt, swapped, n))
+                # Re-sort the label, its indexed edges plus the delta's:
+                # 1.5-7.5x a rebuild at 0.1-25 %.
+                codes = np.concatenate((_np_codes(fwd_off, fwd_tgt), additions))
+                rows.append(csr_pair(codes, n))
         # Labels first used by the delta: their rows are all new.
         rows += [csr_pair(delta_by_label[label_id], n) for label_id in range(old_m, len(label_ids))]
         fwd_offsets, fwd_targets, bwd_offsets, bwd_targets = csr_columns(rows)
@@ -460,30 +423,20 @@ class Answer:
         wire order: one sort of their ranks and one take over the index's
         rank-ordered node table."""
         rank, by_rank = self.index.repr_order
-        np = load_numpy()
-        if np:
-            ranks = rank[np.asarray(self.ids)]
-            ranks.sort()
-            return by_rank[ranks].tolist()
-        return list(map(by_rank.__getitem__, sorted(map(rank.__getitem__, self.ids))))
+        ranks = rank[np.asarray(self.ids)]
+        ranks.sort()
+        return by_rank[ranks].tolist()
 
     def complement(self) -> "Answer":
         """The index's nodes this answer does not select, as an answer."""
         n, typecode = self.index.num_nodes, self.index.id_typecode
-        np = load_numpy()
-        if np:
-            ids = np.setdiff1d(np.arange(n, dtype=typecode), self.ids, assume_unique=True)
-        else:
-            ids = array(typecode, filterfalse(set(self.ids).__contains__, range(n)))
+        ids = np.setdiff1d(np.arange(n, dtype=typecode), self.ids, assume_unique=True)
         return Answer(ids, self.index)
 
     def overlap(self, other: "Answer") -> int:
         """How many nodes this answer and ``other``, an answer on the same
         graph version, both select."""
-        np = load_numpy()
-        if np:
-            return len(np.intersect1d(self.ids, other.ids, assume_unique=True))
-        return len(set(self.ids).intersection(other.ids))
+        return len(np.intersect1d(self.ids, other.ids, assume_unique=True))
 
     def __repr__(self) -> str:
         return f"Answer({len(self.ids)} of {self.index.num_nodes} nodes)"
@@ -500,14 +453,9 @@ def csr_pair(codes, n: int) -> tuple[array, array, array, array]:
     edges by origin, then end; swapping the halves gives the backward
     order.  Time O(E log E + n), temporaries O(E + n).
     """
-    np = load_numpy()
-    if np:
-        forward = np.asarray(codes, dtype=np.int64)
-        backward = (forward & _LOW32) << 32 | forward >> 32
-        return (*_np_csr(forward, n, np), *_np_csr(backward, n, np))
-    forward = sorted(codes)
-    backward = sorted([(code & _LOW32) << 32 | code >> 32 for code in forward])
-    return (*_csr(forward, n), *_csr(backward, n))
+    forward = np.asarray(codes, dtype=np.int64)
+    backward = (forward & _LOW32) << 32 | forward >> 32
+    return (*_np_csr(forward, n), *_np_csr(backward, n))
 
 
 def csr_columns(rows) -> tuple[list, list, list, list]:
@@ -520,7 +468,7 @@ def csr_columns(rows) -> tuple[list, list, list, list]:
     return columns
 
 
-def _np_codes(offsets, targets, np):
+def _np_codes(offsets, targets):
     """The packed codes of one label's forward CSR arrays, ascending: the
     inverse of :func:`csr_pair`'s forward half."""
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -528,7 +476,7 @@ def _np_codes(offsets, targets, np):
     return origins << 32 | np.asarray(targets, dtype=np.int64)
 
 
-def _np_csr(codes, n: int, np) -> tuple[array, array]:
+def _np_csr(codes, n: int) -> tuple[array, array]:
     """CSR arrays from one direction's packed codes: a counting sort whose
     offsets and targets numpy writes straight into the ``array("l")``s."""
     codes = np.sort(codes)
@@ -537,14 +485,6 @@ def _np_csr(codes, n: int, np) -> tuple[array, array]:
     np.cumsum(np.bincount(codes >> 32, minlength=n), out=np.frombuffer(offsets, _DTYPE)[1:])
     np.bitwise_and(codes, _LOW32, out=np.frombuffer(targets, _DTYPE))
     return offsets, targets
-
-
-def _csr(codes: list[int], n: int) -> tuple[array, array]:
-    """CSR arrays from one direction's packed codes, sorted: the targets are
-    the low halves in order, the offsets a running sum of per-key counts."""
-    counts = Counter([code >> 32 for code in codes])
-    offsets = array("l", [0, *accumulate(map(counts.get, range(n), repeat(0)))])
-    return offsets, array("l", [code & _LOW32 for code in codes])
 
 
 def _extend_offsets(offsets, n: int):
@@ -556,45 +496,3 @@ def _extend_offsets(offsets, n: int):
     grown.extend([offsets[old_n]] * (n - old_n))
     return grown
 
-
-def _merge_csr(old_offsets, old_targets, additions: list[int], n: int) -> tuple[array, array]:
-    """One direction of a label's CSR grown to ``n`` nodes, with
-    ``additions`` (packed codes) merged in: the refresh without numpy.
-
-    Raises the offsets past each touched key in one C-speed pass and
-    splices the new values into the flat targets array with bulk slice
-    copies between touched keys, keeping every slice sorted --
-    byte-identical to a full rebuild.
-    """
-    old_n = len(old_offsets) - 1
-    add_by_key: dict[int, list[int]] = {}
-    for code in additions:
-        add_by_key.setdefault(code >> 32, []).append(code & _LOW32)
-    keys = sorted(add_by_key)
-
-    # Offset j rises by the values added at keys below j: a run of equal
-    # raises from each touched key up to the next.
-    offsets = array("l", old_offsets)
-    offsets.extend(repeat(offsets[old_n], n - old_n))
-    raises = accumulate(len(add_by_key[key]) for key in keys)
-    steps = chain.from_iterable(map(repeat, raises, map(sub, [*keys[1:], n], keys)))
-    offsets[keys[0] + 1 :] = array("l", map(add, offsets[keys[0] + 1 :], steps))
-
-    if not isinstance(old_targets, array):
-        old_targets = array("l", old_targets)
-    old_len = len(old_targets)
-    targets = array("l", bytes(offsets[-1] * offsets.itemsize))
-    write = read = 0
-    for key in keys:
-        old_start = old_offsets[key] if key < old_n else old_len
-        old_stop = old_offsets[key + 1] if key < old_n else old_len
-        chunk = old_targets[read:old_start]
-        targets[write : write + len(chunk)] = chunk
-        write += len(chunk)
-        merged = sorted(chain(old_targets[old_start:old_stop], add_by_key[key]))
-        targets[write : write + len(merged)] = array("l", merged)
-        write += len(merged)
-        read = old_stop
-    tail = old_targets[read:]
-    targets[write : write + len(tail)] = tail
-    return offsets, targets

@@ -92,7 +92,7 @@ class NegativeCoverage:
         "_steps",
         "_covered",
         "_table",
-        "_alphabet_mask",
+        "_labels",
         "guard_calls",
     )
 
@@ -118,8 +118,8 @@ class NegativeCoverage:
         self.initial = self._intern(self._start_ids)
         # The last ``table`` cut, keyed by its ``(k, alphabet)``.
         self._table: tuple[tuple[int, Alphabet], TableDFA] | None = None
-        # The last alphabet counted over, with the bit set of its label ids.
-        self._alphabet_mask: tuple[Alphabet | None, int] = (None, 0)
+        # The last alphabet walked over (``_alphabet_labels``).
+        self._labels: tuple[Alphabet | None, list[tuple[str, int]], int] = (None, [], 0)
         self.guard_calls = 0
 
     def is_current(self, graph: GraphDB, nodes: Iterable[Node]) -> bool:
@@ -173,6 +173,18 @@ class NegativeCoverage:
             state = DEAD if label_id is None else self.step(state, label_id)
         return state != DEAD
 
+    def _alphabet_labels(self, alphabet: Alphabet) -> tuple[list[tuple[str, int]], int]:
+        """``alphabet``'s ``(symbol, label id)`` pairs that the index carries,
+        in alphabet order, and the bit set of those ids; kept for the last
+        alphabet asked, which both enumerations read."""
+        memo = self._labels
+        if memo[0] is not alphabet:
+            label_ids = self._index.label_ids
+            labels = [(symbol, label_ids[symbol]) for symbol in alphabet if symbol in label_ids]
+            mask = reduce(or_, (1 << label_id for _, label_id in labels), 0)
+            memo = self._labels = (alphabet, labels, mask)
+        return memo[1], memo[2]
+
     def uncovered_paths(self, node: Node, k: int, alphabet: Alphabet) -> Iterator[Word]:
         """``node``'s paths of length <= k that the set does not cover.
 
@@ -195,8 +207,7 @@ class NegativeCoverage:
             raise GraphError(f"node {node!r} is not in the graph")
         if self.initial == DEAD:
             yield ()  # no covering node: the empty path is already uncovered
-        label_ids, masks = index.label_ids, index.out_label_masks
-        labels = [(symbol, label_ids[symbol]) for symbol in alphabet if symbol in label_ids]
+        masks, (labels, _) = index.out_label_masks, self._alphabet_labels(alphabet)
         level = [((), {node_id}, None, self.initial)]
         for length in range(1, k + 1):
             next_level = []
@@ -228,11 +239,8 @@ class NegativeCoverage:
         node_id = index.node_ids.get(node)
         if node_id is None:
             raise GraphError(f"node {node!r} is not in the graph")
-        label_ids, masks, frontiers = index.label_ids, index.out_label_masks, self._frontiers
-        if self._alphabet_mask[0] is not alphabet:
-            bits = (1 << label_ids[symbol] for symbol in alphabet if symbol in label_ids)
-            self._alphabet_mask = (alphabet, reduce(or_, bits, 0))
-        allowed, limit = self._alphabet_mask[1], float("inf") if cap is None else cap
+        masks, frontiers = index.out_label_masks, self._frontiers
+        allowed, limit = self._alphabet_labels(alphabet)[1], float("inf") if cap is None else cap
         count = int(self.initial == DEAD)  # the empty path
         level = [((node_id,), None, self.initial)]
         for length in range(1, k + 1):

@@ -10,32 +10,27 @@ both kernels, a heap index, a snapshot reopened through ``mmap`` and an
 index refreshed after nodes were added.
 
 The names come from the index's rank-ordered node table
-(``GraphIndex.repr_order``), a numpy object array when numpy is importable
-and a list when it is not; both properties run both ways and hold the table
-to ``sorted(names, key=repr)`` with every name kept as the one object it is
--- a tuple name must not be spread over a second axis.
+(``GraphIndex.repr_order``), a numpy object array; both properties hold the
+table to ``sorted(names, key=repr)`` with every name kept as the one object
+it is -- a tuple name must not be spread over a second axis.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import tempfile
-from contextlib import nullcontext
 from pathlib import Path
-from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.product import reference_evaluate
 
-import repro.engine.index as index_module
 from repro.api import Workspace
 from repro.api.config import EngineConfig, StorageConfig
-from repro.engine import have_numpy
 from repro.graphdb import GraphDB
 
-BACKENDS = ("python", "numpy") if have_numpy() else ("python",)
+BACKENDS = ("python", "numpy")
 EXPRESSIONS = ("a", "b*", "a.b*", "(a+b)*.a", "b.a+a.a")
 
 TEXT = st.text(st.sampled_from(["a", "Z", "'", '"', "\\", "é", "中", " ", "\n"]), max_size=4)
@@ -71,38 +66,27 @@ def assert_reply_order(workspace: Workspace, graph: GraphDB) -> None:
         assert json.dumps(selected) == json.dumps(expected)
     index = workspace.engine.index_for(workspace.graph)
     by_rank = index.repr_order[1]
-    assert isinstance(by_rank, list) is not bool(index_module.load_numpy())
+    assert isinstance(by_rank, np.ndarray) and by_rank.dtype == object
     names = sorted(index.nodes_by_id, key=repr)
     assert all(got is want for got, want in zip(by_rank, names, strict=True))
 
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
-#: Build the name table with numpy (an object array) and without it (a list).
-WITH_NUMPY = (True, False) if have_numpy() else (False,)
-
-
-def name_tables(with_numpy: bool):
-    """A context in which the index builds its name table with numpy or not."""
-    if with_numpy:
-        return nullcontext()
-    return mock.patch.object(index_module, "load_numpy", lambda: False)
-
 
 @PROPERTY
 @given(graphs())
 def test_heap_and_refreshed_indexes_reply_in_repr_order(drawn):
     nodes, edges, later = drawn
-    for backend, with_numpy in itertools.product(BACKENDS, WITH_NUMPY):
-        with name_tables(with_numpy):
-            graph = build(nodes, edges)
-            workspace = Workspace(graph, engine_config=EngineConfig(backend=backend))
+    for backend in BACKENDS:
+        graph = build(nodes, edges)
+        workspace = Workspace(graph, engine_config=EngineConfig(backend=backend))
+        assert_reply_order(workspace, graph)
+        if later:
+            for node in later:  # a new node with an edge, into an indexed graph
+                graph.add_edge(node, "a", nodes[0])
             assert_reply_order(workspace, graph)
-            if later:
-                for node in later:  # a new node with an edge, into an indexed graph
-                    graph.add_edge(node, "a", nodes[0])
-                assert_reply_order(workspace, graph)
-                assert workspace.stats()["index_refreshes"] == 1
+            assert workspace.stats()["index_refreshes"] == 1
 
 
 @PROPERTY
@@ -113,12 +97,11 @@ def test_a_reopened_snapshot_replies_in_repr_order(drawn):
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "order.rgz"
         Workspace(graph).save_snapshot(path)
-        for backend, with_numpy in itertools.product(BACKENDS, WITH_NUMPY):
-            with name_tables(with_numpy):
-                workspace = Workspace.open_snapshot(
-                    path,
-                    storage=StorageConfig(use_mmap=True),
-                    engine_config=EngineConfig(backend=backend),
-                )
-                assert workspace.stats()["index_builds"] == 0
-                assert_reply_order(workspace, graph)
+        for backend in BACKENDS:
+            workspace = Workspace.open_snapshot(
+                path,
+                storage=StorageConfig(use_mmap=True),
+                engine_config=EngineConfig(backend=backend),
+            )
+            assert workspace.stats()["index_builds"] == 0
+            assert_reply_order(workspace, graph)

@@ -125,8 +125,10 @@ def test_engine_subpackage_lost_exactly_the_shard_pool():
         "CostEstimate",
         "CostModel",
         "cheapest",
+        # numpy is a required dependency: there is nothing left to probe
+        "have_numpy",
     }
-    assert len(repro.engine.__all__) == 29 - len(gone) == 17
+    assert len(repro.engine.__all__) == 29 - len(gone) == 16
     for name in gone:
         assert name not in repro.engine.__all__ and not hasattr(repro.engine, name)
     for name in repro.engine.__all__:

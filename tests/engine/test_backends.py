@@ -23,8 +23,6 @@ from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
 from repro.regex import compile_query
 
-numpy = pytest.importorskip("numpy")
-
 LABELS = ["a", "b", "c"]
 
 #: Expressions covering the kernel edge cases: plain walks, stars (empty-word

@@ -23,7 +23,7 @@ import pytest
 
 from repro.automata.kernel import TableDFA
 from repro.datasets.synthetic import scale_free_graph
-from repro.engine import QueryEngine, have_numpy, planner
+from repro.engine import QueryEngine, planner
 from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
@@ -63,7 +63,7 @@ def pair_choice(graph: GraphDB, expression: str) -> str:
 
 
 def kernel_choice(graph: GraphDB, expression: str) -> str:
-    """The all-pairs walk the planner picks when numpy is there to be picked."""
+    """The all-pairs walk the planner picks under ``backend="auto"``."""
     return planner.binary_walk_kernel(GraphIndex.build(graph), plan_for(expression))
 
 
@@ -100,18 +100,6 @@ class TestPairStrategy:
 
 
 class TestEvaluateAllEstimates:
-    def test_numpy_is_gated_and_there_is_no_third_candidate(self, monkeypatch):
-        # Above the crossover, but numpy is not importable: the engine never
-        # asks the planner, whose two answers are the only two kernels.
-        monkeypatch.setattr("repro.engine.executor.have_numpy", lambda: False)
-        engine, graph = QueryEngine(), chain_graph(8000)
-        assert engine.backend == "python" and engine._adaptive
-        for semantics in ("path", "binary"):
-            chosen = engine.explain(graph, query_for("d.d*"), semantics=semantics)["chosen"]
-            assert chosen["strategy"] == "python"
-        for work in (0, 16_256, 16_257, 10**9):
-            assert planner.binary_kernel(1000, 4, work, 1) in ("python", "numpy")
-
     def test_python_wins_small_graphs(self):
         assert kernel_choice(skewed_graph(rare=2, dense=30), "d*") == "python"
 
@@ -163,7 +151,6 @@ def dense_graph(nodes: int) -> GraphDB:
 class TestOneDispatchRule:
     """Which kernel runs a whole-graph walk is one name, decided in one place."""
 
-    @pytest.mark.skipif(not have_numpy(), reason="the crossover needs the numpy walk")
     def test_auto_picks_the_cheaper_estimate_and_explain_names_it(self):
         # 30 "d" edges sit under the binary model's crossover, 6400 above it.
         for graph, expected in ((skewed_graph(2, 30), "python"), (dense_graph(80), "numpy")):
@@ -175,7 +162,6 @@ class TestOneDispatchRule:
             engine.binary_evaluate(graph, query)
             assert dispatched(engine) == {expected: 1}
 
-    @pytest.mark.skipif(not have_numpy(), reason="the monadic walk needs numpy to pick it")
     @pytest.mark.parametrize("position", [0, 2], ids=["300", "3000"])
     def test_auto_walks_every_monadic_plan_on_numpy_and_explain_names_it(self, position):
         # The recorded trial graphs: the deleted rule sent every walk on the

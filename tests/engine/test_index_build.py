@@ -1,11 +1,10 @@
 """The CSR index against an independent oracle, byte for byte.
 
 ``GraphIndex.build`` encodes the edge set as packed ``(origin << 32) | end``
-codes and counting-sorts each label (numpy when importable, ``sorted`` and
-a running sum without it).  ``oracles.csr.reference_csr`` reads the same
-rows off the graph's adjacency sets, node by node.  On small graphs with
-shuffled node orders, self-loops, a node with edges on every label, an
-alphabet label no edge uses and the empty graph, with numpy and without:
+codes and counting-sorts each label with numpy.  ``oracles.csr.reference_csr``
+reads the same rows off the graph's adjacency sets, node by node.  On small
+graphs with shuffled node orders, self-loops, a node with edges on every
+label, an alphabet label no edge uses and the empty graph:
 
 * the build equals the oracle, array for array (``tobytes``);
 * the bulk ingester, fed the same edges as a TSV stream, produces the same
@@ -26,7 +25,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.csr import reference_csr
-from oracles.evaluation import NAMES, NUMPY_MODES, numpy_mode, shuffled_graphs
+from oracles.evaluation import NAMES, shuffled_graphs
 
 from repro.engine import GraphIndex
 from repro.graphdb import GraphDB
@@ -91,35 +90,31 @@ def doubled(rows: tuple[array, array, array, array]) -> tuple[array, array, arra
     )
 
 
-@pytest.mark.parametrize("with_numpy", NUMPY_MODES)
 @PROPERTY
 @given(graph=graphs(), data=st.data())
-def test_build_ingest_and_refresh_match_the_oracle(with_numpy, graph, data):
-    with numpy_mode(with_numpy):
-        index = GraphIndex.build(graph)
-        assert_matches(index, graph)
-        assert "c" not in index.label_ids
+def test_build_ingest_and_refresh_match_the_oracle(graph, data):
+    index = GraphIndex.build(graph)
+    assert_matches(index, graph)
+    assert "c" not in index.label_ids
 
-        ingested = ingest_edge_list(tsv(graph)).index
-        assert ingested.labels_by_id == index.labels_by_id
-        assert_rows(ingested, reference_csr(graph))
-        duplicated = ingest_edge_list(tsv(graph, copies=2), dedupe=False).index
-        assert_rows(duplicated, [doubled(rows) for rows in reference_csr(graph)])
+    ingested = ingest_edge_list(tsv(graph)).index
+    assert ingested.labels_by_id == index.labels_by_id
+    assert_rows(ingested, reference_csr(graph))
+    duplicated = ingest_edge_list(tsv(graph, copies=2), dedupe=False).index
+    assert_rows(duplicated, [doubled(rows) for rows in reference_csr(graph)])
 
-        later = data.draw(st.lists(NAMES.filter(lambda name: name not in graph), max_size=3))
-        graph.add_nodes(later)
-        pick = st.sampled_from(graph.node_order)
-        graph.add_edges(data.draw(st.lists(st.tuples(pick, st.sampled_from("abc"), pick))))
-        assert_matches(index.refresh(graph, max_ratio=1e9), graph)
+    later = data.draw(st.lists(NAMES.filter(lambda name: name not in graph), max_size=3))
+    graph.add_nodes(later)
+    pick = st.sampled_from(graph.node_order)
+    graph.add_edges(data.draw(st.lists(st.tuples(pick, st.sampled_from("abc"), pick))))
+    assert_matches(index.refresh(graph, max_ratio=1e9), graph)
 
 
-@pytest.mark.parametrize("with_numpy", NUMPY_MODES)
 @pytest.mark.parametrize("nodes", [[], ["lonely", 7]])
-def test_a_graph_without_edges(with_numpy, nodes):
+def test_a_graph_without_edges(nodes):
     graph = GraphDB(["a", "b", "c"])
     graph.add_nodes(nodes)
-    with numpy_mode(with_numpy):
-        index = GraphIndex.build(graph)
-        assert_matches(index, graph)
-        assert index.labels_by_id == () and index.fwd_offsets == []
-        assert ingest_edge_list(tsv(graph)).index.nodes_by_id == tuple(map(str, range(len(nodes))))
+    index = GraphIndex.build(graph)
+    assert_matches(index, graph)
+    assert index.labels_by_id == () and index.fwd_offsets == []
+    assert ingest_edge_list(tsv(graph)).index.nodes_by_id == tuple(map(str, range(len(nodes))))

@@ -3,9 +3,9 @@
 The learner's path enumeration (``NegativeCoverage.uncovered_paths``) reads
 the masks to skip labels a reached set has no edge of, so a wrong bit drops
 or invents a path.  Every index flavour must give the pure-python reference
-below -- a heap build, a refreshed index and an mmap snapshot -- with numpy
-and without it, and with more labels than an int64 holds.  The daemon's
-query path never builds them.
+below -- a heap build, a refreshed index and an mmap snapshot -- also with
+more labels than an int64 holds, where the vectorised build gives way to a
+python loop.  The daemon's query path never builds them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import Workspace
 from repro.datasets.synthetic import scale_free_graph
-from repro.engine import index as index_module
 from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
 from repro.storage.snapshot import open_snapshot, write_snapshot
@@ -31,15 +30,6 @@ def reference_masks(index: GraphIndex) -> list[int]:
     ]
 
 
-@pytest.fixture(params=["numpy", "no numpy"])
-def numpy_mode(request, monkeypatch):
-    if request.param == "numpy":
-        pytest.importorskip("numpy")
-    else:
-        monkeypatch.setattr(index_module, "load_numpy", lambda: False)
-    return request.param
-
-
 def assert_reference(index: GraphIndex) -> None:
     masks = index.out_label_masks
     assert masks == reference_masks(index)
@@ -48,7 +38,7 @@ def assert_reference(index: GraphIndex) -> None:
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_heap_and_refreshed_indexes_match_the_reference(numpy_mode, seed):
+def test_heap_and_refreshed_indexes_match_the_reference(seed):
     graph = scale_free_graph(300, alphabet_size=20, seed=seed)
     heap = GraphIndex.build(graph)
     assert_reference(heap)
@@ -63,7 +53,7 @@ def test_heap_and_refreshed_indexes_match_the_reference(numpy_mode, seed):
 
 
 @pytest.mark.parametrize("use_mmap", [True, False])
-def test_a_mapped_snapshot_matches_the_reference(numpy_mode, use_mmap, tmp_path):
+def test_a_mapped_snapshot_matches_the_reference(use_mmap, tmp_path):
     graph = scale_free_graph(200, alphabet_size=12, seed=5)
     path = tmp_path / "g.rgz"
     write_snapshot(GraphIndex.build(graph), path)
@@ -75,7 +65,7 @@ def test_a_mapped_snapshot_matches_the_reference(numpy_mode, use_mmap, tmp_path)
         mapped.close()
 
 
-def test_more_labels_than_an_int64_holds(numpy_mode):
+def test_more_labels_than_an_int64_holds():
     labels = [f"l{i:02d}" for i in range(70)]
     graph = GraphDB(labels)
     for i, label in enumerate(labels):

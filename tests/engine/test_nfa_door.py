@@ -27,14 +27,10 @@ from oracles.product import (
 from repro.automata.kernel import TableDFA
 from repro.automata.nfa import NFA
 from repro.datasets.synthetic import scale_free_graph
-from repro.engine import QueryEngine, have_numpy
+from repro.engine import QueryEngine
 
 NFA_COUNT = 200
-CONFIGS = [
-    (planner, backend)
-    for planner in ("auto", "off")
-    for backend in (("python", "numpy") if have_numpy() else ("python",))
-]
+CONFIGS = [(planner, backend) for planner in ("auto", "off") for backend in ("python", "numpy")]
 
 
 @cache

@@ -18,6 +18,7 @@ import hashlib
 import random
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +33,6 @@ from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
 from repro.storage import open_snapshot, write_snapshot
-
-np = pytest.importorskip("numpy")
 
 
 def monadic(walk, index, table, **options):
@@ -87,7 +86,7 @@ class TestFresh:
         expected_visited = visited.copy()
         expected = unique_then_filter([part.copy() for part in arrays], expected_visited)
 
-        fresh = executor._np_fresh(arrays, visited, np)
+        fresh = executor._np_fresh(arrays, visited)
 
         assert fresh.dtype == expected.dtype
         assert fresh.tolist() == expected.tolist()
@@ -96,7 +95,7 @@ class TestFresh:
 
     def test_nothing_fresh_is_empty(self):
         visited = np.ones(4, dtype=bool)
-        fresh = executor._np_fresh([np.array([3, 3, 1], dtype=np.int64)], visited, np)
+        fresh = executor._np_fresh([np.array([3, 3, 1], dtype=np.int64)], visited)
         assert fresh.size == 0 and visited.all()
 
 
@@ -149,9 +148,9 @@ class TestFullLayerRead:
         # nothing: the one gather is layer 1's, of the middle node.
         gathers, gather = [], executor._np_gather
 
-        def logged_gather(offsets, targets, nodes, np):
+        def logged_gather(offsets, targets, nodes):
             gathers.append(nodes.tolist())
-            return gather(offsets, targets, nodes, np)
+            return gather(offsets, targets, nodes)
 
         monkeypatch.setattr(executor, "_np_gather", logged_gather)
         assert monadic(executor.numpy_evaluate_all, index, table) == (answer, depths, work)

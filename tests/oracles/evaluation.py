@@ -5,21 +5,17 @@ before it read the four counts off the engine's id arrays, and
 ``reference_draw_sample`` the sampler that sorted the goal's node set and
 its complement by ``repr`` on every draw.  Both are kept verbatim in
 behaviour as the executable specification of the id-array versions, which
-must agree with them with numpy and without it (:func:`numpy_mode`), on
-the graphs of :func:`shuffled_graphs`.
+must agree with them on either walk backend, on the graphs of
+:func:`shuffled_graphs`.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from contextlib import ExitStack
-from unittest import mock
 
 from hypothesis import strategies as st
 
-import repro.engine.executor as executor_module
-import repro.engine.index as index_module
 from repro.engine.engine import QueryEngine
 from repro.errors import LearningError
 from repro.evaluation.metrics import ClassificationScores
@@ -110,16 +106,3 @@ def shuffled_graphs(draw):
     graph.add_edges(edges)
     return graph
 
-
-#: ``True`` runs with numpy (when importable), ``False`` with it hidden.
-NUMPY_MODES = (True, False) if index_module.load_numpy() else (False,)
-
-
-def numpy_mode(with_numpy: bool) -> ExitStack:
-    """A context in which engines built inside see numpy or not: hidden, the
-    walks run in python and answers hold :mod:`array` ids."""
-    stack = ExitStack()
-    if not with_numpy:
-        for module in (index_module, executor_module):
-            stack.enter_context(mock.patch.object(module, "load_numpy", lambda: False))
-    return stack

@@ -160,8 +160,8 @@ class TestEngineIntegration:
     def test_engine_rebuilds_when_refresh_declines(self):
         # There is no switch: the engine always asks for a refresh, and
         # rebuilds only when the index declines (here: a delta past the
-        # backend's break-even share of the indexed edges -- 1.0 with numpy,
-        # 0.4 without -- and past the 16-event floor).
+        # break-even share of the indexed edges, the default 1.0, and past
+        # the 16-event floor).
         engine = QueryEngine()
         graph = GraphDB(["l"])
         graph.add_edge("a", "l", "b")
