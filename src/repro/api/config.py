@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 from repro.engine.executor import BACKENDS
+from repro.engine.planner import PLANNER_MODES as PLANNERS
 from repro.errors import ConfigError
 
 #: The learner semantics a :class:`LearnerConfig` can select.
@@ -36,9 +37,6 @@ SCENARIOS = ("static", "interactive")
 
 #: The interactive strategies the paper evaluates (plus the naive baseline).
 STRATEGIES = ("kR", "kS", "random")
-
-#: The planner modes an :class:`EngineConfig` can select.
-PLANNERS = ("auto", "off")
 
 
 # -- the reusable predicates ---------------------------------------------------
@@ -441,11 +439,6 @@ class InteractiveConfig(_BaseConfig):
         optional(POSITIVE_INT),
         "interaction budget (None: unbounded, halt on goal or exhaustion)",
         "--max-interactions",
-    )
-    neighborhood_radius: int | None = knob(
-        None,
-        optional(NON_NEGATIVE_INT),
-        "show the user this many hops around a proposed node (None: the node only)",
     )
     pool_size: int | None = knob(
         512,

@@ -377,9 +377,9 @@ class Workspace:
         uninterrupted one would be.  The run *budget* stays with ``config``
         -- resuming is how a paused session gets a fresh budget:
         ``config.max_interactions`` buys that many *new* interactions on top
-        of the checkpointed ones (``target_f1`` and ``neighborhood_radius``
-        also come from ``config``).  ``checkpoint_to`` writes the session's final checkpoint
-        JSON to the given path, resumable later even when the run stopped on
+        of the checkpointed ones (``target_f1`` also comes from ``config``).
+        ``checkpoint_to`` writes the session's final checkpoint JSON to the
+        given path, resumable later even when the run stopped on
         ``max_interactions``.
         """
         config = config or InteractiveConfig()
@@ -438,7 +438,6 @@ class Workspace:
                 if config.max_interactions is None
                 else config.max_interactions + len(session.interactions)
             )
-            session.neighborhood_radius = config.neighborhood_radius
         else:
             session = InteractiveSession(
                 self._graph,
@@ -447,7 +446,6 @@ class Workspace:
                 k_start=config.k_start,
                 k_max=config.k_max,
                 max_interactions=config.max_interactions,
-                neighborhood_radius=config.neighborhood_radius,
                 engine=self._engine,
             )
         return session

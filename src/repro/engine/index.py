@@ -361,11 +361,6 @@ class GraphIndex:
         offsets = self.fwd_offsets[label_id]
         return self.fwd_targets[label_id][offsets[node_id] : offsets[node_id + 1]]
 
-    def predecessors_slice(self, label_id: int, node_id: int):
-        """The origins of ``node_id``'s incoming edges on ``label_id``."""
-        offsets = self.bwd_offsets[label_id]
-        return self.bwd_targets[label_id][offsets[node_id] : offsets[node_id + 1]]
-
     def __repr__(self) -> str:
         return (
             f"GraphIndex(nodes={self.num_nodes}, labels={self.num_labels}, "

@@ -4,17 +4,17 @@ A graph database (Section 2 of the paper) is a finite, directed,
 edge-labeled graph ``G = (V, E)`` with ``E`` a subset of ``V x Sigma x V``.
 This subpackage provides:
 
-* :class:`~repro.graphdb.graph.GraphDB` -- the graph itself, with node/edge
-  construction, adjacency queries, neighborhood extraction and (de)serialization;
-* :mod:`repro.graphdb.paths` -- the binary path semantics
-  ``paths2_G(origin, end)`` as a bounded canonical-order enumeration (the
-  monadic ``paths_G(X)`` lives on the CSR index, in
-  :class:`~repro.learning.scp.NegativeCoverage`);
+* :class:`~repro.graphdb.graph.GraphDB` -- the graph itself: node/edge
+  construction, a stable node and label order, one-label successors and the
+  mutation log the engine's CSR index is built and refreshed from;
 * :mod:`repro.graphdb.io` -- edge-list and JSON serialization.
+
+The path semantics, monadic ``paths_G(X)`` and binary
+``paths2_G(origin, end)``, are walked on that index, in
+:class:`~repro.learning.scp.NegativeCoverage`.
 """
 
 from repro.graphdb.graph import GraphDB
-from repro.graphdb.paths import enumerate_paths_between
 from repro.graphdb.io import (
     graph_from_edge_list,
     graph_from_json,
@@ -26,7 +26,6 @@ from repro.graphdb.io import (
 
 __all__ = [
     "GraphDB",
-    "enumerate_paths_between",
     "graph_from_edge_list",
     "graph_to_edge_list",
     "graph_from_json",

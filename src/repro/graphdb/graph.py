@@ -9,8 +9,7 @@ different labels are allowed, duplicate triples are stored once (the paper's
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable
 
 from repro.automata.alphabet import Alphabet
 from repro.errors import GraphError
@@ -63,14 +62,12 @@ class GraphDB:
         self._nodes: dict[Node, None] = {}
         self._node_order: tuple[Node, ...] | None = None  # cache; dropped on insertion
         # Insertion-ordered edge registry (dict keys), like nodes and labels:
-        # replaying it (copy, subgraph) preserves the stable node/label
+        # replaying it (copy) preserves the stable node/label
         # orders, so derived artifacts (CSR indexes, edge-list renderings,
         # snapshots) are hash-seed independent.
         self._edges: dict[Edge, None] = {}
         # adjacency: origin -> label -> set of ends
         self._forward: dict[Node, dict[str, set[Node]]] = {}
-        # reverse adjacency: end -> label -> set of origins
-        self._backward: dict[Node, dict[str, set[Node]]] = {}
         # Insertion-ordered label registry (dict keys), mirroring the node
         # registry: iteration order is the *stable label order*.
         self._labels: dict[str, None] = {}
@@ -114,7 +111,6 @@ class GraphDB:
             self._version += 1
             self._log_mutation(("edge", origin, label, end))
             self._forward.setdefault(origin, {}).setdefault(label, set()).add(end)
-            self._backward.setdefault(end, {}).setdefault(label, set()).add(origin)
             if label not in self._labels:
                 self._labels[label] = None
                 if not self._fixed_alphabet:
@@ -151,7 +147,7 @@ class GraphDB:
         """A process-wide unique identifier of this graph instance.
 
         Two distinct :class:`GraphDB` objects never share a uid -- copies,
-        subgraphs, deepcopies and unpickled graphs all mint fresh ones (see
+        deepcopies and unpickled graphs all mint fresh ones (see
         ``__setstate__``) -- so ``(uid, version)`` is a sound cache key for
         derived structures such as the engine's indexes and result caches,
         unlike ``id(graph)``, which can be reused after garbage collection.
@@ -275,107 +271,9 @@ class GraphDB:
             result.update(targets)
         return frozenset(result)
 
-    def predecessors(self, node: Node, label: str | None = None) -> frozenset[Node]:
-        """Nodes with an edge (optionally of one label) into ``node``."""
-        self._require_node(node)
-        by_label = self._backward.get(node, {})
-        if label is not None:
-            return frozenset(by_label.get(label, ()))
-        result: set[Node] = set()
-        for sources in by_label.values():
-            result.update(sources)
-        return frozenset(result)
-
-    def out_edges(self, node: Node) -> Iterator[tuple[str, Node]]:
-        """Yield the ``(label, end)`` pairs of edges leaving ``node``."""
-        self._require_node(node)
-        for label, targets in self._forward.get(node, {}).items():
-            for target in targets:
-                yield label, target
-
-    def in_edges(self, node: Node) -> Iterator[tuple[Node, str]]:
-        """Yield the ``(origin, label)`` pairs of edges entering ``node``."""
-        self._require_node(node)
-        for label, sources in self._backward.get(node, {}).items():
-            for source in sources:
-                yield source, label
-
-    def out_degree(self, node: Node) -> int:
-        """The number of edges leaving ``node``."""
-        self._require_node(node)
-        return sum(len(targets) for targets in self._forward.get(node, {}).values())
-
-    def in_degree(self, node: Node) -> int:
-        """The number of edges entering ``node``."""
-        self._require_node(node)
-        return sum(len(sources) for sources in self._backward.get(node, {}).values())
-
-    def outgoing_labels(self, node: Node) -> frozenset[str]:
-        """The labels of edges leaving ``node``."""
-        self._require_node(node)
-        return frozenset(self._forward.get(node, {}).keys())
-
     def _require_node(self, node: Node) -> None:
         if node not in self._nodes:
             raise GraphError(f"node {node!r} is not in the graph")
-
-    # -- neighborhoods and subgraphs ------------------------------------------
-
-    def reachable_from(self, node: Node, *, max_hops: int | None = None) -> frozenset[Node]:
-        """Nodes reachable from ``node`` following edges forward."""
-        self._require_node(node)
-        seen: set[Node] = {node}
-        frontier: set[Node] = {node}
-        hops = 0
-        while frontier and (max_hops is None or hops < max_hops):
-            next_frontier: set[Node] = set()
-            for current in frontier:
-                for _, target in self.out_edges(current):
-                    if target not in seen:
-                        seen.add(target)
-                        next_frontier.add(target)
-            frontier = next_frontier
-            hops += 1
-        return frozenset(seen)
-
-    def neighborhood(self, node: Node, radius: int) -> "GraphDB":
-        """The induced subgraph of nodes within ``radius`` hops of ``node``.
-
-        Both edge directions are followed when measuring the radius; this is
-        the "zoom out on the neighborhood" of step 4 of the interactive
-        scenario (Figure 9), used to present a small visualizable fragment of
-        the graph to the user.
-        """
-        self._require_node(node)
-        if radius < 0:
-            raise GraphError("radius must be non-negative")
-        seen: set[Node] = {node}
-        frontier: deque[tuple[Node, int]] = deque([(node, 0)])
-        while frontier:
-            current, distance = frontier.popleft()
-            if distance >= radius:
-                continue
-            neighbours = set(self.successors(current)) | set(self.predecessors(current))
-            for neighbour in neighbours:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append((neighbour, distance + 1))
-        return self.subgraph(seen)
-
-    def subgraph(self, nodes: Iterable[Node]) -> "GraphDB":
-        """The subgraph induced by the given nodes."""
-        keep = set(nodes)
-        missing = keep - self._nodes.keys()
-        if missing:
-            raise GraphError(f"nodes not in graph: {sorted(missing, key=repr)[:5]!r}")
-        sub = GraphDB(self._alphabet if self._fixed_alphabet else None)
-        # Insert in the parent's stable order so the subgraph's own stable
-        # node order does not depend on the hash-seed-driven set iteration.
-        sub.add_nodes(node for node in self._nodes if node in keep)
-        for origin, label, end in self._edges:
-            if origin in keep and end in keep:
-                sub.add_edge(origin, label, end)
-        return sub
 
     def copy(self) -> "GraphDB":
         """A deep copy of the graph."""
@@ -383,40 +281,6 @@ class GraphDB:
         other.add_nodes(self._nodes)
         other.add_edges(self._edges)
         return other
-
-    def has_cycle_reachable_from(self, node: Node) -> bool:
-        """Whether a cycle is reachable from ``node``.
-
-        ``paths_G(nu)`` is infinite exactly when this holds (Section 2).
-        Detected by an iterative DFS with colour marking over the reachable
-        part of the graph.
-        """
-        self._require_node(node)
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour: dict[Node, int] = {}
-        stack: list[tuple[Node, Iterator[Node]]] = []
-
-        def neighbours(current: Node) -> Iterator[Node]:
-            return iter(sorted(self.successors(current), key=repr))
-
-        colour[node] = GREY
-        stack.append((node, neighbours(node)))
-        while stack:
-            current, iterator = stack[-1]
-            advanced = False
-            for target in iterator:
-                state = colour.get(target, WHITE)
-                if state == GREY:
-                    return True
-                if state == WHITE:
-                    colour[target] = GREY
-                    stack.append((target, neighbours(target)))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[current] = BLACK
-                stack.pop()
-        return False
 
     # -- conversions ----------------------------------------------------------
 
@@ -433,30 +297,3 @@ class GraphDB:
         graph.add_nodes(nodes)
         graph.add_edges(edges)
         return graph
-
-    def to_networkx(self):  # pragma: no cover - optional convenience
-        """Convert to a ``networkx.MultiDiGraph`` (requires networkx)."""
-        import networkx as nx
-
-        nx_graph = nx.MultiDiGraph()
-        nx_graph.add_nodes_from(self._nodes)
-        for origin, label, end in self._edges:
-            nx_graph.add_edge(origin, end, label=label)
-        return nx_graph
-
-    def degree_statistics(self) -> Mapping[str, float]:
-        """Simple degree statistics used by the dataset generators' tests."""
-        if not self._nodes:
-            return {"max_out_degree": 0.0, "mean_out_degree": 0.0}
-        degrees = [self.out_degree(node) for node in self._nodes]
-        return {
-            "max_out_degree": float(max(degrees)),
-            "mean_out_degree": float(sum(degrees)) / len(degrees),
-        }
-
-    def label_histogram(self) -> dict[str, int]:
-        """The number of edges per label (used to verify Zipfian skew)."""
-        histogram: dict[str, int] = {}
-        for _, label, _ in self._edges:
-            histogram[label] = histogram.get(label, 0) + 1
-        return histogram

@@ -6,10 +6,8 @@ Starting from an empty sample, the loop repeatedly:
    the same nodes as the goal, i.e. F1 = 1 -- the strongest condition of
    Section 5.3; the user may also stop earlier when satisfied);
 2. asks the strategy for the next node to label (step 3 of the figure);
-3. extracts the node's neighborhood -- the small visualizable fragment shown
-   to the user (step 4);
-4. asks the oracle/user for the label (step 5) and adds it to the sample;
-5. re-runs the learner on all labels collected so far (step 6), growing the
+3. asks the oracle/user for the label (step 5) and adds it to the sample;
+4. re-runs the learner on all labels collected so far (step 6), growing the
    path-length bound ``k`` dynamically when no k-informative node remains
    (Section 5.1's procedure for the interactive case).
 
@@ -177,7 +175,6 @@ class InteractiveSession:
         k_start: int = DEFAULT_K,
         k_max: int = 6,
         max_interactions: int | None = None,
-        neighborhood_radius: int | None = None,
         engine: QueryEngine,
         incremental: bool = True,
     ) -> None:
@@ -205,7 +202,6 @@ class InteractiveSession:
         self.k = k_start
         self.k_max = k_max
         self.max_interactions = max_interactions
-        self.neighborhood_radius = neighborhood_radius
         self.engine = engine
         self.sample = Sample()
         self.interactions: list[Interaction] = []
@@ -234,11 +230,6 @@ class InteractiveSession:
                 return None
             self.k += 1
             self.state.set_k(self.k)
-
-    def neighborhood_of(self, node: Node) -> GraphDB:
-        """Step 4: the fragment of the graph shown to the user for this node."""
-        radius = self.neighborhood_radius if self.neighborhood_radius is not None else self.k
-        return self.graph.neighborhood(node, radius)
 
     def record_label(self, node: Node, label: str) -> None:
         """Step 5: add the user's label to the sample (refusing a node not in the graph)."""
@@ -370,7 +361,6 @@ class InteractiveSession:
             k_start=self.k_start,
             k_max=self.k_max,
             max_interactions=self.max_interactions,
-            neighborhood_radius=self.neighborhood_radius,
             positives=sorted(self.sample.positives, key=repr),
             negatives=sorted(self.sample.negatives, key=repr),
             interactions=list(self.interactions),
@@ -401,7 +391,6 @@ class InteractiveSession:
             k_start=checkpoint.k_start,
             k_max=checkpoint.k_max,
             max_interactions=checkpoint.max_interactions,
-            neighborhood_radius=checkpoint.neighborhood_radius,
             engine=engine,
         )
         session.prior_seconds = checkpoint.elapsed
@@ -432,7 +421,6 @@ class InteractiveCheckpoint:
     k_start: int
     k_max: int
     max_interactions: int | None
-    neighborhood_radius: int | None
     positives: list
     negatives: list
     interactions: list[Interaction]
@@ -468,7 +456,6 @@ class InteractiveCheckpoint:
             "k_start": self.k_start,
             "k_max": self.k_max,
             "max_interactions": self.max_interactions,
-            "neighborhood_radius": self.neighborhood_radius,
             "sample": {"positives": list(self.positives), "negatives": list(self.negatives)},
             "interactions": [interaction.to_dict() for interaction in self.interactions],
             "strategy": self.strategy,
@@ -484,7 +471,6 @@ class InteractiveCheckpoint:
                 k_start=payload["k_start"],
                 k_max=payload["k_max"],
                 max_interactions=payload.get("max_interactions"),
-                neighborhood_radius=payload.get("neighborhood_radius"),
                 positives=list(sample.get("positives", ())),
                 negatives=list(sample.get("negatives", ())),
                 interactions=[

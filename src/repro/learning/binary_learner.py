@@ -4,13 +4,15 @@ The only change with respect to Algorithm 1 is the space of candidate paths
 per example: a positive example is now a *pair* of nodes, so the paths to
 consider are the words of ``paths2_G(nu, nu')`` (the destination node is
 fixed), and negative coverage is checked against the paths between the
-negative pairs.
+negative pairs.  Both run on the engine's CSR index: the SCPs are
+:meth:`~repro.learning.scp.NegativeCoverage.smallest_uncovered_pair_path`
+searches sharing one frontier memo, and the merge guard and final check are
+the engine's pair walks.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.automata.alphabet import Word
@@ -19,9 +21,9 @@ from repro.automata.minimize import canonical_table
 from repro.errors import LearningError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
 from repro.engine.engine import QueryEngine
-from repro.graphdb.paths import enumerate_paths_between
 from repro.learning.learner import DEFAULT_K
 from repro.learning.sample import BinarySample
+from repro.learning.scp import NegativeCoverage
 from repro.queries.binary import BinaryPathQuery
 
 
@@ -89,22 +91,6 @@ class BinaryLearnerResult:
             ) from error
 
 
-def _pair_covered(graph: GraphDB, word: Word, pairs: Iterable[tuple[Node, Node]]) -> bool:
-    """Whether ``word`` labels a path between one of the given node pairs."""
-    for origin, end in pairs:
-        frontier = {origin}
-        for symbol in word:
-            next_frontier: set[Node] = set()
-            for current in frontier:
-                next_frontier.update(graph.successors(current, symbol))
-            frontier = next_frontier
-            if not frontier:
-                break
-        if frontier and end in frontier:
-            return True
-    return False
-
-
 def learn_binary_query(
     graph: GraphDB,
     sample: BinarySample,
@@ -127,18 +113,20 @@ def learn_binary_query(
     # Pairs in index order, not set order: which negative the guard meets
     # first, and where a failing final check stops, decide the kernel work done
     # and must not depend on the hash seed.
-    node_ids = engine.index_for(graph).node_ids
+    index = engine.index_for(graph)
+    node_ids = index.node_ids
 
     def in_index_order(pairs):
         return sorted(pairs, key=lambda pair: (node_ids[pair[0]], node_ids[pair[1]]))
 
     negatives = in_index_order(sample.negatives)
+    # One frontier memo for every positive's SCP search (its node set is unused).
+    coverage, alphabet = NegativeCoverage(index, ()), graph.alphabet
     scps: dict[tuple[Node, Node], Word] = {}
     for origin, end in sample.positives:
-        for path in enumerate_paths_between(graph, origin, end, max_length=k):
-            if not _pair_covered(graph, path, negatives):
-                scps[(origin, end)] = path
-                break
+        path = coverage.smallest_uncovered_pair_path(origin, end, negatives, k, alphabet)
+        if path is not None:
+            scps[(origin, end)] = path
     if not scps:
         return BinaryLearnerResult(query=None, k=k, elapsed=time.perf_counter() - started)
 

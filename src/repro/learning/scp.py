@@ -24,7 +24,10 @@ the graph once:
   canonical order: the SCP is the first), ``uncovered_count`` (their number
   up to a cap, building no word: the ``kS`` count, at cap 1 a pooled
   verdict), :meth:`~NegativeCoverage.includes` (a node's whole path
-  language, unbounded) and :meth:`~NegativeCoverage.table` (the automaton
+  language, unbounded),
+  :meth:`~NegativeCoverage.smallest_uncovered_pair_path` (Algorithm 2's
+  binary SCP: one frontier state per negative pair's origin, beside the
+  positive's) and :meth:`~NegativeCoverage.table` (the automaton
   cut at depth ``k`` as a :class:`~repro.automata.kernel.TableDFA`, which
   the engine's batched k-informativeness walk over every node consumes);
 * *the merge guard* -- :meth:`NegativeCoverage.merge_guard`: one
@@ -45,7 +48,7 @@ The exact, unbounded checks of Lemmas 3.1 and 4.1
 (:mod:`repro.learning.consistency`, :mod:`repro.interactive.informativeness`)
 are :meth:`NegativeCoverage.includes` queries on the same automaton.  The
 object-level walks over dict adjacency that the tests compare all of this
-against live in ``tests/oracles/``.
+against, the binary ones included, live in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -302,6 +305,62 @@ class NegativeCoverage:
         ``None`` when every path of the node within the bound is covered.
         """
         return next(self.uncovered_paths(node, k, alphabet), None)
+
+    def smallest_uncovered_pair_path(
+        self,
+        origin: Node,
+        end: Node,
+        pairs: Iterable[tuple[Node, Node]],
+        k: int,
+        alphabet: Alphabet,
+    ) -> Word | None:
+        """Algorithm 2's SCP: the canonically smallest word (length <= k) of
+        ``paths2_G(origin, end)`` that labels a path of no pair in ``pairs``.
+
+        ``None`` when there is none.  A breadth-first walk, level by level in
+        canonical order as in :meth:`uncovered_paths`, over distinct tuples of
+        states interned in this automaton's memo: ``origin``'s frontier, then
+        one frontier per distinct origin of ``pairs``.  A word answers when
+        its first frontier holds ``end`` and no pair's origin frontier holds
+        that pair's end.  Whether an extension answers depends on the tuple
+        alone, and the first word to reach a tuple precedes, suffix for
+        suffix, every later one: each tuple is expanded once.  The set's own
+        nodes are not read.
+        """
+        if k < 0:
+            raise LearningError("the path-length bound k must be non-negative")
+        node_ids, frontiers, step = self._index.node_ids, self._frontiers, self.step
+        masks, covered = self._index.out_label_masks, self._covered
+        ends_of: dict[int, set[int]] = {}
+        for pair_origin, pair_end in pairs:
+            ends_of.setdefault(node_ids[pair_origin], set()).add(node_ids[pair_end])
+        slots = sorted(ends_of)  # index order: the tuples do not depend on the hash seed
+        ends = [ends_of[slot] for slot in slots]
+        end_id, (labels, _) = node_ids[end], self._alphabet_labels(alphabet)
+        start = tuple(self._intern([node_id]) for node_id in (node_ids[origin], *slots))
+        seen, level = {start}, [((), start)]
+        for length in range(k + 1):
+            next_level = []
+            for word, (own, *states) in level:
+                if end_id in frontiers[own] and not any(
+                    state != DEAD and not frontiers[state].isdisjoint(slot_ends)
+                    for state, slot_ends in zip(states, ends)
+                ):
+                    return word
+                if length == k:
+                    continue
+                carried = covered.get(own)  # the labels the origin's frontier carries
+                if carried is None:
+                    carried = covered[own] = reduce(or_, map(masks.__getitem__, frontiers[own]))
+                for symbol, label_id in labels:
+                    if not carried >> label_id & 1:
+                        continue  # the word is not a path of the origin
+                    moved = (step(own, label_id), *(step(state, label_id) for state in states))
+                    if moved not in seen:
+                        seen.add(moved)
+                        next_level.append((word + (symbol,), moved))
+            level = next_level
+        return None
 
     def table(self, k: int, alphabet: Alphabet) -> TableDFA:
         """The uncovered words of length <= k, as a :class:`TableDFA`.

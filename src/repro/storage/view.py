@@ -4,22 +4,20 @@
 :class:`~repro.engine.index.GraphIndex`) be used wherever a
 :class:`~repro.graphdb.graph.GraphDB` is expected -- queries, workspaces,
 experiment drivers -- without rebuilding adjacency dictionaries.  It
-answers the read API (membership, node/label order, successors,
-degrees, ...) straight from the CSR arrays and advertises the index via
+answers the graph's read API (membership, node and label order, edges,
+successors) straight from the CSR arrays and advertises the index via
 ``prebuilt_index``, which :meth:`QueryEngine.index_for
 <repro.engine.engine.QueryEngine.index_for>` adopts instead of building.
 
 The view is *frozen*: it shares the index's ``(uid, version)`` identity,
 and mutating it raises :class:`~repro.errors.GraphError`.  Call
 :meth:`GraphView.thaw` for a fully mutable :class:`GraphDB` copy (a fresh
-graph identity with its own delta log); rarely-used whole-graph helpers
-(``subgraph``, ``neighborhood``, cycle checks) delegate to a lazily built
-thawed twin rather than reimplementing traversal logic here.
+graph identity with its own delta log).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 
 from repro.automata.alphabet import Alphabet
 from repro.engine.index import GraphIndex
@@ -37,7 +35,6 @@ class GraphView:
     def __init__(self, index: GraphIndex) -> None:
         self._index = index
         self._edges: frozenset[Edge] | None = None
-        self._thawed_cache: GraphDB | None = None
         self._alphabet: Alphabet | None = None
         # One set for the view's lifetime: the planner keys every plan by it.
         self._labels = frozenset(index.labels_by_id)
@@ -155,109 +152,21 @@ class GraphView:
 
     # -- adjacency -----------------------------------------------------------
 
-    def _node_id(self, node: Node) -> int:
-        node_id = self._index.node_ids.get(node)
+    def successors(self, node: Node, label: str | None = None) -> frozenset[Node]:
+        index = self._index
+        node_id = index.node_ids.get(node)
         if node_id is None:
             raise GraphError(f"node {node!r} is not in the graph")
-        return node_id
-
-    def successors(self, node: Node, label: str | None = None) -> frozenset[Node]:
-        return self._adjacent(node, label, forward=True)
-
-    def predecessors(self, node: Node, label: str | None = None) -> frozenset[Node]:
-        return self._adjacent(node, label, forward=False)
-
-    def _adjacent(self, node: Node, label: str | None, *, forward: bool) -> frozenset[Node]:
-        index = self._index
-        node_id = self._node_id(node)
-        slice_of = index.successors_slice if forward else index.predecessors_slice
-        nodes_by_id = index.nodes_by_id
-        if label is not None:
-            label_id = index.label_ids.get(label)
-            if label_id is None:
-                return frozenset()
-            return frozenset(nodes_by_id[t] for t in slice_of(label_id, node_id))
-        result: set[Node] = set()
-        for label_id in range(index.num_labels):
-            result.update(nodes_by_id[t] for t in slice_of(label_id, node_id))
-        return frozenset(result)
-
-    def out_edges(self, node: Node) -> Iterator[tuple[str, Node]]:
-        index = self._index
-        node_id = self._node_id(node)
-        for label_id, label in enumerate(index.labels_by_id):
-            for target_id in index.successors_slice(label_id, node_id):
-                yield label, index.nodes_by_id[target_id]
-
-    def in_edges(self, node: Node) -> Iterator[tuple[Node, str]]:
-        index = self._index
-        node_id = self._node_id(node)
-        for label_id, label in enumerate(index.labels_by_id):
-            for source_id in index.predecessors_slice(label_id, node_id):
-                yield index.nodes_by_id[source_id], label
-
-    def out_degree(self, node: Node) -> int:
-        index = self._index
-        node_id = self._node_id(node)
-        return sum(
-            index.fwd_offsets[label_id][node_id + 1] - index.fwd_offsets[label_id][node_id]
-            for label_id in range(index.num_labels)
-        )
-
-    def in_degree(self, node: Node) -> int:
-        index = self._index
-        node_id = self._node_id(node)
-        return sum(
-            index.bwd_offsets[label_id][node_id + 1] - index.bwd_offsets[label_id][node_id]
-            for label_id in range(index.num_labels)
-        )
-
-    def outgoing_labels(self, node: Node) -> frozenset[str]:
-        index = self._index
-        node_id = self._node_id(node)
+        if label is None:
+            label_ids = range(index.num_labels)
+        elif label in index.label_ids:
+            label_ids = (index.label_ids[label],)
+        else:
+            return frozenset()
+        nodes_by_id, slice_of = index.nodes_by_id, index.successors_slice
         return frozenset(
-            label
-            for label_id, label in enumerate(index.labels_by_id)
-            if index.fwd_offsets[label_id][node_id + 1] > index.fwd_offsets[label_id][node_id]
+            nodes_by_id[t] for label_id in label_ids for t in slice_of(label_id, node_id)
         )
-
-    def label_histogram(self) -> dict[str, int]:
-        index = self._index
-        return {
-            label: index.fwd_offsets[label_id][index.num_nodes]
-            for label_id, label in enumerate(index.labels_by_id)
-        }
-
-    def degree_statistics(self) -> Mapping[str, float]:
-        if not self._index.num_nodes:
-            return {"max_out_degree": 0.0, "mean_out_degree": 0.0}
-        degrees = [self.out_degree(node) for node in self.node_order]
-        return {
-            "max_out_degree": float(max(degrees)),
-            "mean_out_degree": float(sum(degrees)) / len(degrees),
-        }
-
-    # -- whole-graph helpers (delegated to a lazily thawed twin) -------------
-
-    def _thawed(self) -> GraphDB:
-        if self._thawed_cache is None:
-            self._thawed_cache = self.thaw()
-        return self._thawed_cache
-
-    def reachable_from(self, node: Node, *, max_hops: int | None = None) -> frozenset[Node]:
-        return self._thawed().reachable_from(node, max_hops=max_hops)
-
-    def neighborhood(self, node: Node, radius: int) -> GraphDB:
-        return self._thawed().neighborhood(node, radius)
-
-    def subgraph(self, nodes: Iterable[Node]) -> GraphDB:
-        return self._thawed().subgraph(nodes)
-
-    def has_cycle_reachable_from(self, node: Node) -> bool:
-        return self._thawed().has_cycle_reachable_from(node)
-
-    def to_networkx(self):  # pragma: no cover - optional convenience
-        return self._thawed().to_networkx()
 
     # -- freezing and thawing --------------------------------------------------
 

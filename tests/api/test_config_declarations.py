@@ -30,7 +30,7 @@ CONFIGS = (
 )
 
 
-def test_61_fields_each_with_a_check_and_a_doc():
+def test_every_field_has_a_check_and_a_doc():
     count = 0
     for config_cls in CONFIGS:
         for spec in fields(config_cls):
@@ -39,7 +39,7 @@ def test_61_fields_each_with_a_check_and_a_doc():
             assert knob.doc and "\n" not in knob.doc, (config_cls.__name__, spec.name)
             assert knob.check.accepts(spec.default), (config_cls.__name__, spec.name)
             count += 1
-    assert count == 61
+    assert count == 60
 
 
 def test_check_lists_are_built_once_per_class():
@@ -136,6 +136,15 @@ def test_the_shard_pool_knobs_are_gone_not_ignored():
     with pytest.raises(SystemExit) as usage:
         _build_parser().parse_args(["query", "--figure", "geo", "--expr", "a", "--workers", "2"])
     assert usage.value.code == 2
+
+
+def test_the_neighbourhood_knob_is_gone_not_ignored():
+    # Figure 9's step 4 radius was read only by a session method no caller used.
+    assert "neighborhood_radius" not in cfg.InteractiveConfig.__dataclass_fields__
+    with pytest.raises(ConfigError, match="unknown .* fields"):
+        cfg.InteractiveConfig.from_dict({"neighborhood_radius": 1})
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        cfg.InteractiveConfig(neighborhood_radius=1)
 
 
 def test_the_knobs_with_one_distinguishable_value_are_gone_not_ignored():
@@ -263,7 +272,7 @@ def test_predicate_accepts_and_rejects(check, good, wrong_type, out_of_range):
     "build",
     [
         lambda: cfg.InteractiveConfig(max_interactions="x"),
-        lambda: cfg.InteractiveConfig(neighborhood_radius=1.5),
+        lambda: cfg.InteractiveConfig(k_max=2.5),
         lambda: cfg.InteractiveConfig(pool_size="512"),
         lambda: cfg.InteractiveConfig(target_f1="1.0"),
         lambda: cfg.InteractiveConfig(seed=None),

@@ -1,11 +1,11 @@
-"""The path semantics of graph databases: the binary enumeration the library
-keeps, and the object-level ``oracles.paths`` walks the tests compare with."""
+"""The path semantics of graph databases: the object-level ``oracles.paths``
+walks the tests compare the CSR index's walks with."""
 
 import pytest
-from oracles.paths import covered_by, enumerate_paths, paths_nfa
+from oracles.paths import covered_by, enumerate_paths, enumerate_paths_between, paths_nfa
 
 from repro.errors import GraphError
-from repro.graphdb import GraphDB, enumerate_paths_between
+from repro.graphdb import GraphDB
 
 
 class TestPathsNFA:

@@ -87,14 +87,6 @@ class TestSessionSteps:
 
 
 class TestSessionInternals:
-    def test_neighborhood_is_a_small_fragment(self, g0, abstar_c, engine):
-        session = InteractiveSession(
-            g0, QueryOracle(abstar_c, engine=engine), make_strategy("kR", seed=2), engine=engine
-        )
-        fragment = session.neighborhood_of("v1")
-        assert "v1" in fragment.nodes
-        assert fragment.node_count() <= g0.node_count()
-
     def test_step_returns_interaction_and_updates_sample(self, g0, abstar_c, engine):
         session = InteractiveSession(
             g0, QueryOracle(abstar_c, engine=engine), make_strategy("kR", seed=2), engine=engine

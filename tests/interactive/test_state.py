@@ -426,6 +426,32 @@ class TestCheckpointResume:
         assert transcript(outcome) == transcript(full)
         assert outcome.halted_by == full.halted_by
 
+    def test_a_checkpoint_with_the_dropped_neighbourhood_key_resumes_the_same(self, seed=17):
+        """Checkpoints written before ``neighborhood_radius`` left carry the key
+        (next to today's keys): ``from_dict`` ignores it, and the resumed run is
+        the one a fresh checkpoint gives.  Today's ``to_dict`` does not write it."""
+        graph = random_graph(seed, nodes=150, labels=6)
+        goal = sorted(synthetic_queries(graph, alphabet_size=6).items())[0][1]
+        first = self._session(graph, goal, QueryEngine(), budget=2)
+        first.run()
+        payload = first.checkpoint().to_dict()
+        assert "neighborhood_radius" not in payload
+
+        def resumed(stored):
+            engine = QueryEngine()
+            checkpoint = InteractiveCheckpoint.from_dict(stored)
+            session = InteractiveSession.resume(
+                checkpoint, graph, QueryOracle(goal, engine=engine), engine=engine
+            )
+            session.max_interactions = 6
+            outcome = session.run()
+            transcript = [(i.node, i.label, i.k) for i in outcome.interactions]
+            return checkpoint, transcript, outcome.halted_by, outcome.query
+
+        old = resumed({**payload, "neighborhood_radius": 2})
+        assert old == resumed(payload)
+        assert old[0].to_dict() == payload
+
     def test_workspace_resume_and_checkpoint_files(self, tmp_path, geo):
         import json
 

@@ -2,17 +2,18 @@
 
 For every label in the graph's first-use order and every node in its
 insertion order: the ascending ids of ``graph.successors(node, label)`` and
-of ``graph.predecessors(node, label)``, laid out as offsets and a flat
-targets array.  No packed codes, no sort of the edge set, no counting: the
-executable specification of the canonical form that ``GraphIndex.build``,
-``GraphIndex.refresh`` and the bulk ingester must each produce byte for
-byte.
+of the origins of the edges into ``node`` (``oracles.graph.origins``), laid
+out as offsets and a flat targets array.  No packed codes, no sort of the
+edge set, no counting: the executable specification of the canonical form
+that ``GraphIndex.build``, ``GraphIndex.refresh`` and the bulk ingester must
+each produce byte for byte.
 """
 
 from __future__ import annotations
 
 from array import array
 
+from oracles.graph import origins
 from repro.graphdb.graph import GraphDB
 
 
@@ -28,7 +29,11 @@ def reference_csr(graph: GraphDB) -> list[tuple[array, array, array, array]]:
             offsets.append(len(targets))
         return offsets, targets
 
+    reverse = origins(graph)
+
+    def predecessors(node, label: str) -> set:
+        return reverse.get((node, label), set())
+
     return [
-        (*rows(graph.successors, label), *rows(graph.predecessors, label))
-        for label in graph.label_order
+        (*rows(graph.successors, label), *rows(predecessors, label)) for label in graph.label_order
     ]

@@ -4,7 +4,10 @@ The graph as an object NFA (:func:`paths_nfa`, the exact checks' oracle
 through ``oracles.operations.language_included``), a bounded
 canonical-order enumeration (:func:`enumerate_paths`), one word's coverage
 by a node set (:func:`covered_by`; ``covered_by(graph, w, [nu])`` is
-``w in paths_G(nu)``) and the single-node SCP built from the two.
+``w in paths_G(nu)``) and the single-node SCP built from the two.  The binary
+semantics ``paths2_G(origin, end)`` has the same three
+(:func:`enumerate_paths_between`, :func:`pair_covered`,
+:func:`smallest_consistent_pair_path`), the reference for Algorithm 2's SCPs.
 """
 
 from __future__ import annotations
@@ -66,9 +69,14 @@ def covered_by(graph: GraphDB, word: Sequence[str], nodes: Iterable[Node]) -> bo
     for node in frontier:
         if node not in graph:
             raise GraphError(f"node {node!r} is not in the graph")
+    return bool(_read(graph, word, frontier))
+
+
+def _read(graph: GraphDB, word: Sequence[str], frontier: set[Node]) -> set[Node]:
+    """The nodes ``word`` leads to from ``frontier``."""
     for symbol in word:
         frontier = {m for n in frontier for m in graph.successors(n, symbol)}
-    return bool(frontier)
+    return frontier
 
 
 def smallest_consistent_path(
@@ -80,3 +88,29 @@ def smallest_consistent_path(
     negatives = frozenset(negatives)
     paths = enumerate_paths(graph, node, max_length=k)
     return next((path for path in paths if not covered_by(graph, path, negatives)), None)
+
+
+def enumerate_paths_between(
+    graph: GraphDB, origin: Node, end: Node, *, max_length: int
+) -> Iterator[Word]:
+    """The words of ``paths2_G(origin, end)`` of length <= ``max_length``,
+    canonically: the paths of ``origin`` that lead it to ``end``."""
+    if end not in graph:
+        raise GraphError(f"node {end!r} is not in the graph")
+    paths = enumerate_paths(graph, origin, max_length=max_length)
+    return (path for path in paths if end in _read(graph, path, {origin}))
+
+
+def pair_covered(graph: GraphDB, word: Sequence[str], pairs: Iterable[tuple[Node, Node]]) -> bool:
+    """Whether ``word`` labels a path between one of the given node pairs."""
+    return any(end in _read(graph, word, {origin}) for origin, end in pairs)
+
+
+def smallest_consistent_pair_path(
+    graph: GraphDB, origin: Node, end: Node, negatives: Iterable[tuple[Node, Node]], *, k: int
+) -> Word | None:
+    """The smallest word of ``paths2_G(origin, end)`` (length <= k) that labels a
+    path of no negative pair, or None."""
+    negatives = list(negatives)
+    paths = enumerate_paths_between(graph, origin, end, max_length=k)
+    return next((path for path in paths if not pair_covered(graph, path, negatives)), None)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Hashable, Iterable
 
+from oracles.graph import out_edges
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA
 from repro.errors import GraphError
@@ -126,7 +127,7 @@ def reference_node_selects(graph: GraphDB, automaton: DFA | NFA, node: Node) -> 
     seen: set[tuple[Node, AutomatonState]] = set(queue)
     while queue:
         current_node, current_state = queue.popleft()
-        for label, target_node in graph.out_edges(current_node):
+        for label, target_node in out_edges(graph, current_node):
             targets = successors(current_state, label) if label in automaton.alphabet else frozenset()
             for target_state in targets:
                 if target_state in finals:
@@ -159,7 +160,7 @@ def reference_any_node_selects(
     seen: set[tuple[Node, AutomatonState]] = set(queue)
     while queue:
         current_node, current_state = queue.popleft()
-        for label, target_node in graph.out_edges(current_node):
+        for label, target_node in out_edges(graph, current_node):
             if label not in automaton.alphabet:
                 continue
             for target_state in successors(current_state, label):
@@ -190,7 +191,7 @@ def reference_binary_evaluate(
                 result.add((source, node))
         while queue:
             current_node, current_state = queue.popleft()
-            for label, target_node in graph.out_edges(current_node):
+            for label, target_node in out_edges(graph, current_node):
                 if label not in automaton.alphabet:
                     continue
                 for target_state in successors(current_state, label):
@@ -223,7 +224,7 @@ def reference_pair_selects(
         current_node, current_state = queue.popleft()
         if current_node == end and current_state in finals:
             return True
-        for label, target_node in graph.out_edges(current_node):
+        for label, target_node in out_edges(graph, current_node):
             if label not in automaton.alphabet:
                 continue
             for target_state in successors(current_state, label):

@@ -138,7 +138,7 @@ OP_PARAMS = {
 
 MALFORMED_WIRE_CONFIGS = [
     ("interactive", {"max_interactions": "x"}),
-    ("interactive", {"neighborhood_radius": 1.5}),
+    ("interactive", {"k_max": 2.5}),
     ("interactive", {"pool_size": "512"}),
     ("interactive", {"target_f1": "1.0"}),
     ("interactive", {"k_start": None}),
@@ -184,6 +184,15 @@ def test_malformed_learn_examples_are_a_400_envelope(service, caplog, params, co
     assert (error["code"], error["status"]) == ("bad_request", 400), error
     assert complaint in error["message"]
     assert not caplog.records  # a client's mistake is not a server traceback
+
+
+def test_the_neighbourhood_knob_is_an_unknown_wire_field(service):
+    params = {**OP_PARAMS["interactive"], "config": {"neighborhood_radius": 1}}
+    answer = service.handle({"id": 8, "op": "interactive", "params": params})
+    assert answer["ok"] is False
+    error = answer["error"]
+    assert (error["code"], error["status"]) == ("bad_request", 400), error
+    assert "unknown InteractiveConfig fields: ['neighborhood_radius']" in error["message"]
 
 
 def test_malformed_wire_config_keeps_the_connection(service):

@@ -215,28 +215,13 @@ class TestMappedIndex:
         assert view.edge_count() == geo.edge_count()
         assert len(view) == len(geo)
         assert sorted(view.alphabet) == sorted(geo.alphabet)
-        assert view.label_histogram() == geo.label_histogram()
-        assert view.degree_statistics() == geo.degree_statistics()
         for node in geo.node_order:
             assert view.successors(node) == geo.successors(node)
-            assert view.predecessors(node) == geo.predecessors(node)
-            assert view.out_degree(node) == geo.out_degree(node)
-            assert view.in_degree(node) == geo.in_degree(node)
-            assert view.outgoing_labels(node) == geo.outgoing_labels(node)
-            assert set(view.out_edges(node)) == set(geo.out_edges(node))
-            assert set(view.in_edges(node)) == set(geo.in_edges(node))
             for label in geo.labels():
                 assert view.successors(node, label) == geo.successors(node, label)
         for origin, label, end in geo.edges:
             assert view.has_edge(origin, label, end)
         assert not view.has_edge("N1", "made-up", "N2")
-
-    def test_view_whole_graph_helpers(self, geo, geo_snapshot):
-        view = GraphView(open_snapshot(geo_snapshot))
-        node = geo.node_order[0]
-        assert view.reachable_from(node) == geo.reachable_from(node)
-        assert view.neighborhood(node, 1).nodes == geo.neighborhood(node, 1).nodes
-        assert view.has_cycle_reachable_from(node) == geo.has_cycle_reachable_from(node)
 
     def test_thaw_is_mutable_and_equal(self, geo, geo_snapshot):
         view = GraphView(open_snapshot(geo_snapshot))
