@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from itertools import accumulate
 
 from repro.errors import GraphError
 from repro.graphdb.graph import GraphDB
@@ -87,6 +88,9 @@ def scale_free_graph(
         weights = list(label_weights)
     else:
         weights = zipfian_label_weights(len(labels), zipf_exponent)
+    # What ``rng.choices(weights=...)`` accumulates on every call, once: the
+    # draws, and so the graph, are the same.
+    cum_weights = list(accumulate(weights))
 
     node_names = [f"n{i:07d}" for i in range(node_count)]
     graph = GraphDB(labels)
@@ -110,7 +114,7 @@ def scale_free_graph(
             end_index = rng.randrange(node_count)
         if end_index == origin_index:
             continue
-        label = rng.choices(labels, weights=weights, k=1)[0]
+        label = rng.choices(labels, cum_weights=cum_weights, k=1)[0]
         origin, end = node_names[origin_index], node_names[end_index]
         if graph.has_edge(origin, label, end):
             continue

@@ -337,7 +337,7 @@ class QueryEngine:
         if index is not None:
             if index.is_current(graph):
                 return index
-            # A stale index is repaired from the graph's delta log, faster
+            # A stale index is repaired from the graph's registry tails, faster
             # than a rebuild up to the measured break-even (GraphIndex.refresh);
             # past it, refresh declines and the build below runs.
             with self.telemetry.span("engine.index_refresh") as span:

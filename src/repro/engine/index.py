@@ -24,10 +24,10 @@ That is O(E log E + m * n) time for ``E`` edges, ``m`` labels and ``n``
 nodes, with O(E + n) temporaries.  Every evaluation after that avoids the
 per-call dict/frozenset churn of the reference product construction
 (``tests/oracles/product.py``).  When the graph mutates, the index can
-usually be *refreshed* (:meth:`GraphIndex.refresh`) from the graph's
-mutation delta log instead of rebuilt: stable node/label numbering means new
-nodes and labels are appended and only the labels actually touched by the
-delta get new CSR arrays.
+usually be *refreshed* (:meth:`GraphIndex.refresh`) from the tails of the
+graph's node and edge registries instead of rebuilt: stable node/label
+numbering means new nodes and labels are appended and only the labels
+actually touched by the delta get new CSR arrays.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from itertools import islice
 from operator import itemgetter
 from time import perf_counter
 
@@ -166,7 +167,7 @@ class GraphIndex:
 
         # Encode the edges once, as int columns: label, and origin and end
         # packed into one code, ``(origin << 32) | end``.
-        edges = list(graph.edges)
+        edges = tuple(graph.iter_edges())
         labels = map(label_ids.__getitem__, map(itemgetter(1), edges))
         origins = map(node_ids.__getitem__, map(itemgetter(0), edges))
         ends = map(node_ids.__getitem__, map(itemgetter(2), edges))
@@ -202,44 +203,38 @@ class GraphIndex:
     def refresh(self, graph: GraphDB, *, max_ratio: float = 1.0) -> "GraphIndex | None":
         """A new index incorporating ``graph``'s mutations since this one.
 
-        Merges the graph's mutation delta log into copies of the CSR arrays:
-        new nodes and labels are appended (the stable orders guarantee a
-        fresh build would number them identically), and only the labels
-        actually touched by the delta get new arrays, their codes plus the
-        delta's sorted afresh, while untouched labels share theirs with this
-        index.  The result is byte-identical to ``GraphIndex.build(graph)``.
+        Merges the graph's new registry tails -- the nodes past
+        ``num_nodes`` in its node order and the edges past ``edge_count`` in
+        its edge order, which only ever grow -- into copies of the CSR
+        arrays: new nodes and labels are appended (the stable orders
+        guarantee a fresh build would number them identically), and only the
+        labels actually touched by the delta get new arrays, their codes
+        plus the delta's sorted afresh, while untouched labels share theirs
+        with this index.  The result is byte-identical to
+        ``GraphIndex.build(graph)``.
 
         Returns ``self`` when already current, or ``None`` when incremental
         maintenance is impossible or not worthwhile: a different graph, a
-        truncated delta log, or a delta larger than ``max_ratio`` of the
-        indexed edge set, past which a full rebuild is cheaper.  The default
-        is the measured break-even on 3k- to 30k-node graphs: a refresh still
-        matched a rebuild at a 100 % delta.
+        graph without insertion-ordered registries (not a
+        :class:`GraphDB`), or a delta of more than ``max_ratio`` of the
+        indexed edge set (``version`` counts one per added node or edge),
+        past which a full rebuild is cheaper.  The default is the measured
+        break-even on 3k- to 30k-node graphs: a refresh still matched a
+        rebuild at a 100 % delta.
         """
         if graph.uid != self.graph_uid:
             return None
         if graph.version == self.graph_version:
             return self
-        delta_since = getattr(graph, "delta_since", None)
-        if delta_since is None:
+        if not isinstance(graph, GraphDB):
             return None
-        delta = delta_since(self.graph_version)
-        if delta is None:
-            return None
-        if len(delta) > max(16, int(max_ratio * max(1, self.edge_count))):
+        if graph.version - self.graph_version > max(16, int(max_ratio * max(1, self.edge_count))):
             return None
         started = perf_counter()
 
-        new_nodes: list[Node] = []
-        delta_edges: list[tuple[Node, str, Node]] = []
-        for event in delta:
-            if event[0] == "node":
-                new_nodes.append(event[1])
-            else:
-                delta_edges.append((event[1], event[2], event[3]))
-
+        new_nodes = graph.node_order[self.num_nodes :]
         old_n, old_m = self.num_nodes, self.num_labels
-        nodes_by_id = self.nodes_by_id + tuple(new_nodes)
+        nodes_by_id = self.nodes_by_id + new_nodes
         node_ids = dict(self.node_ids)
         for offset, node in enumerate(new_nodes, start=old_n):
             node_ids[node] = offset
@@ -248,7 +243,7 @@ class GraphIndex:
         labels_by_id = list(self.labels_by_id)
         label_ids = dict(self.label_ids)
         delta_by_label: dict[int, list[int]] = {}
-        for origin, label, end in delta_edges:
+        for origin, label, end in islice(graph.iter_edges(), self.edge_count, None):
             label_id = label_ids.get(label)
             if label_id is None:
                 label_id = len(labels_by_id)
@@ -288,7 +283,7 @@ class GraphIndex:
             fwd_targets=fwd_targets,
             bwd_offsets=bwd_offsets,
             bwd_targets=bwd_targets,
-            edge_count=self.edge_count + len(delta_edges),
+            edge_count=graph.edge_count(),
         )
         refreshed.build_seconds = perf_counter() - started
         return refreshed

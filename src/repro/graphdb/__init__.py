@@ -5,8 +5,8 @@ edge-labeled graph ``G = (V, E)`` with ``E`` a subset of ``V x Sigma x V``.
 This subpackage provides:
 
 * :class:`~repro.graphdb.graph.GraphDB` -- the graph itself: node/edge
-  construction, a stable node and label order, one-label successors and the
-  mutation log the engine's CSR index is built and refreshed from;
+  construction and the insertion-ordered node, edge and label registries
+  the engine's CSR index is built from, and refreshed from their tails;
 * :mod:`repro.graphdb.io` -- edge-list and JSON serialization.
 
 The path semantics, monadic ``paths_G(X)`` and binary

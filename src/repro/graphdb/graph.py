@@ -9,7 +9,7 @@ different labels are allowed, duplicate triples are stored once (the paper's
 from __future__ import annotations
 
 import itertools
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Iterator
 
 from repro.automata.alphabet import Alphabet
 from repro.errors import GraphError
@@ -19,13 +19,6 @@ Edge = tuple[Node, str, Node]
 
 #: Process-wide source of unique graph identifiers (see :attr:`GraphDB.uid`).
 _GRAPH_UIDS = itertools.count()
-
-#: How many recent mutations a graph's delta log retains.  The log exists so
-#: the engine can *refresh* a CSR index incrementally instead of rebuilding
-#: it (see :meth:`repro.engine.index.GraphIndex.refresh`); once a consumer
-#: falls further behind than this, it has to rebuild anyway, so older
-#: entries are dropped to bound memory.
-DELTA_LOG_CAP = 65536
 
 
 def mint_graph_uid() -> int:
@@ -64,20 +57,15 @@ class GraphDB:
         # Insertion-ordered edge registry (dict keys), like nodes and labels:
         # replaying it (copy) preserves the stable node/label
         # orders, so derived artifacts (CSR indexes, edge-list renderings,
-        # snapshots) are hash-seed independent.
+        # snapshots) are hash-seed independent.  Neither registry ever loses
+        # an entry, so the mutations since an older version are their tails
+        # (see :meth:`repro.engine.index.GraphIndex.refresh`).
         self._edges: dict[Edge, None] = {}
-        # adjacency: origin -> label -> set of ends
-        self._forward: dict[Node, dict[str, set[Node]]] = {}
         # Insertion-ordered label registry (dict keys), mirroring the node
         # registry: iteration order is the *stable label order*.
         self._labels: dict[str, None] = {}
         self._uid: int = next(_GRAPH_UIDS)
         self._version: int = 0
-        # Mutation delta log: one event per version increment, so the event
-        # for version v sits at index v - 1 - _delta_base.  Capped at
-        # DELTA_LOG_CAP (oldest entries dropped, _delta_base advanced).
-        self._delta: list[tuple] = []
-        self._delta_base: int = 0
 
     # -- construction --------------------------------------------------------
 
@@ -89,7 +77,6 @@ class GraphDB:
             self._nodes[node] = None
             self._node_order = None
             self._version += 1
-            self._log_mutation(("node", node))
         return node
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
@@ -109,8 +96,6 @@ class GraphDB:
         if edge not in self._edges:
             self._edges[edge] = None
             self._version += 1
-            self._log_mutation(("edge", origin, label, end))
-            self._forward.setdefault(origin, {}).setdefault(label, set()).add(end)
             if label not in self._labels:
                 self._labels[label] = None
                 if not self._fixed_alphabet:
@@ -158,8 +143,10 @@ class GraphDB:
     def version(self) -> int:
         """A counter incremented by every mutation (node or edge insertion).
 
-        The engine layer tags indexes and cached query results with the
-        version they were computed at and rebuilds them when it changes.
+        Nothing is ever removed and each mutation adds exactly one node or
+        one edge, so it always equals ``node_count() + edge_count()``.  The
+        engine layer tags indexes and cached query results with the version
+        they were computed at and refreshes or rebuilds them when it changes.
         """
         return self._version
 
@@ -185,6 +172,10 @@ class GraphDB:
     def edges(self) -> frozenset[Edge]:
         """The set of ``(origin, label, end)`` edges."""
         return frozenset(self._edges)
+
+    def iter_edges(self) -> Iterator[Edge]:
+        """The ``(origin, label, end)`` edges in insertion order (no copy)."""
+        return iter(self._edges)
 
     def node_count(self) -> int:
         """The number of nodes."""
@@ -234,46 +225,6 @@ class GraphDB:
         incremental index refresh extend the label tables in place.
         """
         return tuple(self._labels)
-
-    # -- mutation delta log ---------------------------------------------------
-
-    def _log_mutation(self, event: tuple) -> None:
-        self._delta.append(event)
-        overflow = len(self._delta) - DELTA_LOG_CAP
-        if overflow > 0:
-            del self._delta[:overflow]
-            self._delta_base = self._version - DELTA_LOG_CAP
-
-    def delta_since(self, version: int) -> list[tuple] | None:
-        """The mutation events applied after ``version``, oldest first.
-
-        Events are ``("node", node)`` and ``("edge", origin, label, end)``
-        tuples, one per version increment, in application order (so an
-        edge's endpoint-node events always precede the edge event).  Returns
-        ``None`` when the log no longer reaches back to ``version`` (the cap
-        dropped older entries) or ``version`` is from this graph's future --
-        the caller must then fall back to a full rebuild.
-        """
-        if version < self._delta_base or version > self._version:
-            return None
-        return self._delta[version - self._delta_base :]
-
-    # -- adjacency -----------------------------------------------------------
-
-    def successors(self, node: Node, label: str | None = None) -> frozenset[Node]:
-        """Nodes reachable from ``node`` by one edge (optionally of one label)."""
-        self._require_node(node)
-        by_label = self._forward.get(node, {})
-        if label is not None:
-            return frozenset(by_label.get(label, ()))
-        result: set[Node] = set()
-        for targets in by_label.values():
-            result.update(targets)
-        return frozenset(result)
-
-    def _require_node(self, node: Node) -> None:
-        if node not in self._nodes:
-            raise GraphError(f"node {node!r} is not in the graph")
 
     def copy(self) -> "GraphDB":
         """A deep copy of the graph."""

@@ -16,9 +16,9 @@ makes graphs *durable* and *cheap to reopen*:
 * :mod:`repro.storage.catalog` -- :class:`DatasetCatalog`, named snapshots
   on disk (paper figures, synthetic grids, ingested files).
 
-Incremental index maintenance -- the mutation delta log on
-:class:`~repro.graphdb.graph.GraphDB` and
-:meth:`~repro.engine.index.GraphIndex.refresh` -- lives with the graph and
+Incremental index maintenance --
+:meth:`~repro.engine.index.GraphIndex.refresh`, which reads the tails of a
+:class:`~repro.graphdb.graph.GraphDB`'s node and edge registries -- lives with the graph and
 engine layers, but it is the same contract: CSR arrays are canonical, so
 snapshot loads, refreshes and full rebuilds are byte-interchangeable.
 """

@@ -4,15 +4,15 @@
 :class:`~repro.engine.index.GraphIndex`) be used wherever a
 :class:`~repro.graphdb.graph.GraphDB` is expected -- queries, workspaces,
 experiment drivers -- without rebuilding adjacency dictionaries.  It
-answers the graph's read API (membership, node and label order, edges,
-successors) straight from the CSR arrays and advertises the index via
+answers the graph's read API (membership, node and label order, edges)
+straight from the CSR arrays and advertises the index via
 ``prebuilt_index``, which :meth:`QueryEngine.index_for
 <repro.engine.engine.QueryEngine.index_for>` adopts instead of building.
 
 The view is *frozen*: it shares the index's ``(uid, version)`` identity,
 and mutating it raises :class:`~repro.errors.GraphError`.  Call
 :meth:`GraphView.thaw` for a fully mutable :class:`GraphDB` copy (a fresh
-graph identity with its own delta log).
+graph identity with its own registries).
 """
 
 from __future__ import annotations
@@ -149,24 +149,6 @@ class GraphView:
         if origin_id is None or end_id is None or label_id is None:
             return False
         return end_id in index.successors_slice(label_id, origin_id)
-
-    # -- adjacency -----------------------------------------------------------
-
-    def successors(self, node: Node, label: str | None = None) -> frozenset[Node]:
-        index = self._index
-        node_id = index.node_ids.get(node)
-        if node_id is None:
-            raise GraphError(f"node {node!r} is not in the graph")
-        if label is None:
-            label_ids = range(index.num_labels)
-        elif label in index.label_ids:
-            label_ids = (index.label_ids[label],)
-        else:
-            return frozenset()
-        nodes_by_id, slice_of = index.nodes_by_id, index.successors_slice
-        return frozenset(
-            nodes_by_id[t] for label_id in label_ids for t in slice_of(label_id, node_id)
-        )
 
     # -- freezing and thawing --------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Unit tests for the synthetic, AliBaba-like and workflow graph generators."""
 
+import hashlib
+
 import pytest
 from oracles.graph import degree_statistics, label_histogram
 
@@ -31,6 +33,28 @@ class TestScaleFree:
         left = scale_free_graph(100, seed=42)
         right = scale_free_graph(100, seed=42)
         assert left.edges == right.edges
+
+    # sha256 of repr((tuple(graph.iter_edges()), graph.node_order)), taken
+    # when every label draw still re-accumulated the weights: precomputing
+    # ``cum_weights`` must draw the very same graph, edge order included.
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                lambda: scale_free_graph(2000, seed=29),
+                "8e09525918bcef77a3ec938d42fe32a5f2525a2873ee72a656ea7913aef2dd12",
+            ),
+            (
+                lambda: generate_alibaba_like(node_count=600, edge_count=1600, seed=11),
+                "8219b9ec6ec3d22631e7a7dcd20f3c7cb90a1e323760be40c2043c976f72604e",
+            ),
+        ],
+        ids=["zipf", "label_weights"],
+    )
+    def test_golden_graph(self, make, digest):
+        graph = make()
+        content = repr((tuple(graph.iter_edges()), graph.node_order)).encode()
+        assert hashlib.sha256(content).hexdigest() == digest
 
     def test_different_seeds_differ(self):
         assert scale_free_graph(100, seed=1).edges != scale_free_graph(100, seed=2).edges

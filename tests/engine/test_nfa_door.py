@@ -15,6 +15,7 @@ import random
 from functools import cache
 
 import pytest
+from oracles.graph import successors
 from oracles.paths import covered_by
 from oracles.product import (
     reference_any_node_selects,
@@ -76,7 +77,7 @@ def shortest_accepted_length(nfa: NFA, nodes) -> int | None:
         for node, state in level:
             for symbol in graph().labels():
                 for target_state in nfa.successors(state, symbol):
-                    for target_node in graph().successors(node, symbol):
+                    for target_node in successors(graph(), node, symbol):
                         pair = (target_node, target_state)
                         if pair not in seen:
                             seen.add(pair)

@@ -87,13 +87,20 @@ def test_a_negative_bound_is_refused(g0):
 
 
 def test_the_binary_learner_never_reads_dict_adjacency(g0, monkeypatch):
+    # GraphDB keeps no adjacency map, and once the engine holds the graph's
+    # CSR index the learner reads no edge of the graph itself.
+    assert not hasattr(GraphDB, "successors")
     sample = BinarySample([("v1", "v4"), ("v3", "v4")], [("v2", "v4"), ("v7", "v7")])
     expected = learn_binary_query(g0, sample, k=3, engine=QueryEngine()).to_dict()
+    engine = QueryEngine()
+    engine.index_for(g0)
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("GraphDB.successors was called")
+        raise AssertionError("the graph's edges were read")
 
-    monkeypatch.setattr(GraphDB, "successors", refuse)
-    result = learn_binary_query(g0, sample, k=3, engine=QueryEngine())
+    monkeypatch.setattr(GraphDB, "iter_edges", refuse)
+    monkeypatch.setattr(GraphDB, "edges", property(refuse))
+    monkeypatch.setattr(GraphDB, "has_edge", refuse)
+    result = learn_binary_query(g0, sample, k=3, engine=engine)
     assert result.scps and result.ok
     assert {**result.to_dict(), "elapsed": 0} == {**expected, "elapsed": 0}

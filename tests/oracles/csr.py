@@ -1,7 +1,8 @@
 """Reference CSR rows, read off the graph's own adjacency sets.
 
 For every label in the graph's first-use order and every node in its
-insertion order: the ascending ids of ``graph.successors(node, label)`` and
+insertion order: the ascending ids of ``oracles.graph.successors(graph,
+node, label)`` and
 of the origins of the edges into ``node`` (``oracles.graph.origins``), laid
 out as offsets and a flat targets array.  No packed codes, no sort of the
 edge set, no counting: the executable specification of the canonical form
@@ -12,8 +13,9 @@ each produce byte for byte.
 from __future__ import annotations
 
 from array import array
+from functools import partial
 
-from oracles.graph import origins
+from oracles.graph import origins, successors
 from repro.graphdb.graph import GraphDB
 
 
@@ -35,5 +37,6 @@ def reference_csr(graph: GraphDB) -> list[tuple[array, array, array, array]]:
         return reverse.get((node, label), set())
 
     return [
-        (*rows(graph.successors, label), *rows(predecessors, label)) for label in graph.label_order
+        (*rows(partial(successors, graph), label), *rows(predecessors, label))
+        for label in graph.label_order
     ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from heapq import heappop, heappush
 
+from oracles.graph import successors
 from repro.automata.alphabet import Word
 from repro.automata.nfa import NFA
 from repro.errors import GraphError, LearningError
@@ -57,7 +58,7 @@ def enumerate_paths(
         if len(word) >= max_length:
             continue
         for symbol in alphabet:
-            moved = frozenset(m for n in frontier for m in graph.successors(n, symbol))
+            moved = frozenset(m for n in frontier for m in successors(graph, n, symbol))
             extended = word + (symbol,)
             if moved and extended not in emitted:
                 heappush(heap, (alphabet.word_key(extended), extended, moved))
@@ -75,7 +76,7 @@ def covered_by(graph: GraphDB, word: Sequence[str], nodes: Iterable[Node]) -> bo
 def _read(graph: GraphDB, word: Sequence[str], frontier: set[Node]) -> set[Node]:
     """The nodes ``word`` leads to from ``frontier``."""
     for symbol in word:
-        frontier = {m for n in frontier for m in graph.successors(n, symbol)}
+        frontier = {m for n in frontier for m in successors(graph, n, symbol)}
     return frontier
 
 

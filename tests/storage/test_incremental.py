@@ -1,22 +1,23 @@
-"""Incremental index maintenance: delta-log refresh parity and cache behavior.
+"""Incremental index maintenance: registry-tail refresh parity and cache behavior.
 
 The storage layer's contract is that CSR arrays are *canonical*: a
 refreshed index must be byte-identical to a freshly built one, whatever
 interleaving of node/edge insertions produced the delta.  These tests pin
 that with randomized mutation sequences, and check the engine-level
 behavior on top: refreshes instead of rebuilds, result-cache invalidation
-across deltas, and the fallbacks (truncated log, oversized delta).
+across deltas, and the fallbacks (another graph, oversized delta).
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.engine import GraphIndex, QueryEngine
 from repro.graphdb import GraphDB
-from repro.graphdb.graph import DELTA_LOG_CAP
 from repro.queries import PathQuery
 
 
@@ -127,20 +128,14 @@ class TestRefreshFallbacks:
         assert index.refresh(graph, max_ratio=0.25) is None
         assert index.refresh(graph, max_ratio=10.0) is not None
 
-    def test_truncated_log_refused(self):
+    def test_graph_without_registries_refused(self):
+        # Same identity, newer version, but no insertion-ordered registries
+        # to read the delta from: only a rebuild can follow it.
         graph = GraphDB()
         graph.add_edge("a", "l", "b")
         index = GraphIndex.build(graph)
-        base_version = graph.version
-        for i in range(DELTA_LOG_CAP + 10):
-            graph.add_node(f"filler{i}")
-        assert graph.delta_since(base_version) is None
-        assert index.refresh(graph, max_ratio=1e9) is None
-
-    def test_delta_since_future_version_refused(self):
-        graph = GraphDB()
-        graph.add_edge("a", "l", "b")
-        assert graph.delta_since(graph.version + 1) is None
+        stand_in = SimpleNamespace(uid=graph.uid, version=graph.version + 1)
+        assert index.refresh(stand_in) is None
 
 
 class TestEngineIntegration:
@@ -223,26 +218,54 @@ class TestEngineIntegration:
         assert incremental.stats.index_builds == 1
 
 
-class TestDeltaLog:
-    def test_events_in_application_order(self):
-        graph = GraphDB()
-        base = graph.version
-        graph.add_edge("a", "l", "b")
-        graph.add_node("c")
-        events = graph.delta_since(base)
-        assert events == [("node", "a"), ("node", "b"), ("edge", "a", "l", "b"), ("node", "c")]
+#: One mutation: ("node", name) or ("edge", origin, label, end), over a few
+#: names so that duplicate nodes and edges are common.
+_NAMES = st.sampled_from("abcde")
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("node"), _NAMES),
+    st.tuples(st.just("edge"), _NAMES, st.sampled_from("lm"), _NAMES),
+)
 
-    def test_log_survives_pickle_roundtrip(self):
+
+class TestRegistryDelta:
+    @given(st.lists(_MUTATIONS, max_size=40))
+    def test_version_counts_registered_nodes_and_edges(self, mutations):
+        graph = GraphDB()
+        for mutation in mutations:
+            if mutation[0] == "node":
+                graph.add_node(mutation[1])
+            else:
+                graph.add_edge(*mutation[1:])
+            assert graph.version == graph.node_count() + graph.edge_count()
+
+    def test_refresh_past_the_old_log_cap_matches_build(self):
+        # More than 65,536 mutations since the index: the capped delta log
+        # the registries replaced could not reach back this far.
+        graph = GraphDB()
+        graph.add_edge("a", "l", "b")
+        index = GraphIndex.build(graph)
+        for i in range(35_000):
+            graph.add_edge(f"n{i}", "l" if i % 3 else "m", f"n{i + 1}")
+        assert graph.version - index.graph_version > 65_536
+        refreshed = index.refresh(graph, max_ratio=1e6)
+        assert refreshed is not None
+        assert_byte_identical(refreshed, GraphIndex.build(graph))
+
+    def test_pickled_graph_keeps_its_registries_under_a_fresh_uid(self):
         import pickle
 
         graph = GraphDB()
         graph.add_edge("a", "l", "b")
         index = GraphIndex.build(graph)
         clone = pickle.loads(pickle.dumps(graph))
+        assert clone.uid != graph.uid
+        assert tuple(clone.iter_edges()) == tuple(graph.iter_edges())
+        assert clone.node_order == graph.node_order
+        assert clone.version == graph.version
         clone.add_edge("b", "l", "c")
         # The clone has a fresh uid, so the old index refuses to refresh it...
         assert index.refresh(clone) is None
-        # ...but the clone's own index pipeline works end to end.
+        # ...but the clone's own index refreshes from its registries' tails.
         clone_index = GraphIndex.build(clone)
         clone.add_edge("c", "l", "d")
         assert_byte_identical(clone_index.refresh(clone, max_ratio=10.0), GraphIndex.build(clone))
