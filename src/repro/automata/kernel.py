@@ -702,17 +702,32 @@ class MergeFold(TableAutomaton):
     learner loop therefore never copies the automaton: a rejected candidate
     costs exactly the work of undoing its own writes (:meth:`changes` and
     the ``_id`` methods say what moved, and which candidate a commit kept).
+
+    ``rejecting`` masks states outside the language (an augmented PTA's):
+    :meth:`merge` refuses to make their class final (``refused`` counts).
     """
 
-    __slots__ = ("alphabet", "n", "m", "_parent", "_trans", "finals", "_initial", "_log", "_commit")
+    __slots__ = (
+        "alphabet",
+        "n",
+        "m",
+        "_parent",
+        "_trans",
+        "finals",
+        "rejecting",
+        "refused",
+        "_initial",
+        "_log",
+        "_commit",
+    )
 
-    def __init__(self, table: TableDFA) -> None:
+    def __init__(self, table: TableDFA, rejecting: int = 0) -> None:
         self.alphabet = table.alphabet
         self.n = table.n
         self.m = table.m
         self._parent = list(range(table.n))
         self._trans = array("i", table.trans)
-        self.finals = table.finals
+        self.finals, self.rejecting, self.refused = table.finals, rejecting, 0
         self._initial = table.initial
         # (_UNION, child, root) per union, (_TRANS, slot, old target) per row write.
         self._log: list[tuple[int, int, int]] = []
@@ -737,10 +752,6 @@ class MergeFold(TableAutomaton):
         """The root of the class containing the original initial state."""
         return self.find(self._initial)
 
-    def is_final(self, state: int) -> bool:
-        """Whether the class rooted at ``state`` is accepting."""
-        return bool((self.finals >> state) & 1)
-
     def roots(self) -> list[int]:
         """The class roots (the hypothesis states), in increasing id order."""
         parent = self._parent
@@ -760,11 +771,11 @@ class MergeFold(TableAutomaton):
 
     # -- speculative merging -------------------------------------------------
 
-    def mark(self) -> tuple[int, int]:
-        """A checkpoint to :meth:`rollback` to (log position + finals mask)."""
-        return len(self._log), self.finals
+    def mark(self) -> tuple[int, int, int]:
+        """A checkpoint to :meth:`rollback` to (log position, finals, rejecting)."""
+        return len(self._log), self.finals, self.rejecting
 
-    def merge(self, keep: int, remove: int) -> None:
+    def merge(self, keep: int, remove: int) -> bool:
         """Merge ``remove``'s class into ``keep``'s and fold to determinism.
 
         Exactly the classical merge-and-fold: when the union makes two
@@ -772,6 +783,7 @@ class MergeFold(TableAutomaton):
         classes, those targets are merged in turn.  The smaller root wins
         every union, so a class is always represented by its canonically
         smallest member.  All mutations are appended to the undo log.
+        False, mid-fold, at the first union that makes a rejecting class final.
         """
         trans, parent, m = self._trans, self._parent, self.m
         log = self._log
@@ -785,8 +797,11 @@ class MergeFold(TableAutomaton):
                 root, child = child, root
             log.append((_UNION, child, root))
             parent[child] = root
-            if (self.finals >> child) & 1:
-                self.finals |= 1 << root
+            self.finals |= (self.finals >> child & 1) << root
+            self.rejecting |= (self.rejecting >> child & 1) << root
+            if (self.finals & self.rejecting) >> root & 1:
+                self.refused += 1
+                return False
             root_base, child_base = root * m, child * m
             for position in range(m):
                 child_target = trans[child_base + position]
@@ -798,10 +813,11 @@ class MergeFold(TableAutomaton):
                     trans[root_base + position] = child_target
                 elif self.find(root_target) != self.find(child_target):
                     pending.append((root_target, child_target))
+        return True
 
-    def rollback(self, mark: tuple[int, int]) -> None:
+    def rollback(self, mark: tuple[int, int, int]) -> None:
         """Undo every mutation after ``mark`` (a rejected candidate merge)."""
-        position, finals = mark
+        position, self.finals, self.rejecting = mark
         log, parent, trans = self._log, self._parent, self._trans
         while len(log) > position:
             kind, where, value = log.pop()
@@ -809,7 +825,6 @@ class MergeFold(TableAutomaton):
                 parent[where] = where  # a union's child was a root
             else:
                 trans[where] = value
-        self.finals = finals
 
     def commit(self) -> None:
         """Accept the speculative merges: compress paths, start a new log."""
@@ -852,9 +867,6 @@ class MergeFold(TableAutomaton):
         """Whether the current hypothesis accepts a word of symbols."""
         index = self.alphabet.index
         return self.accepts_ids([index(symbol) for symbol in word])
-
-    def __len__(self) -> int:
-        return len(self.roots())
 
     def __repr__(self) -> str:
         return f"MergeFold(classes={len(self.roots())}, of={self.n})"
@@ -913,6 +925,7 @@ def fold_generalize(
     violates: Callable[[MergeFold], bool],
     *,
     max_merges: int | None = None,
+    rejecting: int = 0,
 ) -> MergeFold:
     """Algorithm 1's red-blue generalization run in place on a fold.
 
@@ -921,12 +934,13 @@ def fold_generalize(
     ``accepts``/``accepts_ids``) and must return True when it is
     unacceptable (e.g. selects a negative node).  A candidate merge is kept
     only if the merged fold passes; rejected candidates are rolled back in
-    place, so no copy of the automaton is ever made.
+    place, so no copy of the automaton is ever made.  A candidate the fold's
+    ``rejecting`` mask refuses (:class:`MergeFold`) skips ``violates``.
 
     States are considered in canonical order -- which, for PTA tables from
     :func:`pta_table`, is plain int order of state ids.
     """
-    fold = MergeFold(table)
+    fold = MergeFold(table, rejecting)
     if violates(fold):
         raise LearningError("the initial automaton already violates the guard")
     find = fold.find
@@ -951,8 +965,7 @@ def fold_generalize(
         merged = False
         for red_state in red:  # kept sorted: canonical trial order
             mark = fold.mark()
-            fold.merge(red_state, candidate)
-            if violates(fold):
+            if not fold.merge(red_state, candidate) or violates(fold):
                 fold.rollback(mark)
                 continue
             fold.commit()

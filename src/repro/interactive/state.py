@@ -117,8 +117,8 @@ class SessionState:
         self._unlabeled: list[int] | None = None
         self._pending_positives: list[Node] = []
         self._pending_negatives: list[Node] = []
-        #: Incrementality counters (reported by the simulation driver); a ``kS``
-        #: candidate's one ``count_queries`` is its verdict: no ``node_walks``.
+        #: Incrementality counters (reported by the simulation driver); a ``kS`` candidate's
+        #: ``count_queries`` is its verdict (no ``node_walks``); ``guard_calls`` counts guard walks.
         self.counters = {
             "batched_walks": 0,
             "node_walks": 0,

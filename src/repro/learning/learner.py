@@ -8,7 +8,11 @@ paper exactly:
 1. select, for each positive node, its smallest consistent path of length at
    most ``k`` (skipping positives that have none);
 2. build the prefix tree acceptor of those paths;
-3. generalize it by state merging while no negative node is selected;
+3. generalize it by state merging while no negative node is selected.  A
+   non-final PTA state is a proper prefix of an SCP (no SCP is a proper
+   prefix of another, whose SCP it would be), so a shorter path of that
+   positive, so covered: a merge that makes its class final selects a
+   negative, and the fold's ``rejecting`` mask refuses it unwalked;
 4. return the resulting query if it selects *every* positive node, otherwise
    return null.  Only the positives that contributed no SCP are walked: one
    with an SCP has that word as a path, the PTA accepts it, and merging and
@@ -205,10 +209,13 @@ def learn_path_query(
 
         with telemetry.span("learner.generalize", pta_states=pta.n) as merge_span:
             calls_before = coverage.guard_calls
-            fold = fold_generalize(pta, coverage.merge_guard(graph=graph, engine=engine))
+            guard = coverage.merge_guard(graph=graph, engine=engine)
+            fold = fold_generalize(pta, guard, rejecting=((1 << pta.n) - 1) & ~pta.finals)
             canonical = canonical_table(fold.to_table())
             merge_span.set(
-                generalized_states=canonical.n, guard_calls=coverage.guard_calls - calls_before
+                generalized_states=canonical.n,
+                guard_calls=coverage.guard_calls - calls_before,
+                refused_merges=fold.refused,
             )
 
         with telemetry.span("learner.final_check"):
@@ -287,12 +294,15 @@ def learn_with_dynamic_k(
 
     One learning episode: the sample is checked once, and every ``k``
     attempt shares one :class:`~repro.learning.scp.NegativeCoverage`, so a
-    retry does not recompute the frontiers of the attempt before it.  Each
-    attempt's fold gets its own merge guard.
+    retry does not recompute the frontiers, or search again the SCPs, of the
+    attempts before it.  Each attempt's fold gets its own merge guard, and
+    ``elapsed`` adds the check and the coverage build to the attempts' times.
     """
+    started = time.perf_counter()
     sample.check_against(graph)
     coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
-    return dynamic_k_procedure(
+    setup = time.perf_counter() - started
+    result = dynamic_k_procedure(
         learn_path_query,
         graph,
         sample,
@@ -301,3 +311,4 @@ def learn_with_dynamic_k(
         engine=engine,
         coverage=coverage,
     )
+    return replace(result, elapsed=setup + result.elapsed)

@@ -41,7 +41,9 @@ and dropped with it; it is stale as soon as the graph's index or the
 negative set moves (:meth:`NegativeCoverage.is_current`).  A grown
 negative set gets a new coverage built ``memo_from`` the old one: the
 interned frontiers, step memo and per-state label masks depend on the index
-alone and live as long as it; the initial state and table cut do not.
+alone and live as long as it; the initial state, table cut and SCP memo do
+not (a new negative may cover an old SCP).  The SCP memo lives as long as
+the coverage: each positive's SCP is searched once per episode.
 A guard's reachable set lives for its one fold run.
 
 The exact, unbounded checks of Lemmas 3.1 and 4.1
@@ -82,7 +84,8 @@ class NegativeCoverage:
     once over the index's per-label CSR slices.
 
     :meth:`merge_guard` is the merge guard against the node set, one per
-    fold run; ``guard_calls`` counts its calls over the episode.
+    fold run; ``guard_calls`` counts its walks over the episode (a merge the
+    fold's ``rejecting`` mask refuses asks no guard).
     """
 
     __slots__ = (
@@ -96,6 +99,7 @@ class NegativeCoverage:
         "_covered",
         "_table",
         "_labels",
+        "_scps",
         "guard_calls",
     )
 
@@ -123,6 +127,8 @@ class NegativeCoverage:
         self._table: tuple[tuple[int, Alphabet], TableDFA] | None = None
         # The last alphabet walked over (``_alphabet_labels``).
         self._labels: tuple[Alphabet | None, list[tuple[str, int]], int] = (None, [], 0)
+        # node -> (largest k searched, its SCP or None), for the alphabet kept.
+        self._scps: tuple[Alphabet | None, dict[Node, tuple[int, Word | None]]] = (None, {})
         self.guard_calls = 0
 
     def is_current(self, graph: GraphDB, nodes: Iterable[Node]) -> bool:
@@ -303,8 +309,18 @@ class NegativeCoverage:
         """The canonically smallest path of ``node`` (length <= k) not covered.
 
         ``None`` when every path of the node within the bound is covered.
+        Memoised: an SCP ``w`` answers every bound (``None`` below ``len(w)``,
+        whose words all precede ``w``), ``None`` every bound up to its own.
         """
-        return next(self.uncovered_paths(node, k, alphabet), None)
+        if k < 0:
+            raise LearningError("the path-length bound k must be non-negative")
+        if self._scps[0] is not alphabet:
+            self._scps = (alphabet, {})
+        searched, word = self._scps[1].get(node, (-1, None))
+        if word is None and k > searched:
+            word = next(self.uncovered_paths(node, k, alphabet), None)
+            self._scps[1][node] = (k, word)
+        return word if word is not None and len(word) <= k else None
 
     def smallest_uncovered_pair_path(
         self,

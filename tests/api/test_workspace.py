@@ -112,7 +112,10 @@ def test_learn_dynamic_k_applies_to_binary_semantics():
 
 
 def test_dynamic_k_elapsed_covers_all_attempts(monkeypatch):
+    """Every attempt counts, and so does the episode's own set-up: the
+    learner module's clock moves 100 s while the coverage is built."""
     from dataclasses import replace
+    from types import SimpleNamespace
 
     import repro.learning.learner as learner_mod
 
@@ -123,13 +126,23 @@ def test_dynamic_k_elapsed_covers_all_attempts(monkeypatch):
         calls.append(k)
         return replace(real(graph, sample, k=k, engine=engine, coverage=coverage), elapsed=1.0)
 
+    now = [0.0]
+    build = learner_mod.NegativeCoverage
+
+    def slow_build(index, nodes):
+        now[0] += 100.0
+        return build(index, nodes)
+
     monkeypatch.setattr(learner_mod, "learn_path_query", spy)
+    monkeypatch.setattr(learner_mod, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(learner_mod, "NegativeCoverage", slow_build)
     sample = Sample(positives={"N2", "N6"}, negatives={"N5"})
     result = learner_mod.learn_with_dynamic_k(
         geo_graph(), sample, k_start=0, k_max=4, engine=QueryEngine()
     )
     assert len(calls) > 1  # k had to grow
-    assert result.elapsed == float(len(calls))  # whole procedure, not last try
+    # The whole procedure, not the last try, and the set-up before the first.
+    assert result.elapsed == float(len(calls)) + 100.0
 
 
 def test_learn_fixed_k_and_baseline():
