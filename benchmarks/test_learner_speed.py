@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import time
 
+from oracles.automata import table_of
 from oracles.generalize import prefix_tree_acceptor, reference_generalize_pta
 from oracles.minimize import reference_canonical_dfa
 from oracles.paths import smallest_consistent_path
@@ -59,8 +60,9 @@ def _legacy_learn(graph, sample, *, k, engine):
     Object-level SCP selection (multi-source ``covered_by`` from scratch
     per candidate path), DFA-object PTA, copying red-blue generalization,
     Moore minimization -- wired to the same engine-backed merge guard the
-    kernel path uses, so the measured difference is the automata kernel,
-    not the graph index.
+    kernel path uses (each candidate int-coded for it, as the engine's
+    object-DFA door once did), so the measured difference is the automata
+    kernel, not the graph index.
     """
     scps = {}
     for node in sample.positives:
@@ -75,10 +77,10 @@ def _legacy_learn(graph, sample, *, k, engine):
     def violates(candidate):
         if not negatives:
             return False
-        return engine.any_selects(graph, candidate, negatives, ephemeral=True)
+        return engine.any_selects(graph, table_of(candidate), negatives, ephemeral=True)
 
     generalized = reference_generalize_pta(pta, violates, alphabet=graph.alphabet)
-    canonical = reference_canonical_dfa(generalized)
+    canonical = table_of(reference_canonical_dfa(generalized))
     all(engine.selects(graph, canonical, node) for node in sample.positives)
     return PathQuery(canonical)
 

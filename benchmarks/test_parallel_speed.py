@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import time
 
-from repro.automata.kernel import TableDFA
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import executor
 from repro.engine.engine import QueryEngine
 from repro.engine.index import GraphIndex
-from repro.regex import compile_query
+from repro.regex.build import compile_table
 
 #: ~100k edges: 33k nodes x 3 edges each (scale_free_graph's density).
 VECTOR_NODES = 33_000
@@ -34,10 +33,7 @@ EXPRESSION_SHAPES = [
 def _workload(node_count: int, seed: int):
     graph = scale_free_graph(node_count, alphabet_size=8, zipf_exponent=1.0, seed=seed)
     labels = sorted(graph.labels())
-    plans = [
-        TableDFA.from_dfa(compile_query(shape.format(*labels), tuple(labels)))[0]
-        for shape in EXPRESSION_SHAPES
-    ]
+    plans = [compile_table(shape.format(*labels), tuple(labels)) for shape in EXPRESSION_SHAPES]
     return graph, plans
 
 

@@ -1,30 +1,29 @@
-"""The int-coded automata kernel: one array-backed DFA core for every layer.
+"""The int-coded automata kernel: the one automaton form of the library.
 
-Everything above this module -- the automata algebra, the RPNI-style
-learners and the query engine's plan compiler -- used to run on ``DFA``/
-``NFA`` objects with hashable states and nested transition dicts, and the
-engine then re-flattened every hypothesis into int tables anyway.  This
-module is the single dense representation they now share:
+Every layer -- the regex compiler, the learners, the planner and the query
+engine's walks -- computes on the dense representation defined here:
 
 * :class:`TableDFA` -- states are ``0..n-1``, symbols are the interned ids
   of an :class:`~repro.automata.alphabet.Alphabet` (``0..m-1``), the
   transition function is one flat ``array('i')`` of size ``n * m`` with
   ``-1`` for missing transitions, and the accepting set is an int bitmask.
+  :meth:`TableDFA.canonical` is the paper's canonical DFA (a query's size is
+  its state count).
 * Kernel-native algorithms -- PTA construction from interned words
   (:func:`pta_table`), Hopcroft minimization (:meth:`TableDFA.minimized`),
-  subset determinization (:meth:`TableDFA.from_nfa`), language inclusion on
-  the reachable product (:func:`language_included_tables`) and batched
-  membership (:meth:`TableDFA.accepts_many`).
+  language inclusion on the reachable product
+  (:func:`language_included_tables`) and batched membership
+  (:meth:`TableDFA.accepts_many`).
 * :class:`MergeFold` -- the union-find RPNI merge-and-fold: candidate
   merges are applied *in place* against an undo log (:meth:`MergeFold.mark` /
   :meth:`MergeFold.rollback`), so the learner's merge loop never clones the
   hypothesis automaton.  :func:`fold_generalize` is the red-blue loop of
   Algorithm 1 run directly on the fold.
 
-The object automata (:mod:`repro.automata.dfa`, :mod:`~repro.automata.nfa`)
-and :mod:`~repro.automata.minimize` are thin views that convert at the
-boundary; the engine's walks (:func:`repro.engine.executor.bind`) read the
-kernel arrays directly.
+The engine's walks (:func:`repro.engine.executor.bind`) read the kernel
+arrays directly.  Object-level automata with hashable states are the
+vocabulary of the test oracles (``tests/oracles/automata.py``), not of the
+library.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.automata.alphabet import Alphabet, Word
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
 from repro.errors import AutomatonError, LearningError
 
 #: Sentinel for a missing transition in a transition table.
@@ -107,109 +104,6 @@ class TableDFA(TableAutomaton):
     def blank(cls, alphabet: Alphabet, n: int) -> "TableDFA":
         """An ``n``-state automaton with no transitions and no finals."""
         return cls(alphabet, n=n, trans=array("i", [NO_STATE] * (n * len(alphabet))), finals=0)
-
-    @classmethod
-    def from_dfa(cls, dfa: DFA) -> tuple["TableDFA", list]:
-        """Int-code a :class:`DFA`; returns the table and the state order.
-
-        States are numbered in BFS order from the initial state (symbols
-        explored in alphabet order, so two isomorphic DFAs int-code to
-        identical tables); unreachable states follow, sorted by ``repr``.
-        """
-        alphabet = dfa.alphabet
-        order: list = [dfa.initial]
-        seen = {dfa.initial}
-        queue = deque([dfa.initial])
-        while queue:
-            state = queue.popleft()
-            for symbol in alphabet:
-                target = dfa.delta(state, symbol)
-                if target is not None and target not in seen:
-                    seen.add(target)
-                    order.append(target)
-                    queue.append(target)
-        for state in sorted(dfa.states - seen, key=repr):
-            order.append(state)
-        ids = {state: index for index, state in enumerate(order)}
-        n, m = len(order), len(alphabet)
-        trans = array("i", [NO_STATE] * (n * m))
-        for source, symbol, target in dfa.transitions():
-            trans[ids[source] * m + alphabet.index(symbol)] = ids[target]
-        finals = 0
-        for state in dfa.final_states:
-            finals |= 1 << ids[state]
-        return cls(alphabet, n=n, trans=trans, finals=finals, initial=0), order
-
-    @classmethod
-    def from_nfa(cls, nfa: NFA) -> tuple["TableDFA", list[frozenset]]:
-        """Subset-determinize an :class:`NFA`; returns the table and subsets.
-
-        Only the reachable part of the subset automaton is built (symbols in
-        alphabet order, breadth first).  ``subsets[i]`` is the frozenset of
-        NFA states the table state ``i`` stands for.
-
-        Every subset is epsilon-closed by construction, so its successors
-        are read off its members' own moves: one pass buckets them by symbol
-        position (each move's target closed once per NFA state, memoised),
-        and only the positions that occur are visited -- not one
-        ``nfa.step`` per alphabet symbol.
-        """
-        alphabet = nfa.alphabet
-        m = len(alphabet)
-        index = alphabet.index
-        nfa_finals = nfa.final_states
-        closures: dict = {}
-        start = nfa.epsilon_closure(nfa.initial_states)
-        subsets: list[frozenset] = [start]
-        ids: dict[frozenset, int] = {start: 0}
-        rows: list[array] = [array("i", [NO_STATE] * m)]
-        finals = 1 if (start & nfa_finals) else 0
-        queue: deque[int] = deque([0])
-        while queue:
-            current = queue.popleft()
-            row = rows[current]
-            buckets: dict[int, set] = {}
-            for state in subsets[current]:
-                for symbol, moved in nfa.outgoing(state):
-                    closure = closures.get(moved)
-                    if closure is None:
-                        closure = closures[moved] = nfa.epsilon_closure((moved,))
-                    buckets.setdefault(index(symbol), set()).update(closure)
-            for position in sorted(buckets):
-                target = frozenset(buckets[position])
-                target_id = ids.get(target)
-                if target_id is None:
-                    target_id = len(subsets)
-                    ids[target] = target_id
-                    subsets.append(target)
-                    rows.append(array("i", [NO_STATE] * m))
-                    if target & nfa_finals:
-                        finals |= 1 << target_id
-                    queue.append(target_id)
-                row[position] = target_id
-        trans = array("i")
-        for row in rows:
-            trans.extend(row)
-        return cls(alphabet, n=len(subsets), trans=trans, finals=finals), subsets
-
-    def to_dfa(self, states: Sequence | None = None) -> DFA:
-        """Materialize a :class:`DFA`; ``states[i]`` names table state ``i``."""
-        labels: Sequence = range(self.n) if states is None else states
-        dfa = DFA(
-            self.alphabet,
-            initial=labels[self.initial],
-            states=(labels[s] for s in range(self.n)),
-            finals=(labels[s] for s in self.iter_finals()),
-        )
-        trans, m = self.trans, self.m
-        symbols = self.alphabet.symbols
-        for source in range(self.n):
-            base = source * m
-            for position in range(m):
-                target = trans[base + position]
-                if target >= 0:
-                    dfa.add_transition(labels[source], symbols[position], labels[target])
-        return dfa
 
     # -- protocol ------------------------------------------------------------
 
@@ -573,16 +467,12 @@ def _hopcroft(n: int, m: int, trans: array, finals: int) -> tuple[list[int], int
 # -- PTA -----------------------------------------------------------------------
 
 
-def pta_table(
-    alphabet: Alphabet, words: Iterable[Sequence[str]], *, with_prefixes: bool = False
-) -> "TableDFA | tuple[TableDFA, list[Word]]":
+def pta_table(alphabet: Alphabet, words: Iterable[Sequence[str]]) -> TableDFA:
     """The prefix tree acceptor of ``words`` as a :class:`TableDFA`.
 
     States are numbered in the *canonical order* of their prefixes (breadth
     first, symbols in alphabet order), so plain int comparison of state ids
-    realizes the merge order Algorithm 1 and RPNI rely on.  With
-    ``with_prefixes=True`` the prefix words themselves are returned too (the
-    classic DFA wrapper uses them as state names).
+    realizes the merge order Algorithm 1 and RPNI rely on.
     """
     index = alphabet.index
     m = len(alphabet)
@@ -603,18 +493,14 @@ def pta_table(
 
     # Canonical (BFS, symbol-ordered) renumbering of the trie.
     order: list[int] = [0]
-    prefixes: list[Word] = [()]
     ids = {0: 0}
     queue = deque([0])
-    symbols = alphabet.symbols
     while queue:
         node = queue.popleft()
-        prefix = prefixes[ids[node]]
         for symbol_id in sorted(children[node]):
             child = children[node][symbol_id]
             ids[child] = len(order)
             order.append(child)
-            prefixes.append(prefix + (symbols[symbol_id],))
             queue.append(child)
 
     n = len(order)
@@ -626,10 +512,7 @@ def pta_table(
         base = node_id * m
         for symbol_id, child in children[node].items():
             trans[base + symbol_id] = ids[child]
-    tdfa = TableDFA(alphabet, n=n, trans=trans, finals=finals, initial=0)
-    if with_prefixes:
-        return tdfa, prefixes
-    return tdfa
+    return TableDFA(alphabet, n=n, trans=trans, finals=finals, initial=0)
 
 
 # -- inclusion -----------------------------------------------------------------
@@ -899,25 +782,6 @@ class MergeFold(TableAutomaton):
             finals=finals,
             initial=ids[self.initial],
         )
-
-    def to_dfa(self, labels: Sequence) -> DFA:
-        """The quotient as a :class:`DFA`, roots named by ``labels[root]``."""
-        roots = self.roots()
-        m, find = self.m, self.find
-        symbols = self.alphabet.symbols
-        dfa = DFA(
-            self.alphabet,
-            initial=labels[self.initial],
-            states=(labels[root] for root in roots),
-            finals=(labels[root] for root in roots if (self.finals >> root) & 1),
-        )
-        for root in roots:
-            base = root * m
-            for position in range(m):
-                target = self._trans[base + position]
-                if target >= 0:
-                    dfa.add_transition(labels[root], symbols[position], labels[find(target)])
-        return dfa
 
 
 def fold_generalize(

@@ -11,19 +11,15 @@ experiment drivers normalize queries to this form before comparing them.
 Both questions are read off the canonical *table*
 (:class:`~repro.automata.kernel.TableDFA`): every state of a canonical
 automaton lies on some accepting run, so the language is prefix-free iff no
-final row has a move.  :class:`~repro.queries.PathQuery` calls the
-``*_table`` functions on the table it stores; the classic entry points
-canonicalise whatever automaton they are given first.
+final row has a move.  :class:`~repro.queries.PathQuery` calls both on the
+table it stores.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from repro.automata.dfa import DFA
 from repro.automata.kernel import NO_STATE, TableDFA
-from repro.automata.minimize import canonical_table
-from repro.automata.nfa import NFA
 
 
 def is_prefix_free_table(canonical: TableDFA) -> bool:
@@ -57,12 +53,3 @@ def prefix_free_table(canonical: TableDFA) -> TableDFA:
     stripped = TableDFA(canonical.alphabet, n=canonical.n, trans=trans, finals=canonical.finals)
     return stripped.canonical()
 
-
-def is_prefix_free(automaton: DFA | NFA | TableDFA) -> bool:
-    """Whether no accepted word is a proper prefix of another accepted word."""
-    return is_prefix_free_table(canonical_table(automaton))
-
-
-def prefix_free(automaton: DFA | NFA | TableDFA) -> DFA:
-    """The canonical DFA of the prefix-free query equivalent to the input."""
-    return prefix_free_table(canonical_table(automaton)).to_dfa()

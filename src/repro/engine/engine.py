@@ -3,9 +3,9 @@
 The engine ties the subsystem together.  For every call it
 
 1. resolves the query to its *plan* through the LRU plan cache.  A plan is
-   a kernel :class:`~repro.automata.kernel.TableDFA` -- the one transition
-   format every layer shares: a ``PathQuery``/``BinaryPathQuery`` carries
-   its canonical table, a raw ``DFA``/``NFA`` is int-coded once at the door
+   a kernel :class:`~repro.automata.kernel.TableDFA` -- the one automaton
+   form of the library: a ``PathQuery``/``BinaryPathQuery`` carries its
+   canonical table, a bare table or a mid-merge fold is taken as it is
    (:meth:`QueryEngine._coerce_automaton`), and the cache entry is the
    table the planner made of it (or the table itself, planner off) plus
    the rewrite report,
@@ -27,9 +27,7 @@ from time import perf_counter
 from weakref import WeakKeyDictionary, ref
 
 from repro.automata.alphabet import Word
-from repro.automata.dfa import DFA
 from repro.automata.kernel import MergeFold, TableAutomaton, TableDFA
-from repro.automata.nfa import NFA
 from repro.engine.cache import PlanCache, ResultCache, shared_caches
 from repro.engine.executor import KernelStats
 from repro.engine import executor
@@ -42,8 +40,8 @@ from repro.telemetry import Telemetry
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import QueryProfile, fingerprint_token
 
-#: Anything the engine accepts as a query: a raw automaton or a query object
-#: carrying its canonical ``table`` (``PathQuery``, ``BinaryPathQuery``).
+#: Anything the engine accepts as a query: a kernel automaton or a query
+#: object carrying its canonical ``table`` (``PathQuery``, ``BinaryPathQuery``).
 Query = object
 
 #: Labeled dispatch counters: family -> (metric name, help, label key).
@@ -417,8 +415,8 @@ class QueryEngine:
         """
         if table is None:
             table = self._coerce_automaton(query)
-        # Only a query's own table is canonical by construction; a raw
-        # automaton int-coded at the door or a materialized fold is not.
+        # Only a query's own table is canonical by construction; a bare
+        # table or a materialized fold is not.
         canonical = table is getattr(query, "table", None)
         if isinstance(table, MergeFold):
             table = table.to_table()
@@ -478,27 +476,19 @@ class QueryEngine:
     def _coerce_automaton(query: Query) -> TableAutomaton:
         """The kernel automaton of anything the engine accepts as a query.
 
-        The front door: a kernel table or fold passes as it is, a query
-        object hands over its canonical ``table``, and a raw ``DFA``/``NFA``
-        is int-coded here, once (an ``NFA`` by subset construction, so what
-        is walked is always deterministic).  An NFA with epsilon transitions
-        is refused, as the reference product construction refuses it.
+        The front door: a kernel table or fold passes as it is and a query
+        object hands over its canonical ``table``; anything else is a
+        :class:`QueryError`.
         """
         if isinstance(query, TableAutomaton):
             return query
-        if isinstance(query, DFA):
-            return TableDFA.from_dfa(query)[0]
-        if isinstance(query, NFA):
-            if query.has_epsilon_transitions:
-                raise GraphError("query automata must be epsilon-free; determinize first")
-            return TableDFA.from_nfa(query)[0]
         table = getattr(query, "table", None)
         if isinstance(table, TableDFA):
             return table
         raise QueryError(
-            f"cannot evaluate {type(query).__name__!r}: expected a DFA, an NFA, "
-            "a kernel TableDFA/MergeFold or a query carrying its canonical "
-            "'table' (PathQuery, BinaryPathQuery)"
+            f"cannot evaluate {type(query).__name__!r}: expected a kernel "
+            "TableDFA/MergeFold or a query carrying its canonical 'table' "
+            "(PathQuery, BinaryPathQuery)"
         )
 
     # -- kernel dispatch -----------------------------------------------------
@@ -612,11 +602,6 @@ class QueryEngine:
             if max_depth < 0:
                 raise QueryError(f"max_depth must be non-negative, got {max_depth}")
         if ephemeral:
-            if isinstance(query, (DFA, NFA)):
-                raise QueryError(
-                    "ephemeral whole-graph evaluation needs a kernel "
-                    f"TableDFA/MergeFold, got {type(query).__name__}"
-                )
             query = self._coerce_automaton(query)
         return self._whole_graph(graph, query, "evaluate", ephemeral, max_depth, names)
 

@@ -19,8 +19,8 @@ numpy twins keep loops of their own; each says why.
 Every walk reads its transitions through :func:`bind`, and :func:`bind`
 reads one format: the kernel's flat transition array, handed over as a
 :class:`~repro.automata.kernel.TableDFA` or a mid-merge
-:class:`~repro.automata.kernel.MergeFold` (the engine int-codes a raw
-``DFA``/``NFA`` once, at its front door).  It yields :class:`BoundMoves`:
+:class:`~repro.automata.kernel.MergeFold` (the library's one automaton
+form; there is nothing to int-code).  It yields :class:`BoundMoves`:
 per-state rows of moves already resolved to the index's CSR label ids.  A
 walk looks a popped state's row up once and runs the per-edge loop inline
 over it, so its cost scales with the state's out-degree, not with the
@@ -213,7 +213,7 @@ def bind(index: GraphIndex, query: TableAutomaton, *, rare_first: bool = False) 
     The only place that reads the transition format, and it reads one: the
     flat array of a kernel table or mid-merge fold, bound lazily (see
     :class:`_LazyRows`).  Anything else is a :class:`~repro.errors.QueryError`
-    -- raw automata are int-coded by the engine before they get here.  With
+    (the engine hands over a query object's ``table``).  With
     ``rare_first`` every row, forward and backward, lists its moves by
     ascending per-label edge count: an early-exit search then grows the
     small frontiers first.  The reachable sets are the same under any move

@@ -6,8 +6,6 @@ This is the paper's primary contribution:
 * :mod:`repro.learning.consistency` -- the exact (Lemma 3.1) and bounded
   consistency checks;
 * :mod:`repro.learning.scp` -- selection of the smallest consistent paths;
-* :mod:`repro.learning.generalize` -- RPNI-style generalization of the PTA
-  guarded by the negative examples;
 * :mod:`repro.learning.learner` -- Algorithm 1 (``learner``), with fixed and
   dynamic path-length bound ``k``;
 * :mod:`repro.learning.rpni` -- the classical RPNI algorithm on words, used
@@ -27,7 +25,6 @@ from repro.learning.consistency import (
     sample_has_consistent_query,
 )
 from repro.learning.scp import select_smallest_consistent_paths
-from repro.learning.generalize import generalize_pta
 from repro.learning.learner import LearnerResult, learn_path_query, learn_with_dynamic_k
 from repro.learning.rpni import rpni
 from repro.learning.characteristic import (
@@ -46,7 +43,6 @@ __all__ = [
     "bounded_consistent",
     "sample_has_consistent_query",
     "select_smallest_consistent_paths",
-    "generalize_pta",
     "LearnerResult",
     "learn_path_query",
     "learn_with_dynamic_k",

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.automata.alphabet import Word
 from repro.automata.kernel import MergeFold, fold_generalize, pta_table
-from repro.automata.minimize import canonical_table
 from repro.errors import LearningError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
 from repro.engine.engine import QueryEngine
@@ -105,8 +104,8 @@ def learn_binary_query(
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")
-    sample.check_against(graph)
     started = time.perf_counter()
+    sample.check_against(graph)
     if not sample.positives:
         return BinaryLearnerResult(query=None, k=k, elapsed=time.perf_counter() - started)
 
@@ -141,7 +140,7 @@ def learn_binary_query(
         )
 
     fold = fold_generalize(pta, violates)
-    canonical = canonical_table(fold.to_table())
+    canonical = fold.to_table().canonical()
     # As in Algorithm 1, the query selects every pair with an SCP by construction.
     selects_all = all(
         engine.pair_selects(graph, canonical, origin, end)

@@ -10,8 +10,9 @@ The construction has two stages, both implemented here:
 1. :func:`characteristic_word_sample` -- the characteristic *word* sample
    ``(P+, P-)`` that the word-level learner (RPNI) needs to identify
    ``L(q)``.  We follow the standard construction over the minimal complete
-   DFA: short prefixes reach every state, kernel words exercise every
-   transition, and distinguishing suffixes separate every pair of states.
+   DFA (the query's table, completed and minimized): short prefixes reach
+   every state, kernel words exercise every transition, and distinguishing
+   suffixes separate every pair of states.
 2. :func:`characteristic_graph` -- the graph of Figure 7: one positive node
    per word of ``P+`` whose smallest consistent path is exactly that word,
    and one negative node covering every word of ``P-`` together with every
@@ -22,107 +23,80 @@ The construction has two stages, both implemented here:
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.automata.alphabet import Alphabet, Word
-from repro.automata.dfa import DFA
-from repro.automata.minimize import canonical_dfa, minimize
+from repro.automata.kernel import TableDFA
 from repro.errors import LearningError
 from repro.graphdb.graph import GraphDB
 from repro.learning.sample import Sample
 from repro.queries.path_query import PathQuery
 
 
-def _shortest_word_between(dfa: DFA, source, targets: frozenset) -> Word | None:
-    """The canonically smallest word leading from ``source`` to one of ``targets``."""
-    from collections import deque
-
-    if source in targets:
-        return ()
-    queue: deque[tuple[object, Word]] = deque([(source, ())])
-    seen = {source}
-    while queue:
-        state, word = queue.popleft()
-        for symbol in dfa.alphabet:
-            nxt = dfa.delta(state, symbol)
-            if nxt is None:
-                continue
-            extended = word + (symbol,)
-            if nxt in targets:
-                return extended
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, extended))
-    return None
-
-
-def _access_words(dfa: DFA) -> dict[object, Word]:
-    """The canonically smallest word reaching every reachable state."""
-    from collections import deque
-
-    access: dict[object, Word] = {dfa.initial: ()}
-    queue: deque[object] = deque([dfa.initial])
+def _smallest_words(table: TableDFA, source: int) -> dict[int, Word]:
+    """The canonically smallest word leading from ``source`` to each state it
+    reaches, in canonical order of those words (a breadth-first search)."""
+    symbols, m, trans = table.alphabet.symbols, table.m, table.trans
+    words: dict[int, Word] = {source: ()}
+    queue = deque([source])
     while queue:
         state = queue.popleft()
-        for symbol in dfa.alphabet:
-            nxt = dfa.delta(state, symbol)
-            if nxt is not None and nxt not in access:
-                access[nxt] = access[state] + (symbol,)
-                queue.append(nxt)
-    return access
+        for position in range(m):
+            target = trans[state * m + position]
+            if target >= 0 and target not in words:
+                words[target] = words[state] + (symbols[position],)
+                queue.append(target)
+    return words
 
 
-def _distinguishing_suffix(dfa: DFA, left, right) -> Word | None:
-    """A canonically small word accepted from exactly one of the two states."""
-    from collections import deque
-
-    if (left in dfa.final_states) != (right in dfa.final_states):
+def _distinguishing_suffix(table: TableDFA, left: int, right: int) -> Word | None:
+    """A canonically small word accepted from exactly one of the two states
+    of a *complete* table."""
+    final, symbols, m, trans = table.is_final, table.alphabet.symbols, table.m, table.trans
+    if final(left) != final(right):
         return ()
-    queue: deque[tuple[object, object, Word]] = deque([(left, right, ())])
+    queue: deque[tuple[int, int, Word]] = deque([(left, right, ())])
     seen = {(left, right)}
     while queue:
         l_state, r_state, word = queue.popleft()
-        for symbol in dfa.alphabet:
-            l_next = dfa.delta(l_state, symbol)
-            r_next = dfa.delta(r_state, symbol)
-            if l_next is None or r_next is None:
-                continue
-            extended = word + (symbol,)
-            if (l_next in dfa.final_states) != (r_next in dfa.final_states):
+        for position in range(m):
+            pair = (trans[l_state * m + position], trans[r_state * m + position])
+            extended = word + (symbols[position],)
+            if final(pair[0]) != final(pair[1]):
                 return extended
-            if (l_next, r_next) not in seen:
-                seen.add((l_next, r_next))
-                queue.append((l_next, r_next, extended))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append((*pair, extended))
     return None
 
 
-def characteristic_word_sample(query: PathQuery | DFA) -> tuple[set[Word], set[Word]]:
+def characteristic_word_sample(query: PathQuery) -> tuple[set[Word], set[Word]]:
     """The characteristic word sample ``(P+, P-)`` for RPNI to identify ``L(q)``.
 
     For the paper's running example ``(a.b)*.c`` this yields
     ``P+ = {c, abc}`` and a ``P-`` containing (at least) ``eps, a, ab, ac, bc``.
     """
-    dfa = query.dfa if isinstance(query, PathQuery) else canonical_dfa(query)
-    if dfa.is_empty():
+    if query.is_empty():
         raise LearningError("cannot build a characteristic sample for the empty query")
-    complete = minimize(dfa)  # minimal complete DFA (may include a sink)
-    access = _access_words(complete)
-    finals = complete.final_states
+    complete = query.table.minimized()  # minimal complete DFA (may include a sink)
+    access = _smallest_words(complete, complete.initial)
+    symbols = complete.alphabet.symbols
+
+    def state_of(word: Word) -> int:
+        return complete.run_ids(complete.encode(word))
 
     positives: set[Word] = set()
     negatives: set[Word] = set()
 
     # Kernel words: the access word of every state, extended by every symbol.
     kernel: set[Word] = {()}
-    for state, word in access.items():
-        for symbol in complete.alphabet:
-            if complete.delta(state, symbol) is not None:
-                kernel.add(word + (symbol,))
+    for word in access.values():
+        kernel.update(word + (symbol,) for symbol in symbols)
 
     # (1) every kernel word, completed by the shortest accepting tail, is positive.
     for word in kernel:
-        landing = complete.run(word)
-        if landing is None:
-            continue
-        tail = _shortest_word_between(complete, landing, finals)
+        tails = _smallest_words(complete, state_of(word)).items()
+        tail = next((tail for state, tail in tails if complete.is_final(state)), None)
         if tail is not None:
             positives.add(word + tail)
 
@@ -131,9 +105,8 @@ def characteristic_word_sample(query: PathQuery | DFA) -> tuple[set[Word], set[W
     short_prefixes = set(access.values())
     for left_word in sorted(short_prefixes):
         for right_word in sorted(kernel):
-            left_state = complete.run(left_word)
-            right_state = complete.run(right_word)
-            if left_state is None or right_state is None or left_state == right_state:
+            left_state, right_state = state_of(left_word), state_of(right_word)
+            if left_state == right_state:
                 continue
             suffix = _distinguishing_suffix(complete, left_state, right_state)
             if suffix is None:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.automata.alphabet import Word
 from repro.automata.kernel import fold_generalize, pta_table
-from repro.automata.minimize import canonical_table
 from repro.engine.engine import QueryEngine
 from repro.errors import LearningError, SerializationError
 from repro.graphdb.graph import GraphDB, Node
@@ -168,9 +167,9 @@ def learn_path_query(
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")
+    started = time.perf_counter()
     if coverage is None:  # a bare call is its own episode
         sample.check_against(graph)
-    started = time.perf_counter()
 
     if not sample.positives:
         # With no positive example every query selecting nothing is trivially
@@ -211,7 +210,7 @@ def learn_path_query(
             calls_before = coverage.guard_calls
             guard = coverage.merge_guard(graph=graph, engine=engine)
             fold = fold_generalize(pta, guard, rejecting=((1 << pta.n) - 1) & ~pta.finals)
-            canonical = canonical_table(fold.to_table())
+            canonical = fold.to_table().canonical()
             merge_span.set(
                 generalized_states=canonical.n,
                 guard_calls=coverage.guard_calls - calls_before,

@@ -94,8 +94,8 @@ def learn_nary_query(
     """
     if k < 0:
         raise LearningError("the path-length bound k must be non-negative")
-    sample.check_against(graph)
     started = time.perf_counter()
+    sample.check_against(graph)
     arity = sample.arity
     if arity is None or not sample.positives:
         return NaryLearnerResult(query=None, k=k, elapsed=time.perf_counter() - started)

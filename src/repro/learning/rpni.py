@@ -19,9 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.automata.alphabet import Alphabet, Word
-from repro.automata.dfa import DFA
-from repro.automata.kernel import MergeFold, fold_generalize, pta_table
-from repro.automata.minimize import canonical_dfa
+from repro.automata.kernel import MergeFold, TableDFA, fold_generalize, pta_table
 from repro.errors import LearningError
 
 
@@ -29,10 +27,10 @@ def rpni(
     alphabet: Alphabet,
     positive_words: Iterable[Sequence[str]],
     negative_words: Iterable[Sequence[str]],
-) -> DFA:
+) -> TableDFA:
     """Learn a DFA consistent with the given word examples.
 
-    Returns the canonical DFA of the inferred language.  Raises
+    Returns the canonical table of the inferred language.  Raises
     :class:`LearningError` if the word sample itself is contradictory (a
     word labeled both positive and negative).
     """
@@ -44,7 +42,7 @@ def rpni(
         raise LearningError(f"words labeled both positive and negative: {conflict[:3]!r}")
     if not positives:
         # The empty language is consistent with any purely negative sample.
-        return canonical_dfa(DFA(alphabet, initial=0))
+        return TableDFA.blank(alphabet, 1)
 
     pta = pta_table(alphabet, positives)
     interned_negatives = [pta.encode(word) for word in negative_set]
@@ -53,4 +51,4 @@ def rpni(
         return any(candidate.accepts_ids(word) for word in interned_negatives)
 
     fold = fold_generalize(pta, violates)
-    return canonical_dfa(fold.to_table())
+    return fold.to_table().canonical()

@@ -10,7 +10,7 @@ kernel :class:`~repro.automata.kernel.TableDFA` it was compiled or learned
 as, shared and never mutated, together with, when available, the source
 expression for readable display.  This module alone decides that format: the
 engine takes ``query.table``, the learners hand their canonical table
-straight in, and the object-level ``query.dfa`` is a view built on demand.
+straight in, and nothing converts it to another automaton form.
 Instances are immutable value objects: equality is query equivalence, and
 hashing uses only what equal queries share.
 """
@@ -23,10 +23,7 @@ from functools import cached_property
 from typing import TypeVar
 
 from repro.automata.alphabet import Alphabet, Word
-from repro.automata.dfa import DFA
 from repro.automata.kernel import TableDFA, pta_table
-from repro.automata.minimize import canonical_table
-from repro.automata.nfa import NFA
 from repro.automata.prefix_free import is_prefix_free_table, prefix_free_table
 from repro.engine.cache import LRUCache
 from repro.engine.engine import QueryEngine
@@ -94,8 +91,10 @@ class _RegexQuery:
     never mutated.
     """
 
-    def __init__(self, dfa: DFA | NFA | TableDFA, *, expression: str | None = None) -> None:
-        self.table = canonical_table(dfa)
+    def __init__(self, table: TableDFA, *, expression: str | None = None) -> None:
+        if not isinstance(table, TableDFA):
+            raise QueryError(f"a query is built from a TableDFA, not {type(table).__name__}")
+        self.table = table.canonical()
         self._expression = expression
 
     @classmethod
@@ -125,7 +124,7 @@ class _RegexQuery:
     @classmethod
     def _from_canonical(cls: type[Q], table: TableDFA, expression: str | None = None) -> Q:
         """A query over an already-canonical table (``compile_table``'s or
-        ``canonical_table``'s output), stored as it is: the constructor's
+        ``TableDFA.canonical``'s output), stored as it is: the constructor's
         canonicalisation is skipped and nothing is copied."""
         query = cls.__new__(cls)
         query.table = table
@@ -133,16 +132,9 @@ class _RegexQuery:
         return query
 
     @classmethod
-    def from_automaton(cls: type[Q], automaton: DFA | NFA | TableDFA) -> Q:
-        """Build a query from any automaton (canonicalized on construction)."""
-        return cls(automaton)
-
-    @cached_property
-    def dfa(self) -> DFA:
-        """The canonical DFA as an object-level view, built on first use (for
-        characteristic samples and tests).  It is this query's own
-        copy: mutating it changes nothing the query computes."""
-        return self.table.to_dfa()  # the .dfa view
+    def from_automaton(cls: type[Q], table: TableDFA) -> Q:
+        """Build a query from a kernel table (canonicalized on construction)."""
+        return cls(table)
 
     @property
     def alphabet(self) -> Alphabet:

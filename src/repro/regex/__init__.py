@@ -27,7 +27,7 @@ from repro.regex.ast import (
     symbol,
 )
 from repro.regex.parser import parse
-from repro.regex.build import compile_query
+from repro.regex.build import compile_table
 from repro.regex.convert import dfa_to_regex
 
 __all__ = [
@@ -44,6 +44,6 @@ __all__ = [
     "disjunction",
     "star",
     "parse",
-    "compile_query",
+    "compile_table",
     "dfa_to_regex",
 ]

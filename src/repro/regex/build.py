@@ -14,7 +14,6 @@ from array import array
 from collections.abc import Iterable
 
 from repro.automata.alphabet import Alphabet
-from repro.automata.dfa import DFA
 from repro.automata.kernel import NO_STATE, TableDFA
 from repro.errors import RegexSyntaxError
 from repro.regex.ast import Concat, EmptySet, Epsilon, Regex, Star, Symbol, Union
@@ -101,7 +100,8 @@ def compile_table(
 ) -> TableDFA:
     """Compile a regular expression (string or AST) into its canonical table.
 
-    The kernel-form result of :func:`compile_query`; it accepts an explicit
+    The low-level, uncached counterpart of
+    :meth:`repro.queries.PathQuery.parse`.  It accepts an explicit
     alphabet so that a query can be evaluated on graphs whose alphabet is
     larger than the set of symbols mentioned in the expression.  Without
     one, the alphabet is the mentioned symbols (``_unused_`` if there are
@@ -123,11 +123,3 @@ def compile_table(
         # deep as a thousand parentheses, and as much a user error.
         raise too_deep() from None
 
-
-def compile_query(expression: str | Regex, alphabet: Alphabet | Iterable[str] | None = None) -> DFA:
-    """Compile a regular expression (string or AST) into its canonical DFA.
-
-    This is the low-level, uncached counterpart of
-    :meth:`repro.queries.PathQuery.parse`.
-    """
-    return compile_table(expression, alphabet).to_dfa()

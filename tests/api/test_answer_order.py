@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.automata import dfa_of
 from oracles.product import reference_evaluate
 
 from repro.api import Workspace
@@ -59,7 +60,7 @@ def build(nodes: list, edges: list) -> GraphDB:
 def assert_reply_order(workspace: Workspace, graph: GraphDB) -> None:
     for expression in EXPRESSIONS:
         result = workspace.query(expression)
-        expected = sorted(reference_evaluate(graph, result.query.dfa), key=repr)
+        expected = sorted(reference_evaluate(graph, dfa_of(result.query.table)), key=repr)
         selected = result.to_dict()["selected"]
         assert selected == expected == sorted(result.selected, key=repr)
         assert list(map(type, selected)) == list(map(type, expected))

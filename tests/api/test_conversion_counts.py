@@ -1,10 +1,10 @@
 """No layer converts a query -- or an answer -- at its edge: pinned by count.
 
-With ``TableDFA.from_dfa`` / ``to_dfa`` / ``canonical`` wrapped (the
-``conversions`` fixture), a static sweep, a kR and a kS session and plain
-workspace queries int-code no ``DFA`` at all, canonicalise once per compile
-and once per learner call, and never build an object-level ``DFA``: a
-learned query's expression is rendered from its table.
+A query is its canonical ``TableDFA``, the library's one automaton form.
+With ``TableDFA.canonical`` wrapped (the ``conversions`` fixture), a static
+sweep, a kR and a kS session and plain workspace queries canonicalise once
+per compile and once per learner call: a learned query's expression is
+rendered from its table.
 
 An answer goes from the walk to the reply as node ids: a served path query
 sorts ids by the index's ``repr`` rank (built once per index), never sorts
@@ -55,11 +55,9 @@ def learner_calls(monkeypatch) -> list:
 
 
 def check(conversions, learner_calls, compiles_before):
-    """The three count claims, against what the run actually did."""
-    assert not conversions["from_dfa"]
+    """The count claim, against what the run actually did."""
     compiles = parse_cache_stats()["misses"] - compiles_before
     assert len(conversions["canonical"]) <= compiles + len(learner_calls)
-    assert not conversions["to_dfa"]
 
 
 def test_a_static_sweep_converts_nothing(graph, conversions, learner_calls):
@@ -108,7 +106,6 @@ def test_workspace_queries_convert_nothing_warm_or_cold(graph, conversions):
     assert warm.selected == cold.selected and warm.query.table is cold.query.table
     assert warm.to_dict()["query"]["expression"] == "l00.l01*.l02"
     assert len(conversions["canonical"]) == 1
-    assert not conversions["from_dfa"] and not conversions["to_dfa"]
 
 
 def test_a_workspace_query_takes_the_planner_fast_path(graph, compilations, monkeypatch):

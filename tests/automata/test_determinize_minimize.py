@@ -1,24 +1,16 @@
 """Unit tests for determinization, minimization and the canonical DFA."""
 
 import pytest
+from oracles.automata import DFA, NFA, table_of
 
-from repro.automata import Alphabet, canonical_dfa, minimize
-from repro.automata.dfa import DFA
-from repro.automata.kernel import TableDFA
-from repro.automata.minimize import query_size
-from repro.automata.nfa import NFA
-from repro.regex import compile_query
+from repro.automata import Alphabet
+from repro.queries import PathQuery
+from repro.regex.build import compile_table
 
 
 @pytest.fixture
 def abc():
     return Alphabet(["a", "b", "c"])
-
-
-def determinize(nfa: NFA) -> TableDFA:
-    """The kernel's subset construction (the subsets themselves unused)."""
-    table, _subsets = TableDFA.from_nfa(nfa)
-    return table
 
 
 class TestDeterminize:
@@ -27,7 +19,7 @@ class TestDeterminize:
         nfa.add_transition(0, "a", 0)
         nfa.add_transition(0, "a", 1)
         nfa.add_transition(1, "b", 2)
-        dfa = determinize(nfa)
+        dfa = table_of(nfa)
         for word in [("a", "b"), ("a", "a", "b"), ("b",), ("a",), ()]:
             assert dfa.accepts(word) == nfa.accepts(word)
 
@@ -35,13 +27,13 @@ class TestDeterminize:
         nfa = NFA(abc, initial=[0], finals=[2])
         nfa.add_epsilon_transition(0, 1)
         nfa.add_transition(1, "a", 2)
-        dfa = determinize(nfa)
+        dfa = table_of(nfa)
         assert dfa.accepts(("a",))
         assert not dfa.accepts(())
 
     def test_determinize_empty_language(self, abc):
         nfa = NFA(abc, initial=[0])
-        assert determinize(nfa).is_empty_language()
+        assert table_of(nfa).is_empty_language()
 
 
 class TestMinimize:
@@ -50,41 +42,40 @@ class TestMinimize:
         dfa = DFA(abc, initial=0, finals=[1, 2])
         dfa.add_transition(0, "a", 1)
         dfa.add_transition(0, "b", 2)
-        minimal = minimize(dfa)
+        minimal = table_of(dfa).minimized()
         # States: initial, accepting (merged), sink.
         assert len(minimal) <= 3
 
     def test_minimize_preserves_language(self, abc):
-        dfa = compile_query("(a.b)*.c+c", abc)
-        minimal = minimize(dfa)
+        table = compile_table("(a.b)*.c+c", abc)
+        minimal = table.minimized()
         for word in [("c",), ("a", "b", "c"), ("a", "b"), (), ("c", "c")]:
-            assert minimal.accepts(word) == dfa.accepts(word)
+            assert minimal.accepts(word) == table.accepts(word)
 
 
 class TestCanonicalDFA:
     def test_figure4_size_is_three(self, abc):
         # The paper: the size of (a.b)*.c is 3 (Figure 4).
-        assert query_size(compile_query("(a.b)*.c", abc)) == 3
+        assert PathQuery.parse("(a.b)*.c", abc).size == 3
 
     def test_canonical_dfa_is_trimmed(self, abc):
-        dfa = compile_query("a.b", abc)
-        canonical = canonical_dfa(dfa)
+        canonical = compile_table("a.b", abc).canonical()
         assert len(canonical) == 3  # no sink state in the canonical form
 
     def test_equal_languages_give_structurally_equal_canonical_dfas(self, abc):
-        left = canonical_dfa(compile_query("(a.b)*.c", abc))
-        right = canonical_dfa(compile_query("c+a.b.(a.b)*.c", abc))
-        assert left.structurally_equal(right)
+        left = compile_table("(a.b)*.c", abc).canonical()
+        right = compile_table("c+a.b.(a.b)*.c", abc).canonical()
+        assert left.fingerprint() == right.fingerprint()
 
     def test_canonical_dfa_accepts_same_language(self, abc):
-        original = compile_query("(a+b).c*", abc)
-        canonical = canonical_dfa(original)
-        for word in [("a",), ("b", "c", "c"), ("c",), (), ("a", "c")]:
+        original = table_of(DFA.single_word(abc, ("a", "c")))
+        canonical = original.canonical()
+        for word in [("a",), ("a", "c"), ("c",), (), ("a", "c", "c")]:
             assert canonical.accepts(word) == original.accepts(word)
 
     def test_canonical_dfa_accepts_nfa_input(self, abc):
         nfa = NFA.from_words(abc, [("a",), ("a", "b")])
-        canonical = canonical_dfa(nfa)
+        canonical = table_of(nfa).canonical()
         assert canonical.accepts(("a",))
         assert canonical.accepts(("a", "b"))
         assert not canonical.accepts(("b",))

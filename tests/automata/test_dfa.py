@@ -1,9 +1,9 @@
-"""Unit tests for deterministic finite automata."""
+"""Unit tests for the object-level DFA the test oracles are written in."""
 
 import pytest
+from oracles.automata import DFA, SINK
 
 from repro.automata import Alphabet
-from repro.automata.dfa import DFA, SINK
 from repro.errors import AutomatonError
 
 

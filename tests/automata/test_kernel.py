@@ -1,43 +1,38 @@
 """Parity tests for the int-coded automata kernel.
 
 Every kernel-native algorithm is pinned against the legacy object-level
-implementation it replaced (kept as ``reference_*`` in
-``tests/oracles``): round-trips, subset determinization, Hopcroft vs Moore
-minimization, the canonical DFA normal form, products, batched membership
-and the union-find RPNI fold.  The generators are randomized (random
-regular expressions and word samples over a small alphabet), so this suite
-is the safety net the one-kernel refactor rests on.
+implementation it replaced (kept as ``reference_*`` in ``tests/oracles``,
+written in the object automata of ``oracles.automata``): membership and
+emptiness, Hopcroft vs Moore minimization, the canonical DFA normal form,
+products, batched membership and the union-find RPNI fold.  The generators
+are randomized (random regular expressions and word samples over a small
+alphabet), so this suite is the safety net the one-kernel refactor rests on.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.determinize import reference_determinize
-from oracles.generalize import prefix_tree_acceptor, reference_generalize_pta
+from oracles.automata import DFA, dfa_of, table_of
+from oracles.generalize import prefix_tree_acceptor, pta_prefixes, reference_generalize_pta
 from oracles.merging import reference_deterministic_merge
 from oracles.minimize import reference_canonical_dfa, reference_minimize
 from oracles.operations import intersection_empty, language_equivalent, language_included
 from oracles.regex import regex_to_nfa, regexes
 
 from repro.automata import Alphabet
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
 from repro.automata.kernel import (
     MergeFold,
-    TableDFA,
     fold_generalize,
     language_included_tables,
     pta_table,
 )
-from repro.automata.minimize import canonical_dfa, minimize
 from repro.errors import LearningError
-from repro.learning.generalize import generalize_pta
 from repro.learning.rpni import rpni
-from repro.regex import compile_query, parse
+from repro.regex import parse
+from repro.regex.build import compile_table
 
 ALPHABET = Alphabet(["a", "b", "c"])
 SYMBOLS = list(ALPHABET.symbols)
@@ -59,96 +54,33 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(regex=regexes())
     def test_dfa_table_round_trip_is_exact(self, regex):
-        dfa = compile_query(regex, ALPHABET)
-        table, order = TableDFA.from_dfa(dfa)
-        assert_same_dfa(table.to_dfa(states=order), dfa)
+        table = compile_table(regex, ALPHABET)
+        assert table_of(dfa_of(table)).fingerprint() == table.fingerprint()
 
     @settings(max_examples=50, deadline=None)
     @given(regex=regexes(), word=words)
     def test_table_membership_matches_dfa(self, regex, word):
-        dfa = compile_query(regex, ALPHABET)
-        table, _ = TableDFA.from_dfa(dfa)
+        table = compile_table(regex, ALPHABET)
+        dfa = dfa_of(table)
         assert table.accepts(word) == dfa.accepts(word)
 
     @settings(max_examples=30, deadline=None)
     @given(regex=regexes(), sample=word_sets)
     def test_batched_membership_matches_per_word(self, regex, sample):
-        dfa = compile_query(regex, ALPHABET)
-        table, _ = TableDFA.from_dfa(dfa)
+        table = compile_table(regex, ALPHABET)
+        dfa = dfa_of(table)
         assert table.accepts_many(sample) == [dfa.accepts(word) for word in sample]
 
     @settings(max_examples=30, deadline=None)
     @given(regex=regexes())
     def test_emptiness_and_shortest_word_match(self, regex):
-        dfa = compile_query(regex, ALPHABET)
-        table, _ = TableDFA.from_dfa(dfa)
+        table = compile_table(regex, ALPHABET)
+        dfa = dfa_of(table)
         assert table.is_empty_language() == dfa.is_empty()
         assert table.shortest_word() == dfa.shortest_accepted_word()
 
 
-WIDE_ALPHABET = Alphabet(["a", "b", "c", "d", "e"])
-
-
-@st.composite
-def raw_nfas(draw) -> NFA:
-    """Small NFAs the Thompson construction never produces: several (or no)
-    initials, epsilon cycles, unused alphabet symbols, possibly no finals."""
-    states = list(range(draw(st.integers(min_value=1, max_value=6))))
-    state = st.sampled_from(states)
-    used = draw(st.lists(st.sampled_from(WIDE_ALPHABET.symbols), max_size=3, unique=True))
-    nfa = NFA(
-        WIDE_ALPHABET,
-        states=states,
-        initial=draw(st.lists(state, max_size=3)),
-        finals=draw(st.lists(state, max_size=3)),
-    )
-    if used:
-        for source, symbol, target in draw(
-            st.lists(st.tuples(state, st.sampled_from(used), state), max_size=12)
-        ):
-            nfa.add_transition(source, symbol, target)
-    for source, target in draw(st.lists(st.tuples(state, state), max_size=6)):
-        nfa.add_epsilon_transition(source, target)
-    return nfa
-
-
-def reference_table(nfa: NFA) -> tuple[array, int, list[frozenset]]:
-    """The table ``from_nfa`` must return, read off the reference subset DFA:
-    subsets numbered breadth first, symbols in alphabet order."""
-    dfa = reference_determinize(nfa)
-    symbols = nfa.alphabet.symbols
-    subsets = [dfa.initial]
-    ids = {dfa.initial: 0}
-    for subset in subsets:  # grows while iterated: a BFS queue
-        for symbol in symbols:
-            target = dfa.delta(subset, symbol)
-            if target is not None and target not in ids:
-                ids[target] = len(subsets)
-                subsets.append(target)
-    trans = array(
-        "i", (ids.get(dfa.delta(subset, symbol), -1) for subset in subsets for symbol in symbols)
-    )
-    finals = sum(1 << ids[subset] for subset in dfa.final_states)
-    return trans, finals, subsets
-
-
 class TestDeterminizeParity:
-    @settings(max_examples=50, deadline=None)
-    @given(regex=regexes())
-    def test_subset_construction_matches_reference(self, regex):
-        nfa = regex_to_nfa(regex, ALPHABET)
-        table, subsets = TableDFA.from_nfa(nfa)
-        assert_same_dfa(table.to_dfa(states=subsets), reference_determinize(nfa))
-
-    @settings(max_examples=200, deadline=None)
-    @given(nfa=raw_nfas())
-    def test_table_and_subsets_match_reference_on_raw_nfas(self, nfa):
-        table, subsets = TableDFA.from_nfa(nfa)
-        trans, finals, expected_subsets = reference_table(nfa)
-        assert subsets == expected_subsets
-        assert (table.n, table.initial, table.finals) == (len(subsets), 0, finals)
-        assert table.trans.tobytes() == trans.tobytes()
-
     def test_compiled_expression_stream_matches_reference_pipeline(self):
         # The serving workloads' shapes on their 20-label alphabet; every
         # class mentions 1-3 labels, so most symbols are unused by any one NFA.
@@ -166,10 +98,8 @@ class TestDeterminizeParity:
         )
         for index in range(150):
             text = shapes[index % len(shapes)]()
-            compiled, _ = TableDFA.from_dfa(compile_query(text, alphabet))
-            reference, _ = TableDFA.from_dfa(
-                reference_canonical_dfa(regex_to_nfa(parse(text), alphabet))
-            )
+            compiled = compile_table(text, alphabet)
+            reference = table_of(reference_canonical_dfa(regex_to_nfa(parse(text), alphabet)))
             assert compiled.fingerprint() == reference.fingerprint(), text
 
 
@@ -177,8 +107,8 @@ class TestMinimizeParity:
     @settings(max_examples=50, deadline=None)
     @given(regex=regexes())
     def test_hopcroft_agrees_with_moore(self, regex):
-        dfa = compile_query(regex, ALPHABET)
-        hopcroft = minimize(dfa)
+        dfa = dfa_of(compile_table(regex, ALPHABET))
+        hopcroft = dfa_of(table_of(dfa.trim()).minimized())
         moore = reference_minimize(dfa)
         assert len(hopcroft) == len(moore)
         assert language_equivalent(hopcroft, moore)
@@ -187,7 +117,7 @@ class TestMinimizeParity:
     @given(regex=regexes())
     def test_canonical_dfa_matches_prerefactor_pipeline(self, regex):
         nfa = regex_to_nfa(regex, ALPHABET)
-        assert_same_dfa(canonical_dfa(nfa), reference_canonical_dfa(nfa))
+        assert_same_dfa(dfa_of(table_of(nfa).canonical()), reference_canonical_dfa(nfa))
 
 
 class TestProducts:
@@ -197,10 +127,9 @@ class TestProducts:
         # The kernel's own product table and early-exit emptiness test are
         # gone (test-only since PR 21).  The product walk it keeps is the
         # inclusion one: L & R is empty iff L is inside R's complement.
-        left_dfa = compile_query(left, ALPHABET)
-        right_dfa = compile_query(right, ALPHABET)
-        left_table, _ = TableDFA.from_dfa(left_dfa)
-        outside_right, _ = TableDFA.from_dfa(right_dfa.complement())
+        left_table = compile_table(left, ALPHABET)
+        left_dfa, right_dfa = dfa_of(left_table), dfa_of(compile_table(right, ALPHABET))
+        outside_right = table_of(right_dfa.complement())
         assert intersection_empty(left_dfa, right_dfa) == language_included_tables(
             left_table, outside_right
         )
@@ -208,10 +137,8 @@ class TestProducts:
     @settings(max_examples=40, deadline=None)
     @given(left=regexes(), right=regexes())
     def test_inclusion_matches_complement_route(self, left, right):
-        left_dfa = compile_query(left, ALPHABET)
-        right_dfa = compile_query(right, ALPHABET)
-        left_table, _ = TableDFA.from_dfa(left_dfa)
-        right_table, _ = TableDFA.from_dfa(right_dfa)
+        left_table, right_table = compile_table(left, ALPHABET), compile_table(right, ALPHABET)
+        left_dfa, right_dfa = dfa_of(left_table), dfa_of(right_table)
         via_kernel = language_included_tables(left_table, right_table)
         # Classic exponential route: L(left) & complement(L(right)) empty.
         via_complement = intersection_empty(left_dfa, right_dfa.complement())
@@ -225,30 +152,30 @@ class TestMergeFold:
             tuple(rng.choice(SYMBOLS) for _ in range(rng.randrange(0, 5)))
             for _ in range(rng.randrange(1, 7))
         ]
-        return prefix_tree_acceptor(ALPHABET, sample), sample
+        return prefix_tree_acceptor(ALPHABET, sample), pta_table(ALPHABET, sample), sample
 
     @pytest.mark.parametrize("seed", range(25))
     def test_fold_matches_reference_merge(self, seed):
         rng = random.Random(seed)
-        pta, _ = self._random_pta(rng)
-        states = sorted(pta.states, key=ALPHABET.word_key)
+        pta, table, sample = self._random_pta(rng)
+        states = pta_prefixes(ALPHABET, sample)
         keep, remove = rng.sample(states, 2) if len(states) > 1 else (states[0], states[0])
-        table, labels = TableDFA.from_dfa(pta)
         fold = MergeFold(table)
-        fold.merge(labels.index(keep), labels.index(remove))
-        merged = fold.to_table().to_dfa()
+        fold.merge(states.index(keep), states.index(remove))
+        merged = dfa_of(fold.to_table())
         reference = reference_deterministic_merge(pta, keep, remove)
         # The merged partition is unique; representatives may differ, so
         # compare class count and language, then the canonical normal form.
         assert len(merged) == len(reference)
         assert language_equivalent(merged, reference)
-        assert_same_dfa(canonical_dfa(merged), canonical_dfa(reference))
+        assert table_of(merged).canonical().fingerprint() == (
+            table_of(reference).canonical().fingerprint()
+        )
 
     @pytest.mark.parametrize("seed", range(15))
     def test_rollback_restores_the_fold_exactly(self, seed):
         rng = random.Random(seed)
-        pta, _ = self._random_pta(rng)
-        table, _ = TableDFA.from_dfa(pta)
+        _, table, _ = self._random_pta(rng)
         fold = MergeFold(table)
         before = fold.to_table().fingerprint()
         states = fold.roots()
@@ -260,10 +187,9 @@ class TestMergeFold:
         assert fold.to_table().fingerprint() == before
 
     def test_speculative_merge_then_commit(self):
-        pta = prefix_tree_acceptor(ALPHABET, [("a", "b", "c"), ("c",)])
-        table, labels = TableDFA.from_dfa(pta)
-        ids = {label: index for index, label in enumerate(labels)}
-        fold = MergeFold(table)
+        words = [("a", "b", "c"), ("c",)]
+        ids = {prefix: index for index, prefix in enumerate(pta_prefixes(ALPHABET, words))}
+        fold = MergeFold(pta_table(ALPHABET, words))
         # Section 3.2's worked merge: eps with ab gives (a.b)*.c.
         fold.merge(ids[()], ids[("a", "b")])
         fold.commit()
@@ -387,10 +313,10 @@ class TestGeneralizationParity:
         def word_guard(candidate):
             return any(candidate.accepts(word) for word in negatives)
 
+        kernel_result = fold_generalize(pta_table(ALPHABET, positives), word_guard).to_table()
         pta = prefix_tree_acceptor(ALPHABET, positives)
-        kernel_result = generalize_pta(pta, word_guard)
-        oracle_result = oracle_generalize(pta, ALPHABET, word_guard)
-        assert_same_dfa(canonical_dfa(kernel_result), canonical_dfa(oracle_result))
+        oracle_result = table_of(oracle_generalize(pta, ALPHABET, word_guard))
+        assert kernel_result.canonical().fingerprint() == oracle_result.canonical().fingerprint()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_generalization_results_are_sample_consistent(self, seed):
@@ -405,7 +331,7 @@ class TestGeneralizationParity:
 
         pta = prefix_tree_acceptor(ALPHABET, positives)
         for result in (
-            generalize_pta(pta, word_guard),
+            fold_generalize(pta_table(ALPHABET, positives), word_guard).to_table(),
             reference_generalize_pta(pta, word_guard, alphabet=ALPHABET),
         ):
             for word in positives:
@@ -423,8 +349,8 @@ class TestGeneralizationParity:
 
         learned = rpni(ALPHABET, positives, negatives)
         pta = prefix_tree_acceptor(ALPHABET, positives)
-        oracle = canonical_dfa(oracle_generalize(pta, ALPHABET, word_guard))
-        assert_same_dfa(learned, oracle)
+        oracle = table_of(oracle_generalize(pta, ALPHABET, word_guard)).canonical()
+        assert learned.fingerprint() == oracle.fingerprint()
 
     def test_fold_generalize_guard_violation_raises(self):
         table = pta_table(ALPHABET, [("a",)])
@@ -440,20 +366,20 @@ class TestGeneralizationParity:
 
 class TestPtaTable:
     def test_states_numbered_in_canonical_order(self):
-        table, prefixes = pta_table(
-            ALPHABET, [("a", "b", "c"), ("c",)], with_prefixes=True
-        )
+        words = [("a", "b", "c"), ("c",)]
+        table, prefixes = pta_table(ALPHABET, words), pta_prefixes(ALPHABET, words)
         assert prefixes == [(), ("a",), ("c",), ("a", "b"), ("a", "b", "c")]
+        assert [table.run_ids(table.encode(prefix)) for prefix in prefixes] == list(range(5))
         assert table.n == 5
         assert sorted(table.iter_finals()) == [2, 4]
 
     def test_table_pta_equals_wrapper_pta(self):
         # Against a trie built move by move over DFA objects.
         sample = [("a", "b"), ("a",), ("c", "c")]
-        table, prefixes = pta_table(ALPHABET, sample, with_prefixes=True)
+        table, prefixes = pta_table(ALPHABET, sample), pta_prefixes(ALPHABET, sample)
         trie = DFA(ALPHABET, initial=())
         for word in sample:
             for cut in range(len(word)):
                 trie.add_transition(word[:cut], word[cut], word[: cut + 1])
             trie.add_final(word)
-        assert_same_dfa(table.to_dfa(states=prefixes), trie)
+        assert_same_dfa(dfa_of(table, states=prefixes), trie)

@@ -1,9 +1,9 @@
-"""Unit tests for nondeterministic finite automata."""
+"""Unit tests for the object-level NFA the test oracles are written in."""
 
 import pytest
+from oracles.automata import NFA
 
 from repro.automata import Alphabet
-from repro.automata.nfa import NFA
 from repro.errors import AutomatonError
 
 

@@ -1,14 +1,15 @@
 """Unit tests for the prefix tree acceptor and the merge-and-fold.
 
-Both run on the kernel: the PTA is :func:`pta_table` viewed with its prefix
-words as state names, a merge is one :meth:`MergeFold.merge`.
+The merges run on the kernel: the PTA is :func:`pta_table`, its states
+named by their prefix words (``oracles.generalize.pta_prefixes``), and a
+merge is one :meth:`MergeFold.merge`.
 """
 
 import pytest
-from oracles.generalize import prefix_tree_acceptor
+from oracles.automata import DFA, dfa_of
+from oracles.generalize import prefix_tree_acceptor, pta_prefixes
 
 from repro.automata import Alphabet
-from repro.automata.dfa import DFA
 from repro.automata.kernel import MergeFold, pta_table
 
 
@@ -19,10 +20,10 @@ def abc():
 
 def merged(alphabet: Alphabet, words, keep, remove) -> DFA:
     """The PTA of ``words`` after merging prefix ``remove`` into ``keep``."""
-    table, prefixes = pta_table(alphabet, words, with_prefixes=True)
-    fold = MergeFold(table)
+    prefixes = pta_prefixes(alphabet, words)
+    fold = MergeFold(pta_table(alphabet, words))
     fold.merge(prefixes.index(keep), prefixes.index(remove))
-    return fold.to_table().to_dfa()
+    return dfa_of(fold.to_table())
 
 
 class TestPrefixTreeAcceptor:
@@ -48,9 +49,11 @@ class TestPrefixTreeAcceptor:
     def test_pta_states_in_canonical_order(self, abc):
         # The table numbers states in canonical prefix order: the merge order
         # of Algorithm 1 is plain int order on state ids.
-        _, prefixes = pta_table(abc, [("a", "b", "c"), ("c",)], with_prefixes=True)
+        words = [("a", "b", "c"), ("c",)]
+        prefixes = pta_prefixes(abc, words)
         assert prefixes == [(), ("a",), ("c",), ("a", "b"), ("a", "b", "c")]
-        assert prefixes == sorted(prefixes, key=abc.word_key)
+        table = pta_table(abc, words)
+        assert [table.run_ids(table.encode(prefix)) for prefix in prefixes] == list(range(5))
 
     def test_pta_shares_prefixes(self, abc):
         pta = prefix_tree_acceptor(abc, [("a", "b"), ("a", "c")])

@@ -21,7 +21,7 @@ from repro.engine.planner import first_layer_costs, pair_strategy
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
-from repro.regex import compile_query
+from repro.regex.build import compile_table
 
 LABELS = ["a", "b", "c"]
 
@@ -65,7 +65,7 @@ ALPHABET = LABELS + ["z"]
 
 def plan_for(expression: str) -> TableDFA:
     """The expression's plan: the kernel table the walks read."""
-    return TableDFA.from_dfa(compile_query(expression, ALPHABET))[0]
+    return compile_table(expression, ALPHABET)
 
 
 class TestNumpyEvaluateAll:

@@ -27,7 +27,7 @@ from repro.engine import QueryEngine, planner
 from repro.engine.index import GraphIndex
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
-from repro.regex import compile_query
+from repro.regex.build import compile_table
 from repro.telemetry import Telemetry
 
 ALPHABET = ["r", "d", "z"]
@@ -54,7 +54,7 @@ def chain_graph(length: int) -> GraphDB:
 
 def plan_for(expression: str) -> TableDFA:
     """The expression's plan: the kernel table the choices read."""
-    return TableDFA.from_dfa(compile_query(expression, ALPHABET))[0]
+    return compile_table(expression, ALPHABET)
 
 
 def pair_choice(graph: GraphDB, expression: str) -> str:

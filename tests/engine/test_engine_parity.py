@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from oracles.automata import DFA, NFA, compile_dfa, dfa_of, table_of
 from oracles.product import (
     reference_any_node_selects,
     reference_binary_evaluate,
@@ -19,12 +20,11 @@ from oracles.product import (
     reference_node_selects,
     reference_pair_selects,
 )
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
+from repro.automata.kernel import TableDFA
 from repro.engine import QueryEngine
-from repro.errors import GraphError
+from repro.errors import GraphError, QueryError
 from repro.graphdb import GraphDB
-from repro.regex import compile_query
+from repro.regex.build import compile_table
 
 EXPRESSIONS = ["a", "(a.b)*.c", "a*.(c+b.c)", "b.b.c.c", "eps", "a*", "(a+b)*.c", "c.b*"]
 
@@ -41,44 +41,46 @@ def random_graph(rng: random.Random, labels: list[str]) -> GraphDB:
 
 class TestWorkedExamples:
     def test_paper_examples_on_g0(self, engine, g0):
-        assert engine.evaluate(g0, compile_query("a", g0.alphabet)) == g0.nodes - {"v4"}
-        assert engine.evaluate(g0, compile_query("(a.b)*.c", g0.alphabet)) == {"v1", "v3"}
-        assert engine.evaluate(g0, compile_query("b.b.c.c", g0.alphabet)) == frozenset()
+        assert engine.evaluate(g0, compile_table("a", g0.alphabet)) == g0.nodes - {"v4"}
+        assert engine.evaluate(g0, compile_table("(a.b)*.c", g0.alphabet)) == {"v1", "v3"}
+        assert engine.evaluate(g0, compile_table("b.b.c.c", g0.alphabet)) == frozenset()
 
     def test_geo_running_example(self, engine, geo):
-        query = compile_query("(tram+bus)*.cinema", geo.alphabet)
+        query = compile_table("(tram+bus)*.cinema", geo.alphabet)
         assert engine.evaluate(geo, query) == {"N1", "N2", "N4", "N6"}
 
 
 class TestEdgeCases:
     def test_empty_language_no_finals(self, engine, g0):
-        empty = DFA(g0.alphabet, initial=0)
+        empty = TableDFA.blank(g0.alphabet, 1)
         assert engine.evaluate(g0, empty) == frozenset()
         assert engine.binary_evaluate(g0, empty) == frozenset()
         assert not engine.any_selects(g0, empty, list(g0.nodes))
 
     def test_empty_language_unreachable_final(self, engine, g0):
         # A final state exists but no transition reaches it.
-        dfa = DFA(g0.alphabet, initial=0, states=[0, 1], finals=[1])
+        dfa = table_of(DFA(g0.alphabet, initial=0, states=[0, 1], finals=[1]))
         assert engine.evaluate(g0, dfa) == frozenset()
         assert not engine.selects(g0, dfa, "v1")
 
     def test_epsilon_nfa_rejected(self, engine, g0):
+        # An object automaton is not a query: the engine walks kernel tables.
         nfa = NFA(g0.alphabet, states=[0, 1], initial=[0], finals=[1])
         nfa.add_epsilon_transition(0, 1)
-        with pytest.raises(GraphError):
+        with pytest.raises(QueryError):
             engine.evaluate(g0, nfa)
-        with pytest.raises(GraphError):
+        with pytest.raises(QueryError):
             engine.any_selects(g0, nfa, ["v1"])
-        with pytest.raises(GraphError):
+        with pytest.raises(QueryError):
             engine.any_selects(g0, nfa, ["v1"], ephemeral=True)
 
     def test_epsilon_free_nfa_accepted(self, engine, g0):
-        nfa = compile_query("a.b", g0.alphabet).to_nfa()
-        assert engine.evaluate(g0, nfa) == reference_evaluate(g0, nfa)
+        # Determinised on the test side, its table answers as the NFA does.
+        nfa = compile_dfa("a.b", g0.alphabet).to_nfa()
+        assert engine.evaluate(g0, table_of(nfa)) == reference_evaluate(g0, nfa)
 
     def test_unknown_node_raises(self, engine, g0):
-        query = compile_query("a", g0.alphabet)
+        query = compile_table("a", g0.alphabet)
         with pytest.raises(GraphError):
             engine.selects(g0, query, "missing")
         with pytest.raises(GraphError):
@@ -90,29 +92,23 @@ class TestEdgeCases:
 
     def test_empty_word_acceptance(self, engine, g0):
         # initials & finals != {} : every node has the empty path.
-        star = compile_query("a*", g0.alphabet)
+        star = compile_table("a*", g0.alphabet)
         assert engine.evaluate(g0, star) == g0.nodes
         for node in g0.nodes:
             assert engine.selects(g0, star, node)
             assert engine.pair_selects(g0, star, node, node)
 
     def test_negative_max_depth_rejected(self, engine, g0):
-        from repro.automata.kernel import TableDFA
-        from repro.errors import QueryError
-
-        table, _ = TableDFA.from_dfa(compile_query("a.b", g0.alphabet))
+        table = compile_table("a.b", g0.alphabet)
         with pytest.raises(QueryError, match="non-negative"):
             engine.evaluate(g0, table, ephemeral=True, max_depth=-3)
         # Zero stays legal: only the empty word fits.
         assert engine.evaluate(g0, table, ephemeral=True, max_depth=0) == frozenset()
 
     def test_rejected_calls_leave_the_stats_untouched(self, g0):
-        from repro.automata.kernel import TableDFA
-        from repro.errors import QueryError
-
         engine = QueryEngine()
-        dfa = compile_query("a.b", g0.alphabet)
-        table, _ = TableDFA.from_dfa(dfa)
+        table = compile_table("a.b", g0.alphabet)
+        dfa = dfa_of(table)
         epsilon = NFA(g0.alphabet, states=[0, 1], initial=[0], finals=[1])
         epsilon.add_epsilon_transition(0, 1)
         before = engine.stats.as_dict()
@@ -130,8 +126,8 @@ class TestEdgeCases:
             with pytest.raises(error):
                 call()
             assert engine.stats.as_dict() == before
-        # An epsilon NFA is refused at the door, on every entry point and in
-        # both modes, before the plan cache is even asked.
+        # An object automaton is refused at the door, on every entry point and
+        # in both modes, before the plan cache is even asked.
         before = engine.stats_snapshot()
         for call in (
             lambda: any_of(g0, epsilon, ["v1"], ephemeral=True),
@@ -142,19 +138,19 @@ class TestEdgeCases:
             lambda: engine.binary_evaluate(g0, epsilon),
             lambda: engine.explain(g0, epsilon),
         ):
-            with pytest.raises(GraphError, match="epsilon-free"):
+            with pytest.raises(QueryError, match="cannot evaluate"):
                 call()
             assert engine.stats_snapshot() == before
 
     def test_empty_node_set(self, engine, g0):
-        query = compile_query("a*", g0.alphabet)
+        query = compile_table("a*", g0.alphabet)
         assert not engine.any_selects(g0, query, [])
         assert not engine.any_selects(g0, query, [], ephemeral=True)
 
     def test_query_alphabet_disjoint_from_graph(self, engine, g0):
-        query = compile_query("z", ["a", "b", "c", "z"])
+        query = compile_table("z", ["a", "b", "c", "z"])
         assert engine.evaluate(g0, query) == frozenset()
-        assert engine.evaluate(g0, compile_query("a.b.c+z", ["a", "b", "c", "z"])) == {
+        assert engine.evaluate(g0, compile_table("a.b.c+z", ["a", "b", "c", "z"])) == {
             "v1",
             "v3",
         }
@@ -162,9 +158,9 @@ class TestEdgeCases:
     def test_isolated_nodes_and_label_free_graph(self, engine):
         graph = GraphDB(["a"])
         graph.add_nodes(["x", "y"])
-        query = compile_query("a", ["a"])
+        query = compile_table("a", ["a"])
         assert engine.evaluate(graph, query) == frozenset()
-        assert engine.evaluate(graph, compile_query("a*", ["a"])) == {"x", "y"}
+        assert engine.evaluate(graph, compile_table("a*", ["a"])) == {"x", "y"}
 
 
 class TestRandomizedParity:
@@ -175,18 +171,18 @@ class TestRandomizedParity:
         for _ in range(25):
             graph = random_graph(rng, self.LABELS)
             for expression in EXPRESSIONS:
-                query = compile_query(expression, self.LABELS)
-                assert engine.evaluate(graph, query) == reference_evaluate(graph, query)
+                query = compile_table(expression, self.LABELS)
+                assert engine.evaluate(graph, query) == reference_evaluate(graph, dfa_of(query))
 
     def test_selects_parity(self, engine):
         rng = random.Random(11)
         for _ in range(10):
             graph = random_graph(rng, self.LABELS)
             for expression in EXPRESSIONS:
-                query = compile_query(expression, self.LABELS)
+                query = compile_table(expression, self.LABELS)
                 for node in sorted(graph.nodes)[:6]:
                     assert engine.selects(graph, query, node) == reference_node_selects(
-                        graph, query, node
+                        graph, dfa_of(query), node
                     )
 
     def test_any_selects_parity_both_modes(self, engine):
@@ -195,8 +191,8 @@ class TestRandomizedParity:
             graph = random_graph(rng, self.LABELS)
             subset = sorted(graph.nodes)[:4]
             for expression in EXPRESSIONS:
-                query = compile_query(expression, self.LABELS)
-                expected = reference_any_node_selects(graph, query, subset)
+                query = compile_table(expression, self.LABELS)
+                expected = reference_any_node_selects(graph, dfa_of(query), subset)
                 assert engine.any_selects(graph, query, subset) == expected
                 assert engine.any_selects(graph, query, subset, ephemeral=True) == expected
 
@@ -205,12 +201,12 @@ class TestRandomizedParity:
         for _ in range(10):
             graph = random_graph(rng, self.LABELS)
             for expression in EXPRESSIONS:
-                query = compile_query(expression, self.LABELS)
-                pairs = reference_binary_evaluate(graph, query)
+                query = compile_table(expression, self.LABELS)
+                pairs = reference_binary_evaluate(graph, dfa_of(query))
                 assert engine.binary_evaluate(graph, query) == pairs
                 for origin in sorted(graph.nodes)[:4]:
                     for end in sorted(graph.nodes)[:4]:
-                        expected = reference_pair_selects(graph, query, origin, end)
+                        expected = reference_pair_selects(graph, dfa_of(query), origin, end)
                         assert engine.pair_selects(graph, query, origin, end) == expected
                         assert (
                             engine.pair_selects(graph, query, origin, end, ephemeral=True)
@@ -226,63 +222,46 @@ class TestRandomizedParity:
         for _ in range(8):
             graph = random_graph(rng, self.LABELS)
             for expression in EXPRESSIONS:
-                query = compile_query(expression, self.LABELS)
+                query = compile_table(expression, self.LABELS)
                 assert PathQuery(query).evaluate(graph, engine=engine) == reference_evaluate(
-                    graph, query
+                    graph, dfa_of(query)
                 )
                 assert BinaryPathQuery(query).evaluate(
                     graph, engine=engine
-                ) == reference_binary_evaluate(graph, query)
+                ) == reference_binary_evaluate(graph, dfa_of(query))
 
 
 class TestTableAutomatonParity:
-    """Kernel automata through the engine's plan path: a table must compile
-    and evaluate exactly like the DFA it encodes.  (The ephemeral walks over
+    """Kernel automata through the engine's plan path: equal tables share one
+    plan-cache entry.  (The ephemeral walks over
     tables and mid-merge folds are pinned, per stop rule, by the source x
     stop-rule matrix in ``test_walk_matrix.py``.)"""
 
     LABELS = ["a", "b", "c"]
 
-    def test_compiled_table_plan_matches_dfa_plan(self, engine):
-        from repro.automata.kernel import TableDFA
-
-        rng = random.Random(37)
-        for _ in range(6):
-            graph = random_graph(rng, self.LABELS)
-            for expression in EXPRESSIONS:
-                dfa = compile_query(expression, self.LABELS)
-                table, _ = TableDFA.from_dfa(dfa)
-                assert engine.evaluate(graph, table) == engine.evaluate(graph, dfa)
-
     def test_table_fingerprint_shares_plan_cache(self, g0):
-        from repro.automata.kernel import TableDFA
-
-        dfa = compile_query("(a.b)*.c", self.LABELS)
-        left, _ = TableDFA.from_dfa(dfa)
-        right, _ = TableDFA.from_dfa(dfa)
-        assert left.fingerprint() == right.fingerprint()
+        left = compile_table("(a.b)*.c", self.LABELS)
+        right = table_of(dfa_of(left))
+        assert left is not right and left.fingerprint() == right.fingerprint()
         for planner in ("auto", "off"):
             engine = QueryEngine(planner=planner)
             plan, _ = engine._resolve_plan(g0, left)
-            # The raw DFA is int-coded at the door to the same table, so it
-            # shares the entry too.
             assert engine._resolve_plan(g0, right)[0] is plan
-            assert engine._resolve_plan(g0, dfa)[0] is plan
             assert engine.stats.plan_compilations == 1
 
 
 class TestBatchEvaluation:
     def test_evaluate_many_matches_single_calls(self, g0):
         engine = QueryEngine()
-        queries = [compile_query(expression, g0.alphabet) for expression in EXPRESSIONS]
+        queries = [compile_table(expression, g0.alphabet) for expression in EXPRESSIONS]
         batched = engine.evaluate_many(g0, queries)
-        assert batched == [reference_evaluate(g0, query) for query in queries]
+        assert batched == [reference_evaluate(g0, dfa_of(query)) for query in queries]
         # One graph, one index build for the whole batch.
         assert engine.stats.index_builds == 1
 
     def test_evaluate_many_amortizes_caches(self, g0):
         engine = QueryEngine()
-        queries = [compile_query(expression, g0.alphabet) for expression in EXPRESSIONS]
+        queries = [compile_table(expression, g0.alphabet) for expression in EXPRESSIONS]
         engine.evaluate_many(g0, queries)
         evaluations_after_first = engine.stats.evaluations
         engine.evaluate_many(g0, queries)

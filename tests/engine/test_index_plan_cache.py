@@ -6,7 +6,6 @@ import pytest
 from oracles.graph import successors as oracle_successors
 
 from repro.automata.alphabet import Alphabet
-from repro.automata.dfa import DFA
 from repro.automata.kernel import TableDFA
 from repro.engine import GraphIndex, LRUCache, QueryEngine
 from repro.engine.executor import bind
@@ -97,9 +96,8 @@ class TestCompiledPlan:
     def test_fingerprint_shared_by_equal_queries(self):
         left = PathQuery.parse("a.b*", ["a", "b"])
         right = PathQuery.parse("a.b*", ["a", "b"])
-        assert left.dfa is not right.dfa
+        assert left is not right
         assert left.table.fingerprint() == right.table.fingerprint()
-        assert TableDFA.from_dfa(left.dfa)[0].fingerprint() == left.table.fingerprint()
 
     def test_fingerprint_distinguishes_languages(self):
         one = PathQuery.parse("a", ["a", "b"]).table
@@ -113,7 +111,7 @@ class TestCompiledPlan:
         star = bind(index, PathQuery.parse("a*", ["a"]).table)
         assert star.accepts_empty
         assert not star.empty
-        empty = bind(index, TableDFA.from_dfa(DFA(Alphabet(["a"]), initial=0))[0])
+        empty = bind(index, TableDFA.blank(Alphabet(["a"]), 1))
         assert empty.empty
 
     def test_delta_round_trip(self):

@@ -1,12 +1,13 @@
-"""Raw nondeterministic NFAs at the engine's door, against the reference.
+"""Nondeterministic NFAs, determinised, against the reference.
 
-The engine int-codes a raw ``NFA`` once (``TableDFA.from_nfa``: subset
-construction) and walks the table; the reference product construction in
-``tests/oracles/product.py`` walks the NFA itself, nondeterminism and all.
-On a seeded population of epsilon-free NFAs that each have a state with two
-successors on one symbol, the raw NFA, its determinised table and the
-reference must agree on all five entry points, for every planner mode and
-backend -- and every witness must be a real, accepted, shortest path.
+The engine walks kernel tables only; an NFA reaches it as the table of its
+subset construction (``oracles.automata.table_of``), while the reference
+product construction in ``tests/oracles/product.py`` walks the NFA itself,
+nondeterminism and all.  On a seeded population of epsilon-free NFAs that
+each have a state with two successors on one symbol, the determinised table
+and the reference must agree on all five entry points, for every planner
+mode and backend -- and every witness must be a real, accepted, shortest
+path.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from functools import cache
 
 import pytest
+from oracles.automata import NFA, table_of
 from oracles.graph import successors
 from oracles.paths import covered_by
 from oracles.product import (
@@ -25,8 +27,6 @@ from oracles.product import (
     reference_pair_selects,
 )
 
-from repro.automata.kernel import TableDFA
-from repro.automata.nfa import NFA
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 
@@ -92,31 +92,28 @@ def test_raw_nfa_table_and_reference_agree(planner, backend):
     labels = sorted(db.labels())
     nodes = sorted(db.nodes)
     rng = random.Random(2015)
-    # One engine per way in, so the second form is never a result-cache hit.
-    engines = {form: QueryEngine(planner=planner, backend=backend) for form in ("nfa", "table")}
+    engine = QueryEngine(planner=planner, backend=backend)
     for number in range(NFA_COUNT):
         nfa = random_nfa(rng, labels, db.alphabet)
-        forms = {"nfa": nfa, "table": TableDFA.from_nfa(nfa)[0]}
+        query = table_of(nfa)
         sample = rng.sample(nodes, 4)
         expected_nodes = reference_evaluate(db, nfa)
         expected_pairs = reference_binary_evaluate(db, nfa)
         shortest = shortest_accepted_length(nfa, sample)
         assert (shortest is not None) == reference_any_node_selects(db, nfa, sample)
-        for form, query in forms.items():
-            engine = engines[form]
-            # Early-exit searches first: afterwards the result cache answers.
-            for node in sample:
-                assert engine.selects(db, query, node) == reference_node_selects(db, nfa, node)
-            for origin in sample[:2]:
-                for end in sample:
-                    assert engine.pair_selects(db, query, origin, end) == reference_pair_selects(
-                        db, nfa, origin, end
-                    ), (number, form, origin, end)
-            word = engine.any_selects(db, query, sample, witness=True)
-            if shortest is None:
-                assert word is None, (number, form)
-            else:
-                assert len(word) == shortest, (number, form, word)
-                assert nfa.accepts(word) and covered_by(db, word, sample)
-            assert engine.evaluate(db, query) == expected_nodes, (number, form)
-            assert engine.binary_evaluate(db, query) == expected_pairs, (number, form)
+        # Early-exit searches first: afterwards the result cache answers.
+        for node in sample:
+            assert engine.selects(db, query, node) == reference_node_selects(db, nfa, node)
+        for origin in sample[:2]:
+            for end in sample:
+                assert engine.pair_selects(db, query, origin, end) == reference_pair_selects(
+                    db, nfa, origin, end
+                ), (number, origin, end)
+        word = engine.any_selects(db, query, sample, witness=True)
+        if shortest is None:
+            assert word is None, number
+        else:
+            assert len(word) == shortest, (number, word)
+            assert nfa.accepts(word) and covered_by(db, word, sample)
+        assert engine.evaluate(db, query) == expected_nodes, number
+        assert engine.binary_evaluate(db, query) == expected_pairs, number

@@ -26,7 +26,7 @@ from repro.engine.index import GraphIndex
 from repro.errors import QueryError
 from repro.graphdb import GraphDB
 from repro.queries import PathQuery
-from repro.regex import compile_query
+from repro.regex.build import compile_table
 
 LABELS = ["a", "b", "c"]
 #: The declared alphabet is wider than any graph's labels: "z" never occurs
@@ -72,7 +72,7 @@ GRAPHS = [random_graph(random.Random(seed)) for seed in range(50)]
 
 
 def table_for(expression: str) -> TableDFA:
-    return TableDFA.from_dfa(compile_query(expression, ALPHABET))[0]
+    return compile_table(expression, ALPHABET)
 
 
 def query_for(expression: str) -> PathQuery:
@@ -94,7 +94,7 @@ class TestRewriteTable:
         assert outcome.states_after < outcome.states_before
 
     def test_clean_when_nothing_to_rewrite(self):
-        table = TableDFA.from_dfa(compile_query("a.b", LABELS))[0]
+        table = compile_table("a.b", LABELS)
         outcome = rewrite_table(table, LABELS)
         assert outcome.parity == "clean"
         assert outcome.applied == ()
@@ -166,7 +166,7 @@ class TestSelectivityOrdered:
         # "(a+b).a*" leaves its initial state on both labels; "a.(a+b)"
         # enters its final state on both.
         for expression in ("(a+b).a*", "a.(a+b)"):
-            table = TableDFA.from_dfa(compile_query(expression, ["a", "b"]))[0]
+            table = compile_table(expression, ["a", "b"])
             forward, backward = all_rows(bind(index, table, rare_first=True))
             for row in (*forward, *backward):
                 weights = [counts[move[0]] for move in row]

@@ -27,9 +27,9 @@ from hashlib import blake2b
 from pathlib import Path
 
 import pytest
+from oracles.automata import DFA, table_of
 
 from repro.automata.alphabet import Alphabet
-from repro.automata.dfa import DFA
 from repro.automata.kernel import NO_STATE, MergeFold, TableDFA, pta_table
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine, planner
@@ -56,8 +56,8 @@ def random_expression(rng: random.Random, labels: list[str], depth: int = 3) -> 
 
 
 def random_table(rng: random.Random, labels: list[str]) -> TableDFA:
-    """A raw table as the engine's door int-codes one: dead and unreachable
-    states, equivalent states, nothing trimmed or minimized."""
+    """A bare table as a caller may build one: dead and unreachable states,
+    equivalent states, nothing trimmed or minimized."""
     n, m = rng.randint(1, 8), len(labels)
     trans = array(
         "i", [rng.randrange(n) if rng.random() < 0.4 else NO_STATE for _ in range(n * m)]
@@ -263,13 +263,13 @@ class TestOneGatedRound:
         engine.binary_evaluate(graph, pairs[1])
         assert engine.stats.plan_compilations == 4
         assert passes == ZERO
-        # The bare table of a query is a raw automaton to the engine: it does
+        # The bare table of a query is just a table to the engine: it does
         # not know where it came from.
         engine.evaluate(graph, paths[2].table)
         assert passes == {"trimmed": 2, "minimized": 1}
 
     def test_a_raw_untrimmed_dfa_is_still_pruned_at_the_door(self):
-        graph, dfa = two_label_graph(), dead_branch_dfa()
+        graph, dfa = two_label_graph(), table_of(dead_branch_dfa())
         engine = QueryEngine(planner="auto")
         assert engine.evaluate(graph, dfa) == {0}
         plan, report = engine._resolve_plan(graph, dfa)

@@ -2,12 +2,11 @@
 
 :mod:`repro.engine.executor` writes each walk once and ``bind`` reads one
 transition format, the kernel's flat array.  This matrix pins that claim
-along both halves of the source axis.  At the executor: a kernel
-``TableDFA`` and a ``MergeFold``.  At the engine's door: a raw ``DFA`` and
-a raw ``NFA``, int-coded once by ``QueryEngine._coerce_automaton``, and the
-*plan* -- the entry a ``planner="off"`` engine caches for that ``DFA``,
-which is again a table.  The *same automaton*, whichever way it came in,
-must
+along the source axis: a kernel ``TableDFA`` and a ``MergeFold``; the
+tables an object ``DFA`` and its ``NFA`` view int-code to on the test side
+(``oracles.automata.table_of``, the second by subset construction); and the
+*plan* -- the entry a ``planner="off"`` engine caches for that table.  The
+*same automaton*, whichever way it came in, must
 
 * answer every stop rule (any-of-nodes, pair, depth-bounded, whole-graph)
   exactly like the independent ``reference_*`` construction in
@@ -28,6 +27,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles.automata import DFA, compile_dfa, dfa_of, table_of
 from oracles.paths import covered_by, enumerate_paths, enumerate_paths_between
 from oracles.product import (
     reference_any_node_selects,
@@ -36,14 +36,13 @@ from oracles.product import (
 )
 from test_engine_parity import EXPRESSIONS, random_graph
 
-from repro.automata.dfa import DFA
-from repro.automata.kernel import MergeFold, TableDFA, pta_table
+from repro.automata.kernel import MergeFold, pta_table
 from repro.engine import QueryEngine, executor
 from repro.engine.executor import KernelStats
 from repro.engine.index import GraphIndex
 from repro.errors import QueryError
 from repro.graphdb import GraphDB
-from repro.regex import compile_query
+from repro.regex.build import compile_table
 
 LABELS = ["a", "b", "c"]
 SOURCES = ("plan", "table", "fold", "dfa", "nfa")
@@ -66,22 +65,24 @@ def mid_merge_fold(seed: int) -> MergeFold:
     return fold
 
 
-def representations(case: str) -> dict[str, object]:
-    """The five ways in of one automaton (see the module docstring)."""
+def representations(case: str) -> tuple[dict[str, object], DFA]:
+    """The five ways in of one automaton (see the module docstring), and the
+    object ``DFA`` the oracles read."""
     if case.startswith("fold:"):
         fold = mid_merge_fold(int(case.removeprefix("fold:")))
         table = fold.to_table()
     else:
-        table, _ = TableDFA.from_dfa(compile_query(case, LABELS))
+        table = compile_table(case, LABELS)
         fold = MergeFold(table)
-    dfa = table.to_dfa()
-    return {
-        "plan": QueryEngine(planner="off")._resolve_plan(GraphDB(LABELS), dfa)[0],
+    dfa = dfa_of(table)
+    forms = {
+        "plan": QueryEngine(planner="off")._resolve_plan(GraphDB(LABELS), table)[0],
         "table": table,
         "fold": fold,
-        "dfa": dfa,
-        "nfa": dfa.to_nfa(),
+        "dfa": table_of(dfa),
+        "nfa": table_of(dfa.to_nfa()),
     }
+    return forms, dfa
 
 
 CASES = [*EXPRESSIONS, *(f"fold:{seed}" for seed in range(4))]
@@ -99,8 +100,8 @@ def population():
 def walk(rule, index, source, nodes, *, end=None, depth=None, witness=False):
     """Run one stop rule on one source; returns ``(answer, work counters)``.
 
-    Every source enters through the engine's door, which int-codes the raw
-    ``DFA``/``NFA`` and passes a table or fold as it is.
+    Every source enters through the engine's door, which passes a table or
+    fold as it is.
     """
     source = QueryEngine._coerce_automaton(source)
     stats = KernelStats()
@@ -125,23 +126,22 @@ def walk(rule, index, source, nodes, *, end=None, depth=None, witness=False):
 @pytest.mark.parametrize("case", CASES)
 class TestSourceByStopRule:
     def test_any_of_nodes(self, case, source):
-        forms = representations(case)
+        forms, dfa = representations(case)
         for graph, index, subset in population():
-            expected = reference_any_node_selects(graph, forms["dfa"], subset)
+            expected = reference_any_node_selects(graph, dfa, subset)
             assert walk("any", index, forms[source], subset)[0] == expected
 
     def test_pair(self, case, source):
-        forms = representations(case)
+        forms, dfa = representations(case)
         for graph, index, subset in population():
             for origin in subset:
                 for end in subset:
-                    expected = reference_pair_selects(graph, forms["dfa"], origin, end)
+                    expected = reference_pair_selects(graph, dfa, origin, end)
                     got, _ = walk("pair", index, forms[source], [origin], end=end)
                     assert got == expected, (origin, end)
 
     def test_depth_bounded(self, case, source):
-        forms = representations(case)
-        dfa = forms["dfa"]
+        forms, dfa = representations(case)
         for graph, index, subset in population():
             for depth in DEPTHS:
                 bounded = {
@@ -161,8 +161,7 @@ class TestSourceByStopRule:
         pair oracle finds it on the graph from the start nodes, and no
         shorter accepted path exists (BFS depth = shortest witness).
         """
-        forms = representations(case)
-        dfa = forms["dfa"]
+        forms, dfa = representations(case)
         for graph, index, subset in population():
             calls = [(subset, {}), (subset, {"depth": 1}), (subset[:1], {"end": subset[-1]})]
             for nodes, options in calls:
@@ -188,9 +187,9 @@ class TestSourceByStopRule:
                     assert not any(dfa.accepts(path) for paths in shorter for path in paths)
 
     def test_whole_graph(self, case, source):
-        forms = representations(case)
+        forms, dfa = representations(case)
         for graph, index, _ in population():
-            expected = reference_evaluate(graph, forms["dfa"])
+            expected = reference_evaluate(graph, dfa)
             assert walk("whole", index, forms[source], ())[0] == expected
 
 
@@ -203,7 +202,7 @@ def test_every_source_does_identical_work(case):
     seeds (and pops) pairs the materialized quotient does not have -- which
     is why the engine materializes a fold before a whole-graph walk.
     """
-    forms = representations(case)
+    forms, _ = representations(case)
     for _, index, subset in population():
         calls = [("any", subset, {}), ("any", subset, {"depth": 2}), ("whole", (), {})]
         calls += [("pair", [origin], {"end": end}) for origin in subset for end in subset[:2]]
@@ -218,9 +217,9 @@ def test_every_source_does_identical_work(case):
 
 @pytest.mark.parametrize("form", ["dfa", "nfa", "expression"])
 def test_bind_takes_kernel_automata_only(form):
-    """``bind`` has one branch: a raw automaton (or anything else) that got
-    past the engine's door un-coded is a ``QueryError``, not a walk."""
-    dfa = compile_query("(a.b)*.c", LABELS)
+    """``bind`` has one branch: an object automaton (or anything else) is a
+    ``QueryError``, not a walk."""
+    dfa = compile_dfa("(a.b)*.c", LABELS)
     query = {"dfa": dfa, "nfa": dfa.to_nfa(), "expression": "(a.b)*.c"}[form]
     _, index, subset = next(population())
     with pytest.raises(QueryError, match="kernel TableDFA/MergeFold"):
@@ -236,14 +235,14 @@ def test_bind_takes_kernel_automata_only(form):
 @pytest.mark.parametrize("case", CASES)
 def test_engine_ephemeral_calls_take_every_uncompiled_source(case):
     """``QueryEngine``'s ephemeral entry points are one call each into the
-    same walks: tables, mid-merge folds and raw automata all answer like the
-    reference, with no plan cached."""
-    forms = representations(case)
+    same walks: tables, mid-merge folds and the tables of object automata all
+    answer like the reference, with no plan cached."""
+    forms, dfa = representations(case)
     engine = QueryEngine()
     for graph, _, subset in population():
-        expected = reference_any_node_selects(graph, forms["dfa"], subset)
+        expected = reference_any_node_selects(graph, dfa, subset)
         origin, end = subset[0], subset[-1]
-        expected_pair = reference_pair_selects(graph, forms["dfa"], origin, end)
+        expected_pair = reference_pair_selects(graph, dfa, origin, end)
         for source in ("table", "fold", "dfa", "nfa"):
             query = forms[source]
             assert engine.any_selects(graph, query, subset, ephemeral=True) == expected
@@ -252,14 +251,14 @@ def test_engine_ephemeral_calls_take_every_uncompiled_source(case):
 
 
 def test_geo_seed_order_is_not_set_iteration(geo):
-    """The parent's raw-DFA walk seeded from a ``set``: on the geo graph
-    ``(tram+bus)*.cinema`` from all nodes cost 4/4 through it and 9/9 through
-    the table and plan walks.  Every engine path now agrees."""
-    dfa = compile_query("(tram+bus)*.cinema", geo.alphabet)
-    table, _ = TableDFA.from_dfa(dfa)
+    """A raw-DFA walk seeded from a ``set`` once cost 4/4 on the geo graph
+    for ``(tram+bus)*.cinema`` from all nodes, and 9/9 through the table and
+    plan walks.  Every engine path agrees."""
+    table = compile_table("(tram+bus)*.cinema", geo.alphabet)
     nodes = list(geo.node_order)
     work = set()
-    for query, ephemeral in ((dfa, True), (table, True), (dfa.to_nfa(), True), (dfa, False)):
+    nfa_table = table_of(dfa_of(table).to_nfa())
+    for query, ephemeral in ((table, True), (nfa_table, True), (table, False)):
         engine = QueryEngine(planner="off")
         assert engine.any_selects(geo, query, nodes, ephemeral=ephemeral)
         work.add((engine.stats.states_expanded, engine.stats.edges_scanned))

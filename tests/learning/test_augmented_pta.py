@@ -28,7 +28,6 @@ from test_guard_memo import plain_guard, seeded_case
 
 from repro.automata import Alphabet
 from repro.automata.kernel import MergeFold, fold_generalize, pta_table
-from repro.automata.minimize import canonical_table
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.learning import Sample
@@ -137,7 +136,7 @@ def test_every_refused_merge_is_one_a_walk_rejects(graph_seed, labels, k):
         assert not result.scps
         return
     pta = pta_table(graph.alphabet, result.scps.values())
-    unmasked = canonical_table(fold_generalize(pta, walk).to_table())
+    unmasked = fold_generalize(pta, walk).to_table().canonical()
     assert result.hypothesis.table.fingerprint() == unmasked.fingerprint()
 
 
@@ -157,4 +156,4 @@ def test_the_mask_spares_guard_walks_and_the_span_counts_them():
     # Each refused merge is one guard call the unmasked run makes and this one does not.
     assert len(walks) == span["guard_calls"] + span["refused_merges"]
     learned = result.hypothesis.table.fingerprint()
-    assert canonical_table(unmasked.to_table()).fingerprint() == learned
+    assert unmasked.to_table().canonical().fingerprint() == learned

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from test_properties_learning import graph_and_arbitrary_sample, random_graphs
 
 from repro.automata.kernel import fold_generalize, pta_table
-from repro.automata.minimize import canonical_table
 from repro.engine import QueryEngine
 from repro.errors import SampleError
 from repro.graphdb import GraphDB
@@ -60,7 +59,7 @@ def learn_walking_every_positive(graph, sample, *, k):
     fold = fold_generalize(
         pta_table(graph.alphabet, scps.values()), coverage.merge_guard(graph=graph, engine=engine)
     )
-    canonical = canonical_table(fold.to_table())
+    canonical = fold.to_table().canonical()
     return canonical, all(engine.selects(graph, canonical, node) for node in sample.positives)
 
 
@@ -75,7 +74,7 @@ def test_learner_equals_the_check_of_every_positive(case, k):
         assert result.hypothesis is None and result.is_null and engine.walks == 0
         return
     canonical, selects_all = expected
-    assert result.hypothesis.table.to_dfa().structurally_equal(canonical.to_dfa())
+    assert result.hypothesis.table.fingerprint() == canonical.fingerprint()
     assert result.selects_all_positives == selects_all
     assert (result.query is result.hypothesis) == selects_all and result.is_null != selects_all
     # Only the SCP-less positives are walked, up to the first one missed.
@@ -152,11 +151,11 @@ def test_binary_learner_equals_the_check_of_every_positive_pair(case, k):
         return any(oracle.pair_selects(graph, candidate, *pair) for pair in sample.negatives)
 
     fold = fold_generalize(pta_table(graph.alphabet, result.scps.values()), violates)
-    canonical = canonical_table(fold.to_table())
+    canonical = fold.to_table().canonical()
     selects_all = all(oracle.pair_selects(graph, canonical, *pair) for pair in sample.positives)
     assert result.selects_all_positives == selects_all
     if selects_all:
-        assert result.query.table.to_dfa().structurally_equal(canonical.to_dfa())
+        assert result.query.table.fingerprint() == canonical.fingerprint()
     else:
         assert result.is_null
     scp_less = len(sample.positives - result.scps.keys())

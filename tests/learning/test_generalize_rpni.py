@@ -1,12 +1,15 @@
-"""Unit tests for the generalization engine and the word-level RPNI learner."""
+"""Unit tests for the generalization engine and the word-level RPNI learner.
+
+Generalization is the kernel's red-blue loop (``fold_generalize``) on the
+prefix tree acceptor ``pta_table`` builds; its result is the fold's table.
+"""
 
 import pytest
-from oracles.generalize import prefix_tree_acceptor
 
 from repro.automata import Alphabet
+from repro.automata.kernel import fold_generalize, pta_table
 from repro.errors import LearningError
 from repro.learning import rpni
-from repro.learning.generalize import generalize_pta
 from repro.queries import PathQuery
 
 
@@ -17,42 +20,42 @@ def abc():
 
 class TestGeneralizePTA:
     def test_no_negatives_generalizes_aggressively(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a", "b", "c"), ("c",)])
-        result = generalize_pta(pta, lambda dfa: False)
+        pta = pta_table(abc, [("a", "b", "c"), ("c",)])
+        result = fold_generalize(pta, lambda fold: False).to_table()
         # With nothing blocking merges, everything collapses to one state.
         assert len(result) == 1
 
     def test_negative_words_block_merges(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a", "b", "c"), ("c",)])
+        pta = pta_table(abc, [("a", "b", "c"), ("c",)])
         negatives = [(), ("a",), ("a", "b"), ("a", "c"), ("b", "c")]
 
         def violates(candidate):
             return any(candidate.accepts(word) for word in negatives)
 
-        result = generalize_pta(pta, violates)
+        result = fold_generalize(pta, violates).to_table()
         learned = PathQuery.from_automaton(result)
         assert learned == PathQuery.parse("(a.b)*.c", abc)
 
     def test_initial_guard_violation_raises(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a",)])
+        pta = pta_table(abc, [("a",)])
         with pytest.raises(LearningError):
-            generalize_pta(pta, lambda dfa: True)
+            fold_generalize(pta, lambda fold: True)
 
     def test_max_merges_cap(self, abc):
-        pta = prefix_tree_acceptor(abc, [("a", "a", "a", "a")])
-        capped = generalize_pta(pta, lambda dfa: False, max_merges=0)
-        uncapped = generalize_pta(pta, lambda dfa: False)
+        pta = pta_table(abc, [("a", "a", "a", "a")])
+        capped = fold_generalize(pta, lambda fold: False, max_merges=0).to_table()
+        uncapped = fold_generalize(pta, lambda fold: False).to_table()
         assert len(capped) == len(pta) > len(uncapped)
 
     def test_result_language_contains_input_words(self, abc):
         words = [("a", "b"), ("c",), ("b", "b", "a")]
-        pta = prefix_tree_acceptor(abc, words)
+        pta = pta_table(abc, words)
         negatives = [("a",), ("b",)]
 
         def violates(candidate):
             return any(candidate.accepts(word) for word in negatives)
 
-        result = generalize_pta(pta, violates)
+        result = fold_generalize(pta, violates).to_table()
         for word in words:
             assert result.accepts(word)
         for word in negatives:
@@ -80,7 +83,7 @@ class TestRPNI:
 
     def test_empty_positive_set_gives_empty_language(self, abc):
         learned = rpni(abc, [], [("a",)])
-        assert learned.is_empty()
+        assert learned.is_empty_language()
 
     def test_contradictory_sample_raises(self, abc):
         with pytest.raises(LearningError):

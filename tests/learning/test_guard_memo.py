@@ -28,13 +28,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.automata import table_of
 from oracles.generalize import prefix_tree_acceptor, reference_generalize_pta
 from oracles.minimize import reference_canonical_dfa
 from oracles.paths import smallest_consistent_path
 
 from repro.automata import Alphabet
 from repro.automata.kernel import MergeFold, fold_generalize, pta_table
-from repro.automata.minimize import canonical_table
 from repro.datasets.synthetic import scale_free_graph
 from repro.engine import QueryEngine
 from repro.errors import LearningError
@@ -90,7 +90,7 @@ def learn_without_memo(graph, sample, *, k, engine):
     fold = fold_generalize(
         pta_table(graph.alphabet, scps.values()), plain_guard(graph, sample.negatives, engine)
     )
-    return canonical_table(fold.to_table()).to_dfa()
+    return fold.to_table().canonical()
 
 
 def learn_by_reference(graph, sample, *, k, engine):
@@ -102,12 +102,13 @@ def learn_by_reference(graph, sample, *, k, engine):
             scps[node] = path
     if not scps:
         return None
+    guard = plain_guard(graph, sample.negatives, engine)
     generalized = reference_generalize_pta(
         prefix_tree_acceptor(graph.alphabet, scps.values()),
-        plain_guard(graph, sample.negatives, engine),
+        lambda candidate: guard(table_of(candidate)),
         alphabet=graph.alphabet,
     )
-    return reference_canonical_dfa(generalized)
+    return table_of(reference_canonical_dfa(generalized))
 
 
 # -- guard parity ---------------------------------------------------------------
@@ -120,13 +121,13 @@ def test_learned_dfa_equals_unmemoised_and_reference_learners(seed, goal):
     coverage = NegativeCoverage(engine.index_for(graph), sample.negatives)
     for k in (2, 3):
         result = learn_path_query(graph, sample, k=k, engine=engine, coverage=coverage)
-        learned = None if result.hypothesis is None else result.hypothesis.dfa
+        learned = None if result.hypothesis is None else result.hypothesis.table
         for other in (learn_without_memo, learn_by_reference):
             expected = other(graph, sample, k=k, engine=QueryEngine())
             if expected is None:
                 assert learned is None, (other.__name__, k)
             else:
-                assert learned.structurally_equal(expected), (other.__name__, k)
+                assert learned.fingerprint() == expected.fingerprint(), (other.__name__, k)
     assert coverage.guard_calls > 0
 
 

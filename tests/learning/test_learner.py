@@ -1,9 +1,20 @@
 """Unit tests for Algorithm 1 (the path-query learner)."""
 
+import importlib
+from types import SimpleNamespace
+
 import pytest
 
+from repro.datasets import geo_graph
+from repro.engine import QueryEngine
 from repro.errors import LearningError
-from repro.learning import Sample, learn_path_query, learn_with_dynamic_k
+from repro.learning import (
+    BinarySample,
+    NarySample,
+    Sample,
+    learn_path_query,
+    learn_with_dynamic_k,
+)
 
 
 class TestWorkedExample:
@@ -110,3 +121,36 @@ class TestGeoExample:
         result = learn_with_dynamic_k(geo, sample, engine=engine)
         assert not result.is_null
         assert result.query.evaluate(geo, engine=engine) == geo_goal.evaluate(geo, engine=engine)
+
+
+@pytest.mark.parametrize(
+    "module_name, learn, sample",
+    [
+        ("learner", "learn_path_query", Sample(positives={"N2", "N6"}, negatives={"N5"})),
+        (
+            "binary_learner",
+            "learn_binary_query",
+            BinarySample(positives={("N2", "N5")}, negatives={("N4", "N5")}),
+        ),
+        (
+            "nary_learner",
+            "learn_nary_query",
+            NarySample(positives={("N2", "N5", "N3")}, negatives={("N4", "N5", "R1")}),
+        ),
+    ],
+)
+def test_a_bare_call_times_its_sample_check(monkeypatch, module_name, learn, sample):
+    """Algorithms 1-3 start their clock before they check the sample: the
+    learner module's clock moves 100 s inside ``check_against``."""
+    module = importlib.import_module(f"repro.learning.{module_name}")
+    now = [0.0]
+    check = type(sample).check_against
+
+    def slow_check(self, graph):
+        now[0] += 100.0
+        return check(self, graph)
+
+    monkeypatch.setattr(module, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(type(sample), "check_against", slow_check)
+    result = getattr(module, learn)(geo_graph(), sample, k=3, engine=QueryEngine())
+    assert result.elapsed == 100.0

@@ -1,16 +1,16 @@
-"""The object-level subset construction (oracle for ``TableDFA.from_nfa``)."""
+"""The object-level subset construction (``oracles.automata.table_of`` of an
+NFA, and the oracle of the Glushkov compiler's subset construction)."""
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
+from oracles.automata import DFA, NFA
 
 
 def reference_determinize(nfa: NFA) -> DFA:
-    """The original object-level subset construction, kept as the parity
-    oracle for the kernel's :meth:`TableDFA.from_nfa`."""
+    """The object-level subset construction: the reachable subsets, read
+    breadth first with symbols in alphabet order, named by themselves."""
     start = nfa.epsilon_closure(nfa.initial_states)
     dfa = DFA(nfa.alphabet, initial=start)
     if start & nfa.final_states:

@@ -5,19 +5,28 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
+from oracles.automata import DFA
 from oracles.merging import reference_deterministic_merge
-from repro.automata.alphabet import Alphabet
-from repro.automata.dfa import DFA
-from repro.automata.kernel import pta_table
+from repro.automata.alphabet import Alphabet, Word
 from repro.errors import LearningError
 
 
 def prefix_tree_acceptor(alphabet: Alphabet, words: Iterable[Sequence[str]]) -> DFA:
     """The PTA of ``words`` as a DFA whose states are the prefix words
     (Figure 6(a) names them ``eps, a, ab, abc, c``): the input the object
-    loop below reads.  Built by the kernel's :func:`pta_table`."""
-    table, prefixes = pta_table(alphabet, words, with_prefixes=True)
-    return table.to_dfa(states=prefixes)
+    loop below reads, built move by move."""
+    pta = DFA(alphabet, initial=())
+    for word in map(tuple, words):
+        for cut in range(len(word)):
+            pta.add_transition(word[:cut], word[cut], word[: cut + 1])
+        pta.add_final(word)
+    return pta
+
+
+def pta_prefixes(alphabet: Alphabet, words: Iterable[Sequence[str]]) -> list[Word]:
+    """The prefixes of ``words`` in canonical order: ``prefixes[i]`` is the
+    word that leads to state ``i`` of ``kernel.pta_table(alphabet, words)``."""
+    return sorted(prefix_tree_acceptor(alphabet, words).states, key=alphabet.word_key)
 
 
 def _state_order_key(alphabet: Alphabet, state: object) -> tuple:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
-from repro.automata.dfa import DFA
+from oracles.automata import DFA
 from repro.errors import AutomatonError
 
 State = Hashable

@@ -3,8 +3,7 @@
 
 from __future__ import annotations
 
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
+from oracles.automata import DFA, NFA
 
 
 def reference_minimize(dfa: DFA) -> DFA:

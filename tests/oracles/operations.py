@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 
+from oracles.automata import DFA, NFA
 from oracles.determinize import reference_determinize
 
 from repro.automata.alphabet import Alphabet
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
 
 Automaton = DFA | NFA
 

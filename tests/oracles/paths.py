@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from heapq import heappop, heappush
 
+from oracles.automata import NFA
 from oracles.graph import successors
 from repro.automata.alphabet import Word
-from repro.automata.nfa import NFA
 from repro.errors import GraphError, LearningError
 from repro.graphdb.graph import GraphDB, Node
 

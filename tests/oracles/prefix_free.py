@@ -3,10 +3,8 @@
 
 from __future__ import annotations
 
+from oracles.automata import DFA, NFA
 from oracles.minimize import reference_canonical_dfa
-
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
 
 
 def reference_is_prefix_free(automaton: DFA | NFA) -> bool:

@@ -21,9 +21,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Hashable, Iterable
 
+from oracles.automata import DFA, NFA
 from oracles.graph import out_edges
-from repro.automata.dfa import DFA
-from repro.automata.nfa import NFA
 from repro.errors import GraphError
 from repro.graphdb.graph import GraphDB, Node
 

@@ -13,10 +13,10 @@ import itertools
 
 from hypothesis import strategies as st
 
+from oracles.automata import NFA, table_of
+
 from repro.automata.alphabet import Alphabet
 from repro.automata.kernel import TableDFA
-from repro.automata.minimize import canonical_table
-from repro.automata.nfa import NFA
 from repro.errors import RegexSyntaxError
 from repro.regex.ast import (
     Concat,
@@ -108,4 +108,4 @@ def regex_to_nfa(regex: Regex, alphabet: Alphabet | None = None) -> NFA:
 
 def thompson_table(regex: Regex, alphabet: Alphabet | None = None) -> TableDFA:
     """The canonical table of ``regex`` by way of its Thompson NFA."""
-    return canonical_table(regex_to_nfa(regex, alphabet))
+    return table_of(regex_to_nfa(regex, alphabet)).canonical()

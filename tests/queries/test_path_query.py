@@ -1,8 +1,8 @@
 """Unit tests for monadic path queries."""
 
 import pytest
+from oracles.automata import NFA, table_of
 
-from repro.automata.nfa import NFA
 from repro.errors import QueryError, RegexSyntaxError
 from repro.queries import PathQuery
 
@@ -19,7 +19,7 @@ class TestConstruction:
 
     def test_from_automaton(self, abc_alphabet):
         nfa = NFA.from_words(abc_alphabet, [("a", "b"), ("c",)])
-        query = PathQuery.from_automaton(nfa)
+        query = PathQuery.from_automaton(table_of(nfa))
         assert query.accepts_word(("a", "b"))
         assert query.accepts_word(("c",))
         assert not query.accepts_word(("a",))

@@ -1,8 +1,8 @@
 """A query is its canonical table: what ``PathQuery`` / ``BinaryPathQuery``
 store, what they hash, and that nothing reaches back into it.
 
-Counts are taken with ``TableDFA.from_dfa`` / ``to_dfa`` / ``canonical``
-wrapped (the ``conversions`` fixture), never by clock.
+Counts are taken with ``TableDFA.canonical`` wrapped (the ``conversions``
+fixture), never by clock.
 """
 
 from __future__ import annotations
@@ -11,15 +11,14 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
+from oracles.automata import NFA, compile_dfa, dfa_of, table_of
+from oracles.minimize import reference_canonical_dfa
 from oracles.prefix_free import reference_is_prefix_free, reference_prefix_free
 from oracles.regex import regex_to_nfa, regexes
 
-from repro.automata import Alphabet, canonical_dfa
-from repro.automata.kernel import TableDFA
-from repro.automata.nfa import NFA
-from repro.automata.prefix_free import is_prefix_free, prefix_free
+from repro.automata import Alphabet
+from repro.errors import QueryError
 from repro.queries import BinaryPathQuery, PathQuery
-from repro.regex import compile_query
 
 AB = Alphabet(["a", "b"])
 ABC = Alphabet(["a", "b", "c"])
@@ -52,21 +51,9 @@ class TestHashFollowsEquality:
 
 
 class TestQueriesAreImmutable:
-    def test_mutating_the_dfa_view_changes_nothing_the_query_computes(self, g0, engine):
-        query = PathQuery.parse("a.b", AB)
-        query.dfa.add_final(1)
-        assert not query.accepts_word(["a"]) and query.accepts_word(["a", "b"])
-        assert query.expression == "a.b" and query == PathQuery.parse("a.b", AB)
-        goal = PathQuery.parse("(a.b)*.c", g0.alphabet)
-        before = goal.evaluate(g0, engine=engine)
-        goal.dfa.set_final(goal.dfa.initial, True)
-        engine.clear_caches()
-        assert goal.evaluate(g0, engine=engine) == before
-
     def test_a_parse_cache_hit_shares_the_table_and_not_the_view(self):
         first, second = PathQuery.parse("a.b*.c", ABC), PathQuery.parse("a.b*.c", ABC)
-        assert first.table is second.table
-        assert first.dfa is not second.dfa and first.dfa is first.dfa
+        assert first.table is second.table and first is not second
 
     def test_a_word_outside_the_alphabet_is_just_not_accepted(self):
         assert not PathQuery.parse("a", AB).accepts_word(["a", "z"])
@@ -74,19 +61,17 @@ class TestQueriesAreImmutable:
 
 class TestOneCanonicalisationPerConstructor:
     def test_each_constructor_canonicalises_once_and_converts_nothing(self, conversions):
-        nfa = NFA.from_words(ABC, [("a", "b"), ("c",)])
-        table = TableDFA.from_nfa(nfa)[0]
+        table = table_of(NFA.from_words(ABC, [("a", "b"), ("c",)]))
         for build in (
             lambda: PathQuery.from_words(ABC, [("a", "b"), ("c",)]),
-            lambda: PathQuery.from_automaton(nfa),
+            lambda: PathQuery.from_automaton(table),
             lambda: PathQuery(table),
             lambda: BinaryPathQuery(table),
-            lambda: BinaryPathQuery.from_automaton(nfa),
+            lambda: BinaryPathQuery.from_automaton(table),
         ):
             before = len(conversions["canonical"])
             build()
             assert len(conversions["canonical"]) == before + 1
-        assert not conversions["from_dfa"] and not conversions["to_dfa"]
 
     def test_the_prefix_free_form_is_computed_once_per_query(self, conversions):
         query = PathQuery.parse("a.b*", ABC)
@@ -96,12 +81,17 @@ class TestOneCanonicalisationPerConstructor:
         assert hash(query) == hash(other) and query.prefix_free_form().is_prefix_free()
         # ``a.b*`` is stripped once; ``a`` is prefix-free as it stands.
         assert len(conversions["canonical"]) == start + 1
-        assert not conversions["from_dfa"] and not conversions["to_dfa"]
 
-    def test_a_dfa_is_accepted_and_is_the_only_input_that_is_int_coded(self, conversions):
-        query = PathQuery(compile_query("(a.b)*.c", ABC))
-        assert len(conversions["from_dfa"]) == 1
-        assert query.table.fingerprint() == PathQuery.parse("(a.b)*.c", ABC).table.fingerprint()
+    @pytest.mark.parametrize("query_class", [PathQuery, BinaryPathQuery])
+    def test_an_object_automaton_is_a_query_error(self, query_class, conversions):
+        dfa = compile_dfa("(a.b)*.c", ABC)
+        compiled = len(conversions["canonical"])
+        for automaton in (dfa, dfa.to_nfa()):
+            with pytest.raises(QueryError, match="TableDFA"):
+                query_class(automaton)
+            with pytest.raises(QueryError, match="TableDFA"):
+                query_class.from_automaton(automaton)
+        assert len(conversions["canonical"]) == compiled
 
 
 class TestRoundTrips:
@@ -110,7 +100,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("query_class", [PathQuery, BinaryPathQuery])
     def test_pickle_and_dict_round_trips_keep_the_table(self, query_class):
         parsed = query_class.parse("(a.b)*.c", ABC)
-        built = query_class(NFA.from_words(ABC, [("a", "b"), ("c",)]))
+        built = query_class(table_of(NFA.from_words(ABC, [("a", "b"), ("c",)])))
         for query in (parsed, built):
             query.expression  # a rendered (cached) expression must travel too
             for copy in (
@@ -126,11 +116,10 @@ class TestRoundTrips:
 @given(regex=regexes())
 def test_the_stored_table_is_the_canonical_dfa(regex):
     nfa = regex_to_nfa(regex, ABC)
-    dfa = canonical_dfa(nfa)
-    for source in (nfa, dfa, TableDFA.from_nfa(nfa)[0]):
+    dfa = reference_canonical_dfa(nfa)
+    for source in (table_of(nfa), table_of(dfa)):
         query = PathQuery(source)
-        assert query.table.to_dfa().structurally_equal(dfa)
-        assert query.dfa.structurally_equal(dfa)
+        assert dfa_of(query.table).structurally_equal(dfa)
         assert (query.size, query.alphabet) == (len(dfa), dfa.alphabet)
         assert query.shortest_word() == dfa.shortest_accepted_word()
         assert query.is_empty() == dfa.is_empty()
@@ -140,8 +129,7 @@ def test_the_stored_table_is_the_canonical_dfa(regex):
 @given(regex=regexes())
 def test_table_prefix_freeness_agrees_with_the_object_level_oracle(regex):
     nfa = regex_to_nfa(regex, ABC)
-    query = PathQuery(nfa)
-    assert is_prefix_free(nfa) == reference_is_prefix_free(nfa) == query.is_prefix_free()
+    query = PathQuery(table_of(nfa))
+    assert reference_is_prefix_free(nfa) == query.is_prefix_free()
     expected = reference_prefix_free(nfa)
-    assert prefix_free(nfa).structurally_equal(expected)
-    assert query.prefix_free_form().dfa.structurally_equal(expected)
+    assert dfa_of(query.prefix_free_form().table).structurally_equal(expected)

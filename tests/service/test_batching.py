@@ -7,6 +7,7 @@ import threading
 import time
 
 import pytest
+from oracles.automata import dfa_of, table_of
 
 from repro.api import Workspace
 from repro.errors import OverloadedError, ServiceError
@@ -255,7 +256,7 @@ def test_duplicate_queries_deduplicate_within_batch(batcher, dataset):
 def test_queries_without_expression_never_deduplicate(batcher, dataset):
     """Dedupe keys fall back to identity for expression-less queries."""
     tram = PathQuery.parse("tram", dataset.graph.alphabet)
-    bare = [q.dfa for q in (tram, tram)]  # raw DFAs carry no .expression
+    bare = [table_of(dfa_of(q.table)) for q in (tram, tram)]  # tables carry no .expression
     expected = dataset.engine.evaluate(dataset.graph, tram)
 
     batcher.pause()
